@@ -12,8 +12,10 @@ Commands
 
 High-precision values are emitted as decimal strings (25 significant digits
 by default) so output is byte-identical across runs at fixed precision.
-The expensive boundary-value solve is cached on disk keyed by
-(window, nodes, precision); delete the cache directory to force a re-solve.
+The expensive boundary-value solve is cached on disk, one file per
+(solution schema version, window, nodes, precision); a file that does not
+decode is solved again and replaced.  Delete the cache directory to force a
+re-solve.
 Exit codes: 0 success, 1 verification/precision failure, 2 invalid input.
 """
 
@@ -104,14 +106,24 @@ def _context(config: RunConfig, tolerance: Optional[float] = None) -> PrecisionC
                             tolerance if tolerance is not None else config.tolerance)
 
 
+def _cache_path(config: RunConfig, ctx: PrecisionContext) -> str:
+    key = (f"hm_v{painleve2.SCHEMA_VERSION}_{config.x_left!r}_{config.x_right!r}"
+           f"_{config.nodes}_{ctx.precision_bits}.json").replace("-", "m")
+    return os.path.join(config.cache_dir, key)
+
+
 def _solution(config: RunConfig, ctx: PrecisionContext) -> painleve2.HMSolution:
-    """Disk-cached Hastings-McLeod solve keyed by (window, nodes, bits)."""
-    key = (f"hm_{config.x_left!r}_{config.x_right!r}_{config.nodes}"
-           f"_{ctx.precision_bits}.json").replace("-", "m")
-    path = os.path.join(config.cache_dir, key)
+    """Disk-cached Hastings-McLeod solve keyed by (solution schema, window,
+    nodes, bits).  A cache file that does not decode is solved again and
+    replaced."""
+    path = _cache_path(config, ctx)
     if os.path.exists(path):
         with open(path) as fh:
-            return painleve2.HMSolution.from_json(fh.read())
+            text = fh.read()
+        try:
+            return painleve2.HMSolution.from_json(text)
+        except (ValueError, KeyError):
+            pass  # truncated, foreign or old-schema file: a cache miss
     sol = painleve2.solve_hastings_mcleod(config.x_left, config.x_right,
                                           config.nodes, ctx)
     os.makedirs(config.cache_dir, exist_ok=True)

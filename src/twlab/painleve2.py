@@ -1,5 +1,6 @@
 """Hastings-McLeod problem: solve q'' = 2 q^3 + x q between asymptotic
-boundary conditions and expose q, q', and R = (q')^2 - x q^2 - q^4 on a grid.
+boundary conditions and expose q, q', R = (q')^2 - x q^2 - q^4 and their
+integrals.
 
 The problem is posed as a two-point BVP on piecewise Chebyshev-Lobatto
 collocation elements and solved by damped Newton iteration, first in float64
@@ -7,6 +8,12 @@ collocation elements and solved by damped Newton iteration, first in float64
 elimination.  One-sided shooting is useless here: the wanted solution is a
 separatrix and the growing modes amplify like exp(c |x|^(3/2)) from either
 end, which is exactly why the two-point formulation is mandatory.
+
+The solution is stored once, as each element's nodal values of q and q'.
+Point values come from barycentric interpolation on an element; integrals
+of q, R and q^2 integrate each element's Chebyshev interpolant term by term
+(integrate_kind), so every query is one Clenshaw sum plus a cumulative edge
+value.
 
 The left boundary data come from the large-negative expansion
 
@@ -31,7 +38,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -39,9 +46,8 @@ from mpmath import mp, mpf
 from . import specialfn
 from .errors import DomainError, SolverError, UnsupportedOrderError
 from .precision import PrecisionContext, round_to
-from .quadrature import gauss_legendre
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +471,19 @@ def _newton_iterate(mesh: _Mesh, u, bc_l, bc_r, stop_tol: float,
 
 @dataclass
 class HMSolution:
-    """Immutable solution record; safe for concurrent reads."""
+    """Immutable solution record; safe for concurrent reads.
 
-    grid: List[mpf]
-    q_values: List[mpf]
-    q_prime_values: List[mpf]
-    r_values: List[mpf]
+    Stores each element's edges and its nodal values of q and q' once; the
+    global grid and the nodal q, q', R are derived from them."""
+
     x_left: mpf
     x_right: mpf
     residual_norm: mpf
     precision_bits: int
-    _edges: List[mpf] = field(repr=False, default_factory=list)
-    _elem_q: List[List[mpf]] = field(repr=False, default_factory=list)
-    _elem_qp: List[List[mpf]] = field(repr=False, default_factory=list)
-    _ref: List[mpf] = field(repr=False, default_factory=list)
+    _edges: List[mpf] = field(repr=False)
+    _elem_q: List[List[mpf]] = field(repr=False)
+    _elem_qp: List[List[mpf]] = field(repr=False)
+    _ref: List[mpf] = field(repr=False)
     _cum_cache: dict = field(repr=False, default_factory=dict, compare=False)
     _cum_lock: threading.Lock = field(repr=False, compare=False,
                                       default_factory=threading.Lock)
@@ -486,6 +491,43 @@ class HMSolution:
     @property
     def p(self) -> int:
         return len(self._ref) - 1
+
+    def _elem_nodes(self, e: int) -> List[mpf]:
+        a, b = self._edges[e], self._edges[e + 1]
+        return [(a + b) / 2 + (b - a) / 2 * t for t in self._ref]
+
+    @staticmethod
+    def _merged(rows: List[List[mpf]]) -> List[mpf]:
+        """Per-element rows joined into one grid list; an interface node is
+        kept from the element on its left."""
+        return [v for e, row in enumerate(rows) for v in (row[1:] if e else row)]
+
+    @property
+    def grid(self) -> List[mpf]:
+        with mp.workprec(self.precision_bits + 16):
+            nodes = [self._elem_nodes(e) for e in range(len(self._elem_q))]
+        return round_to(self._merged(nodes), self.precision_bits)
+
+    @property
+    def q_values(self) -> List[mpf]:
+        return self._merged(self._elem_q)
+
+    @property
+    def q_prime_values(self) -> List[mpf]:
+        """q' on the grid; interface nodes carry the average of the two
+        one-sided derivatives, which agree to the continuity tolerance."""
+        qp = self._elem_qp
+        with mp.workprec(self.precision_bits + 16):
+            rows = [row[:-1] + [(row[-1] + qp[e + 1][0]) / 2]
+                    for e, row in enumerate(qp[:-1])] + [qp[-1]]
+        return round_to(self._merged(rows), self.precision_bits)
+
+    @property
+    def r_values(self) -> List[mpf]:
+        with mp.workprec(self.precision_bits + 16):
+            rv = [qp * qp - x * q * q - q ** 4 for x, q, qp in
+                  zip(self.grid, self.q_values, self.q_prime_values)]
+        return round_to(rv, self.precision_bits)
 
     def _locate(self, x: mpf) -> int:
         if x < self.x_left or x > self.x_right:
@@ -536,10 +578,6 @@ class HMSolution:
             "x_left": enc(self.x_left),
             "x_right": enc(self.x_right),
             "residual_norm": enc(self.residual_norm),
-            "grid": enc_list(self.grid),
-            "q": enc_list(self.q_values),
-            "q_prime": enc_list(self.q_prime_values),
-            "r": enc_list(self.r_values),
             "edges": enc_list(self._edges),
             "elem_q": [enc_list(row) for row in self._elem_q],
             "elem_qp": [enc_list(row) for row in self._elem_qp],
@@ -564,10 +602,6 @@ class HMSolution:
             return [dec(t) for t in ts]
 
         return cls(
-            grid=dec_list(doc["grid"]),
-            q_values=dec_list(doc["q"]),
-            q_prime_values=dec_list(doc["q_prime"]),
-            r_values=dec_list(doc["r"]),
             x_left=dec(doc["x_left"]),
             x_right=dec(doc["x_right"]),
             residual_norm=dec(doc["residual_norm"]),
@@ -597,115 +631,104 @@ def r_quadrature_route(solution: HMSolution, x, ctx: PrecisionContext) -> mpf:
     closed-form Airy tail (q ~ Ai there, and int_s^inf Ai^2 has the exact
     antiderivative Ai'(s)^2 - s Ai(s)^2)."""
     with mp.workprec(ctx.precision_bits + 16):
-        x = mpf(x)
-        body = integrate_solution(solution,
-                                  lambda y: solution.q_at(y) ** 2,
-                                  x, solution.x_right, ctx)
+        body = integrate_kind(solution, "q2", x, solution.x_right, ctx)
         ai, aip = specialfn.airy_ai(solution.x_right, ctx)
         return body + (aip * aip - solution.x_right * ai * ai)
 
 
-def integrate_solution(solution: HMSolution, f: Callable[[mpf], mpf],
-                       a, b, ctx: PrecisionContext,
-                       points: Optional[int] = None) -> mpf:
-    """Integrate f over [a, b] splitting at element boundaries (the
-    interpolant is only piecewise-smooth there), Gauss-Legendre per piece."""
-    a, b = mpf(a), mpf(b)
-    if b < a:
-        raise DomainError("integration bounds must satisfy a <= b")
-    if a < solution.x_left or b > solution.x_right:
-        raise DomainError("integration bounds must lie inside the grid")
-    n = points or solution.p + 12
-    prec = ctx.precision_bits + 16
-    cuts = [a] + [e for e in solution._edges if a < e < b] + [b]
-    xs, ws = gauss_legendre(n, prec)
-    with mp.workprec(prec):
-        total = mpf(0)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            half = (hi - lo) / 2
-            mid = (hi + lo) / 2
-            acc = mpf(0)
-            for t, w in zip(xs, ws):
-                acc += w * f(mid + half * t)
-            total += acc * half
-        return total
+# ---------------------------------------------------------------------------
+# Spectral integration on the collocation elements
+# ---------------------------------------------------------------------------
 
-
-def _kind_integrand(solution: HMSolution, kind: str) -> Callable[[mpf], mpf]:
+def _nodal_values(solution: HMSolution, kind: str, e: int) -> List[mpf]:
+    """Element e's nodal values of the integrand named ``kind``."""
+    q = solution._elem_q[e]
     if kind == "q":
-        return solution.q_at
-    if kind == "r":
-        return lambda y: r_of(solution, y)
-    if kind == "r_reg":
-        return lambda y: r_of(solution, y) - y * y / 4
-    if kind == "q_reg":
-        return lambda y: solution.q_at(y) - mp.sqrt(-y / 2)
-    raise ValueError(f"unknown integrand kind {kind!r}")
+        return q
+    if kind == "q2":
+        return [v * v for v in q]
+    xs = solution._elem_nodes(e)
+    return [qp * qp - x * v * v - v ** 4
+            for x, v, qp in zip(xs, q, solution._elem_qp[e])]
 
 
-def _cumulative_edges(solution: HMSolution, kind: str, ctx: PrecisionContext):
-    """C[i] = integral of the ``kind`` integrand from x_left to edge i,
-    cached per (kind, precision).  Regularized kinds stop at the last
-    nonpositive edge (sqrt(|y|) branches at 0)."""
+def _antiderivatives(solution: HMSolution, kind: str, ctx: PrecisionContext):
+    """Per element, the Chebyshev coefficients of the antiderivative of the
+    degree-p interpolant of ``kind`` (zero at the element's left edge, in
+    units of x), and its cumulative values from x_left to every edge.
+
+    Cached per (kind, precision).  The nodes -cos(pi j/p) are the Lobatto
+    points, so the coefficients come from a DCT-I of the nodal values and
+    integrate term by term: int T_n = T_(n+1)/(2(n+1)) - T_(n-1)/(2(n-1))
+    (Trefethen, ATAP, ch. 19)."""
     key = (kind, ctx.precision_bits)
     with solution._cum_lock:
         hit = solution._cum_cache.get(key)
     if hit is not None:
         return hit
-    f = _kind_integrand(solution, kind)
-    edges = solution._edges
-    n_edges = len(edges)
-    if kind.endswith("_reg"):
-        n_edges = 1 + max(i for i in range(n_edges) if edges[i] <= 0)
-    prec = ctx.precision_bits + 16
-    n = solution.p + 12
-    xs, ws = gauss_legendre(n, prec)
-    with mp.workprec(prec):
-        cum = [mpf(0)]
-        for e in range(n_edges - 1):
-            lo, hi = edges[e], edges[e + 1]
-            half = (hi - lo) / 2
-            mid = (hi + lo) / 2
-            acc = mpf(0)
-            for t, w in zip(xs, ws):
-                acc += w * f(mid + half * t)
-            cum.append(cum[-1] + acc * half)
+    p = solution.p
+    with mp.workprec(ctx.precision_bits + 16):
+        cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
+        half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
+        # values at -cos(pi j/p) -> coefficients of T_0..T_p
+        dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
+                for j in range(p + 1)] for n in range(p + 1)]
+        coeffs, cum = [], [mpf(0)]
+        for e in range(len(solution._elem_q)):
+            f = _nodal_values(solution, kind, e)
+            c = [mp.fdot(row, f) for row in dct] + [mpf(0), mpf(0)]
+            scale = (solution._edges[e + 1] - solution._edges[e]) / 2
+            b = [mpf(0), scale * (c[0] - c[2] / 2)]
+            b += [scale * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, p + 2)]
+            b[0] = -sum((-1) ** k * b[k] for k in range(1, p + 2))
+            coeffs.append(b)
+            cum.append(cum[-1] + mp.fsum(b))
     with solution._cum_lock:
-        solution._cum_cache[key] = cum
-    return cum
+        solution._cum_cache[key] = (coeffs, cum)
+    return coeffs, cum
+
+
+def _clenshaw(coeffs: List[mpf], t: mpf) -> mpf:
+    """sum coeffs[k] T_k(t)."""
+    b1 = b2 = mpf(0)
+    for c in reversed(coeffs[1:]):
+        b1, b2 = 2 * t * b1 - b2 + c, b1
+    return t * b1 - b2 + coeffs[0]
+
+
+_KINDS = ("q", "r", "q2", "q_reg", "r_reg")
 
 
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
-    """Integral of a named integrand over [a, b] using cached per-element
-    cumulatives plus at most two partial-element pieces."""
+    """Integral over [a, b] of q, R, q^2, or the regularized q - sqrt(-y/2)
+    and R - y^2/4 (for b <= 0), from the cached element antiderivatives:
+    one Clenshaw sum per end point."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown integrand kind {kind!r}")
     a, b = mpf(a), mpf(b)
     if b < a:
         raise DomainError("integration bounds must satisfy a <= b")
     if a < solution.x_left or b > solution.x_right:
         raise DomainError("integration bounds must lie inside the grid")
-    cum = _cumulative_edges(solution, kind, ctx)
-    f = _kind_integrand(solution, kind)
+    if kind.endswith("_reg") and b > 0:
+        raise DomainError(f"{kind} integrates only up to 0 (sqrt(-y) branches there)")
+    coeffs, cum = _antiderivatives(solution, kind.partition("_")[0], ctx)
     edges = solution._edges
-    n = solution.p + 12
-    prec = ctx.precision_bits + 16
-    xs, ws = gauss_legendre(n, prec)
 
     def upto(x: mpf) -> mpf:
         # integral from x_left to x
-        e = min(bisect_right(edges, x) - 1, len(cum) - 2)
-        e = max(e, 0)
-        lo = edges[e]
-        half = (x - lo) / 2
-        mid = (x + lo) / 2
-        acc = mpf(0)
-        if half != 0:
-            for t, w in zip(xs, ws):
-                acc += w * f(mid + half * t)
-        return cum[e] + acc * half
+        e = solution._locate(x)
+        lo, hi = edges[e], edges[e + 1]
+        return cum[e] + _clenshaw(coeffs[e], (2 * x - lo - hi) / (hi - lo))
 
-    with mp.workprec(prec):
-        return upto(b) - upto(a)
+    with mp.workprec(ctx.precision_bits + 16):
+        total = upto(b) - upto(a)
+        if kind == "q_reg":
+            total -= mp.sqrt(2) / 3 * ((-a) ** mpf("1.5") - (-b) ** mpf("1.5"))
+        elif kind == "r_reg":
+            total -= (b ** 3 - a ** 3) / 12
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -777,33 +800,8 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
             raise SolverError(f"high-precision Newton failed: {exc}",
                               residual=exc.residual)
 
-        # per-element derivative values, then the deduplicated global grid
-        elem_qp = []
-        for e in range(k_elems):
-            s = 2 / mesh.h[e]
-            qp_e = []
-            for i in range(p + 1):
-                acc = mpf(0)
-                for j in range(p + 1):
-                    acc += mesh.d1[i][j] * u[e][j]
-                qp_e.append(s * acc)
-            elem_qp.append(qp_e)
-        grid: List[mpf] = []
-        qv: List[mpf] = []
-        qpv: List[mpf] = []
-        for e in range(k_elems):
-            start = 1 if e > 0 else 0
-            for i in range(start, p + 1):
-                grid.append(mesh.nodes[e][i])
-                qv.append(u[e][i])
-                if i == p and e < k_elems - 1:
-                    # interface nodes carry two one-sided derivatives that
-                    # agree to the continuity-equation tolerance
-                    qpv.append((elem_qp[e][p] + elem_qp[e + 1][0]) / 2)
-                else:
-                    qpv.append(elem_qp[e][i])
-        rv = [qpv[i] ** 2 - grid[i] * qv[i] ** 2 - qv[i] ** 4
-              for i in range(len(grid))]
+        elem_qp = [[2 / mesh.h[e] * mp.fdot(row, u[e]) for row in mesh.d1]
+                   for e in range(k_elems)]
 
         interior_res = []
         for e in range(k_elems):
@@ -812,10 +810,6 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
 
     out_prec = ctx.precision_bits
     sol = HMSolution(
-        grid=round_to(grid, out_prec),
-        q_values=round_to(qv, out_prec),
-        q_prime_values=round_to(qpv, out_prec),
-        r_values=round_to(rv, out_prec),
         x_left=round_to(x_left, out_prec),
         x_right=round_to(x_right, out_prec),
         residual_norm=round_to(res_norm, out_prec),

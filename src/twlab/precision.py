@@ -44,9 +44,6 @@ class PrecisionContext:
         return mpf(self.tolerance)
 
 
-DEFAULT_CONTEXT = PrecisionContext()
-
-
 def round_to(value, bits: int):
     """Round a value (or list of values) to ``bits`` mantissa bits."""
     with mp.workprec(bits):

@@ -1,5 +1,6 @@
-"""High-accuracy scalar special functions: Airy Ai/Ai', modified Bessel I_j,
-log Gamma, log Barnes G, and the constant zeta'(-1).
+"""High-accuracy scalar special functions: Airy Ai/Ai' and the tail
+integral of Ai, modified Bessel I_j, log Gamma, log Barnes G, and the
+constant zeta'(-1).
 
 Everything here is a pure function of its arguments.  Each function lifts the
 working precision internally by enough guard bits to absorb cancellation (the
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from mpmath import mp, mpf
@@ -235,26 +235,14 @@ def _airy_asymp_coeffs(zeta: mpf, prec: int, kind: str) -> Tuple[mpf, mpf, mpf, 
             if abs(tu) >= prev or abs(tu) < eps:
                 break
             prev = abs(tu)
-            sgn = -1 if (k % 2) else 1
-            if kind == "exp":
-                # (-1)^k c_k zeta^-k, parity split only for reuse
-                if k % 2 == 0:
-                    ue += sgn * tu
-                    ve += sgn * v * pw
-                else:
-                    uo += sgn * tu
-                    vo += sgn * v * pw
+            # 'exp': (-1)^k;  'osc': (-1)^m with k = 2m or 2m+1
+            sgn = -1 if (k if kind == "exp" else k // 2) % 2 else 1
+            if k % 2 == 0:
+                ue += sgn * tu
+                ve += sgn * v * pw
             else:
-                # oscillatory split: sum (-1)^m c_{2m} zeta^(-2m) and
-                # sum (-1)^m c_{2m+1} zeta^(-2m-1)
-                m = k // 2
-                sgn = -1 if (m % 2) else 1
-                if k % 2 == 0:
-                    ue += sgn * tu
-                    ve += sgn * v * pw
-                else:
-                    uo += sgn * tu
-                    vo += sgn * v * pw
+                uo += sgn * tu
+                vo += sgn * v * pw
             k += 1
         return ue, uo, ve, vo
 
@@ -292,6 +280,24 @@ def _airy_asymptotic_floor_bits(abs_x: float) -> float:
     return 2.0 * zeta * _LOG2_E - 6.0
 
 
+def _finite_abs(x, name: str) -> float:
+    try:
+        xf = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} requires a finite real, got {x!r}")
+    if not math.isfinite(xf):
+        raise DomainError(f"{name} requires a finite real, got {x!r}")
+    return abs(xf)
+
+
+def _maclaurin_bits(ax: float, ctx: PrecisionContext) -> int:
+    """Working bits for the Maclaurin sums at |x| = ax: the caller's need
+    plus the ~(4/3)|x|^(3/2) nats they lose to cancellation."""
+    need_bits = -math.log2(ctx.tolerance) + 8
+    guard = int(2.0 * (2.0 / 3.0) * ax ** 1.5 * _LOG2_E) + 64
+    return max(ctx.precision_bits, int(need_bits)) + guard
+
+
 def airy_ai(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(Ai(x), Ai'(x)) to ctx.tolerance.
 
@@ -299,23 +305,43 @@ def airy_ai(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     truncation floor (~e^(-(4/3)|x|^(3/2))) sits below the requested
     tolerance, else the guarded Maclaurin series is kept.
     """
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"airy_ai requires a finite real, got {x!r}")
-    if not math.isfinite(xf):
-        raise DomainError(f"airy_ai requires a finite real, got {x!r}")
+    ax = _finite_abs(x, "airy_ai")
     x = mpf(x)
-    ax = abs(xf)
     need_bits = -math.log2(ctx.tolerance) + 8
     if ax > _AIRY_CROSSOVER and _airy_asymptotic_floor_bits(ax) > need_bits:
         prec = max(ctx.precision_bits, int(need_bits)) + 64
         ai, aip = _airy_asymptotic(x, prec)
     else:
-        guard = int(2.0 * (2.0 / 3.0) * ax ** 1.5 * _LOG2_E) + 64
-        prec = max(ctx.precision_bits, int(need_bits)) + guard
-        ai, aip = _airy_maclaurin(x, prec)
+        ai, aip = _airy_maclaurin(x, _maclaurin_bits(ax, ctx))
     return round_to((ai, aip), ctx.precision_bits)
+
+
+def airy_ai_tail_integral(x, ctx: PrecisionContext) -> mpf:
+    """int_x^inf Ai(s) ds = 1/3 - int_0^x Ai(s) ds.
+
+    The last integral is the Maclaurin series of Ai integrated term by term,
+    convergent for every x and summed with the same guard bits as airy_ai
+    (the cancellation, now against 1/3, is the same size)."""
+    ax = _finite_abs(x, "airy_ai_tail_integral")
+    prec = _maclaurin_bits(ax, ctx)
+    with mp.workprec(prec):
+        x = mpf(x)
+        x3 = x ** 3
+        # int_0^x of the k-th Maclaurin terms of f and g (see _airy_maclaurin)
+        tf = x
+        tg = x * x / 2
+        sf, sg = tf, tg
+        k = 0
+        eps = mpf(2) ** (-prec - 10)
+        while abs(tf) + abs(tg) >= eps * (1 + abs(sf) + abs(sg)):
+            tf = tf * x3 * (3 * k + 1) / ((3 * k + 2) * (3 * k + 3) * (3 * k + 4))
+            tg = tg * x3 * (3 * k + 2) / ((3 * k + 3) * (3 * k + 4) * (3 * k + 5))
+            k += 1
+            sf += tf
+            sg += tg
+        c1, c2 = _airy_constants(prec)
+        tail = mpf(1) / 3 - (c1 * sf + c2 * sg)
+    return round_to(tail, ctx.precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +386,3 @@ def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
                 out.append(s)
     return [round_to(v, ctx.precision_bits + int(math.ceil(float(two_t) * _LOG2_E)) + 32)
             for v in out]
-
-
-# ---------------------------------------------------------------------------
-# Bundle of constants several modules share
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecialConstants:
-    zeta_prime_minus_one: mpf
-    euler_gamma: mpf
-    log2: mpf
-    log_pi: mpf
-
-    @classmethod
-    def compute(cls, ctx: PrecisionContext) -> "SpecialConstants":
-        zp = zeta_prime_minus_one(ctx)
-        with mp.workprec(ctx.precision_bits):
-            return cls(
-                zeta_prime_minus_one=zp,
-                euler_gamma=+mp.euler,
-                log2=mp.log(2),
-                log_pi=mp.log(mp.pi),
-            )

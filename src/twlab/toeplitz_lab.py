@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
@@ -312,18 +311,12 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
 # Airy-regime predictions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AiryPrediction:
-    """First-correction data entering the kappa prediction below."""
-
-    c1: Fraction = Fraction(5, 72)
-    d1: Fraction = Fraction(-7, 72)
-
-    def correction(self, q: int, t) -> mpf:
-        """-1/(8(2t-q)) - 1/(12q); negative on 0 < q < 2t and must stay
-        above -1/2 before being fed to a logarithm."""
-        t = mpf(t)
-        return -1 / (8 * (2 * t - q)) - mpf(1) / (12 * q)
+def airy_kappa_correction(q: int, t) -> mpf:
+    """-1/(8(2t-q)) - 1/(12q): first correction of the kappa prediction
+    below; negative on 0 < q < 2t and must stay above -1/2 before being fed
+    to a logarithm."""
+    t = mpf(t)
+    return -1 / (8 * (2 * t - q)) - mpf(1) / (12 * q)
 
 
 def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf:
@@ -337,7 +330,7 @@ def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf
     t = mpf(t)
     if q < 1 or not q < 2 * t:
         raise DomainError("prediction requires 1 <= q < 2t")
-    corr = AiryPrediction().correction(q, t)
+    corr = airy_kappa_correction(q, t)
     if not abs(corr) < mpf(1) / 2:
         raise DomainError(
             f"correction {corr} out of range at q={q}, t={t}; q too close "
@@ -395,10 +388,9 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
         for q in q_values:
             pred_k = None
             pred_pi = None
-            if q + 1 < 2 * t_mp:
-                corr = -1 / (8 * (2 * t_mp - (q + 1))) - mpf(1) / (12 * (q + 1))
-                if abs(corr) < mpf(1) / 2:
-                    pred_k = -airy_log_kappa_prediction(q + 1, t)
+            if (q + 1 < 2 * t_mp
+                    and abs(airy_kappa_correction(q + 1, t_mp)) < mpf(1) / 2):
+                pred_k = -airy_log_kappa_prediction(q + 1, t)
             if q < 2 * t_mp:
                 pred_pi = pi_zero_airy_prediction(q, t)
             records.append(ScanRecord(

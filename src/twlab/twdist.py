@@ -14,10 +14,12 @@ Left representation (integrals from -infinity to x, x < 0):
     E(x) = 2^(-1/4) e^(-|x|^(3/2)/(3 sqrt 2))
            * exp{ 1/2 int_{-inf}^x (q(y) - sqrt(|y|/2)) dy }.
 
-Quadrature runs on the collocation solution between the window ends; beyond
-the window both integrands are handled analytically (regularized series on
-the left, Airy-regime closed forms / integration-by-parts series on the
-right) with truncation error folded into the reported tolerance.
+Between the window ends the integrands are the element interpolants of the
+collocation solution, integrated exactly (painleve2.integrate_kind).  Beyond
+the window both integrands are handled analytically: on the left by the
+regularized series, with their truncation error checked against the
+tolerance; on the right by the Airy closed form for R and the convergent
+1/3 - int_0^x Ai for q.
 """
 
 from __future__ import annotations
@@ -88,34 +90,11 @@ def airy_tail_r_integral(x, ctx: PrecisionContext) -> mpf:
         return (2 * x * x * ai * ai - 2 * x * aip * aip - ai * aip) / 3
 
 
-def airy_tail_q_integral(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """int_x^inf Ai(s) ds by iterated integration by parts against Ai'' = s Ai:
-
-        J_m = -Ai'(x) x^(-3m-1) - (3m+1) Ai(x) x^(-3m-2)
-              + (3m+1)(3m+2) J_{m+1},
-
-    truncated at the minimal term.  Returns (value, remainder bound)."""
-    with mp.workprec(ctx.precision_bits + 16):
-        x = mpf(x)
-        ai, aip = specialfn.airy_ai(x, ctx)
-        total = mpf(0)
-        fac = mpf(1)
-        prev = mp.inf
-        bound = mpf(0)
-        m = 0
-        while True:
-            term = fac * (-aip / x ** (3 * m + 1) - (3 * m + 1) * ai / x ** (3 * m + 2))
-            if abs(term) >= prev:
-                bound = abs(term)
-                break
-            total += term
-            prev = abs(term)
-            fac *= (3 * m + 1) * (3 * m + 2)
-            m += 1
-            if m > 60:
-                bound = abs(term)
-                break
-        return total, bound
+def airy_tail_q_integral(x, ctx: PrecisionContext) -> mpf:
+    """int_x^inf Ai(s) ds, exact through the convergent identity
+    1/3 - int_0^x Ai.  Equals int_x^inf q(s) ds up to the (q - Ai) defect,
+    as for airy_tail_r_integral."""
+    return specialfn.airy_ai_tail_integral(x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +102,8 @@ def airy_tail_q_integral(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
 # ---------------------------------------------------------------------------
 
 def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(int_x^inf R, int_x^inf q) via quadrature to x_right plus tails."""
+    """(int_x^inf R, int_x^inf q): element integrals to x_right plus the
+    Airy tails."""
     x = mpf(x)
     if x < sol.x_left or x > sol.x_right:
         raise DomainError(f"x={x} outside solution window")
@@ -131,8 +111,7 @@ def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tup
         int_r = painleve2.integrate_kind(sol, "r", x, sol.x_right, ctx)
         int_r += airy_tail_r_integral(sol.x_right, ctx)
         int_q = painleve2.integrate_kind(sol, "q", x, sol.x_right, ctx)
-        tail_q, _ = airy_tail_q_integral(sol.x_right, ctx)
-        int_q += tail_q
+        int_q += airy_tail_q_integral(sol.x_right, ctx)
         return int_r, int_q
 
 

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from twlab import cli
+from twlab import cli, painleve2
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,35 @@ class TestEvalAndTable:
         _, a = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d1.json")
         _, b = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d2.json")
         assert a == b
+
+
+class TestSolutionCache:
+    """A cache file that does not decode is a miss: solved again, replaced."""
+
+    def _rerun_over(self, tmp_path, content):
+        cache = str(tmp_path / "cache")
+        config = cli.RunConfig("eval", x=0.0, nodes=500, precision_bits=192,
+                               cache_dir=cache)
+        path = cli._cache_path(config, cli._context(config))
+        assert os.path.basename(path).startswith(
+            f"hm_v{painleve2.SCHEMA_VERSION}_")
+        os.makedirs(cache)
+        with open(path, "w") as fh:
+            fh.write(content)
+        out = str(tmp_path / "out.json")
+        code = cli.main(["eval", "--x", "0"] + FAST
+                        + ["--cache-dir", cache, "--output", out])
+        assert code == 0
+        with open(path) as fh:
+            painleve2.HMSolution.from_json(fh.read())
+        assert os.listdir(cache) == [os.path.basename(path)]
+
+    def test_truncated_file_is_resolved(self, tmp_path):
+        self._rerun_over(tmp_path, '{"schema_version": 2, "kind": "hast')
+
+    def test_old_schema_file_is_resolved(self, tmp_path):
+        self._rerun_over(tmp_path, json.dumps({"schema_version": 1,
+                                               "grid": [], "q": []}))
 
 
 class TestExitCodes:

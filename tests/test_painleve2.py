@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 from twlab import painleve2, specialfn
 from twlab.errors import DomainError, UnsupportedOrderError
 from twlab.precision import PrecisionContext
-from twlab.quadrature import integrate_gl
+from twlab.quadrature import gauss_legendre, integrate_gl
 
 
 class TestLeftSeries:
@@ -165,6 +165,44 @@ class TestRRoutes:
             painleve2.r_of(hm_solution, 9)
         with pytest.raises(DomainError):
             hm_solution.q_at(-13)
+
+
+class TestSpectralIntegration:
+    @staticmethod
+    def _gauss_legendre(sol, f, a, b):
+        """Gauss-Legendre with p+12 points on each element piece of [a, b]."""
+        a, b = mpf(a), mpf(b)
+        cuts = [a] + [e for e in sol._edges if a < e < b] + [b]
+        xs, ws = gauss_legendre(sol.p + 12, 300)
+        total = mpf(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            total += half * mp.fsum(w * f(mid + half * t) for t, w in zip(xs, ws))
+        return total
+
+    def test_matches_per_element_gauss_legendre(self, hm_solution, ctx256, wp300):
+        sol = hm_solution
+        r = lambda y: painleve2.r_of(sol, y)
+        integrands = {
+            "q": sol.q_at,
+            "r": r,
+            "q_reg": lambda y: sol.q_at(y) - mp.sqrt(-y / 2),
+            "r_reg": lambda y: r(y) - y * y / 4,
+        }
+        # one element exactly, [-3.30, -2.87]
+        element = (sol._edges[20], sol._edges[21])
+        right = [(-11.3, 7.77), (0.1, 0.2), element]
+        left = [(-11.3, -1.9), (-9.95, -9.7), element]
+        for kind, f in integrands.items():
+            for a, b in (left if kind.endswith("_reg") else right):
+                got = painleve2.integrate_kind(sol, kind, a, b, ctx256)
+                assert abs(got - self._gauss_legendre(sol, f, a, b)) < mpf(10) ** -30
+
+    def test_regularized_kinds_stop_at_zero(self, hm_solution, ctx256):
+        for kind in ("q_reg", "r_reg"):
+            painleve2.integrate_kind(hm_solution, kind, -2, 0, ctx256)
+            with pytest.raises(DomainError):
+                painleve2.integrate_kind(hm_solution, kind, -2, 1, ctx256)
 
 
 class TestStability:

@@ -206,19 +206,3 @@ class TestZetaPrimeMinusOne:
         closed = mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp
         via_series = specialfn.log_barnes_g(mpf(1) / 2, CTX)
         assert abs(via_series - closed) < mpf(10) ** -40
-
-
-class TestSpecialConstants:
-    def test_bundle(self, wp300):
-        consts = specialfn.SpecialConstants.compute(CTX)
-        assert abs(consts.log2 - mp.log(2)) < mpf(10) ** -70
-        assert abs(consts.log_pi - mp.log(mp.pi)) < mpf(10) ** -70
-        assert abs(consts.euler_gamma - mp.euler) < mpf(10) ** -70
-
-    def test_euler_gamma_harmonic_consistency(self, wp300):
-        # H_K - log K - gamma = 1/(2K) - 1/(12K^2) + O(K^-4)
-        consts = specialfn.SpecialConstants.compute(CTX)
-        k = 100000
-        h = mp.fsum(mpf(1) / q for q in range(1, k + 1))
-        resid = h - mp.log(k) - consts.euler_gamma - mpf(1) / (2 * k) + mpf(1) / (12 * k * k)
-        assert abs(resid) < mpf(2) / (100 * mpf(k) ** 4)

@@ -50,6 +50,15 @@ class TestRightRepresentation:
         with pytest.raises(DomainError):
             twdist.cdf_right(9, hm_solution, ctx256)
 
+    def test_airy_tail_q_integral_against_quadrature(self):
+        ctx = PrecisionContext(256, 1e-30)
+        # 128-bit quadrature is good to ~1e-44 here, and far quicker than 256-bit
+        with mp.workprec(128):
+            for x in (6, 8, 10):
+                oracle = mp.quad(mp.airyai, [x, mp.inf])
+                got = twdist.airy_tail_q_integral(x, ctx)
+                assert abs(got - oracle) < mpf(10) ** -30
+
 
 class TestLeftRepresentation:
     def test_agreement_with_right(self, hm_solution, tail_constants, ctx256):
