@@ -3,11 +3,14 @@ boundary conditions and expose q, q', R = (q')^2 - x q^2 - q^4 and their
 integrals.
 
 The problem is posed as a two-point BVP on piecewise Chebyshev-Lobatto
-collocation elements and solved by damped Newton iteration, first in float64
-(warm start) and then at the requested precision with a block-tridiagonal
-elimination.  One-sided shooting is useless here: the wanted solution is a
-separatrix and the growing modes amplify like exp(c |x|^(3/2)) from either
-end, which is exactly why the two-point formulation is mandatory.
+collocation elements.  A damped float64 Newton iteration (numpy, with a
+block-tridiagonal elimination of the Jacobian) reaches the float64 rounding
+floor; defect correction then brings the solution to the requested
+precision: the float64 Jacobian is eliminated once, and each sweep only
+evaluates the residual in mp and subtracts J64^-1 r (iterative refinement).
+One-sided shooting is useless here: the wanted solution is a separatrix and
+the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
+exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
 Point values come from barycentric interpolation on an element; integrals
@@ -34,11 +37,13 @@ printed sources disagree beyond a_2).
 from __future__ import annotations
 
 import json
+import logging
+import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 from mpmath import mp, mpf
@@ -49,13 +54,23 @@ from .precision import PrecisionContext, round_to
 
 SCHEMA_VERSION = 2
 
+log = logging.getLogger(__name__)
+T = TypeVar("T")
+
 
 # ---------------------------------------------------------------------------
 # Large-negative-x series for q and R (exact rational coefficients)
 # ---------------------------------------------------------------------------
 
-def hm_left_series_coefficients(order: int) -> List[Fraction]:
+# exact coefficients by (series, order); they depend on nothing else
+_series_cache: Dict[Tuple[str, int], Tuple[Fraction, ...]] = {}
+
+
+def hm_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
     """a_0..a_order of q(x) = sqrt(-x/2) * sum a_k x^(-3k)."""
+    key = ("q", order)
+    if key in _series_cache:
+        return _series_cache[key]
     a = [Fraction(1)]
     for m in range(1, order + 1):
         cm = Fraction(1, 4) + 3 * (m - 1) - 3 * (m - 1) * (3 * m - 2)
@@ -66,10 +81,10 @@ def hm_left_series_coefficients(order: int) -> List[Fraction]:
                 if j < m and k < m:
                     tm += a[i] * a[j] * a[k]
         a.append((cm * a[m - 1] - tm) / 2)
-    return a
+    return _series_cache.setdefault(key, tuple(a))
 
 
-def r_left_series_coefficients(order: int) -> List[Fraction]:
+def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
     """rho_0..rho_order of R(x) = sum rho_m x^(2-3m).
 
     Derived by pushing the q-series through R = (q')^2 - x q^2 - q^4:
@@ -77,6 +92,9 @@ def r_left_series_coefficients(order: int) -> List[Fraction]:
 
         R = (x^2/4)(2 P^2 - P^4) - (1/x)(P^2/8 + P P1 / 2 + P1^2 / 2).
     """
+    key = ("r", order)
+    if key in _series_cache:
+        return _series_cache[key]
     a = hm_left_series_coefficients(order + 1)
     n = order + 2
 
@@ -103,7 +121,7 @@ def r_left_series_coefficients(order: int) -> List[Fraction]:
         if m >= 1:
             val -= p2[m - 1] / 8 + pp1[m - 1] / 2 + p1p1[m - 1] / 2
         rho.append(val)
-    return rho
+    return _series_cache.setdefault(key, tuple(rho))
 
 
 def q_left_asymptotic(x, order: int):
@@ -141,7 +159,7 @@ def r_left_asymptotic(x, order: int):
     return x * x * s
 
 
-def _series_value_adaptive(x: mpf, coeffs: List[Fraction], power0: int,
+def _series_value_adaptive(x: mpf, coeffs: Sequence[Fraction], power0: int,
                            step: int = -3) -> Tuple[mpf, mpf, int]:
     """Sum coeffs[m] * x^(power0 + step*m) until the terms stop shrinking.
 
@@ -238,7 +256,7 @@ def _diff_matrix(nodes: Sequence) -> List[List]:
     c = [2 if j in (0, p) else 1 for j in range(p + 1)]
     d = [[None] * (p + 1) for _ in range(p + 1)]
     for i in range(p + 1):
-        row_sum = mpf(0) if isinstance(nodes[0], mpf) else 0.0
+        row_sum = mpf(0)
         for j in range(p + 1):
             if i != j:
                 v = (c[i] / c[j]) * (-1) ** (i + j) / (nodes[i] - nodes[j])
@@ -248,221 +266,181 @@ def _diff_matrix(nodes: Sequence) -> List[List]:
     return d
 
 
-def _mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    zero = a[0][0] * 0
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            ait = ai[t]
-            if ait == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                oi[j] += ait * bt[j]
-    return out
-
-
-def _lu_factor(a):
-    """In-place LU with partial pivoting; returns (lu, piv)."""
-    n = len(a)
-    lu = [row[:] for row in a]
-    piv = list(range(n))
-    for k in range(n):
-        pr = max(range(k, n), key=lambda r: abs(lu[r][k]))
-        if lu[pr][k] == 0:
-            raise SolverError("singular Newton block")
-        if pr != k:
-            lu[pr], lu[k] = lu[k], lu[pr]
-            piv[pr], piv[k] = piv[k], piv[pr]
-        inv = 1 / lu[k][k]
-        for r in range(k + 1, n):
-            f = lu[r][k] * inv
-            lu[r][k] = f
-            if f != 0:
-                lrow, krow = lu[r], lu[k]
-                for c in range(k + 1, n):
-                    lrow[c] -= f * krow[c]
-    return lu, piv
-
-
-def _lu_solve_vec(lu, piv, b):
-    n = len(lu)
-    x = [b[piv[i]] for i in range(n)]
-    for i in range(1, n):
-        s = x[i]
-        row = lu[i]
-        for j in range(i):
-            s -= row[j] * x[j]
-        x[i] = s
-    for i in range(n - 1, -1, -1):
-        s = x[i]
-        row = lu[i]
-        for j in range(i + 1, n):
-            s -= row[j] * x[j]
-        x[i] = s / row[i]
-    return x
-
-
-def _lu_solve_mat(lu, piv, b):
-    n = len(lu)
-    m = len(b[0])
-    cols = []
-    for j in range(m):
-        cols.append(_lu_solve_vec(lu, piv, [b[i][j] for i in range(n)]))
-    return [[cols[j][i] for j in range(m)] for i in range(n)]
-
-
 class _Mesh:
-    """Element layout plus reference operators at a fixed precision."""
+    """Element layout and reference operators at the working precision, with
+    float64 copies of the operators for the Jacobian."""
 
-    def __init__(self, x_left, x_right, k_elems: int, p: int, use_mp: bool):
+    def __init__(self, x_left: mpf, x_right: mpf, k_elems: int, p: int):
         self.k = k_elems
         self.p = p
-        if use_mp:
-            xl, xr = mpf(x_left), mpf(x_right)
-            self.edges = [xl + (xr - xl) * e / k_elems for e in range(k_elems + 1)]
-            self.ref = _lobatto_nodes(p)
-        else:
-            xl, xr = float(x_left), float(x_right)
-            self.edges = [xl + (xr - xl) * e / k_elems for e in range(k_elems + 1)]
-            self.ref = [float(v) for v in _lobatto_nodes(p)]
+        self.edges = [x_left + (x_right - x_left) * e / k_elems
+                      for e in range(k_elems + 1)]
+        self.ref = _lobatto_nodes(p)
         self.d1 = _diff_matrix(self.ref)
-        self.d2 = _mat_mul(self.d1, self.d1)
+        self.d2 = [[mp.fdot(row, col) for col in zip(*self.d1)] for row in self.d1]
         self.h = [self.edges[e + 1] - self.edges[e] for e in range(k_elems)]
-        self.nodes = []
-        for e in range(k_elems):
-            mid = (self.edges[e + 1] + self.edges[e]) / 2
-            half = self.h[e] / 2
-            self.nodes.append([mid + half * t for t in self.ref])
+        self.nodes = [[(self.edges[e + 1] + self.edges[e]) / 2 + self.h[e] / 2 * t
+                       for t in self.ref] for e in range(k_elems)]
+        self.d1_f = np.array(self.d1, dtype=float)
+        self.d2_f = np.array(self.d2, dtype=float)
+        self.h_f = np.array(self.h, dtype=float)
+        self.nodes_f = np.array(self.nodes, dtype=float)
 
 
-def _ode_residual(mesh: _Mesh, u, bc_l, bc_r):
-    """Residual blocks; row 0/p of each element carry coupling conditions."""
+def _ode_residual(mesh: _Mesh, u, bc_l, bc_r) -> List[List[mpf]]:
+    """Residual blocks at the working precision; row 0/p of each element
+    carry the boundary or coupling conditions, rows 1..p-1 the ODE."""
     k, p = mesh.k, mesh.p
+    d1_first, d1_last = mesh.d1[0], mesh.d1[p]
     res = []
     for e in range(k):
         ue = u[e]
         scale2 = 4 / (mesh.h[e] * mesh.h[e])
         r = [None] * (p + 1)
-        if e == 0:
-            r[0] = ue[0] - bc_l
-        else:
-            r[0] = u[e - 1][p] - ue[0]
+        r[0] = ue[0] - bc_l if e == 0 else u[e - 1][p] - ue[0]
         for i in range(1, p):
-            acc = ue[0] * 0
-            row = mesh.d2[i]
-            for j in range(p + 1):
-                acc += row[j] * ue[j]
             x = mesh.nodes[e][i]
-            r[i] = scale2 * acc - 2 * ue[i] ** 3 - x * ue[i]
+            r[i] = scale2 * mp.fdot(mesh.d2[i], ue) - (2 * ue[i] ** 2 + x) * ue[i]
         if e == k - 1:
             r[p] = ue[p] - bc_r
         else:
-            s_a = 2 / mesh.h[e]
-            s_b = 2 / mesh.h[e + 1]
-            da = mesh.d1[p]
-            db = mesh.d1[0]
-            acc = ue[0] * 0
-            for j in range(p + 1):
-                acc += s_a * da[j] * ue[j] - s_b * db[j] * u[e + 1][j]
-            r[p] = acc
+            r[p] = (2 / mesh.h[e] * mp.fdot(d1_last, ue)
+                    - 2 / mesh.h[e + 1] * mp.fdot(d1_first, u[e + 1]))
         res.append(r)
     return res
 
 
-def _newton_step(mesh: _Mesh, u, res):
-    """One block-tridiagonal Newton solve; returns the update delta."""
-    k, p = mesh.k, mesh.p
-    n = p + 1
-    zero = u[0][0] * 0
-    s_fact = []
-    g_blocks = []
-    y_vecs = []
+def _residual64(mesh: _Mesh, u: np.ndarray, bc_l: float, bc_r: float) -> np.ndarray:
+    """_ode_residual in float64 on the (k, p+1) nodal array."""
+    d1, d2, h = mesh.d1_f, mesh.d2_f, mesh.h_f
+    inner = u[:, 1:-1]
+    r = np.empty_like(u)
+    r[:, 1:-1] = ((4 / h ** 2)[:, None] * (u @ d2[1:-1].T)
+                  - (2 * inner ** 2 + mesh.nodes_f[:, 1:-1]) * inner)
+    r[0, 0] = u[0, 0] - bc_l
+    r[1:, 0] = u[:-1, -1] - u[1:, 0]
+    r[:-1, -1] = (2 / h[:-1]) * (u[:-1] @ d1[-1]) - (2 / h[1:]) * (u[1:] @ d1[0])
+    r[-1, -1] = u[-1, -1] - bc_r
+    return r
+
+
+def _factor64(mesh: _Mesh, u: np.ndarray):
+    """Block elimination of the float64 Jacobian at ``u``.
+
+    The Jacobian is block tridiagonal: diagonal blocks A_e, a sub-diagonal
+    block with the single unit entry (0, p) (continuity of q) and a
+    super-diagonal block whose only nonzero row p is c_e (continuity of q').
+    So A_e^-1 times the super-diagonal block is the rank-one g_e c_e^T with
+    g_e = A_e^-1 e_p, and eliminating it changes only row 0 of the next
+    pivot block.  Returns (inverted pivot blocks, g, c) for _solve64."""
+    d1, d2, h = mesh.d1_f, mesh.d2_f, mesh.h_f
+    k, n = u.shape
+    a = np.zeros((k, n, n))
+    a[:, 1:-1, :] = (4 / h ** 2)[:, None, None] * d2[1:-1]
+    inner = np.arange(1, n - 1)
+    a[:, inner, inner] -= 6 * u[:, 1:-1] ** 2 + mesh.nodes_f[:, 1:-1]
+    a[:, 0, 0] = -1.0
+    a[0, 0, 0] = 1.0
+    a[:-1, -1, :] = (2 / h[:-1])[:, None] * d1[-1]
+    a[-1, -1, -1] = 1.0
+    c = -(2 / h[1:])[:, None] * d1[0]
+    inv = np.empty_like(a)
     for e in range(k):
-        a = [[zero] * n for _ in range(n)]
-        scale2 = 4 / (mesh.h[e] * mesh.h[e])
-        if e == 0:
-            a[0][0] = zero + 1
-        else:
-            a[0][0] = zero - 1
-        for i in range(1, p):
-            row = a[i]
-            d2row = mesh.d2[i]
-            for j in range(n):
-                row[j] = scale2 * d2row[j]
-            x = mesh.nodes[e][i]
-            row[i] = row[i] - (6 * u[e][i] ** 2 + x)
-        if e == k - 1:
-            a[p][p] = zero + 1
-        else:
-            s_a = 2 / mesh.h[e]
-            for j in range(n):
-                a[p][j] = s_a * mesh.d1[p][j]
-        rhs = [-v for v in res[e]]
-        if e > 0:
-            # fold B_e G_{e-1} into A and B_e y_{e-1} into the rhs;
-            # B_e has a single unit entry at (0, p)
-            gp = g_blocks[e - 1]
-            yp = y_vecs[e - 1]
-            for j in range(n):
-                a[0][j] -= gp[p][j]
-            rhs[0] -= yp[p]
-        lu, piv = _lu_factor(a)
-        if e < k - 1:
-            c = [[zero] * n for _ in range(n)]
-            s_b = 2 / mesh.h[e + 1]
-            for j in range(n):
-                c[p][j] = -s_b * mesh.d1[0][j]
-            g_blocks.append(_lu_solve_mat(lu, piv, c))
-        else:
-            g_blocks.append(None)
-        y_vecs.append(_lu_solve_vec(lu, piv, rhs))
-        s_fact.append((lu, piv))
-    delta = [None] * k
-    delta[k - 1] = y_vecs[k - 1]
-    for e in range(k - 2, -1, -1):
-        g = g_blocks[e]
-        dnext = delta[e + 1]
-        delta[e] = [y_vecs[e][i] - sum(g[i][j] * dnext[j] for j in range(n))
-                    for i in range(n)]
-    return delta
+        if e:
+            a[e, 0] -= inv[e - 1, -1, -1] * c[e - 1]
+        inv[e] = np.linalg.inv(a[e])
+    return inv, inv[:-1, :, -1], c
 
 
-def _res_norm(res) -> float:
-    return max(abs(float(v)) for r in res for v in r)
+def _solve64(fac, r: np.ndarray) -> np.ndarray:
+    """J^-1 r for the Jacobian eliminated by _factor64."""
+    inv, g, c = fac
+    y = np.empty_like(r)
+    carry = 0.0
+    for e in range(len(r)):
+        b = r[e].copy()
+        b[0] -= carry
+        y[e] = inv[e] @ b
+        carry = y[e, -1]
+    for e in range(len(r) - 2, -1, -1):
+        y[e] -= g[e] * (c[e] @ y[e + 1])
+    return y
 
 
-def _newton_iterate(mesh: _Mesh, u, bc_l, bc_r, stop_tol: float,
-                    max_iter: int, floor_accept: float) -> Tuple[list, float]:
-    """Damped (Armijo-backtracked) Newton.  Stops at ``stop_tol``, or accepts
-    a stall at the arithmetic noise floor if already below ``floor_accept``."""
-    res = _ode_residual(mesh, u, bc_l, bc_r)
-    norm = _res_norm(res)
-    for _ in range(max_iter):
-        if norm <= stop_tol:
-            break
-        delta = _newton_step(mesh, u, res)
+def _initial_guess(x: np.ndarray) -> np.ndarray:
+    """Ai(0) exp(-2/3 x^(3/2)) for x >= 0, sqrt(-x/2) for x <= -1, and a
+    linear blend between Ai(0) and sqrt(1/2) on (-1, 0)."""
+    ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+    right = ai0 * np.exp(-2.0 / 3.0 * np.maximum(x, 0.0) ** 1.5)
+    w = -x
+    blend = (1 - w) * ai0 + w * np.sqrt(0.5)
+    left = np.sqrt(np.maximum(-x, 0.0) / 2.0)
+    return np.where(x >= 0.0, right, np.where(x <= -1.0, left, blend))
+
+
+_WARM_MAX_ITER = 40
+_WARM_ACCEPT = 1e-6
+
+
+def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float) -> np.ndarray:
+    """Damped (Armijo-backtracked) float64 Newton from the asymptotic guess.
+
+    Stops at the float64 rounding floor: once the residual is below
+    _WARM_ACCEPT, a full Newton step that does not lower it is noise."""
+    def trial(lam):
+        v = u - lam * delta
+        r = _residual64(mesh, v, bc_l, bc_r)
+        return v, r, np.abs(r).max()
+
+    u = _initial_guess(mesh.nodes_f)
+    res = _residual64(mesh, u, bc_l, bc_r)
+    norm = np.abs(res).max()
+    for it in range(1, _WARM_MAX_ITER + 1):
+        delta = _solve64(_factor64(mesh, u), res)
         lam = 1.0
-        while True:
-            trial = [[u[e][i] + lam * delta[e][i] for i in range(mesh.p + 1)]
-                     for e in range(mesh.k)]
-            tres = _ode_residual(mesh, trial, bc_l, bc_r)
-            tnorm = _res_norm(tres)
-            if tnorm <= (1 - 0.25 * lam) * norm or lam < 1e-8:
-                break
-            lam *= 0.5
-        if lam < 1e-8 and tnorm >= 0.5 * norm:
-            # no further progress: rounding floor of the residual evaluation
-            if norm <= floor_accept:
-                break
-            raise SolverError("Newton backtracking stalled", residual=norm)
-        u, res, norm = trial, tres, tnorm
-    if norm > floor_accept:
-        raise SolverError("Newton did not converge", residual=norm)
-    return u, norm, res
+        u_new, res_new, norm_new = trial(lam)
+        if norm <= _WARM_ACCEPT and norm_new > 0.75 * norm:
+            break
+        while norm_new > (1 - 0.25 * lam) * norm:
+            lam /= 2
+            if lam < 1e-8:
+                raise SolverError("float64 warm start: backtracking stalled",
+                                  residual=float(norm))
+            u_new, res_new, norm_new = trial(lam)
+        u, res, norm = u_new, res_new, norm_new
+    log.debug("float64 warm start: %d Newton iterations, residual %.3e", it, norm)
+    if norm > _WARM_ACCEPT:
+        raise SolverError("float64 warm start did not converge", residual=float(norm))
+    return u
+
+
+def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
+    """Defect correction at the working precision: u <- u - J64^-1 r(u), with
+    the float64 Jacobian J64 = J(u64) eliminated once and only the residual
+    r evaluated in mp (Higham, Accuracy and Stability, ch. 12).
+
+    r is scaled by a power of two before it is rounded to float64, so its
+    size never underflows; norms are compared in mp.  Raises SolverError if
+    a sweep does not halve the residual.  Returns (u, residual blocks)."""
+    fac = _factor64(mesh, u64)
+    u = [[mpf(v) for v in row] for row in u64]
+    res = _ode_residual(mesh, u, bc_l, bc_r)
+    norm = max(abs(v) for row in res for v in row)
+    sweep = 0
+    while norm > stop:
+        sweep += 1
+        shift = -mp.mag(norm)
+        r64 = np.array([[float(mp.ldexp(v, shift)) for v in row] for row in res])
+        delta = _solve64(fac, r64)
+        u = [[v - mp.ldexp(d, -shift) for v, d in zip(row, drow.tolist())]
+             for row, drow in zip(u, delta)]
+        res = _ode_residual(mesh, u, bc_l, bc_r)
+        new = max(abs(v) for row in res for v in row)
+        log.debug("refinement sweep %d: residual %s", sweep, mp.nstr(new, 3))
+        if new > norm / 2:
+            raise SolverError("defect correction stopped contracting", residual=new)
+        norm = new
+    return u, res
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +530,18 @@ class HMSolution:
                 num += w * values[j]
                 den += w
             return num / den
+
+    def cached(self, key, compute: Callable[[], T]) -> T:
+        """compute() once per key for this solution; later calls share its
+        value.  Quantities derived from one solution are kept here rather
+        than in module-level memos, so they live and die with it."""
+        with self._cum_lock:
+            hit = self._cum_cache.get(key)
+        if hit is None:
+            hit = compute()
+            with self._cum_lock:
+                hit = self._cum_cache.setdefault(key, hit)
+        return hit
 
     def q_at(self, x) -> mpf:
         x = mpf(x)
@@ -661,11 +651,11 @@ def _antiderivatives(solution: HMSolution, kind: str, ctx: PrecisionContext):
     points, so the coefficients come from a DCT-I of the nodal values and
     integrate term by term: int T_n = T_(n+1)/(2(n+1)) - T_(n-1)/(2(n-1))
     (Trefethen, ATAP, ch. 19)."""
-    key = (kind, ctx.precision_bits)
-    with solution._cum_lock:
-        hit = solution._cum_cache.get(key)
-    if hit is not None:
-        return hit
+    return solution.cached((kind, ctx.precision_bits),
+                           lambda: _build_antiderivatives(solution, kind, ctx))
+
+
+def _build_antiderivatives(solution: HMSolution, kind: str, ctx: PrecisionContext):
     p = solution.p
     with mp.workprec(ctx.precision_bits + 16):
         cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
@@ -683,8 +673,6 @@ def _antiderivatives(solution: HMSolution, kind: str, ctx: PrecisionContext):
             b[0] = -sum((-1) ** k * b[k] for k in range(1, p + 2))
             coeffs.append(b)
             cum.append(cum[-1] + mp.fsum(b))
-    with solution._cum_lock:
-        solution._cum_cache[key] = (coeffs, cum)
     return coeffs, cum
 
 
@@ -746,6 +734,14 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     right, the optimally truncated left series on the left.  Both carry an
     error below the first omitted series term, which decays inward (the
     linearized equation damps boundary perturbations exponentially).
+
+    The float64 warm start starts from closed forms (Ai(0) exp(-2/3 x^(3/2))
+    on the right, sqrt(-x/2) on the left); defect correction at
+    precision_bits + 64 guard bits then runs until the collocation residual
+    is at most 2^-(precision_bits + 40).  Raises SolverError (with the last
+    residual) if the warm start fails or a sweep does not halve the residual.
+    The warm-start iteration count and every sweep's residual are logged at
+    DEBUG level.
     """
     ctx = ctx or PrecisionContext()
     x_left = mpf(x_left)
@@ -761,52 +757,17 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     k_elems = max(2, round((nodes - 1) / p))
     prec = ctx.precision_bits + 64
 
-    # float64 warm start from the blended asymptotic guess
-    mesh_f = _Mesh(x_left, x_right, k_elems, p, use_mp=False)
-    guess_ctx = PrecisionContext(64, 1e-12, 4)
-    ai0 = float(specialfn.airy_ai(0, guess_ctx)[0])
-
-    def guess(x: float) -> float:
-        if x >= 0.0:
-            return float(specialfn.airy_ai(x, guess_ctx)[0])
-        if x <= -1.0:
-            return float(np.sqrt(-x / 2.0))
-        w = -x
-        return (1 - w) * ai0 + w * float(np.sqrt(0.5))
-
-    u_f = [[guess(x) for x in elem] for elem in mesh_f.nodes]
-    bc_l_f = float(q_left_boundary_value(x_left)[0])
-    bc_r_f = float(specialfn.airy_ai(float(x_right), guess_ctx)[0])
-    try:
-        u_f, norm_f, _ = _newton_iterate(mesh_f, u_f, bc_l_f, bc_r_f,
-                                         stop_tol=1e-11, max_iter=40,
-                                         floor_accept=1e-6)
-    except SolverError as exc:
-        raise SolverError(f"float64 warm start failed: {exc}",
-                          residual=exc.residual)
-
     with mp.workprec(prec):
-        mesh = _Mesh(x_left, x_right, k_elems, p, use_mp=True)
+        mesh = _Mesh(x_left, x_right, k_elems, p)
         hp_ctx = PrecisionContext(prec, ctx.tolerance, ctx.max_refinements)
-        bc_l, bc_err = q_left_boundary_value(x_left)
+        bc_l = q_left_boundary_value(x_left)[0]
         bc_r = specialfn.airy_ai(x_right, hp_ctx)[0]
-        u = [[mpf(v) for v in row] for row in u_f]
-        stop = float(mpf(2) ** (-(prec - 24)))
-        try:
-            u, norm, res = _newton_iterate(mesh, u, bc_l, bc_r,
-                                           stop_tol=stop, max_iter=12,
-                                           floor_accept=stop * 1e8)
-        except SolverError as exc:
-            raise SolverError(f"high-precision Newton failed: {exc}",
-                              residual=exc.residual)
+        u64 = _warm_start(mesh, float(bc_l), float(bc_r))
+        u, res = _refine(mesh, u64, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
 
         elem_qp = [[2 / mesh.h[e] * mp.fdot(row, u[e]) for row in mesh.d1]
                    for e in range(k_elems)]
-
-        interior_res = []
-        for e in range(k_elems):
-            interior_res.extend(abs(v) for v in res[e][1:p])
-        res_norm = max(interior_res)
+        res_norm = max(abs(v) for row in res for v in row[1:p])
 
     out_prec = ctx.precision_bits
     sol = HMSolution(

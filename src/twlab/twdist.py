@@ -103,15 +103,17 @@ def airy_tail_q_integral(x, ctx: PrecisionContext) -> mpf:
 
 def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(int_x^inf R, int_x^inf q): element integrals to x_right plus the
-    Airy tails."""
+    Airy tails, which depend only on the solution and are kept with it."""
     x = mpf(x)
     if x < sol.x_left or x > sol.x_right:
         raise DomainError(f"x={x} outside solution window")
     with mp.workprec(ctx.precision_bits + 16):
         int_r = painleve2.integrate_kind(sol, "r", x, sol.x_right, ctx)
-        int_r += airy_tail_r_integral(sol.x_right, ctx)
+        int_r += sol.cached(("airy_tail_r", ctx),
+                            lambda: airy_tail_r_integral(sol.x_right, ctx))
         int_q = painleve2.integrate_kind(sol, "q", x, sol.x_right, ctx)
-        int_q += airy_tail_q_integral(sol.x_right, ctx)
+        int_q += sol.cached(("airy_tail_q", ctx),
+                            lambda: airy_tail_q_integral(sol.x_right, ctx))
         return int_r, int_q
 
 

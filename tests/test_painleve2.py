@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from twlab import painleve2, specialfn
-from twlab.errors import DomainError, UnsupportedOrderError
+from twlab.errors import DomainError, SolverError, UnsupportedOrderError
 from twlab.precision import PrecisionContext
 from twlab.quadrature import gauss_legendre, integrate_gl
 
@@ -15,11 +15,11 @@ from twlab.quadrature import gauss_legendre, integrate_gl
 class TestLeftSeries:
     def test_q_coefficients_low_orders(self):
         a = painleve2.hm_left_series_coefficients(2)
-        assert a == [Fraction(1), Fraction(1, 8), Fraction(-73, 128)]
+        assert a == (Fraction(1), Fraction(1, 8), Fraction(-73, 128))
 
     def test_r_coefficients_low_orders(self):
         rho = painleve2.r_left_series_coefficients(2)
-        assert rho == [Fraction(1, 4), Fraction(-1, 8), Fraction(9, 64)]
+        assert rho == (Fraction(1, 4), Fraction(-1, 8), Fraction(9, 64))
 
     def test_series_satisfies_ode(self, wp300):
         # the truncated expansion must kill q'' - 2q^3 - xq through its
@@ -106,6 +106,50 @@ class TestSolver:
 
     def test_collocation_residual_reported(self, hm_solution):
         assert hm_solution.residual_norm < mpf(10) ** -12
+
+    # q and q' of the [-12, 8]/1100-node 256-bit solve made by the earlier
+    # solver (mp Newton with an mp block LU), to 70 digits
+    PINNED = {
+        "-11.5": ("2.39771807956065414239856596490230740071628317330416778647444747353892354",
+                  "-0.104300339492820311929241519075231514942625802608069441895665181044517618"),
+        "-6": ("1.73102495883177869643975004600875241445098823670090984524998718702175885",
+               "-0.144778284257288586988314765140874384885746292339196540625041150997109008"),
+        "0": ("0.367061551548078427747792113174595460864252068998544816867224991973173175",
+              "-0.295372105447550054557007047311358515806392553607941139190793186757264469"),
+        "3": ("0.00659115940491975949611137339097317121341642186124441067283545048293350152",
+              "-0.0119130906495437621735409939414537604576257072804044805156650118777771904"),
+        "7.5": ("1.91725606751343297561221677383479685647313414593152842664355552443843672e-7",
+                "-5.31271395972056353448577195888225929814787689128428053181752899346220075e-7"),
+    }
+
+    def test_matches_pinned_solution(self, hm_solution, wp300):
+        for x, (q, qp) in self.PINNED.items():
+            assert abs(hm_solution.q_at(mpf(x)) - mpf(q)) < mpf(10) ** -60
+            assert abs(hm_solution.q_prime_at(mpf(x)) - mpf(qp)) < mpf(10) ** -60
+
+    def test_converges_at_1024_bits(self):
+        # the residual (~1e-322 here) is far below the float64 range, so the
+        # refinement must scale it before rounding to float64
+        ctx = PrecisionContext(1024, 1e-20)
+        sol = painleve2.solve_hastings_mcleod(-8, 6, 400, ctx)
+        assert sol.residual_norm <= mpf(2) ** -(1024 + 64 - 24)
+        with mp.workprec(1100):
+            assert abs(sol.q_at(0) - mpf("0.36706155154807841")) < mpf(10) ** -15
+
+    def test_refinement_that_does_not_contract_raises(self, monkeypatch):
+        # refine with the Jacobian of a shifted state instead of the warm start's
+        warm_start, factor = painleve2._warm_start, painleve2._factor64
+
+        def shifted_warm_start(*args):
+            u = warm_start(*args)
+            monkeypatch.setattr(painleve2, "_factor64",
+                                lambda mesh, v: factor(mesh, v + 0.5))
+            return u
+
+        monkeypatch.setattr(painleve2, "_warm_start", shifted_warm_start)
+        with pytest.raises(SolverError) as info:
+            painleve2.solve_hastings_mcleod(-8, 6, 200, PrecisionContext(64, 1e-12))
+        assert info.value.residual > 0
 
     def test_rejects_bad_window(self, ctx256):
         with pytest.raises(DomainError):

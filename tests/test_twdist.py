@@ -50,6 +50,20 @@ class TestRightRepresentation:
         with pytest.raises(DomainError):
             twdist.cdf_right(9, hm_solution, ctx256)
 
+    def test_airy_tails_computed_once_per_solution(self, hm_solution, ctx256,
+                                                   monkeypatch):
+        calls = []
+        for name in ("airy_tail_q_integral", "airy_tail_r_integral"):
+            fn = getattr(twdist, name)
+            monkeypatch.setattr(twdist, name,
+                                lambda x, ctx, fn=fn, name=name: calls.append(name) or fn(x, ctx))
+        fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+        first = twdist.cdf_right(2, fresh, ctx256)
+        assert twdist.cdf_right(2, fresh, ctx256) == first
+        twdist.cdf_right(-3, fresh, ctx256)
+        assert sorted(calls) == ["airy_tail_q_integral", "airy_tail_r_integral"]
+        assert first == twdist.cdf_right(2, hm_solution, ctx256)
+
     def test_airy_tail_q_integral_against_quadrature(self):
         ctx = PrecisionContext(256, 1e-30)
         # 128-bit quadrature is good to ~1e-44 here, and far quicker than 256-bit
