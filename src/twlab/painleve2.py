@@ -43,7 +43,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 from mpmath import mp, mpf
@@ -124,6 +124,10 @@ def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
     return _series_cache.setdefault(key, tuple(rho))
 
 
+def _rational(c: Fraction) -> mpf:
+    return mpf(c.numerator) / c.denominator
+
+
 def q_left_asymptotic(x, order: int):
     """Partial sum of the left expansion of q through x^(-3*order)."""
     x = mpf(x)
@@ -134,7 +138,7 @@ def q_left_asymptotic(x, order: int):
     a = hm_left_series_coefficients(order)
     s = mpf(0)
     for k in range(order, -1, -1):
-        s = s / x ** 3 + mpf(a[k].numerator) / a[k].denominator
+        s = s / x ** 3 + _rational(a[k])
     return mp.sqrt(-x / 2) * s
 
 
@@ -155,30 +159,23 @@ def r_left_asymptotic(x, order: int):
     rho = r_left_series_coefficients(order)
     s = mpf(0)
     for m in range(order, -1, -1):
-        s = s / x ** 3 + mpf(rho[m].numerator) / rho[m].denominator
+        s = s / x ** 3 + _rational(rho[m])
     return x * x * s
 
 
-def _series_value_adaptive(x: mpf, coeffs: Sequence[Fraction], power0: int,
-                           step: int = -3) -> Tuple[mpf, mpf, int]:
-    """Sum coeffs[m] * x^(power0 + step*m) until the terms stop shrinking.
+def _sum_while_shrinking(terms: Iterable[mpf]) -> Tuple[mpf, mpf]:
+    """Sum the terms in order until one is no smaller than the one before.
 
-    Returns (partial sum, magnitude of first omitted term, terms used)."""
+    Returns (partial sum, magnitude of the first omitted term); when the
+    terms run out, the last term's magnitude stands in as the estimate."""
     s = mpf(0)
     prev = mp.inf
-    omitted = mpf(0)
-    used = 0
-    for m, c in enumerate(coeffs):
-        term = mpf(c.numerator) / c.denominator * x ** (power0 + step * m)
+    for term in terms:
         if abs(term) >= prev:
-            omitted = abs(term)
-            break
+            return s, abs(term)
         s += term
         prev = abs(term)
-        used = m + 1
-    else:
-        omitted = prev  # ran out of coefficients; last term as the estimate
-    return s, omitted, used
+    return s, prev
 
 
 _LEFT_SERIES_ORDER = 8
@@ -188,7 +185,8 @@ def q_left_boundary_value(x) -> Tuple[mpf, mpf]:
     """Optimally truncated left-series value of q and its error estimate."""
     x = mpf(x)
     a = hm_left_series_coefficients(_LEFT_SERIES_ORDER)
-    s, omitted, _ = _series_value_adaptive(x, a, 0)
+    s, omitted = _sum_while_shrinking(
+        _rational(c) * x ** (-3 * m) for m, c in enumerate(a))
     pref = mp.sqrt(-x / 2)
     return pref * s, abs(pref) * omitted
 
@@ -202,20 +200,9 @@ def left_tail_q_regularized(x_left) -> Tuple[mpf, mpf]:
     Returns (value, error estimate = first omitted term's integral)."""
     s_l = -mpf(x_left)
     a = hm_left_series_coefficients(_LEFT_SERIES_ORDER)
-    total = mpf(0)
-    prev = mp.inf
-    omitted = mpf(0)
-    for k in range(1, len(a)):
-        c = mpf(a[k].numerator) / a[k].denominator
-        term = (-1) ** k * c * s_l ** (mpf(3) / 2 - 3 * k) / (3 * k - mpf(3) / 2) / mp.sqrt(2)
-        if abs(term) >= prev:
-            omitted = abs(term)
-            break
-        total += term
-        prev = abs(term)
-    else:
-        omitted = prev
-    return total, omitted
+    return _sum_while_shrinking(
+        (-1) ** k * _rational(a[k]) * s_l ** (mpf(3) / 2 - 3 * k)
+        / (3 * k - mpf(3) / 2) / mp.sqrt(2) for k in range(1, len(a)))
 
 
 def left_tail_r_regularized(x_left) -> Tuple[mpf, mpf]:
@@ -224,20 +211,9 @@ def left_tail_r_regularized(x_left) -> Tuple[mpf, mpf]:
     Term m >= 2 contributes rho_m (-1)^m s_L^(3-3m) / (3m-3)."""
     s_l = -mpf(x_left)
     rho = r_left_series_coefficients(_LEFT_SERIES_ORDER)
-    total = mpf(0)
-    prev = mp.inf
-    omitted = mpf(0)
-    for m in range(2, len(rho)):
-        c = mpf(rho[m].numerator) / rho[m].denominator
-        term = (-1) ** m * c * s_l ** (3 - 3 * m) / (3 * m - 3)
-        if abs(term) >= prev:
-            omitted = abs(term)
-            break
-        total += term
-        prev = abs(term)
-    else:
-        omitted = prev
-    return total, omitted
+    return _sum_while_shrinking(
+        (-1) ** m * _rational(rho[m]) * s_l ** (3 - 3 * m) / (3 * m - 3)
+        for m in range(2, len(rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +490,24 @@ class HMSolution:
         e = bisect_right(self._edges, x) - 1
         return min(max(e, 0), len(self._elem_q) - 1)
 
+    def _bary_weights(self) -> Tuple[mpf, ...]:
+        """Barycentric weights of the Lobatto nodes: (-1)^j, halved at the
+        two ends; exact, so one tuple serves every precision."""
+        p = self.p
+        return self.cached("bary_weights", lambda: tuple(
+            mpf(-1) ** j * (mpf("0.5") if j in (0, p) else mpf(1))
+            for j in range(p + 1)))
+
     def _bary(self, e: int, x: mpf, values: List[mpf]) -> mpf:
         with mp.workprec(max(mp.prec, self.precision_bits + 16)):
             a, b = self._edges[e], self._edges[e + 1]
             t = (2 * x - a - b) / (b - a)
-            p = self.p
             num = mpf(0)
             den = mpf(0)
-            for j in range(p + 1):
+            for j, w in enumerate(self._bary_weights()):
                 dt = t - self._ref[j]
                 if dt == 0:
                     return values[j]
-                w = mpf(-1) ** j * (mpf("0.5") if j in (0, p) else mpf(1))
                 w /= dt
                 num += w * values[j]
                 den += w

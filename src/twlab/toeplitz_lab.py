@@ -12,30 +12,38 @@ carrying "+ I_{j+k+2}" do not reproduce either the product identities over
 kappa, pi or the F E limit, both of which this module's tests pin down.)
 
 plus the orthogonal-polynomial objects derived from the plain family:
-log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder) and
-pi_q(0), the constant term of the monic orthogonal polynomial, from the
-positive definite Toeplitz normal equations.  kappa and pi always come from
-determinants / linear solves, never from a discrete-Painleve recurrence, so
-they stay independent of the Painleve module they are compared against.
+log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder) from the
+Cholesky pivots of the moment matrix, and pi_q(0), the constant term of the
+monic orthogonal polynomial (the q-th reflection coefficient), from the
+Levinson-Durbin recursion on the moments I_k(2t).  Levinson-Durbin is a
+generic Toeplitz solver, not the discrete Painleve II recurrence, so kappa
+and pi stay independent of the Painleve module they are compared against;
+and since they come from two different computations, the Verblunsky
+identity 1 - pi_q(0)^2 = kappa_{q-1}^2 / kappa_q^2 checks both.
 
-Everything is computed at adaptive precision: the working precision starts
-at ctx.precision_bits + ceil(2 t^2 log2 e) + 64 guard bits (D_n ~ e^(t^2)
-emerges from cancellation against entries of size e^(2t)) and doubles until
-two consecutive passes agree to ctx.tolerance.
+Everything is computed at adaptive precision by precision.stabilize: the
+working precision starts at ctx.precision_bits + guard_bits(t), with
+guard_bits(t) = ceil(4 t log2 e) + 64, and doubles until two consecutive
+passes agree to ctx.tolerance.  The guard is sized to the conditioning.
+Each moment matrix is the Gram matrix of a basis that is orthonormal (up to
+a constant) for a base weight, taken against that weight times e^(2t cos
+theta), whose values lie in [e^(-2t), e^(2t)]; so its condition number is
+at most e^(4t).  The size e^(t^2) of D_n does not come from cancellation,
+since log D_n is a sum of log pivots.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from . import painleve2, specialfn, twdist
-from .errors import DomainError, InternalConsistencyError, PrecisionError
-from .precision import PrecisionContext, round_to
+from .errors import DomainError, InternalConsistencyError
+from .precision import PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
 _LOG2_E = 1.4426950408889634
@@ -61,11 +69,13 @@ class MomentMatrixSpec:
 
 
 def guard_bits(t: float) -> int:
-    return int(math.ceil(2.0 * float(t) * float(t) * _LOG2_E)) + 64
+    """Bits lost at most to the conditioning (<= e^(4t)) of the moment
+    matrices, plus 64; see the module docstring."""
+    return int(math.ceil(4.0 * float(t) * _LOG2_E)) + 64
 
 
 # ---------------------------------------------------------------------------
-# Core ladder: Cholesky pivots of the moment matrix + monic solves
+# Core ladder: Cholesky pivots of the moment matrix + Levinson-Durbin for pi
 # ---------------------------------------------------------------------------
 
 def _moment_matrix(t, n: int, kind: str, bits: int) -> List[List[mpf]]:
@@ -108,33 +118,24 @@ def _cholesky_lower(mat: List[List[mpf]], what: str) -> List[List[mpf]]:
     return low
 
 
-def _solve_monic_constant_terms(low: List[List[mpf]],
-                                mat: List[List[mpf]],
-                                q_max: int) -> Dict[int, mpf]:
-    """pi_q(0) for q = 1..q_max from the normal equations
-    M[:q,:q] c = -(I_{q-j})_j, using the shared Cholesky factor (the factor
-    of a leading block is the leading block of the factor)."""
+def _levinson_constant_terms(moments: Sequence[mpf], q_max: int) -> Dict[int, mpf]:
+    """pi_q(0) for q = 1..q_max by the Levinson-Durbin recursion on the
+    moments c_k = moments[k], k <= q_max.  With a the coefficients of the
+    monic pi_q (a_q = 1) and E_q = <pi_q, pi_q> = D_{q+1}/D_q:
+
+        pi_{q+1}(0) = -(sum_k a_k c_{k+1}) / E_q,
+        pi_{q+1}(z) = z pi_q(z) + pi_{q+1}(0) z^q pi_q(1/z),
+        E_{q+1}     = E_q (1 - pi_{q+1}(0)^2).
+
+    O(q_max^2) operations."""
+    a = [mpf(1)]
+    energy = moments[0]
     out: Dict[int, mpf] = {}
-    for q in range(1, q_max + 1):
-        b = [-mat[j][q] if q < len(mat) else None for j in range(q)]
-        if b and b[0] is None:
-            raise DomainError("q exceeds factored matrix size")
-        # forward substitution L y = b
-        y = [mpf(0)] * q
-        for i in range(q):
-            s = b[i]
-            li = low[i]
-            for k in range(i):
-                s -= li[k] * y[k]
-            y[i] = s / li[i]
-        # back substitution L^T c = y
-        c = [mpf(0)] * q
-        for i in range(q - 1, -1, -1):
-            s = y[i]
-            for k in range(i + 1, q):
-                s -= low[k][i] * c[k]
-            c[i] = s / low[i][i]
-        out[q] = c[0]
+    for q in range(q_max):
+        r = -mp.fdot(a, moments[1:q + 2]) / energy
+        a = [r] + [a[k - 1] + r * a[q - k] for k in range(1, q + 1)] + [mpf(1)]
+        energy *= 1 - r * r
+        out[q + 1] = r
     return out
 
 
@@ -164,61 +165,52 @@ class _Ladder:
 _ladder_cache: Dict[tuple, _Ladder] = {}
 _ladder_lock = threading.Lock()
 
-
-def _build_ladder_once(t, kind: str, n_cap: int, want_pi: bool,
-                       bits: int) -> Tuple[List[mpf], Dict[int, mpf]]:
-    with mp.workprec(bits):
-        mat = _moment_matrix(t, n_cap, kind, bits)
-        low = _cholesky_lower(mat, f"{kind} moment matrix (t={t})")
-        pivots = [2 * mp.log(low[k][k]) for k in range(n_cap)]
-        pi0: Dict[int, mpf] = {}
-        if want_pi:
-            pi0 = _solve_monic_constant_terms(low, mat, n_cap - 1)
-        return pivots, pi0
+_LadderValues = Tuple[List[mpf], Dict[int, mpf]]
 
 
-def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext,
-               want_pi: bool = False) -> _Ladder:
-    """Stabilized ladder, cached per (t, kind, precision parameters)."""
-    if kind != "plain":
-        want_pi = False
+def _ladder_pass(t, kind: str, n_cap: int) -> Callable[[int], _LadderValues]:
+    """One precision pass of the ladder, for ``stabilize``: the log pivots
+    and, for the plain family, pi_q(0) for 0 < q < n_cap."""
+
+    def one(bits: int) -> _LadderValues:
+        with mp.workprec(bits):
+            mat = _moment_matrix(t, n_cap, kind, bits)
+            low = _cholesky_lower(mat, f"{kind} moment matrix (t={t})")
+            pivots = [2 * mp.log(low[k][k]) for k in range(n_cap)]
+            pi0 = (_levinson_constant_terms(mat[0], n_cap - 1)
+                   if kind == "plain" else {})
+            return pivots, pi0
+
+    return one
+
+
+def _ladder_distance(a: _LadderValues, b: _LadderValues) -> mpf:
+    return max(abs(x - y) for x, y in zip(a[0] + list(a[1].values()),
+                                          b[0] + list(b[1].values())))
+
+
+def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
+    """Log pivots log(D_{k+1}/D_k), k < n_cap, and for the plain family
+    pi_q(0), 0 < q < n_cap, stabilized from ctx.precision_bits +
+    guard_bits(t) bits and kept to ctx.precision_bits + 64 bits.  Cached per
+    (t, kind, precision parameters); a request beyond the cached n_cap
+    builds the larger ladder, which replaces the cached one."""
     key = (repr(mpf(t)), kind, ctx.precision_bits, ctx.tolerance,
            ctx.max_refinements)
     with _ladder_lock:
         hit = _ladder_cache.get(key)
-    if hit is not None and hit.n_cap >= n_cap and (not want_pi or hit.pi0):
+    if hit is not None and hit.n_cap >= n_cap:
         return hit
-    if hit is not None:
-        n_cap = max(n_cap, hit.n_cap)
-        want_pi = want_pi or bool(hit.pi0)
-
-    start_bits = ctx.precision_bits + guard_bits(t)
-    bits = start_bits
-    prev = _build_ladder_once(t, kind, n_cap, want_pi, bits)
-    used = bits
-    for _ in range(ctx.max_refinements):
-        bits *= 2
-        cur = _build_ladder_once(t, kind, n_cap, want_pi, bits)
-        dist = max(abs(a - b) for a, b in zip(prev[0], cur[0]))
-        if want_pi and cur[1]:
-            dist = max(dist, max(abs(prev[1][q] - cur[1][q]) for q in cur[1]))
-        if dist <= ctx.tol():
-            used = bits
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise PrecisionError(
-            f"toeplitz ladder (t={t}, kind={kind}, n={n_cap}) failed to "
-            f"stabilize to {ctx.tolerance} within {ctx.max_refinements} "
-            "doublings")
+    (pivots, pi0), used = stabilize(
+        _ladder_pass(t, kind, n_cap), ctx.precision_bits + guard_bits(t), ctx,
+        _ladder_distance, what=f"toeplitz ladder (t={t}, kind={kind}, n={n_cap})")
     out_bits = ctx.precision_bits + 64
     ladder = _Ladder(
         t=float(t),
         kind=kind,
         n_cap=n_cap,
-        log_pivots=round_to(prev[0], out_bits),
-        pi0={q: round_to(v, out_bits) for q, v in prev[1].items()},
+        log_pivots=round_to(pivots, out_bits),
+        pi0={q: round_to(v, out_bits) for q, v in pi0.items()},
         precision_bits_used=used,
         out_bits=out_bits,
     )
@@ -265,7 +257,6 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
                             ai[j] -= f * ak[j]
             return logdet
 
-    from .precision import stabilize
     val, _ = stabilize(one, ctx.precision_bits + guard_bits(spec.t), ctx,
                        lambda a, b: abs(a - b),
                        what=f"LU log-determinant (t={spec.t}, n={spec.n})")
@@ -289,11 +280,11 @@ def pi_zero(q: int, t, ctx: PrecisionContext) -> mpf:
     """Constant term pi_q(0;t) of the monic orthogonal polynomial."""
     if q < 1:
         raise DomainError("q must be >= 1")
-    ladder = get_ladder(t, "plain", q + 1, ctx, want_pi=True)
+    ladder = get_ladder(t, "plain", q + 1, ctx)
     val = ladder.pi0[q]
     if not abs(val) < 1:
         raise InternalConsistencyError(
-            f"|pi_{q}(0)| >= 1 at t={t}; normal equations inconsistent")
+            f"|pi_{q}(0)| >= 1 at t={t}; Levinson recursion inconsistent")
     return round_to(val, ctx.precision_bits)
 
 
@@ -381,7 +372,7 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
     if q_values and q_values[0] < 1:
         raise DomainError("scan q values must be >= 1")
     n_cap = q_values[-1] + 1 if q_values else 1
-    ladder = get_ladder(t, "plain", n_cap, ctx, want_pi=with_pi)
+    ladder = get_ladder(t, "plain", n_cap, ctx)
     t_mp = mpf(t)
     records = []
     with mp.workprec(ctx.precision_bits):
@@ -427,6 +418,15 @@ class SumPartsReport:
     f2_reference: mpf
 
 
+def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
+    """2Lt - (L^2/2) log(2t) + (L^2/2 - 1/12) log L - (3/4) L^2 + zeta'(-1),
+    the large-t form of log D_L(t), at the working precision."""
+    l_mp = mpf(L)
+    return (2 * l_mp * t_mp - l_mp ** 2 / 2 * mp.log(2 * t_mp)
+            + (l_mp ** 2 / 2 - mpf(1) / 12) * mp.log(l_mp)
+            - mpf(3) / 4 * l_mp ** 2 + zp)
+
+
 def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
                      ctx: PrecisionContext) -> SumPartsReport:
     """Split log(e^(-t^2) D_n), n = floor(2t + x t^(1/3)), as
@@ -459,9 +459,7 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
         log2 = mp.log(2)
         l_mp = mpf(L)
         m_mp = mpf(M)
-        exact_limit = (2 * l_mp * t_mp - l_mp ** 2 / 2 * mp.log(2 * t_mp)
-                       + (l_mp ** 2 / 2 - mpf(1) / 12) * mp.log(l_mp)
-                       - mpf(3) / 4 * l_mp ** 2 + zp)
+        exact_limit = _exact_part_bracket(L, t_mp, zp)
         airy_limit = (t_mp ** 2 - 2 * t_mp * l_mp + l_mp ** 2 / 2 * mp.log(2 * t_mp)
                       - (l_mp ** 2 / 2 - mpf(1) / 12) * mp.log(l_mp)
                       + mpf(3) / 4 * l_mp ** 2 - m_mp ** 3 / 12
@@ -492,12 +490,8 @@ def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
     logd = toeplitz_log_det(MomentMatrixSpec(float(t), L, "plain"), ctx)
     zp = specialfn.zeta_prime_minus_one(ctx)
     with mp.workprec(ctx.precision_bits + 16):
-        t_mp = mpf(t)
-        l_mp = mpf(L)
-        bracket = (2 * l_mp * t_mp - l_mp ** 2 / 2 * mp.log(2 * t_mp)
-                   + (l_mp ** 2 / 2 - mpf(1) / 12) * mp.log(l_mp)
-                   - mpf(3) / 4 * l_mp ** 2 + zp)
-        return round_to(logd - bracket, ctx.precision_bits)
+        return round_to(logd - _exact_part_bracket(L, mpf(t), zp),
+                        ctx.precision_bits)
 
 
 def selberg_hermite_log_closed(L: int, t, ctx: PrecisionContext) -> mpf:
@@ -599,7 +593,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     if ell - 1 < j_airy_hi:
         raise DomainError("Painleve window is empty; decrease M or raise t")
 
-    plain = get_ladder(t, "plain", 2 * ell, ctx, want_pi=True)
+    plain = get_ladder(t, "plain", 2 * ell, ctx)
     pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
     mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
     tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
@@ -659,7 +653,7 @@ def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
     with mp.workprec(ctx.precision_bits + 16):
         ell = int(mp.floor(t_mp + x_mp / 2 * t_mp ** (mpf(1) / 3)))
     q_hi = 2 * (ell + k_max) + 2
-    plain = get_ladder(t, "plain", q_hi + 1, ctx, want_pi=True)
+    plain = get_ladder(t, "plain", q_hi + 1, ctx)
     tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
                               ctx.max_refinements)
     consts = twdist.TailConstants.compute(tw_ctx)

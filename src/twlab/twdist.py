@@ -135,8 +135,12 @@ def _left_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tupl
     if x < sol.x_left:
         raise DomainError(f"x={x} outside solution window")
     with mp.workprec(ctx.precision_bits + 16):
-        tail_r, err_r = painleve2.left_tail_r_regularized(sol.x_left)
-        tail_q, err_q = painleve2.left_tail_q_regularized(sol.x_left)
+        tail_r, err_r = sol.cached(
+            ("left_tail_r", ctx),
+            lambda: painleve2.left_tail_r_regularized(sol.x_left))
+        tail_q, err_q = sol.cached(
+            ("left_tail_q", ctx),
+            lambda: painleve2.left_tail_q_regularized(sol.x_left))
         if max(float(err_r), float(err_q)) > ctx.tolerance:
             raise PrecisionError(
                 "left tail series cannot reach the requested tolerance at "

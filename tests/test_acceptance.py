@@ -178,7 +178,7 @@ def test_criterion_08_airy_regime_prediction():
     """The explicit first-correction prediction of log kappa_{q-1}^(-2) beats
     leading order at every q and sits inside the error envelope."""
     t = mpf(50)
-    ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, TCTX, want_pi=True)
+    ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, TCTX)
     all_better = True
     all_enveloped = True
     worst_ratio = mpf(0)
@@ -211,7 +211,7 @@ def test_criterion_09_verblunsky_and_signs():
             rhs = mp.exp(toeplitz_lab.kappa_sq(q - 1, 3.0, TCTX)
                          - toeplitz_lab.kappa_sq(q, 3.0, TCTX))
             worst = max(worst, abs(lhs - rhs))
-        ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, TCTX, want_pi=True)
+        ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, TCTX)
         signs_ok = all((ladder.pi0[q] > 0) == (q % 2 == 0)
                        for q in range(10, 91))
     ok = worst <= mpf(10) ** -20 and signs_ok

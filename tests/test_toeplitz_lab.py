@@ -116,6 +116,39 @@ class TestPiZero:
         with pytest.raises(DomainError):
             tl.pi_zero(0, 3.0, CTX)
 
+    def test_levinson_matches_normal_equations(self):
+        # pi_q(0) is c_0 of M[:q,:q] c = -(I_{q-j}(2t))_j, solved here by LU
+        # on moments from mp.besseli
+        with mp.workprec(400):
+            for q in range(1, 21):
+                m = mp.matrix(q, q)
+                rhs = mp.matrix(q, 1)
+                for j in range(q):
+                    for k in range(q):
+                        m[j, k] = mp.besseli(abs(j - k), 10)
+                    rhs[j] = -mp.besseli(q - j, 10)
+                ref = mp.lu_solve(m, rhs)[0]
+                assert abs(tl.pi_zero(q, 5.0, CTX) - ref) < mpf(10) ** -60
+
+
+class TestPinnedLadder:
+    # log kappa_q^2 and pi_q(0) at t = 30 from the Cholesky solves of the
+    # normal equations at 5834 bits, to 80 digits
+    PINNED = {
+        1: ("-52.94168155383801338464030799443539262482622116361607241747324067954116329707114",
+            "-0.99163135012420877241611312854293166328593129406342979032070688589751671124770521"),
+        35: ("-5.8731165538520739634384973866041564471091669750351784795912885954884286366793423",
+             "-0.6454061267772477048201329796751647307670902076310292669821551699873578782322459"),
+        70: ("-8.4861990099848257940312809534332862944972541341049960511553248053199253176267977e-7",
+             "0.0014363877506621511100711677829054547733732227933785895332443825726537747349317598"),
+    }
+
+    def test_t30_values(self, wp300):
+        tl.get_ladder(30.0, "plain", 71, CTX)
+        for q, (log_kappa_sq, pi0) in self.PINNED.items():
+            assert abs(tl.kappa_sq(q, 30.0, CTX) - mpf(log_kappa_sq)) < mpf(10) ** -70
+            assert abs(tl.pi_zero(q, 30.0, CTX) - mpf(pi0)) < mpf(10) ** -70
+
 
 class TestAdaptivePrecision:
     def test_stabilization_is_enforced(self):
@@ -124,6 +157,11 @@ class TestAdaptivePrecision:
         hopeless = PrecisionContext(64, 1e-300, max_refinements=1)
         with pytest.raises(PrecisionError):
             tl.get_ladder(2.0, "plain", 6, hopeless)
+
+    def test_guard_sized_to_conditioning(self):
+        # guard_bits(30) = ceil(120 log2 e) + 64 = 238; the pass at
+        # 256 + 238 bits agrees with its doubling
+        assert tl.get_ladder(30.0, "plain", 71, CTX).precision_bits_used == 988
 
     def test_scan_reports_precision(self):
         scan = tl.toeplitz_scan(2.0, range(1, 6), CTX)

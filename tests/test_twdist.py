@@ -109,6 +109,24 @@ class TestLeftRepresentation:
         with pytest.raises(PrecisionError):
             twdist.cdf_left(-4, hm_solution, tail_constants, strict)
 
+    def test_left_tails_computed_once_per_solution(self, hm_solution, tail_constants,
+                                                   ctx256, monkeypatch):
+        calls = []
+        for name in ("left_tail_q_regularized", "left_tail_r_regularized"):
+            fn = getattr(painleve2, name)
+            monkeypatch.setattr(painleve2, name,
+                                lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+        fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+        first = twdist.cdf_left(-4, fresh, tail_constants, ctx256)
+        twdist.cdf_left(-6, fresh, tail_constants, ctx256)
+        assert sorted(calls) == ["left_tail_q_regularized", "left_tail_r_regularized"]
+        assert first == twdist.cdf_left(-4, hm_solution, tail_constants, ctx256)
+        # the tolerance check still runs when the tails come from the cache
+        strict = PrecisionContext(256, 1e-30)
+        for _ in range(2):
+            with pytest.raises(PrecisionError):
+                twdist.cdf_left(-4, fresh, tail_constants, strict)
+
 
 class TestCombinedCdf:
     def test_beta2_is_f_squared(self, hm_solution, tail_constants, ctx256):
