@@ -7,9 +7,11 @@ discretized by Nystrom quadrature.  The half-line is mapped algebraically to
 a finite interval and truncated where Ai(u)^2 drops below 1e-40 (the kernel
 decays super-exponentially, so Gauss nodes on the mapped interval converge
 spectrally).  The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j) is
-positive definite with eigenvalues in (0, 1]; its determinant comes from a
-Cholesky factorization, which positive definiteness makes unconditionally
-stable.
+positive definite with eigenvalues in (0, 1]; its determinant is the
+product of the Cholesky pivots from linalg.cholesky_log_pivots, the same
+factorization the Toeplitz lab uses.  Positive definiteness is what makes
+that factorization unconditionally stable, and a nonpositive pivot (an
+operator norm that reached 1) raises InternalConsistencyError.
 
 This module is the cross-validation oracle for the Painleve route and never
 calls into it.
@@ -24,13 +26,13 @@ from typing import List, Tuple
 from mpmath import mp, mpf
 
 from . import specialfn
-from .errors import DomainError, InternalConsistencyError, PrecisionError
+from .errors import DomainError, PrecisionError
+from .linalg import cholesky_log_pivots
 from .precision import PrecisionContext, round_to
 from .quadrature import gauss_legendre
 
 _MAP_SCALE = 10.0
 _TRUNC_AI_SQ = 1e-40
-_DIAGONAL_SWITCH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,25 +79,6 @@ def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, size=m)
 
 
-def airy_kernel(u, v, ctx: PrecisionContext) -> mpf:
-    """Airy kernel value.  Near the diagonal the displayed quotient cancels,
-    so |u - v| below the switch threshold uses the exact diagonal value
-    Ai'(z)^2 - z Ai(z)^2 at the midpoint plus the first Taylor correction
-    h^2 (Ai Ai'/3 + (2z/3)(Ai'^2 - z Ai^2)), h = (u - v)/2."""
-    with mp.workprec(ctx.precision_bits + 16):
-        u, v = mpf(u), mpf(v)
-        if abs(u - v) < _DIAGONAL_SWITCH:
-            z = (u + v) / 2
-            h = (u - v) / 2
-            ai, aip = specialfn.airy_ai(z, ctx)
-            diag = aip * aip - z * ai * ai
-            corr = ai * aip / 3 + 2 * z / 3 * (aip * aip - z * ai * ai)
-            return round_to(diag + h * h * corr, ctx.precision_bits)
-        aiu, aipu = specialfn.airy_ai(u, ctx)
-        aiv, aipv = specialfn.airy_ai(v, ctx)
-        return round_to((aiu * aipv - aipu * aiv) / (u - v), ctx.precision_bits)
-
-
 def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> List[List[mpf]]:
     """The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j)."""
     rule = build_rule(x, m, ctx)
@@ -127,24 +110,8 @@ def _f2_once(x, m: int, ctx: PrecisionContext) -> mpf:
     mat = nystrom_matrix(x, m, ctx)
     prec = ctx.precision_bits + 32
     with mp.workprec(prec):
-        # Cholesky pivots; det = product of pivots
-        logdet = mpf(0)
-        for k in range(m):
-            pivot = mat[k][k]
-            if pivot <= 0:
-                raise InternalConsistencyError(
-                    "Nystrom matrix lost positive definiteness; the operator "
-                    "norm must stay below 1")
-            logdet += mp.log(pivot)
-            inv = 1 / pivot
-            col = [mat[i][k] for i in range(k + 1, m)]
-            for a, i in enumerate(range(k + 1, m)):
-                f = col[a] * inv
-                if f != 0:
-                    mi = mat[i]
-                    for b, j in enumerate(range(k + 1, i + 1)):
-                        mi[j] -= f * col[b]
-        return mp.exp(logdet)
+        return mp.exp(mp.fsum(cholesky_log_pivots(
+            mat, "Nystrom matrix (operator norm must stay below 1)")))
 
 
 def f2_fredholm(x, m: int, ctx: PrecisionContext,

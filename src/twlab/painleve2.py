@@ -427,8 +427,9 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
 class HMSolution:
     """Immutable solution record; safe for concurrent reads.
 
-    Stores each element's edges and its nodal values of q and q' once; the
-    global grid and the nodal q, q', R are derived from them."""
+    Stores each element's edges and its nodal values of q and q' once;
+    q_at and q_prime_at interpolate them, and values derived from them are
+    kept through ``cached``."""
 
     x_left: mpf
     x_right: mpf
@@ -449,39 +450,6 @@ class HMSolution:
     def _elem_nodes(self, e: int) -> List[mpf]:
         a, b = self._edges[e], self._edges[e + 1]
         return [(a + b) / 2 + (b - a) / 2 * t for t in self._ref]
-
-    @staticmethod
-    def _merged(rows: List[List[mpf]]) -> List[mpf]:
-        """Per-element rows joined into one grid list; an interface node is
-        kept from the element on its left."""
-        return [v for e, row in enumerate(rows) for v in (row[1:] if e else row)]
-
-    @property
-    def grid(self) -> List[mpf]:
-        with mp.workprec(self.precision_bits + 16):
-            nodes = [self._elem_nodes(e) for e in range(len(self._elem_q))]
-        return round_to(self._merged(nodes), self.precision_bits)
-
-    @property
-    def q_values(self) -> List[mpf]:
-        return self._merged(self._elem_q)
-
-    @property
-    def q_prime_values(self) -> List[mpf]:
-        """q' on the grid; interface nodes carry the average of the two
-        one-sided derivatives, which agree to the continuity tolerance."""
-        qp = self._elem_qp
-        with mp.workprec(self.precision_bits + 16):
-            rows = [row[:-1] + [(row[-1] + qp[e + 1][0]) / 2]
-                    for e, row in enumerate(qp[:-1])] + [qp[-1]]
-        return round_to(self._merged(rows), self.precision_bits)
-
-    @property
-    def r_values(self) -> List[mpf]:
-        with mp.workprec(self.precision_bits + 16):
-            rv = [qp * qp - x * q * q - q ** 4 for x, q, qp in
-                  zip(self.grid, self.q_values, self.q_prime_values)]
-        return round_to(rv, self.precision_bits)
 
     def _locate(self, x: mpf) -> int:
         if x < self.x_left or x > self.x_right:

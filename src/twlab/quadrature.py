@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from mpmath import mp, mpf
 
@@ -64,16 +64,3 @@ def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
     with _rule_lock:
         _rule_cache[key] = result
     return result
-
-
-def integrate_gl(f: Callable[[mpf], mpf], a, b, n: int, prec: int) -> mpf:
-    """Integral of f over [a, b] with the n-point Gauss-Legendre rule."""
-    xs, ws = gauss_legendre(n, prec)
-    with mp.workprec(prec):
-        a, b = mpf(a), mpf(b)
-        half = (b - a) / 2
-        mid = (b + a) / 2
-        s = mpf(0)
-        for x, w in zip(xs, ws):
-            s += w * f(mid + half * x)
-        return s * half

@@ -26,6 +26,10 @@ _LOG2_E = 1.4426950408889634
 _zeta_cache: dict = {}
 _zeta_lock = threading.Lock()
 
+# "pair" -> (bits, Ai(0), Ai'(0))
+_airy_const_cache: dict = {}
+_airy_const_lock = threading.Lock()
+
 
 # ---------------------------------------------------------------------------
 # log Gamma (Stirling series + upward recurrence)
@@ -168,11 +172,21 @@ def log_barnes_g(z, ctx: PrecisionContext) -> mpf:
 # ---------------------------------------------------------------------------
 
 def _airy_constants(prec: int) -> Tuple[mpf, mpf]:
-    """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3)."""
-    with mp.workprec(prec):
-        ai0 = mp.power(3, mpf(-2) / 3) / mp.exp(_log_gamma_raw(mpf(2) / 3, prec))
-        aip0 = -mp.power(3, mpf(-1) / 3) / mp.exp(_log_gamma_raw(mpf(1) / 3, prec))
-        return ai0, aip0
+    """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), rounded
+    to ``prec`` bits from the pair computed at the highest precision asked
+    for so far (every Maclaurin evaluation needs them)."""
+    with _airy_const_lock:
+        hit = _airy_const_cache.get("pair")
+    if hit is None or hit[0] < prec:
+        with mp.workprec(prec):
+            ai0 = mp.power(3, mpf(-2) / 3) / mp.exp(_log_gamma_raw(mpf(2) / 3, prec))
+            aip0 = -mp.power(3, mpf(-1) / 3) / mp.exp(_log_gamma_raw(mpf(1) / 3, prec))
+        hit = (prec, ai0, aip0)
+        with _airy_const_lock:
+            held = _airy_const_cache.get("pair")
+            if held is None or held[0] < prec:
+                _airy_const_cache["pair"] = hit
+    return round_to(hit[1:], prec)
 
 
 def _airy_maclaurin(x: mpf, prec: int) -> Tuple[mpf, mpf]:

@@ -12,8 +12,9 @@ carrying "+ I_{j+k+2}" do not reproduce either the product identities over
 kappa, pi or the F E limit, both of which this module's tests pin down.)
 
 plus the orthogonal-polynomial objects derived from the plain family:
-log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder) from the
-Cholesky pivots of the moment matrix, and pi_q(0), the constant term of the
+log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder), the
+negated log Cholesky pivots of the moment matrix (linalg.cholesky_log_pivots,
+shared with the Fredholm oracle), and pi_q(0), the constant term of the
 monic orthogonal polynomial (the q-th reflection coefficient), from the
 Levinson-Durbin recursion on the moments I_k(2t).  Levinson-Durbin is a
 generic Toeplitz solver, not the discrete Painleve II recurrence, so kappa
@@ -43,6 +44,7 @@ from mpmath import mp, mpf
 
 from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError
+from .linalg import cholesky_log_pivots
 from .precision import PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
@@ -91,31 +93,6 @@ def _moment_matrix(t, n: int, kind: str, bits: int) -> List[List[mpf]]:
                 v = v + row[j + k + 1]
             mat[j][k] = v
     return mat
-
-
-def _cholesky_lower(mat: List[List[mpf]], what: str) -> List[List[mpf]]:
-    """Standard lower Cholesky on lists; raises if a pivot goes nonpositive
-    (mathematically impossible for these Gram matrices, so it signals a
-    moment error or insufficient precision)."""
-    n = len(mat)
-    low = [[mpf(0)] * n for _ in range(n)]
-    for j in range(n):
-        s = mat[j][j]
-        lj = low[j]
-        for k in range(j):
-            s -= lj[k] * lj[k]
-        if s <= 0:
-            raise InternalConsistencyError(
-                f"nonpositive Cholesky pivot in {what} at index {j}")
-        lj[j] = mp.sqrt(s)
-        inv = 1 / lj[j]
-        for i in range(j + 1, n):
-            s = mat[i][j]
-            li = low[i]
-            for k in range(j):
-                s -= li[k] * lj[k]
-            li[j] = s * inv
-    return low
 
 
 def _levinson_constant_terms(moments: Sequence[mpf], q_max: int) -> Dict[int, mpf]:
@@ -175,8 +152,7 @@ def _ladder_pass(t, kind: str, n_cap: int) -> Callable[[int], _LadderValues]:
     def one(bits: int) -> _LadderValues:
         with mp.workprec(bits):
             mat = _moment_matrix(t, n_cap, kind, bits)
-            low = _cholesky_lower(mat, f"{kind} moment matrix (t={t})")
-            pivots = [2 * mp.log(low[k][k]) for k in range(n_cap)]
+            pivots = cholesky_log_pivots(mat, f"{kind} moment matrix (t={t})")
             pi0 = (_levinson_constant_terms(mat[0], n_cap - 1)
                    if kind == "plain" else {})
             return pivots, pi0
@@ -418,6 +394,18 @@ class SumPartsReport:
     f2_reference: mpf
 
 
+def _tw_reference(x, sol: painleve2.HMSolution, ctx: PrecisionContext,
+                  check: bool) -> twdist.TWPoint:
+    """The Painleve-route TW point at x that the double-scaling limits are
+    compared with: ctx's precision, tolerance relaxed to at least 1e-12,
+    since the left-tail series of a default-window solution cannot reach the
+    tighter tolerances the ladders are stabilized to."""
+    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
+                              ctx.max_refinements)
+    return twdist.tw_point(x, sol, twdist.TailConstants.compute(tw_ctx),
+                           tw_ctx, check=check)
+
+
 def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
     """2Lt - (L^2/2) log(2t) + (L^2/2 - 1/12) log L - (3/4) L^2 + zeta'(-1),
     the large-t form of log D_L(t), at the working precision."""
@@ -466,10 +454,7 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
                       - mp.log(m_mp) / 8 + log2 / 24)
         painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
     direct = toeplitz_log_det_lu(MomentMatrixSpec(float(t), n, "plain"), ctx)
-    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
-                              ctx.max_refinements)
-    consts = twdist.TailConstants.compute(tw_ctx)
-    f2_ref = twdist.tw_cdf(x, 2, sol, consts, tw_ctx)
+    f2_ref = _tw_reference(x, sol, ctx, check=True).F2
     with mp.workprec(ctx.precision_bits + 16):
         total_direct = direct - t_mp ** 2
     r = round_to((exact, airy, painleve, total,
@@ -596,10 +581,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     plain = get_ladder(t, "plain", 2 * ell, ctx)
     pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
     mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
-    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
-                              ctx.max_refinements)
-    consts = twdist.TailConstants.compute(tw_ctx)
-    f, e, _ = twdist._f_e_at(x, sol, consts, tw_ctx, check=False)
+    tw_ref = _tw_reference(x, sol, ctx, check=False)
 
     with mp.workprec(ctx.precision_bits + 16):
         exact = pp.log_d(L - 1) + mp_lad.log_d(L) - plain.log_d(2 * L - 1)
@@ -625,10 +607,9 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
         airy_limit = t_mp - sqrt2 / 3 * m_mp ** mpf("1.5") - (2 * L - mpf("0.5")) * log2
         painleve_limit = (painleve2.integrate_kind(sol, "q_reg", -m_mp, x_mp, ctx)
                           + sqrt2 / 3 * (m_mp ** mpf("1.5") - (-x_mp) ** mpf("1.5")))
-        two_log_e = 2 * mp.log(e)
-        fe = f * e
+        two_log_e = 2 * mp.log(tw_ref.E)
 
-    r = round_to((fe, d_pp, d_mp, exact, airy, painleve, total,
+    r = round_to((tw_ref.F1, d_pp, d_mp, exact, airy, painleve, total,
                   identity_gap, exact_limit, airy_limit, painleve_limit,
                   two_log_e), ctx.precision_bits)
     return EDoubleScalingReport(
@@ -654,10 +635,7 @@ def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
         ell = int(mp.floor(t_mp + x_mp / 2 * t_mp ** (mpf(1) / 3)))
     q_hi = 2 * (ell + k_max) + 2
     plain = get_ladder(t, "plain", q_hi + 1, ctx)
-    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
-                              ctx.max_refinements)
-    consts = twdist.TailConstants.compute(tw_ctx)
-    _, e, _ = twdist._f_e_at(x, sol, consts, tw_ctx, check=False)
+    e = _tw_reference(x, sol, ctx, check=False).E
     out: List[mpf] = []
     with mp.workprec(ctx.precision_bits + 16):
         log_e = mp.log(e)

@@ -6,37 +6,33 @@ from mpmath import mp, mpf
 from twlab import fredholm_oracle, specialfn
 from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext
-from twlab.quadrature import integrate_gl
 
 CTX = PrecisionContext(256, 1e-12)
 
 
 class TestKernel:
-    def test_diagonal_at_zero_closed_form(self, wp300):
-        k = fredholm_oracle.airy_kernel(0, 0, CTX)
-        ref = mp.power(3, mpf(-2) / 3) / mp.gamma(mpf(1) / 3) ** 2
+    # entries of the symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j)
+    def test_diagonal_entry_closed_form(self, wp300):
+        # A(u, u) = Ai'(u)^2 - u Ai(u)^2
+        rule = fredholm_oracle.build_rule(-4, 40, CTX)
+        mat = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        i = 10
+        u, w = rule.nodes[i], rule.weights[i]
+        k = (1 - mat[i][i]) / w
+        ref = mp.airyai(u, derivative=1) ** 2 - u * mp.airyai(u) ** 2
         assert abs(k - ref) < mpf(10) ** -70
-
-    def test_symmetry(self, wp300):
-        for (u, v) in ((0, 1), (-2, 3), (1.5, 1.5000001)):
-            a = fredholm_oracle.airy_kernel(u, v, CTX)
-            b = fredholm_oracle.airy_kernel(v, u, CTX)
-            assert abs(a - b) < mpf(10) ** -70
 
     def test_integral_form_oracle(self, wp300):
         # A(u, v) = int_0^inf Ai(u+s) Ai(v+s) ds
-        k = fredholm_oracle.airy_kernel(0, 1, CTX)
-        oracle = integrate_gl(lambda s: mp.airyai(s) * mp.airyai(1 + s),
-                              0, 18, 64, 300)
+        rule = fredholm_oracle.build_rule(-4, 40, CTX)
+        mat = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        i, j = 12, 5
+        u, v = rule.nodes[i], rule.nodes[j]
+        k = -mat[i][j] / mp.sqrt(rule.weights[i] * rule.weights[j])
+        with mp.workdps(40):
+            oracle = mp.quad(lambda s: mp.airyai(u + s) * mp.airyai(v + s),
+                             [0, 4, 10, 24])
         assert abs(k - oracle) < mpf(10) ** -30
-
-    def test_taylor_patch_matches_quotient(self, wp300):
-        u = mpf(1)
-        v = mpf(1) + mpf(9) / mpf(10) ** 7   # inside the switch threshold
-        patched = fredholm_oracle.airy_kernel(u, v, CTX)
-        quotient = ((mp.airyai(u) * mp.airyai(v, derivative=1)
-                     - mp.airyai(u, derivative=1) * mp.airyai(v)) / (u - v))
-        assert abs(patched - quotient) < mpf(10) ** -25
 
 
 class TestDeterminant:

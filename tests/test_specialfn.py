@@ -82,6 +82,30 @@ class TestAiry:
                     assert abs(s_ai - a_ai) <= 10 * tol * scale
                     assert abs(s_aip - a_aip) <= 10 * tol * scale
 
+    def test_constants_computed_once(self, monkeypatch):
+        # every x below uses the Maclaurin series, each at fewer bits than
+        # the one before, so Ai(0) and Ai'(0) are computed for x = 6 only:
+        # one log Gamma each for Gamma(2/3) and Gamma(1/3)
+        xs = (6, 4, 2, 1, 0)
+        bits = [specialfn._maclaurin_bits(x, CTX) for x in xs]
+        assert all(a > b for a, b in zip(bits, bits[1:]))
+        raw = specialfn._log_gamma_raw
+        calls = []
+
+        def counted(z, prec):
+            calls.append(prec)
+            return raw(z, prec)
+
+        def no_asymptotic(x, prec):
+            raise AssertionError("asymptotic branch taken")
+
+        monkeypatch.setattr(specialfn, "_airy_const_cache", {})
+        monkeypatch.setattr(specialfn, "_log_gamma_raw", counted)
+        monkeypatch.setattr(specialfn, "_airy_asymptotic", no_asymptotic)
+        for x in xs:
+            specialfn.airy_ai(x, CTX)
+        assert calls == [bits[0], bits[0]]
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             specialfn.airy_ai(float("nan"), CTX)
