@@ -13,9 +13,9 @@ Commands
 High-precision values are emitted as decimal strings (25 significant digits
 by default) so output is byte-identical across runs at fixed precision.
 The expensive boundary-value solve is cached on disk, one file per
-(solution schema version, window, nodes, precision); a file that does not
-decode is solved again and replaced.  Delete the cache directory to force a
-re-solve.
+(solution schema version, solver version, window, nodes, precision); a file
+that does not decode is solved again and replaced.  Delete the cache
+directory to force a re-solve.
 Exit codes: 0 success, 1 verification/precision failure, 2 invalid input.
 """
 
@@ -107,15 +107,16 @@ def _context(config: RunConfig, tolerance: Optional[float] = None) -> PrecisionC
 
 
 def _cache_path(config: RunConfig, ctx: PrecisionContext) -> str:
-    key = (f"hm_v{painleve2.SCHEMA_VERSION}_{config.x_left!r}_{config.x_right!r}"
+    key = (f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}"
+           f"_{config.x_left!r}_{config.x_right!r}"
            f"_{config.nodes}_{ctx.precision_bits}.json").replace("-", "m")
     return os.path.join(config.cache_dir, key)
 
 
 def _solution(config: RunConfig, ctx: PrecisionContext) -> painleve2.HMSolution:
-    """Disk-cached Hastings-McLeod solve keyed by (solution schema, window,
-    nodes, bits).  A cache file that does not decode is solved again and
-    replaced."""
+    """Disk-cached Hastings-McLeod solve keyed by (solution schema, solver
+    version, window, nodes, bits).  A cache file that does not decode is
+    solved again and replaced."""
     path = _cache_path(config, ctx)
     if os.path.exists(path):
         with open(path) as fh:

@@ -53,6 +53,9 @@ from .errors import DomainError, SolverError, UnsupportedOrderError
 from .precision import PrecisionContext, round_to
 
 SCHEMA_VERSION = 2
+# Raise when a change to the solver or its window policy changes the
+# solution it returns for the same arguments; disk caches are keyed by it.
+SOLVER_VERSION = 1
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -564,16 +567,6 @@ def r_of(solution: HMSolution, x) -> mpf:
         q = solution.q_at(x)
         qp = solution.q_prime_at(x)
         return qp * qp - x * q * q - q ** 4
-
-
-def r_quadrature_route(solution: HMSolution, x, ctx: PrecisionContext) -> mpf:
-    """R(x) by the defining integral: quadrature of q^2 up to x_right plus the
-    closed-form Airy tail (q ~ Ai there, and int_s^inf Ai^2 has the exact
-    antiderivative Ai'(s)^2 - s Ai(s)^2)."""
-    with mp.workprec(ctx.precision_bits + 16):
-        body = integrate_kind(solution, "q2", x, solution.x_right, ctx)
-        ai, aip = specialfn.airy_ai(solution.x_right, ctx)
-        return body + (aip * aip - solution.x_right * ai * ai)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ integral of Ai, modified Bessel I_j, log Gamma, log Barnes G, and the
 constant zeta'(-1).
 
 Everything here is a pure function of its arguments.  Each function lifts the
-working precision internally by enough guard bits to absorb cancellation (the
-dominant hazard: Airy Maclaurin summation for moderate |x| loses about
-2*(2/3)|x|^(3/2) nats to cancellation, Bessel rows reach magnitude e^(2t)
-while their consumers work at O(1) scale) and rounds the result back to the
-caller's precision.
+working precision internally by guard bits and rounds the result back to the
+caller's precision.  The Airy Maclaurin sums for moderate |x| lose about
+2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs.  The Bessel
+row I_0(2t) .. I_J(2t) comes from Miller's backward recurrence normalised by
+e^(2t) = I_0 + 2 sum I_j (no cancellation: every term is positive); its
+values reach magnitude e^(2t) while their consumers work at O(1) scale, so
+it carries ceil(2t log2 e) extra guard bits.
 """
 
 from __future__ import annotations
@@ -362,41 +364,67 @@ def airy_ai_tail_integral(x, ctx: PrecisionContext) -> mpf:
 # Modified Bessel row I_0(2t), ..., I_maxj(2t)
 # ---------------------------------------------------------------------------
 
-def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
-    """I_0(two_t) .. I_{max_j}(two_t) by the ascending power series.
+def _log_bessel_i_debye(n: int, z: float) -> float:
+    """log I_n(z) from the leading Debye term (DLMF 10.41.3),
+    e^(s - n asinh(n/z)) / sqrt(2 pi s) with s = sqrt(n^2 + z^2); its
+    relative error is O(1/s), far below what sizing a start index needs."""
+    s = math.hypot(n, z)
+    return s - n * math.asinh(n / z) - 0.5 * math.log(2.0 * math.pi * s)
 
-    Terms reach magnitude e^(two_t) while consumers (determinant ratios) work
-    at O(1), so the series is summed with ceil(two_t*log2 e) + 64 guard bits
-    above the requested precision.  I_{-j} = I_j by symmetry.
+
+def _miller_start(max_j: int, z: float, bits: int) -> int:
+    """The first N > max_j with I_N(z)/I_{max_j}(z) < 2^-(bits + 16).
+
+    The normalisation sum loses the orders above N, and its error is first
+    order in I_N/I_{max_j} (the contamination of the ratios f_j/f_0 by the
+    recessive solution is only second order), so the ratio itself, not its
+    square, is sized against the working precision.  The Debye term is no
+    estimate of I_0 at small z, so order 0 is measured against I_1 <= I_0,
+    which only raises N."""
+    z = max(z, 1e-300)  # a larger z only raises the ratio, so N stays safe
+    target = _log_bessel_i_debye(max(max_j, 1), z) - (bits + 16) * math.log(2.0)
+    n = max_j + 1
+    while _log_bessel_i_debye(n, z) >= target:
+        n += 1
+    return n
+
+
+def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
+    """I_0(two_t) .. I_{max_j}(two_t) by Miller's backward recurrence.
+
+    f_{j-1} = f_{j+1} + (2j/z) f_j (DLMF 10.29.1) runs down from f_{N+1} = 0,
+    f_N = 1 (an mpf does not overflow, so any nonzero start serves); the
+    minimal solution in that direction is I_j, so f_j = c I_j to working
+    precision for j well below N.  The constant c comes from the generating
+    function at theta = 0 (DLMF 10.35.5), e^z = I_0 + 2 sum_{j>=1} I_j,
+    whose terms are all positive, so the normalising sum does not cancel.
+    N is sized by _miller_start from the Debye estimate of log I_n(z).
+    Gil, Segura and Temme, Numerical Methods for Special Functions (SIAM
+    2007), ch. 4, treat the method and its error.
+
+    Values reach magnitude e^(two_t) while consumers (determinant ratios)
+    work at O(1), so the row is computed with ceil(two_t*log2 e) + 64 guard
+    bits above the requested precision and rounded to 32 fewer.  I_{-j} = I_j
+    by symmetry.
     """
     if max_j < 0:
         raise DomainError("max_j must be >= 0")
     two_t = mpf(two_t)
     if two_t < 0:
         raise DomainError("two_t must be nonnegative")
-    prec = ctx.precision_bits + int(math.ceil(float(two_t) * _LOG2_E)) + 64
-    out: List[mpf] = []
+    guard = int(math.ceil(float(two_t) * _LOG2_E))
+    prec = ctx.precision_bits + guard + 64
     with mp.workprec(prec):
         z = mpf(two_t)
         if z == 0:
             out = [mpf(1)] + [mpf(0)] * max_j
         else:
-            h = z / 2
-            h2 = h * h
-            eps = mpf(2) ** (-prec - 8)
-            term0 = mpf(1)
-            for j in range(max_j + 1):
-                if j > 0:
-                    term0 = term0 * h / j
-                term = term0
-                s = term
-                k = 0
-                while True:
-                    k += 1
-                    term = term * h2 / (k * (k + j))
-                    s += term
-                    if term < eps * s:
-                        break
-                out.append(s)
-    return [round_to(v, ctx.precision_bits + int(math.ceil(float(two_t) * _LOG2_E)) + 32)
-            for v in out]
+            n_start = _miller_start(max_j, float(z), prec)
+            w = 2 / z
+            f = [mpf(0)] * (n_start + 2)
+            f[n_start] = mpf(1)
+            for j in range(n_start, 0, -1):
+                f[j - 1] = f[j + 1] + (j * w) * f[j]
+            scale = mp.exp(z) / (f[0] + 2 * mp.fsum(f[1:]))
+            out = [v * scale for v in f[:max_j + 1]]
+    return round_to(out, ctx.precision_bits + guard + 32)

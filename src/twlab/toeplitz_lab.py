@@ -206,16 +206,30 @@ def toeplitz_log_det(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
 
 def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
-    """Independent route: LU with partial pivoting instead of the Cholesky
-    ladder (different elimination order and rounding path), stabilized the
-    same way.  Used to check telescoping identities non-vacuously."""
+    """Independent route: a pivoted LU of the full moment matrix, written
+    here and sharing nothing with the Cholesky of the ladder (different
+    factorisation, elimination order and rounding path), stabilized the
+    same way.  Used to check telescoping identities non-vacuously.
+
+    Left-looking (Doolittle) with partial pivoting: column k of U and the
+    pivot candidates below it are each formed with one mp.fdot over the k
+    columns of L already done, so every entry is rounded once; the row swaps
+    move the finished L part with the untouched columns.  The log |pivots|
+    are summed with mp.fsum."""
 
     def one(bits: int) -> mpf:
         with mp.workprec(bits):
             a = _moment_matrix(spec.t, spec.n, spec.kind, bits)
             n = spec.n
-            logdet = mpf(0)
+            logs: List[mpf] = []
             for k in range(n):
+                # a[i][:i] holds row i of L for i < k; fdot pairs a[i] with
+                # u, which holds the i (then k) entries of column k of U
+                u: List[mpf] = []
+                for i in range(k):
+                    u.append(a[i][k] - mp.fdot(a[i], u))
+                for i in range(k, n):
+                    a[i][k] -= mp.fdot(a[i], u)
                 p = max(range(k, n), key=lambda r: abs(a[r][k]))
                 if a[p][k] == 0:
                     raise InternalConsistencyError("singular moment matrix")
@@ -223,15 +237,11 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
                     a[p], a[k] = a[k], a[p]
                 # determinant of these matrices is positive; row swaps come in
                 # pairs of magnitude only, track |pivot|
-                logdet += mp.log(abs(a[k][k]))
+                logs.append(mp.log(abs(a[k][k])))
                 inv = 1 / a[k][k]
                 for i in range(k + 1, n):
-                    f = a[i][k] * inv
-                    if f != 0:
-                        ai, ak = a[i], a[k]
-                        for j in range(k + 1, n):
-                            ai[j] -= f * ak[j]
-            return logdet
+                    a[i][k] *= inv
+            return mp.fsum(logs)
 
     val, _ = stabilize(one, ctx.precision_bits + guard_bits(spec.t), ctx,
                        lambda a, b: abs(a - b),

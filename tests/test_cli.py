@@ -120,6 +120,19 @@ class TestSolutionCache:
         self._rerun_over(tmp_path, json.dumps({"schema_version": 1,
                                                "grid": [], "q": []}))
 
+    def test_solver_version_changes_the_key(self, tmp_path, monkeypatch):
+        # a new solver that keeps the schema must not read the old solves
+        config = cli.RunConfig("eval", x=0.0, nodes=500, precision_bits=192,
+                               cache_dir=str(tmp_path))
+        ctx = cli._context(config)
+        before = cli._cache_path(config, ctx)
+        monkeypatch.setattr(painleve2, "SOLVER_VERSION",
+                            painleve2.SOLVER_VERSION + 1)
+        after = cli._cache_path(config, ctx)
+        assert after != before
+        assert os.path.basename(after).startswith(
+            f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}_")
+
 
 class TestExitCodes:
     def test_invalid_arguments_exit_two(self, workdir):

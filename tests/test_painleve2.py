@@ -201,10 +201,17 @@ class TestRRoutes:
         assert abs(r - oracle) / oracle < mpf(10) ** -4
 
     def test_two_route_agreement(self, hm_solution, ctx256):
+        # R(x) = int_x^inf q^2: the integral of q^2 up to x_right plus the
+        # closed-form Airy tail (q ~ Ai there, and int_s^inf Ai^2 has the
+        # antiderivative Ai'(s)^2 - s Ai(s)^2)
+        x_right = hm_solution.x_right
+        ai, aip = specialfn.airy_ai(x_right, ctx256)
         with mp.workprec(280):
+            tail = aip * aip - x_right * ai * ai
             for x in (-11, -8, -4.5, -1, 0, 2.5, 6, 7.5):
                 local = painleve2.r_of(hm_solution, x)
-                quad = painleve2.r_quadrature_route(hm_solution, x, ctx256)
+                quad = painleve2.integrate_kind(hm_solution, "q2", x, x_right,
+                                                ctx256) + tail
                 assert abs(local - quad) < 10 * mpf(ctx256.tolerance)
 
     def test_r_x9_scale_empirically(self, hm_solution, wp300):

@@ -5,6 +5,7 @@ paths), adaptive quadrature of defining integrals, finite differences of
 defining ODEs, and closed forms.
 """
 
+import math
 import random
 
 import pytest
@@ -144,6 +145,21 @@ class TestBesselRow:
                 lhs = row[j - 1] - row[j + 1]
                 rhs = 2 * j / x * row[j]
                 assert abs(lhs - rhs) <= 10 * mpf(10) ** -40 * max(1, abs(rhs))
+
+    @pytest.mark.parametrize("max_j, two_t, bits", [
+        (70, 60, 494), (184, 100, 1218), (0, 60, 494), (300, 4, 200)])
+    def test_lab_rows_against_mpmath(self, max_j, two_t, bits):
+        # the row is rounded to bits + ceil(two_t log2 e) + 32; allow 2 to 4
+        # ulps of that.  Every order carries the normalisation error, the top
+        # ones also the truncation of the recurrence at its start index.
+        row = specialfn.bessel_i_row(max_j, two_t,
+                                     PrecisionContext(bits, 1e-30, 1))
+        out_bits = bits + math.ceil(two_t * math.log2(math.e)) + 32
+        orders = sorted({0, min(1, max_j), max_j // 2, max(max_j - 1, 0), max_j})
+        with mp.workprec(3000):
+            for j in orders:
+                rel = abs(row[j] / mp.besseli(j, two_t) - 1)
+                assert rel <= mpf(2) ** -(out_bits - 2), (j, rel)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ scaffolding."""
 import pytest
 from mpmath import mp, mpf
 
-from twlab import painleve2, toeplitz_lab as tl, twdist
+from twlab import painleve2, specialfn, toeplitz_lab as tl, twdist
 from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext
 
@@ -40,6 +40,23 @@ class TestLogDet:
         a = tl.toeplitz_log_det(spec, CTX)
         b = tl.toeplitz_log_det_lu(spec, CTX)
         assert abs(a - b) < mpf(10) ** -40
+
+    @pytest.mark.parametrize("kind, n", [("plain", 56), ("plus_plus", 27),
+                                         ("minus_plus", 28)])
+    def test_lu_route_at_lab_size(self, kind, n, wp300):
+        spec = tl.MomentMatrixSpec(30.0, n, kind)
+        a = tl.toeplitz_log_det(spec, CTX)
+        b = tl.toeplitz_log_det_lu(spec, CTX)
+        assert abs(a - b) <= mpf(10) ** -70
+
+    def test_log_d56_pinned(self, wp300):
+        # log D_56(30) from the ladder and the right-looking LU elimination
+        # (identical at 256 bits), to 73 decimals
+        ref = mpf("899.665107163724684105397878627470076844476503207208460"
+                  "8594946186761142913141")
+        spec = tl.MomentMatrixSpec(30.0, 56)
+        assert abs(tl.toeplitz_log_det_lu(spec, CTX) - ref) < mpf(10) ** -70
+        assert abs(tl.toeplitz_log_det(spec, CTX) - ref) < mpf(10) ** -70
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -162,6 +179,21 @@ class TestAdaptivePrecision:
         # guard_bits(30) = ceil(120 log2 e) + 64 = 238; the pass at
         # 256 + 238 bits agrees with its doubling
         assert tl.get_ladder(30.0, "plain", 71, CTX).precision_bits_used == 988
+
+    def test_one_bessel_row_per_pass(self, monkeypatch):
+        # a ladder pass builds its own moment row, so the row count under
+        # get_ladder is its stabilize pass count (494 and 988 bits here)
+        row = specialfn.bessel_i_row
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return row(*args)
+
+        monkeypatch.setattr(tl, "_ladder_cache", {})
+        monkeypatch.setattr(specialfn, "bessel_i_row", counted)
+        tl.get_ladder(30.0, "plain", 71, CTX)
+        assert len(calls) == 2
 
     def test_scan_reports_precision(self):
         scan = tl.toeplitz_scan(2.0, range(1, 6), CTX)
