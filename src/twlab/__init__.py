@@ -4,7 +4,7 @@ arbitrary-precision Toeplitz determinant laboratory."""
 
 from .precision import PrecisionContext
 from .errors import (DomainError, InternalConsistencyError, PrecisionError,
-                     SolverError, UnsupportedOrderError)
+                     SolverError)
 
 __all__ = [
     "PrecisionContext",
@@ -12,7 +12,6 @@ __all__ = [
     "InternalConsistencyError",
     "PrecisionError",
     "SolverError",
-    "UnsupportedOrderError",
 ]
 
 __version__ = "0.1.0"

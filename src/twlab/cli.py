@@ -167,6 +167,8 @@ def _cmd_eval(config: RunConfig) -> int:
 def _x_grid(config: RunConfig) -> List[mpf]:
     if config.x_min is None or config.x_max is None:
         raise DomainError("--xmin and --xmax are required")
+    if not (mp.isfinite(config.x_min) and mp.isfinite(config.x_max)):
+        raise DomainError("--xmin and --xmax must be finite")
     if not config.step > 0:
         raise DomainError("--step must be positive")
     out = []

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument outside the domain an operation supports."""
 
 
-class UnsupportedOrderError(DomainError):
-    """Series order beyond what is exposed (higher coefficients unreliable)."""
-
-
 class PrecisionError(RuntimeError):
     """A result failed to stabilize within the allowed refinement budget."""
 

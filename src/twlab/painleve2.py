@@ -13,10 +13,11 @@ the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
 exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
-Point values come from barycentric interpolation on an element; integrals
-of q, R and q^2 integrate each element's Chebyshev interpolant term by term
-(integrate_kind), so every query is one Clenshaw sum plus a cumulative edge
-value.
+Every read goes through one table per integrand: each element's Chebyshev
+coefficients, from a DCT-I of its nodal values.  A point value of q or q'
+is one Clenshaw sum over the located element's row; integrals of q and R
+integrate the same rows term by term (integrate_kind), so they are one
+Clenshaw sum plus a cumulative edge value.
 
 The left boundary data come from the large-negative expansion
 
@@ -49,7 +50,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import specialfn
-from .errors import DomainError, SolverError, UnsupportedOrderError
+from .errors import DomainError, SolverError
 from .precision import PrecisionContext, round_to
 
 SCHEMA_VERSION = 2
@@ -94,6 +95,11 @@ def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
     with P(v) = sum a_k v^k, v = x^-3, and P1 = sum (-3k) a_k v^k,
 
         R = (x^2/4)(2 P^2 - P^4) - (1/x)(P^2/8 + P P1 / 2 + P1^2 / 2).
+
+    Written as R = (x^2/4)(1 - 1/(2 x^3) + 9/(16 x^6) + c x^-9 + ...), the
+    x^-9 coefficient c printed in the sources does not match this
+    recursion, so the tests assert only the scale of that term, empirically
+    against the solved R.
     """
     key = ("r", order)
     if key in _series_cache:
@@ -129,41 +135,6 @@ def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
 
 def _rational(c: Fraction) -> mpf:
     return mpf(c.numerator) / c.denominator
-
-
-def q_left_asymptotic(x, order: int):
-    """Partial sum of the left expansion of q through x^(-3*order)."""
-    x = mpf(x)
-    if not x <= -2:
-        raise DomainError("left series for q is unreliable for x > -2")
-    if not 0 <= order <= 3:
-        raise UnsupportedOrderError("q_left_asymptotic supports orders 0..3")
-    a = hm_left_series_coefficients(order)
-    s = mpf(0)
-    for k in range(order, -1, -1):
-        s = s / x ** 3 + _rational(a[k])
-    return mp.sqrt(-x / 2) * s
-
-
-def r_left_asymptotic(x, order: int):
-    """Partial sum of the left expansion of R through x^(2-3*order).
-
-    Orders above 2 are not exposed: the printed x^-9 coefficient in the
-    sources does not match the recursion, so only the scale of that term is
-    asserted (empirically) by the tests.
-    """
-    x = mpf(x)
-    if not x <= -2:
-        raise DomainError("left series for R is unreliable for x > -2")
-    if order > 2:
-        raise UnsupportedOrderError("r_left_asymptotic supports orders 0..2")
-    if order < 0:
-        raise UnsupportedOrderError("order must be >= 0")
-    rho = r_left_series_coefficients(order)
-    s = mpf(0)
-    for m in range(order, -1, -1):
-        s = s / x ** 3 + _rational(rho[m])
-    return x * x * s
 
 
 def _sum_while_shrinking(terms: Iterable[mpf]) -> Tuple[mpf, mpf]:
@@ -430,9 +401,11 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
 class HMSolution:
     """Immutable solution record; safe for concurrent reads.
 
-    Stores each element's edges and its nodal values of q and q' once;
-    q_at and q_prime_at interpolate them, and values derived from them are
-    kept through ``cached``."""
+    Stores each element's edges and its nodal values of q and q' once.
+    Everything read from them goes through the per-element Chebyshev
+    coefficient tables, which are kept through ``cached`` like every other
+    derived value: q_at and q_prime_at sum one row of the q or q' table,
+    and integrate_kind integrates the rows of the q or R table."""
 
     x_left: mpf
     x_right: mpf
@@ -455,34 +428,20 @@ class HMSolution:
         return [(a + b) / 2 + (b - a) / 2 * t for t in self._ref]
 
     def _locate(self, x: mpf) -> int:
-        if x < self.x_left or x > self.x_right:
+        if not self.x_left <= x <= self.x_right:
             raise DomainError(f"x={x} outside solution window "
                               f"[{self.x_left}, {self.x_right}]")
         e = bisect_right(self._edges, x) - 1
         return min(max(e, 0), len(self._elem_q) - 1)
 
-    def _bary_weights(self) -> Tuple[mpf, ...]:
-        """Barycentric weights of the Lobatto nodes: (-1)^j, halved at the
-        two ends; exact, so one tuple serves every precision."""
-        p = self.p
-        return self.cached("bary_weights", lambda: tuple(
-            mpf(-1) ** j * (mpf("0.5") if j in (0, p) else mpf(1))
-            for j in range(p + 1)))
-
-    def _bary(self, e: int, x: mpf, values: List[mpf]) -> mpf:
+    def _read(self, kind: str, x) -> mpf:
+        """Clenshaw sum of the located element's row of the ``kind`` table."""
+        x = mpf(x)
+        e = self._locate(x)
+        row = _chebyshev_table(self, kind, self.precision_bits)[e]
         with mp.workprec(max(mp.prec, self.precision_bits + 16)):
             a, b = self._edges[e], self._edges[e + 1]
-            t = (2 * x - a - b) / (b - a)
-            num = mpf(0)
-            den = mpf(0)
-            for j, w in enumerate(self._bary_weights()):
-                dt = t - self._ref[j]
-                if dt == 0:
-                    return values[j]
-                w /= dt
-                num += w * values[j]
-                den += w
-            return num / den
+            return _clenshaw(row, (2 * x - a - b) / (b - a))
 
     def cached(self, key, compute: Callable[[], T]) -> T:
         """compute() once per key for this solution; later calls share its
@@ -497,14 +456,10 @@ class HMSolution:
         return hit
 
     def q_at(self, x) -> mpf:
-        x = mpf(x)
-        e = self._locate(x)
-        return self._bary(e, x, self._elem_q[e])
+        return self._read("q", x)
 
     def q_prime_at(self, x) -> mpf:
-        x = mpf(x)
-        e = self._locate(x)
-        return self._bary(e, x, self._elem_qp[e])
+        return self._read("qp", x)
 
     def to_json_dict(self) -> dict:
         def enc(v: mpf):
@@ -570,46 +525,65 @@ def r_of(solution: HMSolution, x) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Spectral integration on the collocation elements
+# Chebyshev tables on the collocation elements
 # ---------------------------------------------------------------------------
 
 def _nodal_values(solution: HMSolution, kind: str, e: int) -> List[mpf]:
-    """Element e's nodal values of the integrand named ``kind``."""
+    """Element e's nodal values of q, q' or R (``kind`` "q", "qp", "r")."""
     q = solution._elem_q[e]
     if kind == "q":
         return q
-    if kind == "q2":
-        return [v * v for v in q]
+    if kind == "qp":
+        return solution._elem_qp[e]
     xs = solution._elem_nodes(e)
     return [qp * qp - x * v * v - v ** 4
             for x, v, qp in zip(xs, q, solution._elem_qp[e])]
 
 
-def _antiderivatives(solution: HMSolution, kind: str, ctx: PrecisionContext):
-    """Per element, the Chebyshev coefficients of the antiderivative of the
-    degree-p interpolant of ``kind`` (zero at the element's left edge, in
-    units of x), and its cumulative values from x_left to every edge.
+def _chebyshev_table(solution: HMSolution, kind: str, bits: int) -> List[List[mpf]]:
+    """Per element, the coefficients of T_0..T_p in t in [-1, 1] of the
+    degree-p interpolant of ``kind``, computed at bits + 16.
 
-    Cached per (kind, precision).  The nodes -cos(pi j/p) are the Lobatto
-    points, so the coefficients come from a DCT-I of the nodal values and
-    integrate term by term: int T_n = T_(n+1)/(2(n+1)) - T_(n-1)/(2(n-1))
-    (Trefethen, ATAP, ch. 19)."""
-    return solution.cached((kind, ctx.precision_bits),
-                           lambda: _build_antiderivatives(solution, kind, ctx))
+    Cached per (kind, bits); point values and integrals read the same rows.
+    The nodes -cos(pi j/p) are the Lobatto points, so the coefficients are a
+    DCT-I of the nodal values (Trefethen, ATAP, ch. 3)."""
+    return solution.cached(("chebyshev", kind, bits),
+                           lambda: _build_chebyshev_table(solution, kind, bits))
 
 
-def _build_antiderivatives(solution: HMSolution, kind: str, ctx: PrecisionContext):
+def _build_chebyshev_table(solution: HMSolution, kind: str, bits: int):
     p = solution.p
-    with mp.workprec(ctx.precision_bits + 16):
+    with mp.workprec(bits + 16):
         cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
         # values at -cos(pi j/p) -> coefficients of T_0..T_p
         dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
                 for j in range(p + 1)] for n in range(p + 1)]
-        coeffs, cum = [], [mpf(0)]
+        table = []
         for e in range(len(solution._elem_q)):
             f = _nodal_values(solution, kind, e)
-            c = [mp.fdot(row, f) for row in dct] + [mpf(0), mpf(0)]
+            table.append([mp.fdot(row, f) for row in dct])
+    return table
+
+
+def _antiderivatives(solution: HMSolution, kind: str, bits: int):
+    """Per element, the Chebyshev coefficients of the antiderivative of the
+    degree-p interpolant of ``kind`` (zero at the element's left edge, in
+    units of x), and its cumulative values from x_left to every edge.
+
+    Cached per (kind, bits).  The rows of _chebyshev_table integrate term by
+    term: int T_n = T_(n+1)/(2(n+1)) - T_(n-1)/(2(n-1)) (ATAP, ch. 19)."""
+    return solution.cached(("antiderivative", kind, bits),
+                           lambda: _build_antiderivatives(solution, kind, bits))
+
+
+def _build_antiderivatives(solution: HMSolution, kind: str, bits: int):
+    p = solution.p
+    table = _chebyshev_table(solution, kind, bits)
+    with mp.workprec(bits + 16):
+        coeffs, cum = [], [mpf(0)]
+        for e, row in enumerate(table):
+            c = row + [mpf(0), mpf(0)]
             scale = (solution._edges[e + 1] - solution._edges[e]) / 2
             b = [mpf(0), scale * (c[0] - c[2] / 2)]
             b += [scale * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, p + 2)]
@@ -627,24 +601,25 @@ def _clenshaw(coeffs: List[mpf], t: mpf) -> mpf:
     return t * b1 - b2 + coeffs[0]
 
 
-_KINDS = ("q", "r", "q2", "q_reg", "r_reg")
+_KINDS = ("q", "r", "q_reg", "r_reg")
 
 
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
-    """Integral over [a, b] of q, R, q^2, or the regularized q - sqrt(-y/2)
-    and R - y^2/4 (for b <= 0), from the cached element antiderivatives:
-    one Clenshaw sum per end point."""
+    """Integral over [a, b] of q, R, or the regularized q - sqrt(-y/2) and
+    R - y^2/4 (for b <= 0), from the cached element antiderivatives: one
+    Clenshaw sum per end point."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     a, b = mpf(a), mpf(b)
-    if b < a:
+    if not a <= b:
         raise DomainError("integration bounds must satisfy a <= b")
-    if a < solution.x_left or b > solution.x_right:
+    if not solution.x_left <= a <= b <= solution.x_right:
         raise DomainError("integration bounds must lie inside the grid")
     if kind.endswith("_reg") and b > 0:
         raise DomainError(f"{kind} integrates only up to 0 (sqrt(-y) branches there)")
-    coeffs, cum = _antiderivatives(solution, kind.partition("_")[0], ctx)
+    coeffs, cum = _antiderivatives(solution, kind.partition("_")[0],
+                                   ctx.precision_bits)
     edges = solution._edges
 
     def upto(x: mpf) -> mpf:

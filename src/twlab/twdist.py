@@ -105,7 +105,7 @@ def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tup
     """(int_x^inf R, int_x^inf q): element integrals to x_right plus the
     Airy tails, which depend only on the solution and are kept with it."""
     x = mpf(x)
-    if x < sol.x_left or x > sol.x_right:
+    if not sol.x_left <= x <= sol.x_right:
         raise DomainError(f"x={x} outside solution window")
     with mp.workprec(ctx.precision_bits + 16):
         int_r = painleve2.integrate_kind(sol, "r", x, sol.x_right, ctx)
@@ -132,7 +132,7 @@ def _left_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tupl
     x = mpf(x)
     if not x < 0:
         raise DomainError("left representation requires x < 0")
-    if x < sol.x_left:
+    if not sol.x_left <= x:
         raise DomainError(f"x={x} outside solution window")
     with mp.workprec(ctx.precision_bits + 16):
         tail_r, err_r = sol.cached(

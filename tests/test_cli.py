@@ -145,6 +145,13 @@ class TestExitCodes:
                            "--step", "-1"] + FAST, workdir, "bad.json")
         assert code == 2
 
+    def test_non_finite_x_exit_two(self, workdir):
+        code, _ = run_cli(["eval", "--x", "nan"] + FAST, workdir, "nan.json")
+        assert code == 2
+        code, _ = run_cli(["table", "--xmin", "-3", "--xmax", "nan"] + FAST,
+                          workdir, "nan_table.json")
+        assert code == 2
+
     def test_unknown_command_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

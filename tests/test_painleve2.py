@@ -7,9 +7,29 @@ import pytest
 from mpmath import mp, mpf
 
 from twlab import painleve2, specialfn
-from twlab.errors import DomainError, SolverError, UnsupportedOrderError
+from twlab.errors import DomainError, SolverError
 from twlab.precision import PrecisionContext
 from twlab.quadrature import gauss_legendre
+
+
+def _partial_sum(coeffs, x, order):
+    """sum_{m <= order} coeffs[m] x^(-3m), the bracket of both left series."""
+    s = mpf(0)
+    for m in range(order, -1, -1):
+        s = s / x ** 3 + mpf(coeffs[m].numerator) / coeffs[m].denominator
+    return s
+
+
+def _gauss_legendre(sol, f, a, b):
+    """Gauss-Legendre with p+12 points on each element piece of [a, b]."""
+    a, b = mpf(a), mpf(b)
+    cuts = [a] + [e for e in sol._edges if a < e < b] + [b]
+    xs, ws = gauss_legendre(sol.p + 12, 300)
+    total = mpf(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        half, mid = (hi - lo) / 2, (hi + lo) / 2
+        total += half * mp.fsum(w * f(mid + half * t) for t, w in zip(xs, ws))
+    return total
 
 
 class TestLeftSeries:
@@ -30,10 +50,7 @@ class TestLeftSeries:
 
         def q(y):
             a = painleve2.hm_left_series_coefficients(order)
-            s = mpf(0)
-            for k in range(order, -1, -1):
-                s = s / y ** 3 + mpf(a[k].numerator) / a[k].denominator
-            return mp.sqrt(-y / 2) * s
+            return mp.sqrt(-y / 2) * _partial_sum(a, y, order)
 
         second = (q(x + h) - 2 * q(x) + q(x - h)) / (h * h)
         resid = second - 2 * q(x) ** 3 - x * q(x)
@@ -43,26 +60,6 @@ class TestLeftSeries:
                   * abs(x) ** (-3 * (order + 1)))
         assert abs(resid) < 5 * defect
         assert abs(resid) > defect / 5  # the scale itself is right
-
-    def test_q_left_asymptotic_examples(self, wp300):
-        assert painleve2.q_left_asymptotic(-8, 0) == 2
-        v = painleve2.q_left_asymptotic(-8, 1)
-        assert abs(v - 2 * (1 - mpf(1) / 4096)) < mpf(10) ** -70
-
-    def test_q_left_asymptotic_domain(self):
-        with pytest.raises(DomainError):
-            painleve2.q_left_asymptotic(-1, 0)
-        with pytest.raises(UnsupportedOrderError):
-            painleve2.q_left_asymptotic(-8, 4)
-
-    def test_r_left_asymptotic_examples(self, wp300):
-        assert painleve2.r_left_asymptotic(-4, 0) == 4
-        v = painleve2.r_left_asymptotic(-4, 1)
-        assert abs(v - 4 * (1 + mpf(1) / 128)) < mpf(10) ** -70
-
-    def test_r_left_asymptotic_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            painleve2.r_left_asymptotic(-4, 3)
 
 
 class TestSolver:
@@ -84,7 +81,7 @@ class TestSolver:
         x = mpf(-10)
         q_ref = hm_solution.q_at(x)
         for order in (0, 1, 2, 3):
-            approx = painleve2.q_left_asymptotic(x, order)
+            approx = mp.sqrt(-x / 2) * _partial_sum(a, x, order)
             nxt = abs(mpf(a[order + 1].numerator) / a[order + 1].denominator
                       * x ** (-3 * (order + 1))) * mp.sqrt(-x / 2)
             assert abs(approx - q_ref) < 5 * nxt
@@ -188,8 +185,9 @@ class TestRRoutes:
         # next-order term
         x = mpf(-8)
         r = painleve2.r_of(hm_solution, x)
-        series = painleve2.r_left_asymptotic(x, 2)
-        rho3 = painleve2.r_left_series_coefficients(3)[3]
+        rho = painleve2.r_left_series_coefficients(3)
+        series = x * x * _partial_sum(rho, x, 2)
+        rho3 = rho[3]
         nxt = abs(mpf(rho3.numerator) / rho3.denominator) * abs(x) ** -7
         assert abs(r - series) < 5 * nxt
 
@@ -204,21 +202,27 @@ class TestRRoutes:
         # R(x) = int_x^inf q^2: the integral of q^2 up to x_right plus the
         # closed-form Airy tail (q ~ Ai there, and int_s^inf Ai^2 has the
         # antiderivative Ai'(s)^2 - s Ai(s)^2)
-        x_right = hm_solution.x_right
-        ai, aip = specialfn.airy_ai(x_right, ctx256)
+        sol = hm_solution
+        edges = sol._edges
+        ai, aip = specialfn.airy_ai(sol.x_right, ctx256)
+        q2 = lambda y: sol.q_at(y) ** 2
         with mp.workprec(280):
-            tail = aip * aip - x_right * ai * ai
+            tail = aip * aip - sol.x_right * ai * ai
+            # int q^2 over every whole element, shared by all the x below
+            whole = [_gauss_legendre(sol, q2, lo, hi)
+                     for lo, hi in zip(edges, edges[1:])]
             for x in (-11, -8, -4.5, -1, 0, 2.5, 6, 7.5):
-                local = painleve2.r_of(hm_solution, x)
-                quad = painleve2.integrate_kind(hm_solution, "q2", x, x_right,
-                                                ctx256) + tail
+                local = painleve2.r_of(sol, x)
+                e = sol._locate(mpf(x))
+                quad = (_gauss_legendre(sol, q2, x, edges[e + 1])
+                        + mp.fsum(whole[e + 1:]) + tail)
                 assert abs(local - quad) < 10 * mpf(ctx256.tolerance)
 
     def test_r_x9_scale_empirically(self, hm_solution, wp300):
         # fitted coefficient of the x^-9 defect of the order-2 series is O(1)
         x = mpf(-10)
-        gap = abs(painleve2.r_of(hm_solution, x)
-                  - painleve2.r_left_asymptotic(x, 2))
+        rho = painleve2.r_left_series_coefficients(2)
+        gap = abs(painleve2.r_of(hm_solution, x) - x * x * _partial_sum(rho, x, 2))
         c = gap / (x * x / 4 * abs(x) ** -9)
         assert mpf("0.5") < c < 30
 
@@ -228,19 +232,48 @@ class TestRRoutes:
         with pytest.raises(DomainError):
             hm_solution.q_at(-13)
 
+    def test_nan_is_outside_the_window(self, hm_solution, ctx256):
+        with pytest.raises(DomainError):
+            hm_solution.q_at(mp.nan)
+        with pytest.raises(DomainError):
+            hm_solution.q_prime_at(mp.nan)
+        for a, b in ((mp.nan, 0), (-2, mp.nan)):
+            with pytest.raises(DomainError):
+                painleve2.integrate_kind(hm_solution, "q", a, b, ctx256)
+
 
 class TestSpectralIntegration:
-    @staticmethod
-    def _gauss_legendre(sol, f, a, b):
-        """Gauss-Legendre with p+12 points on each element piece of [a, b]."""
-        a, b = mpf(a), mpf(b)
-        cuts = [a] + [e for e in sol._edges if a < e < b] + [b]
-        xs, ws = gauss_legendre(sol.p + 12, 300)
-        total = mpf(0)
-        for lo, hi in zip(cuts, cuts[1:]):
-            half, mid = (hi - lo) / 2, (hi + lo) / 2
-            total += half * mp.fsum(w * f(mid + half * t) for t, w in zip(xs, ws))
-        return total
+    def test_point_values_reproduce_interior_nodes(self, hm_solution):
+        # q_at and q_prime_at sum the DCT rows of every element, so at the
+        # interior Lobatto nodes they must give back the stored values
+        sol = hm_solution
+        bound = mpf(2) ** -(sol.precision_bits - 8)
+        with mp.workprec(sol.precision_bits + 16):
+            for e in range(len(sol._elem_q)):
+                xs = sol._elem_nodes(e)
+                for j in range(1, sol.p):
+                    assert abs(sol.q_at(xs[j]) / sol._elem_q[e][j] - 1) < bound
+                    assert abs(sol.q_prime_at(xs[j]) / sol._elem_qp[e][j] - 1) < bound
+
+    def test_fresh_solution_builds_one_table_per_integrand(
+            self, hm_solution, ctx256, monkeypatch):
+        # point values and integrals of q read the same table
+        built = []
+        build = painleve2._build_chebyshev_table
+
+        def counting(solution, kind, bits):
+            built.append(kind)
+            return build(solution, kind, bits)
+
+        monkeypatch.setattr(painleve2, "_build_chebyshev_table", counting)
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        assert ctx256.precision_bits == sol.precision_bits
+        sol.q_at(-3)
+        sol.q_prime_at(-3)
+        sol.q_at(2)
+        painleve2.integrate_kind(sol, "q", -3, 2, ctx256)
+        painleve2.integrate_kind(sol, "q_reg", -3, -1, ctx256)
+        assert sorted(built) == ["q", "qp"]
 
     def test_matches_per_element_gauss_legendre(self, hm_solution, ctx256, wp300):
         sol = hm_solution
@@ -258,7 +291,7 @@ class TestSpectralIntegration:
         for kind, f in integrands.items():
             for a, b in (left if kind.endswith("_reg") else right):
                 got = painleve2.integrate_kind(sol, kind, a, b, ctx256)
-                assert abs(got - self._gauss_legendre(sol, f, a, b)) < mpf(10) ** -30
+                assert abs(got - _gauss_legendre(sol, f, a, b)) < mpf(10) ** -30
 
     def test_regularized_kinds_stop_at_zero(self, hm_solution, ctx256):
         for kind in ("q_reg", "r_reg"):
