@@ -303,6 +303,8 @@ def _cmd_oracle_compare(config: RunConfig) -> int:
 def _cmd_toeplitz_scan(config: RunConfig) -> int:
     if config.t is None:
         raise DomainError("--t is required")
+    if not mp.isfinite(config.t):
+        raise DomainError("--t must be finite")
     ctx = _context(config, min(config.tolerance, 1e-20))
     q_max = config.q_max or int(2 * config.t) + 10
     scan = toeplitz_lab.toeplitz_scan(config.t, range(config.q_min, q_max + 1),
@@ -332,6 +334,8 @@ def _cmd_toeplitz_scan(config: RunConfig) -> int:
 def _cmd_toeplitz_limits(config: RunConfig) -> int:
     if config.t is None or config.x is None:
         raise DomainError("--t and --x are required")
+    if not (mp.isfinite(config.t) and mp.isfinite(config.x)):
+        raise DomainError("--t and --x must be finite")
     if config.L is None or config.M is None:
         raise DomainError("--L and --M are required")
     ctx = _context(config, min(config.tolerance, 1e-20))

@@ -6,8 +6,18 @@ integral operator on (x, inf),
 discretized by Nystrom quadrature.  The half-line is mapped algebraically to
 a finite interval and truncated where Ai(u)^2 drops below 1e-40 (the kernel
 decays super-exponentially, so Gauss nodes on the mapped interval converge
-spectrally).  The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j) is
-positive definite with eigenvalues in (0, 1]; its determinant is the
+spectrally).  Ai and Ai' at the nodes come from one specialfn.airy_ai_walk:
+a full-precision start at the top node (about u = 16.3), then Taylor steps
+down the ascending nodes from the recurrence of Ai'' = u Ai (DLMF 9.2.1).
+Walking down is stable because Ai is the recessive solution as u grows, so
+the relative error of the start is carried, not amplified; the values are
+good to the working precision, not only to ctx.tolerance.  With
+a_i = sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), each entry
+sqrt(w_i w_j) A(u_i, u_j) is (a_i b_j - b_i a_j) / (u_i - u_j), and the
+diagonal is b_i^2 - u_i a_i^2.
+
+The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j) is positive
+definite with eigenvalues in (0, 1]; its determinant is the
 product of the Cholesky pivots from linalg.cholesky_log_pivots, the same
 factorization the Toeplitz lab uses.  Positive definiteness is what makes
 that factorization unconditionally stable, and a nonpositive pivot (an
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from mpmath import mp, mpf
 
@@ -82,27 +92,20 @@ def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
 def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> List[List[mpf]]:
     """The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j)."""
     rule = build_rule(x, m, ctx)
+    airy = specialfn.airy_ai_walk(rule.nodes, ctx)
     prec = ctx.precision_bits + 32
     with mp.workprec(prec):
-        airy: List[Tuple[mpf, mpf]] = []
-        for u in rule.nodes:
-            airy.append(specialfn.airy_ai(u, ctx))
         sq = [mp.sqrt(w) for w in rule.weights]
+        a = [s * ai for s, (ai, _) in zip(sq, airy)]
+        b = [s * aip for s, (_, aip) in zip(sq, airy)]
+        u = rule.nodes
         mat = [[mpf(0)] * m for _ in range(m)]
         for i in range(m):
-            ui = rule.nodes[i]
-            aii, aipi = airy[i]
-            for j in range(i + 1):
-                uj = rule.nodes[j]
-                if i == j:
-                    k = aipi * aipi - ui * aii * aii
-                else:
-                    aij, aipj = airy[j]
-                    k = (aii * aipj - aipi * aij) / (ui - uj)
-                val = sq[i] * sq[j] * k
+            for j in range(i):
+                val = (a[i] * b[j] - b[i] * a[j]) / (u[i] - u[j])
                 mat[i][j] = -val
                 mat[j][i] = -val
-            mat[i][i] += 1
+            mat[i][i] = 1 - (b[i] * b[i] - u[i] * a[i] * a[i])
         return mat
 
 

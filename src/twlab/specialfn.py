@@ -5,11 +5,16 @@ constant zeta'(-1).
 Everything here is a pure function of its arguments.  Each function lifts the
 working precision internally by guard bits and rounds the result back to the
 caller's precision.  The Airy Maclaurin sums for moderate |x| lose about
-2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs.  The Bessel
-row I_0(2t) .. I_J(2t) comes from Miller's backward recurrence normalised by
-e^(2t) = I_0 + 2 sum I_j (no cancellation: every term is positive); its
-values reach magnitude e^(2t) while their consumers work at O(1) scale, so
-it carries ceil(2t log2 e) extra guard bits.
+2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs.  Ai and Ai'
+at many sorted points (the Nystrom nodes) come from airy_ai_walk: one airy_ai
+start at the largest point, summed to the working precision rather than to
+the tolerance, then Taylor steps down whose coefficients follow from
+Ai'' = u Ai (DLMF 9.2.1).  Downward is stable because Ai is recessive as u
+grows: the Bi part of a rounding error shrinks relative to Ai on the way
+down.  The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward
+recurrence normalised by e^(2t) = I_0 + 2 sum I_j (no cancellation: every
+term is positive); its values reach magnitude e^(2t) while their consumers
+work at O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
 """
 
 from __future__ import annotations
@@ -330,6 +335,85 @@ def airy_ai(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     else:
         ai, aip = _airy_maclaurin(x, _maclaurin_bits(ax, ctx))
     return round_to((ai, aip), ctx.precision_bits)
+
+
+def _taylor_terms(d0: float, d1: float, a: float, b: float, eps: float) -> int:
+    """The last index n a Taylor step of airy_ai_walk sums to.  Its
+    recurrence runs in float64 from d_0 = d0, d_1 = d1, which the caller
+    divides by the larger modulus so that nothing underflows, up to the
+    first n at which n times each of the last three terms is below eps
+    times the sum of the moduli.  Those three terms feed every later one;
+    the factor n is their weight in the derivative."""
+    d_2, d_1, d_0 = 0.0, d0, d1  # d_{n-2}, d_{n-1}, d_n at n = 1
+    total = abs(d0) + abs(d1)
+    n = 1
+    while n * max(abs(d_2), abs(d_1), abs(d_0)) > eps * total:
+        d_2, d_1, d_0 = d_1, d_0, (a * d_1 + b * d_2) / (n * (n + 1))
+        n += 1
+        total += abs(d_0)
+    return n
+
+
+def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
+    """(Ai(u), Ai'(u)) at strictly ascending finite points, by one Taylor
+    walk down from the largest.
+
+    The start is airy_ai at the top point with tolerance 2^-bits, bits =
+    ctx.precision_bits + 32, so it is exact to the working precision
+    whichever branch airy_ai takes there.  Each step h = u_next - u < 0
+    sums the Taylor series of Ai about u, whose scaled terms
+    d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai (DLMF 9.2.1):
+
+        d_{k+1} = (u h^2 d_{k-1} + h^3 d_{k-2}) / (k (k+1)),
+        Ai(u + h) = sum d_k,   h Ai'(u + h) = sum k d_k,
+
+    with d_0 = Ai(u), d_1 = h Ai'(u), d_{-1} = 0.  _taylor_terms sizes each
+    sum in float64.  The sums run in fixed point on Python integers, a few
+    integer operations per term instead of mpf ones: u h^2 and h^3 in units
+    of 2^-e, the d_k in units of 2^-e max(|Ai(u)|, |Ai'(u)|), with
+    e = bits + 8 + max(0, -log2 |h|).  The extra bits of a short step pay
+    for the division by h that gives Ai'; each floor costs one unit.
+
+    Downward is the stable direction: Ai is the recessive solution as u
+    grows, so the Bi component a rounding error introduces shrinks relative
+    to Ai on the way down, and the relative error of the start is carried,
+    not amplified.  Upward, Bi would swamp Ai.
+    """
+    points = list(points)
+    if not points:
+        raise DomainError("airy_ai_walk requires at least one point")
+    for p in points:
+        _finite_abs(p, "airy_ai_walk")
+    bits = ctx.precision_bits + 32
+    with mp.workprec(bits):
+        us = [mpf(p) for p in points]
+        if any(not lo < hi for lo, hi in zip(us, us[1:])):
+            raise DomainError("airy_ai_walk requires strictly ascending points")
+        ai, aip = airy_ai(us[-1], PrecisionContext(bits, 2.0 ** -bits))
+        out = [(ai, aip)]
+        for u, u_next in zip(reversed(us[1:]), reversed(us[:-1])):
+            h = u_next - u
+            e = bits + 8 - min(mp.mag(h), 0)
+            f = e - max(mp.mag(ai), mp.mag(aip))
+            a = int(mp.ldexp(u * h * h, e))
+            b = int(mp.ldexp(h * h * h, e))
+            d0 = int(mp.ldexp(ai, f))
+            d1 = int(mp.ldexp(h * aip, f))
+            top = max(abs(d0), abs(d1))
+            n = _taylor_terms(d0 / top, d1 / top, a / 2 ** e, b / 2 ** e,
+                              2.0 ** -e)
+            d_2, d_1, d_0 = 0, d0, d1
+            val = d0 + d1
+            der = d1
+            for k in range(1, n):
+                d_2, d_1, d_0 = d_1, d_0, ((a * d_1 + b * d_2) >> e) // (k * (k + 1))
+                val += d_0
+                der += (k + 1) * d_0
+            ai = mp.ldexp(val, -f)
+            aip = mp.ldexp(der, -f) / h
+            out.append((ai, aip))
+    out.reverse()
+    return [round_to(pair, ctx.precision_bits) for pair in out]
 
 
 def airy_ai_tail_integral(x, ctx: PrecisionContext) -> mpf:

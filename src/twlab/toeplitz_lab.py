@@ -73,7 +73,10 @@ class MomentMatrixSpec:
 def guard_bits(t: float) -> int:
     """Bits lost at most to the conditioning (<= e^(4t)) of the moment
     matrices, plus 64; see the module docstring."""
-    return int(math.ceil(4.0 * float(t) * _LOG2_E)) + 64
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"symbol parameter t must be finite, got {t}")
+    return int(math.ceil(4.0 * t * _LOG2_E)) + 64
 
 
 # ---------------------------------------------------------------------------

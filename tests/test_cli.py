@@ -203,6 +203,19 @@ class TestToeplitzCommands:
         assert abs(float(doc["identity_gap"])) < 1e-15
         assert float(doc["fe_reference"]) > 0
 
+    @pytest.mark.parametrize("args", [
+        ["toeplitz-scan", "--t", "inf"],
+        ["toeplitz-scan", "--t=-inf"],
+        ["toeplitz-scan", "--t", "inf", "--qmax", "3"],
+        ["toeplitz-scan", "--t", "nan"],
+        ["toeplitz-limits", "--t", "inf", "--x", "-1", "--L", "3", "--M", "3"],
+    ])
+    def test_non_finite_t_exit_two(self, args, workdir, capsys):
+        code, _ = run_cli(args + FAST, workdir, "bad_t.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--t" in err
+
     def test_limits_bad_split_exit_two(self, workdir):
         code, _ = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
                            "--L", "30", "--M", "3"] + FAST,

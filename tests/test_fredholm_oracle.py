@@ -34,6 +34,19 @@ class TestKernel:
                              [0, 4, 10, 24])
         assert abs(k - oracle) < mpf(10) ** -30
 
+    def test_one_airy_start_per_matrix(self, monkeypatch):
+        # the nodes' Airy values come from one walk, started by one airy_ai
+        calls = []
+        airy_ai = specialfn.airy_ai
+
+        def counted(x, ctx):
+            calls.append(x)
+            return airy_ai(x, ctx)
+
+        monkeypatch.setattr(specialfn, "airy_ai", counted)
+        fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        assert len(calls) == 1
+
 
 class TestDeterminant:
     def test_right_tail_value(self, wp300):
@@ -43,6 +56,17 @@ class TestDeterminant:
         x32 = mpf(4) ** mpf("1.5")
         defect = 2 * mp.exp(-mpf(4) / 3 * x32) / (32 * mp.pi * x32) * (1 - 35 / (24 * x32))
         assert abs((1 - v) - defect) < 10 * defect / x32 ** 2
+
+    @pytest.mark.parametrize("x, ref", [
+        (-7.99, "2.330375023826974861097312860886471568241e-19"),
+        (-1.99, "0.4176414589316935730829242459613837042033"),
+        (2.01, "0.9998912853183808617561775188089410507166"),
+    ])
+    def test_pinned_against_larger_rule(self, x, ref, wp300):
+        # ref: the same determinant with m = 120 nodes
+        v = fredholm_oracle.f2_fredholm(x, 80, PrecisionContext(256, 1e-10),
+                                        verify_convergence=False)
+        assert abs(v - mpf(ref)) <= mpf(10) ** -30
 
     def test_monotone(self, wp300):
         vals = [fredholm_oracle.f2_fredholm(x, 40, CTX, verify_convergence=False)

@@ -11,9 +11,9 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from twlab import specialfn
+from twlab import fredholm_oracle, specialfn
 from twlab.errors import DomainError
-from twlab.precision import PrecisionContext
+from twlab.precision import PrecisionContext, round_to
 
 CTX = PrecisionContext(256, 1e-40)
 
@@ -112,6 +112,35 @@ class TestAiry:
             specialfn.airy_ai(float("nan"), CTX)
         with pytest.raises(DomainError):
             specialfn.airy_ai(float("inf"), CTX)
+
+
+class TestAiryWalk:
+    FCTX = PrecisionContext(256, 1e-10)
+
+    @pytest.mark.parametrize("x", [-8, 0, 4])
+    def test_nystrom_nodes_against_mpmath(self, x):
+        rule = fredholm_oracle.build_rule(x, 80, self.FCTX)
+        walk = specialfn.airy_ai_walk(rule.nodes, self.FCTX)
+        with mp.workprec(700):
+            for u, (ai, aip) in zip(rule.nodes, walk):
+                ref_ai, ref_aip = mp.airyai(u), mp.airyai(u, derivative=1)
+                assert abs(ai / ref_ai - 1) <= mpf(10) ** -74
+                assert abs(aip / ref_aip - 1) <= mpf(10) ** -74
+
+    @pytest.mark.parametrize("u", [-3, mpf("16.3")])
+    def test_one_point_is_the_start_value(self, u):
+        bits = self.FCTX.precision_bits + 32
+        (ai, aip), = specialfn.airy_ai_walk([u], self.FCTX)
+        start = round_to(specialfn.airy_ai(u, PrecisionContext(bits, 2.0 ** -bits)),
+                         self.FCTX.precision_bits)
+        for got, ref in zip((ai, aip), start):
+            assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - self.FCTX.precision_bits)
+
+    @pytest.mark.parametrize("points", [
+        [], [1, 0], [0, 0], [0, float("nan")], [float("-inf"), 0], [0, float("inf")]])
+    def test_rejects_bad_points(self, points):
+        with pytest.raises(DomainError):
+            specialfn.airy_ai_walk(points, self.FCTX)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,11 @@ class TestAdaptivePrecision:
         # 256 + 238 bits agrees with its doubling
         assert tl.get_ladder(30.0, "plain", 71, CTX).precision_bits_used == 988
 
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_guard_rejects_non_finite_t(self, t):
+        with pytest.raises(DomainError):
+            tl.guard_bits(t)
+
     def test_one_bessel_row_per_pass(self, monkeypatch):
         # a ladder pass builds its own moment row, so the row count under
         # get_ladder is its stabilize pass count (494 and 988 bits here)
