@@ -409,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
+        # a string default goes through type=int, so argparse rejects a
+        # malformed environment value with exit code 2
         p.add_argument("--precision-bits", type=int,
-                       default=int(os.environ.get(ENV_PRECISION, "256")))
+                       default=os.environ.get(ENV_PRECISION, "256"))
         p.add_argument("--tolerance", type=float, default=1e-10)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", dest="output_path", default=None)

@@ -11,7 +11,7 @@ a full-precision start at the top node (about u = 16.3), then Taylor steps
 down the ascending nodes from the recurrence of Ai'' = u Ai (DLMF 9.2.1).
 Walking down is stable because Ai is the recessive solution as u grows, so
 the relative error of the start is carried, not amplified; the values are
-good to the working precision, not only to ctx.tolerance.  With
+good to the working precision.  With
 a_i = sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), each entry
 sqrt(w_i w_j) A(u_i, u_j) is (a_i b_j - b_i a_j) / (u_i - u_j), and the
 diagonal is b_i^2 - u_i a_i^2.

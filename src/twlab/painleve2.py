@@ -56,7 +56,7 @@ from .precision import PrecisionContext, round_to
 SCHEMA_VERSION = 2
 # Raise when a change to the solver or its window policy changes the
 # solution it returns for the same arguments; disk caches are keyed by it.
-SOLVER_VERSION = 1
+SOLVER_VERSION = 2
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -659,7 +659,8 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     is at most 2^-(precision_bits + 40).  Raises SolverError (with the last
     residual) if the warm start fails or a sweep does not halve the residual.
     The warm-start iteration count and every sweep's residual are logged at
-    DEBUG level.
+    DEBUG level.  Only ctx.precision_bits enters the solve; the solution
+    does not depend on ctx.tolerance.
     """
     ctx = ctx or PrecisionContext()
     x_left = mpf(x_left)
@@ -677,9 +678,8 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
 
     with mp.workprec(prec):
         mesh = _Mesh(x_left, x_right, k_elems, p)
-        hp_ctx = PrecisionContext(prec, ctx.tolerance, ctx.max_refinements)
         bc_l = q_left_boundary_value(x_left)[0]
-        bc_r = specialfn.airy_ai(x_right, hp_ctx)[0]
+        bc_r = specialfn.airy_ai(x_right, PrecisionContext(prec))[0]
         u64 = _warm_start(mesh, float(bc_l), float(bc_r))
         u, res = _refine(mesh, u64, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
 

@@ -4,14 +4,15 @@ constant zeta'(-1).
 
 Everything here is a pure function of its arguments.  Each function lifts the
 working precision internally by guard bits and rounds the result back to the
-caller's precision.  The Airy Maclaurin sums for moderate |x| lose about
-2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs.  Ai and Ai'
-at many sorted points (the Nystrom nodes) come from airy_ai_walk: one airy_ai
-start at the largest point, summed to the working precision rather than to
-the tolerance, then Taylor steps down whose coefficients follow from
-Ai'' = u Ai (DLMF 9.2.1).  Downward is stable because Ai is recessive as u
-grows: the Bi part of a rounding error shrinks relative to Ai on the way
-down.  The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward
+caller's precision.  Ai and Ai' come from their Maclaurin sums at every
+finite x.  The sums lose about 2*(2/3)|x|^(3/2) nats to cancellation, which
+the guard absorbs, so the Airy values are exact to the working precision
+and depend on precision_bits only, never on the tolerance.  Ai and Ai' at
+many sorted points (the Nystrom nodes) come from airy_ai_walk: one airy_ai
+start at the largest point, then Taylor steps down whose coefficients follow
+from Ai'' = u Ai (DLMF 9.2.1).  Downward is stable because Ai is recessive
+as u grows: the Bi part of a rounding error shrinks relative to Ai on the
+way down.  The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward
 recurrence normalised by e^(2t) = I_0 + 2 sum I_j (no cancellation: every
 term is positive); its values reach magnitude e^(2t) while their consumers
 work at O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
@@ -36,6 +37,16 @@ _zeta_lock = threading.Lock()
 # "pair" -> (bits, Ai(0), Ai'(0))
 _airy_const_cache: dict = {}
 _airy_const_lock = threading.Lock()
+
+
+def _finite_abs(x, name: str) -> float:
+    try:
+        xf = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} requires a finite real, got {x!r}")
+    if not math.isfinite(xf):
+        raise DomainError(f"{name} requires a finite real, got {x!r}")
+    return abs(xf)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +81,8 @@ def _log_gamma_raw(z: mpf, prec: int) -> mpf:
 
 
 def log_gamma(z, ctx: PrecisionContext) -> mpf:
-    """log Gamma(z) for z > 0."""
+    """log Gamma(z) for finite z > 0."""
+    _finite_abs(z, "log_gamma")
     z = mpf(z)
     if not z > 0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
@@ -157,8 +169,9 @@ def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
 
 
 def log_barnes_g(z, ctx: PrecisionContext) -> mpf:
-    """log G(z) for z > 0, via the large-argument series after shifting with
-    the recurrence G(z+1) = Gamma(z) G(z)."""
+    """log G(z) for finite z > 0, via the large-argument series after
+    shifting with the recurrence G(z+1) = Gamma(z) G(z)."""
+    _finite_abs(z, "log_barnes_g")
     z = mpf(z)
     if not z > 0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
@@ -228,112 +241,18 @@ def _airy_maclaurin(x: mpf, prec: int) -> Tuple[mpf, mpf]:
         return c1 * f + c2 * g, c1 * fp + c2 * gp
 
 
-def _airy_asymp_coeffs(zeta: mpf, prec: int, kind: str) -> Tuple[mpf, mpf, mpf, mpf]:
-    """Partial sums of the asymptotic series: returns (Su_even, Su_odd,
-    Sv_even, Sv_odd) where u_k, v_k are the standard Airy expansion
-    coefficients (u_1 = 5/72, v_1 = -7/72) and even/odd refer to the k-parity
-    splits with the alternating sign (-1)^... folded per ``kind``:
-      kind='exp':  S = sum (-1)^k c_k zeta^-k split by parity
-      kind='osc':  same partial sums, combined by the caller with sin/cos.
-    Truncates at the minimal term.
-    """
-    with mp.workprec(prec):
-        ue = mpf(1)   # sum over even k of (+/-) u_k zeta^-k
-        uo = mpf(0)
-        ve = mpf(1)
-        vo = mpf(0)
-        u = mpf(1)
-        invz = 1 / zeta
-        pw = mpf(1)
-        prev = mp.inf
-        k = 1
-        eps = mpf(2) ** (-prec - 8)
-        while True:
-            u = u * (6 * k - 1) * (6 * k - 5) / (72 * k)
-            v = -u * (6 * k + 1) / mpf(6 * k - 1)
-            pw *= invz
-            tu = u * pw
-            if abs(tu) >= prev or abs(tu) < eps:
-                break
-            prev = abs(tu)
-            # 'exp': (-1)^k;  'osc': (-1)^m with k = 2m or 2m+1
-            sgn = -1 if (k if kind == "exp" else k // 2) % 2 else 1
-            if k % 2 == 0:
-                ue += sgn * tu
-                ve += sgn * v * pw
-            else:
-                uo += sgn * tu
-                vo += sgn * v * pw
-            k += 1
-        return ue, uo, ve, vo
-
-
-def _airy_asymptotic(x: mpf, prec: int) -> Tuple[mpf, mpf]:
-    """Large-|x| expansions; caller must have checked the accuracy floor."""
-    with mp.workprec(prec):
-        x = mpf(x)
-        ax = abs(x)
-        zeta = mpf(2) / 3 * ax ** mpf("1.5")
-        if x > 0:
-            ue, uo, ve, vo = _airy_asymp_coeffs(zeta, prec, "exp")
-            su = ue + uo
-            sv = ve + vo
-            pref = mp.exp(-zeta) / (2 * mp.sqrt(mp.pi))
-            ai = pref / x ** mpf("0.25") * su
-            aip = -pref * x ** mpf("0.25") * sv
-            return ai, aip
-        ue, uo, ve, vo = _airy_asymp_coeffs(zeta, prec, "osc")
-        phase = zeta + mp.pi / 4
-        s, c = mp.sin(phase), mp.cos(phase)
-        ai = (s * ue - c * uo) / (mp.sqrt(mp.pi) * ax ** mpf("0.25"))
-        # d/dx picks up a sign from x = -s: standard oscillatory form
-        aip = -(c * ve + s * vo) * ax ** mpf("0.25") / mp.sqrt(mp.pi)
-        return ai, aip
-
-
-_AIRY_CROSSOVER = 7.0
-
-
-def _airy_asymptotic_floor_bits(abs_x: float) -> float:
-    """Best relative accuracy (in bits) the truncated asymptotic series can
-    deliver: the minimal term is ~ e^(-2 zeta)."""
-    zeta = (2.0 / 3.0) * abs_x ** 1.5
-    return 2.0 * zeta * _LOG2_E - 6.0
-
-
-def _finite_abs(x, name: str) -> float:
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} requires a finite real, got {x!r}")
-    if not math.isfinite(xf):
-        raise DomainError(f"{name} requires a finite real, got {x!r}")
-    return abs(xf)
-
-
 def _maclaurin_bits(ax: float, ctx: PrecisionContext) -> int:
-    """Working bits for the Maclaurin sums at |x| = ax: the caller's need
-    plus the ~(4/3)|x|^(3/2) nats they lose to cancellation."""
-    need_bits = -math.log2(ctx.tolerance) + 8
+    """Working bits for the Maclaurin sums at |x| = ax: the caller's
+    precision plus the ~(4/3)|x|^(3/2) nats they lose to cancellation."""
     guard = int(2.0 * (2.0 / 3.0) * ax ** 1.5 * _LOG2_E) + 64
-    return max(ctx.precision_bits, int(need_bits)) + guard
+    return ctx.precision_bits + guard
 
 
 def airy_ai(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(Ai(x), Ai'(x)) to ctx.tolerance.
-
-    Maclaurin series below |x| = 7; asymptotic expansion above, provided its
-    truncation floor (~e^(-(4/3)|x|^(3/2))) sits below the requested
-    tolerance, else the guarded Maclaurin series is kept.
-    """
+    """(Ai(x), Ai'(x)) to ctx.precision_bits, by the guarded Maclaurin sums
+    for every finite x."""
     ax = _finite_abs(x, "airy_ai")
-    x = mpf(x)
-    need_bits = -math.log2(ctx.tolerance) + 8
-    if ax > _AIRY_CROSSOVER and _airy_asymptotic_floor_bits(ax) > need_bits:
-        prec = max(ctx.precision_bits, int(need_bits)) + 64
-        ai, aip = _airy_asymptotic(x, prec)
-    else:
-        ai, aip = _airy_maclaurin(x, _maclaurin_bits(ax, ctx))
+    ai, aip = _airy_maclaurin(mpf(x), _maclaurin_bits(ax, ctx))
     return round_to((ai, aip), ctx.precision_bits)
 
 
@@ -358,9 +277,8 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
     """(Ai(u), Ai'(u)) at strictly ascending finite points, by one Taylor
     walk down from the largest.
 
-    The start is airy_ai at the top point with tolerance 2^-bits, bits =
-    ctx.precision_bits + 32, so it is exact to the working precision
-    whichever branch airy_ai takes there.  Each step h = u_next - u < 0
+    The start is airy_ai at the top point at bits = ctx.precision_bits + 32,
+    so it is exact to the working precision.  Each step h = u_next - u < 0
     sums the Taylor series of Ai about u, whose scaled terms
     d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai (DLMF 9.2.1):
 
@@ -389,7 +307,7 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
         us = [mpf(p) for p in points]
         if any(not lo < hi for lo, hi in zip(us, us[1:])):
             raise DomainError("airy_ai_walk requires strictly ascending points")
-        ai, aip = airy_ai(us[-1], PrecisionContext(bits, 2.0 ** -bits))
+        ai, aip = airy_ai(us[-1], PrecisionContext(bits))
         out = [(ai, aip)]
         for u, u_next in zip(reversed(us[1:]), reversed(us[:-1])):
             h = u_next - u
@@ -421,7 +339,8 @@ def airy_ai_tail_integral(x, ctx: PrecisionContext) -> mpf:
 
     The last integral is the Maclaurin series of Ai integrated term by term,
     convergent for every x and summed with the same guard bits as airy_ai
-    (the cancellation, now against 1/3, is the same size)."""
+    (the cancellation, now against 1/3, is the same size), so it too is
+    exact to ctx.precision_bits."""
     ax = _finite_abs(x, "airy_ai_tail_integral")
     prec = _maclaurin_bits(ax, ctx)
     with mp.workprec(prec):
@@ -493,6 +412,7 @@ def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
     """
     if max_j < 0:
         raise DomainError("max_j must be >= 0")
+    _finite_abs(two_t, "bessel_i_row")
     two_t = mpf(two_t)
     if two_t < 0:
         raise DomainError("two_t must be nonnegative")

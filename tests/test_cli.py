@@ -157,6 +157,12 @@ class TestExitCodes:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_malformed_precision_env_exit_two(self, monkeypatch):
+        monkeypatch.setenv(cli.ENV_PRECISION, "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants"])
+        assert exc.value.code == 2
+
 
 class TestOracleCompare:
     def test_small_grid(self, workdir):

@@ -158,6 +158,15 @@ class TestSolver:
             painleve2.solve_hastings_mcleod(-8, 6, 200, PrecisionContext(64, 1e-12))
         assert info.value.residual > 0
 
+    def test_independent_of_tolerance(self):
+        # Ai(10) at the right boundary is summed to the working precision,
+        # so the tolerance, which the CLI cache key leaves out, cannot
+        # change the solution
+        loose, tight = (
+            painleve2.solve_hastings_mcleod(-12, 10, 500, PrecisionContext(192, tol))
+            for tol in (1e-10, 1e-30))
+        assert loose.to_json() == tight.to_json()
+
     def test_rejects_bad_window(self, ctx256):
         with pytest.raises(DomainError):
             painleve2.solve_hastings_mcleod(-4, 8, 500, ctx256)
