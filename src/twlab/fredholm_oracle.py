@@ -14,14 +14,20 @@ the relative error of the start is carried, not amplified; the values are
 good to the working precision.  With
 a_i = sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), each entry
 sqrt(w_i w_j) A(u_i, u_j) is (a_i b_j - b_i a_j) / (u_i - u_j), and the
-diagonal is b_i^2 - u_i a_i^2.
+diagonal is b_i^2 - u_i a_i^2.  The matrix is assembled in fixed point:
+a_i, b_i and u_i are put on the grid 2^-F, F = ctx.precision_bits + 32,
+once, and each off-diagonal entry of the lower triangle is one integer
+floor division (b_i a_j - a_i b_j) // (u_i - u_j), whose numerator is exact.
 
 The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j) is positive
-definite with eigenvalues in (0, 1]; its determinant is the
-product of the Cholesky pivots from linalg.cholesky_log_pivots, the same
-factorization the Toeplitz lab uses.  Positive definiteness is what makes
-that factorization unconditionally stable, and a nonpositive pivot (an
-operator norm that reached 1) raises InternalConsistencyError.
+definite with eigenvalues in (0, 1]; its determinant is the product of the
+pivots of linalg.cholesky_log_pivots, the fixed-point Cholesky the Toeplitz
+lab uses too, which takes the integer lower triangle as it is.  The diagonal
+is at least 0.82 at x = -8, m = 80, and nearer 1 for larger x, so the 2^-F
+grid is about as accurate as F-bit floating point (see linalg).  Positive
+definiteness is what makes that factorization unconditionally stable, and a
+nonpositive pivot (an operator norm that reached 1) raises
+InternalConsistencyError.
 
 This module is the cross-validation oracle for the Painleve route and never
 calls into it.
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from mpmath import mp, mpf
 
@@ -89,32 +95,35 @@ def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, size=m)
 
 
-def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> List[List[mpf]]:
-    """The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j)."""
+def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> Tuple[List[List[int]], int]:
+    """The lower triangle of delta_ij - sqrt(w_i w_j) A(u_i, u_j) in fixed
+    point, and its fraction bits F = ctx.precision_bits + 32: rows[i][j],
+    j <= i, is the entry times 2^F, the input of linalg.cholesky_log_pivots."""
     rule = build_rule(x, m, ctx)
     airy = specialfn.airy_ai_walk(rule.nodes, ctx)
-    prec = ctx.precision_bits + 32
-    with mp.workprec(prec):
+    frac = ctx.precision_bits + 32
+    with mp.workprec(frac):
         sq = [mp.sqrt(w) for w in rule.weights]
-        a = [s * ai for s, (ai, _) in zip(sq, airy)]
-        b = [s * aip for s, (_, aip) in zip(sq, airy)]
-        u = rule.nodes
-        mat = [[mpf(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i):
-                val = (a[i] * b[j] - b[i] * a[j]) / (u[i] - u[j])
-                mat[i][j] = -val
-                mat[j][i] = -val
-            mat[i][i] = 1 - (b[i] * b[i] - u[i] * a[i] * a[i])
-        return mat
+        a = [int(mp.ldexp(s * ai, frac)) for s, (ai, _) in zip(sq, airy)]
+        b = [int(mp.ldexp(s * aip, frac)) for s, (_, aip) in zip(sq, airy)]
+        u = [int(mp.ldexp(v, frac)) for v in rule.nodes]
+    one = 1 << frac
+    rows: List[List[int]] = []
+    for i in range(m):
+        ai, bi, ui = a[i], b[i], u[i]
+        # u ascends, so ui - uj > 0; units 2^-2F over 2^-F give 2^-F
+        row = [(bi * aj - ai * bj) // (ui - uj)
+               for aj, bj, uj in zip(a[:i], b[:i], u[:i])]
+        row.append(one - ((bi * bi - ((ui * ai * ai) >> frac)) >> frac))
+        rows.append(row)
+    return rows, frac
 
 
 def _f2_once(x, m: int, ctx: PrecisionContext) -> mpf:
-    mat = nystrom_matrix(x, m, ctx)
-    prec = ctx.precision_bits + 32
-    with mp.workprec(prec):
+    rows, frac = nystrom_matrix(x, m, ctx)
+    with mp.workprec(frac):
         return mp.exp(mp.fsum(cholesky_log_pivots(
-            mat, "Nystrom matrix (operator norm must stay below 1)")))
+            rows, frac, "Nystrom matrix (operator norm must stay below 1)")))
 
 
 def f2_fredholm(x, m: int, ctx: PrecisionContext,

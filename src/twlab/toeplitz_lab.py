@@ -13,8 +13,10 @@ kappa, pi or the F E limit, both of which this module's tests pin down.)
 
 plus the orthogonal-polynomial objects derived from the plain family:
 log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder), the
-negated log Cholesky pivots of the moment matrix (linalg.cholesky_log_pivots,
-shared with the Fredholm oracle), and pi_q(0), the constant term of the
+negated log pivots of the integer fixed-point Cholesky of the moment matrix
+(linalg.cholesky_log_pivots, shared with the Fredholm oracle; each pass puts
+its Bessel row on the grid 2^-bits of its own precision and builds the
+matrix from it in integers), and pi_q(0), the constant term of the
 monic orthogonal polynomial (the q-th reflection coefficient), from the
 Levinson-Durbin recursion on the moments I_k(2t).  Levinson-Durbin is a
 generic Toeplitz solver, not the discrete Painleve II recurrence, so kappa
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -83,10 +86,16 @@ def guard_bits(t: float) -> int:
 # Core ladder: Cholesky pivots of the moment matrix + Levinson-Durbin for pi
 # ---------------------------------------------------------------------------
 
-def _moment_matrix(t, n: int, kind: str, bits: int) -> List[List[mpf]]:
+def _moment_row(t, n: int, kind: str, bits: int) -> List[mpf]:
+    """I_j(2t) for every j an n x n matrix of the family reads."""
     max_j = n - 1 if kind == "plain" else 2 * n
-    row = specialfn.bessel_i_row(max_j, 2 * mpf(t), PrecisionContext(bits, 1e-30, 1))
-    mat = [[mpf(0)] * n for _ in range(n)]
+    return specialfn.bessel_i_row(max_j, 2 * mpf(t), PrecisionContext(bits, 1e-30, 1))
+
+
+def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
+    """The n x n moment matrix of the family from its row of moments,
+    mpf values or fixed-point integers alike."""
+    mat = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(n):
             v = row[abs(j - k)]
@@ -142,7 +151,28 @@ class _Ladder:
         return -self.log_pivots[q]
 
 
-_ladder_cache: Dict[tuple, _Ladder] = {}
+_LADDER_CACHE_SIZE = 8
+
+
+class _LadderCache(OrderedDict):
+    """The ladders of the last _LADDER_CACHE_SIZE keys used: a lookup or a
+    store makes its key the newest, and a store past the bound evicts the
+    oldest."""
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > _LADDER_CACHE_SIZE:
+            self.popitem(last=False)
+
+
+_ladder_cache = _LadderCache()
 _ladder_lock = threading.Lock()
 
 _LadderValues = Tuple[List[mpf], Dict[int, mpf]]
@@ -154,9 +184,11 @@ def _ladder_pass(t, kind: str, n_cap: int) -> Callable[[int], _LadderValues]:
 
     def one(bits: int) -> _LadderValues:
         with mp.workprec(bits):
-            mat = _moment_matrix(t, n_cap, kind, bits)
-            pivots = cholesky_log_pivots(mat, f"{kind} moment matrix (t={t})")
-            pi0 = (_levinson_constant_terms(mat[0], n_cap - 1)
+            row = _moment_row(t, n_cap, kind, bits)
+            fixed = [int(mp.ldexp(v, bits)) for v in row]
+            pivots = cholesky_log_pivots(_moment_matrix(fixed, n_cap, kind), bits,
+                                         f"{kind} moment matrix (t={t})")
+            pi0 = (_levinson_constant_terms(row, n_cap - 1)
                    if kind == "plain" else {})
             return pivots, pi0
 
@@ -172,8 +204,9 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     """Log pivots log(D_{k+1}/D_k), k < n_cap, and for the plain family
     pi_q(0), 0 < q < n_cap, stabilized from ctx.precision_bits +
     guard_bits(t) bits and kept to ctx.precision_bits + 64 bits.  Cached per
-    (t, kind, precision parameters); a request beyond the cached n_cap
-    builds the larger ladder, which replaces the cached one."""
+    (t, kind, precision parameters) for the last _LADDER_CACHE_SIZE keys
+    used; a request beyond the cached n_cap builds the larger ladder, which
+    replaces the cached one."""
     key = (repr(mpf(t)), kind, ctx.precision_bits, ctx.tolerance,
            ctx.max_refinements)
     with _ladder_lock:
@@ -222,7 +255,8 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
     def one(bits: int) -> mpf:
         with mp.workprec(bits):
-            a = _moment_matrix(spec.t, spec.n, spec.kind, bits)
+            a = _moment_matrix(_moment_row(spec.t, spec.n, spec.kind, bits),
+                               spec.n, spec.kind)
             n = spec.n
             logs: List[mpf] = []
             for k in range(n):

@@ -174,6 +174,18 @@ class TestOracleCompare:
         assert float(doc["max_abs_diff"]) < 1e-10
         assert len(doc["rows"]) == 3
 
+    def test_fredholm_column_pinned(self, workdir):
+        # m = 80 at 192 bits, pinned to the output of the mpf Cholesky
+        # (each inner product one mp.fdot) at 25 digits
+        code, text = run_cli(["oracle-compare", "--xmin", "-6", "--xmax", "2",
+                              "--step", "4"] + FAST, workdir, "oracle80.json")
+        assert code == 0
+        assert [r["f2_fredholm"] for r in json.loads(text)["rows"]] == [
+            "1.062254674124451068774189e-8",
+            "0.4132241425051225546880808",
+            "0.9998875536983091729250301",
+        ]
+
 
 class TestToeplitzCommands:
     def test_scan_csv(self, workdir):

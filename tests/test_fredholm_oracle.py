@@ -5,9 +5,15 @@ from mpmath import mp, mpf
 
 from twlab import fredholm_oracle, specialfn
 from twlab.errors import DomainError, PrecisionError
+from twlab.linalg import cholesky_log_pivots
 from twlab.precision import PrecisionContext
 
 CTX = PrecisionContext(256, 1e-12)
+
+
+def _entry(rows, frac, i, j):
+    # entry (i, j) of the symmetric matrix held as a fixed-point lower triangle
+    return mp.ldexp(rows[max(i, j)][min(i, j)], -frac)
 
 
 class TestKernel:
@@ -15,24 +21,46 @@ class TestKernel:
     def test_diagonal_entry_closed_form(self, wp300):
         # A(u, u) = Ai'(u)^2 - u Ai(u)^2
         rule = fredholm_oracle.build_rule(-4, 40, CTX)
-        mat = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         i = 10
         u, w = rule.nodes[i], rule.weights[i]
-        k = (1 - mat[i][i]) / w
+        k = (1 - _entry(rows, frac, i, i)) / w
         ref = mp.airyai(u, derivative=1) ** 2 - u * mp.airyai(u) ** 2
         assert abs(k - ref) < mpf(10) ** -70
 
     def test_integral_form_oracle(self, wp300):
         # A(u, v) = int_0^inf Ai(u+s) Ai(v+s) ds
         rule = fredholm_oracle.build_rule(-4, 40, CTX)
-        mat = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         i, j = 12, 5
         u, v = rule.nodes[i], rule.nodes[j]
-        k = -mat[i][j] / mp.sqrt(rule.weights[i] * rule.weights[j])
+        k = -_entry(rows, frac, i, j) / mp.sqrt(rule.weights[i] * rule.weights[j])
         with mp.workdps(40):
             oracle = mp.quad(lambda s: mp.airyai(u + s) * mp.airyai(v + s),
                              [0, 4, 10, 24])
         assert abs(k - oracle) < mpf(10) ** -30
+
+    def test_lower_triangle_in_fixed_point(self):
+        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        assert frac == CTX.precision_bits + 32
+        assert [len(r) for r in rows] == list(range(1, 41))
+        assert all(isinstance(v, int) for r in rows for v in r)
+
+    @pytest.mark.parametrize("x", [-8, -2, 0, 4])
+    def test_log_det_against_800_bit_cholesky(self, x):
+        # the integer kernel on the m = 80 matrix against mp.cholesky of the
+        # same matrix at 800 bits
+        rows, frac = fredholm_oracle.nystrom_matrix(x, 80, CTX)
+        with mp.workprec(frac):
+            got = mp.fsum(cholesky_log_pivots(rows, frac, "Nystrom matrix"))
+        with mp.workprec(800):
+            mat = mp.matrix(80, 80)
+            for i in range(80):
+                for j in range(80):
+                    mat[i, j] = _entry(rows, frac, i, j)
+            low = mp.cholesky(mat)
+            ref = 2 * mp.fsum(mp.log(low[i, i]) for i in range(80))
+            assert abs(got - ref) <= mpf(2) ** -(CTX.precision_bits - 8) * abs(ref)
 
     def test_one_airy_start_per_matrix(self, monkeypatch):
         # the nodes' Airy values come from one walk, started by one airy_ai
@@ -67,6 +95,18 @@ class TestDeterminant:
         v = fredholm_oracle.f2_fredholm(x, 80, PrecisionContext(256, 1e-10),
                                         verify_convergence=False)
         assert abs(v - mpf(ref)) <= mpf(10) ** -30
+
+    @pytest.mark.parametrize("x, ref", [
+        (-7.99, "2.33037502382697486109731286088651375387832863326600605469654803458702080813e-19"),
+        (-1.99, "0.41764145893169357308292424596139158291127988957366935648226837978745284258618"),
+        (2.01, "0.99989128531838086175617751880889040308032857825664355066244866888297910524927"),
+    ])
+    def test_pinned_to_mpf_factorisation(self, x, ref, wp300):
+        # ref: the same m = 80 determinant from an mpf Cholesky at 288 bits,
+        # each inner product one mp.fdot
+        v = fredholm_oracle.f2_fredholm(x, 80, PrecisionContext(256, 1e-10),
+                                        verify_convergence=False)
+        assert abs(v - mpf(ref)) <= mpf(10) ** -70
 
     def test_monotone(self, wp300):
         vals = [fredholm_oracle.f2_fredholm(x, 40, CTX, verify_convergence=False)
@@ -109,8 +149,9 @@ class TestRule:
 
 class TestSpectrum:
     def test_matrix_spd_with_eigenvalues_in_unit_interval(self, wp300):
-        mat = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
-        m = mp.matrix(mat)
+        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        m = mp.matrix([[_entry(rows, frac, i, j) for j in range(40)]
+                       for i in range(40)])
         eigvals = mp.eigsy(m, eigvals_only=True)
         # the operator tail beyond the truncation point contributes ~1e-40,
         # so "at most 1" holds to that scale

@@ -200,6 +200,19 @@ class TestAdaptivePrecision:
         tl.get_ladder(30.0, "plain", 71, CTX)
         assert len(calls) == 2
 
+    def test_ladder_cache_keeps_the_newest_ladders(self, monkeypatch):
+        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        size = tl._LADDER_CACHE_SIZE
+        first = [tl.get_ladder(1.0 + k, "plain", 3, CTX) for k in range(size)]
+        # a repeat request is a hit, and makes t = 1 the newest key
+        assert tl.get_ladder(1.0, "plain", 3, CTX) is first[0]
+        # one more key evicts the oldest, now t = 2
+        tl.get_ladder(20.0, "plain", 3, CTX)
+        assert len(tl._ladder_cache) == size
+        assert tl.get_ladder(1.0, "plain", 3, CTX) is first[0]
+        assert tl.get_ladder(3.0, "plain", 3, CTX) is first[2]
+        assert tl.get_ladder(2.0, "plain", 3, CTX) is not first[1]
+
     def test_scan_reports_precision(self):
         scan = tl.toeplitz_scan(2.0, range(1, 6), CTX)
         assert scan.precision_bits_used >= CTX.precision_bits
