@@ -16,8 +16,9 @@ a_i = sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), each entry
 sqrt(w_i w_j) A(u_i, u_j) is (a_i b_j - b_i a_j) / (u_i - u_j), and the
 diagonal is b_i^2 - u_i a_i^2.  The matrix is assembled in fixed point:
 a_i, b_i and u_i are put on the grid 2^-F, F = ctx.precision_bits + 32,
-once, and each off-diagonal entry of the lower triangle is one integer
-floor division (b_i a_j - a_i b_j) // (u_i - u_j), whose numerator is exact.
+once (fixedpoint.to_grid), and each off-diagonal entry of the lower
+triangle is one integer floor division (b_i a_j - a_i b_j) // (u_i - u_j),
+whose numerator is exact.
 
 The symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j) is positive
 definite with eigenvalues in (0, 1]; its determinant is the product of the
@@ -43,6 +44,7 @@ from mpmath import mp, mpf
 
 from . import specialfn
 from .errors import DomainError, PrecisionError
+from .fixedpoint import to_grid
 from .linalg import cholesky_log_pivots
 from .precision import PrecisionContext, round_to
 from .quadrature import gauss_legendre
@@ -104,9 +106,9 @@ def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> Tuple[List[List[int]], i
     frac = ctx.precision_bits + 32
     with mp.workprec(frac):
         sq = [mp.sqrt(w) for w in rule.weights]
-        a = [int(mp.ldexp(s * ai, frac)) for s, (ai, _) in zip(sq, airy)]
-        b = [int(mp.ldexp(s * aip, frac)) for s, (_, aip) in zip(sq, airy)]
-        u = [int(mp.ldexp(v, frac)) for v in rule.nodes]
+        a = [to_grid(s * ai, frac) for s, (ai, _) in zip(sq, airy)]
+        b = [to_grid(s * aip, frac) for s, (_, aip) in zip(sq, airy)]
+        u = [to_grid(v, frac) for v in rule.nodes]
     one = 1 << frac
     rows: List[List[int]] = []
     for i in range(m):

@@ -1,7 +1,8 @@
 """Log-determinant of a symmetric positive definite matrix, shared by the
 Fredholm (Nystrom) and Toeplitz (moment matrix) routes.
 
-The factorisation runs in fixed point on Python integers.  The input is the
+The factorisation runs in fixed point on Python integers (twlab.fixedpoint
+supplies the exact dot products and the conversion back).  The input is the
 lower triangle of the matrix M on the grid 2^-F: rows[i][j] = M_ij 2^F,
 rounded to an integer, for j <= i (entries past the diagonal are not read).
 The factor L (M = L L^T) is kept on the same grid, so every dot product of
@@ -24,12 +25,12 @@ I_0(2t) >= 1.
 from __future__ import annotations
 
 import math
-import operator
 from typing import List, Sequence
 
 from mpmath import mp, mpf
 
 from .errors import InternalConsistencyError
+from .fixedpoint import dot, from_grid
 
 
 def cholesky_log_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
@@ -52,13 +53,12 @@ def cholesky_log_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
         for j in range(i):
             lj = low[j]
             # li holds j entries, so map pairs them with lj[:j]
-            li.append(((row[j] << frac_bits) - sum(map(operator.mul, li, lj)))
-                      // lj[j])
-        d = (row[i] << frac_bits) - sum(map(operator.mul, li, li))
+            li.append(((row[j] << frac_bits) - dot(li, lj)) // lj[j])
+        d = (row[i] << frac_bits) - dot(li, li)
         if d <= 0:
             raise InternalConsistencyError(
                 f"nonpositive Cholesky pivot in {what} at index {i}")
         li.append(math.isqrt(d))
         low.append(li)
-        out.append(mp.log(mp.ldexp(d, -2 * frac_bits)))
+        out.append(mp.log(from_grid(d, 2 * frac_bits)))
     return out

@@ -6,18 +6,26 @@ The problem is posed as a two-point BVP on piecewise Chebyshev-Lobatto
 collocation elements.  A damped float64 Newton iteration (numpy, with a
 block-tridiagonal elimination of the Jacobian) reaches the float64 rounding
 floor; defect correction then brings the solution to the requested
-precision: the float64 Jacobian is eliminated once, and each sweep only
-evaluates the residual in mp and subtracts J64^-1 r (iterative refinement).
-One-sided shooting is useless here: the wanted solution is a separatrix and
-the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
-exactly why the two-point formulation is mandatory.
+precision: the float64 Jacobian is eliminated once, and each sweep
+evaluates the residual at the working precision and subtracts J64^-1 r
+(iterative refinement).  The refinement runs in fixed point on Python
+integers (twlab.fixedpoint): the differentiation matrices, scales and nodes
+go on one grid 2^-F per mesh, u and r stay on it, and each row of D u is
+one exact integer dot product.  numpy is imported only by the solve;
+reading a stored solution never needs it.  One-sided shooting is useless
+here: the wanted solution is a separatrix and the growing modes amplify
+like exp(c |x|^(3/2)) from either end, which is exactly why the two-point
+formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
 Every read goes through one table per integrand: each element's Chebyshev
-coefficients, from a DCT-I of its nodal values.  A point value of q or q'
-is one Clenshaw sum over the located element's row; integrals of q and R
+coefficients, from a DCT-I of its nodal values, with every row put once on
+its own fixed-point grid (fixedpoint.row_to_grid; q spans seven decades on
+the default window, so one grid for all rows would lose the relative
+accuracy where q is small).  A point value of q or q' is one integer
+Clenshaw sum over the located element's row; integrals of q and R
 integrate the same rows term by term (integrate_kind), so they are one
-Clenshaw sum plus a cumulative edge value.
+integer Clenshaw sum plus a cumulative edge value.
 
 The left boundary data come from the large-negative expansion
 
@@ -44,19 +52,22 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence,
+                    Tuple, TypeVar)
 
-import numpy as np
 from mpmath import mp, mpf
 
-from . import specialfn
+from . import fixedpoint, specialfn
 from .errors import DomainError, SolverError
 from .precision import PrecisionContext, round_to
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_VERSION = 2
 # Raise when a change to the solver or its window policy changes the
 # solution it returns for the same arguments; disk caches are keyed by it.
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -216,11 +227,26 @@ def _diff_matrix(nodes: Sequence) -> List[List]:
     return d
 
 
+# Fraction bits of the refinement's fixed-point grid beyond the working
+# precision prec: u, its residual and the operators live on the grid
+# 2^-(prec + 48).  D1 and D2, prec-bit values no smaller than 2^-48, lie on
+# it exactly; a floor costs one unit, and a row of 4/h^2 D2 sums to about
+# 2^21 in absolute value on the default mesh (2^27 at h = 0.058), so the
+# residual is good to about 2^-(prec + 26), far below the stop at
+# 2^-(prec - 24).  An mp copy of u at prec bits would add 2^-prec times
+# that row sum, which exceeds the stop once the row sum passes 2^24.
+_RESIDUAL_GUARD = 48
+
+
 class _Mesh:
-    """Element layout and reference operators at the working precision, with
-    float64 copies of the operators for the Jacobian."""
+    """Element layout and reference operators at the working precision; the
+    operators, scales and nodes on the refinement's fixed-point grid
+    2^-frac, frac = precision + _RESIDUAL_GUARD; and float64 copies of the
+    operators for the Jacobian."""
 
     def __init__(self, x_left: mpf, x_right: mpf, k_elems: int, p: int):
+        import numpy as np
+
         self.k = k_elems
         self.p = p
         self.edges = [x_left + (x_right - x_left) * e / k_elems
@@ -231,37 +257,57 @@ class _Mesh:
         self.h = [self.edges[e + 1] - self.edges[e] for e in range(k_elems)]
         self.nodes = [[(self.edges[e + 1] + self.edges[e]) / 2 + self.h[e] / 2 * t
                        for t in self.ref] for e in range(k_elems)]
+        f = self.frac = mp.prec + _RESIDUAL_GUARD
+        grid = fixedpoint.to_grid
+        self.d1_fixed = [[grid(v, f) for v in row] for row in self.d1]
+        self.d2_fixed = [[grid(v, f) for v in row] for row in self.d2]
+        with mp.workprec(f):
+            self.scale1_fixed = [grid(2 / h, f) for h in self.h]
+            self.scale2_fixed = [grid(4 / (h * h), f) for h in self.h]
+        self.nodes_fixed = [[grid(x, f) for x in row] for row in self.nodes]
         self.d1_f = np.array(self.d1, dtype=float)
         self.d2_f = np.array(self.d2, dtype=float)
         self.h_f = np.array(self.h, dtype=float)
         self.nodes_f = np.array(self.nodes, dtype=float)
 
 
-def _ode_residual(mesh: _Mesh, u, bc_l, bc_r) -> List[List[mpf]]:
-    """Residual blocks at the working precision; row 0/p of each element
-    carry the boundary or coupling conditions, rows 1..p-1 the ODE."""
-    k, p = mesh.k, mesh.p
-    d1_first, d1_last = mesh.d1[0], mesh.d1[p]
+def _ode_residual(mesh: _Mesh, u: List[List[int]], bc_l, bc_r) -> List[List[int]]:
+    """Residual blocks of the nodal blocks u, both on the mesh's grid 2^-F,
+    F = mesh.frac; row 0/p of each element carry the boundary or coupling
+    conditions, rows 1..p-1 the ODE.
+
+    Each row of D2 u or D1 u is one exact dot product with the mesh's
+    integer D2 or D1 (units 2^-2F), and the 4/h^2 or 2/h scale multiplies
+    the dot before one shift back to the grid, so each entry carries a few
+    floors of 2^-F (see _RESIDUAL_GUARD)."""
+    k, p, f = mesh.k, mesh.p, mesh.frac
+    dot = fixedpoint.dot
+    ff = 2 * f
+    d1_first, d1_last, d2 = mesh.d1_fixed[0], mesh.d1_fixed[p], mesh.d2_fixed
+    s1, s2 = mesh.scale1_fixed, mesh.scale2_fixed
     res = []
     for e in range(k):
-        ue = u[e]
-        scale2 = 4 / (mesh.h[e] * mesh.h[e])
-        r = [None] * (p + 1)
-        r[0] = ue[0] - bc_l if e == 0 else u[e - 1][p] - ue[0]
+        ue, xs = u[e], mesh.nodes_fixed[e]
+        r = [0] * (p + 1)
+        r[0] = (ue[0] - fixedpoint.to_grid(bc_l, f) if e == 0
+                else u[e - 1][p] - ue[0])
         for i in range(1, p):
-            x = mesh.nodes[e][i]
-            r[i] = scale2 * mp.fdot(mesh.d2[i], ue) - (2 * ue[i] ** 2 + x) * ue[i]
+            v = ue[i]
+            r[i] = (((s2[e] * dot(d2[i], ue)) >> ff)
+                    - (((((2 * v * v) >> f) + xs[i]) * v) >> f))
         if e == k - 1:
-            r[p] = ue[p] - bc_r
+            r[p] = ue[p] - fixedpoint.to_grid(bc_r, f)
         else:
-            r[p] = (2 / mesh.h[e] * mp.fdot(d1_last, ue)
-                    - 2 / mesh.h[e + 1] * mp.fdot(d1_first, u[e + 1]))
+            r[p] = (s1[e] * dot(d1_last, ue)
+                    - s1[e + 1] * dot(d1_first, u[e + 1])) >> ff
         res.append(r)
     return res
 
 
 def _residual64(mesh: _Mesh, u: np.ndarray, bc_l: float, bc_r: float) -> np.ndarray:
     """_ode_residual in float64 on the (k, p+1) nodal array."""
+    import numpy as np
+
     d1, d2, h = mesh.d1_f, mesh.d2_f, mesh.h_f
     inner = u[:, 1:-1]
     r = np.empty_like(u)
@@ -283,6 +329,8 @@ def _factor64(mesh: _Mesh, u: np.ndarray):
     So A_e^-1 times the super-diagonal block is the rank-one g_e c_e^T with
     g_e = A_e^-1 e_p, and eliminating it changes only row 0 of the next
     pivot block.  Returns (inverted pivot blocks, g, c) for _solve64."""
+    import numpy as np
+
     d1, d2, h = mesh.d1_f, mesh.d2_f, mesh.h_f
     k, n = u.shape
     a = np.zeros((k, n, n))
@@ -304,6 +352,8 @@ def _factor64(mesh: _Mesh, u: np.ndarray):
 
 def _solve64(fac, r: np.ndarray) -> np.ndarray:
     """J^-1 r for the Jacobian eliminated by _factor64."""
+    import numpy as np
+
     inv, g, c = fac
     y = np.empty_like(r)
     carry = 0.0
@@ -320,6 +370,8 @@ def _solve64(fac, r: np.ndarray) -> np.ndarray:
 def _initial_guess(x: np.ndarray) -> np.ndarray:
     """Ai(0) exp(-2/3 x^(3/2)) for x >= 0, sqrt(-x/2) for x <= -1, and a
     linear blend between Ai(0) and sqrt(1/2) on (-1, 0)."""
+    import numpy as np
+
     ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     right = ai0 * np.exp(-2.0 / 3.0 * np.maximum(x, 0.0) ** 1.5)
     w = -x
@@ -337,6 +389,8 @@ def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float) -> np.ndarray:
 
     Stops at the float64 rounding floor: once the residual is below
     _WARM_ACCEPT, a full Newton step that does not lower it is noise."""
+    import numpy as np
+
     def trial(lam):
         v = u - lam * delta
         r = _residual64(mesh, v, bc_l, bc_r)
@@ -366,29 +420,42 @@ def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float) -> np.ndarray:
 
 def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
     """Defect correction at the working precision: u <- u - J64^-1 r(u), with
-    the float64 Jacobian J64 = J(u64) eliminated once and only the residual
-    r evaluated in mp (Higham, Accuracy and Stability, ch. 12).
+    the float64 Jacobian J64 = J(u64) eliminated once (Higham, Accuracy and
+    Stability, ch. 12).  u and r stay on the mesh's fixed-point grid
+    2^-F, F = mesh.frac, throughout: each sweep is one integer residual
+    (_ode_residual), one float64 solve and one integer subtraction per node.
+    The grid lies _RESIDUAL_GUARD bits below the working precision, so the
+    rounding of u sets no floor on the residual above ``stop`` on a fine
+    mesh.
 
-    r is scaled by a power of two before it is rounded to float64, so its
-    size never underflows; norms are compared in mp.  Raises SolverError if
-    a sweep does not halve the residual.  Returns (u, residual blocks)."""
+    r is divided by a power of two at least its largest entry before it is
+    rounded to float64, so its size never underflows.  Raises SolverError
+    if a sweep does not halve the residual.  Returns (u, residual blocks),
+    both on the grid."""
+    import numpy as np
+
+    f = mesh.frac
     fac = _factor64(mesh, u64)
-    u = [[mpf(v) for v in row] for row in u64]
+    u = [[fixedpoint.to_grid(v, f) for v in row] for row in u64.tolist()]
     res = _ode_residual(mesh, u, bc_l, bc_r)
     norm = max(abs(v) for row in res for v in row)
+    limit = fixedpoint.to_grid(stop, f)
     sweep = 0
-    while norm > stop:
+    while norm > limit:
         sweep += 1
-        shift = -mp.mag(norm)
-        r64 = np.array([[float(mp.ldexp(v, shift)) for v in row] for row in res])
-        delta = _solve64(fac, r64)
-        u = [[v - mp.ldexp(d, -shift) for v, d in zip(row, drow.tolist())]
-             for row, drow in zip(u, delta)]
+        # r / 2^scale lies in [-1, 1]; J^-1 of it is the step in units 2^-(F - scale)
+        scale = norm.bit_length()
+        den = 1 << scale
+        delta = _solve64(fac, np.array([[v / den for v in row] for row in res]))
+        u = [[v - fixedpoint.to_grid(d, scale) for v, d in zip(row, drow)]
+             for row, drow in zip(u, delta.tolist())]
         res = _ode_residual(mesh, u, bc_l, bc_r)
         new = max(abs(v) for row in res for v in row)
-        log.debug("refinement sweep %d: residual %s", sweep, mp.nstr(new, 3))
-        if new > norm / 2:
-            raise SolverError("defect correction stopped contracting", residual=new)
+        log.debug("refinement sweep %d: residual %s", sweep,
+                  mp.nstr(fixedpoint.from_grid(new, f), 3))
+        if 2 * new > norm:
+            raise SolverError("defect correction stopped contracting",
+                              residual=fixedpoint.from_grid(new, f, mp.prec))
         norm = new
     return u, res
 
@@ -397,6 +464,13 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
 # Public solution object
 # ---------------------------------------------------------------------------
 
+# Guard bits of the fixed-point reads beyond the requested precision: the
+# largest coefficient of each row, and t, carry bits + _READ_GUARD bits, so
+# the n^2/2 units a degree-24 Clenshaw sum can lose (fixedpoint) leave about
+# 23 bits to spare against the row's largest coefficient.
+_READ_GUARD = 32
+
+
 @dataclass
 class HMSolution:
     """Immutable solution record; safe for concurrent reads.
@@ -404,8 +478,10 @@ class HMSolution:
     Stores each element's edges and its nodal values of q and q' once.
     Everything read from them goes through the per-element Chebyshev
     coefficient tables, which are kept through ``cached`` like every other
-    derived value: q_at and q_prime_at sum one row of the q or q' table,
-    and integrate_kind integrates the rows of the q or R table."""
+    derived value, each row also as integers on its own grid: q_at and
+    q_prime_at sum one such row of the q or q' table in integers, and
+    integrate_kind integrates the rows of the q or R table.  from_json_dict
+    rejects a document whose arrays do not fit together."""
 
     x_left: mpf
     x_right: mpf
@@ -427,21 +503,31 @@ class HMSolution:
         a, b = self._edges[e], self._edges[e + 1]
         return [(a + b) / 2 + (b - a) / 2 * t for t in self._ref]
 
-    def _locate(self, x: mpf) -> int:
+    def _position(self, x: mpf, bits: int) -> Tuple[int, int]:
+        """(e, t): the element e = [a, b] that holds x, and the coordinate
+        t = (2x - a - b) / (b - a) of x in it on the grid 2^-F,
+        F = bits + _READ_GUARD.  x and the edges are truncated onto the grid
+        (edges of a solution at ``bits`` bits lie on it exactly), and t
+        costs one floor division."""
         if not self.x_left <= x <= self.x_right:
             raise DomainError(f"x={x} outside solution window "
                               f"[{self.x_left}, {self.x_right}]")
-        e = bisect_right(self._edges, x) - 1
-        return min(max(e, 0), len(self._elem_q) - 1)
+        f = bits + _READ_GUARD
+        edges = self.cached(("edges", f), lambda: [
+            fixedpoint.to_grid(v, f) for v in self._edges])
+        xf = fixedpoint.to_grid(x, f)
+        e = min(max(bisect_right(edges, xf) - 1, 0), len(edges) - 2)
+        a, b = edges[e], edges[e + 1]
+        return e, ((2 * xf - a - b) << f) // (b - a)
 
     def _read(self, kind: str, x) -> mpf:
-        """Clenshaw sum of the located element's row of the ``kind`` table."""
-        x = mpf(x)
-        e = self._locate(x)
-        row = _chebyshev_table(self, kind, self.precision_bits)[e]
-        with mp.workprec(max(mp.prec, self.precision_bits + 16)):
-            a, b = self._edges[e], self._edges[e + 1]
-            return _clenshaw(row, (2 * x - a - b) / (b - a))
+        """Integer Clenshaw sum of the located element's row of the ``kind``
+        table, rounded to max(mp.prec, precision_bits + 16) bits."""
+        bits = self.precision_bits
+        e, t = self._position(mpf(x), bits)
+        frac, row = _grid_table(self, kind, bits)[e]
+        return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, bits + _READ_GUARD),
+                                    frac, max(mp.prec, bits + 16))
 
     def cached(self, key, compute: Callable[[], T]) -> T:
         """compute() once per key for this solution; later calls share its
@@ -487,7 +573,7 @@ class HMSolution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "HMSolution":
-        if doc.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported solution schema version")
 
         def dec(t):
@@ -499,15 +585,32 @@ class HMSolution:
         def dec_list(ts):
             return [dec(t) for t in ts]
 
+        try:
+            x_left, x_right, residual_norm = (
+                dec(doc[k]) for k in ("x_left", "x_right", "residual_norm"))
+            edges = dec_list(doc["edges"])
+            elem_q = [dec_list(r) for r in doc["elem_q"]]
+            elem_qp = [dec_list(r) for r in doc["elem_qp"]]
+            ref = dec_list(doc["ref"])
+        except TypeError as exc:
+            raise ValueError(f"solution document holds a value of the wrong "
+                             f"type: {exc}") from exc
+        if not (elem_q and len(edges) == len(elem_q) + 1 == len(elem_qp) + 1
+                and all(len(row) == len(ref) for row in elem_q + elem_qp)):
+            raise ValueError("solution arrays do not fit together: need "
+                             "len(edges) = len(elem_q) + 1 = len(elem_qp) + 1 "
+                             "and len(ref) entries in every row")
+        if type(doc["precision_bits"]) is not int:
+            raise ValueError("solution precision_bits is not an integer")
         return cls(
-            x_left=dec(doc["x_left"]),
-            x_right=dec(doc["x_right"]),
-            residual_norm=dec(doc["residual_norm"]),
+            x_left=x_left,
+            x_right=x_right,
+            residual_norm=residual_norm,
             precision_bits=doc["precision_bits"],
-            _edges=dec_list(doc["edges"]),
-            _elem_q=[dec_list(r) for r in doc["elem_q"]],
-            _elem_qp=[dec_list(r) for r in doc["elem_qp"]],
-            _ref=dec_list(doc["ref"]),
+            _edges=edges,
+            _elem_q=elem_q,
+            _elem_qp=elem_qp,
+            _ref=ref,
         )
 
     @classmethod
@@ -566,10 +669,20 @@ def _build_chebyshev_table(solution: HMSolution, kind: str, bits: int):
     return table
 
 
+def _grid_table(solution: HMSolution, kind: str, bits: int):
+    """The rows of _chebyshev_table, each on its own grid: (F_e, integer
+    row) from fixedpoint.row_to_grid at bits + _READ_GUARD.  Cached per
+    (kind, bits)."""
+    return solution.cached(("grid", kind, bits), lambda: [
+        fixedpoint.row_to_grid(row, bits + _READ_GUARD)
+        for row in _chebyshev_table(solution, kind, bits)])
+
+
 def _antiderivatives(solution: HMSolution, kind: str, bits: int):
     """Per element, the Chebyshev coefficients of the antiderivative of the
     degree-p interpolant of ``kind`` (zero at the element's left edge, in
-    units of x), and its cumulative values from x_left to every edge.
+    units of x) as a row on its own grid (as in _grid_table), and its
+    cumulative values from x_left to every edge.
 
     Cached per (kind, bits).  The rows of _chebyshev_table integrate term by
     term: int T_n = T_(n+1)/(2(n+1)) - T_(n-1)/(2(n-1)) (ATAP, ch. 19)."""
@@ -588,17 +701,9 @@ def _build_antiderivatives(solution: HMSolution, kind: str, bits: int):
             b = [mpf(0), scale * (c[0] - c[2] / 2)]
             b += [scale * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, p + 2)]
             b[0] = -sum((-1) ** k * b[k] for k in range(1, p + 2))
-            coeffs.append(b)
+            coeffs.append(fixedpoint.row_to_grid(b, bits + _READ_GUARD))
             cum.append(cum[-1] + mp.fsum(b))
     return coeffs, cum
-
-
-def _clenshaw(coeffs: List[mpf], t: mpf) -> mpf:
-    """sum coeffs[k] T_k(t)."""
-    b1 = b2 = mpf(0)
-    for c in reversed(coeffs[1:]):
-        b1, b2 = 2 * t * b1 - b2 + c, b1
-    return t * b1 - b2 + coeffs[0]
 
 
 _KINDS = ("q", "r", "q_reg", "r_reg")
@@ -618,15 +723,15 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
         raise DomainError("integration bounds must lie inside the grid")
     if kind.endswith("_reg") and b > 0:
         raise DomainError(f"{kind} integrates only up to 0 (sqrt(-y) branches there)")
-    coeffs, cum = _antiderivatives(solution, kind.partition("_")[0],
-                                   ctx.precision_bits)
-    edges = solution._edges
+    bits = ctx.precision_bits
+    coeffs, cum = _antiderivatives(solution, kind.partition("_")[0], bits)
 
     def upto(x: mpf) -> mpf:
         # integral from x_left to x
-        e = solution._locate(x)
-        lo, hi = edges[e], edges[e + 1]
-        return cum[e] + _clenshaw(coeffs[e], (2 * x - lo - hi) / (hi - lo))
+        e, t = solution._position(x, bits)
+        frac, row = coeffs[e]
+        return cum[e] + fixedpoint.from_grid(
+            fixedpoint.clenshaw(row, t, bits + _READ_GUARD), frac)
 
     with mp.workprec(ctx.precision_bits + 16):
         total = upto(b) - upto(a)
@@ -683,19 +788,23 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
         u64 = _warm_start(mesh, float(bc_l), float(bc_r))
         u, res = _refine(mesh, u64, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
 
-        elem_qp = [[2 / mesh.h[e] * mp.fdot(row, u[e]) for row in mesh.d1]
-                   for e in range(k_elems)]
-        res_norm = max(abs(v) for row in res for v in row[1:p])
-
+    # every stored value is rounded once from the grid: q from u, and
+    # q' = (2/h) D1 u from one exact dot in units 2^-3F
     out_prec = ctx.precision_bits
+    f = mesh.frac
+    elem_q = [[fixedpoint.from_grid(v, f, out_prec) for v in ue] for ue in u]
+    elem_qp = [[fixedpoint.from_grid(scale * fixedpoint.dot(row, ue), 3 * f, out_prec)
+                for row in mesh.d1_fixed]
+               for scale, ue in zip(mesh.scale1_fixed, u)]
+    res_norm = max(abs(v) for row in res for v in row[1:p])
     sol = HMSolution(
         x_left=round_to(x_left, out_prec),
         x_right=round_to(x_right, out_prec),
-        residual_norm=round_to(res_norm, out_prec),
+        residual_norm=fixedpoint.from_grid(res_norm, f, out_prec),
         precision_bits=ctx.precision_bits,
         _edges=round_to(mesh.edges, out_prec),
-        _elem_q=[round_to(row, out_prec) for row in u],
-        _elem_qp=[round_to(row, out_prec) for row in elem_qp],
+        _elem_q=elem_q,
+        _elem_qp=elem_qp,
         _ref=round_to(mesh.ref, out_prec),
     )
     return sol

@@ -27,6 +27,7 @@ from typing import List, Tuple
 from mpmath import mp, mpf
 
 from .errors import DomainError
+from .fixedpoint import from_grid, to_grid
 from .precision import PrecisionContext, round_to
 
 _LOG2_E = 1.4426950408889634
@@ -313,10 +314,10 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
             h = u_next - u
             e = bits + 8 - min(mp.mag(h), 0)
             f = e - max(mp.mag(ai), mp.mag(aip))
-            a = int(mp.ldexp(u * h * h, e))
-            b = int(mp.ldexp(h * h * h, e))
-            d0 = int(mp.ldexp(ai, f))
-            d1 = int(mp.ldexp(h * aip, f))
+            a = to_grid(u * h * h, e)
+            b = to_grid(h * h * h, e)
+            d0 = to_grid(ai, f)
+            d1 = to_grid(h * aip, f)
             top = max(abs(d0), abs(d1))
             n = _taylor_terms(d0 / top, d1 / top, a / 2 ** e, b / 2 ** e,
                               2.0 ** -e)
@@ -327,8 +328,8 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
                 d_2, d_1, d_0 = d_1, d_0, ((a * d_1 + b * d_2) >> e) // (k * (k + 1))
                 val += d_0
                 der += (k + 1) * d_0
-            ai = mp.ldexp(val, -f)
-            aip = mp.ldexp(der, -f) / h
+            ai = from_grid(val, f)
+            aip = from_grid(der, f) / h
             out.append((ai, aip))
     out.reverse()
     return [round_to(pair, ctx.precision_bits) for pair in out]

@@ -47,6 +47,7 @@ from mpmath import mp, mpf
 
 from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError
+from .fixedpoint import to_grid
 from .linalg import cholesky_log_pivots
 from .precision import PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
@@ -185,7 +186,7 @@ def _ladder_pass(t, kind: str, n_cap: int) -> Callable[[int], _LadderValues]:
     def one(bits: int) -> _LadderValues:
         with mp.workprec(bits):
             row = _moment_row(t, n_cap, kind, bits)
-            fixed = [int(mp.ldexp(v, bits)) for v in row]
+            fixed = [to_grid(v, bits) for v in row]
             pivots = cholesky_log_pivots(_moment_matrix(fixed, n_cap, kind), bits,
                                          f"{kind} moment matrix (t={t})")
             pi0 = (_levinson_constant_terms(row, n_cap - 1)

@@ -5,10 +5,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import twlab
 from twlab import cli, painleve2
+from twlab.precision import PrecisionContext
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +114,9 @@ class TestSolutionCache:
                         + ["--cache-dir", cache, "--output", out])
         assert code == 0
         with open(path) as fh:
-            painleve2.HMSolution.from_json(fh.read())
+            text = fh.read()
+        assert text != content
+        painleve2.HMSolution.from_json(text)
         assert os.listdir(cache) == [os.path.basename(path)]
 
     def test_truncated_file_is_resolved(self, tmp_path):
@@ -119,6 +125,31 @@ class TestSolutionCache:
     def test_old_schema_file_is_resolved(self, tmp_path):
         self._rerun_over(tmp_path, json.dumps({"schema_version": 1,
                                                "grid": [], "q": []}))
+
+    def test_file_that_is_not_an_object_is_resolved(self, tmp_path):
+        self._rerun_over(tmp_path, "[2, 1]")
+
+    @staticmethod
+    def _damaged(damage):
+        doc = painleve2.solve_hastings_mcleod(
+            -8, 6, 200, PrecisionContext(64, 1e-12)).to_json_dict()
+        damage(doc)
+        return json.dumps(doc)
+
+    def test_short_row_file_is_resolved(self, tmp_path):
+        def drop_last_entry_of_a_row(doc):
+            doc["elem_q"][3] = doc["elem_q"][3][:-1]
+        self._rerun_over(tmp_path, self._damaged(drop_last_entry_of_a_row))
+
+    def test_short_edges_file_is_resolved(self, tmp_path):
+        def drop_last_edge(doc):
+            doc["edges"] = doc["edges"][:-1]
+        self._rerun_over(tmp_path, self._damaged(drop_last_edge))
+
+    def test_null_edges_file_is_resolved(self, tmp_path):
+        def null_edges(doc):
+            doc["edges"] = None
+        self._rerun_over(tmp_path, self._damaged(null_edges))
 
     def test_solver_version_changes_the_key(self, tmp_path, monkeypatch):
         # a new solver that keeps the schema must not read the old solves
@@ -132,6 +163,16 @@ class TestSolutionCache:
         assert after != before
         assert os.path.basename(after).startswith(
             f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}_")
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_out(self):
+        # numpy serves only the float64 warm start of the solver
+        src = os.path.dirname(os.path.dirname(twlab.__file__))
+        code = ("import sys, twlab.cli; "
+                "sys.exit('numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestExitCodes:

@@ -1,0 +1,53 @@
+"""Fixed-point helpers: grid conversions, exact dot, integer Clenshaw."""
+
+import random
+
+import pytest
+from mpmath import mp, mpf
+
+from twlab import fixedpoint
+
+
+def _values(rng, n):
+    with mp.workprec(300):
+        return [mpf(rng.uniform(-1, 1)) * mpf(2) ** rng.randint(-60, 40) / 3
+                for _ in range(n)] + [mpf(0)]
+
+
+def test_to_grid_truncates_like_int_of_ldexp():
+    rng = random.Random(5)
+    for v in _values(rng, 200):
+        for frac in (0, 17, 300, -5):
+            assert fixedpoint.to_grid(v, frac) == int(mp.ldexp(v, frac))
+    with pytest.raises(ValueError):
+        fixedpoint.to_grid(mp.nan, 10)
+
+
+def test_from_grid_exact_and_rounded():
+    rng = random.Random(6)
+    for _ in range(100):
+        n = rng.randint(-2 ** 400, 2 ** 400)
+        assert fixedpoint.from_grid(n, 300) == mp.ldexp(n, -300)
+        with mp.workprec(120):
+            assert fixedpoint.from_grid(n, 300, 120) == mp.ldexp(mpf(n), -300)
+
+
+def test_row_to_grid_sizes_each_row_by_its_largest_entry():
+    for scale in (mpf(2) ** 5, mpf(2) ** -40):
+        frac, row = fixedpoint.row_to_grid([scale * 3, -scale, scale / 7], 100)
+        assert max(abs(v) for v in row).bit_length() == 100
+        assert fixedpoint.from_grid(row[1], frac) == -scale
+    assert fixedpoint.row_to_grid([mpf(0), mpf(0)], 64) == (64, [0, 0])
+
+
+def test_clenshaw_matches_mpf_sum():
+    rng = random.Random(7)
+    bits = 256
+    with mp.workprec(2 * bits):
+        coeffs = [mpf(rng.uniform(-1, 1)) / (k + 1) ** 2 for k in range(25)]
+        frac, row = fixedpoint.row_to_grid(coeffs, bits)
+        for t in [mpf(-1), mpf(1)] + [mpf(rng.uniform(-1, 1)) for _ in range(30)]:
+            want = mp.fsum(c * mp.chebyt(k, t) for k, c in enumerate(coeffs))
+            got = fixedpoint.from_grid(
+                fixedpoint.clenshaw(row, fixedpoint.to_grid(t, bits), bits), frac)
+            assert abs(got - want) <= mpf(2) ** -(bits - 12)

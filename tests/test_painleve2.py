@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from twlab import painleve2, specialfn
+from twlab import fixedpoint, painleve2, specialfn
 from twlab.errors import DomainError, SolverError
 from twlab.precision import PrecisionContext
 from twlab.quadrature import gauss_legendre
@@ -143,6 +143,41 @@ class TestSolver:
         with mp.workprec(1100):
             assert abs(sol.q_at(0) - mpf("0.36706155154807841")) < mpf(10) ** -15
 
+    def test_fixed_point_residual_matches_double_precision(self):
+        # the converged default mesh: the integer residual against an mp
+        # residual of the same u at twice the working precision
+        prec = 256 + 64
+        with mp.workprec(prec):
+            mesh = painleve2._Mesh(mpf(-12), mpf(8), 46, painleve2._ELEMENT_DEGREE)
+            bc_l = painleve2.q_left_boundary_value(mesh.edges[0])[0]
+            bc_r = specialfn.airy_ai(mesh.edges[-1], PrecisionContext(prec))[0]
+            u64 = painleve2._warm_start(mesh, float(bc_l), float(bc_r))
+            u, res = painleve2._refine(mesh, u64, bc_l, bc_r,
+                                       stop=mpf(2) ** -(prec - 24))
+        p, f = mesh.p, mesh.frac
+        u = [[fixedpoint.from_grid(v, f) for v in row] for row in u]
+        res = [[fixedpoint.from_grid(v, f) for v in row] for row in res]
+        with mp.workprec(2 * prec):
+            for e, (ue, re) in enumerate(zip(u, res)):
+                h = mesh.h[e]
+                ref = [ue[0] - bc_l if e == 0 else u[e - 1][p] - ue[0]]
+                ref += [4 / (h * h) * mp.fdot(mesh.d2[i], ue)
+                        - (2 * ue[i] ** 2 + mesh.nodes[e][i]) * ue[i]
+                        for i in range(1, p)]
+                ref.append(ue[p] - bc_r if e == mesh.k - 1 else
+                           2 / h * mp.fdot(mesh.d1[p], ue)
+                           - 2 / mesh.h[e + 1] * mp.fdot(mesh.d1[0], u[e + 1]))
+                for got, want in zip(re, ref):
+                    assert abs(got - want) <= mpf(2) ** -(prec + 8)
+
+    def test_fine_mesh_converges(self):
+        # elements of width 0.058: a row of 4/h^2 D2 sums to about 2^27, so
+        # u rounded to the working precision would hold the residual above
+        # the stop; on the grid 48 bits finer it does not
+        ctx = PrecisionContext(64, 1e-12)
+        sol = painleve2.solve_hastings_mcleod(-6, 6, 5000, ctx)
+        assert sol.residual_norm <= mpf(2) ** -(64 + 64 - 24)
+
     def test_refinement_that_does_not_contract_raises(self, monkeypatch):
         # refine with the Jacobian of a shifted state instead of the warm start's
         warm_start, factor = painleve2._warm_start, painleve2._factor64
@@ -222,7 +257,7 @@ class TestRRoutes:
                      for lo, hi in zip(edges, edges[1:])]
             for x in (-11, -8, -4.5, -1, 0, 2.5, 6, 7.5):
                 local = painleve2.r_of(sol, x)
-                e = sol._locate(mpf(x))
+                e, _ = sol._position(mpf(x), sol.precision_bits)
                 quad = (_gauss_legendre(sol, q2, x, edges[e + 1])
                         + mp.fsum(whole[e + 1:]) + tail)
                 assert abs(local - quad) < 10 * mpf(ctx256.tolerance)
@@ -284,6 +319,30 @@ class TestSpectralIntegration:
         painleve2.integrate_kind(sol, "q_reg", -3, -1, ctx256)
         assert sorted(built) == ["q", "qp"]
 
+    def test_reads_match_a_double_precision_clenshaw(self, hm_solution):
+        # each row is summed on its own grid, so q and q' keep their
+        # relative accuracy where they are small: one grid for all rows
+        # loses it near x = 8, where q is about 1e-7.  The reads carry
+        # about 2^-284 here; the bound leaves 12 bits of that and fails a
+        # global grid unless it pays some 25 bits more per integer
+        sol = hm_solution
+        bits = sol.precision_bits
+        span = sol.x_right - sol.x_left
+        xs = ([6 + mpf(2) * i / 97 for i in range(97)]
+              + [sol.x_left + span * i / 401 for i in range(402)])
+        with mp.workprec(2 * bits):
+            for kind, read in (("q", sol.q_at), ("qp", sol.q_prime_at)):
+                table = painleve2._chebyshev_table(sol, kind, bits)
+                for x in xs:
+                    e, _ = sol._position(x, bits)
+                    a, b = sol._edges[e], sol._edges[e + 1]
+                    t = (2 * x - a - b) / (b - a)
+                    b1 = b2 = mpf(0)
+                    for c in reversed(table[e][1:]):
+                        b1, b2 = 2 * t * b1 - b2 + c, b1
+                    want = t * b1 - b2 + table[e][0]
+                    assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 16)
+
     def test_matches_per_element_gauss_legendre(self, hm_solution, ctx256, wp300):
         sol = hm_solution
         r = lambda y: painleve2.r_of(sol, y)
@@ -332,6 +391,28 @@ class TestSerialization:
         with mp.workprec(280):
             for x in (-7.3, 0.1, 5.9):
                 assert back.q_at(x) == hm_solution.q_at(x)
+
+    def test_row_of_the_wrong_length_is_rejected(self, hm_solution):
+        for name in ("elem_q", "elem_qp"):
+            doc = hm_solution.to_json_dict()
+            doc[name][23] = doc[name][23][:-1]
+            with pytest.raises(ValueError):
+                painleve2.HMSolution.from_json_dict(doc)
+
+    def test_edges_that_do_not_fit_are_rejected(self, hm_solution):
+        for name in ("edges", "elem_q", "elem_qp"):
+            doc = hm_solution.to_json_dict()
+            doc[name] = doc[name][:-1]
+            with pytest.raises(ValueError):
+                painleve2.HMSolution.from_json_dict(doc)
+
+    def test_value_of_the_wrong_type_is_rejected(self, hm_solution):
+        for name, value in (("edges", None), ("x_left", 3), ("ref", [[0, 1, 2, 3]]),
+                            ("precision_bits", "256")):
+            doc = hm_solution.to_json_dict()
+            doc[name] = value
+            with pytest.raises(ValueError):
+                painleve2.HMSolution.from_json_dict(doc)
 
     def test_schema_version_guard(self, hm_solution):
         doc = hm_solution.to_json_dict()
