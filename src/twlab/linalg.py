@@ -1,13 +1,18 @@
-"""Log-determinant of a symmetric positive definite matrix, shared by the
-Fredholm (Nystrom) and Toeplitz (moment matrix) routes.
+"""Log-determinants by two integer factorisations: the Cholesky of a
+symmetric positive definite matrix, shared by the Fredholm (Nystrom) and
+Toeplitz (moment matrix) routes, and a pivoted LU of a general matrix, the
+Toeplitz route that checks the Cholesky independently.
 
-The factorisation runs in fixed point on Python integers (twlab.fixedpoint
-supplies the exact dot products and the conversion back).  The input is the
-lower triangle of the matrix M on the grid 2^-F: rows[i][j] = M_ij 2^F,
-rounded to an integer, for j <= i (entries past the diagonal are not read).
-The factor L (M = L L^T) is kept on the same grid, so every dot product of
-two rows of L is exact in units of 2^-2F, and each entry of L costs one
-integer division by the diagonal of L; each pivot costs one math.isqrt.
+Both run in fixed point on Python integers (twlab.fixedpoint supplies the
+exact dot products and the conversion back).  The input is the matrix M on
+the grid 2^-F: rows[i][j] = M_ij 2^F, rounded to an integer.  The Cholesky
+reads the lower triangle only (j <= i; entries past the diagonal are not
+read).  Its factor L (M = L L^T) is kept on the same grid, so every dot
+product of two rows of L is exact in units of 2^-2F, and each entry of L
+costs one integer division by the diagonal of L; each pivot costs one
+math.isqrt.  The LU keeps L and U on the same grid as well, so each entry of
+U is one exact dot product and one shift back to the grid, and each entry
+of L one floor division by the pivot.
 
 F is the precision the caller already works at: the Nystrom matrix is
 assembled at ctx.precision_bits + 32 bits, a Toeplitz ladder pass at its
@@ -19,7 +24,10 @@ Numerical Algorithms, 2nd ed., Thm 10.3), and the grid's errors, one unit
 2^-F per entry of L times an entry of L of size at most sqrt(m_jj), stay
 within that bound when m_jj >= 1.  The Nystrom diagonal lies in (0, 1],
 at least 0.82 at x = -8, m = 80.  The Toeplitz diagonal is
-I_0(2t) >= 1.
+I_0(2t) >= 1.  The LU with partial pivoting has |L_ij| <= 1, so its grid
+errors are one unit 2^-F per entry of U and per entry of L times an entry
+of U, within its backward error bound (Higham, Thm 9.3) on the same
+matrices.
 """
 
 from __future__ import annotations
@@ -61,4 +69,41 @@ def cholesky_log_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
         li.append(math.isqrt(d))
         low.append(li)
         out.append(mp.log(from_grid(d, 2 * frac_bits)))
+    return out
+
+
+def lu_log_abs_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
+                      what: str) -> List[mpf]:
+    """log |u_kk|, k = 0..n-1, for the pivots of the LU factorisation with
+    partial pivoting, P M = L U, of the n x n matrix M with rows[i][j] =
+    M_ij 2^frac_bits, so log |det M| is the sum of the result.  The logs
+    are taken at the caller's mp.prec; ``rows`` is not modified.
+
+    Left-looking (Doolittle): column k is formed from the k columns of L
+    already done.  Entry i of it is (M_ik 2^F - sum_j L_ij U_jk) >> F with
+    the sum exact, for i < k an entry of U and for i >= k a pivot candidate;
+    the candidate largest in size is swapped into row k (the finished part
+    of L moves with its row) and the ones below it become column k of L,
+    (c_i 2^F) // u_kk.  A zero pivot means the matrix (named by ``what``) is
+    singular on the grid and raises InternalConsistencyError."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    out: List[mpf] = []
+    for k in range(n):
+        # a[i][:min(i, k)] holds row i of L; dot pairs it with u, which
+        # holds the entries of column k of U formed so far
+        u: List[int] = []
+        for i in range(k):
+            u.append(((a[i][k] << frac_bits) - dot(a[i], u)) >> frac_bits)
+        for i in range(k, n):
+            a[i][k] = ((a[i][k] << frac_bits) - dot(a[i], u)) >> frac_bits
+        p = max(range(k, n), key=lambda r: abs(a[r][k]))
+        pivot = a[p][k]
+        if pivot == 0:
+            raise InternalConsistencyError(f"singular {what} at index {k}")
+        if p != k:
+            a[p], a[k] = a[k], a[p]
+        out.append(mp.log(abs(from_grid(pivot, frac_bits))))
+        for i in range(k + 1, n):
+            a[i][k] = (a[i][k] << frac_bits) // pivot
     return out

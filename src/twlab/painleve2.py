@@ -19,10 +19,10 @@ formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
 Every read goes through one table per integrand: each element's Chebyshev
-coefficients, from a DCT-I of its nodal values, with every row put once on
-its own fixed-point grid (fixedpoint.row_to_grid; q spans seven decades on
-the default window, so one grid for all rows would lose the relative
-accuracy where q is small).  A point value of q or q' is one integer
+coefficients, from an integer DCT-I of its nodal values, with every row put
+once on its own fixed-point grid (fixedpoint.row_to_grid; q spans seven
+decades on the default window, so one grid for all rows would lose the
+relative accuracy where q is small).  A point value of q or q' is one integer
 Clenshaw sum over the located element's row; integrals of q and R
 integrate the same rows term by term (integrate_kind), so they are one
 integer Clenshaw sum plus a cumulative edge value.
@@ -645,27 +645,50 @@ def _nodal_values(solution: HMSolution, kind: str, e: int) -> List[mpf]:
 
 def _chebyshev_table(solution: HMSolution, kind: str, bits: int) -> List[List[mpf]]:
     """Per element, the coefficients of T_0..T_p in t in [-1, 1] of the
-    degree-p interpolant of ``kind``, computed at bits + 16.
+    degree-p interpolant of ``kind``, rounded once to bits + 16.
 
     Cached per (kind, bits); point values and integrals read the same rows.
     The nodes -cos(pi j/p) are the Lobatto points, so the coefficients are a
-    DCT-I of the nodal values (Trefethen, ATAP, ch. 3)."""
+    DCT-I of the nodal values (Trefethen, ATAP, ch. 3).  The DCT runs in
+    integers: the matrix on one grid (_dct_on_grid), each element's values
+    on their own (fixedpoint.row_to_grid at bits + 16 + _READ_GUARD), and
+    each coefficient one exact fixedpoint.dot."""
     return solution.cached(("chebyshev", kind, bits),
                            lambda: _build_chebyshev_table(solution, kind, bits))
 
 
-def _build_chebyshev_table(solution: HMSolution, kind: str, bits: int):
-    p = solution.p
+_dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
+
+
+def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
+    """(F, rows): the (p+1) x (p+1) DCT-I matrix that takes the values at
+    -cos(pi j/p) to the coefficients of T_0..T_p, computed at bits + 16 and
+    put on the grid 2^-F, F = bits + 32 (exact for the entries, which are
+    at least about pi / (2 p^2) in size, up to p of about 300).  Memoised per
+    (p, bits)."""
+    key = (p, bits)
+    if key in _dct_cache:
+        return _dct_cache[key]
+    frac = bits + 32
     with mp.workprec(bits + 16):
         cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
-        # values at -cos(pi j/p) -> coefficients of T_0..T_p
-        dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
-                for j in range(p + 1)] for n in range(p + 1)]
-        table = []
+        rows = [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p
+                                    * cosines[n * j % (2 * p)], frac)
+                 for j in range(p + 1)] for n in range(p + 1)]
+    return _dct_cache.setdefault(key, (frac, rows))
+
+
+def _build_chebyshev_table(solution: HMSolution, kind: str, bits: int):
+    dct_frac, dct = _dct_on_grid(solution.p, bits)
+    table = []
+    with mp.workprec(bits + 16):
         for e in range(len(solution._elem_q)):
-            f = _nodal_values(solution, kind, e)
-            table.append([mp.fdot(row, f) for row in dct])
+            frac, f = fixedpoint.row_to_grid(_nodal_values(solution, kind, e),
+                                             bits + 16 + _READ_GUARD)
+            frac += dct_frac
+            table.append([fixedpoint.from_grid(fixedpoint.dot(row, f), frac, bits + 16)
+                          for row in dct])
     return table
 
 

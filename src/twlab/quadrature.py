@@ -1,8 +1,18 @@
 """Gauss-Legendre rules at arbitrary precision.
 
-Nodes are found by Newton iteration on the Legendre recurrence, seeded from
-the float64 Chebyshev estimate; rules are cached per (n, precision) behind a
-lock so concurrent callers share read-only tables.
+Each node is found by Newton's method in two stages.  The first runs in
+float64 from the Chebyshev-like estimate cos(pi (i + 3/4) / (n + 1/2)) to the
+double-precision root.  The second runs on Python integers on the grid
+2^-(prec + 24) (twlab.fixedpoint): the three-term Legendre recurrence
+(k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)) costs one integer
+multiplication, one shift and one floor division per step, and each Newton
+step doubles the correct bits, so a few steps reach the stop
+|dx| < 2^-(prec + 8).  A node that does not reach it raises PrecisionError.
+The weight 2 / ((1 - x^2) P_n'(x)^2) is then formed once in mpf from the
+converged node and the recurrence's last two values.
+
+Rules are cached per (n, precision) behind a lock so concurrent callers share
+read-only tables.
 """
 
 from __future__ import annotations
@@ -13,16 +23,33 @@ from typing import List, Tuple
 
 from mpmath import mp, mpf
 
+from .errors import PrecisionError
+from .fixedpoint import from_grid
+
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()
 
 
-def _legendre_and_derivative(n: int, x: mpf) -> Tuple[mpf, mpf]:
-    p0, p1 = mpf(1), x
+def _float64_root(n: int, i: int) -> float:
+    """The i-th largest root of P_n by Newton's method in float64."""
+    x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+    for _ in range(20):
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dx = p1 * (x * x - 1) / (n * (x * p1 - p0))
+        x -= dx
+        if abs(dx) < 1e-14:
+            break
+    return x
+
+
+def _legendre_on_grid(n: int, x: int, frac: int) -> Tuple[int, int]:
+    """(P_(n-1)(x), P_n(x)) on the grid 2^-frac, for x on the same grid."""
+    p0, p1 = 1 << frac, x
     for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
+        p0, p1 = p1, (((2 * k - 1) * x * p1 >> frac) - (k - 1) * p0) // k
+    return p0, p1
 
 
 def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
@@ -34,21 +61,33 @@ def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
         hit = _rule_cache.get(key)
     if hit is not None:
         return hit
-    with mp.workprec(prec + 24):
+    frac = prec + 24
+    one = 1 << frac
+    stop = 1 << (frac - prec - 8)
+    # the correct bits double from the 53 of the float64 root
+    steps = prec.bit_length() + 4
+    with mp.workprec(frac):
         nodes: List[mpf] = []
         weights: List[mpf] = []
         m = (n + 1) // 2
         for i in range(m):
-            x = mpf(math.cos(math.pi * (i + 0.75) / (n + 0.5)))
-            for _ in range(prec):
-                p, dp = _legendre_and_derivative(n, x)
-                dx = p / dp
+            x = int(math.ldexp(_float64_root(n, i), frac))
+            for _ in range(steps):
+                p0, p1 = _legendre_on_grid(n, x, frac)
+                # P_n / P_n' with P_n' = n (x P_n - P_(n-1)) / (x^2 - 1)
+                dx = p1 * ((x * x >> frac) - one) // (n * ((x * p1 >> frac) - p0))
                 x -= dx
-                if abs(dx) < mpf(2) ** (-prec - 8):
+                if abs(dx) < stop:
                     break
-            _, dp = _legendre_and_derivative(n, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append(x)
+            else:
+                raise PrecisionError(
+                    f"Gauss-Legendre node {i} of {n} did not converge to "
+                    f"2^-{prec + 8} in {steps} Newton steps")
+            p0, p1 = _legendre_on_grid(n, x, frac)
+            # w = 2 / ((1 - x^2) P_n'^2) = 2 (1 - x^2) / (n (x P_n - P_(n-1)))^2
+            w = (2 * from_grid(one - (x * x >> frac), frac)
+                 / (n * from_grid((x * p1 >> frac) - p0, frac)) ** 2)
+            nodes.append(from_grid(x, frac))
             weights.append(w)
         xs = [-v for v in nodes]
         ws = list(weights)

@@ -23,6 +23,9 @@ generic Toeplitz solver, not the discrete Painleve II recurrence, so kappa
 and pi stay independent of the Painleve module they are compared against;
 and since they come from two different computations, the Verblunsky
 identity 1 - pi_q(0)^2 = kappa_{q-1}^2 / kappa_q^2 checks both.
+toeplitz_log_det_lu checks the ladder's determinants by the second integer
+factorisation, the pivoted LU of linalg.lu_log_abs_pivots: the same grid,
+but a different factorisation, elimination order and rounding path.
 
 Everything is computed at adaptive precision by precision.stabilize: the
 working precision starts at ctx.precision_bits + guard_bits(t), with
@@ -48,7 +51,7 @@ from mpmath import mp, mpf
 from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError
 from .fixedpoint import to_grid
-from .linalg import cholesky_log_pivots
+from .linalg import cholesky_log_pivots, lu_log_abs_pivots
 from .precision import PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
@@ -243,43 +246,24 @@ def toeplitz_log_det(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
 
 def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
-    """Independent route: a pivoted LU of the full moment matrix, written
-    here and sharing nothing with the Cholesky of the ladder (different
-    factorisation, elimination order and rounding path), stabilized the
-    same way.  Used to check telescoping identities non-vacuously.
+    """Independent route: a pivoted LU of the full moment matrix
+    (linalg.lu_log_abs_pivots), sharing nothing with the Cholesky of the
+    ladder but the grid (different factorisation, elimination order and
+    rounding path), stabilized the same way.  Used to check telescoping
+    identities non-vacuously.
 
-    Left-looking (Doolittle) with partial pivoting: column k of U and the
-    pivot candidates below it are each formed with one mp.fdot over the k
-    columns of L already done, so every entry is rounded once; the row swaps
-    move the finished L part with the untouched columns.  The log |pivots|
-    are summed with mp.fsum."""
+    Each pass puts its Bessel row on the grid 2^-bits of its own precision,
+    as a ladder pass does, and builds the matrix from it in integers; the
+    log |pivots| are summed with mp.fsum.  The determinants of these
+    matrices are positive, so the log of |det| is log det."""
 
     def one(bits: int) -> mpf:
         with mp.workprec(bits):
-            a = _moment_matrix(_moment_row(spec.t, spec.n, spec.kind, bits),
-                               spec.n, spec.kind)
-            n = spec.n
-            logs: List[mpf] = []
-            for k in range(n):
-                # a[i][:i] holds row i of L for i < k; fdot pairs a[i] with
-                # u, which holds the i (then k) entries of column k of U
-                u: List[mpf] = []
-                for i in range(k):
-                    u.append(a[i][k] - mp.fdot(a[i], u))
-                for i in range(k, n):
-                    a[i][k] -= mp.fdot(a[i], u)
-                p = max(range(k, n), key=lambda r: abs(a[r][k]))
-                if a[p][k] == 0:
-                    raise InternalConsistencyError("singular moment matrix")
-                if p != k:
-                    a[p], a[k] = a[k], a[p]
-                # determinant of these matrices is positive; row swaps come in
-                # pairs of magnitude only, track |pivot|
-                logs.append(mp.log(abs(a[k][k])))
-                inv = 1 / a[k][k]
-                for i in range(k + 1, n):
-                    a[i][k] *= inv
-            return mp.fsum(logs)
+            row = [to_grid(v, bits)
+                   for v in _moment_row(spec.t, spec.n, spec.kind, bits)]
+            return mp.fsum(lu_log_abs_pivots(
+                _moment_matrix(row, spec.n, spec.kind), bits,
+                f"{spec.kind} moment matrix (t={spec.t})"))
 
     val, _ = stabilize(one, ctx.precision_bits + guard_bits(spec.t), ctx,
                        lambda a, b: abs(a - b),

@@ -51,3 +51,23 @@ def test_clenshaw_matches_mpf_sum():
             got = fixedpoint.from_grid(
                 fixedpoint.clenshaw(row, fixedpoint.to_grid(t, bits), bits), frac)
             assert abs(got - want) <= mpf(2) ** -(bits - 12)
+
+
+def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
+    # the LU route, the Gauss-Legendre rule and the Chebyshev tables run on
+    # Python integers; an mp.fdot in any of them fails here
+    from twlab import painleve2, quadrature, toeplitz_lab
+    from twlab.precision import PrecisionContext
+
+    def no_fdot(*args, **kwargs):
+        raise AssertionError("mp.fdot called")
+
+    sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+    monkeypatch.setattr(quadrature, "_rule_cache", {})
+    monkeypatch.setattr(painleve2, "_dct_cache", {})
+    monkeypatch.setattr(mp, "fdot", no_fdot)
+    spec = toeplitz_lab.MomentMatrixSpec(5.0, 12, "plain")
+    toeplitz_lab.toeplitz_log_det_lu(spec, PrecisionContext(256, 1e-22))
+    quadrature.gauss_legendre(80, 288)
+    for kind in ("q", "qp", "r"):
+        painleve2._chebyshev_table(sol, kind, sol.precision_bits)

@@ -343,6 +343,26 @@ class TestSpectralIntegration:
                     want = t * b1 - b2 + table[e][0]
                     assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 16)
 
+    def test_integer_dct_matches_mpf_fdot(self, hm_solution):
+        # the integer DCT against the mpf one it replaced: each coefficient
+        # one mp.fdot of an mpf DCT row at bits + 16; measured bit for bit
+        sol = hm_solution
+        bits, p = sol.precision_bits, sol.p
+        with mp.workprec(bits + 16):
+            cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
+            half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
+            dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
+                    for j in range(p + 1)] for n in range(p + 1)]
+            for kind in ("q", "qp", "r"):
+                table = painleve2._chebyshev_table(sol, kind, bits)
+                for e, row in enumerate(table):
+                    f = painleve2._nodal_values(sol, kind, e)
+                    want = [mp.fdot(d, f) for d in dct]
+                    if row == want:
+                        continue
+                    bound = max(abs(c) for c in want) * mpf(2) ** -(bits + 16)
+                    assert max(abs(a - b) for a, b in zip(row, want)) <= bound
+
     def test_matches_per_element_gauss_legendre(self, hm_solution, ctx256, wp300):
         sol = hm_solution
         r = lambda y: painleve2.r_of(sol, y)

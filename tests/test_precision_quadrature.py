@@ -2,7 +2,9 @@
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.calculus.quadrature import GaussLegendre
 
+from twlab import quadrature
 from twlab.errors import PrecisionError
 from twlab.precision import PrecisionContext, round_to, stabilize
 from twlab.quadrature import gauss_legendre
@@ -76,3 +78,23 @@ class TestGaussLegendre:
         a = gauss_legendre(24, 160)
         b = gauss_legendre(24, 160)
         assert a is b
+
+    def test_matches_mpmath_rule(self):
+        # mpmath's degree-6 rule has 3 * 2^5 = 96 nodes, found by mpf Newton
+        # at 480 bits to 2^-328
+        xs, ws = gauss_legendre(96, 288)
+        with mp.workprec(320):
+            ref = sorted(GaussLegendre(mp).calc_nodes(6, 320))
+        assert len(ref) == 96
+        with mp.workprec(400):
+            for x, w, (rx, rw) in zip(xs, ws, ref):
+                assert abs(x - rx) <= mpf(2) ** -280
+                assert abs(w / rw - 1) <= mpf(2) ** -280
+
+    def test_unconverged_node_raises(self, monkeypatch):
+        # a seed far outside [-1, 1] leaves Newton too far from the root
+        # for the steps it is allowed
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "_float64_root", lambda n, i: 40.0)
+        with pytest.raises(PrecisionError, match="did not converge"):
+            gauss_legendre(20, 128)

@@ -50,8 +50,8 @@ class TestLogDet:
         assert abs(a - b) <= mpf(10) ** -70
 
     def test_log_d56_pinned(self, wp300):
-        # log D_56(30) from the ladder and the right-looking LU elimination
-        # (identical at 256 bits), to 73 decimals
+        # log D_56(30) from the ladder's Cholesky and the left-looking
+        # pivoted LU (identical at 256 bits), to 73 decimals
         ref = mpf("899.665107163724684105397878627470076844476503207208460"
                   "8594946186761142913141")
         spec = tl.MomentMatrixSpec(30.0, 56)
