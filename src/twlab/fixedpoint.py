@@ -13,9 +13,10 @@ Stability of Numerical Algorithms, 2nd ed., ch. 10).
 
 The grid is absolute, so its error is relative only to the largest entry it
 was sized for.  Rows of values that differ widely in size therefore get one
-grid each (row_to_grid): F = bits - mag(largest entry), so every row keeps
-``bits`` significant bits of its largest entry, whatever its scale.  The
-Hastings-McLeod Chebyshev tables need this.  q falls from about 2.4 at
+grid each (row_to_grid, or regrid for a row already on a grid): F = bits -
+mag(largest entry), so every row keeps ``bits`` significant bits of its
+largest entry, whatever its scale.  The Hastings-McLeod Chebyshev tables
+need this.  q falls from about 2.4 at
 x = -12 to about 1e-7 at x = 8, so one global grid sized for the largest row
 loses about 25 bits of relative accuracy at the right end.  Measured on the
 default 256-bit solve, over 1600 points of [-12, 8] against the same sums
@@ -69,6 +70,16 @@ def row_to_grid(values: Sequence, bits: int) -> Tuple[int, List[int]]:
     mags = [mp.mag(v) for v in values if v]
     frac = bits - max(mags) if mags else bits
     return frac, [to_grid(v, frac) for v in values]
+
+
+def regrid(row: Sequence[int], frac: int, bits: int) -> Tuple[int, List[int]]:
+    """row_to_grid of the values row[i] 2^-frac, in integers: the row is
+    shifted so its largest entry has ``bits`` bits, truncating toward zero."""
+    top = max(map(abs, row), default=0).bit_length()
+    shift = bits - top
+    if shift >= 0:
+        return frac + shift if top else bits, [n << shift for n in row]
+    return frac + shift, [n >> -shift if n >= 0 else -(-n >> -shift) for n in row]
 
 
 def clenshaw(coeffs: Sequence[int], t: int, t_bits: int) -> int:

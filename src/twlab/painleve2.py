@@ -9,23 +9,23 @@ floor; defect correction then brings the solution to the requested
 precision: the float64 Jacobian is eliminated once, and each sweep
 evaluates the residual at the working precision and subtracts J64^-1 r
 (iterative refinement).  The refinement runs in fixed point on Python
-integers (twlab.fixedpoint): the differentiation matrices, scales and nodes
-go on one grid 2^-F per mesh, u and r stay on it, and each row of D u is
-one exact integer dot product.  numpy is imported only by the solve;
-reading a stored solution never needs it.  One-sided shooting is useless
-here: the wanted solution is a separatrix and the growing modes amplify
-like exp(c |x|^(3/2)) from either end, which is exactly why the two-point
-formulation is mandatory.
+integers (twlab.fixedpoint): D1, the scales and the nodes go on one grid
+2^-F per mesh, D2 = D1 D1 is formed on it in integers, u and r stay on it,
+and each row of D u is one exact integer dot product.  numpy is imported
+only by the solve; reading a stored solution never needs it.  One-sided
+shooting is useless here: the wanted solution is a separatrix and the
+growing modes amplify like exp(c |x|^(3/2)) from either end, which is
+exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
-Every read goes through one table per integrand: each element's Chebyshev
-coefficients, from an integer DCT-I of its nodal values, with every row put
-once on its own fixed-point grid (fixedpoint.row_to_grid; q spans seven
-decades on the default window, so one grid for all rows would lose the
-relative accuracy where q is small).  A point value of q or q' is one integer
-Clenshaw sum over the located element's row; integrals of q and R
-integrate the same rows term by term (integrate_kind), so they are one
-integer Clenshaw sum plus a cumulative edge value.
+Every read goes through one integer table per integrand (_table): each
+element's Chebyshev coefficients, from an integer DCT-I of its nodal values,
+and their term-by-term antiderivative, every row on its own fixed-point grid
+(fixedpoint.regrid; q spans seven decades on the default window, so one grid
+for all rows would lose the relative accuracy where q is small).  A point
+value of q or q' is one integer Clenshaw sum over the located element's row;
+an integral of q or R is one such sum of the antiderivative row plus a
+cumulative edge value (integrate_kind).
 
 The left boundary data come from the large-negative expansion
 
@@ -40,7 +40,7 @@ ansatz into the ODE:
 
 This reproduces a_1 = 1/8 and a_2 = -73/128 exactly; higher coefficients are
 generated on demand (and are cross-checked numerically in the test suite, as
-printed sources disagree beyond a_2).
+printed sources disagree beyond a_2).  R's series follows from R' = -q^2.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 2
 # Raise when a change to the solver or its window policy changes the
 # solution it returns for the same arguments; disk caches are keyed by it.
-SOLVER_VERSION = 3
+SOLVER_VERSION = 4
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -102,46 +102,25 @@ def hm_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
 def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
     """rho_0..rho_order of R(x) = sum rho_m x^(2-3m).
 
-    Derived by pushing the q-series through R = (q')^2 - x q^2 - q^4:
-    with P(v) = sum a_k v^k, v = x^-3, and P1 = sum (-3k) a_k v^k,
+    Derived from R' = -q^2 (R is the integral of q^2 from x to infinity):
+    q^2 = (-x/2) P^2 with P(v) = sum a_k v^k, v = x^-3, so term by term
 
-        R = (x^2/4)(2 P^2 - P^4) - (1/x)(P^2/8 + P P1 / 2 + P1^2 / 2).
+        rho_m (2 - 3m) = (P^2)_m / 2.
+
+    2 - 3m is never 0, so no constant of integration enters.
 
     Written as R = (x^2/4)(1 - 1/(2 x^3) + 9/(16 x^6) + c x^-9 + ...), the
     x^-9 coefficient c printed in the sources does not match this
-    recursion, so the tests assert only the scale of that term, empirically
+    series, so the tests assert only the scale of that term, empirically
     against the solved R.
     """
     key = ("r", order)
     if key in _series_cache:
         return _series_cache[key]
-    a = hm_left_series_coefficients(order + 1)
-    n = order + 2
-
-    def mul(u: Sequence[Fraction], v: Sequence[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * n
-        for i, ui in enumerate(u):
-            if i >= n:
-                break
-            for j, vj in enumerate(v):
-                if i + j >= n:
-                    break
-                out[i + j] += ui * vj
-        return out
-
-    p = list(a[:n]) + [Fraction(0)] * max(0, n - len(a))
-    p1 = [Fraction(-3 * k) * p[k] for k in range(n)]
-    p2 = mul(p, p)
-    p4 = mul(p2, p2)
-    pp1 = mul(p, p1)
-    p1p1 = mul(p1, p1)
-    rho: List[Fraction] = []
-    for m in range(order + 1):
-        val = Fraction(1, 4) * (2 * p2[m] - p4[m])
-        if m >= 1:
-            val -= p2[m - 1] / 8 + pp1[m - 1] / 2 + p1p1[m - 1] / 2
-        rho.append(val)
-    return _series_cache.setdefault(key, tuple(rho))
+    a = hm_left_series_coefficients(order)
+    rho = tuple(sum(a[i] * a[m - i] for i in range(m + 1)) / (2 * (2 - 3 * m))
+                for m in range(order + 1))
+    return _series_cache.setdefault(key, rho)
 
 
 def _rational(c: Fraction) -> mpf:
@@ -229,18 +208,19 @@ def _diff_matrix(nodes: Sequence) -> List[List]:
 
 # Fraction bits of the refinement's fixed-point grid beyond the working
 # precision prec: u, its residual and the operators live on the grid
-# 2^-(prec + 48).  D1 and D2, prec-bit values no smaller than 2^-48, lie on
-# it exactly; a floor costs one unit, and a row of 4/h^2 D2 sums to about
-# 2^21 in absolute value on the default mesh (2^27 at h = 0.058), so the
-# residual is good to about 2^-(prec + 26), far below the stop at
-# 2^-(prec - 24).  An mp copy of u at prec bits would add 2^-prec times
-# that row sum, which exceeds the stop once the row sum passes 2^24.
+# 2^-(prec + 48).  D1, prec-bit values no smaller than 2^-48, lies on it
+# exactly; D2 is the exact integer product D1 D1 floored once onto it.  A
+# floor costs one unit, and a row of 4/h^2 D2 sums to about 2^21 in absolute
+# value on the default mesh (2^27 at h = 0.058), so the residual is good to
+# about 2^-(prec + 26), far below the stop at 2^-(prec - 24).  An mp copy of
+# u at prec bits would add 2^-prec times that row sum, which exceeds the stop
+# once the row sum passes 2^24.
 _RESIDUAL_GUARD = 48
 
 
 class _Mesh:
-    """Element layout and reference operators at the working precision; the
-    operators, scales and nodes on the refinement's fixed-point grid
+    """Element layout and the reference D1 at the working precision; D1,
+    D2 = D1 D1, the scales and the nodes on the refinement's fixed-point grid
     2^-frac, frac = precision + _RESIDUAL_GUARD; and float64 copies of the
     operators for the Jacobian."""
 
@@ -253,20 +233,20 @@ class _Mesh:
                       for e in range(k_elems + 1)]
         self.ref = _lobatto_nodes(p)
         self.d1 = _diff_matrix(self.ref)
-        self.d2 = [[mp.fdot(row, col) for col in zip(*self.d1)] for row in self.d1]
         self.h = [self.edges[e + 1] - self.edges[e] for e in range(k_elems)]
         self.nodes = [[(self.edges[e + 1] + self.edges[e]) / 2 + self.h[e] / 2 * t
                        for t in self.ref] for e in range(k_elems)]
         f = self.frac = mp.prec + _RESIDUAL_GUARD
-        grid = fixedpoint.to_grid
-        self.d1_fixed = [[grid(v, f) for v in row] for row in self.d1]
-        self.d2_fixed = [[grid(v, f) for v in row] for row in self.d2]
+        grid, dot = fixedpoint.to_grid, fixedpoint.dot
+        d1 = self.d1_fixed = [[grid(v, f) for v in row] for row in self.d1]
+        self.d2_fixed = [[dot(row, col) >> f for col in zip(*d1)] for row in d1]
         with mp.workprec(f):
             self.scale1_fixed = [grid(2 / h, f) for h in self.h]
             self.scale2_fixed = [grid(4 / (h * h), f) for h in self.h]
         self.nodes_fixed = [[grid(x, f) for x in row] for row in self.nodes]
         self.d1_f = np.array(self.d1, dtype=float)
-        self.d2_f = np.array(self.d2, dtype=float)
+        # int / int rounds correctly; float() of an integer this long overflows
+        self.d2_f = np.array([[v / (1 << f) for v in row] for row in self.d2_fixed])
         self.h_f = np.array(self.h, dtype=float)
         self.nodes_f = np.array(self.nodes, dtype=float)
 
@@ -473,15 +453,15 @@ _READ_GUARD = 32
 
 @dataclass
 class HMSolution:
-    """Immutable solution record; safe for concurrent reads.
+    """Immutable solution record.
 
     Stores each element's edges and its nodal values of q and q' once.
-    Everything read from them goes through the per-element Chebyshev
-    coefficient tables, which are kept through ``cached`` like every other
-    derived value, each row also as integers on its own grid: q_at and
-    q_prime_at sum one such row of the q or q' table in integers, and
-    integrate_kind integrates the rows of the q or R table.  from_json_dict
-    rejects a document whose arrays do not fit together."""
+    Everything read from them goes through the integer tables of _table,
+    kept through ``cached`` like every other derived value.  from_json_dict
+    rejects a document whose arrays do not fit together.
+
+    The library is single-threaded: mp.workprec sets the process-global
+    mp.prec.  The lock keeps only the memo dict consistent."""
 
     x_left: mpf
     x_right: mpf
@@ -525,7 +505,7 @@ class HMSolution:
         table, rounded to max(mp.prec, precision_bits + 16) bits."""
         bits = self.precision_bits
         e, t = self._position(mpf(x), bits)
-        frac, row = _grid_table(self, kind, bits)[e]
+        frac, row = _table(self, kind, bits)[0][e]
         return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, bits + _READ_GUARD),
                                     frac, max(mp.prec, bits + 16))
 
@@ -643,20 +623,6 @@ def _nodal_values(solution: HMSolution, kind: str, e: int) -> List[mpf]:
             for x, v, qp in zip(xs, q, solution._elem_qp[e])]
 
 
-def _chebyshev_table(solution: HMSolution, kind: str, bits: int) -> List[List[mpf]]:
-    """Per element, the coefficients of T_0..T_p in t in [-1, 1] of the
-    degree-p interpolant of ``kind``, rounded once to bits + 16.
-
-    Cached per (kind, bits); point values and integrals read the same rows.
-    The nodes -cos(pi j/p) are the Lobatto points, so the coefficients are a
-    DCT-I of the nodal values (Trefethen, ATAP, ch. 3).  The DCT runs in
-    integers: the matrix on one grid (_dct_on_grid), each element's values
-    on their own (fixedpoint.row_to_grid at bits + 16 + _READ_GUARD), and
-    each coefficient one exact fixedpoint.dot."""
-    return solution.cached(("chebyshev", kind, bits),
-                           lambda: _build_chebyshev_table(solution, kind, bits))
-
-
 _dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
 
 
@@ -679,54 +645,45 @@ def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
     return _dct_cache.setdefault(key, (frac, rows))
 
 
-def _build_chebyshev_table(solution: HMSolution, kind: str, bits: int):
+def _table(solution: HMSolution, kind: str, bits: int):
+    """(rows, antiderivatives, cum) of the degree-p interpolant of ``kind``,
+    cached per (kind, bits): point values and integrals read the same table.
+
+    Per element, the coefficients of T_0..T_p in t in [-1, 1] and of the
+    antiderivative in x (zero at the left edge), each a row (F_e, integers)
+    with bits + _READ_GUARD bits in its largest entry; cum holds the
+    integral from x_left to every edge, rounded to bits + 16.  The
+    coefficients are a DCT-I of the nodal values at the Lobatto points
+    (Trefethen, ATAP, ch. 3), each one exact fixedpoint.dot of the matrix
+    (_dct_on_grid) and the element's values (row_to_grid at bits + 16 +
+    _READ_GUARD); they integrate term by term (ATAP, ch. 19), with h/2 on
+    the grid 2^-(bits + _READ_GUARD) and one floor per coefficient."""
+    return solution.cached(("table", kind, bits),
+                           lambda: _build_table(solution, kind, bits))
+
+
+def _build_table(solution: HMSolution, kind: str, bits: int):
     dct_frac, dct = _dct_on_grid(solution.p, bits)
-    table = []
+    g = bits + _READ_GUARD
+    edges = solution._edges
+    rows, antis, cum = [], [], [mpf(0)]
     with mp.workprec(bits + 16):
-        for e in range(len(solution._elem_q)):
+        for e in range(len(edges) - 1):
             frac, f = fixedpoint.row_to_grid(_nodal_values(solution, kind, e),
                                              bits + 16 + _READ_GUARD)
             frac += dct_frac
-            table.append([fixedpoint.from_grid(fixedpoint.dot(row, f), frac, bits + 16)
-                          for row in dct])
-    return table
-
-
-def _grid_table(solution: HMSolution, kind: str, bits: int):
-    """The rows of _chebyshev_table, each on its own grid: (F_e, integer
-    row) from fixedpoint.row_to_grid at bits + _READ_GUARD.  Cached per
-    (kind, bits)."""
-    return solution.cached(("grid", kind, bits), lambda: [
-        fixedpoint.row_to_grid(row, bits + _READ_GUARD)
-        for row in _chebyshev_table(solution, kind, bits)])
-
-
-def _antiderivatives(solution: HMSolution, kind: str, bits: int):
-    """Per element, the Chebyshev coefficients of the antiderivative of the
-    degree-p interpolant of ``kind`` (zero at the element's left edge, in
-    units of x) as a row on its own grid (as in _grid_table), and its
-    cumulative values from x_left to every edge.
-
-    Cached per (kind, bits).  The rows of _chebyshev_table integrate term by
-    term: int T_n = T_(n+1)/(2(n+1)) - T_(n-1)/(2(n-1)) (ATAP, ch. 19)."""
-    return solution.cached(("antiderivative", kind, bits),
-                           lambda: _build_antiderivatives(solution, kind, bits))
-
-
-def _build_antiderivatives(solution: HMSolution, kind: str, bits: int):
-    p = solution.p
-    table = _chebyshev_table(solution, kind, bits)
-    with mp.workprec(bits + 16):
-        coeffs, cum = [], [mpf(0)]
-        for e, row in enumerate(table):
-            c = row + [mpf(0), mpf(0)]
-            scale = (solution._edges[e + 1] - solution._edges[e]) / 2
-            b = [mpf(0), scale * (c[0] - c[2] / 2)]
-            b += [scale * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, p + 2)]
-            b[0] = -sum((-1) ** k * b[k] for k in range(1, p + 2))
-            coeffs.append(fixedpoint.row_to_grid(b, bits + _READ_GUARD))
-            cum.append(cum[-1] + mp.fsum(b))
-    return coeffs, cum
+            c = [fixedpoint.dot(row, f) for row in dct]
+            rows.append(fixedpoint.regrid(c, frac, g))
+            # b_k = (h/2)(c_(k-1) - c_(k+1)) / (2k) with c_0 counted twice, on
+            # the grid 2^-(frac + g); b_0 makes the antiderivative 0 at t = -1
+            half = fixedpoint.to_grid((edges[e + 1] - edges[e]) / 2, g)
+            c = [2 * c[0]] + c[1:] + [0, 0]
+            b = [0] + [half * (c[k - 1] - c[k + 1]) // (2 * k)
+                       for k in range(1, len(c) - 1)]
+            b[0] = sum(b[1::2]) - sum(b[2::2])
+            antis.append(fixedpoint.regrid(b, frac + g, g))
+            cum.append(cum[-1] + fixedpoint.from_grid(sum(b), frac + g))
+    return rows, antis, cum
 
 
 _KINDS = ("q", "r", "q_reg", "r_reg")
@@ -747,12 +704,12 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
     if kind.endswith("_reg") and b > 0:
         raise DomainError(f"{kind} integrates only up to 0 (sqrt(-y) branches there)")
     bits = ctx.precision_bits
-    coeffs, cum = _antiderivatives(solution, kind.partition("_")[0], bits)
+    _, antis, cum = _table(solution, kind.partition("_")[0], bits)
 
     def upto(x: mpf) -> mpf:
         # integral from x_left to x
         e, t = solution._position(x, bits)
-        frac, row = coeffs[e]
+        frac, row = antis[e]
         return cum[e] + fixedpoint.from_grid(
             fixedpoint.clenshaw(row, t, bits + _READ_GUARD), frac)
 

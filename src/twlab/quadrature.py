@@ -11,8 +11,9 @@ step doubles the correct bits, so a few steps reach the stop
 The weight 2 / ((1 - x^2) P_n'(x)^2) is then formed once in mpf from the
 converged node and the recurrence's last two values.
 
-Rules are cached per (n, precision) behind a lock so concurrent callers share
-read-only tables.
+Rules are cached per (n, precision).  The library is single-threaded
+(mp.workprec sets the process-global mp.prec); the lock keeps only the memo
+dict consistent.
 """
 
 from __future__ import annotations

@@ -14,11 +14,11 @@ kappa, pi or the F E limit, both of which this module's tests pin down.)
 plus the orthogonal-polynomial objects derived from the plain family:
 log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder), the
 negated log pivots of the integer fixed-point Cholesky of the moment matrix
-(linalg.cholesky_log_pivots, shared with the Fredholm oracle; each pass puts
-its Bessel row on the grid 2^-bits of its own precision and builds the
-matrix from it in integers), and pi_q(0), the constant term of the
-monic orthogonal polynomial (the q-th reflection coefficient), from the
-Levinson-Durbin recursion on the moments I_k(2t).  Levinson-Durbin is a
+(linalg.cholesky_log_pivots, shared with the Fredholm oracle), and pi_q(0),
+the constant term of the monic orthogonal polynomial (the q-th reflection
+coefficient), from the Levinson-Durbin recursion on the moments I_k(2t).
+Each pass puts its Bessel row on the grid 2^-bits of its own precision once
+and runs both, and the LU below, on it in integers.  Levinson-Durbin is a
 generic Toeplitz solver, not the discrete Painleve II recurrence, so kappa
 and pi stay independent of the Painleve module they are compared against;
 and since they come from two different computations, the Verblunsky
@@ -50,7 +50,7 @@ from mpmath import mp, mpf
 
 from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError
-from .fixedpoint import to_grid
+from .fixedpoint import dot, from_grid, to_grid
 from .linalg import cholesky_log_pivots, lu_log_abs_pivots
 from .precision import PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
@@ -90,15 +90,15 @@ def guard_bits(t: float) -> int:
 # Core ladder: Cholesky pivots of the moment matrix + Levinson-Durbin for pi
 # ---------------------------------------------------------------------------
 
-def _moment_row(t, n: int, kind: str, bits: int) -> List[mpf]:
-    """I_j(2t) for every j an n x n matrix of the family reads."""
+def _moment_row(t, n: int, kind: str, bits: int) -> List[int]:
+    """I_j(2t) on the grid 2^-bits, for every j an n x n family matrix reads."""
     max_j = n - 1 if kind == "plain" else 2 * n
-    return specialfn.bessel_i_row(max_j, 2 * mpf(t), PrecisionContext(bits, 1e-30, 1))
+    return [to_grid(v, bits) for v in
+            specialfn.bessel_i_row(max_j, 2 * mpf(t), PrecisionContext(bits, 1e-30, 1))]
 
 
 def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
-    """The n x n moment matrix of the family from its row of moments,
-    mpf values or fixed-point integers alike."""
+    """The n x n moment matrix of the family from its row of moments."""
     mat = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(n):
@@ -111,24 +111,28 @@ def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
     return mat
 
 
-def _levinson_constant_terms(moments: Sequence[mpf], q_max: int) -> Dict[int, mpf]:
+def _levinson_constant_terms(moments: Sequence[int], q_max: int,
+                             bits: int) -> Dict[int, mpf]:
     """pi_q(0) for q = 1..q_max by the Levinson-Durbin recursion on the
-    moments c_k = moments[k], k <= q_max.  With a the coefficients of the
-    monic pi_q (a_q = 1) and E_q = <pi_q, pi_q> = D_{q+1}/D_q:
+    moments c_k = moments[k], k <= q_max, on the grid 2^-bits.  With a the
+    coefficients of the monic pi_q (a_q = 1) and E_q = <pi_q, pi_q> =
+    D_{q+1}/D_q:
 
         pi_{q+1}(0) = -(sum_k a_k c_{k+1}) / E_q,
         pi_{q+1}(z) = z pi_q(z) + pi_{q+1}(0) z^q pi_q(1/z),
         E_{q+1}     = E_q (1 - pi_{q+1}(0)^2).
 
-    O(q_max^2) operations."""
-    a = [mpf(1)]
+    a and E_q stay on the grid: each step is one exact dot and one floor per
+    division or product, O(q_max^2) integer operations in all."""
+    one = 1 << bits
+    a = [one]
     energy = moments[0]
     out: Dict[int, mpf] = {}
     for q in range(q_max):
-        r = -mp.fdot(a, moments[1:q + 2]) / energy
-        a = [r] + [a[k - 1] + r * a[q - k] for k in range(1, q + 1)] + [mpf(1)]
-        energy *= 1 - r * r
-        out[q + 1] = r
+        r = -dot(a, moments[1:q + 2]) // energy
+        a = [r] + [a[k - 1] + ((r * a[q - k]) >> bits) for k in range(1, q + 1)] + [one]
+        energy = (energy * (one * one - r * r)) >> (2 * bits)
+        out[q + 1] = from_grid(r, bits)
     return out
 
 
@@ -189,10 +193,9 @@ def _ladder_pass(t, kind: str, n_cap: int) -> Callable[[int], _LadderValues]:
     def one(bits: int) -> _LadderValues:
         with mp.workprec(bits):
             row = _moment_row(t, n_cap, kind, bits)
-            fixed = [to_grid(v, bits) for v in row]
-            pivots = cholesky_log_pivots(_moment_matrix(fixed, n_cap, kind), bits,
+            pivots = cholesky_log_pivots(_moment_matrix(row, n_cap, kind), bits,
                                          f"{kind} moment matrix (t={t})")
-            pi0 = (_levinson_constant_terms(row, n_cap - 1)
+            pi0 = (_levinson_constant_terms(row, n_cap - 1, bits)
                    if kind == "plain" else {})
             return pivots, pi0
 
@@ -252,15 +255,13 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
     rounding path), stabilized the same way.  Used to check telescoping
     identities non-vacuously.
 
-    Each pass puts its Bessel row on the grid 2^-bits of its own precision,
-    as a ladder pass does, and builds the matrix from it in integers; the
-    log |pivots| are summed with mp.fsum.  The determinants of these
-    matrices are positive, so the log of |det| is log det."""
+    Each pass builds the matrix in integers from the row of _moment_row, as
+    a ladder pass does.  The determinants of these matrices are positive,
+    so the log of |det| is log det."""
 
     def one(bits: int) -> mpf:
         with mp.workprec(bits):
-            row = [to_grid(v, bits)
-                   for v in _moment_row(spec.t, spec.n, spec.kind, bits)]
+            row = _moment_row(spec.t, spec.n, spec.kind, bits)
             return mp.fsum(lu_log_abs_pivots(
                 _moment_matrix(row, spec.n, spec.kind), bits,
                 f"{spec.kind} moment matrix (t={spec.t})"))

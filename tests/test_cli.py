@@ -240,6 +240,21 @@ class TestToeplitzCommands:
         assert len(rows) == 9
         assert all(float(r[3]) < 0 for r in rows[1:])
 
+    def test_scan_no_pi_empties_only_the_pi0_column(self, workdir):
+        args = ["toeplitz-scan", "--t", "3", "--qmax", "8", "--format", "csv"]
+        code, text = run_cli(args, workdir, "scan_pi.csv")
+        assert code == 0
+        code, text_no_pi = run_cli(args + ["--no-pi"], workdir, "scan_no_pi.csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        rows_no_pi = list(csv.reader(io.StringIO(text_no_pi)))
+        col = rows[0].index("pi0")
+        assert rows_no_pi[0] == rows[0]
+        assert all(r[col] for r in rows[1:])
+        assert all(r[col] == "" for r in rows_no_pi[1:])
+        assert ([r[:col] + r[col + 1:] for r in rows_no_pi]
+                == [r[:col] + r[col + 1:] for r in rows])
+
     def test_limits_sum_parts(self, workdir):
         code, text = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
                               "--L", "3", "--M", "3"] + FAST,

@@ -53,9 +53,29 @@ def test_clenshaw_matches_mpf_sum():
             assert abs(got - want) <= mpf(2) ** -(bits - 12)
 
 
+def test_regrid_matches_row_to_grid_of_exact_values():
+    rng = random.Random(8)
+    for _ in range(50):
+        frac = rng.randint(-20, 400)
+        row = [rng.randint(-2 ** 300, 2 ** 300) >> rng.randint(0, 290)
+               for _ in range(rng.randint(1, 30))]
+        # bits above the row's size shift it left, bits below truncate
+        # toward zero, negative entries included
+        for bits in (8, 100, 350):
+            want = fixedpoint.row_to_grid(
+                [fixedpoint.from_grid(n, frac) for n in row], bits)
+            assert fixedpoint.regrid(row, frac, bits) == want
+    assert fixedpoint.regrid([-7, 5], 3, 2) == (2, [-3, 2])
+    assert fixedpoint.regrid([3, -1], 10, 5) == (13, [24, -8])
+    assert fixedpoint.regrid([0, 0, 0], 12, 64) == (64, [0, 0, 0])
+    assert fixedpoint.regrid([0, 0, 0], 12, 64) == fixedpoint.row_to_grid(
+        [mpf(0)] * 3, 64)
+
+
 def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
-    # the LU route, the Gauss-Legendre rule and the Chebyshev tables run on
-    # Python integers; an mp.fdot in any of them fails here
+    # the solve, the ladder with pi, the LU route, the Gauss-Legendre rule
+    # and the Chebyshev tables run on Python integers; an mp.fdot in any of
+    # them fails here
     from twlab import painleve2, quadrature, toeplitz_lab
     from twlab.precision import PrecisionContext
 
@@ -65,9 +85,14 @@ def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
     sol = painleve2.HMSolution.from_json(hm_solution.to_json())
     monkeypatch.setattr(quadrature, "_rule_cache", {})
     monkeypatch.setattr(painleve2, "_dct_cache", {})
+    monkeypatch.setattr(toeplitz_lab, "_ladder_cache", toeplitz_lab._LadderCache())
     monkeypatch.setattr(mp, "fdot", no_fdot)
+    painleve2.solve_hastings_mcleod(-8, 6, 200, PrecisionContext(64, 1e-12))
+    ctx = PrecisionContext(256, 1e-22)
+    ladder = toeplitz_lab.get_ladder(5.0, "plain", 12, ctx)
+    assert len(ladder.pi0) == 11
     spec = toeplitz_lab.MomentMatrixSpec(5.0, 12, "plain")
-    toeplitz_lab.toeplitz_log_det_lu(spec, PrecisionContext(256, 1e-22))
+    toeplitz_lab.toeplitz_log_det_lu(spec, ctx)
     quadrature.gauss_legendre(80, 288)
     for kind in ("q", "qp", "r"):
-        painleve2._chebyshev_table(sol, kind, sol.precision_bits)
+        painleve2._table(sol, kind, sol.precision_bits)

@@ -32,14 +32,30 @@ def _gauss_legendre(sol, f, a, b):
     return total
 
 
+def _mpf_dct(sol, kind, bits):
+    """Per element, the Chebyshev coefficients of ``kind`` from an mpf DCT-I
+    of its nodal values: the DCT matrix rounded to bits + 16, as the
+    library's is, and each coefficient one mp.fdot at 2 bits."""
+    p = sol.p
+    with mp.workprec(bits + 16):
+        cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
+        half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
+        dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
+                for j in range(p + 1)] for n in range(p + 1)]
+        values = [painleve2._nodal_values(sol, kind, e) for e in range(len(sol._elem_q))]
+    with mp.workprec(2 * bits):
+        return [[mp.fdot(d, f) for d in dct] for f in values]
+
+
 class TestLeftSeries:
     def test_q_coefficients_low_orders(self):
         a = painleve2.hm_left_series_coefficients(2)
         assert a == (Fraction(1), Fraction(1, 8), Fraction(-73, 128))
 
     def test_r_coefficients_low_orders(self):
-        rho = painleve2.r_left_series_coefficients(2)
-        assert rho == (Fraction(1, 4), Fraction(-1, 8), Fraction(9, 64))
+        rho = painleve2.r_left_series_coefficients(4)
+        assert rho == (Fraction(1, 4), Fraction(-1, 8), Fraction(9, 64),
+                       Fraction(-189, 128), Fraction(21663, 512))
 
     def test_series_satisfies_ode(self, wp300):
         # the truncated expansion must kill q'' - 2q^3 - xq through its
@@ -145,7 +161,8 @@ class TestSolver:
 
     def test_fixed_point_residual_matches_double_precision(self):
         # the converged default mesh: the integer residual against an mp
-        # residual of the same u at twice the working precision
+        # residual of the same u at twice the working precision, with
+        # D2 = D1 D1 formed here from the mp D1
         prec = 256 + 64
         with mp.workprec(prec):
             mesh = painleve2._Mesh(mpf(-12), mpf(8), 46, painleve2._ELEMENT_DEGREE)
@@ -158,10 +175,11 @@ class TestSolver:
         u = [[fixedpoint.from_grid(v, f) for v in row] for row in u]
         res = [[fixedpoint.from_grid(v, f) for v in row] for row in res]
         with mp.workprec(2 * prec):
+            d2 = [[mp.fdot(row, col) for col in zip(*mesh.d1)] for row in mesh.d1]
             for e, (ue, re) in enumerate(zip(u, res)):
                 h = mesh.h[e]
                 ref = [ue[0] - bc_l if e == 0 else u[e - 1][p] - ue[0]]
-                ref += [4 / (h * h) * mp.fdot(mesh.d2[i], ue)
+                ref += [4 / (h * h) * mp.fdot(d2[i], ue)
                         - (2 * ue[i] ** 2 + mesh.nodes[e][i]) * ue[i]
                         for i in range(1, p)]
                 ref.append(ue[p] - bc_r if e == mesh.k - 1 else
@@ -303,13 +321,13 @@ class TestSpectralIntegration:
             self, hm_solution, ctx256, monkeypatch):
         # point values and integrals of q read the same table
         built = []
-        build = painleve2._build_chebyshev_table
+        build = painleve2._build_table
 
         def counting(solution, kind, bits):
             built.append(kind)
             return build(solution, kind, bits)
 
-        monkeypatch.setattr(painleve2, "_build_chebyshev_table", counting)
+        monkeypatch.setattr(painleve2, "_build_table", counting)
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         assert ctx256.precision_bits == sol.precision_bits
         sol.q_at(-3)
@@ -330,9 +348,9 @@ class TestSpectralIntegration:
         span = sol.x_right - sol.x_left
         xs = ([6 + mpf(2) * i / 97 for i in range(97)]
               + [sol.x_left + span * i / 401 for i in range(402)])
-        with mp.workprec(2 * bits):
-            for kind, read in (("q", sol.q_at), ("qp", sol.q_prime_at)):
-                table = painleve2._chebyshev_table(sol, kind, bits)
+        for kind, read in (("q", sol.q_at), ("qp", sol.q_prime_at)):
+            table = _mpf_dct(sol, kind, bits)
+            with mp.workprec(2 * bits):
                 for x in xs:
                     e, _ = sol._position(x, bits)
                     a, b = sol._edges[e], sol._edges[e + 1]
@@ -344,24 +362,16 @@ class TestSpectralIntegration:
                     assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 16)
 
     def test_integer_dct_matches_mpf_fdot(self, hm_solution):
-        # the integer DCT against the mpf one it replaced: each coefficient
-        # one mp.fdot of an mpf DCT row at bits + 16; measured bit for bit
+        # the integer DCT, exact and then truncated to its row's grid,
+        # against the mpf one
         sol = hm_solution
-        bits, p = sol.precision_bits, sol.p
-        with mp.workprec(bits + 16):
-            cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
-            half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
-            dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
-                    for j in range(p + 1)] for n in range(p + 1)]
-            for kind in ("q", "qp", "r"):
-                table = painleve2._chebyshev_table(sol, kind, bits)
-                for e, row in enumerate(table):
-                    f = painleve2._nodal_values(sol, kind, e)
-                    want = [mp.fdot(d, f) for d in dct]
-                    if row == want:
-                        continue
-                    bound = max(abs(c) for c in want) * mpf(2) ** -(bits + 16)
-                    assert max(abs(a - b) for a, b in zip(row, want)) <= bound
+        bits = sol.precision_bits
+        for kind in ("q", "qp", "r"):
+            rows = painleve2._table(sol, kind, bits)[0]
+            for (frac, row), want in zip(rows, _mpf_dct(sol, kind, bits)):
+                got = [fixedpoint.from_grid(c, frac) for c in row]
+                bound = max(abs(c) for c in want) * mpf(2) ** -(bits + 16)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= bound
 
     def test_matches_per_element_gauss_legendre(self, hm_solution, ctx256, wp300):
         sol = hm_solution
