@@ -17,6 +17,10 @@ The expensive boundary-value solve is cached on disk, one file per
 that does not decode is solved again and replaced.  Delete the cache
 directory to force a re-solve.
 Exit codes: 0 success, 1 verification/precision failure, 2 invalid input.
+
+main(argv) is the entry point: run(build_parser().parse_args(argv)).  run
+and every command read the argparse namespace itself, so each option is
+declared, defaulted and documented once, in build_parser.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -43,33 +46,6 @@ ENV_PRECISION = "TW_PRECISION_BITS"
 ENV_CACHE = "TW_CACHE_DIR"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    x: Optional[float] = None
-    t: Optional[float] = None
-    beta: Optional[int] = None
-    L: Optional[int] = None
-    M: Optional[int] = None
-    precision_bits: int = 256
-    tolerance: float = 1e-10
-    m_quad: int = 80
-    format: str = "json"
-    output_path: Optional[str] = None
-    cache_dir: str = ".twlab_cache"
-    x_left: float = -12.0
-    x_right: float = 8.0
-    nodes: int = 1100
-    x_min: Optional[float] = None
-    x_max: Optional[float] = None
-    step: float = 1.0
-    q_min: int = 1
-    q_max: Optional[int] = None
-    with_pi: bool = True
-    e_side: bool = False
-    check: bool = True
-
-
 def _num(v) -> str:
     # conversion must not re-round existing high-precision values at the
     # ambient (53-bit) working precision
@@ -78,11 +54,11 @@ def _num(v) -> str:
 
 
 def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
-          config: RunConfig) -> None:
+          args: argparse.Namespace) -> None:
     """Write the result document as JSON, or the row table as CSV."""
-    if config.format == "csv":
+    if args.format == "csv":
         if rows is None:
-            raise DomainError(f"command {config.command} has no CSV form")
+            raise DomainError(f"command {args.command} has no CSV form")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
@@ -94,30 +70,32 @@ def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
             doc = dict(doc)
             doc["rows"] = rows
         text = json.dumps(doc, indent=2) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+    if args.output_path:
+        with open(args.output_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _context(config: RunConfig, tolerance: Optional[float] = None) -> PrecisionContext:
-    return PrecisionContext(config.precision_bits,
-                            tolerance if tolerance is not None else config.tolerance)
+def _context(args: argparse.Namespace,
+             tolerance: Optional[float] = None) -> PrecisionContext:
+    return PrecisionContext(args.precision_bits,
+                            tolerance if tolerance is not None else args.tolerance)
 
 
-def _cache_path(config: RunConfig, ctx: PrecisionContext) -> str:
+def _cache_path(args: argparse.Namespace, ctx: PrecisionContext) -> str:
+    x_left, x_right = args.window
     key = (f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}"
-           f"_{config.x_left!r}_{config.x_right!r}"
-           f"_{config.nodes}_{ctx.precision_bits}.json").replace("-", "m")
-    return os.path.join(config.cache_dir, key)
+           f"_{x_left!r}_{x_right!r}"
+           f"_{args.nodes}_{ctx.precision_bits}.json").replace("-", "m")
+    return os.path.join(args.cache_dir, key)
 
 
-def _solution(config: RunConfig, ctx: PrecisionContext) -> painleve2.HMSolution:
+def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSolution:
     """Disk-cached Hastings-McLeod solve keyed by (solution schema, solver
     version, window, nodes, bits).  A cache file that does not decode is
     solved again and replaced."""
-    path = _cache_path(config, ctx)
+    path = _cache_path(args, ctx)
     if os.path.exists(path):
         with open(path) as fh:
             text = fh.read()
@@ -125,14 +103,19 @@ def _solution(config: RunConfig, ctx: PrecisionContext) -> painleve2.HMSolution:
             return painleve2.HMSolution.from_json(text)
         except (ValueError, KeyError):
             pass  # truncated, foreign or old-schema file: a cache miss
-    sol = painleve2.solve_hastings_mcleod(config.x_left, config.x_right,
-                                          config.nodes, ctx)
-    os.makedirs(config.cache_dir, exist_ok=True)
+    sol = painleve2.solve_hastings_mcleod(*args.window, args.nodes, ctx)
+    os.makedirs(args.cache_dir, exist_ok=True)
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(sol.to_json())
     os.replace(tmp, path)
     return sol
+
+
+def _solved(args: argparse.Namespace, tolerance: Optional[float] = None):
+    """(ctx, solution, tail constants) of the commands that read F."""
+    ctx = _context(args, tolerance)
+    return ctx, _solution(args, ctx), twdist.TailConstants.compute(ctx)
 
 
 def _point_row(pt: twdist.TWPoint) -> dict:
@@ -150,54 +133,48 @@ def _point_row(pt: twdist.TWPoint) -> dict:
 _POINT_COLUMNS = ["x", "F", "E", "F1", "F2", "F4", "representation"]
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    ctx = _context(config)
-    sol = _solution(config, ctx)
-    consts = twdist.TailConstants.compute(ctx)
-    pt = twdist.tw_point(config.x, sol, consts, ctx, check=config.check)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    ctx, sol, consts = _solved(args)
+    pt = twdist.tw_point(args.x, sol, consts, ctx, check=args.check)
     doc = {"schema_version": SCHEMA_VERSION, "command": "eval",
-           "precision_bits": config.precision_bits}
-    if config.beta is not None:
-        doc["beta"] = config.beta
-        doc["value"] = _num({1: pt.F1, 2: pt.F2, 4: pt.F4}[config.beta])
-    _emit(doc, [_point_row(pt)], _POINT_COLUMNS, config)
+           "precision_bits": args.precision_bits}
+    if args.beta is not None:
+        doc["beta"] = args.beta
+        doc["value"] = _num({1: pt.F1, 2: pt.F2, 4: pt.F4}[args.beta])
+    _emit(doc, [_point_row(pt)], _POINT_COLUMNS, args)
     return 0
 
 
-def _x_grid(config: RunConfig) -> List[mpf]:
-    if config.x_min is None or config.x_max is None:
-        raise DomainError("--xmin and --xmax are required")
-    if not (mp.isfinite(config.x_min) and mp.isfinite(config.x_max)):
+def _x_grid(args: argparse.Namespace) -> List[mpf]:
+    if not (mp.isfinite(args.x_min) and mp.isfinite(args.x_max)):
         raise DomainError("--xmin and --xmax must be finite")
-    if not config.step > 0:
+    if not args.step > 0:
         raise DomainError("--step must be positive")
     out = []
-    x = mpf(config.x_min)
-    while x <= mpf(config.x_max) + mpf(config.step) / 1000:
+    x = mpf(args.x_min)
+    while x <= mpf(args.x_max) + mpf(args.step) / 1000:
         out.append(+x)
-        x += mpf(config.step)
+        x += mpf(args.step)
     return out
 
 
-def _cmd_table(config: RunConfig) -> int:
-    ctx = _context(config)
-    sol = _solution(config, ctx)
-    consts = twdist.TailConstants.compute(ctx)
-    rows = [_point_row(twdist.tw_point(x, sol, consts, ctx, check=config.check))
-            for x in _x_grid(config)]
+def _cmd_table(args: argparse.Namespace) -> int:
+    ctx, sol, consts = _solved(args)
+    rows = [_point_row(twdist.tw_point(x, sol, consts, ctx, check=args.check))
+            for x in _x_grid(args)]
     doc = {"schema_version": SCHEMA_VERSION, "command": "table",
-           "precision_bits": config.precision_bits}
-    _emit(doc, rows, _POINT_COLUMNS, config)
+           "precision_bits": args.precision_bits}
+    _emit(doc, rows, _POINT_COLUMNS, args)
     return 0
 
 
-def _cmd_constants(config: RunConfig) -> int:
-    ctx = _context(config)
+def _cmd_constants(args: argparse.Namespace) -> int:
+    ctx = _context(args)
     consts = twdist.TailConstants.compute(ctx)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "constants",
-        "precision_bits": config.precision_bits,
+        "precision_bits": args.precision_bits,
         "zeta_prime_minus_one": _num(consts.zeta_prime_minus_one),
         "tau1": {"formula": "2^(-11/48) * exp(zeta'(-1)/2)",
                  "value": _num(consts.tau1)},
@@ -212,14 +189,12 @@ def _cmd_constants(config: RunConfig) -> int:
     }
     rows = [{"name": k, "formula": doc[k]["formula"], "value": doc[k]["value"]}
             for k in ("tau1", "tau2", "tau4", "f_prefactor", "e_prefactor")]
-    _emit(doc, rows, ["name", "formula", "value"], config)
+    _emit(doc, rows, ["name", "formula", "value"], args)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    ctx = _context(config, 1e-12)
-    sol = _solution(config, ctx)
-    consts = twdist.TailConstants.compute(ctx)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    ctx, sol, consts = _solved(args, 1e-12)
     items = []
 
     def item(name: str, measured, tolerance: float) -> None:
@@ -255,7 +230,7 @@ def _cmd_verify(config: RunConfig) -> int:
         item(f"total integral (q side) at c={c}", abs(lhs_q - rhs_q), 1e-6)
 
     # Verblunsky identity at t=3
-    tctx = _context(config, 1e-22)
+    tctx = _context(args, 1e-22)
     with mp.workprec(tctx.precision_bits):
         mx = mpf(0)
         for q in range(2, 21):
@@ -272,43 +247,39 @@ def _cmd_verify(config: RunConfig) -> int:
 
     ok = all(r["status"] == "pass" for r in items)
     doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
-           "precision_bits": config.precision_bits,
+           "precision_bits": args.precision_bits,
            "status": "pass" if ok else "fail"}
-    _emit(doc, items, ["item", "measured", "tolerance", "status"], config)
+    _emit(doc, items, ["item", "measured", "tolerance", "status"], args)
     return 0 if ok else 1
 
 
-def _cmd_oracle_compare(config: RunConfig) -> int:
-    ctx = _context(config)
-    sol = _solution(config, ctx)
-    consts = twdist.TailConstants.compute(ctx)
-    fctx = _context(config, max(config.tolerance, 1e-11))
+def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+    ctx, sol, consts = _solved(args)
+    fctx = _context(args, max(args.tolerance, 1e-11))
     rows = []
     mx = mpf(0)
-    for x in _x_grid(config):
-        f2p = twdist.tw_cdf(x, 2, sol, consts, ctx, check=config.check)
-        f2f = fredholm_oracle.f2_fredholm(x, config.m_quad, fctx,
+    for x in _x_grid(args):
+        f2p = twdist.tw_cdf(x, 2, sol, consts, ctx, check=args.check)
+        f2f = fredholm_oracle.f2_fredholm(x, args.m_quad, fctx,
                                           verify_convergence=False)
         dev = abs(f2p - f2f)
         mx = max(mx, dev)
         rows.append({"x": _num(x), "f2_painleve": _num(f2p),
                      "f2_fredholm": _num(f2f), "abs_diff": _num(dev)})
     doc = {"schema_version": SCHEMA_VERSION, "command": "oracle-compare",
-           "precision_bits": config.precision_bits, "m_quad": config.m_quad,
+           "precision_bits": args.precision_bits, "m_quad": args.m_quad,
            "max_abs_diff": _num(mx)}
-    _emit(doc, rows, ["x", "f2_painleve", "f2_fredholm", "abs_diff"], config)
+    _emit(doc, rows, ["x", "f2_painleve", "f2_fredholm", "abs_diff"], args)
     return 0
 
 
-def _cmd_toeplitz_scan(config: RunConfig) -> int:
-    if config.t is None:
-        raise DomainError("--t is required")
-    if not mp.isfinite(config.t):
+def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
+    if not mp.isfinite(args.t):
         raise DomainError("--t must be finite")
-    ctx = _context(config, min(config.tolerance, 1e-20))
-    q_max = config.q_max or int(2 * config.t) + 10
-    scan = toeplitz_lab.toeplitz_scan(config.t, range(config.q_min, q_max + 1),
-                                      ctx, with_pi=config.with_pi)
+    ctx = _context(args, min(args.tolerance, 1e-20))
+    q_max = args.q_max or int(2 * args.t) + 10
+    scan = toeplitz_lab.toeplitz_scan(args.t, range(args.q_min, q_max + 1),
+                                      ctx, with_pi=args.with_pi)
     rows = []
     for r in scan.records:
         rows.append({
@@ -327,23 +298,25 @@ def _cmd_toeplitz_scan(config: RunConfig) -> int:
            "t": _num(scan.t), "precision_bits_used": scan.precision_bits_used}
     _emit(doc, rows, ["t", "q", "gamma", "log_kappa_sq", "pi0",
                       "log_kappa_sq_airy_pred", "pi0_airy_pred",
-                      "precision_bits_used"], config)
+                      "precision_bits_used"], args)
     return 0
 
 
-def _cmd_toeplitz_limits(config: RunConfig) -> int:
-    if config.t is None or config.x is None:
-        raise DomainError("--t and --x are required")
-    if not (mp.isfinite(config.t) and mp.isfinite(config.x)):
+def _parts(rep) -> dict:
+    """Each part of a product-split report next to its large-t limit."""
+    return {name: {"value": _num(getattr(rep, f"{name}_part")),
+                   "limit": _num(getattr(rep, f"{name}_part_limit"))}
+            for name in ("exact", "airy", "painleve")}
+
+
+def _cmd_toeplitz_limits(args: argparse.Namespace) -> int:
+    if not (mp.isfinite(args.t) and mp.isfinite(args.x)):
         raise DomainError("--t and --x must be finite")
-    if config.L is None or config.M is None:
-        raise DomainError("--L and --M are required")
-    ctx = _context(config, min(config.tolerance, 1e-20))
-    sctx = _context(config, 1e-12)
-    sol = _solution(config, sctx)
-    if config.e_side:
-        rep = toeplitz_lab.e_double_scaling_check(config.t, config.x, config.L,
-                                                  config.M, sol, ctx)
+    ctx = _context(args, min(args.tolerance, 1e-20))
+    sol = _solution(args, ctx)
+    if args.e_side:
+        rep = toeplitz_lab.e_double_scaling_check(args.t, args.x, args.L,
+                                                  args.M, sol, ctx)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "toeplitz-limits",
@@ -353,40 +326,26 @@ def _cmd_toeplitz_limits(config: RunConfig) -> int:
             "fe_reference": _num(rep.fe_reference),
             "d_pp_value": _num(rep.d_pp_value),
             "d_mp_value": _num(rep.d_mp_value),
-            "parts": {
-                "exact": {"value": _num(rep.exact_part),
-                          "limit": _num(rep.exact_part_limit)},
-                "airy": {"value": _num(rep.airy_part),
-                         "limit": _num(rep.airy_part_limit)},
-                "painleve": {"value": _num(rep.painleve_part),
-                             "limit": _num(rep.painleve_part_limit)},
-            },
+            "parts": _parts(rep),
             "total_two_log_e": _num(rep.total_two_log_e),
             "identity_gap": _num(rep.identity_gap),
             "two_log_e_reference": _num(rep.two_log_e_reference),
         }
     else:
-        rep = toeplitz_lab.sum_parts_report(config.t, config.x, config.L,
-                                            config.M, sol, ctx)
+        rep = toeplitz_lab.sum_parts_report(args.t, args.x, args.L,
+                                            args.M, sol, ctx)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "toeplitz-limits",
             "mode": "sum_parts",
             "t": _num(rep.t), "x": _num(rep.x), "L": rep.L, "M": rep.M,
             "n": rep.n,
-            "parts": {
-                "exact": {"value": _num(rep.exact_part),
-                          "limit": _num(rep.exact_part_limit)},
-                "airy": {"value": _num(rep.airy_part),
-                         "limit": _num(rep.airy_part_limit)},
-                "painleve": {"value": _num(rep.painleve_part),
-                             "limit": _num(rep.painleve_part_limit)},
-            },
+            "parts": _parts(rep),
             "total": _num(rep.total),
             "total_direct": _num(rep.total_direct),
             "f2_reference": _num(rep.f2_reference),
         }
-    _emit(doc, None, None, config)
+    _emit(doc, None, None, args)
     return 0
 
 
@@ -467,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -479,14 +438,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(ns).items() if k in fields}
-    window = getattr(ns, "window", (-12.0, 8.0))
-    kwargs["x_left"], kwargs["x_right"] = window
-    config = RunConfig(**kwargs)
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -101,9 +101,9 @@ class TestSolutionCache:
 
     def _rerun_over(self, tmp_path, content):
         cache = str(tmp_path / "cache")
-        config = cli.RunConfig("eval", x=0.0, nodes=500, precision_bits=192,
-                               cache_dir=cache)
-        path = cli._cache_path(config, cli._context(config))
+        args = cli.build_parser().parse_args(
+            ["eval", "--x", "0"] + FAST + ["--cache-dir", cache])
+        path = cli._cache_path(args, cli._context(args))
         assert os.path.basename(path).startswith(
             f"hm_v{painleve2.SCHEMA_VERSION}_")
         os.makedirs(cache)
@@ -153,13 +153,13 @@ class TestSolutionCache:
 
     def test_solver_version_changes_the_key(self, tmp_path, monkeypatch):
         # a new solver that keeps the schema must not read the old solves
-        config = cli.RunConfig("eval", x=0.0, nodes=500, precision_bits=192,
-                               cache_dir=str(tmp_path))
-        ctx = cli._context(config)
-        before = cli._cache_path(config, ctx)
+        args = cli.build_parser().parse_args(
+            ["eval", "--x", "0"] + FAST + ["--cache-dir", str(tmp_path)])
+        ctx = cli._context(args)
+        before = cli._cache_path(args, ctx)
         monkeypatch.setattr(painleve2, "SOLVER_VERSION",
                             painleve2.SOLVER_VERSION + 1)
-        after = cli._cache_path(config, ctx)
+        after = cli._cache_path(args, ctx)
         assert after != before
         assert os.path.basename(after).startswith(
             f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}_")
