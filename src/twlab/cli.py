@@ -277,7 +277,7 @@ def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
     if not mp.isfinite(args.t):
         raise DomainError("--t must be finite")
     ctx = _context(args, min(args.tolerance, 1e-20))
-    q_max = args.q_max or int(2 * args.t) + 10
+    q_max = int(2 * args.t) + 10 if args.q_max is None else args.q_max
     scan = toeplitz_lab.toeplitz_scan(args.t, range(args.q_min, q_max + 1),
                                       ctx, with_pi=args.with_pi)
     rows = []

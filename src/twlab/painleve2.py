@@ -628,15 +628,14 @@ _dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
 
 def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
     """(F, rows): the (p+1) x (p+1) DCT-I matrix that takes the values at
-    -cos(pi j/p) to the coefficients of T_0..T_p, computed at bits + 16 and
-    put on the grid 2^-F, F = bits + 32 (exact for the entries, which are
-    at least about pi / (2 p^2) in size, up to p of about 300).  Memoised per
-    (p, bits)."""
+    -cos(pi j/p) to the coefficients of T_0..T_p, on the reads' grid 2^-F,
+    F = bits + _READ_GUARD.  The entries are computed at F + 16 bits, so
+    truncation onto the grid is their one error.  Memoised per (p, bits)."""
     key = (p, bits)
     if key in _dct_cache:
         return _dct_cache[key]
-    frac = bits + 32
-    with mp.workprec(bits + 16):
+    frac = bits + _READ_GUARD
+    with mp.workprec(frac + 16):
         cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
         rows = [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p

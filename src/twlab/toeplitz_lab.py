@@ -477,14 +477,10 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
         airy = mp.fsum(ladder.log_pivots[q - 1] for q in range(L + 1, q_airy_hi + 1))
         painleve = mp.fsum(ladder.log_pivots[q - 1] for q in range(q_airy_hi + 1, n + 1))
         total = -t_mp ** 2 + exact + airy + painleve
-        log2 = mp.log(2)
-        l_mp = mpf(L)
         m_mp = mpf(M)
         exact_limit = _exact_part_bracket(L, t_mp, zp)
-        airy_limit = (t_mp ** 2 - 2 * t_mp * l_mp + l_mp ** 2 / 2 * mp.log(2 * t_mp)
-                      - (l_mp ** 2 / 2 - mpf(1) / 12) * mp.log(l_mp)
-                      + mpf(3) / 4 * l_mp ** 2 - m_mp ** 3 / 12
-                      - mp.log(m_mp) / 8 + log2 / 24)
+        airy_limit = (t_mp ** 2 - (exact_limit - zp) - m_mp ** 3 / 12
+                      - mp.log(m_mp) / 8 + mp.log(2) / 24)
         painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
     direct = toeplitz_log_det_lu(MomentMatrixSpec(float(t), n, "plain"), ctx)
     f2_ref = _tw_reference(x, sol, ctx, check=True).F2
@@ -638,8 +634,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
         sqrt2 = mp.sqrt(2)
         exact_limit = (2 * L - 1) * log2
         airy_limit = t_mp - sqrt2 / 3 * m_mp ** mpf("1.5") - (2 * L - mpf("0.5")) * log2
-        painleve_limit = (painleve2.integrate_kind(sol, "q_reg", -m_mp, x_mp, ctx)
-                          + sqrt2 / 3 * (m_mp ** mpf("1.5") - (-x_mp) ** mpf("1.5")))
+        painleve_limit = painleve2.integrate_kind(sol, "q", -m_mp, x_mp, ctx)
         two_log_e = 2 * mp.log(tw_ref.E)
 
     r = round_to((tw_ref.F1, d_pp, d_mp, exact, airy, painleve, total,

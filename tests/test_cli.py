@@ -255,6 +255,14 @@ class TestToeplitzCommands:
         assert ([r[:col] + r[col + 1:] for r in rows_no_pi]
                 == [r[:col] + r[col + 1:] for r in rows])
 
+    def test_scan_qmax_zero_prints_only_the_header(self, workdir):
+        code, text = run_cli(["toeplitz-scan", "--t", "3", "--qmax", "0",
+                              "--format", "csv"], workdir, "scan_q0.csv")
+        assert code == 0
+        assert text.splitlines() == ["t,q,gamma,log_kappa_sq,pi0,"
+                                     "log_kappa_sq_airy_pred,pi0_airy_pred,"
+                                     "precision_bits_used"]
+
     def test_limits_sum_parts(self, workdir):
         code, text = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
                               "--L", "3", "--M", "3"] + FAST,
@@ -276,6 +284,24 @@ class TestToeplitzCommands:
         assert doc["mode"] == "e_side"
         assert abs(float(doc["identity_gap"])) < 1e-15
         assert float(doc["fe_reference"]) > 0
+
+    @pytest.mark.parametrize("extra, keys", [
+        ([], ["n", "parts", "total", "total_direct", "f2_reference"]),
+        (["--e-side"], ["ell", "fe_reference", "d_pp_value", "d_mp_value",
+                        "parts", "total_two_log_e", "identity_gap",
+                        "two_log_e_reference"]),
+    ])
+    def test_limits_documents_pinned(self, extra, keys, workdir):
+        code, text = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
+                              "--L", "3", "--M", "3"] + extra + FAST,
+                             workdir, "limits_keys.json")
+        assert code == 0
+        doc = json.loads(text)
+        assert list(doc) == ["schema_version", "command", "mode",
+                             "t", "x", "L", "M"] + keys
+        assert list(doc["parts"]) == ["exact", "airy", "painleve"]
+        assert all(list(part) == ["value", "limit"]
+                   for part in doc["parts"].values())
 
     @pytest.mark.parametrize("args", [
         ["toeplitz-scan", "--t", "inf"],

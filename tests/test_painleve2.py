@@ -34,16 +34,18 @@ def _gauss_legendre(sol, f, a, b):
 
 def _mpf_dct(sol, kind, bits):
     """Per element, the Chebyshev coefficients of ``kind`` from an mpf DCT-I
-    of its nodal values: the DCT matrix rounded to bits + 16, as the
-    library's is, and each coefficient one mp.fdot at 2 bits."""
+    of its nodal values (formed at bits + 16, as the library forms them):
+    the DCT matrix and each coefficient (one mp.fdot) at 2 bits, so the
+    coefficients are those of the exact interpolant to well past the
+    library's accuracy."""
     p = sol.p
     with mp.workprec(bits + 16):
+        values = [painleve2._nodal_values(sol, kind, e) for e in range(len(sol._elem_q))]
+    with mp.workprec(2 * bits):
         cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
         dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
                 for j in range(p + 1)] for n in range(p + 1)]
-        values = [painleve2._nodal_values(sol, kind, e) for e in range(len(sol._elem_q))]
-    with mp.workprec(2 * bits):
         return [[mp.fdot(d, f) for d in dct] for f in values]
 
 
@@ -341,8 +343,9 @@ class TestSpectralIntegration:
         # each row is summed on its own grid, so q and q' keep their
         # relative accuracy where they are small: one grid for all rows
         # loses it near x = 8, where q is about 1e-7.  The reads carry
-        # about 2^-284 here; the bound leaves 12 bits of that and fails a
-        # global grid unless it pays some 25 bits more per integer
+        # about 2^-282 here; the bound leaves 6 bits of that, and fails a
+        # DCT matrix computed at only bits + 16 (2^-270) as well as a
+        # global grid that does not pay some 25 bits more per integer
         sol = hm_solution
         bits = sol.precision_bits
         span = sol.x_right - sol.x_left
@@ -359,7 +362,7 @@ class TestSpectralIntegration:
                     for c in reversed(table[e][1:]):
                         b1, b2 = 2 * t * b1 - b2 + c, b1
                     want = t * b1 - b2 + table[e][0]
-                    assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 16)
+                    assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 20)
 
     def test_integer_dct_matches_mpf_fdot(self, hm_solution):
         # the integer DCT, exact and then truncated to its row's grid,

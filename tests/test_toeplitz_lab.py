@@ -354,6 +354,17 @@ class TestESide:
             assert abs(rep.airy_part - rep.airy_part_limit) < mpf("1.0")
             assert abs(rep.painleve_part - rep.painleve_part_limit) < mpf("1.5")
 
+    def test_report_past_zero(self, hm_solution):
+        # the Painleve-part limit integrates q itself, so x > 0 is in range;
+        # it matches the regularized route split at 0
+        rep = tl.e_double_scaling_check(16.0, 0.5, 3, 4, hm_solution, CTX)
+        with mp.workprec(280):
+            assert abs(rep.identity_gap) < mpf(10) ** -20
+            want = (painleve2.integrate_kind(hm_solution, "q_reg", -4, 0, CTX)
+                    + mp.sqrt(2) / 3 * mpf(4) ** mpf("1.5")
+                    + painleve2.integrate_kind(hm_solution, "q", 0, 0.5, CTX))
+            assert abs(rep.painleve_part_limit - want) < mpf(10) ** -60
+
     def test_pp_value_approaches_fe(self, hm_solution, tail_constants, ctx256):
         gaps = []
         with mp.workprec(280):
