@@ -57,8 +57,6 @@ def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
           args: argparse.Namespace) -> None:
     """Write the result document as JSON, or the row table as CSV."""
     if args.format == "csv":
-        if rows is None:
-            raise DomainError(f"command {args.command} has no CSV form")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
@@ -310,6 +308,8 @@ def _parts(rep) -> dict:
 
 
 def _cmd_toeplitz_limits(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        raise DomainError(f"command {args.command} has no CSV form")
     if not (mp.isfinite(args.t) and mp.isfinite(args.x)):
         raise DomainError("--t and --x must be finite")
     ctx = _context(args, min(args.tolerance, 1e-20))

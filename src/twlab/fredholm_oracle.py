@@ -102,7 +102,7 @@ def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> Tuple[List[List[int]], i
     point, and its fraction bits F = ctx.precision_bits + 32: rows[i][j],
     j <= i, is the entry times 2^F, the input of linalg.cholesky_log_pivots."""
     rule = build_rule(x, m, ctx)
-    airy = specialfn.airy_ai_walk(rule.nodes, ctx)
+    airy = specialfn.airy_ai_walk(rule.nodes, ctx.precision_bits)
     frac = ctx.precision_bits + 32
     with mp.workprec(frac):
         sq = [mp.sqrt(w) for w in rule.weights]

@@ -59,7 +59,7 @@ from mpmath import mp, mpf
 
 from . import fixedpoint, specialfn
 from .errors import DomainError, SolverError
-from .precision import PrecisionContext, round_to
+from .precision import REPORT_GUARD, PrecisionContext, round_to
 
 if TYPE_CHECKING:
     import numpy as np
@@ -502,12 +502,12 @@ class HMSolution:
 
     def _read(self, kind: str, x) -> mpf:
         """Integer Clenshaw sum of the located element's row of the ``kind``
-        table, rounded to max(mp.prec, precision_bits + 16) bits."""
+        table, rounded to max(mp.prec, precision_bits + REPORT_GUARD) bits."""
         bits = self.precision_bits
         e, t = self._position(mpf(x), bits)
         frac, row = _table(self, kind, bits)[0][e]
         return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, bits + _READ_GUARD),
-                                    frac, max(mp.prec, bits + 16))
+                                    frac, max(mp.prec, bits + REPORT_GUARD))
 
     def cached(self, key, compute: Callable[[], T]) -> T:
         """compute() once per key for this solution; later calls share its
@@ -600,7 +600,7 @@ class HMSolution:
 
 def r_of(solution: HMSolution, x) -> mpf:
     """R(x) = (q')^2 - x q^2 - q^4 from the interpolated solution."""
-    with mp.workprec(max(mp.prec, solution.precision_bits + 16)):
+    with mp.workprec(max(mp.prec, solution.precision_bits + REPORT_GUARD)):
         x = mpf(x)
         q = solution.q_at(x)
         qp = solution.q_prime_at(x)
@@ -651,12 +651,13 @@ def _table(solution: HMSolution, kind: str, bits: int):
     Per element, the coefficients of T_0..T_p in t in [-1, 1] and of the
     antiderivative in x (zero at the left edge), each a row (F_e, integers)
     with bits + _READ_GUARD bits in its largest entry; cum holds the
-    integral from x_left to every edge, rounded to bits + 16.  The
+    integral from x_left to every edge, rounded to bits + REPORT_GUARD.  The
     coefficients are a DCT-I of the nodal values at the Lobatto points
     (Trefethen, ATAP, ch. 3), each one exact fixedpoint.dot of the matrix
-    (_dct_on_grid) and the element's values (row_to_grid at bits + 16 +
-    _READ_GUARD); they integrate term by term (ATAP, ch. 19), with h/2 on
-    the grid 2^-(bits + _READ_GUARD) and one floor per coefficient."""
+    (_dct_on_grid) and the element's values (row_to_grid at bits +
+    REPORT_GUARD + _READ_GUARD); they integrate term by term (ATAP, ch. 19),
+    with h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per
+    coefficient."""
     return solution.cached(("table", kind, bits),
                            lambda: _build_table(solution, kind, bits))
 
@@ -666,10 +667,10 @@ def _build_table(solution: HMSolution, kind: str, bits: int):
     g = bits + _READ_GUARD
     edges = solution._edges
     rows, antis, cum = [], [], [mpf(0)]
-    with mp.workprec(bits + 16):
+    with mp.workprec(bits + REPORT_GUARD):
         for e in range(len(edges) - 1):
             frac, f = fixedpoint.row_to_grid(_nodal_values(solution, kind, e),
-                                             bits + 16 + _READ_GUARD)
+                                             bits + REPORT_GUARD + _READ_GUARD)
             frac += dct_frac
             c = [fixedpoint.dot(row, f) for row in dct]
             rows.append(fixedpoint.regrid(c, frac, g))
@@ -712,7 +713,7 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
         return cum[e] + fixedpoint.from_grid(
             fixedpoint.clenshaw(row, t, bits + _READ_GUARD), frac)
 
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         total = upto(b) - upto(a)
         if kind == "q_reg":
             total -= mp.sqrt(2) / 3 * ((-a) ** mpf("1.5") - (-b) ** mpf("1.5"))
@@ -763,7 +764,7 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     with mp.workprec(prec):
         mesh = _Mesh(x_left, x_right, k_elems, p)
         bc_l = q_left_boundary_value(x_left)[0]
-        bc_r = specialfn.airy_ai(x_right, PrecisionContext(prec))[0]
+        bc_r = specialfn.airy_ai(x_right, prec)[0]
         u64 = _warm_start(mesh, float(bc_l), float(bc_r))
         u, res = _refine(mesh, u64, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
 

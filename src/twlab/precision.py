@@ -1,9 +1,12 @@
 """Working-precision plumbing shared by every numeric kernel.
 
 All kernels compute internally at an elevated precision and hand back values
-rounded to the caller's requested precision.  Results that feed acceptance
-checks are validated by recomputation at doubled precision (see
-``stabilize``); nothing is trusted on the strength of a single pass.
+rounded to the caller's requested precision.  Reported quantities are formed
+REPORT_GUARD bits above it (PrecisionContext.workprec) and rounded once;
+guards sized to one kernel's own conditioning stay with that kernel.  Results
+that feed acceptance checks are validated by recomputation at doubled
+precision, at most MAX_DOUBLINGS times (``stabilize``); nothing is trusted on
+the strength of a single pass.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from .errors import PrecisionError
 
 T = TypeVar("T")
 
+REPORT_GUARD = 16
+MAX_DOUBLINGS = 6
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -25,23 +31,23 @@ class PrecisionContext:
     precision_bits: binary mantissa digits used for reported values.
     tolerance: absolute/relative target; a result may only be reported as
         converged after agreeing at two consecutive precisions.
-    max_refinements: cap on adaptive precision doublings.
     """
 
     precision_bits: int = 256
     tolerance: float = 1e-20
-    max_refinements: int = 6
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
 
     def tol(self) -> mpf:
         return mpf(self.tolerance)
+
+    def workprec(self):
+        """mp.workprec at REPORT_GUARD bits above precision_bits."""
+        return mp.workprec(self.precision_bits + REPORT_GUARD)
 
 
 def round_to(value, bits: int):
@@ -59,11 +65,11 @@ def stabilize(
     distance: Callable[[T, T], mpf],
     what: str = "result",
 ) -> Tuple[T, int]:
-    """Run ``compute(bits)`` at doubling precisions until two consecutive
-    results agree to ctx.tolerance.  Returns (last result, bits used)."""
+    """Run ``compute(bits)`` at up to MAX_DOUBLINGS doubling precisions until
+    two consecutive results agree to ctx.tolerance: (last result, bits)."""
     bits = start_bits
     prev = compute(bits)
-    for _ in range(ctx.max_refinements):
+    for _ in range(MAX_DOUBLINGS):
         bits *= 2
         cur = compute(bits)
         if distance(prev, cur) <= ctx.tol():
@@ -71,5 +77,5 @@ def stabilize(
         prev = cur
     raise PrecisionError(
         f"{what} failed to stabilize to {ctx.tolerance} within "
-        f"{ctx.max_refinements} precision doublings (reached {bits} bits)"
+        f"{MAX_DOUBLINGS} precision doublings (reached {bits} bits)"
     )

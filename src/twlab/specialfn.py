@@ -2,12 +2,12 @@
 integral of Ai, modified Bessel I_j, log Gamma, log Barnes G, and the
 constant zeta'(-1).
 
-Everything here is a pure function of its arguments.  Each function lifts the
-working precision internally by guard bits and rounds the result back to the
-caller's precision.  Ai and Ai' come from their Maclaurin sums at every
-finite x.  The sums lose about 2*(2/3)|x|^(3/2) nats to cancellation, which
-the guard absorbs, so the Airy values are exact to the working precision
-and depend on precision_bits only, never on the tolerance.  Ai and Ai' at
+Everything here is a pure function of its arguments.  Each kernel takes the
+precision it returns as ``bits``, lifts the working precision internally by
+guard bits and rounds the result back to ``bits``; none sees a tolerance.
+Ai and Ai' come from their Maclaurin sums at every finite x.  The sums lose
+about 2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs, so the
+Airy values are exact to the working precision.  Ai and Ai' at
 many sorted points (the Nystrom nodes) come from airy_ai_walk: one airy_ai
 start at the largest point, then Taylor steps down whose coefficients follow
 from Ai'' = u Ai (DLMF 9.2.1).  Downward is stable because Ai is recessive
@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError
 from .fixedpoint import from_grid, to_grid
-from .precision import PrecisionContext, round_to
+from .precision import round_to
 
 _LOG2_E = 1.4426950408889634
 
@@ -81,14 +81,13 @@ def _log_gamma_raw(z: mpf, prec: int) -> mpf:
         return s
 
 
-def log_gamma(z, ctx: PrecisionContext) -> mpf:
-    """log Gamma(z) for finite z > 0."""
+def log_gamma(z, bits: int) -> mpf:
+    """log Gamma(z) for finite z > 0, to ``bits`` bits."""
     _finite_abs(z, "log_gamma")
     z = mpf(z)
     if not z > 0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
-    val = _log_gamma_raw(z, ctx.precision_bits + 32)
-    return round_to(val, ctx.precision_bits)
+    return round_to(_log_gamma_raw(z, bits + 32), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +124,15 @@ def _zeta_prime_minus_one_raw(prec: int) -> mpf:
         return s
 
 
-def zeta_prime_minus_one(ctx: PrecisionContext) -> mpf:
-    """zeta'(-1), computed (not embedded) via Euler-Maclaurin summation."""
-    key = ctx.precision_bits
+def zeta_prime_minus_one(bits: int) -> mpf:
+    """zeta'(-1) to ``bits`` bits, computed (not embedded) via
+    Euler-Maclaurin summation."""
     with _zeta_lock:
-        hit = _zeta_cache.get(key)
+        hit = _zeta_cache.get(bits)
     if hit is None:
-        hit = round_to(_zeta_prime_minus_one_raw(ctx.precision_bits + 16),
-                       ctx.precision_bits)
+        hit = round_to(_zeta_prime_minus_one_raw(bits + 16), bits)
         with _zeta_lock:
-            _zeta_cache[key] = hit
+            _zeta_cache[bits] = hit
     return hit
 
 
@@ -169,14 +167,14 @@ def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
         return s
 
 
-def log_barnes_g(z, ctx: PrecisionContext) -> mpf:
-    """log G(z) for finite z > 0, via the large-argument series after
-    shifting with the recurrence G(z+1) = Gamma(z) G(z)."""
+def log_barnes_g(z, bits: int) -> mpf:
+    """log G(z) for finite z > 0 to ``bits`` bits, via the large-argument
+    series after shifting with the recurrence G(z+1) = Gamma(z) G(z)."""
     _finite_abs(z, "log_barnes_g")
     z = mpf(z)
     if not z > 0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
-    prec = ctx.precision_bits + 48
+    prec = bits + 48
     with mp.workprec(prec):
         z = mpf(z)
         w_min = max(20.0, (prec * math.log(2) + 40) / (2 * math.pi) + 2)
@@ -185,7 +183,7 @@ def log_barnes_g(z, ctx: PrecisionContext) -> mpf:
         val = _log_barnes_g1p_series(w - 1, prec)
         for i in range(m):
             val -= _log_gamma_raw(z + i, prec)
-    return round_to(val, ctx.precision_bits)
+    return round_to(val, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +240,17 @@ def _airy_maclaurin(x: mpf, prec: int) -> Tuple[mpf, mpf]:
         return c1 * f + c2 * g, c1 * fp + c2 * gp
 
 
-def _maclaurin_bits(ax: float, ctx: PrecisionContext) -> int:
+def _maclaurin_bits(ax: float, bits: int) -> int:
     """Working bits for the Maclaurin sums at |x| = ax: the caller's
-    precision plus the ~(4/3)|x|^(3/2) nats they lose to cancellation."""
-    guard = int(2.0 * (2.0 / 3.0) * ax ** 1.5 * _LOG2_E) + 64
-    return ctx.precision_bits + guard
+    ``bits`` plus the ~(4/3)|x|^(3/2) nats they lose to cancellation."""
+    return bits + int(2.0 * (2.0 / 3.0) * ax ** 1.5 * _LOG2_E) + 64
 
 
-def airy_ai(x, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(Ai(x), Ai'(x)) to ctx.precision_bits, by the guarded Maclaurin sums
-    for every finite x."""
+def airy_ai(x, bits: int) -> Tuple[mpf, mpf]:
+    """(Ai(x), Ai'(x)) to ``bits`` bits, by the guarded Maclaurin sums for
+    every finite x."""
     ax = _finite_abs(x, "airy_ai")
-    ai, aip = _airy_maclaurin(mpf(x), _maclaurin_bits(ax, ctx))
-    return round_to((ai, aip), ctx.precision_bits)
+    return round_to(_airy_maclaurin(mpf(x), _maclaurin_bits(ax, bits)), bits)
 
 
 def _taylor_terms(d0: float, d1: float, a: float, b: float, eps: float) -> int:
@@ -274,12 +270,12 @@ def _taylor_terms(d0: float, d1: float, a: float, b: float, eps: float) -> int:
     return n
 
 
-def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
-    """(Ai(u), Ai'(u)) at strictly ascending finite points, by one Taylor
-    walk down from the largest.
+def airy_ai_walk(points, bits: int) -> List[Tuple[mpf, mpf]]:
+    """(Ai(u), Ai'(u)) to ``bits`` bits at strictly ascending finite points,
+    by one Taylor walk down from the largest.
 
-    The start is airy_ai at the top point at bits = ctx.precision_bits + 32,
-    so it is exact to the working precision.  Each step h = u_next - u < 0
+    The start is airy_ai at the top point at w = bits + 32 bits, so it is
+    exact to the working precision w.  Each step h = u_next - u < 0
     sums the Taylor series of Ai about u, whose scaled terms
     d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai (DLMF 9.2.1):
 
@@ -290,7 +286,7 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
     sum in float64.  The sums run in fixed point on Python integers, a few
     integer operations per term instead of mpf ones: u h^2 and h^3 in units
     of 2^-e, the d_k in units of 2^-e max(|Ai(u)|, |Ai'(u)|), with
-    e = bits + 8 + max(0, -log2 |h|).  The extra bits of a short step pay
+    e = w + 8 + max(0, -log2 |h|).  The extra bits of a short step pay
     for the division by h that gives Ai'; each floor costs one unit.
 
     Downward is the stable direction: Ai is the recessive solution as u
@@ -303,16 +299,16 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
         raise DomainError("airy_ai_walk requires at least one point")
     for p in points:
         _finite_abs(p, "airy_ai_walk")
-    bits = ctx.precision_bits + 32
-    with mp.workprec(bits):
+    w = bits + 32
+    with mp.workprec(w):
         us = [mpf(p) for p in points]
         if any(not lo < hi for lo, hi in zip(us, us[1:])):
             raise DomainError("airy_ai_walk requires strictly ascending points")
-        ai, aip = airy_ai(us[-1], PrecisionContext(bits))
+        ai, aip = airy_ai(us[-1], w)
         out = [(ai, aip)]
         for u, u_next in zip(reversed(us[1:]), reversed(us[:-1])):
             h = u_next - u
-            e = bits + 8 - min(mp.mag(h), 0)
+            e = w + 8 - min(mp.mag(h), 0)
             f = e - max(mp.mag(ai), mp.mag(aip))
             a = to_grid(u * h * h, e)
             b = to_grid(h * h * h, e)
@@ -332,18 +328,18 @@ def airy_ai_walk(points, ctx: PrecisionContext) -> List[Tuple[mpf, mpf]]:
             aip = from_grid(der, f) / h
             out.append((ai, aip))
     out.reverse()
-    return [round_to(pair, ctx.precision_bits) for pair in out]
+    return [round_to(pair, bits) for pair in out]
 
 
-def airy_ai_tail_integral(x, ctx: PrecisionContext) -> mpf:
+def airy_ai_tail_integral(x, bits: int) -> mpf:
     """int_x^inf Ai(s) ds = 1/3 - int_0^x Ai(s) ds.
 
     The last integral is the Maclaurin series of Ai integrated term by term,
     convergent for every x and summed with the same guard bits as airy_ai
     (the cancellation, now against 1/3, is the same size), so it too is
-    exact to ctx.precision_bits."""
+    exact to ``bits`` bits."""
     ax = _finite_abs(x, "airy_ai_tail_integral")
-    prec = _maclaurin_bits(ax, ctx)
+    prec = _maclaurin_bits(ax, bits)
     with mp.workprec(prec):
         x = mpf(x)
         x3 = x ** 3
@@ -361,7 +357,7 @@ def airy_ai_tail_integral(x, ctx: PrecisionContext) -> mpf:
             sg += tg
         c1, c2 = _airy_constants(prec)
         tail = mpf(1) / 3 - (c1 * sf + c2 * sg)
-    return round_to(tail, ctx.precision_bits)
+    return round_to(tail, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +389,7 @@ def _miller_start(max_j: int, z: float, bits: int) -> int:
     return n
 
 
-def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
+def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     """I_0(two_t) .. I_{max_j}(two_t) by Miller's backward recurrence.
 
     f_{j-1} = f_{j+1} + (2j/z) f_j (DLMF 10.29.1) runs down from f_{N+1} = 0,
@@ -408,7 +404,7 @@ def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
 
     Values reach magnitude e^(two_t) while consumers (determinant ratios)
     work at O(1), so the row is computed with ceil(two_t*log2 e) + 64 guard
-    bits above the requested precision and rounded to 32 fewer.  I_{-j} = I_j
+    bits above ``bits`` and rounded to 32 fewer.  I_{-j} = I_j
     by symmetry.
     """
     if max_j < 0:
@@ -418,7 +414,7 @@ def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
     if two_t < 0:
         raise DomainError("two_t must be nonnegative")
     guard = int(math.ceil(float(two_t) * _LOG2_E))
-    prec = ctx.precision_bits + guard + 64
+    prec = bits + guard + 64
     with mp.workprec(prec):
         z = mpf(two_t)
         if z == 0:
@@ -432,4 +428,4 @@ def bessel_i_row(max_j: int, two_t, ctx: PrecisionContext) -> List[mpf]:
                 f[j - 1] = f[j + 1] + (j * w) * f[j]
             scale = mp.exp(z) / (f[0] + 2 * mp.fsum(f[1:]))
             out = [v * scale for v in f[:max_j + 1]]
-    return round_to(out, ctx.precision_bits + guard + 32)
+    return round_to(out, bits + guard + 32)

@@ -52,7 +52,7 @@ from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError
 from .fixedpoint import dot, from_grid, to_grid
 from .linalg import cholesky_log_pivots, lu_log_abs_pivots
-from .precision import PrecisionContext, round_to, stabilize
+from .precision import REPORT_GUARD, PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
 _LOG2_E = 1.4426950408889634
@@ -73,16 +73,18 @@ class MomentMatrixSpec:
             raise DomainError(f"kind must be one of {KINDS}")
         if self.n < 1:
             raise DomainError("matrix dimension n must be >= 1")
-        if not self.t > 0:
-            raise DomainError("symbol parameter t must be positive")
+        guard_bits(self.t)  # the domain rule for t
 
 
 def guard_bits(t: float) -> int:
     """Bits lost at most to the conditioning (<= e^(4t)) of the moment
-    matrices, plus 64; see the module docstring."""
+    matrices, plus 64; see the module docstring.  The one domain rule for t:
+    it must be finite and positive."""
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"symbol parameter t must be finite, got {t}")
+    if not t > 0:
+        raise DomainError("symbol parameter t must be positive")
     return int(math.ceil(4.0 * t * _LOG2_E)) + 64
 
 
@@ -94,7 +96,7 @@ def _moment_row(t, n: int, kind: str, bits: int) -> List[int]:
     """I_j(2t) on the grid 2^-bits, for every j an n x n family matrix reads."""
     max_j = n - 1 if kind == "plain" else 2 * n
     return [to_grid(v, bits) for v in
-            specialfn.bessel_i_row(max_j, 2 * mpf(t), PrecisionContext(bits, 1e-30, 1))]
+            specialfn.bessel_i_row(max_j, 2 * mpf(t), bits)]
 
 
 def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
@@ -211,11 +213,10 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     """Log pivots log(D_{k+1}/D_k), k < n_cap, and for the plain family
     pi_q(0), 0 < q < n_cap, stabilized from ctx.precision_bits +
     guard_bits(t) bits and kept to ctx.precision_bits + 64 bits.  Cached per
-    (t, kind, precision parameters) for the last _LADDER_CACHE_SIZE keys
+    (t, kind, precision_bits, tolerance) for the last _LADDER_CACHE_SIZE keys
     used; a request beyond the cached n_cap builds the larger ladder, which
     replaces the cached one."""
-    key = (repr(mpf(t)), kind, ctx.precision_bits, ctx.tolerance,
-           ctx.max_refinements)
+    key = (repr(mpf(t)), kind, ctx.precision_bits, ctx.tolerance)
     with _ladder_lock:
         hit = _ladder_cache.get(key)
     if hit is not None and hit.n_cap >= n_cap:
@@ -335,8 +336,7 @@ def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf
         raise DomainError(
             f"correction {corr} out of range at q={q}, t={t}; q too close "
             "to the edge of the prediction region")
-    prec = mp.prec
-    with mp.workprec(prec + 16):
+    with mp.extraprec(REPORT_GUARD):
         gamma = 2 * t / q
         val = -q * (-gamma + mp.log(gamma) + 1) + mp.log(gamma) / 2
         if include_correction:
@@ -433,8 +433,7 @@ def _tw_reference(x, sol: painleve2.HMSolution, ctx: PrecisionContext,
     compared with: ctx's precision, tolerance relaxed to at least 1e-12,
     since the left-tail series of a default-window solution cannot reach the
     tighter tolerances the ladders are stabilized to."""
-    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12),
-                              ctx.max_refinements)
+    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12))
     return twdist.tw_point(x, sol, twdist.TailConstants.compute(tw_ctx),
                            tw_ctx, check=check)
 
@@ -461,7 +460,7 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
     minus sign in some sources is inconsistent with the total)."""
     t_mp = mpf(t)
     x_mp = mpf(x)
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         t13 = t_mp ** (mpf(1) / 3)
         n = int(mp.floor(2 * t_mp + x_mp * t13))
         q_airy_hi = int(mp.floor(2 * t_mp - mpf(M) * t13 - 1))
@@ -471,8 +470,8 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
     if n <= q_airy_hi:
         raise DomainError("Painleve window is empty; decrease M or raise t")
     ladder = get_ladder(t, "plain", n, ctx)
-    zp = specialfn.zeta_prime_minus_one(ctx)
-    with mp.workprec(ctx.precision_bits + 16):
+    zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
+    with ctx.workprec():
         exact = ladder.log_d(L)
         airy = mp.fsum(ladder.log_pivots[q - 1] for q in range(L + 1, q_airy_hi + 1))
         painleve = mp.fsum(ladder.log_pivots[q - 1] for q in range(q_airy_hi + 1, n + 1))
@@ -484,7 +483,7 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
         painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
     direct = toeplitz_log_det_lu(MomentMatrixSpec(float(t), n, "plain"), ctx)
     f2_ref = _tw_reference(x, sol, ctx, check=True).F2
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         total_direct = direct - t_mp ** 2
     r = round_to((exact, airy, painleve, total,
                   total_direct, exact_limit, airy_limit,
@@ -502,8 +501,8 @@ def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
     if L < 2:
         raise DomainError("L must be >= 2")
     logd = toeplitz_log_det(MomentMatrixSpec(float(t), L, "plain"), ctx)
-    zp = specialfn.zeta_prime_minus_one(ctx)
-    with mp.workprec(ctx.precision_bits + 16):
+    zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
+    with ctx.workprec():
         return round_to(logd - _exact_part_bracket(L, mpf(t), zp),
                         ctx.precision_bits)
 
@@ -513,8 +512,8 @@ def selberg_hermite_log_closed(L: int, t, ctx: PrecisionContext) -> mpf:
     pi^(L/2) 2^(-L(L-1)/2) t^(-L^2/2) G(L+1)."""
     if L < 1:
         raise DomainError("L must be >= 1")
-    logg = specialfn.log_barnes_g(L + 1, ctx)
-    with mp.workprec(ctx.precision_bits + 16):
+    logg = specialfn.log_barnes_g(L + 1, ctx.precision_bits)
+    with ctx.workprec():
         t_mp = mpf(t)
         return round_to(
             mpf(L) / 2 * mp.log(mp.pi) - mpf(L * (L - 1)) / 2 * mp.log(2)
@@ -530,7 +529,7 @@ def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext,
     [-8.5, 8.5]^L truncates it below 1e-31."""
     if not 1 <= L <= 3:
         raise DomainError("direct quadrature only supported for L <= 3")
-    prec = ctx.precision_bits + 16
+    prec = ctx.precision_bits + REPORT_GUARD
     xs, ws = gauss_legendre(points, prec)
     with mp.workprec(prec):
         t_mp = mpf(t)
@@ -598,7 +597,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     product convergence of e^(-t^2/2) D_{ell-1}^{++} to F E."""
     t_mp = mpf(t)
     x_mp = mpf(x)
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         t13 = t_mp ** (mpf(1) / 3)
         ell = int(mp.floor(t_mp + x_mp / 2 * t13))
         j_airy_hi = int(mp.floor(t_mp - mpf(M) / 2 * t13))
@@ -612,7 +611,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
     tw_ref = _tw_reference(x, sol, ctx, check=False)
 
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         exact = pp.log_d(L - 1) + mp_lad.log_d(L) - plain.log_d(2 * L - 1)
 
         def term(j: int) -> mpf:
@@ -659,13 +658,13 @@ def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
         raise DomainError("parity must be 'odd' or 'even'")
     t_mp = mpf(t)
     x_mp = mpf(x)
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         ell = int(mp.floor(t_mp + x_mp / 2 * t_mp ** (mpf(1) / 3)))
     q_hi = 2 * (ell + k_max) + 2
     plain = get_ladder(t, "plain", q_hi + 1, ctx)
     e = _tw_reference(x, sol, ctx, check=False).E
     out: List[mpf] = []
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         log_e = mp.log(e)
         acc = mpf(0)
         for k in range(k_max + 1):

@@ -31,7 +31,7 @@ from mpmath import mp, mpf
 
 from . import painleve2, specialfn
 from .errors import DomainError, InternalConsistencyError, PrecisionError
-from .precision import PrecisionContext, round_to
+from .precision import REPORT_GUARD, PrecisionContext, round_to
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class TailConstants:
 
     @classmethod
     def compute(cls, ctx: PrecisionContext) -> "TailConstants":
-        zp = specialfn.zeta_prime_minus_one(ctx)
-        with mp.workprec(ctx.precision_bits + 16):
+        zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
+        with ctx.workprec():
             ez2 = mp.exp(zp / 2)
             vals = cls(
                 tau1=mpf(2) ** (mpf(-11) / 48) * ez2,
@@ -84,9 +84,9 @@ def airy_tail_r_integral(x, ctx: PrecisionContext) -> mpf:
 
     Equals int_x^inf R(s) ds up to the (q - Ai) defect, which is
     exponentially below this term's own size for x >= 6."""
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         x = mpf(x)
-        ai, aip = specialfn.airy_ai(x, ctx)
+        ai, aip = specialfn.airy_ai(x, ctx.precision_bits)
         return (2 * x * x * ai * ai - 2 * x * aip * aip - ai * aip) / 3
 
 
@@ -94,7 +94,7 @@ def airy_tail_q_integral(x, ctx: PrecisionContext) -> mpf:
     """int_x^inf Ai(s) ds, exact through the convergent identity
     1/3 - int_0^x Ai.  Equals int_x^inf q(s) ds up to the (q - Ai) defect,
     as for airy_tail_r_integral."""
-    return specialfn.airy_ai_tail_integral(x, ctx)
+    return specialfn.airy_ai_tail_integral(x, ctx.precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +103,16 @@ def airy_tail_q_integral(x, ctx: PrecisionContext) -> mpf:
 
 def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(int_x^inf R, int_x^inf q): element integrals to x_right plus the
-    Airy tails, which depend only on the solution and are kept with it."""
+    Airy tails, kept with the solution per precision (all they depend on)."""
     x = mpf(x)
     if not sol.x_left <= x <= sol.x_right:
         raise DomainError(f"x={x} outside solution window")
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         int_r = painleve2.integrate_kind(sol, "r", x, sol.x_right, ctx)
-        int_r += sol.cached(("airy_tail_r", ctx),
+        int_r += sol.cached(("airy_tail_r", ctx.precision_bits),
                             lambda: airy_tail_r_integral(sol.x_right, ctx))
         int_q = painleve2.integrate_kind(sol, "q", x, sol.x_right, ctx)
-        int_q += sol.cached(("airy_tail_q", ctx),
+        int_q += sol.cached(("airy_tail_q", ctx.precision_bits),
                             lambda: airy_tail_q_integral(sol.x_right, ctx))
         return int_r, int_q
 
@@ -120,7 +120,7 @@ def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tup
 def cdf_right(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(F(x), E(x)) from the integrals toward +infinity."""
     int_r, int_q = _right_integrals(x, sol, ctx)
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         f = mp.exp(-int_r / 2)
         e = mp.exp(-int_q / 2)
     return round_to((f, e), ctx.precision_bits)
@@ -128,18 +128,19 @@ def cdf_right(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf,
 
 def _left_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """Regularized integrals from -infinity to x (x < 0):
-    (int (R - y^2/4 + 1/(8y)), int (q - sqrt(|y|/2)))."""
+    (int (R - y^2/4 + 1/(8y)), int (q - sqrt(|y|/2))).  The tail series are
+    kept per precision; their error is checked against ctx.tolerance."""
     x = mpf(x)
     if not x < 0:
         raise DomainError("left representation requires x < 0")
     if not sol.x_left <= x:
         raise DomainError(f"x={x} outside solution window")
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         tail_r, err_r = sol.cached(
-            ("left_tail_r", ctx),
+            ("left_tail_r", ctx.precision_bits),
             lambda: painleve2.left_tail_r_regularized(sol.x_left))
         tail_q, err_q = sol.cached(
-            ("left_tail_q", ctx),
+            ("left_tail_q", ctx.precision_bits),
             lambda: painleve2.left_tail_q_regularized(sol.x_left))
         if max(float(err_r), float(err_q)) > ctx.tolerance:
             raise PrecisionError(
@@ -156,7 +157,7 @@ def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(F(x), E(x)) from the integrals toward -infinity (x < 0)."""
     int_r, int_q = _left_integrals(x, sol, ctx)
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         x = mpf(x)
         ax = -x
         f = (consts.f_prefactor * mp.exp(-ax ** 3 / 24) / ax ** (mpf(1) / 16)
@@ -189,8 +190,8 @@ def _f_e_at(x, sol, consts, ctx, check: bool = True) -> Tuple[mpf, mpf, str]:
 def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext, check: bool = True) -> TWPoint:
     f, e, rep = _f_e_at(x, sol, consts, ctx, check=check)
-    with mp.workprec(ctx.precision_bits + 16):
-        point = TWPoint(
+    with ctx.workprec():
+        return TWPoint(
             x=mpf(x),
             F=f,
             E=e,
@@ -199,7 +200,6 @@ def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
             F4=(e + 1 / e) * f / 2,
             representation=rep,
         )
-    return point
 
 
 def tw_cdf(x, beta: int, sol: painleve2.HMSolution, consts: TailConstants,
@@ -229,7 +229,7 @@ def total_integral_check(c, sol: painleve2.HMSolution, consts: TailConstants,
         raise DomainError("c must be negative")
     up_r, up_q = _right_integrals(c, sol, ctx)
     down_r, down_q = _left_integrals(c, sol, ctx)
-    with mp.workprec(ctx.precision_bits + 16):
+    with ctx.workprec():
         ac = -c
         lhs_r = up_r + down_r
         rhs_r = (-mp.log(2) / 24 - consts.zeta_prime_minus_one
@@ -249,8 +249,7 @@ def tail_left(x, beta: int, consts: TailConstants) -> mpf:
     if not x <= -3:
         raise DomainError("left tail expansion requires x <= -3")
     ax = -x
-    prec = mp.prec
-    with mp.workprec(prec + 16):
+    with mp.extraprec(REPORT_GUARD):
         ax32 = ax ** mpf("1.5")
         if beta == 2:
             return +(consts.tau2 * mp.exp(-ax ** 3 / 12) / ax ** mpf("0.125")
@@ -280,8 +279,7 @@ def tail_right(x) -> Tuple[mpf, mpf]:
     x = mpf(x)
     if not x >= 3:
         raise DomainError("right tail expansion requires x >= 3")
-    prec = mp.prec
-    with mp.workprec(prec + 16):
+    with mp.extraprec(REPORT_GUARD):
         x32 = x ** mpf("1.5")
         f = 1 - mp.exp(-mpf(4) / 3 * x32) / (32 * mp.pi * x32) * (1 - 35 / (24 * x32))
         e = 1 - (mp.exp(-mpf(2) / 3 * x32) / (4 * mp.sqrt(mp.pi) * x ** mpf("0.75"))

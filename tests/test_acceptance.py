@@ -104,27 +104,27 @@ def test_criterion_04_tail_constants(hm_solution, tail_constants, ctx256):
 def test_criterion_05_special_function_suite():
     """Barnes recurrence, the half-argument identity, and the independent
     zeta'(-1) against the large-argument fit."""
-    ctx = PrecisionContext(256, 1e-30)
+    bits = 256
     with mp.workprec(300):
         worst_rec = mpf(0)
         z = mpf("0.5")
         while z <= mpf("10.5"):
-            gap = abs(specialfn.log_barnes_g(z + 1, ctx)
-                      - specialfn.log_gamma(z, ctx)
-                      - specialfn.log_barnes_g(z, ctx))
+            gap = abs(specialfn.log_barnes_g(z + 1, bits)
+                      - specialfn.log_gamma(z, bits)
+                      - specialfn.log_barnes_g(z, bits))
             worst_rec = max(worst_rec, gap)
             z += 1
-        zp = specialfn.zeta_prime_minus_one(ctx)
-        half_gap = abs(specialfn.log_barnes_g(mpf(1) / 2, ctx)
+        zp = specialfn.zeta_prime_minus_one(bits)
+        half_gap = abs(specialfn.log_barnes_g(mpf(1) / 2, bits)
                        - (mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp))
         # fit at z=1000 built from log-factorials only (no zeta' input)
         z = mpf(1000)
-        log_g = mp.fsum(specialfn.log_gamma(q + 1, ctx) for q in range(2, 1000))
+        log_g = mp.fsum(specialfn.log_gamma(q + 1, bits) for q in range(2, 1000))
         fit = log_g - (z * z / 2 * mp.log(z) - mpf(3) / 4 * z * z
                        + z / 2 * mp.log(2 * mp.pi) - mp.log(z) / 12)
         fit_gap = abs(fit - zp)
         # values feeding the criterion revalidate at doubled precision
-        zp2 = specialfn.zeta_prime_minus_one(PrecisionContext(512, 1e-30))
+        zp2 = specialfn.zeta_prime_minus_one(512)
         stable = abs(zp - zp2) <= mpf(10) ** -20
     ok = (worst_rec <= mpf(10) ** -20 and half_gap <= mpf(10) ** -20
           and fit_gap <= mpf(10) ** -8 and stable)

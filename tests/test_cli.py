@@ -316,6 +316,24 @@ class TestToeplitzCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--t" in err
 
+    def test_limits_csv_refused_before_any_work(self, workdir, monkeypatch,
+                                                capsys):
+        def no_solve(*args):
+            raise AssertionError("solved before the format was checked")
+
+        monkeypatch.setattr(cli, "_solution", no_solve)
+        code, _ = run_cli(["toeplitz-limits", "--t", "80", "--x", "-1",
+                           "--L", "3", "--M", "3", "--format", "csv"],
+                          workdir, "limits.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: command toeplitz-limits has no CSV form\n")
+
+    def test_scan_at_t_zero_exit_two(self, workdir, capsys):
+        code, _ = run_cli(["toeplitz-scan", "--t", "0"], workdir, "scan_t0.json")
+        assert code == 2
+        assert "t must be positive" in capsys.readouterr().err
+
     def test_limits_bad_split_exit_two(self, workdir):
         code, _ = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
                            "--L", "30", "--M", "3"] + FAST,

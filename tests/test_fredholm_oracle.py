@@ -67,9 +67,9 @@ class TestKernel:
         calls = []
         airy_ai = specialfn.airy_ai
 
-        def counted(x, ctx):
+        def counted(x, bits):
             calls.append(x)
-            return airy_ai(x, ctx)
+            return airy_ai(x, bits)
 
         monkeypatch.setattr(specialfn, "airy_ai", counted)
         fredholm_oracle.nystrom_matrix(-4, 40, CTX)

@@ -1,10 +1,12 @@
 """Precision plumbing and the Gauss-Legendre rule generator."""
 
+import pathlib
+
 import pytest
 from mpmath import mp, mpf
 from mpmath.calculus.quadrature import GaussLegendre
 
-from twlab import quadrature
+from twlab import precision, quadrature
 from twlab.errors import PrecisionError
 from twlab.precision import PrecisionContext, round_to, stabilize
 from twlab.quadrature import gauss_legendre
@@ -16,8 +18,6 @@ class TestPrecisionContext:
             PrecisionContext(precision_bits=32)
         with pytest.raises(ValueError):
             PrecisionContext(tolerance=0)
-        with pytest.raises(ValueError):
-            PrecisionContext(max_refinements=0)
 
     def test_round_to(self):
         with mp.workprec(300):
@@ -33,7 +33,7 @@ class TestPrecisionContext:
             with mp.workprec(bits):
                 return +mp.pi
 
-        ctx = PrecisionContext(64, 1e-15, 4)
+        ctx = PrecisionContext(64, 1e-15)
         val, bits = stabilize(compute, 64, ctx, lambda a, b: abs(a - b))
         assert bits == 128
         assert calls == [64, 128]
@@ -41,13 +41,27 @@ class TestPrecisionContext:
             assert abs(val - mp.pi) < mpf(2) ** -120
 
     def test_stabilize_raises_on_budget(self):
+        calls = []
+
         def compute(bits):
             # never stabilizes: changes with the precision tag
+            calls.append(bits)
             return mpf(bits)
 
-        ctx = PrecisionContext(64, 1e-15, 3)
+        ctx = PrecisionContext(64, 1e-15)
         with pytest.raises(PrecisionError):
             stabilize(compute, 64, ctx, lambda a, b: abs(a - b))
+        assert len(calls) == precision.MAX_DOUBLINGS + 1
+
+    def test_report_guard_defined_once(self):
+        # every reported quantity is formed REPORT_GUARD bits above the
+        # requested precision through PrecisionContext.workprec or the name
+        src = pathlib.Path(precision.__file__).parent
+        sites = [f"{path.name}:{n}"
+                 for path in sorted(src.glob("*.py")) if path.name != "precision.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "precision_bits + 16" in line]
+        assert sites == []
 
 
 class TestGaussLegendre:

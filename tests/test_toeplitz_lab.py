@@ -4,7 +4,7 @@ scaffolding."""
 import pytest
 from mpmath import mp, mpf
 
-from twlab import painleve2, specialfn, toeplitz_lab as tl, twdist
+from twlab import painleve2, precision, specialfn, toeplitz_lab as tl, twdist
 from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext
 
@@ -168,10 +168,11 @@ class TestPinnedLadder:
 
 
 class TestAdaptivePrecision:
-    def test_stabilization_is_enforced(self):
+    def test_stabilization_is_enforced(self, monkeypatch):
         # an unreachable tolerance with one refinement must raise, proving
         # the two-precision agreement is checked rather than assumed
-        hopeless = PrecisionContext(64, 1e-300, max_refinements=1)
+        monkeypatch.setattr(precision, "MAX_DOUBLINGS", 1)
+        hopeless = PrecisionContext(64, 1e-300)
         with pytest.raises(PrecisionError):
             tl.get_ladder(2.0, "plain", 6, hopeless)
 
@@ -180,7 +181,8 @@ class TestAdaptivePrecision:
         # 256 + 238 bits agrees with its doubling
         assert tl.get_ladder(30.0, "plain", 71, CTX).precision_bits_used == 988
 
-    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"),
+                                   0.0, -3.0])
     def test_guard_rejects_non_finite_t(self, t):
         with pytest.raises(DomainError):
             tl.guard_bits(t)

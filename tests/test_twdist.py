@@ -127,6 +127,24 @@ class TestLeftRepresentation:
             with pytest.raises(PrecisionError):
                 twdist.cdf_left(-4, fresh, tail_constants, strict)
 
+    def test_tails_shared_across_tolerances(self, hm_solution, tail_constants,
+                                            monkeypatch):
+        # the Airy and left-series tails depend on the bits only, so points
+        # at one precision and three tolerances compute each of them once
+        calls = []
+        for mod, name in ((twdist, "airy_tail_q_integral"),
+                          (twdist, "airy_tail_r_integral"),
+                          (painleve2, "left_tail_q_regularized"),
+                          (painleve2, "left_tail_r_regularized")):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+        for tol in (1e-10, 1e-11, 1e-12):
+            twdist.tw_point(-2, fresh, tail_constants, PrecisionContext(256, tol))
+        assert sorted(calls) == ["airy_tail_q_integral", "airy_tail_r_integral",
+                                 "left_tail_q_regularized", "left_tail_r_regularized"]
+
 
 class TestCombinedCdf:
     def test_beta2_is_f_squared(self, hm_solution, tail_constants, ctx256):
