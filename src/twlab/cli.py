@@ -5,7 +5,8 @@ Commands
   eval            one distribution point (x, F, E, F1, F2, F4)
   table           points over an x range
   constants       tail constants with symbolic formulas and numeric values
-  verify          identity suites; exit 1 when any item fails its tolerance
+  verify          the paper's checklist: one row per result of twlab.checks;
+                  exit 1 when any result misses its bound
   oracle-compare  max |F2(Painleve) - F2(Fredholm)| over a grid
   toeplitz-scan   per-q kappa/pi ladder at fixed t with Airy predictions
   toeplitz-limits product-split reports (F2 side, or E side with --e-side)
@@ -35,7 +36,7 @@ from typing import List, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from . import fredholm_oracle, painleve2, specialfn, toeplitz_lab, twdist
+from . import checks, fredholm_oracle, painleve2, toeplitz_lab, twdist
 from .errors import DomainError, PrecisionError, SolverError
 from .precision import PrecisionContext
 
@@ -148,6 +149,8 @@ def _x_grid(args: argparse.Namespace) -> List[mpf]:
         raise DomainError("--xmin and --xmax must be finite")
     if not args.step > 0:
         raise DomainError("--step must be positive")
+    if args.x_min > args.x_max:
+        raise DomainError("--xmin must not exceed --xmax")
     out = []
     x = mpf(args.x_min)
     while x <= mpf(args.x_max) + mpf(args.step) / 1000:
@@ -157,9 +160,10 @@ def _x_grid(args: argparse.Namespace) -> List[mpf]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    xs = _x_grid(args)
     ctx, sol, consts = _solved(args)
     rows = [_point_row(twdist.tw_point(x, sol, consts, ctx, check=args.check))
-            for x in _x_grid(args)]
+            for x in xs]
     doc = {"schema_version": SCHEMA_VERSION, "command": "table",
            "precision_bits": args.precision_bits}
     _emit(doc, rows, _POINT_COLUMNS, args)
@@ -193,70 +197,24 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ctx, sol, consts = _solved(args, 1e-12)
-    items = []
-
-    def item(name: str, measured, tolerance: float) -> None:
-        ok = bool(measured <= mpf(tolerance))
-        items.append({"item": name, "measured": _num(measured),
-                      "tolerance": _num(tolerance),
-                      "status": "pass" if ok else "fail"})
-
-    # tau identities
-    with mp.workprec(ctx.precision_bits):
-        d1 = abs(consts.tau1 * consts.tau4 - consts.tau2 / 2)
-        d2 = abs(consts.tau1 / consts.tau4 - mp.sqrt(2))
-    item("tau1*tau4 == tau2/2", d1, 1e-30)
-    item("tau1/tau4 == sqrt(2)", d2, 1e-30)
-
-    # Theorem-1 equivalence on the half-integer grid
-    mx_f = mpf(0)
-    mx_e = mpf(0)
-    x = mpf(-9)
-    while x <= -1:
-        fl, el = twdist.cdf_left(x, sol, consts, ctx)
-        fr, er = twdist.cdf_right(x, sol, ctx)
-        mx_f = max(mx_f, abs(fl - fr))
-        mx_e = max(mx_e, abs(el - er))
-        x += mpf(1) / 2
-    item("left/right representation max |dF| on [-9,-1]", mx_f, 1e-8)
-    item("left/right representation max |dE| on [-9,-1]", mx_e, 1e-8)
-
-    # total integrals
-    for c in (-2, -4, -6):
-        lhs_r, rhs_r, lhs_q, rhs_q = twdist.total_integral_check(c, sol, consts, ctx)
-        item(f"total integral (R side) at c={c}", abs(lhs_r - rhs_r), 1e-6)
-        item(f"total integral (q side) at c={c}", abs(lhs_q - rhs_q), 1e-6)
-
-    # Verblunsky identity at t=3
-    tctx = _context(args, 1e-22)
-    with mp.workprec(tctx.precision_bits):
-        mx = mpf(0)
-        for q in range(2, 21):
-            lhs = 1 - toeplitz_lab.pi_zero(q, 3.0, tctx) ** 2
-            rhs = mp.exp(toeplitz_lab.kappa_sq(q - 1, 3.0, tctx)
-                         - toeplitz_lab.kappa_sq(q, 3.0, tctx))
-            mx = max(mx, abs(lhs - rhs))
-    item("Verblunsky identity t=3, q<=20", mx, 1e-20)
-
-    # telescoping at t=20
-    for L in (4, 8):
-        rep = toeplitz_lab.sum_parts_report(20.0, -1.0, L, 4, sol, tctx)
-        item(f"telescoping t=20 L={L}", abs(rep.total - rep.total_direct), 1e-20)
-
-    ok = all(r["status"] == "pass" for r in items)
+    rows = [{"item": r.name, "measured": _num(r.measured),
+             "tolerance": _num(r.bound), "status": "pass" if r.ok else "fail"}
+            for check in checks.CHECKS for r in check(sol, consts, ctx)]
+    ok = all(row["status"] == "pass" for row in rows)
     doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
            "precision_bits": args.precision_bits,
            "status": "pass" if ok else "fail"}
-    _emit(doc, items, ["item", "measured", "tolerance", "status"], args)
+    _emit(doc, rows, ["item", "measured", "tolerance", "status"], args)
     return 0 if ok else 1
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+    xs = _x_grid(args)
     ctx, sol, consts = _solved(args)
     fctx = _context(args, max(args.tolerance, 1e-11))
     rows = []
     mx = mpf(0)
-    for x in _x_grid(args):
+    for x in xs:
         f2p = twdist.tw_cdf(x, 2, sol, consts, ctx, check=args.check)
         f2f = fredholm_oracle.f2_fredholm(x, args.m_quad, fctx,
                                           verify_convergence=False)
@@ -397,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="tail constants")
     common(p)
 
-    p = sub.add_parser("verify", help="run the identity suites")
+    p = sub.add_parser("verify", help="print the paper's checklist")
     common(p)
 
     p = sub.add_parser("oracle-compare",

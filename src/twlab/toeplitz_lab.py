@@ -312,7 +312,7 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
 # Airy-regime predictions
 # ---------------------------------------------------------------------------
 
-def airy_kappa_correction(q: int, t) -> mpf:
+def _airy_kappa_correction(q: int, t) -> mpf:
     """-1/(8(2t-q)) - 1/(12q): first correction of the kappa prediction
     below; negative on 0 < q < 2t and must stay above -1/2 before being fed
     to a logarithm."""
@@ -331,7 +331,7 @@ def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf
     t = mpf(t)
     if q < 1 or not q < 2 * t:
         raise DomainError("prediction requires 1 <= q < 2t")
-    corr = airy_kappa_correction(q, t)
+    corr = _airy_kappa_correction(q, t)
     if not abs(corr) < mpf(1) / 2:
         raise DomainError(
             f"correction {corr} out of range at q={q}, t={t}; q too close "
@@ -389,7 +389,7 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
             pred_k = None
             pred_pi = None
             if (q + 1 < 2 * t_mp
-                    and abs(airy_kappa_correction(q + 1, t_mp)) < mpf(1) / 2):
+                    and abs(_airy_kappa_correction(q + 1, t_mp)) < mpf(1) / 2):
                 pred_k = -airy_log_kappa_prediction(q + 1, t)
             if q < 2 * t_mp:
                 pred_pi = pi_zero_airy_prediction(q, t)
@@ -649,29 +649,21 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
 
 
 def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
-                    ctx: PrecisionContext, parity: str = "odd") -> List[mpf]:
-    """Residuals r_K = sum_{j=ell}^{ell+K} log(1 -+ pi_{2j+1 or 2j+2}(0))
-    + log E(x) for K = 0..k_max; both tend to 0 as K and t grow.
-
-    parity='odd' uses log(1 - pi_{2j+1}), parity='even' log(1 + pi_{2j+2})."""
-    if parity not in ("odd", "even"):
-        raise DomainError("parity must be 'odd' or 'even'")
+                    ctx: PrecisionContext) -> List[mpf]:
+    """Residuals r_K = sum_{j=ell}^{ell+K} log(1 - pi_{2j+1}(0)) + log E(x)
+    for K = 0..k_max, ell = floor(t + (x/2) t^(1/3)); they tend to 0 as K
+    and t grow."""
     t_mp = mpf(t)
     x_mp = mpf(x)
     with ctx.workprec():
         ell = int(mp.floor(t_mp + x_mp / 2 * t_mp ** (mpf(1) / 3)))
-    q_hi = 2 * (ell + k_max) + 2
-    plain = get_ladder(t, "plain", q_hi + 1, ctx)
+    plain = get_ladder(t, "plain", 2 * (ell + k_max) + 2, ctx)
     e = _tw_reference(x, sol, ctx, check=False).E
     out: List[mpf] = []
     with ctx.workprec():
         log_e = mp.log(e)
         acc = mpf(0)
-        for k in range(k_max + 1):
-            j = ell + k
-            if parity == "odd":
-                acc += mp.log(1 - plain.pi0[2 * j + 1])
-            else:
-                acc += mp.log(1 + plain.pi0[2 * j + 2])
+        for j in range(ell, ell + k_max + 1):
+            acc += mp.log(1 - plain.pi0[2 * j + 1])
             out.append(+(acc + log_e))
     return round_to(out, ctx.precision_bits)

@@ -1,284 +1,35 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per entry of twlab.checks.CHECKS, which holds
+every point set and bound; `twlab verify` prints the same results.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-summary lines alongside the pytest verdicts.
-
-Two convergence criteria compare double-scaling determinants against the
-limiting distributions at integer matrix sizes.  The integer floor in
-n = floor(2t + x t^(1/3)) shifts the determinant's effective argument by
-frac/t^(1/3), a quantization term that is not monotone along a t-ladder
-(and happens to vanish at t=8 where 2t - t^(1/3) is an exact integer), so
-those ladders are scored at the effective argument x_eff = (n - 2t)/t^(1/3);
-the fixed-argument distances are printed for reference.
+test_criterion_NN_<check> runs CHECKS[NN - 1] and prints one ACCEPTANCE line
+per result.  Run with `pytest tests/test_acceptance.py -v -s` to see those
+lines alongside the pytest verdicts.
 """
 
 import time
 
-from mpmath import mp, mpf
+from mpmath import mp
 
-from twlab import (fredholm_oracle, painleve2, specialfn, toeplitz_lab,
-                   twdist)
-from twlab.precision import PrecisionContext
+from twlab import checks
 
-TCTX = PrecisionContext(256, 1e-22)
-
-
-def report(num, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    print(f"\nACCEPTANCE {num}: {status} - {detail}")
-    assert ok, f"criterion {num}: {detail}"
+# runtime limits in seconds
+SECONDS = {checks.oracle_equivalence: 60, checks.double_scaling_ladder: 600}
 
 
-def test_criterion_01_oracle_equivalence(hm_solution, tail_constants, ctx256):
-    """F2 via the Painleve route vs the Fredholm determinant, m=80."""
-    start = time.monotonic()
-    worst = mpf(0)
-    with mp.workprec(280):
-        for x in range(-8, 5):
-            f2p = twdist.tw_cdf(x, 2, hm_solution, tail_constants, ctx256)
-            f2f = fredholm_oracle.f2_fredholm(x, 80, ctx256,
-                                              verify_convergence=False)
-            worst = max(worst, abs(f2p - f2f))
-    elapsed = time.monotonic() - start
-    ok = worst <= mpf(10) ** -10 and elapsed <= 60
-    report(1, ok, f"max |F2_painleve - F2_fredholm| = {mp.nstr(worst, 3)} "
-                  f"(<= 1e-10), runtime {elapsed:.1f}s (<= 60s)")
+def _criterion(check):
+    def test(hm_solution, tail_constants, ctx256):
+        start = time.monotonic()
+        results = check(hm_solution, tail_constants, ctx256)
+        elapsed = time.monotonic() - start
+        for r in results:
+            print(f"\nACCEPTANCE {r.name}: {'PASS' if r.ok else 'FAIL'} - "
+                  f"{mp.nstr(r.measured, 3)} (bound {r.bound})")
+        assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+        limit = SECONDS.get(check)
+        assert limit is None or elapsed <= limit, f"{elapsed:.1f}s > {limit}s"
+    test.__doc__ = check.__doc__
+    return test
 
 
-def test_criterion_02_left_right_identity(hm_solution, tail_constants, ctx256):
-    """The two integral representations agree pointwise."""
-    start = time.monotonic()
-    worst_f = mpf(0)
-    worst_e = mpf(0)
-    with mp.workprec(280):
-        x = mpf(-9)
-        while x <= -1:
-            fl, el = twdist.cdf_left(x, hm_solution, tail_constants, ctx256)
-            fr, er = twdist.cdf_right(x, hm_solution, ctx256)
-            worst_f = max(worst_f, abs(fl - fr))
-            worst_e = max(worst_e, abs(el - er))
-            x += mpf(1) / 2
-    elapsed = time.monotonic() - start
-    ok = worst_f <= mpf(10) ** -8 and worst_e <= mpf(10) ** -8
-    report(2, ok, f"max |dF| = {mp.nstr(worst_f, 3)}, max |dE| = "
-                  f"{mp.nstr(worst_e, 3)} (<= 1e-8), {elapsed:.1f}s")
-
-
-def test_criterion_03_total_integrals(hm_solution, tail_constants, ctx256):
-    """Total-integral identities for both regularized integrands."""
-    worst = mpf(0)
-    with mp.workprec(280):
-        for c in (-2, -4, -6):
-            lhs_r, rhs_r, lhs_q, rhs_q = twdist.total_integral_check(
-                c, hm_solution, tail_constants, ctx256)
-            worst = max(worst, abs(lhs_r - rhs_r), abs(lhs_q - rhs_q))
-    ok = worst <= mpf(10) ** -6
-    report(3, ok, f"max |lhs - rhs| over c in {{-2,-4,-6}} = "
-                  f"{mp.nstr(worst, 3)} (<= 1e-6)")
-
-
-def test_criterion_04_tail_constants(hm_solution, tail_constants, ctx256):
-    """Fitted tail constants at x = -9 recover tau_1, tau_2, tau_4."""
-    with mp.workprec(280):
-        x = mpf(-9)
-        ax = -x
-        ax32 = ax ** mpf("1.5")
-        s2 = mp.sqrt(2)
-        f2 = twdist.tw_cdf(x, 2, hm_solution, tail_constants, ctx256)
-        fit2 = f2 * mp.exp(ax ** 3 / 12) * ax ** mpf("0.125") / (1 + 3 / (64 * ax ** 3))
-        rel2 = abs(fit2 - tail_constants.tau2) / tail_constants.tau2
-        f1 = twdist.tw_cdf(x, 1, hm_solution, tail_constants, ctx256)
-        fit1 = (f1 * mp.exp(ax ** 3 / 24 + ax32 / (3 * s2)) * ax ** (mpf(1) / 16)
-                / (1 - 1 / (24 * s2 * ax32)))
-        rel1 = abs(fit1 - tail_constants.tau1) / tail_constants.tau1
-        f4 = twdist.tw_cdf(x, 4, hm_solution, tail_constants, ctx256)
-        fit4 = (f4 * mp.exp(ax ** 3 / 24 - ax32 / (3 * s2)) * ax ** (mpf(1) / 16)
-                / (1 + 1 / (24 * s2 * ax32)))
-        rel4 = abs(fit4 - tail_constants.tau4) / tail_constants.tau4
-    ok = rel2 <= mpf(10) ** -3 and rel1 <= mpf(10) ** -2 and rel4 <= mpf(10) ** -2
-    report(4, ok, f"tau fits at x=-9: rel err tau2 = {mp.nstr(rel2, 3)} "
-                  f"(<= 1e-3), tau1 = {mp.nstr(rel1, 3)}, tau4 = "
-                  f"{mp.nstr(rel4, 3)} (<= 1e-2)")
-
-
-def test_criterion_05_special_function_suite():
-    """Barnes recurrence, the half-argument identity, and the independent
-    zeta'(-1) against the large-argument fit."""
-    bits = 256
-    with mp.workprec(300):
-        worst_rec = mpf(0)
-        z = mpf("0.5")
-        while z <= mpf("10.5"):
-            gap = abs(specialfn.log_barnes_g(z + 1, bits)
-                      - specialfn.log_gamma(z, bits)
-                      - specialfn.log_barnes_g(z, bits))
-            worst_rec = max(worst_rec, gap)
-            z += 1
-        zp = specialfn.zeta_prime_minus_one(bits)
-        half_gap = abs(specialfn.log_barnes_g(mpf(1) / 2, bits)
-                       - (mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp))
-        # fit at z=1000 built from log-factorials only (no zeta' input)
-        z = mpf(1000)
-        log_g = mp.fsum(specialfn.log_gamma(q + 1, bits) for q in range(2, 1000))
-        fit = log_g - (z * z / 2 * mp.log(z) - mpf(3) / 4 * z * z
-                       + z / 2 * mp.log(2 * mp.pi) - mp.log(z) / 12)
-        fit_gap = abs(fit - zp)
-        # values feeding the criterion revalidate at doubled precision
-        zp2 = specialfn.zeta_prime_minus_one(512)
-        stable = abs(zp - zp2) <= mpf(10) ** -20
-    ok = (worst_rec <= mpf(10) ** -20 and half_gap <= mpf(10) ** -20
-          and fit_gap <= mpf(10) ** -8 and stable)
-    report(5, ok, f"Barnes recurrence max gap = {mp.nstr(worst_rec, 3)}, "
-                  f"half-argument identity gap = {mp.nstr(half_gap, 3)} "
-                  f"(<= 1e-20); zeta'(-1) vs asymptotic fit = "
-                  f"{mp.nstr(fit_gap, 3)} (<= 1e-8)")
-
-
-def test_criterion_06_telescoping(hm_solution):
-    """Product-split total equals the directly computed log(e^(-t^2) D_n)."""
-    worst = mpf(0)
-    with mp.workprec(280):
-        for L in (4, 8):
-            rep = toeplitz_lab.sum_parts_report(20.0, -1.0, L, 4,
-                                                hm_solution, TCTX)
-            worst = max(worst, abs(rep.total - rep.total_direct))
-    ok = worst <= mpf(10) ** -20
-    report(6, ok, f"telescoping t=20, L in {{4,8}}: max |parts - direct| = "
-                  f"{mp.nstr(worst, 3)} (<= 1e-20)")
-
-
-def test_criterion_07_double_scaling_ladder(hm_solution, tail_constants, ctx256):
-    """e^(-t^2) D_n converges to F2 along t in {8, 16, 32} at x = -1."""
-    start = time.monotonic()
-    gaps_eff = []
-    gaps_fixed = []
-    with mp.workprec(280):
-        f2_fixed = twdist.tw_cdf(-1, 2, hm_solution, tail_constants, ctx256)
-        for t in (8.0, 16.0, 32.0):
-            t13 = mpf(t) ** (mpf(1) / 3)
-            n = int(mp.floor(2 * t + (-1) * t13))
-            logd = toeplitz_lab.toeplitz_log_det(
-                toeplitz_lab.MomentMatrixSpec(t, n, "plain"), TCTX)
-            val = mp.exp(-mpf(t) ** 2 + logd)
-            x_eff = (n - 2 * mpf(t)) / t13
-            ref = twdist.tw_cdf(x_eff, 2, hm_solution, tail_constants, ctx256)
-            gaps_eff.append(abs(val - ref))
-            gaps_fixed.append(abs(val - f2_fixed))
-    elapsed = time.monotonic() - start
-    ok = gaps_eff[0] > gaps_eff[1] > gaps_eff[2] and elapsed <= 600
-    report(7, ok,
-           "|e^(-t^2) D_n - F2| at the scaling position, t in {8,16,32}: "
-           + " > ".join(mp.nstr(g, 3) for g in gaps_eff)
-           + " (strictly decreasing); fixed-argument distances "
-           + ", ".join(mp.nstr(g, 3) for g in gaps_fixed)
-           + f" carry the floor-quantization term; runtime {elapsed:.0f}s (<= 600s)")
-
-
-def test_criterion_08_airy_regime_prediction():
-    """The explicit first-correction prediction of log kappa_{q-1}^(-2) beats
-    leading order at every q and sits inside the error envelope."""
-    t = mpf(50)
-    ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, TCTX)
-    all_better = True
-    all_enveloped = True
-    worst_ratio = mpf(0)
-    with mp.workprec(280):
-        for q in range(20, 81, 10):
-            exact = -ladder.log_kappa_sq(q - 1)
-            corr = toeplitz_lab.airy_log_kappa_prediction(q, 50.0)
-            lead = toeplitz_lab.airy_log_kappa_prediction(
-                q, 50.0, include_correction=False)
-            err_c = abs(exact - corr)
-            err_l = abs(exact - lead)
-            envelope = 10 * ((2 * t) ** 2 / (mpf(q) ** mpf("1.5")
-                                             * (2 * t - q) ** mpf("2.5"))
-                             + (2 * t) ** 2 / (mpf(q) ** 2 * (2 * t - q) ** 2))
-            all_better &= err_c < err_l
-            all_enveloped &= err_c <= envelope
-            worst_ratio = max(worst_ratio, err_c / envelope)
-    ok = all_better and all_enveloped
-    report(8, ok, f"t=50, q in {{20,...,80}}: corrected prediction better at "
-                  f"every q = {all_better}; max error/envelope = "
-                  f"{mp.nstr(worst_ratio, 3)} (<= 1)")
-
-
-def test_criterion_09_verblunsky_and_signs():
-    """Reflection-coefficient identity at t=3 and sign alternation at t=50."""
-    with mp.workprec(280):
-        worst = mpf(0)
-        for q in range(2, 21):
-            lhs = 1 - toeplitz_lab.pi_zero(q, 3.0, TCTX) ** 2
-            rhs = mp.exp(toeplitz_lab.kappa_sq(q - 1, 3.0, TCTX)
-                         - toeplitz_lab.kappa_sq(q, 3.0, TCTX))
-            worst = max(worst, abs(lhs - rhs))
-        ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, TCTX)
-        signs_ok = all((ladder.pi0[q] > 0) == (q % 2 == 0)
-                       for q in range(10, 91))
-    ok = worst <= mpf(10) ** -20 and signs_ok
-    report(9, ok, f"Verblunsky identity t=3, q<=20: max residual = "
-                  f"{mp.nstr(worst, 3)} (<= 1e-20); sign alternation at t=50 "
-                  f"for 10<=q<=90: {signs_ok}")
-
-
-def test_criterion_10_e_side_scaffolding(hm_solution, tail_constants, ctx256):
-    """(a) the exact-part combination converges to (2L-1) log 2 in t for each
-    L; (b) reflection-coefficient partial sums approach -log E(0); (c) the
-    ++ determinants converge to F E along the t-ladder."""
-    with mp.workprec(280):
-        # (a) t-convergence at fixed L (the distance grows with L at fixed t,
-        # so the meaningful ladders are in t); the (L,t) triple values are
-        # printed for reference
-        def combo(L, t):
-            return abs(toeplitz_lab.d_pm_log("plus_plus", L - 1, t, TCTX)
-                       + toeplitz_lab.d_pm_log("minus_plus", L, t, TCTX)
-                       - toeplitz_lab.toeplitz_log_det(
-                           toeplitz_lab.MomentMatrixSpec(t, 2 * L - 1, "plain"), TCTX)
-                       - (2 * L - 1) * mp.log(2))
-
-        c_3_50 = combo(3, 50.0)
-        c_3_100 = combo(3, 100.0)
-        c_5_50 = combo(5, 50.0)
-        c_5_100 = combo(5, 100.0)
-        ok_a = c_3_100 < c_3_50 and c_5_100 < c_5_50
-
-        # (b) partial sums of log(1 - pi_{2j+1}(0)) approach -log E(0)
-        res = toeplitz_lab.pi_partial_sums(16.0, 0.0, 12, hm_solution, TCTX,
-                                           parity="odd")
-        ok_b = all(abs(a) >= abs(b) for a, b in zip(res, res[1:]))
-        ok_b &= abs(res[-1]) < abs(res[0]) / 4
-
-        # (c) e^(-t^2/2) D_{ell-1}^{++} toward F E at the scaling position
-        gaps = []
-        for t in (8.0, 16.0, 32.0):
-            t13 = mpf(t) ** (mpf(1) / 3)
-            ell = int(mp.floor(t - t13 / 2))
-            val = mp.exp(-mpf(t) ** 2 / 2
-                         + toeplitz_lab.d_pm_log("plus_plus", ell - 1, t, TCTX))
-            x_eff = 2 * (ell - mpf(t)) / t13
-            pt = twdist.tw_point(x_eff, hm_solution, tail_constants, ctx256)
-            gaps.append(abs(val - pt.F1))
-        ok_c = gaps[0] > gaps[1] > gaps[2]
-    ok = ok_a and ok_b and ok_c
-    report(10, ok,
-           f"(a) |combo - (2L-1)log2|: L=3: {mp.nstr(c_3_50, 3)} -> "
-           f"{mp.nstr(c_3_100, 3)}, L=5: {mp.nstr(c_5_50, 3)} -> "
-           f"{mp.nstr(c_5_100, 3)} (decreasing in t: {ok_a}); "
-           f"(b) pi partial-sum residual {mp.nstr(abs(res[0]), 3)} -> "
-           f"{mp.nstr(abs(res[-1]), 3)} ({ok_b}); "
-           f"(c) ++ determinant vs F E gaps "
-           + " > ".join(mp.nstr(g, 3) for g in gaps) + f" ({ok_c})")
-
-
-def test_criterion_11_selberg(ctx256):
-    """Gaussian Selberg evaluation: closed form vs direct quadrature."""
-    with mp.workprec(280):
-        closed2 = toeplitz_lab.selberg_hermite_log_closed(2, 2.0, TCTX)
-        quad2 = toeplitz_lab.selberg_hermite_log_quadrature(2, 2.0, TCTX)
-        rel2 = abs(mp.exp(closed2 - quad2) - 1)
-        closed1 = toeplitz_lab.selberg_hermite_log_closed(1, 5.0, TCTX)
-        exact1 = mp.log(mp.sqrt(mp.pi / 5))
-        gap1 = abs(closed1 - exact1)
-    ok = rel2 <= mpf(10) ** -8 and gap1 <= mpf(10) ** -30
-    report(11, ok, f"Selberg L=2 closed vs quadrature rel err = "
-                   f"{mp.nstr(rel2, 3)} (<= 1e-8); L=1 exact gap = "
-                   f"{mp.nstr(gap1, 3)}")
+for _number, _check in enumerate(checks.CHECKS, 1):
+    globals()[f"test_criterion_{_number:02d}_{_check.__name__}"] = _criterion(_check)

@@ -9,9 +9,10 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mpf
 
 import twlab
-from twlab import cli, painleve2
+from twlab import checks, cli, painleve2
 from twlab.precision import PrecisionContext
 
 
@@ -193,6 +194,12 @@ class TestExitCodes:
                           workdir, "nan_table.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["table", "oracle-compare"])
+    def test_reversed_x_range_exit_two(self, command, workdir):
+        code, _ = run_cli([command, "--xmin", "2", "--xmax", "1"] + FAST,
+                          workdir, "reversed.json")
+        assert code == 2
+
     def test_unknown_command_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -352,3 +359,16 @@ class TestVerify:
         for needle in ("tau", "left/right", "total integral", "Verblunsky",
                        "telescoping"):
             assert needle in names
+        tau = next(r for r in doc["rows"] if r["item"] == "tau1*tau4 == tau2/2")
+        assert tau["tolerance"] == "1.000000000000000000000000e-30"
+
+    def test_failing_result_exits_one(self, workdir, monkeypatch):
+        def failing(sol, consts, ctx):
+            return [checks.Result("always fails", mpf(2), "1", False)]
+        monkeypatch.setattr(checks, "CHECKS", [failing])
+        code, text = run_cli(["verify"] + FAST, workdir, "verify_fail.json")
+        assert code == 1
+        doc = json.loads(text)
+        assert doc["status"] == "fail"
+        assert [(r["item"], r["status"]) for r in doc["rows"]] == [
+            ("always fails", "fail")]

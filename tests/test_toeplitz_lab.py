@@ -379,13 +379,6 @@ class TestESide:
         assert gaps[1] < gaps[0]
 
     def test_pi_partial_sums_decrease(self, hm_solution):
-        res = tl.pi_partial_sums(16.0, 0.0, 10, hm_solution, CTX, parity="odd")
+        res = tl.pi_partial_sums(16.0, 0.0, 10, hm_solution, CTX)
         with mp.workprec(280):
             assert abs(res[-1]) < abs(res[0])
-            res_even = tl.pi_partial_sums(16.0, 0.0, 10, hm_solution, CTX,
-                                          parity="even")
-            assert abs(res_even[-1]) < abs(res_even[0])
-
-    def test_parity_validation(self, hm_solution):
-        with pytest.raises(DomainError):
-            tl.pi_partial_sums(16.0, 0.0, 3, hm_solution, CTX, parity="both")
