@@ -686,14 +686,13 @@ def _build_table(solution: HMSolution, kind: str, bits: int):
     return rows, antis, cum
 
 
-_KINDS = ("q", "r", "q_reg", "r_reg")
+_KINDS = ("q", "r")
 
 
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
-    """Integral over [a, b] of q, R, or the regularized q - sqrt(-y/2) and
-    R - y^2/4 (for b <= 0), from the cached element antiderivatives: one
-    Clenshaw sum per end point."""
+    """Integral over [a, b] of q or R from the cached element
+    antiderivatives: one Clenshaw sum per end point."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     a, b = mpf(a), mpf(b)
@@ -701,10 +700,8 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
         raise DomainError("integration bounds must satisfy a <= b")
     if not solution.x_left <= a <= b <= solution.x_right:
         raise DomainError("integration bounds must lie inside the grid")
-    if kind.endswith("_reg") and b > 0:
-        raise DomainError(f"{kind} integrates only up to 0 (sqrt(-y) branches there)")
     bits = ctx.precision_bits
-    _, antis, cum = _table(solution, kind.partition("_")[0], bits)
+    _, antis, cum = _table(solution, kind, bits)
 
     def upto(x: mpf) -> mpf:
         # integral from x_left to x
@@ -714,12 +711,7 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
             fixedpoint.clenshaw(row, t, bits + _READ_GUARD), frac)
 
     with ctx.workprec():
-        total = upto(b) - upto(a)
-        if kind == "q_reg":
-            total -= mp.sqrt(2) / 3 * ((-a) ** mpf("1.5") - (-b) ** mpf("1.5"))
-        elif kind == "r_reg":
-            total -= (b ** 3 - a ** 3) / 12
-        return total
+        return upto(b) - upto(a)
 
 
 # ---------------------------------------------------------------------------

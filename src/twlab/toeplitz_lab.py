@@ -478,8 +478,8 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
         total = -t_mp ** 2 + exact + airy + painleve
         m_mp = mpf(M)
         exact_limit = _exact_part_bracket(L, t_mp, zp)
-        airy_limit = (t_mp ** 2 - (exact_limit - zp) - m_mp ** 3 / 12
-                      - mp.log(m_mp) / 8 + mp.log(2) / 24)
+        airy_limit = (t_mp ** 2 - (exact_limit - zp) - twdist.regularizer_r(-m_mp)
+                      + mp.log(2) / 24)
         painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
     direct = toeplitz_log_det_lu(MomentMatrixSpec(float(t), n, "plain"), ctx)
     f2_ref = _tw_reference(x, sol, ctx, check=True).F2
@@ -630,9 +630,8 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
 
         log2 = mp.log(2)
         m_mp = mpf(M)
-        sqrt2 = mp.sqrt(2)
         exact_limit = (2 * L - 1) * log2
-        airy_limit = t_mp - sqrt2 / 3 * m_mp ** mpf("1.5") - (2 * L - mpf("0.5")) * log2
+        airy_limit = t_mp - twdist.regularizer_q(-m_mp) - (2 * L - mpf("0.5")) * log2
         painleve_limit = painleve2.integrate_kind(sol, "q", -m_mp, x_mp, ctx)
         two_log_e = 2 * mp.log(tw_ref.E)
 

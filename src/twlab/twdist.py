@@ -14,12 +14,15 @@ Left representation (integrals from -infinity to x, x < 0):
     E(x) = 2^(-1/4) e^(-|x|^(3/2)/(3 sqrt 2))
            * exp{ 1/2 int_{-inf}^x (q(y) - sqrt(|y|/2)) dy }.
 
-Between the window ends the integrands are the element interpolants of the
-collocation solution, integrated exactly (painleve2.integrate_kind).  Beyond
-the window both integrands are handled analytically: on the left by the
-regularized series, with their truncation error checked against the
-tolerance; on the right by the Airy closed form for R and the convergent
-1/3 - int_0^x Ai for q.
+Both are exp(K + U(x)/2) with one cumulative read U(x) = int_{x_left}^x
+of R or q, exact on the element interpolants of the collocation solution
+(painleve2.integrate_kind), and one constant per representation, kind,
+solution and precision: on the right K = -1/2 (int_{x_left}^{x_right} +
+the Airy closed forms beyond x_right); on the left K = log prefactor +
+1/2 (series tail before x_left - A(x_left)), with the regularizer integrals
+A_R(y) = |y|^3/12 + (1/8) log|y| and A_q(y) = (sqrt 2/3) |y|^(3/2); the
+series error is checked against the tolerance.  Twice K_left - K_right is
+the total-integral residual (total_integral_check).
 """
 
 from __future__ import annotations
@@ -101,105 +104,104 @@ def airy_tail_q_integral(x, ctx: PrecisionContext) -> mpf:
 # The two representations
 # ---------------------------------------------------------------------------
 
-def _right_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(int_x^inf R, int_x^inf q): element integrals to x_right plus the
-    Airy tails, kept with the solution per precision (all they depend on)."""
+def regularizer_r(y) -> mpf:
+    """A_R(y) = |y|^3/12 + (1/8) log|y|, y < 0: minus an antiderivative of
+    y^2/4 - 1/(8y)."""
+    return (-mpf(y)) ** 3 / 12 + mp.log(-mpf(y)) / 8
+
+
+def regularizer_q(y) -> mpf:
+    """A_q(y) = (sqrt 2/3) |y|^(3/2), y <= 0: minus an antiderivative of
+    sqrt(|y|/2)."""
+    return mp.sqrt(2) / 3 * (-mpf(y)) ** mpf("1.5")
+
+
+def _right_constants(sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """(K_R, K_q) of the right representation, kept with the solution."""
+    def compute():
+        with ctx.workprec():
+            return tuple(
+                -(painleve2.integrate_kind(sol, kind, sol.x_left, sol.x_right, ctx)
+                  + tail(sol.x_right, ctx)) / 2
+                for kind, tail in (("r", airy_tail_r_integral),
+                                   ("q", airy_tail_q_integral)))
+    return sol.cached(("right_constants", ctx.precision_bits), compute)
+
+
+def _left_constants(sol: painleve2.HMSolution, consts: TailConstants,
+                    ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """(K_R, K_q) of the left representation, kept with the solution; the
+    series error is checked against ctx.tolerance on every call."""
+    def compute():
+        with ctx.workprec():
+            (tail_r, err_r), (tail_q, err_q) = (
+                painleve2.left_tail_r_regularized(sol.x_left),
+                painleve2.left_tail_q_regularized(sol.x_left))
+            return (mp.log(consts.f_prefactor) + (tail_r - regularizer_r(sol.x_left)) / 2,
+                    mp.log(consts.e_prefactor) + (tail_q - regularizer_q(sol.x_left)) / 2,
+                    max(err_r, err_q))
+    k_r, k_q, err = sol.cached(("left_constants", ctx.precision_bits, consts), compute)
+    if float(err) > ctx.tolerance:
+        raise PrecisionError(
+            "left tail series cannot reach the requested tolerance at "
+            f"x_left={sol.x_left}; enlarge the window (|x_left|)")
+    return k_r, k_q
+
+
+def _cumulative(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """U(x) for R and q, the read both representations share."""
     x = mpf(x)
     if not sol.x_left <= x <= sol.x_right:
         raise DomainError(f"x={x} outside solution window")
+    return tuple(painleve2.integrate_kind(sol, kind, sol.x_left, x, ctx)
+                 for kind in ("r", "q"))
+
+
+def _cdf(k: Tuple[mpf, mpf], u: Tuple[mpf, mpf], ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """(F, E) = exp(K + U/2)."""
     with ctx.workprec():
-        int_r = painleve2.integrate_kind(sol, "r", x, sol.x_right, ctx)
-        int_r += sol.cached(("airy_tail_r", ctx.precision_bits),
-                            lambda: airy_tail_r_integral(sol.x_right, ctx))
-        int_q = painleve2.integrate_kind(sol, "q", x, sol.x_right, ctx)
-        int_q += sol.cached(("airy_tail_q", ctx.precision_bits),
-                            lambda: airy_tail_q_integral(sol.x_right, ctx))
-        return int_r, int_q
+        fe = tuple(mp.exp(kk + uu / 2) for kk, uu in zip(k, u))
+    return round_to(fe, ctx.precision_bits)
 
 
 def cdf_right(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(F(x), E(x)) from the integrals toward +infinity."""
-    int_r, int_q = _right_integrals(x, sol, ctx)
-    with ctx.workprec():
-        f = mp.exp(-int_r / 2)
-        e = mp.exp(-int_q / 2)
-    return round_to((f, e), ctx.precision_bits)
-
-
-def _left_integrals(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """Regularized integrals from -infinity to x (x < 0):
-    (int (R - y^2/4 + 1/(8y)), int (q - sqrt(|y|/2))).  The tail series are
-    kept per precision; their error is checked against ctx.tolerance."""
-    x = mpf(x)
-    if not x < 0:
-        raise DomainError("left representation requires x < 0")
-    if not sol.x_left <= x:
-        raise DomainError(f"x={x} outside solution window")
-    with ctx.workprec():
-        tail_r, err_r = sol.cached(
-            ("left_tail_r", ctx.precision_bits),
-            lambda: painleve2.left_tail_r_regularized(sol.x_left))
-        tail_q, err_q = sol.cached(
-            ("left_tail_q", ctx.precision_bits),
-            lambda: painleve2.left_tail_q_regularized(sol.x_left))
-        if max(float(err_r), float(err_q)) > ctx.tolerance:
-            raise PrecisionError(
-                "left tail series cannot reach the requested tolerance at "
-                f"x_left={sol.x_left}; enlarge the window (|x_left|)")
-        # 1/(8y) is integrated analytically: (1/8) log|x / x_left|
-        body_r = painleve2.integrate_kind(sol, "r_reg", sol.x_left, x, ctx)
-        log_term = (mp.log(-x) - mp.log(-sol.x_left)) / 8
-        body_q = painleve2.integrate_kind(sol, "q_reg", sol.x_left, x, ctx)
-        return tail_r + body_r + log_term, tail_q + body_q
+    return _cdf(_right_constants(sol, ctx), _cumulative(x, sol, ctx), ctx)
 
 
 def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(F(x), E(x)) from the integrals toward -infinity (x < 0)."""
-    int_r, int_q = _left_integrals(x, sol, ctx)
-    with ctx.workprec():
-        x = mpf(x)
-        ax = -x
-        f = (consts.f_prefactor * mp.exp(-ax ** 3 / 24) / ax ** (mpf(1) / 16)
-             * mp.exp(int_r / 2))
-        e = (consts.e_prefactor * mp.exp(-ax ** mpf("1.5") / (3 * mp.sqrt(2)))
-             * mp.exp(int_q / 2))
-    return round_to((f, e), ctx.precision_bits)
+    if not mpf(x) < 0:
+        raise DomainError("left representation requires x < 0")
+    u = _cumulative(x, sol, ctx)
+    return _cdf(_left_constants(sol, consts, ctx), u, ctx)
 
 
 _SWITCH_POINT = -1.0
 _AGREEMENT_TOL = 1e-8
 
 
-def _f_e_at(x, sol, consts, ctx, check: bool = True) -> Tuple[mpf, mpf, str]:
-    x = mpf(x)
-    if x < _SWITCH_POINT:
-        f, e = cdf_left(x, sol, consts, ctx)
-        rep = "left"
+def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
+             ctx: PrecisionContext, check: bool = True) -> TWPoint:
+    """F, E and F1, F2, F4 at x: left representation below _SWITCH_POINT,
+    with check compared to the right one built from the same read."""
+    if mpf(x) < _SWITCH_POINT:
+        u = _cumulative(x, sol, ctx)
+        f, e = _cdf(_left_constants(sol, consts, ctx), u, ctx)
         if check:
-            f2, e2 = cdf_right(x, sol, ctx)
+            f2, e2 = _cdf(_right_constants(sol, ctx), u, ctx)
             if abs(f - f2) > _AGREEMENT_TOL or abs(e - e2) > _AGREEMENT_TOL:
                 raise InternalConsistencyError(
                     f"left/right representations disagree at x={x}: "
                     f"dF={abs(f - f2)}, dE={abs(e - e2)}")
-        return f, e, rep
-    f, e = cdf_right(x, sol, ctx)
-    return f, e, "right"
-
-
-def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
-             ctx: PrecisionContext, check: bool = True) -> TWPoint:
-    f, e, rep = _f_e_at(x, sol, consts, ctx, check=check)
+        rep = "left"
+    else:
+        f, e = cdf_right(x, sol, ctx)
+        rep = "right"
     with ctx.workprec():
-        return TWPoint(
-            x=mpf(x),
-            F=f,
-            E=e,
-            F1=f * e,
-            F2=f * f,
-            F4=(e + 1 / e) * f / 2,
-            representation=rep,
-        )
+        return TWPoint(x=mpf(x), F=f, E=e, F1=f * e, F2=f * f,
+                       F4=(e + 1 / e) * f / 2, representation=rep)
 
 
 def tw_cdf(x, beta: int, sol: painleve2.HMSolution, consts: TailConstants,
@@ -215,27 +217,25 @@ def tw_cdf(x, beta: int, sol: painleve2.HMSolution, consts: TailConstants,
 # Total integrals
 # ---------------------------------------------------------------------------
 
-def total_integral_check(c, sol: painleve2.HMSolution, consts: TailConstants,
+def total_integral_check(sol: painleve2.HMSolution, consts: TailConstants,
                          ctx: PrecisionContext) -> Tuple[mpf, mpf, mpf, mpf]:
-    """Both sides of the two total-integral identities at c < 0:
+    """Both sides of the two total-integral identities, whose left sides are
+    the same for every c < 0:
 
-      int_c^inf R + int_{-inf}^c (R - y^2/4 + 1/(8y))
-          = -(1/24) log 2 - zeta'(-1) + |c|^3/12 + (1/8) log|c|
-      int_c^inf q + int_{-inf}^c (q - sqrt(|y|/2))
-          = (1/2) log 2 + (sqrt 2/3) |c|^(3/2)
-    """
-    c = mpf(c)
-    if not c < 0:
-        raise DomainError("c must be negative")
-    up_r, up_q = _right_integrals(c, sol, ctx)
-    down_r, down_q = _left_integrals(c, sol, ctx)
+      int_c^inf R + int_{-inf}^c (R - y^2/4 + 1/(8y)) - A_R(c)
+          = -(1/24) log 2 - zeta'(-1)
+      int_c^inf q + int_{-inf}^c (q - sqrt(|y|/2)) - A_q(c) = (1/2) log 2
+
+    Each left side is 2 (K_left - log prefactor - K_right): the series tail,
+    the window integral and the Airy tail, with no zeta'(-1) in it.  Each
+    residual is 2 (K_left - K_right)."""
+    pairs = zip(_left_constants(sol, consts, ctx), _right_constants(sol, ctx),
+                (consts.f_prefactor, consts.e_prefactor))
     with ctx.workprec():
-        ac = -c
-        lhs_r = up_r + down_r
-        rhs_r = (-mp.log(2) / 24 - consts.zeta_prime_minus_one
-                 + ac ** 3 / 12 + mp.log(ac) / 8)
-        lhs_q = up_q + down_q
-        rhs_q = mp.log(2) / 2 + mp.sqrt(2) / 3 * ac ** mpf("1.5")
+        lhs_r, lhs_q = (2 * (k_left - k_right - mp.log(pref))
+                        for k_left, k_right, pref in pairs)
+        rhs_r = -mp.log(2) / 24 - consts.zeta_prime_minus_one
+        rhs_q = mp.log(2) / 2
     return round_to((lhs_r, rhs_r, lhs_q, rhs_q), ctx.precision_bits)
 
 

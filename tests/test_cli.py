@@ -91,6 +91,16 @@ class TestEvalAndTable:
         f2 = [float(r[4]) for r in rows[1:]]
         assert f2[0] < f2[1] < f2[2]
 
+    def test_table_grid_does_not_drift(self, workdir):
+        # 0.1 is not exact in binary: each x is x_min + k step, none above x_max
+        code, text = run_cli(["table", "--xmin", "-3", "--xmax", "-1",
+                              "--step", "0.1", "--format", "csv"] + FAST,
+                             workdir, "grid.csv")
+        assert code == 0
+        xs = [float(r[0]) for r in list(csv.reader(io.StringIO(text)))[1:]]
+        assert xs == [-3 + k * 0.1 for k in range(21)]
+        assert max(xs) <= -1
+
     def test_determinism(self, workdir):
         _, a = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d1.json")
         _, b = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d2.json")
