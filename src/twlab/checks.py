@@ -5,8 +5,9 @@ constants and the context both were computed in -- and returns Results: a
 name, the measured value, the bound as a decimal string, and whether the
 value lies below the bound.  CHECKS lists the checks in order.  `twlab
 verify` prints every Result and tests/test_acceptance.py asserts them, so
-each bound is written here and nowhere else.  The determinant checks run in
-their own context at 1e-22, the tolerance their ladders are stabilized to.
+each bound is written here and nowhere else.  Every check runs in the ctx it
+is given: the determinant ladders are stabilized to its precision_bits and
+read no tolerance.
 
 A sequence that must strictly decrease is scored by its largest successive
 ratio, which must be below 1.  Two such ladders compare double-scaling
@@ -25,7 +26,6 @@ from typing import List, NamedTuple
 from mpmath import mp, mpf
 
 from . import fredholm_oracle, specialfn, toeplitz_lab, twdist
-from .precision import PrecisionContext
 
 
 class Result(NamedTuple):
@@ -45,10 +45,6 @@ def _below(name: str, measured, bound: str, strict: bool = True) -> Result:
 
 def _max_ratio(values) -> mpf:
     return max(b / a for a, b in zip(values, values[1:]))
-
-
-def _determinant_context(ctx: PrecisionContext) -> PrecisionContext:
-    return PrecisionContext(ctx.precision_bits, 1e-22)
 
 
 def oracle_equivalence(sol, consts, ctx) -> List[Result]:
@@ -125,11 +121,10 @@ def special_function_suite(sol, consts, ctx) -> List[Result]:
 def telescoping(sol, consts, ctx) -> List[Result]:
     """The product-split total equals the directly computed
     log(e^(-t^2) D_n)."""
-    tctx = _determinant_context(ctx)
     out = []
     with ctx.workprec():
         for L in (4, 8):
-            rep = toeplitz_lab.sum_parts_report(20.0, -1.0, L, 4, sol, tctx)
+            rep = toeplitz_lab.sum_parts_report(20.0, -1.0, L, 4, sol, ctx)
             out.append(_below(f"telescoping t=20 L={L}",
                               abs(rep.total - rep.total_direct), "1e-20"))
     return out
@@ -137,14 +132,13 @@ def telescoping(sol, consts, ctx) -> List[Result]:
 
 def double_scaling_ladder(sol, consts, ctx) -> List[Result]:
     """e^(-t^2) D_n converges to F2 along t in {8, 16, 32} at x=-1."""
-    tctx = _determinant_context(ctx)
     gaps = []
     with ctx.workprec():
         for t in (8.0, 16.0, 32.0):
             t13 = mpf(t) ** (mpf(1) / 3)
             n = int(mp.floor(2 * t - t13))
             logd = toeplitz_lab.toeplitz_log_det(
-                toeplitz_lab.MomentMatrixSpec(t, n, "plain"), tctx)
+                toeplitz_lab.MomentMatrixSpec(t, n, "plain"), ctx)
             x_eff = (n - 2 * mpf(t)) / t13
             gaps.append(abs(mp.exp(-mpf(t) ** 2 + logd)
                             - twdist.tw_cdf(x_eff, 2, sol, consts, ctx)))
@@ -156,7 +150,7 @@ def airy_regime_prediction(sol, consts, ctx) -> List[Result]:
     """The first-correction prediction of log kappa_{q-1}^(-2) at t=50 beats
     leading order at every q and stays within 10 times its error envelope."""
     t = mpf(50)
-    ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, _determinant_context(ctx))
+    ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, ctx)
     vs_lead = []
     vs_envelope = []
     with ctx.workprec():
@@ -179,13 +173,13 @@ def airy_regime_prediction(sol, consts, ctx) -> List[Result]:
 def verblunsky_and_signs(sol, consts, ctx) -> List[Result]:
     """Reflection-coefficient identity at t=3 and sign alternation of
     pi_q(0) at t=50."""
-    tctx = _determinant_context(ctx)
+    toeplitz_lab.get_ladder(3.0, "plain", 21, ctx)  # one ladder serves every q
     with ctx.workprec():
-        worst = max(abs(1 - toeplitz_lab.pi_zero(q, 3.0, tctx) ** 2
-                        - mp.exp(toeplitz_lab.kappa_sq(q - 1, 3.0, tctx)
-                                 - toeplitz_lab.kappa_sq(q, 3.0, tctx)))
+        worst = max(abs(1 - toeplitz_lab.pi_zero(q, 3.0, ctx) ** 2
+                        - mp.exp(toeplitz_lab.kappa_sq(q - 1, 3.0, ctx)
+                                 - toeplitz_lab.kappa_sq(q, 3.0, ctx)))
                     for q in range(2, 21))
-        ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, tctx)
+        ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, ctx)
         sign = max(-(-1) ** q * ladder.pi0[q] for q in range(10, 91))
         return [_below("Verblunsky identity t=3, q<=20", worst, "1e-20"),
                 _below("sign alternation t=50, q=10..90: max -(-1)^q pi_q(0)",
@@ -197,23 +191,22 @@ def e_side_scaffolding(sol, consts, ctx) -> List[Result]:
     L=3 and L=5; (b) the reflection-coefficient partial sums approach
     -log E(0); (c) the ++ determinants converge to F E along the t-ladder,
     at the scaling position."""
-    tctx = _determinant_context(ctx)
     with ctx.workprec():
         def combo(L, t):
-            return abs(toeplitz_lab.d_pm_log("plus_plus", L - 1, t, tctx)
-                       + toeplitz_lab.d_pm_log("minus_plus", L, t, tctx)
+            return abs(toeplitz_lab.d_pm_log("plus_plus", L - 1, t, ctx)
+                       + toeplitz_lab.d_pm_log("minus_plus", L, t, ctx)
                        - toeplitz_lab.toeplitz_log_det(
-                           toeplitz_lab.MomentMatrixSpec(t, 2 * L - 1, "plain"), tctx)
+                           toeplitz_lab.MomentMatrixSpec(t, 2 * L - 1, "plain"), ctx)
                        - (2 * L - 1) * mp.log(2))
 
         shrink = max(combo(L, 100.0) / combo(L, 50.0) for L in (3, 5))
-        sums = [abs(r) for r in toeplitz_lab.pi_partial_sums(16.0, 0.0, 12, sol, tctx)]
+        sums = [abs(r) for r in toeplitz_lab.pi_partial_sums(16.0, 0.0, 12, sol, ctx)]
         gaps = []
         for t in (8.0, 16.0, 32.0):
             t13 = mpf(t) ** (mpf(1) / 3)
             ell = int(mp.floor(t - t13 / 2))
             val = mp.exp(-mpf(t) ** 2 / 2
-                         + toeplitz_lab.d_pm_log("plus_plus", ell - 1, t, tctx))
+                         + toeplitz_lab.d_pm_log("plus_plus", ell - 1, t, ctx))
             x_eff = 2 * (ell - mpf(t)) / t13
             gaps.append(abs(val - twdist.tw_point(x_eff, sol, consts, ctx).F1))
         return [
@@ -231,11 +224,10 @@ def e_side_scaffolding(sol, consts, ctx) -> List[Result]:
 def selberg(sol, consts, ctx) -> List[Result]:
     """Gaussian Selberg integral: closed form against direct quadrature at
     L=2, and against sqrt(pi/t) at L=1."""
-    tctx = _determinant_context(ctx)
     with ctx.workprec():
-        closed2 = toeplitz_lab.selberg_hermite_log_closed(2, 2.0, tctx)
-        quad2 = toeplitz_lab.selberg_hermite_log_quadrature(2, 2.0, tctx)
-        closed1 = toeplitz_lab.selberg_hermite_log_closed(1, 5.0, tctx)
+        closed2 = toeplitz_lab.selberg_hermite_log_closed(2, 2.0, ctx)
+        quad2 = toeplitz_lab.selberg_hermite_log_quadrature(2, 2.0, ctx)
+        closed1 = toeplitz_lab.selberg_hermite_log_closed(1, 5.0, ctx)
         return [_below("Selberg L=2 t=2 closed vs quadrature, relative",
                        abs(mp.exp(closed2 - quad2) - 1), "1e-8"),
                 _below("Selberg L=1 t=5 closed vs log sqrt(pi/t)",
@@ -257,9 +249,8 @@ def right_tail(sol, consts, ctx) -> List[Result]:
 def exact_part_limit(sol, consts, ctx) -> List[Result]:
     """log D_3(t) tends to its large-t form, the exact part of the F-side
     product split, along t in {25, 50, 100}."""
-    tctx = _determinant_context(ctx)
     with ctx.workprec():
-        gaps = [abs(toeplitz_lab.exact_part_limit_check(3, t, tctx))
+        gaps = [abs(toeplitz_lab.exact_part_limit_check(3, t, ctx))
                 for t in (25.0, 50.0, 100.0)]
         return [_below("exact part |log D_3 - large-t form|, t=25,50,100: "
                        "max successive ratio", _max_ratio(gaps), "1")]

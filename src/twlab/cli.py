@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -76,10 +77,8 @@ def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
         sys.stdout.write(text)
 
 
-def _context(args: argparse.Namespace,
-             tolerance: Optional[float] = None) -> PrecisionContext:
-    return PrecisionContext(args.precision_bits,
-                            tolerance if tolerance is not None else args.tolerance)
+def _context(args: argparse.Namespace) -> PrecisionContext:
+    return PrecisionContext(args.precision_bits, args.tolerance)
 
 
 def _cache_path(args: argparse.Namespace, ctx: PrecisionContext) -> str:
@@ -111,9 +110,9 @@ def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSo
     return sol
 
 
-def _solved(args: argparse.Namespace, tolerance: Optional[float] = None):
+def _solved(args: argparse.Namespace):
     """(ctx, solution, tail constants) of the commands that read F."""
-    ctx = _context(args, tolerance)
+    ctx = _context(args)
     return ctx, _solution(args, ctx), twdist.TailConstants.compute(ctx)
 
 
@@ -194,7 +193,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ctx, sol, consts = _solved(args, 1e-12)
+    ctx, sol, consts = _solved(args)
     rows = [{"item": r.name, "measured": _num(r.measured),
              "tolerance": _num(r.bound), "status": "pass" if r.ok else "fail"}
             for check in checks.CHECKS for r in check(sol, consts, ctx)]
@@ -229,7 +228,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
     if not mp.isfinite(args.t):
         raise DomainError("--t must be finite")
-    ctx = _context(args, min(args.tolerance, 1e-20))
+    ctx = _context(args)
     q_max = int(2 * args.t) + 10 if args.q_max is None else args.q_max
     scan = toeplitz_lab.toeplitz_scan(args.t, range(args.q_min, q_max + 1),
                                       ctx, with_pi=args.with_pi)
@@ -255,11 +254,21 @@ def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parts(rep) -> dict:
-    """Each part of a product-split report next to its large-t limit."""
-    return {name: {"value": _num(getattr(rep, f"{name}_part")),
-                   "limit": _num(getattr(rep, f"{name}_part_limit"))}
-            for name in ("exact", "airy", "painleve")}
+def _report_fields(rep) -> dict:
+    """A product-split report's fields in their order, integers as they are
+    and the rest through _num; the six part fields fold into "parts", each
+    part next to its large-t limit, where the first of them stands."""
+    doc = {}
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        if field.name.endswith(("_part", "_part_limit")):
+            if "parts" not in doc:
+                doc["parts"] = {name: {"value": _num(getattr(rep, f"{name}_part")),
+                                       "limit": _num(getattr(rep, f"{name}_part_limit"))}
+                                for name in ("exact", "airy", "painleve")}
+        else:
+            doc[field.name] = value if isinstance(value, int) else _num(value)
+    return doc
 
 
 def _cmd_toeplitz_limits(args: argparse.Namespace) -> int:
@@ -267,39 +276,13 @@ def _cmd_toeplitz_limits(args: argparse.Namespace) -> int:
         raise DomainError(f"command {args.command} has no CSV form")
     if not (mp.isfinite(args.t) and mp.isfinite(args.x)):
         raise DomainError("--t and --x must be finite")
-    ctx = _context(args, min(args.tolerance, 1e-20))
+    ctx = _context(args)
     sol = _solution(args, ctx)
-    if args.e_side:
-        rep = toeplitz_lab.e_double_scaling_check(args.t, args.x, args.L,
-                                                  args.M, sol, ctx)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "toeplitz-limits",
-            "mode": "e_side",
-            "t": _num(rep.t), "x": _num(rep.x), "L": rep.L, "M": rep.M,
-            "ell": rep.ell,
-            "fe_reference": _num(rep.fe_reference),
-            "d_pp_value": _num(rep.d_pp_value),
-            "d_mp_value": _num(rep.d_mp_value),
-            "parts": _parts(rep),
-            "total_two_log_e": _num(rep.total_two_log_e),
-            "identity_gap": _num(rep.identity_gap),
-            "two_log_e_reference": _num(rep.two_log_e_reference),
-        }
-    else:
-        rep = toeplitz_lab.sum_parts_report(args.t, args.x, args.L,
-                                            args.M, sol, ctx)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "toeplitz-limits",
-            "mode": "sum_parts",
-            "t": _num(rep.t), "x": _num(rep.x), "L": rep.L, "M": rep.M,
-            "n": rep.n,
-            "parts": _parts(rep),
-            "total": _num(rep.total),
-            "total_direct": _num(rep.total_direct),
-            "f2_reference": _num(rep.f2_reference),
-        }
+    mode, report = (("e_side", toeplitz_lab.e_double_scaling_check) if args.e_side
+                    else ("sum_parts", toeplitz_lab.sum_parts_report))
+    rep = report(args.t, args.x, args.L, args.M, sol, ctx)
+    doc = {"schema_version": SCHEMA_VERSION, "command": "toeplitz-limits",
+           "mode": mode, **_report_fields(rep)}
     _emit(doc, None, None, args)
     return 0
 
@@ -327,7 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
         # malformed environment value with exit code 2
         p.add_argument("--precision-bits", type=int,
                        default=os.environ.get(ENV_PRECISION, "256"))
-        p.add_argument("--tolerance", type=float, default=1e-10)
+        p.add_argument("--tolerance", type=float,
+                       default=PrecisionContext.tolerance,
+                       help="largest left-tail series error accepted where F "
+                            "and E are read below x=-1: eval, table, verify, "
+                            "oracle-compare and toeplitz-limits; constants and "
+                            "toeplitz-scan compute nothing it bounds")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", dest="output_path", default=None)
         p.add_argument("--cache-dir",

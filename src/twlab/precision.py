@@ -5,8 +5,11 @@ rounded to the caller's requested precision.  Reported quantities are formed
 REPORT_GUARD bits above it (PrecisionContext.workprec) and rounded once;
 guards sized to one kernel's own conditioning stay with that kernel.  Results
 that feed acceptance checks are validated by recomputation at doubled
-precision, at most MAX_DOUBLINGS times (``stabilize``); nothing is trusted on
-the strength of a single pass.
+precision, at most MAX_DOUBLINGS times (``stabilize``), until two passes agree
+to the precision they are reported at; nothing is trusted on the strength of a
+single pass.  The tolerance is a separate target: it is read only where a
+truncated expansion is checked, never by a computation that is exact up to
+rounding.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ MAX_DOUBLINGS = 6
 class PrecisionContext:
     """Working precision (bits) and target tolerance for final results.
 
-    precision_bits: binary mantissa digits used for reported values.
-    tolerance: absolute/relative target; a result may only be reported as
-        converged after agreeing at two consecutive precisions.
+    precision_bits: binary mantissa digits used for reported values; passes
+        that are exact up to rounding are stabilized to 2^-precision_bits.
+    tolerance: the largest truncation error accepted from an expansion (the
+        left-tail series of F and E, the Nystrom size of the Fredholm
+        oracle); a result whose estimate exceeds it raises PrecisionError.
     """
 
     precision_bits: int = 256
-    tolerance: float = 1e-20
+    tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
@@ -66,16 +71,17 @@ def stabilize(
     what: str = "result",
 ) -> Tuple[T, int]:
     """Run ``compute(bits)`` at up to MAX_DOUBLINGS doubling precisions until
-    two consecutive results agree to ctx.tolerance: (last result, bits)."""
+    two consecutive results agree to 2^-ctx.precision_bits: (last result,
+    bits)."""
     bits = start_bits
     prev = compute(bits)
     for _ in range(MAX_DOUBLINGS):
         bits *= 2
         cur = compute(bits)
-        if distance(prev, cur) <= ctx.tol():
+        if distance(prev, cur) <= mpf(2) ** -ctx.precision_bits:
             return cur, bits
         prev = cur
     raise PrecisionError(
-        f"{what} failed to stabilize to {ctx.tolerance} within "
+        f"{what} failed to stabilize to 2^-{ctx.precision_bits} within "
         f"{MAX_DOUBLINGS} precision doublings (reached {bits} bits)"
     )

@@ -30,7 +30,9 @@ but a different factorisation, elimination order and rounding path.
 Everything is computed at adaptive precision by precision.stabilize: the
 working precision starts at ctx.precision_bits + guard_bits(t), with
 guard_bits(t) = ceil(4 t log2 e) + 64, and doubles until two consecutive
-passes agree to ctx.tolerance.  The guard is sized to the conditioning.
+passes agree to 2^-ctx.precision_bits.  The determinants are exact up to
+rounding, so no tolerance is read here.  The guard is sized to the
+conditioning.
 Each moment matrix is the Gram matrix of a basis that is orthonormal (up to
 a constant) for a base weight, taken against that weight times e^(2t cos
 theta), whose values lie in [e^(-2t), e^(2t)]; so its condition number is
@@ -213,10 +215,10 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     """Log pivots log(D_{k+1}/D_k), k < n_cap, and for the plain family
     pi_q(0), 0 < q < n_cap, stabilized from ctx.precision_bits +
     guard_bits(t) bits and kept to ctx.precision_bits + 64 bits.  Cached per
-    (t, kind, precision_bits, tolerance) for the last _LADDER_CACHE_SIZE keys
-    used; a request beyond the cached n_cap builds the larger ladder, which
-    replaces the cached one."""
-    key = (repr(mpf(t)), kind, ctx.precision_bits, ctx.tolerance)
+    (t, kind, precision_bits) for the last _LADDER_CACHE_SIZE keys used; a
+    request beyond the cached n_cap builds the larger ladder, which replaces
+    the cached one."""
+    key = (repr(mpf(t)), kind, ctx.precision_bits)
     with _ladder_lock:
         hit = _ladder_cache.get(key)
     if hit is not None and hit.n_cap >= n_cap:
@@ -427,15 +429,11 @@ class SumPartsReport:
     f2_reference: mpf
 
 
-def _tw_reference(x, sol: painleve2.HMSolution, ctx: PrecisionContext,
-                  check: bool) -> twdist.TWPoint:
+def _tw_reference(x, sol: painleve2.HMSolution,
+                  ctx: PrecisionContext) -> twdist.TWPoint:
     """The Painleve-route TW point at x that the double-scaling limits are
-    compared with: ctx's precision, tolerance relaxed to at least 1e-12,
-    since the left-tail series of a default-window solution cannot reach the
-    tighter tolerances the ladders are stabilized to."""
-    tw_ctx = PrecisionContext(ctx.precision_bits, max(ctx.tolerance, 1e-12))
-    return twdist.tw_point(x, sol, twdist.TailConstants.compute(tw_ctx),
-                           tw_ctx, check=check)
+    compared with, in ctx."""
+    return twdist.tw_point(x, sol, twdist.TailConstants.compute(ctx), ctx)
 
 
 def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
@@ -482,7 +480,7 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
                       + mp.log(2) / 24)
         painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
     direct = toeplitz_log_det_lu(MomentMatrixSpec(float(t), n, "plain"), ctx)
-    f2_ref = _tw_reference(x, sol, ctx, check=True).F2
+    f2_ref = _tw_reference(x, sol, ctx).F2
     with ctx.workprec():
         total_direct = direct - t_mp ** 2
     r = round_to((exact, airy, painleve, total,
@@ -609,7 +607,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     plain = get_ladder(t, "plain", 2 * ell, ctx)
     pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
     mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
-    tw_ref = _tw_reference(x, sol, ctx, check=False)
+    tw_ref = _tw_reference(x, sol, ctx)
 
     with ctx.workprec():
         exact = pp.log_d(L - 1) + mp_lad.log_d(L) - plain.log_d(2 * L - 1)
@@ -657,7 +655,7 @@ def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
     with ctx.workprec():
         ell = int(mp.floor(t_mp + x_mp / 2 * t_mp ** (mpf(1) / 3)))
     plain = get_ladder(t, "plain", 2 * (ell + k_max) + 2, ctx)
-    e = _tw_reference(x, sol, ctx, check=False).E
+    e = _tw_reference(x, sol, ctx).E
     out: List[mpf] = []
     with ctx.workprec():
         log_e = mp.log(e)

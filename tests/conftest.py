@@ -12,12 +12,6 @@ def ctx256():
 
 
 @pytest.fixture(scope="session")
-def tctx():
-    """Determinant-engine context (stabilization to 1e-22)."""
-    return PrecisionContext(precision_bits=256, tolerance=1e-22)
-
-
-@pytest.fixture(scope="session")
 def hm_solution(ctx256):
     """One shared Hastings-McLeod solve on the default window."""
     return painleve2.solve_hastings_mcleod(-12, 8, 1100, ctx256)

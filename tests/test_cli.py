@@ -372,6 +372,18 @@ class TestVerify:
         tau = next(r for r in doc["rows"] if r["item"] == "tau1*tau4 == tau2/2")
         assert tau["tolerance"] == "1.000000000000000000000000e-30"
 
+    @pytest.mark.parametrize("command", [
+        ["verify"],
+        ["toeplitz-limits", "--t", "10", "--x", "-2", "--L", "3", "--M", "3"],
+    ])
+    def test_tolerance_reaches_the_left_series(self, command, workdir, capsys):
+        # no command rewrites --tolerance: the left series of the default
+        # window (error estimate 5.8e-15) cannot meet 1e-20
+        code, _ = run_cli(command + FAST + ["--tolerance", "1e-20"], workdir,
+                          "tight.json")
+        assert code == 1
+        assert "left tail series" in capsys.readouterr().err
+
     def test_failing_result_exits_one(self, workdir, monkeypatch):
         def failing(sol, consts, ctx):
             return [checks.Result("always fails", mpf(2), "1", False)]

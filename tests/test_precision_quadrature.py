@@ -1,6 +1,7 @@
 """Precision plumbing and the Gauss-Legendre rule generator."""
 
 import pathlib
+import re
 
 import pytest
 from mpmath import mp, mpf
@@ -61,6 +62,16 @@ class TestPrecisionContext:
                  for path in sorted(src.glob("*.py")) if path.name != "precision.py"
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if "precision_bits + 16" in line]
+        assert sites == []
+
+    def test_only_the_cli_builds_a_context(self):
+        # the command line builds the one context and every module passes it
+        # on: none rewrites a caller's precision or tolerance
+        src = pathlib.Path(precision.__file__).parent
+        sites = [f"{path.name}:{n}"
+                 for path in sorted(src.glob("*.py")) if path.name != "cli.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"PrecisionContext\((?!\))", line)]
         assert sites == []
 
 

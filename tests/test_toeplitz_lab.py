@@ -15,6 +15,22 @@ def bessel_ref(j, two_t):
     return mp.besseli(j, two_t)
 
 
+@pytest.fixture()
+def bessel_rows(monkeypatch):
+    """The bessel_i_row calls made from here on, under an empty ladder
+    cache."""
+    row = specialfn.bessel_i_row
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return row(*args)
+
+    monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+    monkeypatch.setattr(specialfn, "bessel_i_row", counted)
+    return calls
+
+
 class TestLogDet:
     def test_one_by_one_families(self, wp300):
         v = tl.toeplitz_log_det(tl.MomentMatrixSpec(1.0, 1, "plain"), CTX)
@@ -169,12 +185,16 @@ class TestPinnedLadder:
 
 class TestAdaptivePrecision:
     def test_stabilization_is_enforced(self, monkeypatch):
-        # an unreachable tolerance with one refinement must raise, proving
-        # the two-precision agreement is checked rather than assumed
+        # without its guard a pass loses bits to the conditioning, so it
+        # cannot agree with its doubling to 2^-256; with one refinement this
+        # must raise, proving the two-precision agreement is checked rather
+        # than assumed
         monkeypatch.setattr(precision, "MAX_DOUBLINGS", 1)
-        hopeless = PrecisionContext(64, 1e-300)
-        with pytest.raises(PrecisionError):
-            tl.get_ladder(2.0, "plain", 6, hopeless)
+        monkeypatch.setattr(tl, "guard_bits", lambda t: 0)
+        for t in (2.0, 30.0):
+            monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+            with pytest.raises(PrecisionError):
+                tl.get_ladder(t, "plain", 6, CTX)
 
     def test_guard_sized_to_conditioning(self):
         # guard_bits(30) = ceil(120 log2 e) + 64 = 238; the pass at
@@ -187,20 +207,18 @@ class TestAdaptivePrecision:
         with pytest.raises(DomainError):
             tl.guard_bits(t)
 
-    def test_one_bessel_row_per_pass(self, monkeypatch):
+    def test_one_bessel_row_per_pass(self, bessel_rows):
         # a ladder pass builds its own moment row, so the row count under
         # get_ladder is its stabilize pass count (494 and 988 bits here)
-        row = specialfn.bessel_i_row
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return row(*args)
-
-        monkeypatch.setattr(tl, "_ladder_cache", {})
-        monkeypatch.setattr(specialfn, "bessel_i_row", counted)
         tl.get_ladder(30.0, "plain", 71, CTX)
-        assert len(calls) == 2
+        assert len(bessel_rows) == 2
+
+    def test_ladder_serves_every_tolerance(self, bessel_rows):
+        # the passes are exact up to rounding and agree to 2^-precision_bits,
+        # so the tolerance is no part of the cache key
+        ladder = tl.get_ladder(30.0, "plain", 71, PrecisionContext(256, 1e-12))
+        assert tl.get_ladder(30.0, "plain", 71, PrecisionContext(256, 1e-22)) is ladder
+        assert len(bessel_rows) == 2
 
     def test_ladder_cache_keeps_the_newest_ladders(self, monkeypatch):
         monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
