@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """A result failed to stabilize within the allowed refinement budget."""
+    """A result's error bound or error estimate exceeds the precision or
+    tolerance it is held to."""
 
 
 class SolverError(RuntimeError):

@@ -17,17 +17,23 @@ of L one floor division by the pivot.
 F is the precision the caller already works at: the Nystrom matrix is
 assembled at ctx.precision_bits + 32 bits, a Toeplitz ladder pass at its
 pass precision.  A 2^-F grid is as accurate as F-bit floating point when
-the diagonal of M is at least about 1.  Cholesky's backward error for an
-SPD matrix is bounded entry by entry by a small multiple of the unit
-roundoff times sqrt(m_ii m_jj) (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., Thm 10.3), and the grid's errors, one unit
-2^-F per entry of L times an entry of L of size at most sqrt(m_jj), stay
-within that bound when m_jj >= 1.  The Nystrom diagonal lies in (0, 1],
-at least 0.82 at x = -8, m = 80.  The Toeplitz diagonal is
-I_0(2t) >= 1.  The LU with partial pivoting has |L_ij| <= 1, so its grid
-errors are one unit 2^-F per entry of U and per entry of L times an entry
-of U, within its backward error bound (Higham, Thm 9.3) on the same
-matrices.
+the diagonal of M is at least about 1 (the bounds below against Higham's
+multiple of the unit roundoff times sqrt(m_ii m_jj)).  The Nystrom diagonal
+lies in (0, 1], at least 0.82 at x = -8, m = 80.  The Toeplitz diagonal is
+I_0(2t) >= 1.
+
+Each factorisation comes with its backward error on the grid, entry by
+entry (the fixed-point form of Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., Thms 9.3 and 10.3).  With the exact pivots p_i that
+the Cholesky takes logs of, L L^T = M + E, where L has the computed
+off-diagonal entries and diagonal sqrt(p_i).  E is zero on the diagonal,
+and off it an entry of L times the isqrt's shortfall (< 2^-F) plus the
+division's floor (< 2^-F) times L_jj; both entries are at most
+sqrt(max_i M_ii), so |E_ij| < 2^(1-F) sqrt(max_i M_ii)
+(cholesky_entry_error).  The LU gives L U = P M + E with |L_ij| <= 1: an
+entry of U is one floor, an entry of L one floor times its pivot, so
+|E_ij| < 2^-F (1 + max_k |u_kk|) (lu_entry_error).  log_det_error turns an
+entry bound into the change of log det.
 """
 
 from __future__ import annotations
@@ -107,3 +113,33 @@ def lu_log_abs_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
         for i in range(k + 1, n):
             a[i][k] = (a[i][k] << frac_bits) // pivot
     return out
+
+
+def cholesky_entry_error(rows: Sequence[Sequence[int]], frac_bits: int) -> mpf:
+    """The bound on |E_ij| of the module docstring for
+    cholesky_log_pivots(rows, frac_bits, ...): 2^(1-F) sqrt(max_i M_ii)."""
+    top = max(row[i] for i, row in enumerate(rows))
+    return 2 * mp.sqrt(from_grid(top, frac_bits)) / mpf(2) ** frac_bits
+
+
+def lu_entry_error(log_pivots: Sequence[mpf], frac_bits: int) -> mpf:
+    """The bound on |E_ij| of the module docstring for the result
+    ``log_pivots`` of lu_log_abs_pivots: 2^-F (1 + max_k |u_kk|)."""
+    return (1 + mp.exp(max(log_pivots))) / mpf(2) ** frac_bits
+
+
+def log_det_error(n: int, entry_error: mpf, inv_norm: mpf) -> mpf:
+    """A bound on |log det(M + E) - log det M| for n x n matrices with
+    |E_ij| <= entry_error and ||M^-1||_2 <= inv_norm: 2 inv_norm n^(3/2)
+    entry_error, or inf unless n inv_norm entry_error <= 1/4.  It bounds the
+    same change for every leading principal submatrix whose inverse has norm
+    at most inv_norm (every one, for M positive definite).
+
+    log det(M + E) - log det M = sum_i log(1 + mu_i), mu_i the eigenvalues
+    of M^-1 E.  Each |mu_i| <= ||M^-1 E||_2 <= inv_norm n entry_error <=
+    1/4, so |log(1 + mu_i)| <= (4/3) |mu_i|, and sum_i |mu_i| is at most the
+    nuclear norm of M^-1 E (Weyl), at most inv_norm sqrt(n) ||E||_F.  The
+    factor 2 in place of 4/3 also covers the rounding of this estimate."""
+    if not n * inv_norm * entry_error <= mpf(1) / 4:
+        return mp.inf
+    return 2 * inv_norm * n * mp.sqrt(n) * entry_error

@@ -3,13 +3,15 @@
 All kernels compute internally at an elevated precision and hand back values
 rounded to the caller's requested precision.  Reported quantities are formed
 REPORT_GUARD bits above it (PrecisionContext.workprec) and rounded once;
-guards sized to one kernel's own conditioning stay with that kernel.  Results
-that feed acceptance checks are validated by recomputation at doubled
-precision, at most MAX_DOUBLINGS times (``stabilize``), until two passes agree
-to the precision they are reported at; nothing is trusted on the strength of a
-single pass.  The tolerance is a separate target: it is read only where a
-truncated expansion is checked, never by a computation that is exact up to
-rounding.
+guards sized to one kernel's own conditioning stay with that kernel.  A
+pass that is exact up to rounding, and whose result feeds acceptance checks,
+runs once through ``stabilize`` at a precision sized in advance from the a
+priori form of its error, and returns its value with a proven absolute
+error bound formed from numbers the pass already has; the bound must be at
+most 2^-precision_bits, or the pass raises PrecisionError.  No pass is
+repeated to confirm another.  The tolerance is a separate target: it is
+read only where a truncated expansion is checked, never by a computation
+that is exact up to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import PrecisionError
 T = TypeVar("T")
 
 REPORT_GUARD = 16
-MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class PrecisionContext:
     """Working precision (bits) and target tolerance for final results.
 
     precision_bits: binary mantissa digits used for reported values; passes
-        that are exact up to rounding are stabilized to 2^-precision_bits.
+        that are exact up to rounding carry an error bound of at most
+        2^-precision_bits.
     tolerance: the largest truncation error accepted from an expansion (the
         left-tail series of F and E, the Nystrom size of the Fredholm
         oracle); a result whose estimate exceeds it raises PrecisionError.
@@ -64,24 +66,17 @@ def round_to(value, bits: int):
 
 
 def stabilize(
-    compute: Callable[[int], T],
-    start_bits: int,
+    compute: Callable[[int], Tuple[T, mpf]],
+    bits: int,
     ctx: PrecisionContext,
-    distance: Callable[[T, T], mpf],
     what: str = "result",
-) -> Tuple[T, int]:
-    """Run ``compute(bits)`` at up to MAX_DOUBLINGS doubling precisions until
-    two consecutive results agree to 2^-ctx.precision_bits: (last result,
-    bits)."""
-    bits = start_bits
-    prev = compute(bits)
-    for _ in range(MAX_DOUBLINGS):
-        bits *= 2
-        cur = compute(bits)
-        if distance(prev, cur) <= mpf(2) ** -ctx.precision_bits:
-            return cur, bits
-        prev = cur
-    raise PrecisionError(
-        f"{what} failed to stabilize to 2^-{ctx.precision_bits} within "
-        f"{MAX_DOUBLINGS} precision doublings (reached {bits} bits)"
-    )
+) -> Tuple[T, mpf]:
+    """Run ``compute(bits)`` once and return its (value, bound), where bound
+    is a proven absolute error bound on value; raise PrecisionError if the
+    bound exceeds 2^-ctx.precision_bits."""
+    value, bound = compute(bits)
+    if not bound <= mpf(2) ** -ctx.precision_bits:
+        raise PrecisionError(
+            f"{what}: error bound {mp.nstr(bound, 3)} at {bits} bits exceeds "
+            f"2^-{ctx.precision_bits}")
+    return value, bound

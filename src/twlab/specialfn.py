@@ -389,6 +389,12 @@ def _miller_start(max_j: int, z: float, bits: int) -> int:
     return n
 
 
+def bessel_i_row_error(bits: int) -> mpf:
+    """The absolute error of each entry of bessel_i_row(max_j, two_t, bits),
+    for every max_j and two_t; its docstring derives it."""
+    return mpf(2) ** -(bits + 31)
+
+
 def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     """I_0(two_t) .. I_{max_j}(two_t) by Miller's backward recurrence.
 
@@ -406,6 +412,16 @@ def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     work at O(1), so the row is computed with ceil(two_t*log2 e) + 64 guard
     bits above ``bits`` and rounded to 32 fewer.  I_{-j} = I_j
     by symmetry.
+
+    Each entry is within bessel_i_row_error(bits) = 2^-(bits + 31) of
+    I_j(two_t), absolutely.  Every I_j is at most e^(two_t) <= 2^guard, so
+    the final rounding, to bits + guard + 32 bits, costs at most
+    2^-(bits + 32).  Before it the row is exact to a relative error of a
+    few units of 2^-(bits + guard + 64) per step of the recurrence (run
+    backward it is stable for the minimal solution I_j: Gil, Segura and
+    Temme, ch. 4) plus the start's truncation, which _miller_start holds
+    below 2^-16 of one such unit; another 2^-(bits + 32) covers both for
+    any start index below 2^29.
     """
     if max_j < 0:
         raise DomainError("max_j must be >= 0")

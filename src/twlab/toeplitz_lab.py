@@ -27,17 +27,36 @@ toeplitz_log_det_lu checks the ladder's determinants by the second integer
 factorisation, the pivoted LU of linalg.lu_log_abs_pivots: the same grid,
 but a different factorisation, elimination order and rounding path.
 
-Everything is computed at adaptive precision by precision.stabilize: the
-working precision starts at ctx.precision_bits + guard_bits(t), with
-guard_bits(t) = ceil(4 t log2 e) + 64, and doubles until two consecutive
-passes agree to 2^-ctx.precision_bits.  The determinants are exact up to
-rounding, so no tolerance is read here.  The guard is sized to the
-conditioning.
-Each moment matrix is the Gram matrix of a basis that is orthonormal (up to
-a constant) for a base weight, taken against that weight times e^(2t cos
-theta), whose values lie in [e^(-2t), e^(2t)]; so its condition number is
-at most e^(4t).  The size e^(t^2) of D_n does not come from cancellation,
-since log D_n is a sum of log pivots.
+Each ladder and each LU runs once, through precision.stabilize, at
+ctx.precision_bits + guard_bits(t) bits, guard_bits(t) = ceil(4 t log2 e)
++ 64, and returns its values with a proven absolute error bound; the bound
+must be at most 2^-ctx.precision_bits.  The determinants are exact up to
+rounding, so no tolerance is read here.  The bound has three parts, each
+formed from numbers the pass already has:
+
+  * input: each moment is off by at most one grid unit 2^-bits plus
+    specialfn.bessel_i_row_error(bits), an entry of a family matrix by at
+    most twice that;
+  * rounding: the backward error of the factorisation on the grid,
+    linalg.cholesky_entry_error or linalg.lu_entry_error, and for pi_q(0)
+    the residual of Levinson-Durbin (_levinson_constant_terms);
+  * conditioning: every family matrix has lambda_min >= e^(-2t), so
+    ||M^-1||_2 <= e^(2t), and linalg.log_det_error turns the entry bounds
+    into one bound for log D_n, for every n at once, and twice it for each
+    log pivot, a difference of two of them.
+
+The conditioning argument: each moment matrix is the Gram matrix of a basis
+that is orthonormal for a base weight, taken against that weight times
+e^(2t cos theta), whose values lie in [e^(-2t), e^(2t)]; at t = 0 every
+family matrix is the identity (I_k(0) = 0 for k != 0), so the base Gram
+matrix is the identity and every eigenvalue lies in [e^(-2t), e^(2t)].  The
+size e^(t^2) of D_n does not come from cancellation, since log D_n is a sum
+of log pivots.  The grid errors are about 2^-bits sqrt(I_0(2t)) per entry,
+so log D_n loses about 3 t log2 e bits.  pi_q(0) loses about 4 t log2 e:
+a floor in its coefficients reaches the residual through sum_m |I_m(2t)|
+<= e^(2t), the residual grows with prod (1 + |pi_k(0)|), about e^t, and
+it is read through ||pi_{q-1}||_1, about e^t again.  guard_bits covers
+both, and its 64 spare bits the powers of n.
 """
 
 from __future__ import annotations
@@ -53,7 +72,8 @@ from mpmath import mp, mpf
 from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError
 from .fixedpoint import dot, from_grid, to_grid
-from .linalg import cholesky_log_pivots, lu_log_abs_pivots
+from .linalg import (cholesky_entry_error, cholesky_log_pivots, log_det_error,
+                     lu_entry_error, lu_log_abs_pivots)
 from .precision import REPORT_GUARD, PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
@@ -79,9 +99,9 @@ class MomentMatrixSpec:
 
 
 def guard_bits(t: float) -> int:
-    """Bits lost at most to the conditioning (<= e^(4t)) of the moment
-    matrices, plus 64; see the module docstring.  The one domain rule for t:
-    it must be finite and positive."""
+    """Bits lost at most to the conditioning of the moment matrices and the
+    growth of Levinson-Durbin (together <= e^(4t)), plus 64; see the module
+    docstring.  The one domain rule for t: it must be finite and positive."""
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"symbol parameter t must be finite, got {t}")
@@ -95,10 +115,30 @@ def guard_bits(t: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _moment_row(t, n: int, kind: str, bits: int) -> List[int]:
-    """I_j(2t) on the grid 2^-bits, for every j an n x n family matrix reads."""
+    """I_j(2t) on the grid 2^-bits, for every j an n x n family matrix reads;
+    each entry is within _moment_error(bits) of I_j(2t)."""
     max_j = n - 1 if kind == "plain" else 2 * n
     return [to_grid(v, bits) for v in
             specialfn.bessel_i_row(max_j, 2 * mpf(t), bits)]
+
+
+def _moment_error(bits: int) -> mpf:
+    """The truncation to the grid 2^-bits plus the row's own error."""
+    return mpf(2) ** -bits + specialfn.bessel_i_row_error(bits)
+
+
+def _log_det_bound(t, log_pivots: Sequence[mpf], factor_error: mpf,
+                   bits: int) -> mpf:
+    """A bound on the error of every partial sum of ``log_pivots``, the logs
+    of the pivots of a family matrix at t factored at ``bits`` with backward
+    error factor_error per entry: linalg.log_det_error for that error plus
+    twice the moment error (an entry is at most two moments), at
+    ||M^-1||_2 <= e^(2t), plus the rounding of each log and of the sum,
+    |log| 2^(1-bits) each."""
+    n = len(log_pivots)
+    entry_error = 2 * _moment_error(bits) + factor_error
+    return (log_det_error(n, entry_error, mp.exp(2 * mpf(t)))
+            + (n + 1) * max(map(abs, log_pivots)) * mpf(2) ** (1 - bits))
 
 
 def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
@@ -115,29 +155,66 @@ def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
     return mat
 
 
-def _levinson_constant_terms(moments: Sequence[int], q_max: int,
-                             bits: int) -> Dict[int, mpf]:
+def _levinson_constant_terms(moments: Sequence[int], q_max: int, bits: int,
+                             moment_error: mpf) -> Tuple[Dict[int, mpf], mpf]:
     """pi_q(0) for q = 1..q_max by the Levinson-Durbin recursion on the
-    moments c_k = moments[k], k <= q_max, on the grid 2^-bits.  With a the
-    coefficients of the monic pi_q (a_q = 1) and E_q = <pi_q, pi_q> =
-    D_{q+1}/D_q:
+    moments c_k = moments[k], k <= q_max, on the grid 2^-bits, and a bound
+    on the error of every pi_q(0) when each moment is within moment_error of
+    I_k(2t).  With a the coefficients of the monic pi_q (a_q = 1) and E_q =
+    <pi_q, pi_q> = D_{q+1}/D_q:
 
         pi_{q+1}(0) = -(sum_k a_k c_{k+1}) / E_q,
         pi_{q+1}(z) = z pi_q(z) + pi_{q+1}(0) z^q pi_q(1/z),
         E_{q+1}     = E_q (1 - pi_{q+1}(0)^2).
 
     a and E_q stay on the grid: each step is one exact dot and one floor per
-    division or product, O(q_max^2) integer operations in all."""
+    division or product, O(q_max^2) integer operations in all.
+
+    The bound follows Cybenko, The stability of the Levinson algorithm, SIAM
+    J. Sci. Stat. Comput. 1 (1980).  Let s be the residual of the computed a
+    in the normal equations of the grid moments (rows 0..q-1 of T a, which
+    vanish for the exact a) and e that of row q against the computed E_q.
+    One step maps (s, e) to a shift of s plus pi_{q+1}(0) times its reverse,
+    plus the floors: the division's (< 2^-bits times E_q, in row 0 and in
+    e), the energy's (< 2^-bits) and the q floors of a (< 2^-bits each,
+    through T, so at most q 2^-bits S with S = sum_|m|<=q_max |c_m|).  So
+    R_q >= ||s||_1 + |e| obeys
+
+        R_{q+1} <= (1 + |pi_{q+1}(0)|) R_q + 2^-bits (2 E_q + 1 + q S),
+
+    and against the exact moments s grows by at most q moment_error ||a||_1.
+    The exact a differs from the computed one by T_q^-1 s in rows 0..q-1,
+    and row 0 of T_q^-1 is the reversed pi_{q-1} over E_{q-1} (Gohberg-
+    Semencul), so
+
+        |pi_q(0) error| <= ||pi_{q-1}||_inf ||s||_1 / E_{q-1}
+                        <= prod_{k<q} (1 + |pi_k(0)| + err_k) ||s||_1,
+
+    since ||pi_q||_1 <= prod_{k<=q} (1 + |pi_k(0)|) by the recursion and
+    E_{q-1} = D_q / D_{q-1} >= 1 (e^(-t^2) D_n is the probability that the
+    longest increasing subsequence of a Poissonized random permutation is at
+    most n, Gessel's identity, so it grows with n).  The bookkeeping runs in
+    integers in units of 2^-bits, rounded up."""
     one = 1 << bits
     a = [one]
     energy = moments[0]
+    delta = to_grid(moment_error, bits) + 1
+    spread = moments[0] + 2 * sum(map(abs, moments[1:q_max + 1]))
+    resid = 0                   # R_q
+    growth = one                # prod_{k<=q} (1 + |pi_k(0)| + err_k)
+    worst = 0
     out: Dict[int, mpf] = {}
     for q in range(q_max):
         r = -dot(a, moments[1:q + 2]) // energy
+        resid = -(-((one + abs(r)) * resid + 2 * energy + q * spread) >> bits) + 1
         a = [r] + [a[k - 1] + ((r * a[q - k]) >> bits) for k in range(1, q + 1)] + [one]
         energy = (energy * (one * one - r * r)) >> (2 * bits)
+        input_resid = -(-(q + 1) * delta * sum(map(abs, a)) >> bits)
+        err = -(-growth * (resid + input_resid) >> bits)
+        growth = -(-growth * (one + abs(r) + err) >> bits)
+        worst = max(worst, err)
         out[q + 1] = from_grid(r, bits)
-    return out
+    return out, from_grid(worst, bits)
 
 
 @dataclass
@@ -149,11 +226,14 @@ class _Ladder:
     pi0: Dict[int, mpf]            # q -> pi_q(0) (plain family only)
     precision_bits_used: int
     out_bits: int
+    # bound on the error of every value of the pass, before rounding to
+    # out_bits: each log pivot, each pi_q(0) and each log D_n, n <= n_cap
+    error_bound: mpf
 
     def log_d(self, n: int) -> mpf:
         if n < 0 or n > self.n_cap:
             raise DomainError(f"D_{n} not available (ladder up to {self.n_cap})")
-        with mp.workprec(max(mp.prec, self.out_bits + 16)):
+        with mp.workprec(max(mp.prec, self.out_bits + REPORT_GUARD)):
             return mp.fsum(self.log_pivots[:n]) if n else mpf(0)
 
     def log_kappa_sq(self, q: int) -> mpf:
@@ -190,31 +270,34 @@ _ladder_lock = threading.Lock()
 _LadderValues = Tuple[List[mpf], Dict[int, mpf]]
 
 
-def _ladder_pass(t, kind: str, n_cap: int) -> Callable[[int], _LadderValues]:
-    """One precision pass of the ladder, for ``stabilize``: the log pivots
-    and, for the plain family, pi_q(0) for 0 < q < n_cap."""
+def _ladder_pass(t, kind: str, n_cap: int
+                 ) -> Callable[[int], Tuple[_LadderValues, mpf]]:
+    """The pass of the ladder, for ``stabilize``: the log pivots and, for the
+    plain family, pi_q(0) for 0 < q < n_cap, with the error bound of the
+    module docstring.  A log pivot is the difference of two log D_n, so it
+    gets twice their bound."""
 
-    def one(bits: int) -> _LadderValues:
+    def one(bits: int) -> Tuple[_LadderValues, mpf]:
         with mp.workprec(bits):
             row = _moment_row(t, n_cap, kind, bits)
-            pivots = cholesky_log_pivots(_moment_matrix(row, n_cap, kind), bits,
-                                         f"{kind} moment matrix (t={t})")
-            pi0 = (_levinson_constant_terms(row, n_cap - 1, bits)
-                   if kind == "plain" else {})
-            return pivots, pi0
+            mat = _moment_matrix(row, n_cap, kind)
+            pivots = cholesky_log_pivots(mat, bits, f"{kind} moment matrix (t={t})")
+            bound = 2 * _log_det_bound(t, pivots, cholesky_entry_error(mat, bits), bits)
+            pi0: Dict[int, mpf] = {}
+            if kind == "plain":
+                pi0, pi_bound = _levinson_constant_terms(row, n_cap - 1, bits,
+                                                         _moment_error(bits))
+                bound = max(bound, pi_bound)
+            return (pivots, pi0), bound
 
     return one
 
 
-def _ladder_distance(a: _LadderValues, b: _LadderValues) -> mpf:
-    return max(abs(x - y) for x, y in zip(a[0] + list(a[1].values()),
-                                          b[0] + list(b[1].values())))
-
-
 def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     """Log pivots log(D_{k+1}/D_k), k < n_cap, and for the plain family
-    pi_q(0), 0 < q < n_cap, stabilized from ctx.precision_bits +
-    guard_bits(t) bits and kept to ctx.precision_bits + 64 bits.  Cached per
+    pi_q(0), 0 < q < n_cap, from one pass at ctx.precision_bits +
+    guard_bits(t) bits whose error bound (error_bound) is at most
+    2^-ctx.precision_bits, kept to ctx.precision_bits + 64 bits.  Cached per
     (t, kind, precision_bits) for the last _LADDER_CACHE_SIZE keys used; a
     request beyond the cached n_cap builds the larger ladder, which replaces
     the cached one."""
@@ -223,9 +306,10 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
         hit = _ladder_cache.get(key)
     if hit is not None and hit.n_cap >= n_cap:
         return hit
-    (pivots, pi0), used = stabilize(
-        _ladder_pass(t, kind, n_cap), ctx.precision_bits + guard_bits(t), ctx,
-        _ladder_distance, what=f"toeplitz ladder (t={t}, kind={kind}, n={n_cap})")
+    bits = ctx.precision_bits + guard_bits(t)
+    (pivots, pi0), bound = stabilize(
+        _ladder_pass(t, kind, n_cap), bits, ctx,
+        what=f"toeplitz ladder (t={t}, kind={kind}, n={n_cap})")
     out_bits = ctx.precision_bits + 64
     ladder = _Ladder(
         t=float(t),
@@ -233,8 +317,9 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
         n_cap=n_cap,
         log_pivots=round_to(pivots, out_bits),
         pi0={q: round_to(v, out_bits) for q, v in pi0.items()},
-        precision_bits_used=used,
+        precision_bits_used=bits,
         out_bits=out_bits,
+        error_bound=bound,
     )
     with _ladder_lock:
         _ladder_cache[key] = ladder
@@ -255,34 +340,38 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
     """Independent route: a pivoted LU of the full moment matrix
     (linalg.lu_log_abs_pivots), sharing nothing with the Cholesky of the
     ladder but the grid (different factorisation, elimination order and
-    rounding path), stabilized the same way.  Used to check telescoping
-    identities non-vacuously.
+    rounding path), run once at the ladder's precision with the bound of the
+    module docstring, which must be at most 2^-ctx.precision_bits.  Used to
+    check telescoping identities non-vacuously.
 
-    Each pass builds the matrix in integers from the row of _moment_row, as
-    a ladder pass does.  The determinants of these matrices are positive,
-    so the log of |det| is log det."""
+    The pass builds the matrix in integers from the row of _moment_row, as a
+    ladder pass does.  The determinants of these matrices are positive, so
+    the log of |det| is log det."""
 
-    def one(bits: int) -> mpf:
+    def one(bits: int) -> Tuple[mpf, mpf]:
         with mp.workprec(bits):
             row = _moment_row(spec.t, spec.n, spec.kind, bits)
-            return mp.fsum(lu_log_abs_pivots(
-                _moment_matrix(row, spec.n, spec.kind), bits,
-                f"{spec.kind} moment matrix (t={spec.t})"))
+            logs = lu_log_abs_pivots(_moment_matrix(row, spec.n, spec.kind), bits,
+                                     f"{spec.kind} moment matrix (t={spec.t})")
+            return (mp.fsum(logs),
+                    _log_det_bound(spec.t, logs, lu_entry_error(logs, bits), bits))
 
     val, _ = stabilize(one, ctx.precision_bits + guard_bits(spec.t), ctx,
-                       lambda a, b: abs(a - b),
                        what=f"LU log-determinant (t={spec.t}, n={spec.n})")
     return round_to(val, ctx.precision_bits)
 
 
 def kappa_sq(q: int, t, ctx: PrecisionContext) -> mpf:
     """log kappa_q^2 = log D_q - log D_{q+1}; always negative (the scaled
-    determinants e^(-t^2) D_n are increasing probabilities)."""
+    determinants e^(-t^2) D_n are increasing probabilities), so a value at
+    or above the ladder's error bound is inconsistent.  Far beyond 2t the
+    true value is below the bound, and the one returned is within the
+    bound of it, of either sign."""
     if q < 0:
         raise DomainError("q must be >= 0")
     ladder = get_ladder(t, "plain", q + 1, ctx)
     val = ladder.log_kappa_sq(q)
-    if not val < 0:
+    if not val < ladder.error_bound:
         raise InternalConsistencyError(
             f"kappa_{q}^2(t={t}) >= 1; determinant ladder inconsistent")
     return round_to(val, ctx.precision_bits)

@@ -256,6 +256,8 @@ class TestToeplitzCommands:
                            "precision_bits_used"]
         assert len(rows) == 9
         assert all(float(r[3]) < 0 for r in rows[1:])
+        # one certified pass at 256 + guard_bits(3) = 256 + 18 + 64 bits
+        assert {r[-1] for r in rows[1:]} == {"338"}
 
     def test_scan_no_pi_empties_only_the_pi0_column(self, workdir):
         args = ["toeplitz-scan", "--t", "3", "--qmax", "8", "--format", "csv"]

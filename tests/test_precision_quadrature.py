@@ -27,32 +27,33 @@ class TestPrecisionContext:
         assert r._mpf_[3] <= 64
 
     def test_stabilize_converges(self):
+        # a bound below 2^-precision_bits returns the one pass as it is
         calls = []
 
         def compute(bits):
             calls.append(bits)
             with mp.workprec(bits):
-                return +mp.pi
+                return +mp.pi, mpf(2) ** -(bits - 2)
 
         ctx = PrecisionContext(64, 1e-15)
-        val, bits = stabilize(compute, 64, ctx, lambda a, b: abs(a - b))
-        assert bits == 128
-        assert calls == [64, 128]
+        val, bound = stabilize(compute, 72, ctx)
+        assert calls == [72]
+        assert bound == mpf(2) ** -70
         with mp.workprec(200):
-            assert abs(val - mp.pi) < mpf(2) ** -120
+            assert abs(val - mp.pi) < bound
 
     def test_stabilize_raises_on_budget(self):
+        # a bound above 2^-precision_bits raises after exactly one pass
         calls = []
 
         def compute(bits):
-            # never stabilizes: changes with the precision tag
             calls.append(bits)
-            return mpf(bits)
+            return mpf(bits), mpf(2) ** -63
 
         ctx = PrecisionContext(64, 1e-15)
         with pytest.raises(PrecisionError):
-            stabilize(compute, 64, ctx, lambda a, b: abs(a - b))
-        assert len(calls) == precision.MAX_DOUBLINGS + 1
+            stabilize(compute, 64, ctx)
+        assert calls == [64]
 
     def test_report_guard_defined_once(self):
         # every reported quantity is formed REPORT_GUARD bits above the

@@ -175,6 +175,17 @@ class TestBesselRow:
                 rel = abs(row[j] / mp.besseli(j, two_t) - 1)
                 assert rel <= mpf(2) ** -(out_bits - 2), (j, rel)
 
+    @pytest.mark.parametrize("t, n", [(3, 22), (30, 71), (50, 92)])
+    def test_stated_error_covers_doubled_bits(self, t, n):
+        # the ladders' row at their pass bits, up to max_j = 2n (the +-
+        # families), against the row at doubled bits
+        bits = 256 + math.ceil(4 * t * math.log2(math.e)) + 64
+        row = specialfn.bessel_i_row(2 * n, 2 * t, bits)
+        ref = specialfn.bessel_i_row(2 * n, 2 * t, 2 * bits)
+        err = specialfn.bessel_i_row_error(bits)
+        with mp.workprec(4 * bits):
+            assert max(abs(a - b) for a, b in zip(row, ref)) <= err
+
     def test_rejects_negative_argument(self):
         for two_t in (-1, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(DomainError):

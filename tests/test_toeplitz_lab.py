@@ -4,7 +4,7 @@ scaffolding."""
 import pytest
 from mpmath import mp, mpf
 
-from twlab import painleve2, precision, specialfn, toeplitz_lab as tl, twdist
+from twlab import painleve2, specialfn, toeplitz_lab as tl, twdist
 from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext
 
@@ -121,6 +121,12 @@ class TestKappa:
         with pytest.raises(DomainError):
             tl.airy_log_kappa_prediction(19, 9.6)    # correction magnitude >= 1/2
 
+    def test_far_beyond_2t_is_within_the_bound(self):
+        # log kappa_80^2(t=1) is about -(1/81!)^2, far below the bound, so
+        # the pass may return either sign; it is not an inconsistency
+        val = tl.kappa_sq(80, 1.0, CTX)
+        assert abs(val) <= tl.get_ladder(1.0, "plain", 81, CTX).error_bound
+
 
 class TestPiZero:
     def test_q1_closed_form(self, wp300):
@@ -184,22 +190,24 @@ class TestPinnedLadder:
 
 
 class TestAdaptivePrecision:
-    def test_stabilization_is_enforced(self, monkeypatch):
-        # without its guard a pass loses bits to the conditioning, so it
-        # cannot agree with its doubling to 2^-256; with one refinement this
-        # must raise, proving the two-precision agreement is checked rather
-        # than assumed
-        monkeypatch.setattr(precision, "MAX_DOUBLINGS", 1)
+    def test_stabilization_is_enforced(self, monkeypatch, bessel_rows):
+        # without its guard a pass loses bits to the conditioning, so its
+        # error bound exceeds 2^-256 and the one pass raises, proving the
+        # bound is checked rather than assumed
         monkeypatch.setattr(tl, "guard_bits", lambda t: 0)
         for t in (2.0, 30.0):
             monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+            del bessel_rows[:]
             with pytest.raises(PrecisionError):
                 tl.get_ladder(t, "plain", 6, CTX)
+            assert len(bessel_rows) == 1
 
     def test_guard_sized_to_conditioning(self):
-        # guard_bits(30) = ceil(120 log2 e) + 64 = 238; the pass at
-        # 256 + 238 bits agrees with its doubling
-        assert tl.get_ladder(30.0, "plain", 71, CTX).precision_bits_used == 988
+        # guard_bits(30) = ceil(120 log2 e) + 64 = 238; the one pass at
+        # 256 + 238 bits certifies its values to 2^-256
+        ladder = tl.get_ladder(30.0, "plain", 71, CTX)
+        assert ladder.precision_bits_used == 494
+        assert ladder.error_bound <= mpf(2) ** -CTX.precision_bits
 
     @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"),
                                    0.0, -3.0])
@@ -209,16 +217,16 @@ class TestAdaptivePrecision:
 
     def test_one_bessel_row_per_pass(self, bessel_rows):
         # a ladder pass builds its own moment row, so the row count under
-        # get_ladder is its stabilize pass count (494 and 988 bits here)
+        # get_ladder is its stabilize pass count: one, at 494 bits
         tl.get_ladder(30.0, "plain", 71, CTX)
-        assert len(bessel_rows) == 2
+        assert len(bessel_rows) == 1
 
     def test_ladder_serves_every_tolerance(self, bessel_rows):
-        # the passes are exact up to rounding and agree to 2^-precision_bits,
+        # the pass is exact up to rounding and certified to 2^-precision_bits,
         # so the tolerance is no part of the cache key
         ladder = tl.get_ladder(30.0, "plain", 71, PrecisionContext(256, 1e-12))
         assert tl.get_ladder(30.0, "plain", 71, PrecisionContext(256, 1e-22)) is ladder
-        assert len(bessel_rows) == 2
+        assert len(bessel_rows) == 1
 
     def test_ladder_cache_keeps_the_newest_ladders(self, monkeypatch):
         monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
@@ -236,6 +244,54 @@ class TestAdaptivePrecision:
     def test_scan_reports_precision(self):
         scan = tl.toeplitz_scan(2.0, range(1, 6), CTX)
         assert scan.precision_bits_used >= CTX.precision_bits
+
+
+class TestErrorBound:
+    """The one pass's bound is at most 2^-256 and covers the distance to a
+    pass at doubled bits, for every value the pass forms."""
+
+    @staticmethod
+    def _passes(monkeypatch, run):
+        """(compute, bits) of every stabilize call that ``run`` makes."""
+        captured = []
+        stabilize = tl.stabilize
+
+        def capture(compute, bits, ctx, what="result"):
+            captured.append((compute, bits))
+            return stabilize(compute, bits, ctx, what)
+
+        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        monkeypatch.setattr(tl, "stabilize", capture)
+        run()
+        return captured
+
+    @pytest.mark.parametrize("t, kind, n", [
+        (3.0, "plain", 22), (30.0, "plain", 71), (50.0, "plain", 92),
+        (30.0, "plus_plus", 27), (30.0, "minus_plus", 28)])
+    def test_ladder_bound_covers_doubled_pass(self, monkeypatch, t, kind, n):
+        [(compute, bits)] = self._passes(
+            monkeypatch, lambda: tl.get_ladder(t, kind, n, CTX))
+        (pivots, pi0), bound = compute(bits)
+        (pivots2, pi02), _ = compute(2 * bits)
+        assert bound <= mpf(2) ** -CTX.precision_bits
+        with mp.workprec(4 * bits):
+            for k in range(n):
+                assert abs(pivots[k] - pivots2[k]) <= bound
+                assert abs(mp.fsum(pivots[:k + 1]) - mp.fsum(pivots2[:k + 1])) <= bound
+            assert (kind == "plain") == bool(pi0)
+            for q in pi0:
+                assert abs(pi0[q] - pi02[q]) <= bound
+
+    @pytest.mark.parametrize("t, n", [(30.0, 56), (5.0, 12), (20.0, 40)])
+    def test_lu_bound_covers_doubled_pass(self, monkeypatch, t, n):
+        spec = tl.MomentMatrixSpec(t, n, "plain")
+        [(compute, bits)] = self._passes(
+            monkeypatch, lambda: tl.toeplitz_log_det_lu(spec, CTX))
+        value, bound = compute(bits)
+        value2, _ = compute(2 * bits)
+        assert bound <= mpf(2) ** -CTX.precision_bits
+        with mp.workprec(4 * bits):
+            assert abs(value - value2) <= bound
 
 
 class TestScan:
