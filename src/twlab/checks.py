@@ -172,12 +172,12 @@ def airy_regime_prediction(sol, consts, ctx) -> List[Result]:
 
 def verblunsky_and_signs(sol, consts, ctx) -> List[Result]:
     """Reflection-coefficient identity at t=3 and sign alternation of
-    pi_q(0) at t=50."""
-    toeplitz_lab.get_ladder(3.0, "plain", 21, ctx)  # one ladder serves every q
+    pi_q(0) at t=50.  The Levinson ladder forms kappa from pi by this
+    identity, so kappa comes from the Cholesky route."""
+    chol = toeplitz_lab._cholesky_ladder(3.0, "plain", 21, ctx)
     with ctx.workprec():
         worst = max(abs(1 - toeplitz_lab.pi_zero(q, 3.0, ctx) ** 2
-                        - mp.exp(toeplitz_lab.kappa_sq(q - 1, 3.0, ctx)
-                                 - toeplitz_lab.kappa_sq(q, 3.0, ctx)))
+                        - mp.exp(chol.log_kappa_sq(q - 1) - chol.log_kappa_sq(q)))
                     for q in range(2, 21))
         ladder = toeplitz_lab.get_ladder(50.0, "plain", 92, ctx)
         sign = max(-(-1) ** q * ladder.pi0[q] for q in range(10, 91))

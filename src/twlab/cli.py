@@ -12,7 +12,8 @@ Commands
   toeplitz-limits product-split reports (F2 side, or E side with --e-side)
 
 High-precision values are emitted as decimal strings (25 significant digits
-by default) so output is byte-identical across runs at fixed precision.
+by default) so output is byte-identical across runs at fixed precision;
+verify prints each bound as twlab.checks writes it.
 The expensive boundary-value solve is cached on disk, one file per
 (solution schema version, solver version, window, nodes, precision); a file
 that does not decode is solved again and replaced.  Delete the cache
@@ -195,7 +196,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ctx, sol, consts = _solved(args)
     rows = [{"item": r.name, "measured": _num(r.measured),
-             "tolerance": _num(r.bound), "status": "pass" if r.ok else "fail"}
+             "tolerance": r.bound, "status": "pass" if r.ok else "fail"}
             for check in checks.CHECKS for r in check(sol, consts, ctx)]
     ok = all(row["status"] == "pass" for row in rows)
     doc = {"schema_version": SCHEMA_VERSION, "command": "verify",

@@ -1,7 +1,8 @@
 """Log-determinants by two integer factorisations: the Cholesky of a
 symmetric positive definite matrix, shared by the Fredholm (Nystrom) and
-Toeplitz (moment matrix) routes, and a pivoted LU of a general matrix, the
-Toeplitz route that checks the Cholesky independently.
+Toeplitz (moment matrix) routes, and a pivoted LU of a general matrix, a
+second Toeplitz route.  Both check the Toeplitz ladders, which come from
+Levinson-Durbin, independently.
 
 Both run in fixed point on Python integers (twlab.fixedpoint supplies the
 exact dot products and the conversion back).  The input is the matrix M on
@@ -15,7 +16,7 @@ U is one exact dot product and one shift back to the grid, and each entry
 of L one floor division by the pivot.
 
 F is the precision the caller already works at: the Nystrom matrix is
-assembled at ctx.precision_bits + 32 bits, a Toeplitz ladder pass at its
+assembled at ctx.precision_bits + 32 bits, a Toeplitz moment matrix at its
 pass precision.  A 2^-F grid is as accurate as F-bit floating point when
 the diagonal of M is at least about 1 (the bounds below against Higham's
 multiple of the unit roundoff times sqrt(m_ii m_jj)).  The Nystrom diagonal

@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -460,8 +459,8 @@ class HMSolution:
     kept through ``cached`` like every other derived value.  from_json_dict
     rejects a document whose arrays do not fit together.
 
-    The library is single-threaded: mp.workprec sets the process-global
-    mp.prec.  The lock keeps only the memo dict consistent."""
+    The library is single-threaded (mp.workprec sets the process-global
+    mp.prec), so the memo dict needs no lock."""
 
     x_left: mpf
     x_right: mpf
@@ -472,8 +471,6 @@ class HMSolution:
     _elem_qp: List[List[mpf]] = field(repr=False)
     _ref: List[mpf] = field(repr=False)
     _cum_cache: dict = field(repr=False, default_factory=dict, compare=False)
-    _cum_lock: threading.Lock = field(repr=False, compare=False,
-                                      default_factory=threading.Lock)
 
     @property
     def p(self) -> int:
@@ -513,12 +510,9 @@ class HMSolution:
         """compute() once per key for this solution; later calls share its
         value.  Quantities derived from one solution are kept here rather
         than in module-level memos, so they live and die with it."""
-        with self._cum_lock:
-            hit = self._cum_cache.get(key)
+        hit = self._cum_cache.get(key)
         if hit is None:
-            hit = compute()
-            with self._cum_lock:
-                hit = self._cum_cache.setdefault(key, hit)
+            hit = self._cum_cache[key] = compute()
         return hit
 
     def q_at(self, x) -> mpf:

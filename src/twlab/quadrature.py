@@ -12,14 +12,13 @@ The weight 2 / ((1 - x^2) P_n'(x)^2) is then formed once in mpf from the
 converged node and the recurrence's last two values.
 
 Rules are cached per (n, precision).  The library is single-threaded
-(mp.workprec sets the process-global mp.prec); the lock keeps only the memo
-dict consistent.
+(mp.workprec sets the process-global mp.prec), so the memo dict needs no
+lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import List, Tuple
 
 from mpmath import mp, mpf
@@ -28,7 +27,6 @@ from .errors import PrecisionError
 from .fixedpoint import from_grid
 
 _rule_cache: dict = {}
-_rule_lock = threading.Lock()
 
 
 def _float64_root(n: int, i: int) -> float:
@@ -58,8 +56,7 @@ def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
     if n < 1:
         raise ValueError("rule size must be >= 1")
     key = (n, prec)
-    with _rule_lock:
-        hit = _rule_cache.get(key)
+    hit = _rule_cache.get(key)
     if hit is not None:
         return hit
     frac = prec + 24
@@ -101,6 +98,5 @@ def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
         xs = [+v for v in xs]
         ws = [+v for v in ws]
     result = (xs, ws)
-    with _rule_lock:
-        _rule_cache[key] = result
+    _rule_cache[key] = result
     return result

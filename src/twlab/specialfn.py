@@ -21,7 +21,6 @@ work at O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
 from __future__ import annotations
 
 import math
-import threading
 from typing import List, Tuple
 
 from mpmath import mp, mpf
@@ -33,11 +32,9 @@ from .precision import round_to
 _LOG2_E = 1.4426950408889634
 
 _zeta_cache: dict = {}
-_zeta_lock = threading.Lock()
 
 # "pair" -> (bits, Ai(0), Ai'(0))
 _airy_const_cache: dict = {}
-_airy_const_lock = threading.Lock()
 
 
 def _finite_abs(x, name: str) -> float:
@@ -127,12 +124,9 @@ def _zeta_prime_minus_one_raw(prec: int) -> mpf:
 def zeta_prime_minus_one(bits: int) -> mpf:
     """zeta'(-1) to ``bits`` bits, computed (not embedded) via
     Euler-Maclaurin summation."""
-    with _zeta_lock:
-        hit = _zeta_cache.get(bits)
+    hit = _zeta_cache.get(bits)
     if hit is None:
-        hit = round_to(_zeta_prime_minus_one_raw(bits + 16), bits)
-        with _zeta_lock:
-            _zeta_cache[bits] = hit
+        hit = _zeta_cache[bits] = round_to(_zeta_prime_minus_one_raw(bits + 16), bits)
     return hit
 
 
@@ -194,17 +188,12 @@ def _airy_constants(prec: int) -> Tuple[mpf, mpf]:
     """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), rounded
     to ``prec`` bits from the pair computed at the highest precision asked
     for so far (every Maclaurin evaluation needs them)."""
-    with _airy_const_lock:
-        hit = _airy_const_cache.get("pair")
+    hit = _airy_const_cache.get("pair")
     if hit is None or hit[0] < prec:
         with mp.workprec(prec):
             ai0 = mp.power(3, mpf(-2) / 3) / mp.exp(_log_gamma_raw(mpf(2) / 3, prec))
             aip0 = -mp.power(3, mpf(-1) / 3) / mp.exp(_log_gamma_raw(mpf(1) / 3, prec))
-        hit = (prec, ai0, aip0)
-        with _airy_const_lock:
-            held = _airy_const_cache.get("pair")
-            if held is None or held[0] < prec:
-                _airy_const_cache["pair"] = hit
+        hit = _airy_const_cache["pair"] = (prec, ai0, aip0)
     return round_to(hit[1:], prec)
 
 

@@ -11,39 +11,54 @@ against sqrt(1-x^2) e^(2tx), hence the minus sign; displayed definitions
 carrying "+ I_{j+k+2}" do not reproduce either the product identities over
 kappa, pi or the F E limit, both of which this module's tests pin down.)
 
-plus the orthogonal-polynomial objects derived from the plain family:
-log kappa_q^2 = log D_q - log D_{q+1} (leading-coefficient ladder), the
-negated log pivots of the integer fixed-point Cholesky of the moment matrix
-(linalg.cholesky_log_pivots, shared with the Fredholm oracle), and pi_q(0),
-the constant term of the monic orthogonal polynomial (the q-th reflection
-coefficient), from the Levinson-Durbin recursion on the moments I_k(2t).
-Each pass puts its Bessel row on the grid 2^-bits of its own precision once
-and runs both, and the LU below, on it in integers.  Levinson-Durbin is a
-generic Toeplitz solver, not the discrete Painleve II recurrence, so kappa
-and pi stay independent of the Painleve module they are compared against;
-and since they come from two different computations, the Verblunsky
-identity 1 - pi_q(0)^2 = kappa_{q-1}^2 / kappa_q^2 checks both.
-toeplitz_log_det_lu checks the ladder's determinants by the second integer
-factorisation, the pivoted LU of linalg.lu_log_abs_pivots: the same grid,
-but a different factorisation, elimination order and rounding path.
+plus the orthogonal-polynomial objects of the plain family: log kappa_q^2 =
+log D_q - log D_{q+1} (leading-coefficient ladder) and pi_q(0), the constant
+term of the monic orthogonal polynomial (the q-th reflection coefficient).
 
-Each ladder and each LU runs once, through precision.stabilize, at
-ctx.precision_bits + guard_bits(t) bits, guard_bits(t) = ceil(4 t log2 e)
+One pass gives all three families.  The Levinson-Durbin recursion on the
+moments I_k(2t), put on the grid 2^-bits of the pass's precision once, runs
+in O(n^2) integer operations (_levinson_constant_terms) and yields pi_q(0)
+and the energies E_q = D_{q+1}/D_q, the plain log pivots.  The +- families
+follow step by step from the product identities of Baik and Rains,
+Algebraic aspects of increasing subsequences, Duke Math. J. 109 (2001):
+
+    log(D^{++}_{l+1}/D^{++}_l) = log E_{2l+1} + log(1 + pi_{2l+2}(0)),
+    log(D^{-+}_{l+1}/D^{-+}_l) = log E_{2l}   + log(1 - pi_{2l+1}(0)),
+
+so a +- ladder to l is a view of the plain ladder to 2l + 1 (get_ladder).
+Levinson-Durbin is a generic Toeplitz solver, not the discrete Painleve II
+recurrence, so kappa and pi stay independent of the Painleve module they are
+compared against.  Two factorisations of the full moment matrices check the
+ladders: the integer Cholesky of linalg.cholesky_log_pivots (shared with the
+Fredholm oracle, _cholesky_ladder) and the pivoted LU of
+linalg.lu_log_abs_pivots (toeplitz_log_det_lu).  Neither is on the path of
+the ladders, and since the pass forms kappa from pi by E_{q+1} = E_q (1 -
+pi_{q+1}(0)^2), the Verblunsky identity and the product identities read one
+side from the Cholesky route.
+
+Each ladder pass, Cholesky and LU runs once, through precision.stabilize,
+at ctx.precision_bits + guard_bits(t) bits, guard_bits(t) = ceil(4 t log2 e)
 + 64, and returns its values with a proven absolute error bound; the bound
 must be at most 2^-ctx.precision_bits.  The determinants are exact up to
-rounding, so no tolerance is read here.  The bound has three parts, each
-formed from numbers the pass already has:
+rounding, so no tolerance is read here.  Each bound is formed from numbers
+the pass already has:
 
   * input: each moment is off by at most one grid unit 2^-bits plus
     specialfn.bessel_i_row_error(bits), an entry of a family matrix by at
     most twice that;
-  * rounding: the backward error of the factorisation on the grid,
-    linalg.cholesky_entry_error or linalg.lu_entry_error, and for pi_q(0)
-    the residual of Levinson-Durbin (_levinson_constant_terms);
-  * conditioning: every family matrix has lambda_min >= e^(-2t), so
-    ||M^-1||_2 <= e^(2t), and linalg.log_det_error turns the entry bounds
-    into one bound for log D_n, for every n at once, and twice it for each
-    log pivot, a difference of two of them.
+  * the Levinson ladder: Cybenko's residual recursion bounds each pi_q(0);
+    log E_q then carries the input error of c_0, for each step the change
+    of log(1 - x^2) between the computed and the exact pi_k(0), and one
+    floor; each log(1 +- pi) term adds err_pi / (1 - |pi| - err_pi); every
+    log and sum adds its rounding.  A ladder's bound is the sum of the
+    bounds of its pivots, so it covers each pivot and each log D_n, and the
+    plain one also each pi_q(0) (_levinson_constant_terms);
+  * the factorisations: the backward error on the grid,
+    linalg.cholesky_entry_error or linalg.lu_entry_error, and conditioning:
+    every family matrix has lambda_min >= e^(-2t), so ||M^-1||_2 <= e^(2t),
+    and linalg.log_det_error turns the entry bounds into one bound for log
+    D_n, for every n at once, and twice it for each log pivot, a difference
+    of two of them.
 
 The conditioning argument: each moment matrix is the Gram matrix of a basis
 that is orthonormal for a base weight, taken against that weight times
@@ -52,25 +67,27 @@ family matrix is the identity (I_k(0) = 0 for k != 0), so the base Gram
 matrix is the identity and every eigenvalue lies in [e^(-2t), e^(2t)].  The
 size e^(t^2) of D_n does not come from cancellation, since log D_n is a sum
 of log pivots.  The grid errors are about 2^-bits sqrt(I_0(2t)) per entry,
-so log D_n loses about 3 t log2 e bits.  pi_q(0) loses about 4 t log2 e:
-a floor in its coefficients reaches the residual through sum_m |I_m(2t)|
-<= e^(2t), the residual grows with prod (1 + |pi_k(0)|), about e^t, and
-it is read through ||pi_{q-1}||_1, about e^t again.  guard_bits covers
-both, and its 64 spare bits the powers of n.
+so a factorisation's log D_n loses about 3 t log2 e bits.  pi_q(0) loses
+about 4 t log2 e: a floor in its coefficients reaches the residual through
+sum_m |I_m(2t)| <= e^(2t), the residual grows with prod (1 + |pi_k(0)|),
+about e^t, and it is read through ||pi_{q-1}||_1, about e^t again.  log E_q
+reads pi through 2 |pi| / (1 - pi^2), at most about 4t on the ladders run
+here (1 - pi_1(0)^2 is about 1 / (2t)), and sums n of them.  guard_bits
+covers all three, and its 64 spare bits the powers of n and t: at 256 bits
+the bounds are 2^-317 at t = 30, n = 71 and 2^-316 at t = 100, n = 230.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from . import painleve2, specialfn, twdist
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, PrecisionError
 from .fixedpoint import dot, from_grid, to_grid
 from .linalg import (cholesky_entry_error, cholesky_log_pivots, log_det_error,
                      lu_entry_error, lu_log_abs_pivots)
@@ -111,7 +128,7 @@ def guard_bits(t: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Core ladder: Cholesky pivots of the moment matrix + Levinson-Durbin for pi
+# Core ladder: one Levinson-Durbin pass for every family; the Cholesky route
 # ---------------------------------------------------------------------------
 
 def _moment_row(t, n: int, kind: str, bits: int) -> List[int]:
@@ -155,30 +172,40 @@ def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
     return mat
 
 
+class _Levinson(NamedTuple):
+    """One Levinson-Durbin run, on the grid 2^-bits of its moments; every
+    entry is an integer in units of 2^-bits, each error rounded up."""
+
+    pi: List[int]          # pi_q(0), q = 1..q_max (index q - 1)
+    pi_error: List[int]    # bound on the error of pi[q - 1]
+    energy: List[int]      # E_q = D_{q+1}/D_q, q = 0..q_max
+    log_error: List[int]   # bound on |log energy[q] - log E_q|
+
+
 def _levinson_constant_terms(moments: Sequence[int], q_max: int, bits: int,
-                             moment_error: mpf) -> Tuple[Dict[int, mpf], mpf]:
-    """pi_q(0) for q = 1..q_max by the Levinson-Durbin recursion on the
-    moments c_k = moments[k], k <= q_max, on the grid 2^-bits, and a bound
-    on the error of every pi_q(0) when each moment is within moment_error of
-    I_k(2t).  With a the coefficients of the monic pi_q (a_q = 1) and E_q =
-    <pi_q, pi_q> = D_{q+1}/D_q:
+                             moment_error: mpf) -> _Levinson:
+    """pi_q(0), q = 1..q_max, and the energies E_q = D_{q+1}/D_q, q <=
+    q_max, by the Levinson-Durbin recursion on the moments c_k = moments[k],
+    k <= q_max, on the grid 2^-bits, with bounds on the error of every
+    pi_q(0) and every log E_q when each moment is within moment_error of
+    I_k(2t).  With a the coefficients of the monic pi_q (a_q = 1):
 
         pi_{q+1}(0) = -(sum_k a_k c_{k+1}) / E_q,
         pi_{q+1}(z) = z pi_q(z) + pi_{q+1}(0) z^q pi_q(1/z),
-        E_{q+1}     = E_q (1 - pi_{q+1}(0)^2).
+        E_{q+1}     = E_q (1 - pi_{q+1}(0)^2),   E_0 = c_0.
 
     a and E_q stay on the grid: each step is one exact dot and one floor per
     division or product, O(q_max^2) integer operations in all.
 
-    The bound follows Cybenko, The stability of the Levinson algorithm, SIAM
-    J. Sci. Stat. Comput. 1 (1980).  Let s be the residual of the computed a
-    in the normal equations of the grid moments (rows 0..q-1 of T a, which
-    vanish for the exact a) and e that of row q against the computed E_q.
-    One step maps (s, e) to a shift of s plus pi_{q+1}(0) times its reverse,
-    plus the floors: the division's (< 2^-bits times E_q, in row 0 and in
-    e), the energy's (< 2^-bits) and the q floors of a (< 2^-bits each,
-    through T, so at most q 2^-bits S with S = sum_|m|<=q_max |c_m|).  So
-    R_q >= ||s||_1 + |e| obeys
+    The bound on pi_q(0) follows Cybenko, The stability of the Levinson
+    algorithm, SIAM J. Sci. Stat. Comput. 1 (1980).  Let s be the residual
+    of the computed a in the normal equations of the grid moments (rows
+    0..q-1 of T a, which vanish for the exact a) and e that of row q against
+    the computed E_q.  One step maps (s, e) to a shift of s plus
+    pi_{q+1}(0) times its reverse, plus the floors: the division's (<
+    2^-bits times E_q, in row 0 and in e), the energy's (< 2^-bits) and the
+    q floors of a (< 2^-bits each, through T, so at most q 2^-bits S with S
+    = sum_|m|<=q_max |c_m|).  So R_q >= ||s||_1 + |e| obeys
 
         R_{q+1} <= (1 + |pi_{q+1}(0)|) R_q + 2^-bits (2 E_q + 1 + q S),
 
@@ -193,8 +220,19 @@ def _levinson_constant_terms(moments: Sequence[int], q_max: int, bits: int,
     since ||pi_q||_1 <= prod_{k<=q} (1 + |pi_k(0)|) by the recursion and
     E_{q-1} = D_q / D_{q-1} >= 1 (e^(-t^2) D_n is the probability that the
     longest increasing subsequence of a Poissonized random permutation is at
-    most n, Gessel's identity, so it grows with n).  The bookkeeping runs in
-    integers in units of 2^-bits, rounded up."""
+    most n, Gessel's identity, so it grows with n).
+
+    The computed energy is E_{q+1} = E_q (1 - pi^2) - f with pi the computed
+    pi_{q+1}(0), exact on the grid, and 0 <= f < 2^-bits, so
+
+        log E_{q+1} = log E_q + log(1 - pi^2) + log(1 - f / (E_q (1 - pi^2))).
+
+    Its error is therefore the input error of c_0 (moment_error / (c_0 -
+    moment_error)), plus for each step the change of log(1 - x^2) between
+    pi and the exact value, at most 2 p err / (1 - p^2) with p = |pi| + err
+    (the mean value theorem; |d/dx log(1 - x^2)| grows with |x|), plus the
+    floor's 2 f / E_{q+1} <= 2 / E_{q+1} grid units.  A p that reaches 1
+    leaves log(1 - x^2) unbounded and raises PrecisionError."""
     one = 1 << bits
     a = [one]
     energy = moments[0]
@@ -202,8 +240,8 @@ def _levinson_constant_terms(moments: Sequence[int], q_max: int, bits: int,
     spread = moments[0] + 2 * sum(map(abs, moments[1:q_max + 1]))
     resid = 0                   # R_q
     growth = one                # prod_{k<=q} (1 + |pi_k(0)| + err_k)
-    worst = 0
-    out: Dict[int, mpf] = {}
+    log_err = -(-delta * one // (energy - delta))
+    out = _Levinson([], [], [energy], [log_err])
     for q in range(q_max):
         r = -dot(a, moments[1:q + 2]) // energy
         resid = -(-((one + abs(r)) * resid + 2 * energy + q * spread) >> bits) + 1
@@ -212,9 +250,22 @@ def _levinson_constant_terms(moments: Sequence[int], q_max: int, bits: int,
         input_resid = -(-(q + 1) * delta * sum(map(abs, a)) >> bits)
         err = -(-growth * (resid + input_resid) >> bits)
         growth = -(-growth * (one + abs(r) + err) >> bits)
-        worst = max(worst, err)
-        out[q + 1] = from_grid(r, bits)
-    return out, from_grid(worst, bits)
+        p = abs(r) + err
+        if p >= one:
+            raise PrecisionError(
+                f"|pi_{q + 1}(0)| plus its error bound reaches 1 at {bits} bits")
+        log_err += -(-2 * p * err * one // (one * one - p * p)) - (-2 * one // energy)
+        out.pi.append(r)
+        out.pi_error.append(err)
+        out.energy.append(energy)
+        out.log_error.append(log_err)
+    return out
+
+
+def _log_units(v: mpf) -> int:
+    """The rounding of a log ``v`` taken at the grid's precision, and of one
+    sum with it, |v| 2^(1-bits), in grid units rounded up."""
+    return 2 * (int(abs(v)) + 1)
 
 
 @dataclass
@@ -223,12 +274,18 @@ class _Ladder:
     kind: str
     n_cap: int
     log_pivots: List[mpf]          # log(D_{k+1}/D_k), k = 0..n_cap-1
-    pi0: Dict[int, mpf]            # q -> pi_q(0) (plain family only)
+    pi0: Dict[int, mpf]            # q -> pi_q(0), 0 < q < n_cap (plain family only)
     precision_bits_used: int
     out_bits: int
     # bound on the error of every value of the pass, before rounding to
     # out_bits: each log pivot, each pi_q(0) and each log D_n, n <= n_cap
     error_bound: mpf
+    # plain Levinson ladders only: the log pivots of the two +- families,
+    # interleaved, log E_j + log(1 + (-1)^(j+1) pi_{j+1}(0)) for j < n_cap - 1
+    # (j = 2l: minus_plus pivot l, j = 2l + 1: plus_plus pivot l), and a
+    # bound on the error of each in units of 2^-precision_bits_used
+    pm_pivots: List[mpf] = field(default_factory=list)
+    pm_errors: List[int] = field(default_factory=list)
 
     def log_d(self, n: int) -> mpf:
         if n < 0 or n > self.n_cap:
@@ -241,6 +298,23 @@ class _Ladder:
         if q < 0 or q >= self.n_cap:
             raise DomainError(f"kappa_{q} not available")
         return -self.log_pivots[q]
+
+    def family(self, kind: str, n: int) -> "_Ladder":
+        """The ladder of ``kind`` up to n that this plain Levinson ladder
+        holds: itself for plain, else a view of its +- pivots (it holds n
+        of them when n_cap >= 2n + 1), whose error bound is the sum of
+        their bounds, so it covers each pivot and each log D_n."""
+        if kind == "plain":
+            return self
+        start = 1 if kind == "plus_plus" else 0
+        pivots = self.pm_pivots[start::2][:n]
+        if len(pivots) < n:
+            raise DomainError(f"{kind} ladder to {n} needs a plain ladder to "
+                              f"{2 * n + 1}, have {self.n_cap}")
+        errors = self.pm_errors[start::2][:n]
+        return replace(self, kind=kind, n_cap=n, log_pivots=pivots, pi0={},
+                       error_bound=from_grid(sum(errors), self.precision_bits_used),
+                       pm_pivots=[], pm_errors=[])
 
 
 _LADDER_CACHE_SIZE = 8
@@ -265,65 +339,89 @@ class _LadderCache(OrderedDict):
 
 
 _ladder_cache = _LadderCache()
-_ladder_lock = threading.Lock()
-
-_LadderValues = Tuple[List[mpf], Dict[int, mpf]]
 
 
-def _ladder_pass(t, kind: str, n_cap: int
-                 ) -> Callable[[int], Tuple[_LadderValues, mpf]]:
-    """The pass of the ladder, for ``stabilize``: the log pivots and, for the
-    plain family, pi_q(0) for 0 < q < n_cap, with the error bound of the
-    module docstring.  A log pivot is the difference of two log D_n, so it
-    gets twice their bound."""
+def _ladder_pass(t, n_cap: int) -> Callable[[int], Tuple[_Ladder, mpf]]:
+    """The pass of the plain ladder, for ``stabilize``: one Levinson-Durbin
+    run to n_cap, giving the log pivots log E_k, k < n_cap, pi_q(0), 0 < q <
+    n_cap, and the +- pivots, at the pass's bits, with the error bound of
+    the module docstring.  The bound returned covers every value the pass
+    forms: it is the largest of the plain ladder's bound, the largest
+    pi_q(0) error, and the bounds of the two +- ladders at full length."""
 
-    def one(bits: int) -> Tuple[_LadderValues, mpf]:
+    def one(bits: int) -> Tuple[_Ladder, mpf]:
+        unit = 1 << bits
         with mp.workprec(bits):
-            row = _moment_row(t, n_cap, kind, bits)
-            mat = _moment_matrix(row, n_cap, kind)
-            pivots = cholesky_log_pivots(mat, bits, f"{kind} moment matrix (t={t})")
-            bound = 2 * _log_det_bound(t, pivots, cholesky_entry_error(mat, bits), bits)
-            pi0: Dict[int, mpf] = {}
-            if kind == "plain":
-                pi0, pi_bound = _levinson_constant_terms(row, n_cap - 1, bits,
-                                                         _moment_error(bits))
-                bound = max(bound, pi_bound)
-            return (pivots, pi0), bound
+            row = _moment_row(t, n_cap, "plain", bits)
+            lev = _levinson_constant_terms(row, n_cap - 1, bits, _moment_error(bits))
+            pivots = [mp.log(from_grid(e, bits)) for e in lev.energy]
+            errors = [err + _log_units(v) for err, v in zip(lev.log_error, pivots)]
+            pm_pivots, pm_errors = [], []
+            for j, (r, err) in enumerate(zip(lev.pi, lev.pi_error)):
+                # log(1 + (-1)^(j+1) pi_{j+1}(0)) moves by at most
+                # err / (1 - |pi| - err) between pi and the exact value
+                term = mp.log(from_grid(unit + (r if j % 2 else -r), bits))
+                pm_pivots.append(pivots[j] + term)
+                pm_errors.append(errors[j] + _log_units(term) + _log_units(pm_pivots[-1])
+                                 - (-err * unit // (unit - abs(r) - err)))
+            ladder = _Ladder(
+                t=float(t), kind="plain", n_cap=n_cap, log_pivots=pivots,
+                pi0={q: from_grid(r, bits) for q, r in enumerate(lev.pi, 1)},
+                precision_bits_used=bits, out_bits=bits,
+                error_bound=from_grid(max([sum(errors)] + lev.pi_error), bits),
+                pm_pivots=pm_pivots, pm_errors=pm_errors)
+            bound = max(ladder.error_bound, from_grid(sum(pm_errors[0::2]), bits),
+                        from_grid(sum(pm_errors[1::2]), bits))
+            return ladder, bound
 
     return one
 
 
 def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
-    """Log pivots log(D_{k+1}/D_k), k < n_cap, and for the plain family
-    pi_q(0), 0 < q < n_cap, from one pass at ctx.precision_bits +
-    guard_bits(t) bits whose error bound (error_bound) is at most
-    2^-ctx.precision_bits, kept to ctx.precision_bits + 64 bits.  Cached per
-    (t, kind, precision_bits) for the last _LADDER_CACHE_SIZE keys used; a
-    request beyond the cached n_cap builds the larger ladder, which replaces
-    the cached one."""
-    key = (repr(mpf(t)), kind, ctx.precision_bits)
-    with _ladder_lock:
-        hit = _ladder_cache.get(key)
-    if hit is not None and hit.n_cap >= n_cap:
-        return hit
+    """The ladder of ``kind`` to n_cap: log pivots log(D_{k+1}/D_k), k <
+    n_cap, and for the plain family pi_q(0), 0 < q < n_cap, with an error
+    bound (error_bound) of at most 2^-ctx.precision_bits, kept to
+    ctx.precision_bits + 64 bits.  Every family is a view of one plain
+    Levinson-Durbin ladder (_ladder_pass), cached per (t, precision_bits)
+    for the last _LADDER_CACHE_SIZE keys used; a +- ladder to n reads the
+    plain ladder to 2n + 1.  A request beyond the cached n_cap builds the
+    larger ladder, which replaces the cached one."""
+    size = n_cap if kind == "plain" else 2 * n_cap + 1
+    key = (repr(mpf(t)), ctx.precision_bits)
+    plain = _ladder_cache.get(key)
+    if plain is None or plain.n_cap < size:
+        bits = ctx.precision_bits + guard_bits(t)
+        full, _ = stabilize(_ladder_pass(t, size), bits, ctx,
+                            what=f"toeplitz ladder (t={t}, n={size})")
+        out_bits = ctx.precision_bits + 64
+        plain = _ladder_cache[key] = replace(
+            full, out_bits=out_bits,
+            log_pivots=round_to(full.log_pivots, out_bits),
+            pi0={q: round_to(v, out_bits) for q, v in full.pi0.items()},
+            pm_pivots=round_to(full.pm_pivots, out_bits))
+    return plain.family(kind, n_cap)
+
+
+def _cholesky_ladder(t, kind: str, n: int, ctx: PrecisionContext) -> _Ladder:
+    """The independent route to a ladder: the log pivots of the integer
+    Cholesky of the n x n moment matrix of ``kind`` (linalg.
+    cholesky_log_pivots, shared with the Fredholm oracle), in one pass at
+    the ladder's bits, uncached, without pi_q(0), and kept at those bits so
+    that its bound covers the values it holds.  The bound is the one of the
+    module docstring for a factorisation: a log pivot is the difference of
+    two log D_n, so it gets twice their bound."""
+
+    def one(bits: int) -> Tuple[List[mpf], mpf]:
+        with mp.workprec(bits):
+            mat = _moment_matrix(_moment_row(t, n, kind, bits), n, kind)
+            pivots = cholesky_log_pivots(mat, bits, f"{kind} moment matrix (t={t})")
+            return pivots, 2 * _log_det_bound(t, pivots, cholesky_entry_error(mat, bits), bits)
+
     bits = ctx.precision_bits + guard_bits(t)
-    (pivots, pi0), bound = stabilize(
-        _ladder_pass(t, kind, n_cap), bits, ctx,
-        what=f"toeplitz ladder (t={t}, kind={kind}, n={n_cap})")
-    out_bits = ctx.precision_bits + 64
-    ladder = _Ladder(
-        t=float(t),
-        kind=kind,
-        n_cap=n_cap,
-        log_pivots=round_to(pivots, out_bits),
-        pi0={q: round_to(v, out_bits) for q, v in pi0.items()},
-        precision_bits_used=bits,
-        out_bits=out_bits,
-        error_bound=bound,
-    )
-    with _ladder_lock:
-        _ladder_cache[key] = ladder
-    return ladder
+    pivots, bound = stabilize(one, bits, ctx,
+                              what=f"Cholesky ladder (t={t}, kind={kind}, n={n})")
+    return _Ladder(t=float(t), kind=kind, n_cap=n, log_pivots=pivots, pi0={},
+                   precision_bits_used=bits, out_bits=bits, error_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +436,15 @@ def toeplitz_log_det(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
 def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
     """Independent route: a pivoted LU of the full moment matrix
-    (linalg.lu_log_abs_pivots), sharing nothing with the Cholesky of the
-    ladder but the grid (different factorisation, elimination order and
-    rounding path), run once at the ladder's precision with the bound of the
+    (linalg.lu_log_abs_pivots), sharing nothing with the Levinson ladder or
+    the Cholesky route but the grid (different algorithm, elimination order
+    and rounding path), run once at the ladder's precision with the bound of the
     module docstring, which must be at most 2^-ctx.precision_bits.  Used to
     check telescoping identities non-vacuously.
 
-    The pass builds the matrix in integers from the row of _moment_row, as a
-    ladder pass does.  The determinants of these matrices are positive, so
-    the log of |det| is log det."""
+    The pass builds the matrix in integers from the row of _moment_row, as
+    the Cholesky route does.  The determinants of these matrices are
+    positive, so the log of |det| is log det."""
 
     def one(bits: int) -> Tuple[mpf, mpf]:
         with mp.workprec(bits):
@@ -693,9 +791,15 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     if ell - 1 < j_airy_hi:
         raise DomainError("Painleve window is empty; decrease M or raise t")
 
-    plain = get_ladder(t, "plain", 2 * ell, ctx)
-    pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
+    # the -+ ladder reads the longest plain ladder, so it comes first and
+    # the other two are views of the same pass
     mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
+    pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
+    plain = get_ladder(t, "plain", 2 * ell, ctx)
+    # pp and mp_lad are formed by the identity checked here, so the direct
+    # side reads the independent Cholesky route
+    pp_direct = _cholesky_ladder(t, "plus_plus", ell - 1, ctx)
+    mp_direct = _cholesky_ladder(t, "minus_plus", ell, ctx)
     tw_ref = _tw_reference(x, sol, ctx)
 
     with ctx.workprec():
@@ -708,7 +812,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
         airy = mp.fsum(term(j) for j in range(L, j_airy_hi + 1))
         painleve = mp.fsum(term(j) for j in range(j_airy_hi + 1, ell))
         total = -t_mp + exact + airy + painleve
-        direct = (-t_mp + pp.log_d(ell - 1) + mp_lad.log_d(ell)
+        direct = (-t_mp + pp_direct.log_d(ell - 1) + mp_direct.log_d(ell)
                   - plain.log_d(2 * ell - 1))
         identity_gap = total - direct
 

@@ -52,10 +52,12 @@ class TestLogDet:
         assert abs(mp.exp(v - 1) - 1) < mpf(10) ** -20
 
     def test_lu_route_matches_cholesky(self, wp300):
+        # the LU against the Levinson ladder and the Cholesky route
         spec = tl.MomentMatrixSpec(5.0, 12, "plain")
-        a = tl.toeplitz_log_det(spec, CTX)
         b = tl.toeplitz_log_det_lu(spec, CTX)
-        assert abs(a - b) < mpf(10) ** -40
+        for a in (tl.toeplitz_log_det(spec, CTX),
+                  tl._cholesky_ladder(5.0, "plain", 12, CTX).log_d(12)):
+            assert abs(a - b) < mpf(10) ** -40
 
     @pytest.mark.parametrize("kind, n", [("plain", 56), ("plus_plus", 27),
                                          ("minus_plus", 28)])
@@ -134,9 +136,12 @@ class TestPiZero:
         assert abs(v + bessel_ref(1, 6) / bessel_ref(0, 6)) < mpf(10) ** -60
 
     def test_verblunsky_identity(self, wp300):
+        # the Levinson pass forms kappa from pi by this identity, so kappa
+        # comes from the Cholesky route
+        chol = tl._cholesky_ladder(3.0, "plain", 21, CTX)
         for q in range(2, 21):
             lhs = 1 - tl.pi_zero(q, 3.0, CTX) ** 2
-            rhs = mp.exp(tl.kappa_sq(q - 1, 3.0, CTX) - tl.kappa_sq(q, 3.0, CTX))
+            rhs = mp.exp(chol.log_kappa_sq(q - 1) - chol.log_kappa_sq(q))
             assert abs(lhs - rhs) < mpf(10) ** -40
 
     def test_sign_alternation_and_magnitude(self, wp300):
@@ -266,21 +271,27 @@ class TestErrorBound:
         return captured
 
     @pytest.mark.parametrize("t, kind, n", [
-        (3.0, "plain", 22), (30.0, "plain", 71), (50.0, "plain", 92),
-        (30.0, "plus_plus", 27), (30.0, "minus_plus", 28)])
+        (3.0, "plain", 22), (3.0, "plus_plus", 10), (3.0, "minus_plus", 11),
+        (30.0, "plain", 71), (30.0, "plus_plus", 27), (30.0, "minus_plus", 28),
+        (50.0, "plain", 92), (50.0, "plus_plus", 45), (50.0, "minus_plus", 45)])
     def test_ladder_bound_covers_doubled_pass(self, monkeypatch, t, kind, n):
+        # every family is a view of one plain Levinson pass: the one pass
+        # captured gives the family's ladder at its bits and at doubled bits
         [(compute, bits)] = self._passes(
             monkeypatch, lambda: tl.get_ladder(t, kind, n, CTX))
-        (pivots, pi0), bound = compute(bits)
-        (pivots2, pi02), _ = compute(2 * bits)
-        assert bound <= mpf(2) ** -CTX.precision_bits
+        full, pass_bound = compute(bits)
+        ladder = full.family(kind, n)
+        ladder2 = compute(2 * bits)[0].family(kind, n)
+        bound = ladder.error_bound
+        assert bound <= pass_bound <= mpf(2) ** -CTX.precision_bits
+        assert tl.get_ladder(t, kind, n, CTX).error_bound == bound
         with mp.workprec(4 * bits):
             for k in range(n):
-                assert abs(pivots[k] - pivots2[k]) <= bound
-                assert abs(mp.fsum(pivots[:k + 1]) - mp.fsum(pivots2[:k + 1])) <= bound
-            assert (kind == "plain") == bool(pi0)
-            for q in pi0:
-                assert abs(pi0[q] - pi02[q]) <= bound
+                assert abs(ladder.log_pivots[k] - ladder2.log_pivots[k]) <= bound
+                assert abs(ladder.log_d(k + 1) - ladder2.log_d(k + 1)) <= bound
+            assert (kind == "plain") == bool(ladder.pi0)
+            for q in ladder.pi0:
+                assert abs(ladder.pi0[q] - ladder2.pi0[q]) <= bound
 
     @pytest.mark.parametrize("t, n", [(30.0, 56), (5.0, 12), (20.0, 40)])
     def test_lu_bound_covers_doubled_pass(self, monkeypatch, t, n):
@@ -294,15 +305,38 @@ class TestErrorBound:
             assert abs(value - value2) <= bound
 
 
+class TestCholeskyRoute:
+    """The Levinson ladders against the independent integer Cholesky of the
+    moment matrices, within the sum of the two bounds."""
+
+    @pytest.mark.parametrize("t, n", [(3.0, 21), (30.0, 71), (50.0, 91)])
+    def test_levinson_ladders_agree_with_cholesky(self, t, n):
+        bits = CTX.precision_bits + tl.guard_bits(t)
+        full, _ = tl._ladder_pass(t, n)(bits)
+        for kind, size in (("plain", n), ("plus_plus", n // 2),
+                           ("minus_plus", n // 2)):
+            lev = full.family(kind, size)
+            chol = tl._cholesky_ladder(t, kind, size, CTX)
+            bound = lev.error_bound + chol.error_bound
+            assert bound <= mpf(2) ** (1 - CTX.precision_bits)
+            with mp.workprec(4 * bits):
+                for k in range(size):
+                    assert abs(lev.log_pivots[k] - chol.log_pivots[k]) <= bound
+                    assert abs(lev.log_d(k + 1) - chol.log_d(k + 1)) <= bound
+
+
 class TestScan:
     def test_records_and_identity(self, wp300):
+        # the scan's kappa and pi come from one Levinson pass, so the
+        # identity reads kappa from the Cholesky route
         scan = tl.toeplitz_scan(3.0, range(1, 12), CTX)
+        chol = tl._cholesky_ladder(3.0, "plain", 12, CTX)
         recs = {r.q: r for r in scan.records}
         for q in range(2, 12):
             r = recs[q]
             assert abs(r.gamma - 6 / mpf(q)) < mpf(10) ** -70
             lhs = 1 - r.pi0 ** 2
-            rhs = mp.exp(recs[q - 1].log_kappa_sq - r.log_kappa_sq)
+            rhs = mp.exp(chol.log_kappa_sq(q - 1) - chol.log_kappa_sq(q))
             assert abs(lhs - rhs) < mpf(10) ** -40
 
     def test_predictions_populated_in_range(self):
@@ -373,10 +407,12 @@ class TestExactPart:
 class TestPMFamilies:
     def test_pp_product_identity_truncations(self, wp300):
         # e^(-t^2/2) D_l^{++} = prod_{j>=l} kappa_{2j+1}^2 / (1 + pi_{2j+2});
-        # truncations approach the determinant as the cap grows
+        # truncations approach the determinant as the cap grows.  The ++
+        # ladder is formed by this identity, so the determinant comes from
+        # the Cholesky route
         t = 8.0
         ell = 6
-        lhs = -mpf(t) ** 2 / 2 + tl.d_pm_log("plus_plus", ell, t, CTX)
+        lhs = -mpf(t) ** 2 / 2 + tl._cholesky_ladder(t, "plus_plus", ell, CTX).log_d(ell)
         gaps = []
         for cap in (10, 14, 18):
             acc = mpf(0)
@@ -388,10 +424,12 @@ class TestPMFamilies:
         assert gaps[-1] < mpf(10) ** -12
 
     def test_mp_product_identity(self, wp300):
-        # e^(-t^2/2 - t) D_l^{-+} = prod_{j>=l} kappa_{2j}^2 / (1 - pi_{2j+1})
+        # e^(-t^2/2 - t) D_l^{-+} = prod_{j>=l} kappa_{2j}^2 / (1 - pi_{2j+1}),
+        # with the determinant from the Cholesky route as above
         t = 8.0
         ell = 7
-        lhs = -mpf(t) ** 2 / 2 - t + tl.d_pm_log("minus_plus", ell, t, CTX)
+        lhs = (-mpf(t) ** 2 / 2 - t
+               + tl._cholesky_ladder(t, "minus_plus", ell, CTX).log_d(ell))
         acc = mpf(0)
         for j in range(ell, 27):
             acc += (tl.kappa_sq(2 * j, t, CTX)
