@@ -1,51 +1,124 @@
-"""Log-determinants by two integer factorisations: the Cholesky of a
-symmetric positive definite matrix, shared by the Fredholm (Nystrom) and
-Toeplitz (moment matrix) routes, and a pivoted LU of a general matrix, a
-second Toeplitz route.  Both check the Toeplitz ladders, which come from
-Levinson-Durbin, independently.
+"""Log-determinants by three integer factorisations: the generalized Schur
+algorithm for a symmetric Cauchy-like matrix given by its generators (the
+Fredholm oracle's Nystrom matrix), and the Cholesky of a symmetric positive
+definite matrix and a pivoted LU of a general matrix (the two routes that
+check the Toeplitz ladders, which come from Levinson-Durbin, independently).
 
-Both run in fixed point on Python integers (twlab.fixedpoint supplies the
-exact dot products and the conversion back).  The input is the matrix M on
-the grid 2^-F: rows[i][j] = M_ij 2^F, rounded to an integer.  The Cholesky
-reads the lower triangle only (j <= i; entries past the diagonal are not
-read).  Its factor L (M = L L^T) is kept on the same grid, so every dot
-product of two rows of L is exact in units of 2^-2F, and each entry of L
-costs one integer division by the diagonal of L; each pivot costs one
-math.isqrt.  The LU keeps L and U on the same grid as well, so each entry of
-U is one exact dot product and one shift back to the grid, and each entry
-of L one floor division by the pivot.
+All three run in fixed point on Python integers (twlab.fixedpoint supplies
+the exact dot products and the conversion back), on the grid 2^-F: a value
+v is held as the integer v 2^F, rounded.  F is the precision the caller
+already works at: ctx.precision_bits + 32 for the Nystrom matrix, the pass
+precision for a Toeplitz moment matrix.  A 2^-F grid is as accurate as
+F-bit floating point when the diagonal of M is at least about 1.  The
+Nystrom diagonal lies in (0, 1], at least 0.82 at x = -8, m = 80; the
+Toeplitz diagonal is I_0(2t) >= 1.
 
-F is the precision the caller already works at: the Nystrom matrix is
-assembled at ctx.precision_bits + 32 bits, a Toeplitz moment matrix at its
-pass precision.  A 2^-F grid is as accurate as F-bit floating point when
-the diagonal of M is at least about 1 (the bounds below against Higham's
-multiple of the unit roundoff times sqrt(m_ii m_jj)).  The Nystrom diagonal
-lies in (0, 1], at least 0.82 at x = -8, m = 80.  The Toeplitz diagonal is
-I_0(2t) >= 1.
+Schur.  The matrix M is given by generators a_i, b_i, distinct nodes u_i
+and its diagonal d_i:
+
+    M_ij = (b_i a_j - a_i b_j) / (u_i - u_j),  i != j,   M_ii = d_i,
+
+so (u_i - u_j) M_ij = b_i a_j - a_i b_j has displacement rank 2.  The
+Schur complement of a pivot keeps that form: eliminating pivot k with
+multipliers l_i = M_ik / d_k takes g_i = (a_i, b_i) to g_i - l_i g_k and
+d_i to d_i - l_i M_ik (Gohberg, Kailath and Olshevsky, Math. Comp. 64
+(1995)).  So cauchy_schur_pivots forms no entry but the column it
+eliminates, and the m pivots of the LDL^T factorisation cost O(m^2)
+integer operations: per i > k, s = (b_i a_k - a_i b_k) // (u_i - u_k) (an
+exact numerator, one floor), l_i = (s 2^F) // d_k, and the three updates
+a_i -= (l_i a_k) >> F, b_i -= (l_i b_k) >> F, d_i -= (l_i s) >> F.  det M
+is the product of the pivots.
+
+Cholesky and LU.  The input is the matrix on the grid: rows[i][j] = M_ij
+2^F.  The Cholesky reads the lower triangle only (j <= i; entries past the
+diagonal are not read).  Its factor L (M = L L^T) is kept on the same grid,
+so every dot product of two rows of L is exact in units of 2^-2F, and each
+entry of L costs one integer division by the diagonal of L; each pivot
+costs one math.isqrt.  The LU keeps L and U on the same grid as well, so
+each entry of U is one exact dot product and one shift back to the grid,
+and each entry of L one floor division by the pivot.
 
 Each factorisation comes with its backward error on the grid, entry by
-entry (the fixed-point form of Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., Thms 9.3 and 10.3).  With the exact pivots p_i that
-the Cholesky takes logs of, L L^T = M + E, where L has the computed
-off-diagonal entries and diagonal sqrt(p_i).  E is zero on the diagonal,
-and off it an entry of L times the isqrt's shortfall (< 2^-F) plus the
-division's floor (< 2^-F) times L_jj; both entries are at most
-sqrt(max_i M_ii), so |E_ij| < 2^(1-F) sqrt(max_i M_ii)
-(cholesky_entry_error).  The LU gives L U = P M + E with |L_ij| <= 1: an
-entry of U is one floor, an entry of L one floor times its pivot, so
-|E_ij| < 2^-F (1 + max_k |u_kk|) (lu_entry_error).  log_det_error turns an
-entry bound into the change of log det.
+entry (for the last two the fixed-point form of Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3); the
+pivots are exact for M + E.
+
+- Schur: the pivots p_k are the exact LDL^T pivots of M + E, M the matrix
+  of the input generators taken exactly.  Let T be the largest of 1, the
+  diagonal and every generator entry and multiplier the pass held (the
+  pass returns it), W the span and g the smallest gap of the nodes.  Step
+  k changes entry (i, k) by -(M_ik - p_k l_i), which two floors hold below
+  2^-F (1 + T), and entry (i, i) by less than 2^-F (T^2 + 1).  Entry
+  (i, j) of the next Schur complement is read from the floored
+  generators: their floors (< 2^-F each, against generators of size at
+  most T) and the multipliers' errors (l_j (u_i - u_k) e_i, |e_i| < 2^-F
+  (1 + T)) reach it divided by u_i - u_j, so it changes by less than
+  2^-F (4 T^2 W + 4 T + 1) / g.  Each entry is changed by at most m steps,
+  so |E_ij| < 2^-F m (T + 1)^2 (4 (W + 1) / g + 1)
+  (cauchy_schur_entry_error).  The division by node gaps makes this looser
+  than a Cholesky's: 2^(22-F) to 2^(28-F) on the Nystrom matrices at
+  m = 80.
+- Cholesky: with the exact pivots p_i that it takes logs of, L L^T = M + E,
+  where L has the computed off-diagonal entries and diagonal sqrt(p_i).
+  E is zero on the diagonal, and off it an entry of L times the isqrt's
+  shortfall (< 2^-F) plus the division's floor (< 2^-F) times L_jj; both
+  entries are at most sqrt(max_i M_ii), so |E_ij| < 2^(1-F) sqrt(max_i
+  M_ii) (cholesky_entry_error).
+- LU: L U = P M + E with |L_ij| <= 1: an entry of U is one floor, an entry
+  of L one floor times its pivot, so |E_ij| < 2^-F (1 + max_k |u_kk|)
+  (lu_entry_error).
+
+log_det_error turns an entry bound into the change of log det.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .errors import InternalConsistencyError
 from .fixedpoint import dot, from_grid
+
+
+def cauchy_schur_pivots(a: Sequence[int], b: Sequence[int], u: Sequence[int],
+                        d: Sequence[int], frac_bits: int,
+                        what: str) -> Tuple[List[int], int]:
+    """The LDL^T pivots p_k = D_{k+1}/D_k, k = 0..m-1, of the symmetric
+    Cauchy-like matrix M with M_ij = (b_i a_j - a_i b_j) / (u_i - u_j) off
+    the diagonal and M_ii = d_i (D_k its k-th leading principal minor), on
+    the grid 2^-frac_bits like the inputs, so det M is their product; and
+    the largest of 2^frac_bits and every |generator entry|, multiplier and
+    diagonal the pass held, the T 2^frac_bits of cauchy_schur_entry_error.
+    The nodes u must be distinct; no input list is modified.
+
+    The generalized Schur pass of the module docstring, in the nodes' order.
+    A positive definite matrix has positive pivots, so a nonpositive one
+    means the matrix (named by ``what``) is wrong or the grid too coarse,
+    and raises InternalConsistencyError."""
+    a, b, d = list(a), list(b), list(d)
+    largest = max(1 << frac_bits, max(map(abs, a)), max(map(abs, b)), max(d))
+    n = len(d)
+    pivots: List[int] = []
+    for k in range(n):
+        ak, bk, uk, dk = a[k], b[k], u[k], d[k]
+        if dk <= 0:
+            raise InternalConsistencyError(
+                f"nonpositive Schur pivot in {what} at index {k}")
+        pivots.append(dk)
+        multipliers = []
+        for i in range(k + 1, n):
+            ai, bi = a[i], b[i]
+            s = (bi * ak - ai * bk) // (u[i] - uk)
+            l = (s << frac_bits) // dk
+            multipliers.append(l)
+            a[i] = ai - ((l * ak) >> frac_bits)
+            b[i] = bi - ((l * bk) >> frac_bits)
+            d[i] -= (l * s) >> frac_bits
+        held = multipliers + a[k + 1:] + b[k + 1:]
+        largest = max(largest, max(map(abs, held), default=0))
+    return pivots, largest
 
 
 def cholesky_log_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
@@ -121,6 +194,22 @@ def cholesky_entry_error(rows: Sequence[Sequence[int]], frac_bits: int) -> mpf:
     cholesky_log_pivots(rows, frac_bits, ...): 2^(1-F) sqrt(max_i M_ii)."""
     top = max(row[i] for i, row in enumerate(rows))
     return 2 * mp.sqrt(from_grid(top, frac_bits)) / mpf(2) ** frac_bits
+
+
+def cauchy_schur_entry_error(u: Sequence[int], largest: int,
+                             frac_bits: int) -> mpf:
+    """The bound on |E_ij| of the module docstring for the pivots of
+    cauchy_schur_pivots(a, b, u, d, frac_bits, ...) returning ``largest``:
+    2^-F m (T + 1)^2 (4 (W + 1) / g + 1) with T = largest 2^-F, and W and g
+    the span and the smallest gap of the nodes u."""
+    nodes = sorted(u)
+    cross = 0
+    if len(nodes) > 1:
+        span = from_grid(nodes[-1] - nodes[0], frac_bits)
+        gap = from_grid(min(hi - lo for lo, hi in zip(nodes, nodes[1:])), frac_bits)
+        cross = 4 * (span + 1) / gap
+    t = from_grid(largest, frac_bits)
+    return len(nodes) * (t + 1) ** 2 * (cross + 1) / mpf(2) ** frac_bits
 
 
 def lu_entry_error(log_pivots: Sequence[mpf], frac_bits: int) -> mpf:

@@ -7,15 +7,16 @@ precision it returns as ``bits``, lifts the working precision internally by
 guard bits and rounds the result back to ``bits``; none sees a tolerance.
 Ai and Ai' come from their Maclaurin sums at every finite x.  The sums lose
 about 2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs, so the
-Airy values are exact to the working precision.  Ai and Ai' at
-many sorted points (the Nystrom nodes) come from airy_ai_walk: one airy_ai
-start at the largest point, then Taylor steps down whose coefficients follow
-from Ai'' = u Ai (DLMF 9.2.1).  Downward is stable because Ai is recessive
-as u grows: the Bi part of a rounding error shrinks relative to Ai on the
-way down.  The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward
-recurrence normalised by e^(2t) = I_0 + 2 sum I_j (no cancellation: every
-term is positive); its values reach magnitude e^(2t) while their consumers
-work at O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
+Airy values are exact to the working precision.  Ai and Ai' at many sorted
+points (the Nystrom nodes) come from airy_ai_walk: one airy_ai start at the
+largest point (memoised per point and precision), then Taylor steps down
+whose coefficients follow from Ai'' = u Ai (DLMF 9.2.1).  Downward is
+stable because Ai is recessive as u grows: the Bi part of a rounding error
+shrinks relative to Ai on the way down.  The Bessel row I_0(2t) ..
+I_J(2t) comes from Miller's backward recurrence normalised by e^(2t) = I_0
++ 2 sum I_j (no cancellation: every term is positive); its values reach
+magnitude e^(2t) while their consumers work at O(1) scale, so it carries
+ceil(2t log2 e) extra guard bits.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _zeta_cache: dict = {}
 
 # "pair" -> (bits, Ai(0), Ai'(0))
 _airy_const_cache: dict = {}
+
+# (top point, working bits) -> the airy_ai start of airy_ai_walk there
+_walk_start_cache: dict = {}
 
 
 def _finite_abs(x, name: str) -> float:
@@ -142,7 +146,7 @@ def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
                    + sum_{k>=1} B_{2k+2} / (4 k (k+1) y^(2k)).
     """
     with mp.workprec(prec + 20):
-        zp = _zeta_prime_minus_one_raw(prec + 20)
+        zp = zeta_prime_minus_one(prec + 20)
         logy = mp.log(y)
         s = y * y / 2 * logy - mpf(3) / 4 * y * y + y / 2 * mp.log(2 * mp.pi)
         s += -logy / 12 + zp
@@ -264,8 +268,10 @@ def airy_ai_walk(points, bits: int) -> List[Tuple[mpf, mpf]]:
     by one Taylor walk down from the largest.
 
     The start is airy_ai at the top point at w = bits + 32 bits, so it is
-    exact to the working precision w.  Each step h = u_next - u < 0
-    sums the Taylor series of Ai about u, whose scaled terms
+    exact to the working precision w; it is memoised per (top point, w), so
+    walks that share their top point (the Nystrom walks all start at the
+    truncation point) sum the Maclaurin series once.  Each step h = u_next
+    - u < 0 sums the Taylor series of Ai about u, whose scaled terms
     d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai (DLMF 9.2.1):
 
         d_{k+1} = (u h^2 d_{k-1} + h^3 d_{k-2}) / (k (k+1)),
@@ -293,7 +299,10 @@ def airy_ai_walk(points, bits: int) -> List[Tuple[mpf, mpf]]:
         us = [mpf(p) for p in points]
         if any(not lo < hi for lo, hi in zip(us, us[1:])):
             raise DomainError("airy_ai_walk requires strictly ascending points")
-        ai, aip = airy_ai(us[-1], w)
+        key = (us[-1], w)
+        if key not in _walk_start_cache:
+            _walk_start_cache[key] = airy_ai(us[-1], w)
+        ai, aip = _walk_start_cache[key]
         out = [(ai, aip)]
         for u, u_next in zip(reversed(us[1:]), reversed(us[:-1])):
             h = u_next - u

@@ -29,12 +29,12 @@ so a +- ladder to l is a view of the plain ladder to 2l + 1 (get_ladder).
 Levinson-Durbin is a generic Toeplitz solver, not the discrete Painleve II
 recurrence, so kappa and pi stay independent of the Painleve module they are
 compared against.  Two factorisations of the full moment matrices check the
-ladders: the integer Cholesky of linalg.cholesky_log_pivots (shared with the
-Fredholm oracle, _cholesky_ladder) and the pivoted LU of
-linalg.lu_log_abs_pivots (toeplitz_log_det_lu).  Neither is on the path of
-the ladders, and since the pass forms kappa from pi by E_{q+1} = E_q (1 -
-pi_{q+1}(0)^2), the Verblunsky identity and the product identities read one
-side from the Cholesky route.
+ladders: the integer Cholesky of linalg.cholesky_log_pivots
+(_cholesky_ladder) and the pivoted LU of linalg.lu_log_abs_pivots
+(toeplitz_log_det_lu).  Neither is on the path of the ladders, and since
+the pass forms kappa from pi by E_{q+1} = E_q (1 - pi_{q+1}(0)^2), the
+Verblunsky identity and the product identities read one side from the
+Cholesky route.
 
 Each ladder pass, Cholesky and LU runs once, through precision.stabilize,
 at ctx.precision_bits + guard_bits(t) bits, guard_bits(t) = ceil(4 t log2 e)
@@ -405,11 +405,11 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
 def _cholesky_ladder(t, kind: str, n: int, ctx: PrecisionContext) -> _Ladder:
     """The independent route to a ladder: the log pivots of the integer
     Cholesky of the n x n moment matrix of ``kind`` (linalg.
-    cholesky_log_pivots, shared with the Fredholm oracle), in one pass at
-    the ladder's bits, uncached, without pi_q(0), and kept at those bits so
-    that its bound covers the values it holds.  The bound is the one of the
-    module docstring for a factorisation: a log pivot is the difference of
-    two log D_n, so it gets twice their bound."""
+    cholesky_log_pivots), in one pass at the ladder's bits, uncached,
+    without pi_q(0), and kept at those bits so that its bound covers the
+    values it holds.  The bound is the one of the module docstring for a
+    factorisation: a log pivot is the difference of two log D_n, so it gets
+    twice their bound."""
 
     def one(bits: int) -> Tuple[List[mpf], mpf]:
         with mp.workprec(bits):

@@ -1,19 +1,33 @@
 """Airy-kernel Fredholm determinant oracle."""
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from twlab import fredholm_oracle, specialfn
-from twlab.errors import DomainError, PrecisionError
-from twlab.linalg import cholesky_log_pivots
+from twlab.errors import DomainError, InternalConsistencyError, PrecisionError
+from twlab.linalg import (cauchy_schur_entry_error, cauchy_schur_pivots,
+                          cholesky_entry_error, cholesky_log_pivots,
+                          log_det_error)
 from twlab.precision import PrecisionContext
 
 CTX = PrecisionContext(256, 1e-12)
 
 
-def _entry(rows, frac, i, j):
-    # entry (i, j) of the symmetric matrix held as a fixed-point lower triangle
-    return mp.ldexp(rows[max(i, j)][min(i, j)], -frac)
+def _entry(gen, i, j):
+    # entry (i, j) of the symmetric matrix held in generator form, exact
+    a, b, u, d, frac = gen
+    if i == j:
+        return mp.ldexp(d[i], -frac)
+    num = mp.ldexp(b[i] * a[j] - a[i] * b[j], -2 * frac)
+    return num / mp.ldexp(u[i] - u[j], -frac)
+
+
+def _lower_triangle(gen):
+    # the assembled lower triangle on the grid, the Cholesky's input
+    a, b, u, d, _ = gen
+    return [[(b[i] * a[j] - a[i] * b[j]) // (u[i] - u[j]) for j in range(i)] + [d[i]]
+            for i in range(len(d))]
 
 
 class TestKernel:
@@ -21,49 +35,85 @@ class TestKernel:
     def test_diagonal_entry_closed_form(self, wp300):
         # A(u, u) = Ai'(u)^2 - u Ai(u)^2
         rule = fredholm_oracle.build_rule(-4, 40, CTX)
-        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         i = 10
         u, w = rule.nodes[i], rule.weights[i]
-        k = (1 - _entry(rows, frac, i, i)) / w
+        k = (1 - _entry(gen, i, i)) / w
         ref = mp.airyai(u, derivative=1) ** 2 - u * mp.airyai(u) ** 2
         assert abs(k - ref) < mpf(10) ** -70
 
     def test_integral_form_oracle(self, wp300):
         # A(u, v) = int_0^inf Ai(u+s) Ai(v+s) ds
         rule = fredholm_oracle.build_rule(-4, 40, CTX)
-        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         i, j = 12, 5
         u, v = rule.nodes[i], rule.nodes[j]
-        k = -_entry(rows, frac, i, j) / mp.sqrt(rule.weights[i] * rule.weights[j])
+        k = -_entry(gen, i, j) / mp.sqrt(rule.weights[i] * rule.weights[j])
         with mp.workdps(40):
             oracle = mp.quad(lambda s: mp.airyai(u + s) * mp.airyai(v + s),
                              [0, 4, 10, 24])
         assert abs(k - oracle) < mpf(10) ** -30
 
-    def test_lower_triangle_in_fixed_point(self):
-        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
-        assert frac == CTX.precision_bits + 32
-        assert [len(r) for r in rows] == list(range(1, 41))
-        assert all(isinstance(v, int) for r in rows for v in r)
+    def test_generator_form_in_fixed_point(self):
+        gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        assert gen.frac_bits == CTX.precision_bits + 32
+        assert [len(v) for v in gen[:4]] == [40] * 4
+        assert all(isinstance(v, int) for vs in gen[:4] for v in vs)
+        assert all(lo < hi for lo, hi in zip(gen.u, gen.u[1:]))
 
     @pytest.mark.parametrize("x", [-8, -2, 0, 4])
     def test_log_det_against_800_bit_cholesky(self, x):
-        # the integer kernel on the m = 80 matrix against mp.cholesky of the
-        # same matrix at 800 bits
-        rows, frac = fredholm_oracle.nystrom_matrix(x, 80, CTX)
-        with mp.workprec(frac):
-            got = mp.fsum(cholesky_log_pivots(rows, frac, "Nystrom matrix"))
+        # the Schur pass on the m = 80 generators against mp.cholesky of the
+        # matrix they define, rebuilt at 800 bits
+        gen = fredholm_oracle.nystrom_matrix(x, 80, CTX)
+        pivots, _ = cauchy_schur_pivots(*gen, "Nystrom matrix")
+        with mp.workprec(gen.frac_bits):
+            got = mp.fsum(mp.log(mp.ldexp(p, -gen.frac_bits)) for p in pivots)
         with mp.workprec(800):
             mat = mp.matrix(80, 80)
             for i in range(80):
                 for j in range(80):
-                    mat[i, j] = _entry(rows, frac, i, j)
+                    mat[i, j] = _entry(gen, i, j)
             low = mp.cholesky(mat)
             ref = 2 * mp.fsum(mp.log(low[i, i]) for i in range(80))
             assert abs(got - ref) <= mpf(2) ** -(CTX.precision_bits - 8) * abs(ref)
 
+    @pytest.mark.parametrize("m", [40, 80, 160])
+    @pytest.mark.parametrize("x", [-8, -2, 0, 4])
+    def test_schur_matches_cholesky_within_stated_errors(self, x, m):
+        # both factorisations are exact for the generators' matrix plus
+        # their stated entry errors; the assembled triangle's floors add
+        # 2^-F to the Cholesky's.  ||M^-1|| from float64 eigenvalues, times 2
+        gen = fredholm_oracle.nystrom_matrix(x, m, CTX)
+        frac = gen.frac_bits
+        rows = _lower_triangle(gen)
+        with mp.workprec(frac):
+            pivots, largest = cauchy_schur_pivots(*gen, "Nystrom matrix")
+            schur = mp.fsum(mp.log(mp.ldexp(p, -frac)) for p in pivots)
+            chol = mp.fsum(cholesky_log_pivots(rows, frac, "Nystrom matrix"))
+            full = np.array([[float(mp.ldexp(rows[max(i, j)][min(i, j)], -frac))
+                              for j in range(m)] for i in range(m)])
+            inv_norm = 2 / mpf(float(np.linalg.eigvalsh(full)[0]))
+            tol = (log_det_error(m, cauchy_schur_entry_error(gen.u, largest, frac),
+                                 inv_norm)
+                   + log_det_error(m, cholesky_entry_error(rows, frac)
+                                   + mp.ldexp(1, -frac), inv_norm))
+            assert tol < mpf(2) ** -200
+            assert abs(schur - chol) <= tol
+
+    def test_operator_norm_above_one_raises(self):
+        # generators scaled by 2 scale the kernel by 4, so ||K|| > 1 and the
+        # matrix 1 - K is indefinite
+        a, b, u, d, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        one = 1 << frac
+        a, b = [2 * v for v in a], [2 * v for v in b]
+        d = [one - 4 * (one - v) for v in d]
+        with pytest.raises(InternalConsistencyError, match="scaled Nystrom matrix"):
+            cauchy_schur_pivots(a, b, u, d, frac, "scaled Nystrom matrix")
+
     def test_one_airy_start_per_matrix(self, monkeypatch):
-        # the nodes' Airy values come from one walk, started by one airy_ai
+        # every walk starts at the truncation point, the same for x <= 15, so
+        # the memoised start serves a second x without a new airy_ai
         calls = []
         airy_ai = specialfn.airy_ai
 
@@ -71,8 +121,11 @@ class TestKernel:
             calls.append(x)
             return airy_ai(x, bits)
 
+        monkeypatch.setattr(specialfn, "_walk_start_cache", {})
         monkeypatch.setattr(specialfn, "airy_ai", counted)
         fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        assert len(calls) == 1
+        fredholm_oracle.nystrom_matrix(2, 40, CTX)
         assert len(calls) == 1
 
 
@@ -149,8 +202,8 @@ class TestRule:
 
 class TestSpectrum:
     def test_matrix_spd_with_eigenvalues_in_unit_interval(self, wp300):
-        rows, frac = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
-        m = mp.matrix([[_entry(rows, frac, i, j) for j in range(40)]
+        gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
+        m = mp.matrix([[_entry(gen, i, j) for j in range(40)]
                        for i in range(40)])
         eigvals = mp.eigsy(m, eigvals_only=True)
         # the operator tail beyond the truncation point contributes ~1e-40,

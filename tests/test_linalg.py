@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp, mpf
 
 from twlab.errors import InternalConsistencyError
-from twlab.linalg import cholesky_log_pivots, lu_log_abs_pivots
+from twlab.linalg import (cauchy_schur_entry_error, cauchy_schur_pivots,
+                          cholesky_log_pivots, log_det_error, lu_log_abs_pivots)
 
 
 def test_hilbert_log_det():
@@ -78,3 +79,43 @@ def test_lu_singular_matrix_raises():
     rows = _on_grid([[1, 2], [2, 4]], frac)
     with pytest.raises(InternalConsistencyError, match="singular test matrix at index 1"):
         lu_log_abs_pivots(rows, frac, "test matrix")
+
+
+def test_schur_cauchy_like_matches_mp_det_within_stated_error():
+    # M_ij = (b_i a_j - a_i b_j) / (u_i - u_j) with unsorted nodes and
+    # generators above 1, made positive definite by its diagonal
+    n, frac = 8, 200
+    with mp.workprec(600):
+        a = [mpf(3 * i - 10) / 4 for i in range(n)]
+        b = [mpf((5 * i) % 7) / 3 + 1 for i in range(n)]
+        u = [mpf((3 * i) % n) / 2 for i in range(n)]
+        ga, gb, gu = _on_grid([a, b, u], frac)
+        mat = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    mat[i, j] = (mp.ldexp(gb[i] * ga[j] - ga[i] * gb[j], -2 * frac)
+                                 / mp.ldexp(gu[i] - gu[j], -frac))
+        for i in range(n):
+            mat[i, i] = 1 + mp.fsum(abs(mat[i, j]) for j in range(n) if j != i)
+        gd = [int(mp.ldexp(mat[i, i], frac)) for i in range(n)]
+        for i in range(n):
+            mat[i, i] = mp.ldexp(gd[i], -frac)
+        ref = mp.log(mp.det(mat))
+        inv_norm = 1 / min(mp.eigsy(mat, eigvals_only=True))
+        pivots, largest = cauchy_schur_pivots(ga, gb, gu, gd, frac, "test matrix")
+        assert largest > 1 << frac
+        got = mp.fsum(mp.log(mp.ldexp(p, -frac)) for p in pivots)
+        bound = log_det_error(n, cauchy_schur_entry_error(gu, largest, frac), inv_norm)
+        assert bound < mpf(2) ** -(frac - 30)
+        assert abs(got - ref) <= bound
+
+
+def test_schur_nonpositive_pivot_raises():
+    # u = (0, 1), a = (1, 0), b = (0, 1): M_10 = 1, so with unit diagonal the
+    # second pivot is 1 - 1 = 0
+    one = 1 << 64
+    with pytest.raises(InternalConsistencyError,
+                       match="Schur pivot in singular test matrix at index 1"):
+        cauchy_schur_pivots([one, 0], [0, one], [0, one], [one, one], 64,
+                            "singular test matrix")
