@@ -34,6 +34,7 @@ is off by at most about n^2 / 2 units of the row's grid: 9 bits at n = 24.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import List, Sequence, Tuple
 
@@ -42,7 +43,19 @@ from mpmath import libmp, mp, mpf
 
 def to_grid(v, frac_bits: int) -> int:
     """v 2^frac_bits truncated toward zero, the value of
-    int(mp.ldexp(v, frac_bits)).  Raises ValueError for inf or nan."""
+    int(mp.ldexp(v, frac_bits)).  Raises ValueError for inf or nan.
+
+    A float (the float64 Newton iterate and refinement steps) is read
+    exactly from float.as_integer_ratio, whose denominator is a power of
+    two, without building an mpf; the result is then a mantissa of at most
+    53 bits, shifted left or truncated."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError("cannot put inf or nan on a fixed-point grid")
+        num, den = v.as_integer_ratio()
+        exp = frac_bits - den.bit_length() + 1
+        n = abs(num) << exp if exp >= 0 else abs(num) >> -exp
+        return -n if num < 0 else n
     sign, man, exp, _ = mp.convert(v)._mpf_
     if not man:
         if exp:

@@ -11,21 +11,23 @@ evaluates the residual at the working precision and subtracts J64^-1 r
 (iterative refinement).  The refinement runs in fixed point on Python
 integers (twlab.fixedpoint): D1, the scales and the nodes go on one grid
 2^-F per mesh, D2 = D1 D1 is formed on it in integers, u and r stay on it,
-and each row of D u is one exact integer dot product.  numpy is imported
-only by the solve; reading a stored solution never needs it.  One-sided
-shooting is useless here: the wanted solution is a separatrix and the
-growing modes amplify like exp(c |x|^(3/2)) from either end, which is
+and each row of D u is one exact integer dot product, formed once and then
+updated by D times each float64 step (a short integer, shifted).  numpy is
+imported only by the solve; reading a stored solution never needs it.
+One-sided shooting is useless here: the wanted solution is a separatrix and
+the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
 exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
 Every read goes through one integer table per integrand (_table): each
-element's Chebyshev coefficients, from an integer DCT-I of its nodal values,
-and their term-by-term antiderivative, every row on its own fixed-point grid
-(fixedpoint.regrid; q spans seven decades on the default window, so one grid
-for all rows would lose the relative accuracy where q is small).  A point
-value of q or q' is one integer Clenshaw sum over the located element's row;
-an integral of q or R is one such sum of the antiderivative row plus a
-cumulative edge value (integrate_kind).
+element's Chebyshev coefficients, from an integer DCT-I of its nodal values
+folded by the matrix's parity, and their term-by-term antiderivative, every
+row on its own fixed-point grid (fixedpoint.regrid; q spans seven decades
+on the default window, so one grid for all rows would lose the relative
+accuracy where q is small).  R's nodal values are formed in integers too
+(_r_row).  A point value of q or q' is one integer Clenshaw sum over the
+located element's row; an integral of q or R is one such sum of the
+antiderivative row plus a cumulative edge value (integrate_kind).
 
 The left boundary data come from the large-negative expansion
 
@@ -213,7 +215,9 @@ def _diff_matrix(nodes: Sequence) -> List[List]:
 # value on the default mesh (2^27 at h = 0.058), so the residual is good to
 # about 2^-(prec + 26), far below the stop at 2^-(prec - 24).  An mp copy of
 # u at prec bits would add 2^-prec times that row sum, which exceeds the stop
-# once the row sum passes 2^24.
+# once the row sum passes 2^24.  The dots D2 u and D1 u (units 2^-2F) kept
+# from sweep 0 and updated by D times each step stay exact, so no sweep adds
+# a floor to these.
 _RESIDUAL_GUARD = 48
 
 
@@ -239,6 +243,9 @@ class _Mesh:
         grid, dot = fixedpoint.to_grid, fixedpoint.dot
         d1 = self.d1_fixed = [[grid(v, f) for v in row] for row in self.d1]
         self.d2_fixed = [[dot(row, col) >> f for col in zip(*d1)] for row in d1]
+        # the rows whose dots with u the residual reads: D1 at node 0, D2 at
+        # the interior nodes, D1 at node p
+        self.dot_rows = [d1[0]] + self.d2_fixed[1:p] + [d1[p]]
         with mp.workprec(f):
             self.scale1_fixed = [grid(2 / h, f) for h in self.h]
             self.scale2_fixed = [grid(4 / (h * h), f) for h in self.h]
@@ -250,35 +257,54 @@ class _Mesh:
         self.nodes_f = np.array(self.nodes, dtype=float)
 
 
-def _ode_residual(mesh: _Mesh, u: List[List[int]], bc_l, bc_r) -> List[List[int]]:
-    """Residual blocks of the nodal blocks u, both on the mesh's grid 2^-F,
-    F = mesh.frac; row 0/p of each element carry the boundary or coupling
-    conditions, rows 1..p-1 the ODE.
-
-    Each row of D2 u or D1 u is one exact dot product with the mesh's
-    integer D2 or D1 (units 2^-2F), and the 4/h^2 or 2/h scale multiplies
-    the dot before one shift back to the grid, so each entry carries a few
-    floors of 2^-F (see _RESIDUAL_GUARD)."""
-    k, p, f = mesh.k, mesh.p, mesh.frac
+def _dots(mesh: _Mesh, u: List[List[int]]) -> List[List[int]]:
+    """Per element, the exact dots of mesh.dot_rows with its block of u
+    (units 2^-2F, F = mesh.frac): D1 u at node 0, D2 u at nodes 1..p-1 and
+    D1 u at node p."""
     dot = fixedpoint.dot
+    return [[dot(row, ue) for row in mesh.dot_rows] for ue in u]
+
+
+def _subtract_step(mesh: _Mesh, de: List[int], step: List[int]) -> List[int]:
+    """The dots de of a block u_e (see _dots) updated to u_e - step, exactly.
+
+    Each entry of a float64 step on the grid is a mantissa of at most 53
+    bits, shifted (fixedpoint.to_grid), so step = m 2^s with m short and
+    D (u_e - step) = D u_e - (D m) 2^s."""
+    shift = min(((w & -w).bit_length() - 1 for w in step if w), default=None)
+    if shift is None:
+        return de
+    m = [w >> shift for w in step]
+    dot = fixedpoint.dot
+    return [d - (dot(row, m) << shift) for d, row in zip(de, mesh.dot_rows)]
+
+
+def _ode_residual(mesh: _Mesh, u: List[List[int]], dots: List[List[int]],
+                  bc_l, bc_r) -> List[List[int]]:
+    """Residual blocks of the nodal blocks u, both on the mesh's grid 2^-F,
+    F = mesh.frac, given their dots (_dots); row 0/p of each element carry
+    the boundary or coupling conditions, rows 1..p-1 the ODE.
+
+    Each D2 u or D1 u is an exact dot (units 2^-2F), and the 4/h^2 or 2/h
+    scale multiplies it before one shift back to the grid, so each entry
+    carries a few floors of 2^-F (see _RESIDUAL_GUARD)."""
+    k, p, f = mesh.k, mesh.p, mesh.frac
     ff = 2 * f
-    d1_first, d1_last, d2 = mesh.d1_fixed[0], mesh.d1_fixed[p], mesh.d2_fixed
     s1, s2 = mesh.scale1_fixed, mesh.scale2_fixed
     res = []
     for e in range(k):
-        ue, xs = u[e], mesh.nodes_fixed[e]
+        ue, de, xs = u[e], dots[e], mesh.nodes_fixed[e]
         r = [0] * (p + 1)
         r[0] = (ue[0] - fixedpoint.to_grid(bc_l, f) if e == 0
                 else u[e - 1][p] - ue[0])
         for i in range(1, p):
             v = ue[i]
-            r[i] = (((s2[e] * dot(d2[i], ue)) >> ff)
+            r[i] = (((s2[e] * de[i]) >> ff)
                     - (((((2 * v * v) >> f) + xs[i]) * v) >> f))
         if e == k - 1:
             r[p] = ue[p] - fixedpoint.to_grid(bc_r, f)
         else:
-            r[p] = (s1[e] * dot(d1_last, ue)
-                    - s1[e + 1] * dot(d1_first, u[e + 1])) >> ff
+            r[p] = (s1[e] * de[p] - s1[e + 1] * dots[e + 1][0]) >> ff
         res.append(r)
     return res
 
@@ -403,6 +429,9 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
     Stability, ch. 12).  u and r stay on the mesh's fixed-point grid
     2^-F, F = mesh.frac, throughout: each sweep is one integer residual
     (_ode_residual), one float64 solve and one integer subtraction per node.
+    The dots D u it reads are formed in full once (_dots) and then updated
+    by D times each step (_subtract_step): the same integers from short
+    products instead of full-width ones.
     The grid lies _RESIDUAL_GUARD bits below the working precision, so the
     rounding of u sets no floor on the residual above ``stop`` on a fine
     mesh.
@@ -416,7 +445,8 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
     f = mesh.frac
     fac = _factor64(mesh, u64)
     u = [[fixedpoint.to_grid(v, f) for v in row] for row in u64.tolist()]
-    res = _ode_residual(mesh, u, bc_l, bc_r)
+    dots = _dots(mesh, u)
+    res = _ode_residual(mesh, u, dots, bc_l, bc_r)
     norm = max(abs(v) for row in res for v in row)
     limit = fixedpoint.to_grid(stop, f)
     sweep = 0
@@ -426,9 +456,11 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
         scale = norm.bit_length()
         den = 1 << scale
         delta = _solve64(fac, np.array([[v / den for v in row] for row in res]))
-        u = [[v - fixedpoint.to_grid(d, scale) for v, d in zip(row, drow)]
-             for row, drow in zip(u, delta.tolist())]
-        res = _ode_residual(mesh, u, bc_l, bc_r)
+        for e, drow in enumerate(delta.tolist()):
+            step = [fixedpoint.to_grid(d, scale) for d in drow]
+            u[e] = [v - w for v, w in zip(u[e], step)]
+            dots[e] = _subtract_step(mesh, dots[e], step)
+        res = _ode_residual(mesh, u, dots, bc_l, bc_r)
         new = max(abs(v) for row in res for v in row)
         log.debug("refinement sweep %d: residual %s", sweep,
                   mp.nstr(fixedpoint.from_grid(new, f), 3))
@@ -475,10 +507,6 @@ class HMSolution:
     @property
     def p(self) -> int:
         return len(self._ref) - 1
-
-    def _elem_nodes(self, e: int) -> List[mpf]:
-        a, b = self._edges[e], self._edges[e + 1]
-        return [(a + b) / 2 + (b - a) / 2 * t for t in self._ref]
 
     def _position(self, x: mpf, bits: int) -> Tuple[int, int]:
         """(e, t): the element e = [a, b] that holds x, and the coordinate
@@ -605,26 +633,46 @@ def r_of(solution: HMSolution, x) -> mpf:
 # Chebyshev tables on the collocation elements
 # ---------------------------------------------------------------------------
 
-def _nodal_values(solution: HMSolution, kind: str, e: int) -> List[mpf]:
-    """Element e's nodal values of q, q' or R (``kind`` "q", "qp", "r")."""
+# Guard bits of q and q' beyond the R row's width (_r_row).  Truncating q, q'
+# and x onto the grid 2^-F moves R by about (2|q'| + 2|x q| + q^2) 2^-F.  At
+# the right end q' is about -sqrt(x) q and R only (q')^2 / (2 x^(3/2)), so R
+# loses about 10 bits against q and q' at x = 8 (11 at x = 12); 16 keep those
+# floors a small fraction of one unit of R's row grid.
+_R_GUARD = 16
+
+
+def _r_row(solution: HMSolution, e: int, width: int) -> Tuple[int, List[int]]:
+    """Element e's nodal values of R = (q')^2 - x q^2 - q^4 as a row
+    (F, integers) with ``width`` bits in its largest entry.
+
+    q, q' and the nodes x = (a + b)/2 + (b - a)/2 t go on one grid 2^-F_e,
+    F_e = width + _R_GUARD - mag(largest |q|, |q'|) (fixedpoint.row_to_grid;
+    x costs one floor), so R is exact on them in units 2^-4F_e and one
+    fixedpoint.regrid takes it to the row's width."""
     q = solution._elem_q[e]
-    if kind == "q":
-        return q
-    if kind == "qp":
-        return solution._elem_qp[e]
-    xs = solution._elem_nodes(e)
-    return [qp * qp - x * v * v - v ** 4
-            for x, v, qp in zip(xs, q, solution._elem_qp[e])]
+    n = len(q)
+    f, grid = fixedpoint.row_to_grid(q + solution._elem_qp[e], width + _R_GUARD)
+    a, b = (fixedpoint.to_grid(v, f) for v in solution._edges[e:e + 2])
+    mid = (a + b) << f
+    r = []
+    for t, v, vp in zip(solution._ref, grid[:n], grid[n:]):
+        x = (mid + (b - a) * fixedpoint.to_grid(t, f)) >> (f + 1)
+        v2 = v * v
+        r.append(((vp * vp) << (2 * f)) - ((x * v2) << f) - v2 * v2)
+    return fixedpoint.regrid(r, 4 * f, width)
 
 
 _dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
 
 
 def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
-    """(F, rows): the (p+1) x (p+1) DCT-I matrix that takes the values at
-    -cos(pi j/p) to the coefficients of T_0..T_p, on the reads' grid 2^-F,
-    F = bits + _READ_GUARD.  The entries are computed at F + 16 bits, so
-    truncation onto the grid is their one error.  Memoised per (p, bits)."""
+    """(F, rows): the first floor(p/2) + 1 columns of the (p+1) x (p+1)
+    DCT-I matrix that takes the values at -cos(pi j/p) to the coefficients
+    of T_0..T_p, on the reads' grid 2^-F, F = bits + _READ_GUARD.  The
+    entries are computed at F + 16 bits, so truncation onto the grid is
+    their one error.  Entry (n, p - j) is (-1)^n times entry (n, j) and
+    truncation toward zero is odd, so these columns determine the integer
+    matrix (_dct).  Memoised per (p, bits)."""
     key = (p, bits)
     if key in _dct_cache:
         return _dct_cache[key]
@@ -634,8 +682,24 @@ def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
         rows = [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p
                                     * cosines[n * j % (2 * p)], frac)
-                 for j in range(p + 1)] for n in range(p + 1)]
+                 for j in range(p // 2 + 1)] for n in range(p + 1)]
     return _dct_cache.setdefault(key, (frac, rows))
+
+
+def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
+    """The exact integer DCT-I of the p + 1 values by the matrix whose first
+    floor(p/2) + 1 columns are ``rows`` (_dct_on_grid), folded by its parity:
+    c_n is the dot of row n with f_j + (-1)^n f_(p-j), j < p/2, and f_(p/2)
+    when p is even, half the products of the full matrix."""
+    p = len(values) - 1
+    head = values[:len(rows[0])]
+    tail = values[::-1]
+    even = [a + b for a, b in zip(head, tail)]
+    odd = [a - b for a, b in zip(head, tail)]
+    if p % 2 == 0:
+        even[-1] = odd[-1] = values[p // 2]
+    dot = fixedpoint.dot
+    return [dot(row, odd if n & 1 else even) for n, row in enumerate(rows)]
 
 
 def _table(solution: HMSolution, kind: str, bits: int):
@@ -647,9 +711,11 @@ def _table(solution: HMSolution, kind: str, bits: int):
     with bits + _READ_GUARD bits in its largest entry; cum holds the
     integral from x_left to every edge, rounded to bits + REPORT_GUARD.  The
     coefficients are a DCT-I of the nodal values at the Lobatto points
-    (Trefethen, ATAP, ch. 3), each one exact fixedpoint.dot of the matrix
-    (_dct_on_grid) and the element's values (row_to_grid at bits +
-    REPORT_GUARD + _READ_GUARD); they integrate term by term (ATAP, ch. 19),
+    (Trefethen, ATAP, ch. 3), each one exact integer dot of the matrix
+    (_dct_on_grid, folded by its parity in _dct) and the element's values
+    on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the largest:
+    q and q' by row_to_grid of the stored values, R formed in integers
+    (_r_row).  They integrate term by term (ATAP, ch. 19),
     with h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per
     coefficient."""
     return solution.cached(("table", kind, bits),
@@ -661,12 +727,14 @@ def _build_table(solution: HMSolution, kind: str, bits: int):
     g = bits + _READ_GUARD
     edges = solution._edges
     rows, antis, cum = [], [], [mpf(0)]
+    width = bits + REPORT_GUARD + _READ_GUARD
+    values = solution._elem_q if kind == "q" else solution._elem_qp
     with mp.workprec(bits + REPORT_GUARD):
         for e in range(len(edges) - 1):
-            frac, f = fixedpoint.row_to_grid(_nodal_values(solution, kind, e),
-                                             bits + REPORT_GUARD + _READ_GUARD)
+            frac, f = (_r_row(solution, e, width) if kind == "r"
+                       else fixedpoint.row_to_grid(values[e], width))
             frac += dct_frac
-            c = [fixedpoint.dot(row, f) for row in dct]
+            c = _dct(dct, f)
             rows.append(fixedpoint.regrid(c, frac, g))
             # b_k = (h/2)(c_(k-1) - c_(k+1)) / (2k) with c_0 counted twice, on
             # the grid 2^-(frac + g); b_0 makes the antiderivative 0 at t = -1

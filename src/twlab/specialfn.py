@@ -191,12 +191,15 @@ def log_barnes_g(z, bits: int) -> mpf:
 def _airy_constants(prec: int) -> Tuple[mpf, mpf]:
     """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), rounded
     to ``prec`` bits from the pair computed at the highest precision asked
-    for so far (every Maclaurin evaluation needs them)."""
+    for so far (every Maclaurin evaluation needs them).  One log Gamma
+    serves both: the reflection formula gives Gamma(1/3) Gamma(2/3) =
+    2 pi/sqrt(3), so Ai'(0) = -3^(1/6) Gamma(2/3)/(2 pi)."""
     hit = _airy_const_cache.get("pair")
     if hit is None or hit[0] < prec:
         with mp.workprec(prec):
-            ai0 = mp.power(3, mpf(-2) / 3) / mp.exp(_log_gamma_raw(mpf(2) / 3, prec))
-            aip0 = -mp.power(3, mpf(-1) / 3) / mp.exp(_log_gamma_raw(mpf(1) / 3, prec))
+            gamma = mp.exp(_log_gamma_raw(mpf(2) / 3, prec))
+            ai0 = mp.power(3, mpf(-2) / 3) / gamma
+            aip0 = -mp.power(3, mpf(1) / 6) * gamma / (2 * mp.pi)
         hit = _airy_const_cache["pair"] = (prec, ai0, aip0)
     return round_to(hit[1:], prec)
 

@@ -23,6 +23,19 @@ def test_to_grid_truncates_like_int_of_ldexp():
         fixedpoint.to_grid(mp.nan, 10)
 
 
+def test_to_grid_of_a_float_needs_no_mpf():
+    # the float branch reads the value from float.as_integer_ratio
+    rng = random.Random(7)
+    floats = [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1070, 1000)
+              for _ in range(500)] + [0.0, -0.0, 5e-324, -5e-324, 1.5, -3.0]
+    for v in floats:
+        for frac in (0, 17, 72, 368, 1100, -5):
+            assert fixedpoint.to_grid(v, frac) == int(mp.ldexp(mpf(v), frac))
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            fixedpoint.to_grid(bad, 10)
+
+
 def test_from_grid_exact_and_rounded():
     rng = random.Random(6)
     for _ in range(100):

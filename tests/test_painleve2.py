@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 
 from twlab import fixedpoint, painleve2, specialfn
 from twlab.errors import DomainError, SolverError
-from twlab.precision import PrecisionContext
+from twlab.precision import REPORT_GUARD, PrecisionContext
 from twlab.quadrature import gauss_legendre
 
 
@@ -32,16 +32,44 @@ def _gauss_legendre(sol, f, a, b):
     return total
 
 
+def _elem_nodes(sol, e):
+    """Element e's Lobatto nodes in x, at the working precision."""
+    a, b = sol._edges[e], sol._edges[e + 1]
+    return [(a + b) / 2 + (b - a) / 2 * t for t in sol._ref]
+
+
+def _nodal_values(sol, kind, e):
+    """Element e's nodal values of q, q' or R (``kind`` "q", "qp", "r"), R
+    formed in mpf at the working precision."""
+    q, qp = sol._elem_q[e], sol._elem_qp[e]
+    if kind == "q":
+        return q
+    if kind == "qp":
+        return qp
+    return [d * d - x * v * v - v ** 4 for x, v, d in zip(_elem_nodes(sol, e), q, qp)]
+
+
+def _full_dct_on_grid(p, bits):
+    """Every column of the integer DCT-I matrix, each entry formed and
+    truncated onto the grid as painleve2._dct_on_grid forms its columns."""
+    frac = bits + painleve2._READ_GUARD
+    with mp.workprec(frac + 16):
+        cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
+        half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
+        return [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p
+                                    * cosines[n * j % (2 * p)], frac)
+                 for j in range(p + 1)] for n in range(p + 1)]
+
+
 def _mpf_dct(sol, kind, bits):
     """Per element, the Chebyshev coefficients of ``kind`` from an mpf DCT-I
-    of its nodal values (formed at bits + 16, as the library forms them):
-    the DCT matrix and each coefficient (one mp.fdot) at 2 bits, so the
+    of its nodal values: the values (R formed from the stored q and q'), the
+    DCT matrix and each coefficient (one mp.fdot) at 2 bits, so the
     coefficients are those of the exact interpolant to well past the
     library's accuracy."""
     p = sol.p
-    with mp.workprec(bits + 16):
-        values = [painleve2._nodal_values(sol, kind, e) for e in range(len(sol._elem_q))]
     with mp.workprec(2 * bits):
+        values = [_nodal_values(sol, kind, e) for e in range(len(sol._elem_q))]
         cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
         dct = [[(-1) ** n * half[n] * half[j] * 2 / p * cosines[n * j % (2 * p)]
@@ -117,14 +145,14 @@ class TestSolver:
         sol = hm_solution
         assert all(v > 0 for row in sol._elem_q for v in row)
         with mp.workprec(280):
-            xs = self._joined([sol._elem_nodes(e) for e in range(len(sol._elem_q))])
+            xs = self._joined([_elem_nodes(sol, e) for e in range(len(sol._elem_q))])
             qs = self._joined(sol._elem_q)
             tail = [q for x, q in zip(xs, qs) if x >= 2]
             assert all(a > b for a, b in zip(tail, tail[1:]))
 
     def test_r_nonnegative_nonincreasing(self, hm_solution):
         with mp.workprec(280):
-            rv = self._joined([painleve2._nodal_values(hm_solution, "r", e)
+            rv = self._joined([_nodal_values(hm_solution, "r", e)
                                for e in range(len(hm_solution._elem_q))])
         assert all(v >= 0 for v in rv)
         assert all(a >= b for a, b in zip(rv, rv[1:]))
@@ -189,6 +217,21 @@ class TestSolver:
                            - 2 / mesh.h[e + 1] * mp.fdot(mesh.d1[0], u[e + 1]))
                 for got, want in zip(re, ref):
                     assert abs(got - want) <= mpf(2) ** -(prec + 8)
+
+    def test_updated_dots_equal_recomputed_dots(self, monkeypatch):
+        # the refinement keeps D u from sweep 0 and subtracts D step after
+        # each sweep; every residual must see exactly the dots of its u
+        residual = painleve2._ode_residual
+        sweeps = []
+
+        def checked(mesh, u, dots, bc_l, bc_r):
+            assert dots == painleve2._dots(mesh, u)
+            sweeps.append(1)
+            return residual(mesh, u, dots, bc_l, bc_r)
+
+        monkeypatch.setattr(painleve2, "_ode_residual", checked)
+        painleve2.solve_hastings_mcleod(-8, 6, 200, PrecisionContext(192, 1e-12))
+        assert len(sweeps) >= 3
 
     def test_fine_mesh_converges(self):
         # elements of width 0.058: a row of 4/h^2 D2 sums to about 2^27, so
@@ -314,7 +357,7 @@ class TestSpectralIntegration:
         bound = mpf(2) ** -(sol.precision_bits - 8)
         with mp.workprec(sol.precision_bits + 16):
             for e in range(len(sol._elem_q)):
-                xs = sol._elem_nodes(e)
+                xs = _elem_nodes(sol, e)
                 for j in range(1, sol.p):
                     assert abs(sol.q_at(xs[j]) / sol._elem_q[e][j] - 1) < bound
                     assert abs(sol.q_prime_at(xs[j]) / sol._elem_qp[e][j] - 1) < bound
@@ -363,6 +406,40 @@ class TestSpectralIntegration:
                         b1, b2 = 2 * t * b1 - b2 + c, b1
                     want = t * b1 - b2 + table[e][0]
                     assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 20)
+
+    @pytest.mark.parametrize("p", [8, 16, 24, 25, 36, 48])
+    def test_dct_matrix_is_parity_symmetric(self, p):
+        # entry (n, p - j) is (-1)^n entry (n, j) exactly, so the columns
+        # _dct_on_grid keeps determine the matrix and the folded _dct gives
+        # the integers of the full product
+        rng = random.Random(p)
+        for bits in (192, 256, 512, 1024):
+            full = _full_dct_on_grid(p, bits)
+            for n, row in enumerate(full):
+                sign = -1 if n % 2 else 1
+                assert all(row[p - j] == sign * row[j] for j in range(p + 1))
+            frac, rows = painleve2._dct_on_grid(p, bits)
+            assert frac == bits + painleve2._READ_GUARD
+            assert rows == [row[:p // 2 + 1] for row in full]
+            values = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(p + 1)]
+            assert painleve2._dct(rows, values) == [fixedpoint.dot(row, values)
+                                                    for row in full]
+
+    def test_fixed_point_r_matches_double_precision(self, hm_solution):
+        # R from q, q' and x on one integer grid, against R formed in mpf at
+        # twice the precision: one unit of the row's grid for its truncation,
+        # and a small fraction of one for the floors beneath it (_R_GUARD)
+        sol = hm_solution
+        bits = sol.precision_bits
+        width = bits + REPORT_GUARD + painleve2._READ_GUARD
+        for e in range(len(sol._elem_q)):
+            frac, row = painleve2._r_row(sol, e, width)
+            assert max(map(abs, row)).bit_length() == width
+            with mp.workprec(2 * bits):
+                want = _nodal_values(sol, "r", e)
+                err = max(abs(fixedpoint.from_grid(v, frac) - w)
+                          for v, w in zip(row, want))
+                assert err < mpf(17) / 16 * mpf(2) ** -frac
 
     def test_integer_dct_matches_mpf_fdot(self, hm_solution):
         # the integer DCT, exact and then truncated to its row's grid,
