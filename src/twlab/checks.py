@@ -65,7 +65,7 @@ def left_right_identity(sol, consts, ctx) -> List[Result]:
         pairs = [(twdist.cdf_left(x, sol, consts, ctx), twdist.cdf_right(x, sol, ctx))
                  for x in (mpf(k) / 2 for k in range(-18, -1))]
         return [_below(f"left/right representation max |d{name}| on [-9,-1]",
-                       max(abs(left[i] - right[i]) for left, right in pairs), "1e-8")
+                       max(abs(left[i] - right[i]) for left, right in pairs), "1e-18")
                 for i, name in enumerate("FE")]
 
 
@@ -75,7 +75,7 @@ def total_integrals(sol, consts, ctx) -> List[Result]:
     sweep over c would repeat one number; `verify` prints 30 rows."""
     with ctx.workprec():
         lhs_r, rhs_r, lhs_q, rhs_q = twdist.total_integral_check(sol, consts, ctx)
-        return [_below(f"total integral ({side} side)", abs(gap), "1e-6")
+        return [_below(f"total integral ({side} side)", abs(gap), "1e-18")
                 for side, gap in (("R", lhs_r - rhs_r), ("q", lhs_q - rhs_q))]
 
 

@@ -37,12 +37,27 @@ whose coefficients satisfy a closed recursion obtained by substituting the
 ansatz into the ODE:
 
     a_m = (c_m a_{m-1} - T_m) / 2,
-    c_m = 1/4 + 3(m-1) - 3(m-1)(3m-2),
+    c_m = 1/4 - 9 (m-1)^2,
     T_m = sum_{i+j+k=m, i,j,k<m} a_i a_j a_k.
 
-This reproduces a_1 = 1/8 and a_2 = -73/128 exactly; higher coefficients are
-generated on demand (and are cross-checked numerically in the test suite, as
-printed sources disagree beyond a_2).  R's series follows from R' = -q^2.
+This reproduces a_1 = 1/8 and a_2 = -73/128 exactly (printed sources
+disagree beyond a_2; the tests check the recursion against the ODE).  The
+A_k = 2^(4k) a_k are integers.  With S_m = sum_j A_j A_{m-j} and I_m its
+part without A_m (0 < j < m), 2^(4m) T_m = sum_{0<i<m} A_i S_{m-i} + I_m,
+so one O(m) integer step gives each coefficient (_left_series):
+
+    2 A_m = (4 - 144 (m-1)^2) A_{m-1} - sum_{0<i<m} A_i S_{m-i} - I_m,
+    S_m = I_m + 2 A_m.
+
+As R' = -q^2 = (x/2) P(x^-3)^2 with P(v) = sum a_k v^k, the same S_m give
+R = sum rho_m x^(2-3m), rho_m = S_m / (2^(4m+1) (2 - 3m)), with no constant
+of integration (2 - 3m is never 0).
+
+The series is asymptotic.  Each sum over it (_sum_to_least_term) stops at
+the first term that does not shrink, or that lies below 2^-prec of the sum,
+and returns that first omitted term as its error estimate (optimal
+truncation; Boyd, Acta Appl. Math. 56, 1999): at x = -12, after some 21
+terms, 2.3e-19 for q and about 5e-20 for the tail integrals of q and R.
 """
 
 from __future__ import annotations
@@ -53,8 +68,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence,
-                    Tuple, TypeVar)
+from itertools import count
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Sequence, Tuple, TypeVar)
 
 from mpmath import mp, mpf
 
@@ -68,117 +84,94 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 2
 # Raise when a change to the solver or its window policy changes the
 # solution it returns for the same arguments; disk caches are keyed by it.
-SOLVER_VERSION = 4
+SOLVER_VERSION = 5
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
-# Large-negative-x series for q and R (exact rational coefficients)
+# Large-negative-x series for q and R
 # ---------------------------------------------------------------------------
 
-# exact coefficients by (series, order); they depend on nothing else
-_series_cache: Dict[Tuple[str, int], Tuple[Fraction, ...]] = {}
+def _left_series() -> Iterator[Tuple[int, int]]:
+    """(A_k, S_k) for k = 0, 1, 2, ... without end: A_k = 2^(4k) a_k and
+    S_k = sum_j A_j A_(k-j), both integers (see the module docstring)."""
+    a, s = [1], [1]
+    yield 1, 1
+    for m in count(1):
+        inner = sum(a[j] * a[m - j] for j in range(1, m))
+        twice = ((4 - 144 * (m - 1) ** 2) * a[m - 1] - inner
+                 - sum(a[i] * s[m - i] for i in range(1, m)))
+        assert not twice & 1, "a left-series coefficient left the 2^-4k grid"
+        a.append(twice >> 1)
+        s.append(inner + twice)
+        yield a[m], s[m]
 
 
 def hm_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
-    """a_0..a_order of q(x) = sqrt(-x/2) * sum a_k x^(-3k)."""
-    key = ("q", order)
-    if key in _series_cache:
-        return _series_cache[key]
-    a = [Fraction(1)]
-    for m in range(1, order + 1):
-        cm = Fraction(1, 4) + 3 * (m - 1) - 3 * (m - 1) * (3 * m - 2)
-        tm = Fraction(0)
-        for i in range(m):
-            for j in range(m - i + 1):
-                k = m - i - j
-                if j < m and k < m:
-                    tm += a[i] * a[j] * a[k]
-        a.append((cm * a[m - 1] - tm) / 2)
-    return _series_cache.setdefault(key, tuple(a))
+    """a_0..a_order of q(x) = sqrt(-x/2) * sum a_k x^(-3k), exactly."""
+    return tuple(Fraction(a, 16 ** k)
+                 for k, (a, _) in zip(range(order + 1), _left_series()))
 
 
 def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
-    """rho_0..rho_order of R(x) = sum rho_m x^(2-3m).
-
-    Derived from R' = -q^2 (R is the integral of q^2 from x to infinity):
-    q^2 = (-x/2) P^2 with P(v) = sum a_k v^k, v = x^-3, so term by term
-
-        rho_m (2 - 3m) = (P^2)_m / 2.
-
-    2 - 3m is never 0, so no constant of integration enters.
-
-    Written as R = (x^2/4)(1 - 1/(2 x^3) + 9/(16 x^6) + c x^-9 + ...), the
-    x^-9 coefficient c printed in the sources does not match this
-    series, so the tests assert only the scale of that term, empirically
-    against the solved R.
-    """
-    key = ("r", order)
-    if key in _series_cache:
-        return _series_cache[key]
-    a = hm_left_series_coefficients(order)
-    rho = tuple(sum(a[i] * a[m - i] for i in range(m + 1)) / (2 * (2 - 3 * m))
-                for m in range(order + 1))
-    return _series_cache.setdefault(key, rho)
+    """rho_0..rho_order of R(x) = sum rho_m x^(2-3m), exactly.  (The x^-9
+    coefficient of R/(x^2/4) printed in the sources does not match this
+    series; the tests check its scale against the solved R.)"""
+    return tuple(Fraction(s, 2 * 16 ** m * (2 - 3 * m))
+                 for m, (_, s) in zip(range(order + 1), _left_series()))
 
 
-def _rational(c: Fraction) -> mpf:
-    return mpf(c.numerator) / c.denominator
+def _left_terms(x) -> Iterator[Tuple[int, int, int, mpf]]:
+    """(k, A_k, S_k, (16 x^3)^-k) for k = 0, 1, 2, ...: the k-th term of
+    each left series is a rational multiple of A_k or S_k times the power."""
+    v = 1 / (16 * mpf(x) ** 3)
+    return ((k, a, s, v ** k) for k, (a, s) in enumerate(_left_series()))
 
 
-def _sum_while_shrinking(terms: Iterable[mpf]) -> Tuple[mpf, mpf]:
-    """Sum the terms in order until one is no smaller than the one before.
-
-    Returns (partial sum, magnitude of the first omitted term); when the
-    terms run out, the last term's magnitude stands in as the estimate."""
-    s = mpf(0)
-    prev = mp.inf
+def _sum_to_least_term(terms: Iterable[mpf]) -> Tuple[mpf, mpf]:
+    """Sum the terms in order up to the first one that is no smaller than
+    the one before it, or smaller than 2^-mp.prec of the sum; that term is
+    left out.  Returns (sum, magnitude of the first omitted term).  The
+    terms of an asymptotic series do one or the other, so this ends."""
+    total, prev = mpf(0), mp.inf
     for term in terms:
-        if abs(term) >= prev:
-            return s, abs(term)
-        s += term
-        prev = abs(term)
-    return s, prev
-
-
-_LEFT_SERIES_ORDER = 8
+        size = abs(term)
+        if size >= prev or size < mp.ldexp(abs(total), -mp.prec):
+            return total, size
+        total += term
+        prev = size
 
 
 def q_left_boundary_value(x) -> Tuple[mpf, mpf]:
     """Optimally truncated left-series value of q and its error estimate."""
-    x = mpf(x)
-    a = hm_left_series_coefficients(_LEFT_SERIES_ORDER)
-    s, omitted = _sum_while_shrinking(
-        _rational(c) * x ** (-3 * m) for m, c in enumerate(a))
-    pref = mp.sqrt(-x / 2)
-    return pref * s, abs(pref) * omitted
+    pref = mp.sqrt(-mpf(x) / 2)
+    s, omitted = _sum_to_least_term(a * w for _, a, _, w in _left_terms(x))
+    return pref * s, pref * omitted
 
 
 def left_tail_q_regularized(x_left) -> Tuple[mpf, mpf]:
     """integral_{-inf}^{x_left} (q(y) - sqrt(|y|/2)) dy from the series.
 
-    With y = -s the k-th series term contributes
-    a_k (-1)^k s^(1/2-3k) / sqrt(2), integrating to
-    a_k (-1)^k s_L^(3/2-3k) / (sqrt(2) (3k - 3/2)).
+    The k-th term, a_k sqrt(|y|/2) y^(-3k), integrates to
+    sqrt(|x|^3/2) a_k x^(-3k) / (3k - 3/2) at x = x_left.
     Returns (value, error estimate = first omitted term's integral)."""
-    s_l = -mpf(x_left)
-    a = hm_left_series_coefficients(_LEFT_SERIES_ORDER)
-    return _sum_while_shrinking(
-        (-1) ** k * _rational(a[k]) * s_l ** (mpf(3) / 2 - 3 * k)
-        / (3 * k - mpf(3) / 2) / mp.sqrt(2) for k in range(1, len(a)))
+    pref = mp.sqrt(-mpf(x_left) ** 3 / 2)
+    s, omitted = _sum_to_least_term(2 * a * w / (6 * k - 3)
+                                    for k, a, _, w in _left_terms(x_left) if k)
+    return pref * s, pref * omitted
 
 
 def left_tail_r_regularized(x_left) -> Tuple[mpf, mpf]:
     """integral_{-inf}^{x_left} (R(y) - y^2/4 + 1/(8y)) dy from the series.
 
-    Term m >= 2 contributes rho_m (-1)^m s_L^(3-3m) / (3m-3)."""
-    s_l = -mpf(x_left)
-    rho = r_left_series_coefficients(_LEFT_SERIES_ORDER)
-    return _sum_while_shrinking(
-        (-1) ** m * _rational(rho[m]) * s_l ** (3 - 3 * m) / (3 * m - 3)
-        for m in range(2, len(rho)))
+    Term m >= 2, rho_m y^(2-3m), integrates to |x|^3 rho_m x^(-3m) / (3m-3)
+    at x = x_left."""
+    pref = -mpf(x_left) ** 3
+    total, omitted = _sum_to_least_term(s * w / (6 * (2 - 3 * m) * (m - 1))
+                                        for m, _, s, w in _left_terms(x_left) if m > 1)
+    return pref * total, pref * omitted
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +781,11 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     """Solve the boundary value problem on [x_left, x_right].
 
     Boundary values are pinned to the asymptotic branches: Ai(x_right) on the
-    right, the optimally truncated left series on the left.  Both carry an
-    error below the first omitted series term, which decays inward (the
-    linearized equation damps boundary perturbations exponentially).
+    right, summed to the working precision, and the left series summed to
+    its least term (q_left_boundary_value) on the left, whose first omitted
+    term is 2.3e-19 at the default x_left = -12 and shrinks like
+    exp(-c |x_left|^(3/2)) further out.  The boundary errors decay inward
+    (the linearized equation damps boundary perturbations exponentially).
 
     The float64 warm start starts from closed forms (Ai(0) exp(-2/3 x^(3/2))
     on the right, sqrt(-x/2) on the left); defect correction at

@@ -375,7 +375,7 @@ class TestVerify:
         # each bound is printed as twlab.checks writes it
         assert tau["tolerance"] == "1e-30"
         total = next(r for r in doc["rows"] if r["item"].startswith("total integral"))
-        assert total["tolerance"] == "1e-6"
+        assert total["tolerance"] == "1e-18"
 
     @pytest.mark.parametrize("command", [
         ["verify"],
@@ -383,7 +383,7 @@ class TestVerify:
     ])
     def test_tolerance_reaches_the_left_series(self, command, workdir, capsys):
         # no command rewrites --tolerance: the left series of the default
-        # window (error estimate 5.8e-15) cannot meet 1e-20
+        # window (error estimate 4.8e-20) cannot meet 1e-20
         code, _ = run_cli(command + FAST + ["--tolerance", "1e-20"], workdir,
                           "tight.json")
         assert code == 1

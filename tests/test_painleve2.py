@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from twlab import fixedpoint, painleve2, specialfn
+from twlab import fixedpoint, painleve2, specialfn, twdist
 from twlab.errors import DomainError, SolverError
 from twlab.precision import REPORT_GUARD, PrecisionContext
 from twlab.quadrature import gauss_legendre
@@ -18,6 +18,24 @@ def _partial_sum(coeffs, x, order):
     for m in range(order, -1, -1):
         s = s / x ** 3 + mpf(coeffs[m].numerator) / coeffs[m].denominator
     return s
+
+
+def _cubic_left_series(order):
+    """a_0..a_order from the recursion as the painleve2 docstring first
+    states it, T_m as the triple sum over i + j + k = m with every index
+    below m: O(m^3) Fraction products, the reference for the integer
+    recursion."""
+    a = [Fraction(1)]
+    for m in range(1, order + 1):
+        cm = Fraction(1, 4) - 9 * (m - 1) ** 2
+        tm = Fraction(0)
+        for i in range(m):
+            for j in range(m - i + 1):
+                k = m - i - j
+                if j < m and k < m:
+                    tm += a[i] * a[j] * a[k]
+        a.append((cm * a[m - 1] - tm) / 2)
+    return a
 
 
 def _gauss_legendre(sol, f, a, b):
@@ -86,6 +104,26 @@ class TestLeftSeries:
         rho = painleve2.r_left_series_coefficients(4)
         assert rho == (Fraction(1, 4), Fraction(-1, 8), Fraction(9, 64),
                        Fraction(-189, 128), Fraction(21663, 512))
+
+    def test_integer_recursion_matches_the_cubic_one(self):
+        # a_k, and rho_m = (P^2)_m / (2 (2 - 3m)) from the same a_k
+        order = 30
+        a = _cubic_left_series(order)
+        rho = [sum(a[i] * a[m - i] for i in range(m + 1)) / (2 * (2 - 3 * m))
+               for m in range(order + 1)]
+        assert painleve2.hm_left_series_coefficients(order) == tuple(a)
+        assert painleve2.r_left_series_coefficients(order) == tuple(rho)
+
+    def test_boundary_value_stops_at_the_precision_floor(self):
+        # the least term at x = -40 is about 4e-107 relative, so at 256 bits
+        # the sum stops at the first term below 2^-256 of it, and agrees
+        # with a 600-bit sum to that
+        with mp.workprec(256):
+            q, err = painleve2.q_left_boundary_value(-40)
+            assert 0 < err <= mpf(2) ** -256 * q
+        with mp.workprec(600):
+            exact, _ = painleve2.q_left_boundary_value(-40)
+            assert abs(q - exact) <= mpf(2) ** -254 * q
 
     def test_series_satisfies_ode(self, wp300):
         # the truncated expansion must kill q'' - 2q^3 - xq through its
@@ -160,19 +198,21 @@ class TestSolver:
     def test_collocation_residual_reported(self, hm_solution):
         assert hm_solution.residual_norm < mpf(10) ** -12
 
-    # q and q' of the [-12, 8]/1100-node 256-bit solve made by the earlier
-    # solver (mp Newton with an mp block LU), to 70 digits
+    # q and q' of the [-12, 8]/1100-node 256-bit solve, to 70 digits, with
+    # the left boundary value summed to its least term.  They record that
+    # solution, not the true q: at -11.5 it is good to about 1e-20 (the
+    # boundary error), far from the 1e-60 the comparison asks
     PINNED = {
-        "-11.5": ("2.39771807956065414239856596490230740071628317330416778647444747353892354",
-                  "-0.104300339492820311929241519075231514942625802608069441895665181044517618"),
-        "-6": ("1.73102495883177869643975004600875241445098823670090984524998718702175885",
-               "-0.144778284257288586988314765140874384885746292339196540625041150997109008"),
-        "0": ("0.367061551548078427747792113174595460864252068998544816867224991973173175",
-              "-0.295372105447550054557007047311358515806392553607941139190793186757264469"),
-        "3": ("0.00659115940491975949611137339097317121341642186124441067283545048293350152",
-              "-0.0119130906495437621735409939414537604576257072804044805156650118777771904"),
-        "7.5": ("1.91725606751343297561221677383479685647313414593152842664355552443843672e-7",
-                "-5.31271395972056353448577195888225929814787689128428053181752899346220075e-7"),
+        "-11.5": ("2.39771807956065406836596173847834736509118671081519756276262791705779241",
+                  "-0.104300339492819958554663224666658341976187656062374562684514461778526089"),
+        "-6": ("1.73102495883177869643975003613305731105997081536855222676700218688705521",
+               "-0.144778284257288586988314731388301947697683048553074484602232984278023346"),
+        "0": ("0.367061551548078427747792113174578434635960942684505976602052449464607143",
+              "-0.295372105447550054557007047311342332240402276853188519527534311117168111"),
+        "3": ("0.00659115940491975949611137339097288484721955733244904907133188959503131694",
+              "-0.0119130906495437621735409939414532428626534583255420726600328304368788558"),
+        "7.5": ("1.91725606751343297561221677383471871110128065108239341486241593467079903e-7",
+                "-5.31271395972056353448577195888201454287835902651273733618664849509666196e-7"),
     }
 
     def test_matches_pinned_solution(self, hm_solution, wp300):
@@ -483,6 +523,20 @@ class TestStability:
             for x in (-9, -4, 0, 3, 6.5):
                 assert abs(a.q_at(x) - b.q_at(x)) < mpf(10) ** -18
 
+    def test_left_window_twice_as_far_agrees(self, hm_solution, tail_constants,
+                                             ctx256):
+        # the default window's left boundary value is off by the series'
+        # least term, 2.3e-19 at -12; at -24 it is about 1e-50, so q near
+        # the left end, and F and E by the left representation, must agree
+        wide = painleve2.solve_hastings_mcleod(-24, 8, 1760, ctx256)
+        with mp.workprec(300):
+            assert painleve2.q_left_boundary_value(-12)[1] <= mpf("3e-19")
+            assert abs(wide.q_at(-11.5) - hm_solution.q_at(-11.5)) <= mpf(10) ** -18
+            near, far = (twdist.tw_point(-2, sol, tail_constants, ctx256)
+                         for sol in (hm_solution, wide))
+            assert abs(near.F - far.F) <= mpf(10) ** -18
+            assert abs(near.E - far.E) <= mpf(10) ** -18
+
     def test_boundary_shift_stability(self, hm_solution, ctx256):
         wide = painleve2.solve_hastings_mcleod(-12, 10, 1200, ctx256)
         with mp.workprec(280):
@@ -537,3 +591,20 @@ class TestTailIntegrals:
         q12, eq12 = painleve2.left_tail_q_regularized(-12)
         assert eq12 < mpf(10) ** -13
         assert err12 < mpf(10) ** -13
+
+    def test_left_tail_estimates_have_the_right_scale(self, ctx256):
+        # tail(-12) - tail(-16) is the regularized integral over [-16, -12],
+        # which a solve from -16 (boundary error about 1e-28) gives far more
+        # accurately: the truncation error of tail(-12) it exposes must be
+        # of the size of the estimate, neither above twice it nor far below
+        sol = painleve2.solve_hastings_mcleod(-16, 8, 1320, ctx256)
+        with mp.workprec(300):
+            for kind, tail, reg in (
+                    ("q", painleve2.left_tail_q_regularized, twdist.regularizer_q),
+                    ("r", painleve2.left_tail_r_regularized, twdist.regularizer_r)):
+                near, err = tail(-12)
+                far, _ = tail(-16)
+                between = (painleve2.integrate_kind(sol, kind, -16, -12, ctx256)
+                           - (reg(-16) - reg(-12)))
+                assert err / 4 < abs(near - far - between) <= 2 * err
+                assert err <= mpf("3e-19")
