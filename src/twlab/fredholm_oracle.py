@@ -6,13 +6,20 @@ integral operator on (x, inf),
 discretized by Nystrom quadrature.  The half-line is mapped algebraically to
 a finite interval and truncated at u_cut, where Ai(u)^2 drops below 1e-40
 (the kernel decays super-exponentially, so Gauss nodes on the mapped
-interval converge spectrally).  Ai and Ai' at the nodes come from one
-specialfn.airy_ai_walk down from u_cut: a full-precision start there (about
-u = 16.35 for every x <= 15, so the walk's memo serves every such x), then
-Taylor steps down the ascending nodes from the recurrence of Ai'' = u Ai
-(DLMF 9.2.1).  Walking down is stable because Ai is the recessive solution
-as u grows, so the relative error of the start is carried, not amplified;
-the values are good to the working precision.
+interval converge spectrally).
+
+The path from the rule to the generators runs on Python integers
+(twlab.fixedpoint); after the Gauss-Legendre rule is read, no mpf
+operation runs per node.  build_rule maps the Gauss nodes and weights on
+the grid 2^-Q, Q = ctx.precision_bits + 48, one floor each; the mpf rule
+it returns holds the same numbers exactly.  Ai and Ai' at the nodes come
+from one specialfn.airy_ai_walk_grid down from u_cut on that grid: a
+full-precision start there (about u = 16.35 for every x <= 15, so the
+walk's memo serves every such x), then Taylor steps down the ascending
+nodes from the recurrence of Ai'' = u Ai (DLMF 9.2.1), each an exact
+difference of the nodes.  Walking down is stable because Ai is the
+recessive solution as u grows, so the relative error of the start is
+carried, not amplified.
 
 The kernel is integrable, which is what ties F2 to Painleve II: with a_i =
 sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), the symmetrized matrix
@@ -23,13 +30,15 @@ M_ij = delta_ij - sqrt(w_i w_j) A(u_i, u_j) is
 
 Cauchy-like with displacement rank 2.  nystrom_matrix returns it in that
 generator form, never assembled: a, b, u and d on the grid 2^-F, F =
-ctx.precision_bits + 32 (fixedpoint.to_grid, once).  Its determinant is the
-product of the pivots of linalg.cauchy_schur_pivots, a generalized Schur
-pass on the generators in O(m^2) integer operations (the O(m^3) Cholesky of
-the assembled matrix is left to the Toeplitz lab).  The pass states its
-backward error on the grid (linalg.cauchy_schur_entry_error, from the
-largest generator or multiplier it held, the node span and gap, and m):
-2^(22-F) at x = 4 to 2^(28-F) at x = -8 per entry for m = 80.
+ctx.precision_bits + 32, each a_i and b_i from the walk's integers by one
+product and one shift (its docstring states their error in units of
+2^-F).  Its determinant is the product of the pivots of
+linalg.cauchy_schur_pivots, a generalized Schur pass on the generators in
+O(m^2) integer operations (the O(m^3) Cholesky of the assembled matrix is
+left to the Toeplitz lab).  The pass states its backward error on the grid
+(linalg.cauchy_schur_entry_error, from the largest generator or multiplier
+it held, the node span and gap, and m): 2^(21.6-F) at x = 4 to
+2^(27.9-F) at x = -8 per entry for m = 80.
 
 M is positive definite with eigenvalues in (0, 1]; its diagonal is at
 least 0.82 at x = -8, m = 80, and nearer 1 for larger x, so the 2^-F grid
@@ -50,24 +59,29 @@ from mpmath import mp, mpf
 
 from . import specialfn
 from .errors import DomainError, PrecisionError
-from .fixedpoint import to_grid
+from .fixedpoint import from_grid, to_grid
 from .linalg import cauchy_schur_pivots
 from .precision import PrecisionContext, round_to
 from .quadrature import gauss_legendre
 
-_MAP_SCALE = 10.0
+_MAP_SCALE = 10
 _TRUNC_AI_SQ = 1e-40
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Mapped Nystrom rule on (x, cut), cut the truncation point u_cut:
-    nodes ascending, weights positive."""
+    nodes ascending, weights positive.  The integers node_grid and
+    weight_grid are the same numbers times 2^frac_bits; nodes and weights
+    are their exact mpf values."""
 
     nodes: List[mpf]
     weights: List[mpf]
     size: int
     cut: float
+    node_grid: List[int]
+    weight_grid: List[int]
+    frac_bits: int
 
 
 class NystromGenerators(NamedTuple):
@@ -92,43 +106,65 @@ def _truncation_point(x: float) -> float:
 
 
 def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
-    """m-point Gauss-Legendre rule pushed through u = x + 10 (1+s)/(1-s)."""
+    """m-point Gauss-Legendre rule pushed through u = x + 10 (1+s)/(1-s),
+    mapped on the grid 2^-Q, Q = ctx.precision_bits + 48: one floor per
+    node and per weight."""
     if m < 20:
         raise DomainError("quadrature size m must be >= 20")
-    xf = float(x)
-    u_cut = _truncation_point(xf)
+    u_cut = _truncation_point(float(x))
     prec = ctx.precision_bits + 32
+    q = prec + 16
+    one = 1 << q
+    scale = _MAP_SCALE
     with mp.workprec(prec):
-        x = mpf(x)
-        scale = mpf(_MAP_SCALE)
-        span = mpf(u_cut) - x
-        s_max = (span - scale) / (span + scale)
-        xs, ws = gauss_legendre(m, prec)
-        half = (s_max + 1) / 2
-        mid = (s_max - 1) / 2
-        nodes: List[mpf] = []
-        weights: List[mpf] = []
-        for s_ref, w_ref in zip(xs, ws):
-            s = mid + half * s_ref
-            u = x + scale * (1 + s) / (1 - s)
-            du_ds = 2 * scale / (1 - s) ** 2
-            nodes.append(u)
-            weights.append(w_ref * half * du_ds)
-    return QuadratureRule(nodes=nodes, weights=weights, size=m, cut=u_cut)
+        left = to_grid(mpf(x), q)
+    span = to_grid(u_cut, q) - left
+    s_max = ((span - scale * one) << q) // (span + scale * one)
+    half, mid = (s_max + one) >> 1, (s_max - one) >> 1
+    xs, ws = gauss_legendre(m, prec)
+    nodes: List[int] = []
+    weights: List[int] = []
+    for s_ref, w_ref in zip(xs, ws):
+        s = mid + (half * to_grid(s_ref, q) >> q)
+        nodes.append(left + ((scale * (one + s)) << q) // (one - s))
+        # w_ref half du/ds, du/ds = 2 scale / (1 - s)^2
+        weights.append(((2 * scale * half * to_grid(w_ref, q)) << q) // (one - s) ** 2)
+    return QuadratureRule(nodes=[from_grid(v, q) for v in nodes],
+                          weights=[from_grid(v, q) for v in weights],
+                          size=m, cut=u_cut, node_grid=nodes,
+                          weight_grid=weights, frac_bits=q)
 
 
 def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> NystromGenerators:
     """delta_ij - sqrt(w_i w_j) A(u_i, u_j) in generator form on the grid
-    2^-F, F = ctx.precision_bits + 32 (see the module docstring)."""
+    2^-F, F = ctx.precision_bits + 32 (see the module docstring), from the
+    integers of build_rule and specialfn.airy_ai_walk_grid: per node one
+    math.isqrt for sqrt(w_i) on the rule's grid 2^-Q, and one product and
+    one shift each for a_i and b_i.
+
+    a_i and b_i lie within 2 units of 2^-F of sqrt(w_i) Ai(u_i) and
+    sqrt(w_i) Ai'(u_i) at the rule's u_i and w_i.  The shift floors once.
+    The walk runs 8 bits above the precision F - 32 it is asked for, so
+    its grid keeps F + 16 bits of max(|Ai|, |Ai'|) and its error (one floor
+    per term, shift and division over its m steps) stays below one unit
+    of 2^-F: measured, 1.05 units together with the floor at x = -2 and
+    -8, m = 80, against 24 at the precision F - 32 itself.  The isqrt's
+    floor adds less than 2^-Q.  u_i is the rule's node floored onto 2^-F,
+    and d_i = 1 - (b_i^2 - u_i a_i^2) is formed from these with two floors,
+    so it lies within 2 + 4 (|b_i| + |u_i a_i|) + a_i^2 units of its exact
+    value."""
     rule = build_rule(x, m, ctx)
-    airy = specialfn.airy_ai_walk(rule.nodes + [mpf(rule.cut)],
-                                  ctx.precision_bits)[:-1]
+    q = rule.frac_bits
+    walk = specialfn.airy_ai_walk_grid(rule.node_grid + [to_grid(rule.cut, q)],
+                                       q, ctx.precision_bits + 8)
     frac = ctx.precision_bits + 32
-    with mp.workprec(frac):
-        sq = [mp.sqrt(w) for w in rule.weights]
-        a = [to_grid(s * ai, frac) for s, (ai, _) in zip(sq, airy)]
-        b = [to_grid(s * aip, frac) for s, (_, aip) in zip(sq, airy)]
-        u = [to_grid(v, frac) for v in rule.nodes]
+    a: List[int] = []
+    b: List[int] = []
+    for w, (ai, aip, f) in zip(rule.weight_grid, walk):
+        sq = math.isqrt(w << q)
+        a.append(sq * ai >> (q + f - frac))
+        b.append(sq * aip >> (q + f - frac))
+    u = [v >> (q - frac) for v in rule.node_grid]
     one = 1 << frac
     d = [one - ((bi * bi - ((ui * ai * ai) >> frac)) >> frac)
          for ai, bi, ui in zip(a, b, u)]

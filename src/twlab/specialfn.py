@@ -10,24 +10,29 @@ about 2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs, so the
 Airy values are exact to the working precision.  Ai and Ai' at many sorted
 points (the Nystrom nodes) come from airy_ai_walk: one airy_ai start at the
 largest point (memoised per point and precision), then Taylor steps down
-whose coefficients follow from Ai'' = u Ai (DLMF 9.2.1).  Downward is
-stable because Ai is recessive as u grows: the Bi part of a rounding error
-shrinks relative to Ai on the way down.  The Bessel row I_0(2t) ..
-I_J(2t) comes from Miller's backward recurrence normalised by e^(2t) = I_0
-+ 2 sum I_j (no cancellation: every term is positive); its values reach
-magnitude e^(2t) while their consumers work at O(1) scale, so it carries
-ceil(2t log2 e) extra guard bits.
+whose coefficients follow from Ai'' = u Ai (DLMF 9.2.1).  The walk runs on
+Python integers (airy_ai_walk_grid): the points on one grid, on which every
+step is exact, Ai and Ai' on a grid per step, and each Taylor sum stopped
+by its own terms, one floor per term.  Downward is stable because Ai is
+recessive as u grows: the Bi part of a rounding error shrinks relative to
+Ai on the way down.  log G(z) shifts z up by the recurrence G(z+1) =
+Gamma(z) G(z) until its asymptotic series reaches the working precision,
+and pays for the shift with one log Gamma(z) and a weighted sum of logs.
+The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward recurrence
+normalised by e^(2t) = I_0 + 2 sum I_j (no cancellation: every term is
+positive); its values reach magnitude e^(2t) while their consumers work at
+O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .fixedpoint import from_grid, to_grid
+from .fixedpoint import exact_frac, from_grid, row_to_grid, to_grid
 from .precision import round_to
 
 _LOG2_E = 1.4426950408889634
@@ -167,7 +172,14 @@ def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
 
 def log_barnes_g(z, bits: int) -> mpf:
     """log G(z) for finite z > 0 to ``bits`` bits, via the large-argument
-    series after shifting with the recurrence G(z+1) = Gamma(z) G(z)."""
+    series after shifting with the recurrence G(z+1) = Gamma(z) G(z):
+
+      log G(z) = log G(z + m) - sum_(i<m) log Gamma(z + i)
+               = log G(z + m) - m log Gamma(z)
+                 - sum_(j<m-1) (m - 1 - j) log(z + j),
+
+    since log Gamma(z + i) = log Gamma(z) + sum_(j<i) log(z + j).  So one
+    Stirling sum (for log Gamma(z)) serves all m shifts."""
     _finite_abs(z, "log_barnes_g")
     z = mpf(z)
     if not z > 0:
@@ -179,8 +191,9 @@ def log_barnes_g(z, bits: int) -> mpf:
         m = max(0, int(math.ceil(w_min - z)))
         w = z + m
         val = _log_barnes_g1p_series(w - 1, prec)
-        for i in range(m):
-            val -= _log_gamma_raw(z + i, prec)
+        if m:
+            val -= m * _log_gamma_raw(z, prec) + mp.fsum(
+                (m - 1 - j) * mp.log(z + j) for j in range(m - 1))
     return round_to(val, bits)
 
 
@@ -249,43 +262,91 @@ def airy_ai(x, bits: int) -> Tuple[mpf, mpf]:
     return round_to(_airy_maclaurin(mpf(x), _maclaurin_bits(ax, bits)), bits)
 
 
-def _taylor_terms(d0: float, d1: float, a: float, b: float, eps: float) -> int:
-    """The last index n a Taylor step of airy_ai_walk sums to.  Its
-    recurrence runs in float64 from d_0 = d0, d_1 = d1, which the caller
-    divides by the larger modulus so that nothing underflows, up to the
-    first n at which n times each of the last three terms is below eps
-    times the sum of the moduli.  Those three terms feed every later one;
-    the factor n is their weight in the derivative."""
-    d_2, d_1, d_0 = 0.0, d0, d1  # d_{n-2}, d_{n-1}, d_n at n = 1
-    total = abs(d0) + abs(d1)
-    n = 1
-    while n * max(abs(d_2), abs(d_1), abs(d_0)) > eps * total:
-        d_2, d_1, d_0 = d_1, d_0, (a * d_1 + b * d_2) / (n * (n + 1))
-        n += 1
-        total += abs(d_0)
-    return n
+def _shift(n: int, k: int) -> int:
+    """n 2^k for integers n and k, floored when k < 0."""
+    return n << k if k >= 0 else n >> -k
+
+
+def airy_ai_walk_grid(points: Sequence[int], point_frac: int,
+                      bits: int) -> List[Tuple[int, int, int]]:
+    """(A, D, F) at each of the strictly ascending points p 2^-point_frac,
+    with Ai = A 2^-F and Ai' = D 2^-F: the walk of airy_ai_walk on the
+    integers it runs on, each point on the grid of the step that reached
+    it.
+
+    The start is airy_ai at the top point at w = bits + 32 bits,
+    memoised per (top point, w), put on the grid 2^-F with F = w + 8 -
+    mag(max(|Ai|, |Ai'|)).  A step h = u_next - u < 0 is an exact
+    difference of the points.  It picks e = w + 8 + max(0, -mag(h)) and
+    moves Ai and Ai' onto F = e - mag(max(|Ai|, |Ai'|)), so both keep e
+    bits; the extra bits of a short step pay for the division by h that
+    gives Ai'.  u h^2 and h^3 are integer products shifted onto 2^-e, and
+    the terms d_k of airy_ai_walk's sums, on 2^-F, cost one floor each:
+
+        d_(k+1) = floor((u h^2 d_(k-1) + h^3 d_(k-2)) / (k (k+1))).
+
+    The sum stops once k (k+1) > 2 (|u h^2| + |h^3|) and the last three
+    terms lie within one unit.  From there on each term is below half the
+    larger of the two it comes from, so the omitted tail of Ai is below
+    three units and that of h Ai' below 3 (k + 6) units, k the last index
+    summed.  Ai' = (h Ai') / h is one floor division.  So a step's error
+    is one unit of its grid per term, shift and division, plus that tail.
+    """
+    if not points:
+        raise DomainError("airy_ai_walk requires at least one point")
+    if any(not lo < hi for lo, hi in zip(points, points[1:])):
+        raise DomainError("airy_ai_walk requires strictly ascending points")
+    w = bits + 32
+    key = (from_grid(points[-1], point_frac), w)
+    if key not in _walk_start_cache:
+        # airy_ai reads its argument at the ambient precision: keep it exact
+        with mp.workprec(max(w, abs(points[-1]).bit_length())):
+            _walk_start_cache[key] = airy_ai(key[0], w)
+    f, (ai, aip) = row_to_grid(_walk_start_cache[key], w + 8)
+    out = [(ai, aip, f)]
+    cube = 3 * point_frac
+    for u, u_next in zip(reversed(points[1:]), reversed(points[:-1])):
+        h = u_next - u
+        e = w + 8 + max(0, point_frac - (-h).bit_length())
+        s = e - max(abs(ai).bit_length(), abs(aip).bit_length())
+        f += s
+        a = _shift(u * h * h, e - cube)
+        b = _shift(h * h * h, e - cube)
+        lim = 2 * (abs(a) + abs(b)) >> e
+        d_2, d_1, d_0 = 0, _shift(ai, s), _shift(h * aip, s - point_frac)
+        val = d_1 + d_0
+        der = d_0
+        k = 1
+        while True:
+            d_2, d_1, d_0 = d_1, d_0, ((a * d_1 + b * d_2) >> e) // (k * (k + 1))
+            k += 1
+            val += d_0
+            der += k * d_0
+            if -1 <= d_0 <= 1 and -1 <= d_1 <= 1 and -1 <= d_2 <= 1 \
+                    and k * (k + 1) > lim:
+                break
+        ai, aip = val, (der << point_frac) // h
+        out.append((ai, aip, f))
+    out.reverse()
+    return out
 
 
 def airy_ai_walk(points, bits: int) -> List[Tuple[mpf, mpf]]:
     """(Ai(u), Ai'(u)) to ``bits`` bits at strictly ascending finite points,
     by one Taylor walk down from the largest.
 
-    The start is airy_ai at the top point at w = bits + 32 bits, so it is
-    exact to the working precision w; it is memoised per (top point, w), so
-    walks that share their top point (the Nystrom walks all start at the
-    truncation point) sum the Maclaurin series once.  Each step h = u_next
-    - u < 0 sums the Taylor series of Ai about u, whose scaled terms
-    d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai (DLMF 9.2.1):
+    Each step h = u_next - u < 0 sums the Taylor series of Ai about u,
+    whose scaled terms d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai
+    (DLMF 9.2.1):
 
-        d_{k+1} = (u h^2 d_{k-1} + h^3 d_{k-2}) / (k (k+1)),
+        d_(k+1) = (u h^2 d_(k-1) + h^3 d_(k-2)) / (k (k+1)),
         Ai(u + h) = sum d_k,   h Ai'(u + h) = sum k d_k,
 
-    with d_0 = Ai(u), d_1 = h Ai'(u), d_{-1} = 0.  _taylor_terms sizes each
-    sum in float64.  The sums run in fixed point on Python integers, a few
-    integer operations per term instead of mpf ones: u h^2 and h^3 in units
-    of 2^-e, the d_k in units of 2^-e max(|Ai(u)|, |Ai'(u)|), with
-    e = w + 8 + max(0, -log2 |h|).  The extra bits of a short step pay
-    for the division by h that gives Ai'; each floor costs one unit.
+    with d_0 = Ai(u), d_1 = h Ai'(u), d_(-1) = 0.  The points go onto one
+    grid 2^-P once, the finest their (bits + 32)-bit values need, so they
+    and every step are exact.  The walk is airy_ai_walk_grid, on Python
+    integers (its docstring states the error); each value is rounded to
+    ``bits`` bits once, at the end.
 
     Downward is the stable direction: Ai is the recessive solution as u
     grows, so the Bi component a rounding error introduces shrinks relative
@@ -293,43 +354,14 @@ def airy_ai_walk(points, bits: int) -> List[Tuple[mpf, mpf]]:
     not amplified.  Upward, Bi would swamp Ai.
     """
     points = list(points)
-    if not points:
-        raise DomainError("airy_ai_walk requires at least one point")
     for p in points:
         _finite_abs(p, "airy_ai_walk")
-    w = bits + 32
-    with mp.workprec(w):
+    with mp.workprec(bits + 32):
         us = [mpf(p) for p in points]
-        if any(not lo < hi for lo, hi in zip(us, us[1:])):
-            raise DomainError("airy_ai_walk requires strictly ascending points")
-        key = (us[-1], w)
-        if key not in _walk_start_cache:
-            _walk_start_cache[key] = airy_ai(us[-1], w)
-        ai, aip = _walk_start_cache[key]
-        out = [(ai, aip)]
-        for u, u_next in zip(reversed(us[1:]), reversed(us[:-1])):
-            h = u_next - u
-            e = w + 8 - min(mp.mag(h), 0)
-            f = e - max(mp.mag(ai), mp.mag(aip))
-            a = to_grid(u * h * h, e)
-            b = to_grid(h * h * h, e)
-            d0 = to_grid(ai, f)
-            d1 = to_grid(h * aip, f)
-            top = max(abs(d0), abs(d1))
-            n = _taylor_terms(d0 / top, d1 / top, a / 2 ** e, b / 2 ** e,
-                              2.0 ** -e)
-            d_2, d_1, d_0 = 0, d0, d1
-            val = d0 + d1
-            der = d1
-            for k in range(1, n):
-                d_2, d_1, d_0 = d_1, d_0, ((a * d_1 + b * d_2) >> e) // (k * (k + 1))
-                val += d_0
-                der += (k + 1) * d_0
-            ai = from_grid(val, f)
-            aip = from_grid(der, f) / h
-            out.append((ai, aip))
-    out.reverse()
-    return [round_to(pair, bits) for pair in out]
+    frac = exact_frac(us)
+    walk = airy_ai_walk_grid([to_grid(v, frac) for v in us], frac, bits)
+    return [(from_grid(ai, f, bits), from_grid(aip, f, bits))
+            for ai, aip, f in walk]
 
 
 def airy_ai_tail_integral(x, bits: int) -> mpf:

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp
 
-from twlab import painleve2, twdist
+from twlab import fredholm_oracle, painleve2, twdist
 from twlab.precision import PrecisionContext
 
 
@@ -27,3 +27,23 @@ def wp300():
     """Tests do raw mpf arithmetic; keep it at a safe working precision."""
     with mp.workprec(300):
         yield
+
+
+@pytest.fixture(scope="session")
+def airy_reference():
+    """table(x, m, bits): the mapped rule build_rule(x, m) at 256 bits and
+    (mp.airyai, its derivative) at each node at ``bits`` bits.  mp.airyai
+    costs 10-35 ms a point at 700 bits, so each table is computed once and
+    shared by the walk and generator tests that read it."""
+    tables = {}
+
+    def table(x, m, bits):
+        key = (x, m, bits)
+        if key not in tables:
+            rule = fredholm_oracle.build_rule(x, m, PrecisionContext(256, 1e-12))
+            with mp.workprec(bits):
+                tables[key] = rule, [(mp.airyai(u), mp.airyai(u, derivative=1))
+                                     for u in rule.nodes]
+        return tables[key]
+
+    return table

@@ -54,6 +54,30 @@ class TestKernel:
                              [0, 4, 10, 24])
         assert abs(k - oracle) < mpf(10) ** -30
 
+    @pytest.mark.parametrize("x", [-8, 4])
+    def test_generators_within_stated_units(self, x, airy_reference):
+        # nystrom_matrix's docstring: a_i, b_i within 2 units of 2^-F of
+        # sqrt(w_i) Ai(u_i), sqrt(w_i) Ai'(u_i) at the rule's u_i, w_i, and
+        # d_i within 2 + 4 (|b_i| + |u_i a_i|) + a_i^2 units
+        rule, ref = airy_reference(x, 80, 700)
+        gen = fredholm_oracle.nystrom_matrix(x, 80, CTX)
+        unit = mp.ldexp(1, -gen.frac_bits)
+        with mp.workprec(700):
+            for i, (u, w, (ai, aip)) in enumerate(zip(rule.nodes, rule.weights, ref)):
+                a, b = mp.sqrt(w) * ai, mp.sqrt(w) * aip
+                assert abs(gen.a[i] * unit - a) <= 2 * unit
+                assert abs(gen.b[i] * unit - b) <= 2 * unit
+                d = 1 - (b * b - u * a * a)
+                units = 2 + 4 * (abs(b) + abs(u * a)) + a * a
+                assert abs(gen.d[i] * unit - d) <= units * unit
+
+    def test_rule_is_its_grid(self):
+        # build_rule's mpf nodes and weights are its integers, exactly
+        rule = fredholm_oracle.build_rule(-3, 48, CTX)
+        assert rule.frac_bits == CTX.precision_bits + 48
+        assert [mp.ldexp(v, -rule.frac_bits) for v in rule.node_grid] == rule.nodes
+        assert [mp.ldexp(v, -rule.frac_bits) for v in rule.weight_grid] == rule.weights
+
     def test_generator_form_in_fixed_point(self):
         gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         assert gen.frac_bits == CTX.precision_bits + 32

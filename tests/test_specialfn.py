@@ -104,14 +104,51 @@ class TestAiryWalk:
     FCTX = PrecisionContext(256, 1e-10)
 
     @pytest.mark.parametrize("x", [-8, 0, 4])
-    def test_nystrom_nodes_against_mpmath(self, x):
-        rule = fredholm_oracle.build_rule(x, 80, self.FCTX)
+    def test_nystrom_nodes_against_mpmath(self, x, airy_reference):
+        rule, ref = airy_reference(x, 80, 700)
         walk = specialfn.airy_ai_walk(rule.nodes, self.FCTX.precision_bits)
         with mp.workprec(700):
-            for u, (ai, aip) in zip(rule.nodes, walk):
-                ref_ai, ref_aip = mp.airyai(u), mp.airyai(u, derivative=1)
+            for (ai, aip), (ref_ai, ref_aip) in zip(walk, ref):
                 assert abs(ai / ref_ai - 1) <= mpf(10) ** -74
                 assert abs(aip / ref_aip - 1) <= mpf(10) ** -74
+
+    @pytest.mark.parametrize("x", [-8, 4, 16])
+    def test_fine_rule_from_the_cut_against_mpmath(self, x, airy_reference):
+        # the Nystrom walk: m = 160 halves the steps, so the division by h
+        # needs more bits; at x = 16 the cut is x + 1, a start of its own.
+        # The reference is mp.airyai at 320 bits (2^-320 = 4.7e-97, far
+        # below the 1e-74 checked), a third of the 700-bit cost at u > 4
+        rule, ref = airy_reference(x, 160, 320)
+        walk = specialfn.airy_ai_walk(rule.nodes + [mpf(rule.cut)],
+                                      self.FCTX.precision_bits)
+        with mp.workprec(320):
+            for (ai, aip), (ref_ai, ref_aip) in zip(walk, ref):
+                assert abs(ai / ref_ai - 1) <= mpf(10) ** -74
+                assert abs(aip / ref_aip - 1) <= mpf(10) ** -74
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("x", [-8, 4, 16])
+    def test_doubled_bits_agree(self, x, bits):
+        # each Taylor sum stops on its own terms, so a walk at 2 bits sums
+        # further and is the reference for the walk at bits
+        rule = fredholm_oracle.build_rule(x, 160, self.FCTX)
+        points = rule.nodes + [mpf(rule.cut)]
+        walk = specialfn.airy_ai_walk(points, bits)
+        ref = specialfn.airy_ai_walk(points, 2 * bits)
+        with mp.workprec(2 * bits):
+            for pair, ref_pair in zip(walk, ref):
+                for got, want in zip(pair, ref_pair):
+                    assert abs(got / want - 1) <= mpf(2) ** -bits
+
+    def test_grid_walk_is_the_walk(self):
+        # airy_ai_walk rounds the integers of airy_ai_walk_grid, nothing more
+        rule = fredholm_oracle.build_rule(-2, 40, self.FCTX)
+        frac = rule.frac_bits
+        grid = specialfn.airy_ai_walk_grid(rule.node_grid, frac, 256)
+        walk = specialfn.airy_ai_walk(rule.nodes, 256)
+        assert all(isinstance(n, int) for triple in grid for n in triple)
+        assert walk == [round_to((mp.ldexp(ai, -f), mp.ldexp(aip, -f)), 256)
+                        for ai, aip, f in grid]
 
     @pytest.mark.parametrize("u", [-3, mpf("16.3")])
     def test_one_point_is_the_start_value(self, u):
@@ -238,6 +275,26 @@ class TestLogBarnesG:
         for z in (0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(DomainError):
                 specialfn.log_barnes_g(z, BITS)
+
+    @pytest.mark.parametrize("z", [mpf(1) / 2, 3, mpf(15) / 2, 20])
+    def test_one_stirling_sum_against_mpmath(self, z, monkeypatch):
+        # log Gamma(z + i) = log Gamma(z) + sum_{j<i} log(z + j): one
+        # Stirling sum per call, however far z is shifted.  G is good to
+        # 2^-BITS relative; beyond |log G| = 1 the value returned is log G
+        # rounded to BITS bits, so there it is log G that is, relatively
+        raw = specialfn._log_gamma_raw
+        calls = []
+
+        def counted(w, prec):
+            calls.append(w)
+            return raw(w, prec)
+
+        monkeypatch.setattr(specialfn, "_log_gamma_raw", counted)
+        got = specialfn.log_barnes_g(z, BITS)
+        assert calls == [z]
+        with mp.workprec(600):
+            ref = mp.log(mp.barnesg(z))
+            assert abs(got - ref) <= mpf(2) ** -BITS * max(1, abs(ref))
 
 
 class TestZetaPrimeMinusOne:
