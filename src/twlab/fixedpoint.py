@@ -45,10 +45,11 @@ def to_grid(v, frac_bits: int) -> int:
     """v 2^frac_bits truncated toward zero, the value of
     int(mp.ldexp(v, frac_bits)).  Raises ValueError for inf or nan.
 
-    A float (the float64 Newton iterate and refinement steps) is read
-    exactly from float.as_integer_ratio, whose denominator is a power of
-    two, without building an mpf; the result is then a mantissa of at most
-    53 bits, shifted left or truncated."""
+    A float is read exactly from float.as_integer_ratio, whose denominator
+    is a power of two, without building an mpf; the result is then a
+    mantissa of at most 53 bits, shifted left or truncated.  (The
+    Hastings-McLeod refinement reads whole float64 arrays this way by
+    np.frexp, painleve2._steps_on_grid.)"""
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError("cannot put inf or nan on a fixed-point grid")

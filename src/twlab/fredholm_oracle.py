@@ -42,8 +42,11 @@ it held, the node span and gap, and m): 2^(21.6-F) at x = 4 to
 
 M is positive definite with eigenvalues in (0, 1]; its diagonal is at
 least 0.82 at x = -8, m = 80, and nearer 1 for larger x, so the 2^-F grid
-is about as accurate as F-bit floating point (see linalg).  A nonpositive
-pivot (an operator norm that reached 1) raises InternalConsistencyError.
+is about as accurate as F-bit floating point (see linalg).  The true
+operator's norm is below 1, so a nonpositive pivot (a discretized norm that
+reached 1) means the rule is too coarse for the kernel at that x: f2_fredholm
+raises PrecisionError naming x and m (m = 40 at x = -12, for one; m = 80
+resolves it).
 
 This module is the cross-validation oracle for the Painleve route and never
 calls into it.
@@ -58,7 +61,7 @@ from typing import List, NamedTuple
 from mpmath import mp, mpf
 
 from . import specialfn
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, InternalConsistencyError, PrecisionError
 from .fixedpoint import from_grid, to_grid
 from .linalg import cauchy_schur_pivots
 from .precision import PrecisionContext, round_to
@@ -173,8 +176,13 @@ def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> NystromGenerators:
 
 def _f2_once(x, m: int, ctx: PrecisionContext) -> mpf:
     gen = nystrom_matrix(x, m, ctx)
-    pivots, _ = cauchy_schur_pivots(
-        *gen, "Nystrom matrix (operator norm must stay below 1)")
+    try:
+        pivots, _ = cauchy_schur_pivots(
+            *gen, "Nystrom matrix (operator norm must stay below 1)")
+    except InternalConsistencyError as exc:
+        raise PrecisionError(
+            f"the Nystrom rule with m={m} nodes under-resolves the Airy kernel "
+            f"at x={x}; take a larger m ({exc})") from exc
     with mp.workprec(gen.frac_bits):
         return mp.ldexp(mp.fprod(pivots), -m * gen.frac_bits)
 
@@ -184,7 +192,9 @@ def f2_fredholm(x, m: int, ctx: PrecisionContext,
     """F2(x) = det(1 - A_x) by Nystrom discretization with m nodes.
 
     With verify_convergence, the value is recomputed at 2m nodes and a
-    PrecisionError is raised if the two disagree beyond ctx.tolerance."""
+    PrecisionError is raised if the two disagree beyond ctx.tolerance.  An
+    under-resolved rule (a nonpositive Schur pivot) raises PrecisionError
+    too."""
     try:
         xf = float(x)
     except (TypeError, ValueError):

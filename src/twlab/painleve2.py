@@ -9,11 +9,16 @@ floor; defect correction then brings the solution to the requested
 precision: the float64 Jacobian is eliminated once, and each sweep
 evaluates the residual at the working precision and subtracts J64^-1 r
 (iterative refinement).  The refinement runs in fixed point on Python
-integers (twlab.fixedpoint): D1, the scales and the nodes go on one grid
-2^-F per mesh, D2 = D1 D1 is formed on it in integers, u and r stay on it,
-and each row of D u is one exact integer dot product, formed once and then
-updated by D times each float64 step (a short integer, shifted).  numpy is
-imported only by the solve; reading a stored solution never needs it.
+integers (twlab.fixedpoint) on one grid 2^-F per mesh: the edges and the
+reference nodes go on it once, and the nodes, the scales 2/h and 4/h^2 and
+D1 are formed from them in integers, with no mpf operation per node.  D1 is
+exactly skew-centrosymmetric on the grid, so D2 = D1 D1 is exactly
+centrosymmetric, and every dot with either is folded by parity, as the DCT
+below is, at half the products.  u and r stay on the grid.  Each float64
+value (the warm start, then each step) enters it as a short integer and a
+shift read from np.frexp, and each row of D u is built and updated from
+those alone, by short products.  numpy is imported only by the solve;
+reading a stored solution never needs it.
 One-sided shooting is useless here: the wanted solution is a separatrix and
 the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
 exactly why the two-point formulation is mandatory.
@@ -84,7 +89,7 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 2
 # Raise when a change to the solver or its window policy changes the
 # solution it returns for the same arguments; disk caches are keyed by it.
-SOLVER_VERSION = 5
+SOLVER_VERSION = 6
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -183,100 +188,170 @@ def _lobatto_nodes(p: int) -> List[mpf]:
     return [-mp.cos(mp.pi * j / p) for j in range(p + 1)]
 
 
-def _diff_matrix(nodes: Sequence) -> List[List]:
-    """First-derivative collocation matrix for the given nodes (negative-sum
-    diagonal for stability)."""
+def _diff_matrix(nodes: Sequence, frac: int) -> List[List[int]]:
+    """First-derivative collocation matrix for the Lobatto nodes on the grid
+    2^-frac, exactly skew-centrosymmetric: the entries of rows 0..p/2 (the
+    left half of the middle row) are computed at the working precision and
+    truncated onto the grid, row p - i is minus row i reversed, and each
+    diagonal entry is minus its row's off-diagonal sum (for stability), so
+    every row sums to zero."""
     p = len(nodes) - 1
     c = [2 if j in (0, p) else 1 for j in range(p + 1)]
-    d = [[None] * (p + 1) for _ in range(p + 1)]
-    for i in range(p + 1):
-        row_sum = mpf(0)
+    d = [[0] * (p + 1) for _ in range(p + 1)]
+    for i in range(p // 2 + 1):
         for j in range(p + 1):
-            if i != j:
-                v = (c[i] / c[j]) * (-1) ** (i + j) / (nodes[i] - nodes[j])
-                d[i][j] = v
-                row_sum += v
-        d[i][i] = -row_sum
+            if j != i and (2 * i < p or 2 * j < p):
+                v = fixedpoint.to_grid((c[i] / c[j]) * (-1) ** (i + j)
+                                       / (nodes[i] - nodes[j]), frac)
+                d[i][j], d[p - i][p - j] = v, -v
+    for i, row in enumerate(d):
+        row[i] = -sum(row)
     return d
+
+
+def _fold(rows: Sequence[Sequence[int]], sign: int):
+    """The rows i <= p/2 of a (p+1)-column operator whose row p - i is
+    ``sign`` times row i reversed, folded for _folded_dots: per row
+    (ev, od, sign) with ev_j = M_ij + M_i,p-j and od_j = M_ij - M_i,p-j for
+    j < p/2, and ev ending in M_i,p/2 when p is even.  A half that is all
+    zero (the middle row's) is left empty."""
+    p = len(rows[0]) - 1
+    n = (p + 1) // 2
+    out = []
+    for row in rows:
+        ev = [row[j] + row[p - j] for j in range(n)] + ([row[n]] if p % 2 == 0 else [])
+        od = [row[j] - row[p - j] for j in range(n)]
+        out.append((ev if any(ev) else [], od if any(od) else [], sign))
+    return out
+
+
+def _folded_dots(pairs, v: Sequence[int]) -> List[int]:
+    """The exact dots of every row of a folded operator (_fold) with v,
+    folded by parity as _dct is: with s_j = v_j + v_(p-j) and
+    a_j = v_j - v_(p-j), j <= p/2, E = ev . s and O = od . a, row i is
+    (E + O)/2 and row p - i is sign (E - O)/2, half the products of the
+    full rows."""
+    p = len(v) - 1
+    rev = v[::-1]
+    s = [x + y for x, y in zip(v[:p // 2 + 1], rev)]
+    a = [x - y for x, y in zip(v[:(p + 1) // 2], rev)]
+    dot = fixedpoint.dot
+    out = [0] * (p + 1)
+    for i, (ev, od, sign) in enumerate(pairs):
+        e, o = dot(ev, s), dot(od, a)
+        out[i] = (e + o) >> 1
+        out[p - i] = sign * ((e - o) >> 1)
+    return out
 
 
 # Fraction bits of the refinement's fixed-point grid beyond the working
 # precision prec: u, its residual and the operators live on the grid
-# 2^-(prec + 48).  D1, prec-bit values no smaller than 2^-48, lies on it
-# exactly; D2 is the exact integer product D1 D1 floored once onto it.  A
-# floor costs one unit, and a row of 4/h^2 D2 sums to about 2^21 in absolute
-# value on the default mesh (2^27 at h = 0.058), so the residual is good to
-# about 2^-(prec + 26), far below the stop at 2^-(prec - 24).  An mp copy of
-# u at prec bits would add 2^-prec times that row sum, which exceeds the stop
-# once the row sum passes 2^24.  The dots D2 u and D1 u (units 2^-2F) kept
-# from sweep 0 and updated by D times each step stay exact, so no sweep adds
-# a floor to these.
+# 2^-(prec + 48).  D1 is prec-bit values no smaller than 2^-48, truncated
+# onto it (exactly, in practice) and mirrored; D2 is the exact integer
+# product D1 D1 floored once onto it.  The nodes and the scales 2/h and
+# 4/h^2 come from the edges and the reference nodes on the grid, one floor
+# each.  A floor costs one unit, and a row of 4/h^2 D2 sums to about 2^21 in
+# absolute value on the default mesh (2^27 at h = 0.058), so the residual is
+# good to about 2^-(prec + 26), far below the stop at 2^-(prec - 24).  An mp
+# copy of u at prec bits would add 2^-prec times that row sum, which exceeds
+# the stop once the row sum passes 2^24.  The dots D2 u and D1 u (units
+# 2^-2F) are built and updated from float64 steps only, each a short
+# integer shifted, so they stay exact and no sweep adds a floor to these.
 _RESIDUAL_GUARD = 48
 
 
 class _Mesh:
-    """Element layout and the reference D1 at the working precision; D1,
-    D2 = D1 D1, the scales and the nodes on the refinement's fixed-point grid
-    2^-frac, frac = precision + _RESIDUAL_GUARD; and float64 copies of the
-    operators for the Jacobian."""
+    """Element layout and operators on the refinement's fixed-point grid
+    2^-frac, frac = precision + _RESIDUAL_GUARD, formed in integers: the
+    edges and the reference nodes are put on the grid once, each node is
+    ((a + b) 2^F + (b - a) t) >> (F + 1) and the scales 2/h and 4/h^2 are
+    2^(2F+1) // (b - a) and 2^(3F+2) // (b - a)^2.  D1 (_diff_matrix) is
+    exactly skew-centrosymmetric, so D2 = (D1 D1) >> F is exactly
+    centrosymmetric and only its top half is multiplied out.  The rows the
+    residual reads (dot_pairs) and D1 (d1_pairs) are kept folded for
+    _folded_dots.  The float64 copies for the Jacobian are read from these
+    integers.  The mpf edges and reference nodes are kept for the stored
+    solution."""
 
     def __init__(self, x_left: mpf, x_right: mpf, k_elems: int, p: int):
         import numpy as np
 
         self.k = k_elems
         self.p = p
+        f = self.frac = mp.prec + _RESIDUAL_GUARD
+        grid, dot = fixedpoint.to_grid, fixedpoint.dot
         self.edges = [x_left + (x_right - x_left) * e / k_elems
                       for e in range(k_elems + 1)]
         self.ref = _lobatto_nodes(p)
-        self.d1 = _diff_matrix(self.ref)
-        self.h = [self.edges[e + 1] - self.edges[e] for e in range(k_elems)]
-        self.nodes = [[(self.edges[e + 1] + self.edges[e]) / 2 + self.h[e] / 2 * t
-                       for t in self.ref] for e in range(k_elems)]
-        f = self.frac = mp.prec + _RESIDUAL_GUARD
-        grid, dot = fixedpoint.to_grid, fixedpoint.dot
-        d1 = self.d1_fixed = [[grid(v, f) for v in row] for row in self.d1]
-        self.d2_fixed = [[dot(row, col) >> f for col in zip(*d1)] for row in d1]
+        edges = [grid(v, f) for v in self.edges]
+        ref = [grid(t, f) for t in self.ref]
+        bounds = list(zip(edges, edges[1:]))
+        self.h_fixed = [b - a for a, b in bounds]
+        self.nodes_fixed = [[(((a + b) << f) + (b - a) * t) >> (f + 1) for t in ref]
+                            for a, b in bounds]
+        self.scale1_fixed = [(1 << (2 * f + 1)) // h for h in self.h_fixed]
+        self.scale2_fixed = [(1 << (3 * f + 2)) // (h * h) for h in self.h_fixed]
+        d1 = self.d1_fixed = _diff_matrix(self.ref, f)
+        half = p // 2 + 1
+        top = [[dot(row, col) >> f for col in zip(*d1)] for row in d1[:half]]
+        self.d2_fixed = top + [top[p - i][::-1] for i in range(half, p + 1)]
         # the rows whose dots with u the residual reads: D1 at node 0, D2 at
-        # the interior nodes, D1 at node p
-        self.dot_rows = [d1[0]] + self.d2_fixed[1:p] + [d1[p]]
-        with mp.workprec(f):
-            self.scale1_fixed = [grid(2 / h, f) for h in self.h]
-            self.scale2_fixed = [grid(4 / (h * h), f) for h in self.h]
-        self.nodes_fixed = [[grid(x, f) for x in row] for row in self.nodes]
-        self.d1_f = np.array(self.d1, dtype=float)
+        # the interior nodes, D1 at node p (minus node 0's row reversed)
+        self.dot_pairs = _fold(d1[:1], -1) + _fold(top[1:], 1)
+        self.d1_pairs = _fold(d1[:half], -1)
         # int / int rounds correctly; float() of an integer this long overflows
-        self.d2_f = np.array([[v / (1 << f) for v in row] for row in self.d2_fixed])
-        self.h_f = np.array(self.h, dtype=float)
-        self.nodes_f = np.array(self.nodes, dtype=float)
+        one = 1 << f
+        self.d1_f = np.array([[v / one for v in row] for row in d1])
+        self.d2_f = np.array([[v / one for v in row] for row in self.d2_fixed])
+        self.h_f = np.array([h / one for h in self.h_fixed])
+        self.nodes_f = np.array([[x / one for x in row] for row in self.nodes_fixed])
 
 
-def _dots(mesh: _Mesh, u: List[List[int]]) -> List[List[int]]:
-    """Per element, the exact dots of mesh.dot_rows with its block of u
-    (units 2^-2F, F = mesh.frac): D1 u at node 0, D2 u at nodes 1..p-1 and
-    D1 u at node p."""
-    dot = fixedpoint.dot
-    return [[dot(row, ue) for row in mesh.dot_rows] for ue in u]
+def _steps_on_grid(delta: np.ndarray, scale: int) -> List[Tuple[List[int], int]]:
+    """Per row of the float64 array delta, (m, s) with m_j 2^s equal to
+    fixedpoint.to_grid(delta_j, scale), truncated toward zero, m short.
+
+    np.frexp splits each entry into a 53-bit integer mantissa and an
+    exponent; its trailing zeros and the bits below the grid are shifted
+    off in int64, and s is the least remaining exponent of the row.  No
+    float ever holds delta 2^scale, which overflows for scale near 1024."""
+    import numpy as np
+
+    if not np.isfinite(delta).all():
+        raise SolverError("float64 refinement step is not finite")
+    mant, ex = np.frexp(delta)
+    man = (mant * 2.0 ** 53).astype(np.int64)
+    shift = ex.astype(np.int64) + (scale - 53)
+    low = np.minimum(np.maximum(-shift, 0), 63)
+    man = np.sign(man) * (np.abs(man) >> low)
+    tz = np.frexp((man & -man).astype(float))[1] - 1
+    man >>= np.maximum(tz, 0)
+    shift = np.maximum(shift, 0) + np.maximum(tz, 0)
+    nonzero = man != 0
+    base = np.where(nonzero, shift, np.iinfo(np.int64).max).min(axis=1)
+    base = np.where(nonzero.any(axis=1), base, 0)
+    shift = np.where(nonzero, shift - base[:, None], 0)
+    return [([m << d for m, d in zip(mrow, drow)], b)
+            for mrow, drow, b in zip(man.tolist(), shift.tolist(), base.tolist())]
 
 
-def _subtract_step(mesh: _Mesh, de: List[int], step: List[int]) -> List[int]:
-    """The dots de of a block u_e (see _dots) updated to u_e - step, exactly.
-
-    Each entry of a float64 step on the grid is a mantissa of at most 53
-    bits, shifted (fixedpoint.to_grid), so step = m 2^s with m short and
-    D (u_e - step) = D u_e - (D m) 2^s."""
-    shift = min(((w & -w).bit_length() - 1 for w in step if w), default=None)
-    if shift is None:
+def _subtract_step(mesh: _Mesh, de: List[int], step: Tuple[List[int], int]) -> List[int]:
+    """The dots de of a block u_e (D1 u at node 0, D2 u at nodes 1..p-1 and
+    D1 u at node p, units 2^-2F) updated to u_e - m 2^s, exactly, for the
+    step (m, s) of _steps_on_grid: D (u_e - m 2^s) = D u_e - (D m) 2^s,
+    with D m folded dots of short integers."""
+    m, shift = step
+    if not any(m):
         return de
-    m = [w >> shift for w in step]
-    dot = fixedpoint.dot
-    return [d - (dot(row, m) << shift) for d, row in zip(de, mesh.dot_rows)]
+    return [d - (w << shift) for d, w in zip(de, _folded_dots(mesh.dot_pairs, m))]
 
 
 def _ode_residual(mesh: _Mesh, u: List[List[int]], dots: List[List[int]],
-                  bc_l, bc_r) -> List[List[int]]:
+                  bc_l: int, bc_r: int) -> List[List[int]]:
     """Residual blocks of the nodal blocks u, both on the mesh's grid 2^-F,
-    F = mesh.frac, given their dots (_dots); row 0/p of each element carry
-    the boundary or coupling conditions, rows 1..p-1 the ODE.
+    F = mesh.frac, given their dots (_subtract_step) and the boundary values
+    on the grid; row 0/p of each element carry the boundary or coupling
+    conditions, rows 1..p-1 the ODE.
 
     Each D2 u or D1 u is an exact dot (units 2^-2F), and the 4/h^2 or 2/h
     scale multiplies it before one shift back to the grid, so each entry
@@ -288,14 +363,13 @@ def _ode_residual(mesh: _Mesh, u: List[List[int]], dots: List[List[int]],
     for e in range(k):
         ue, de, xs = u[e], dots[e], mesh.nodes_fixed[e]
         r = [0] * (p + 1)
-        r[0] = (ue[0] - fixedpoint.to_grid(bc_l, f) if e == 0
-                else u[e - 1][p] - ue[0])
+        r[0] = ue[0] - bc_l if e == 0 else u[e - 1][p] - ue[0]
         for i in range(1, p):
             v = ue[i]
             r[i] = (((s2[e] * de[i]) >> ff)
                     - (((((2 * v * v) >> f) + xs[i]) * v) >> f))
         if e == k - 1:
-            r[p] = ue[p] - fixedpoint.to_grid(bc_r, f)
+            r[p] = ue[p] - bc_r
         else:
             r[p] = (s1[e] * de[p] - s1[e + 1] * dots[e + 1][0]) >> ff
         res.append(r)
@@ -422,12 +496,13 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
     Stability, ch. 12).  u and r stay on the mesh's fixed-point grid
     2^-F, F = mesh.frac, throughout: each sweep is one integer residual
     (_ode_residual), one float64 solve and one integer subtraction per node.
-    The dots D u it reads are formed in full once (_dots) and then updated
-    by D times each step (_subtract_step): the same integers from short
-    products instead of full-width ones.
-    The grid lies _RESIDUAL_GUARD bits below the working precision, so the
-    rounding of u sets no floor on the residual above ``stop`` on a fine
-    mesh.
+    Every float64 value enters the grid through _steps_on_grid, as a short
+    integer m and a shift s, and the dots D u the residual reads follow it
+    by _subtract_step: u starts at 0 and takes the step -u64, and each sweep
+    subtracts its step, so every dot is an exact sum of folded short
+    products and no full-width product is ever formed.  The grid lies
+    _RESIDUAL_GUARD bits below the working precision, so the rounding of u
+    sets no floor on the residual above ``stop`` on a fine mesh.
 
     r is divided by a power of two at least its largest entry before it is
     rounded to float64, so its size never underflows.  Raises SolverError
@@ -435,10 +510,19 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
     both on the grid."""
     import numpy as np
 
-    f = mesh.frac
+    f, p = mesh.frac, mesh.p
     fac = _factor64(mesh, u64)
-    u = [[fixedpoint.to_grid(v, f) for v in row] for row in u64.tolist()]
-    dots = _dots(mesh, u)
+    u = [[0] * (p + 1) for _ in range(mesh.k)]
+    dots = [[0] * (p + 1) for _ in range(mesh.k)]
+
+    def subtract(steps):
+        for e, step in enumerate(steps):
+            m, shift = step
+            u[e] = [v - (w << shift) for v, w in zip(u[e], m)]
+            dots[e] = _subtract_step(mesh, dots[e], step)
+
+    subtract(_steps_on_grid(-u64, f))
+    bc_l, bc_r = fixedpoint.to_grid(bc_l, f), fixedpoint.to_grid(bc_r, f)
     res = _ode_residual(mesh, u, dots, bc_l, bc_r)
     norm = max(abs(v) for row in res for v in row)
     limit = fixedpoint.to_grid(stop, f)
@@ -449,10 +533,7 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
         scale = norm.bit_length()
         den = 1 << scale
         delta = _solve64(fac, np.array([[v / den for v in row] for row in res]))
-        for e, drow in enumerate(delta.tolist()):
-            step = [fixedpoint.to_grid(d, scale) for d in drow]
-            u[e] = [v - w for v, w in zip(u[e], step)]
-            dots[e] = _subtract_step(mesh, dots[e], step)
+        subtract(_steps_on_grid(delta, scale))
         res = _ode_residual(mesh, u, dots, bc_l, bc_r)
         new = max(abs(v) for row in res for v in row)
         log.debug("refinement sweep %d: residual %s", sweep,
@@ -818,12 +899,12 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
         u, res = _refine(mesh, u64, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
 
     # every stored value is rounded once from the grid: q from u, and
-    # q' = (2/h) D1 u from one exact dot in units 2^-3F
+    # q' = (2/h) D1 u from one exact folded dot in units 2^-3F
     out_prec = ctx.precision_bits
     f = mesh.frac
     elem_q = [[fixedpoint.from_grid(v, f, out_prec) for v in ue] for ue in u]
-    elem_qp = [[fixedpoint.from_grid(scale * fixedpoint.dot(row, ue), 3 * f, out_prec)
-                for row in mesh.d1_fixed]
+    elem_qp = [[fixedpoint.from_grid(scale * w, 3 * f, out_prec)
+                for w in _folded_dots(mesh.d1_pairs, ue)]
                for scale, ue in zip(mesh.scale1_fixed, u)]
     res_norm = max(abs(v) for row in res for v in row[1:p])
     sol = HMSolution(

@@ -5,6 +5,8 @@ constant zeta'(-1).
 Everything here is a pure function of its arguments.  Each kernel takes the
 precision it returns as ``bits``, lifts the working precision internally by
 guard bits and rounds the result back to ``bits``; none sees a tolerance.
+An argument is read at that working precision, never at the ambient mp.prec,
+so a value with more bits than the caller's context loses none of them.
 Ai and Ai' come from their Maclaurin sums at every finite x.  The sums lose
 about 2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs, so the
 Airy values are exact to the working precision.  Ai and Ai' at many sorted
@@ -44,6 +46,14 @@ _airy_const_cache: dict = {}
 
 # (top point, working bits) -> the airy_ai start of airy_ai_walk there
 _walk_start_cache: dict = {}
+
+
+def _argument(x, prec: int) -> mpf:
+    """x as an mpf rounded to ``prec`` bits, whatever the ambient mp.prec,
+    so an argument with more bits than the caller's context keeps them up
+    to the kernel's working precision."""
+    with mp.workprec(prec):
+        return mpf(x)
 
 
 def _finite_abs(x, name: str) -> float:
@@ -90,10 +100,12 @@ def _log_gamma_raw(z: mpf, prec: int) -> mpf:
 def log_gamma(z, bits: int) -> mpf:
     """log Gamma(z) for finite z > 0, to ``bits`` bits."""
     _finite_abs(z, "log_gamma")
-    z = mpf(z)
+    prec = bits + 32
+    # _log_gamma_raw reads z at prec + 20 bits
+    z = _argument(z, prec + 20)
     if not z > 0:
         raise DomainError(f"log_gamma requires z > 0, got {z}")
-    return round_to(_log_gamma_raw(z, bits + 32), bits)
+    return round_to(_log_gamma_raw(z, prec), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +193,11 @@ def log_barnes_g(z, bits: int) -> mpf:
     since log Gamma(z + i) = log Gamma(z) + sum_(j<i) log(z + j).  So one
     Stirling sum (for log Gamma(z)) serves all m shifts."""
     _finite_abs(z, "log_barnes_g")
-    z = mpf(z)
+    prec = bits + 48
+    z = _argument(z, prec)
     if not z > 0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
-    prec = bits + 48
     with mp.workprec(prec):
-        z = mpf(z)
         w_min = max(20.0, (prec * math.log(2) + 40) / (2 * math.pi) + 2)
         m = max(0, int(math.ceil(w_min - z)))
         w = z + m
@@ -259,7 +270,7 @@ def airy_ai(x, bits: int) -> Tuple[mpf, mpf]:
     """(Ai(x), Ai'(x)) to ``bits`` bits, by the guarded Maclaurin sums for
     every finite x."""
     ax = _finite_abs(x, "airy_ai")
-    return round_to(_airy_maclaurin(mpf(x), _maclaurin_bits(ax, bits)), bits)
+    return round_to(_airy_maclaurin(x, _maclaurin_bits(ax, bits)), bits)
 
 
 def _shift(n: int, k: int) -> int:
@@ -458,14 +469,12 @@ def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     """
     if max_j < 0:
         raise DomainError("max_j must be >= 0")
-    _finite_abs(two_t, "bessel_i_row")
-    two_t = mpf(two_t)
-    if two_t < 0:
-        raise DomainError("two_t must be nonnegative")
-    guard = int(math.ceil(float(two_t) * _LOG2_E))
+    guard = int(math.ceil(_finite_abs(two_t, "bessel_i_row") * _LOG2_E))
     prec = bits + guard + 64
+    z = _argument(two_t, prec)
+    if z < 0:
+        raise DomainError("two_t must be nonnegative")
     with mp.workprec(prec):
-        z = mpf(two_t)
         if z == 0:
             out = [mpf(1)] + [mpf(0)] * max_j
         else:

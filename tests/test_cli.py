@@ -389,6 +389,14 @@ class TestVerify:
         assert code == 1
         assert "left tail series" in capsys.readouterr().err
 
+    def test_under_resolved_oracle_exits_one(self, workdir, capsys):
+        code, _ = run_cli(["oracle-compare", "--xmin", "-12", "--xmax", "-11",
+                           "--m-quad", "40"] + FAST, workdir, "coarse.json")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("precision failure:") and "m=40" in err
+        assert "Traceback" not in err
+
     def test_failing_result_exits_one(self, workdir, monkeypatch):
         def failing(sol, consts, ctx):
             return [checks.Result("always fails", mpf(2), "1", False)]

@@ -200,6 +200,12 @@ class TestDeterminant:
         with pytest.raises(PrecisionError):
             fredholm_oracle.f2_fredholm(-2, 20, strict, verify_convergence=True)
 
+    def test_under_resolved_rule_is_a_precision_failure(self):
+        # 40 nodes cannot resolve the kernel at x = -12: the discretized
+        # operator norm reaches 1 and a Schur pivot goes nonpositive
+        with pytest.raises(PrecisionError, match=r"m=40 .* at x=-12"):
+            fredholm_oracle.f2_fredholm(-12, 40, CTX, verify_convergence=False)
+
     def test_rejects_small_rule(self):
         with pytest.raises(DomainError):
             fredholm_oracle.f2_fredholm(0, 10, CTX)

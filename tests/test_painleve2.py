@@ -1,8 +1,11 @@
 """Hastings-McLeod solver and its asymptotic series."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -231,8 +234,9 @@ class TestSolver:
 
     def test_fixed_point_residual_matches_double_precision(self):
         # the converged default mesh: the integer residual against an mp
-        # residual of the same u at twice the working precision, with
-        # D2 = D1 D1 formed here from the mp D1
+        # residual of the same u at twice the working precision, with the
+        # nodes, h and D1 read exactly from the grid and D2 = D1 D1 formed
+        # here from them
         prec = 256 + 64
         with mp.workprec(prec):
             mesh = painleve2._Mesh(mpf(-12), mpf(8), 46, painleve2._ELEMENT_DEGREE)
@@ -242,36 +246,95 @@ class TestSolver:
             u, res = painleve2._refine(mesh, u64, bc_l, bc_r,
                                        stop=mpf(2) ** -(prec - 24))
         p, f = mesh.p, mesh.frac
-        u = [[fixedpoint.from_grid(v, f) for v in row] for row in u]
-        res = [[fixedpoint.from_grid(v, f) for v in row] for row in res]
+
+        def exact(rows):
+            return [[fixedpoint.from_grid(v, f) for v in row] for row in rows]
+
+        u, res, nodes, d1 = (exact(rows) for rows in
+                             (u, res, mesh.nodes_fixed, mesh.d1_fixed))
+        hs = exact([mesh.h_fixed])[0]
         with mp.workprec(2 * prec):
-            d2 = [[mp.fdot(row, col) for col in zip(*mesh.d1)] for row in mesh.d1]
+            d2 = [[mp.fdot(row, col) for col in zip(*d1)] for row in d1]
             for e, (ue, re) in enumerate(zip(u, res)):
-                h = mesh.h[e]
+                h = hs[e]
                 ref = [ue[0] - bc_l if e == 0 else u[e - 1][p] - ue[0]]
                 ref += [4 / (h * h) * mp.fdot(d2[i], ue)
-                        - (2 * ue[i] ** 2 + mesh.nodes[e][i]) * ue[i]
+                        - (2 * ue[i] ** 2 + nodes[e][i]) * ue[i]
                         for i in range(1, p)]
                 ref.append(ue[p] - bc_r if e == mesh.k - 1 else
-                           2 / h * mp.fdot(mesh.d1[p], ue)
-                           - 2 / mesh.h[e + 1] * mp.fdot(mesh.d1[0], u[e + 1]))
+                           2 / h * mp.fdot(d1[p], ue)
+                           - 2 / hs[e + 1] * mp.fdot(d1[0], u[e + 1]))
                 for got, want in zip(re, ref):
                     assert abs(got - want) <= mpf(2) ** -(prec + 8)
 
     def test_updated_dots_equal_recomputed_dots(self, monkeypatch):
-        # the refinement keeps D u from sweep 0 and subtracts D step after
-        # each sweep; every residual must see exactly the dots of its u
+        # the refinement builds D u from the steps alone (u0 = 0 - (-u64),
+        # then minus each sweep's step); every residual must see exactly the
+        # plain dots of its u
         residual = painleve2._ode_residual
         sweeps = []
 
         def checked(mesh, u, dots, bc_l, bc_r):
-            assert dots == painleve2._dots(mesh, u)
+            p = mesh.p
+            rows = [mesh.d1_fixed[0]] + mesh.d2_fixed[1:p] + [mesh.d1_fixed[p]]
+            assert dots == [[fixedpoint.dot(row, ue) for row in rows] for ue in u]
             sweeps.append(1)
             return residual(mesh, u, dots, bc_l, bc_r)
 
         monkeypatch.setattr(painleve2, "_ode_residual", checked)
         painleve2.solve_hastings_mcleod(-8, 6, 200, PrecisionContext(192, 1e-12))
         assert len(sweeps) >= 3
+
+    def test_default_solution_is_pinned(self, hm_solution):
+        # SHA-256 of the stored arrays of the default solve: a change to the
+        # solver that moves one bit of q, q', the edges or the reference
+        # nodes must update this pin and SOLVER_VERSION together
+        doc = hm_solution.to_json_dict()
+        arrays = json.dumps([doc[k] for k in ("elem_q", "elem_qp", "edges", "ref")])
+        assert hashlib.sha256(arrays.encode()).hexdigest() == (
+            "6c9e8a06985979082f2a1bb409c6861b0fa832266917e6c94311ef0cc1bdc222")
+
+    def test_default_solve_takes_seven_sweeps(self, monkeypatch):
+        residual = painleve2._ode_residual
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(painleve2, "_ode_residual", counted)
+        painleve2.solve_hastings_mcleod(ctx=PrecisionContext(256, 1e-12))
+        assert len(calls) == 1 + 7
+
+    def test_mpf_conversions_do_not_grow_per_node(self, monkeypatch):
+        # mpf -> grid conversions in _Mesh and _refine: the edges (k + 1)
+        # and the k-independent reference nodes, D1 and boundary values;
+        # doubling k at fixed p adds at most k + 1, so no per-node mpf work
+        to_grid, mesh_cls, refine = fixedpoint.to_grid, painleve2._Mesh, painleve2._refine
+        active, counts = [False], []
+
+        def counted(v, frac):
+            if active[0] and not isinstance(v, float):
+                counts[-1] += 1
+            return to_grid(v, frac)
+
+        def watched(fn):
+            def run(*args, **kwargs):
+                active[0] = True
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active[0] = False
+            return run
+
+        monkeypatch.setattr(fixedpoint, "to_grid", counted)
+        monkeypatch.setattr(painleve2, "_Mesh", watched(mesh_cls))
+        monkeypatch.setattr(painleve2, "_refine", watched(refine))
+        ctx = PrecisionContext(64, 1e-12)
+        for k in (10, 20):
+            counts.append(0)
+            painleve2.solve_hastings_mcleod(-8, 6, 24 * k + 1, ctx)
+        assert 0 < counts[1] - counts[0] <= 10 + 1
 
     def test_fine_mesh_converges(self):
         # elements of width 0.058: a row of 4/h^2 D2 sums to about 2^27, so
@@ -312,6 +375,75 @@ class TestSolver:
             painleve2.solve_hastings_mcleod(-12, 4, 500, ctx256)
         with pytest.raises(DomainError):
             painleve2.solve_hastings_mcleod(-12, 8, 100, ctx256)
+
+
+class TestIntegerMesh:
+    @staticmethod
+    def _mesh(p, bits=256):
+        with mp.workprec(bits):
+            return painleve2._Mesh(mpf(-8), mpf(6), 5, p)
+
+    @pytest.mark.parametrize("p", [7, 24, 36])
+    def test_d1_skew_and_d2_centrosymmetric(self, p):
+        mesh = self._mesh(p)
+        d1, d2 = mesh.d1_fixed, mesh.d2_fixed
+        for i in range(p + 1):
+            assert sum(d1[i]) == 0
+            for j in range(p + 1):
+                assert d1[p - i][p - j] == -d1[i][j]
+                assert d2[p - i][p - j] == d2[i][j]
+        # D2 is D1 D1 floored once onto the grid, in every row
+        assert d2 == [[fixedpoint.dot(row, col) >> mesh.frac for col in zip(*d1)]
+                      for row in d1]
+
+    @pytest.mark.parametrize("p", [7, 24, 36])
+    def test_folded_dots_equal_plain_dots(self, p):
+        mesh = self._mesh(p)
+        rows = [mesh.d1_fixed[0]] + mesh.d2_fixed[1:p] + [mesh.d1_fixed[p]]
+        rng = random.Random(p)
+        for bits in (60, 400):
+            for _ in range(5):
+                v = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(p + 1)]
+                assert painleve2._folded_dots(mesh.dot_pairs, v) == [
+                    fixedpoint.dot(row, v) for row in rows]
+                assert painleve2._folded_dots(mesh.d1_pairs, v) == [
+                    fixedpoint.dot(row, v) for row in mesh.d1_fixed]
+
+    def test_nodes_and_scales_from_the_grid(self):
+        # each node within one unit of the grid below (a + b)/2 + (b - a)/2 t
+        # for the grid's a, b and t; the scales are 2/h and 4/h^2 floored
+        mesh = self._mesh(24)
+        f = mesh.frac
+        with mp.workprec(2 * f):
+            ref = [fixedpoint.from_grid(fixedpoint.to_grid(t, f), f) for t in mesh.ref]
+            for e, row in enumerate(mesh.nodes_fixed):
+                a, b = (fixedpoint.from_grid(fixedpoint.to_grid(v, f), f)
+                        for v in mesh.edges[e:e + 2])
+                h = b - a
+                assert h == fixedpoint.from_grid(mesh.h_fixed[e], f)
+                for x, t in zip(row, ref):
+                    want = ((a + b) / 2 + h / 2 * t) * 2 ** f
+                    assert 0 <= want - x < 1
+                assert 0 <= 2 / h * 2 ** f - mesh.scale1_fixed[e] < 1
+                assert 0 <= 4 / (h * h) * 2 ** f - mesh.scale2_fixed[e] < 1
+
+    def test_frexp_steps_equal_to_grid(self):
+        tiny = 5e-324
+        values = [0.0, tiny, -tiny, 3 * tiny, 1e-300, -1e-300, 1.5, -1.5,
+                  2.0 ** 60, -2.0 ** 60]
+        rows = np.array([values, values[::-1]])
+        for scale in range(0, 1141):
+            for row, (m, shift) in zip(rows.tolist(),
+                                       painleve2._steps_on_grid(rows, scale)):
+                assert [w << shift for w in m] == [fixedpoint.to_grid(d, scale)
+                                                   for d in row]
+
+    def test_frexp_steps_of_a_zero_row(self):
+        assert painleve2._steps_on_grid(np.zeros((1, 4)), 300) == [([0] * 4, 0)]
+
+    def test_nonfinite_step_raises(self):
+        with pytest.raises(SolverError):
+            painleve2._steps_on_grid(np.array([[1.0, float("nan")]]), 10)
 
 
 class TestRRoutes:

@@ -329,3 +329,40 @@ class TestZetaPrimeMinusOne:
         closed = mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp
         via_series = specialfn.log_barnes_g(mpf(1) / 2, BITS)
         assert abs(via_series - closed) < mpf(10) ** -40
+
+
+# ---------------------------------------------------------------------------
+# Arguments with more bits than the ambient precision
+# ---------------------------------------------------------------------------
+
+class TestArgumentPrecision:
+    """Each kernel reads its argument at its own working precision: at 53
+    ambient bits a 300-bit argument keeps the 2^-280 that decides the
+    result's low bits."""
+
+    @staticmethod
+    def _wide(num, den):
+        """num/den + 2^-280 at 300 bits."""
+        with mp.workprec(300):
+            return mpf(num) / den + mpf(2) ** -280
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_scalar_kernels_at_53_ambient_bits(self, bits):
+        x, z = self._wide(1, 3), self._wide(7, 3)
+        with mp.workprec(53):
+            got = [*specialfn.airy_ai(x, bits), specialfn.log_gamma(z, bits),
+                   specialfn.log_barnes_g(z, bits),
+                   specialfn.airy_ai_tail_integral(x, bits)]
+        with mp.workprec(600):
+            want = [mp.airyai(x), mp.airyai(x, derivative=1), mp.loggamma(z),
+                    mp.log(mp.barnesg(z)), mpf(1) / 3 - mp.airyai(x, derivative=-1)]
+            for g, w in zip(got, want):
+                assert abs(g / w - 1) <= mpf(2) ** -bits
+
+    def test_bessel_row_at_53_ambient_bits(self):
+        bits, z = 256, self._wide(7, 3)
+        with mp.workprec(53):
+            row = specialfn.bessel_i_row(4, z, bits)
+        with mp.workprec(600):
+            for j, v in enumerate(row):
+                assert abs(v - mp.besseli(j, z)) <= specialfn.bessel_i_row_error(bits)
