@@ -26,13 +26,19 @@ exactly why the two-point formulation is mandatory.
 The solution is stored once, as each element's nodal values of q and q'.
 Every read goes through one integer table per integrand (_table): each
 element's Chebyshev coefficients, from an integer DCT-I of its nodal values
-folded by the matrix's parity, and their term-by-term antiderivative, every
-row on its own fixed-point grid (fixedpoint.regrid; q spans seven decades
-on the default window, so one grid for all rows would lose the relative
-accuracy where q is small).  R's nodal values are formed in integers too
-(_r_row).  A point value of q or q' is one integer Clenshaw sum over the
-located element's row; an integral of q or R is one such sum of the
-antiderivative row plus a cumulative edge value (integrate_kind).
+folded by the matrix's parity, every row on its own fixed-point grid
+(fixedpoint.regrid; q spans seven decades on the default window, so one
+grid for all rows would lose the relative accuracy where q is small).  R's
+nodal values are formed in integers too (_r_row).  The term-by-term
+antiderivative rows are formed from the same DCT on the first integral of
+that integrand, so q', which is never integrated, never forms them.  A
+read puts x on the reads' grid as the caller passes it (a float exactly)
+and checks the window in integers (HMSolution._locate): only an x that
+lands on an end of the window, or is not finite, costs an mpf comparison.
+A point value of q or q' is then one bisection, one floor division for the
+element coordinate and one integer Clenshaw sum over the element's row; an
+integral of q or R is one such sum of the antiderivative row plus a
+cumulative edge value (integrate_kind).
 
 The left boundary data come from the large-negative expansion
 
@@ -75,9 +81,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
-                    Sequence, Tuple, TypeVar)
+                    NamedTuple, Sequence, Tuple, TypeVar)
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from . import fixedpoint, specialfn
 from .errors import DomainError, SolverError
@@ -562,8 +568,12 @@ class HMSolution:
 
     Stores each element's edges and its nodal values of q and q' once.
     Everything read from them goes through the integer tables of _table,
-    kept through ``cached`` like every other derived value.  from_json_dict
-    rejects a document whose arrays do not fit together.
+    kept in the memo dict of ``cached`` like every other derived value: a
+    read fetches its integrand's table, the window and the element rows,
+    with one lookup, and checks and locates x in integers (_locate).
+    from_json_dict decodes each stored value exactly and rejects a document
+    whose arrays do not fit together or whose values could not have been
+    written by to_json_dict.
 
     The library is single-threaded (mp.workprec sets the process-global
     mp.prec), so the memo dict needs no lock."""
@@ -582,20 +592,33 @@ class HMSolution:
     def p(self) -> int:
         return len(self._ref) - 1
 
-    def _position(self, x: mpf, bits: int) -> Tuple[int, int]:
+    def _position(self, x, bits: int) -> Tuple[int, int]:
         """(e, t): the element e = [a, b] that holds x, and the coordinate
         t = (2x - a - b) / (b - a) of x in it on the grid 2^-F,
-        F = bits + _READ_GUARD.  x and the edges are truncated onto the grid
-        (edges of a solution at ``bits`` bits lie on it exactly), and t
-        costs one floor division."""
-        if not self.x_left <= x <= self.x_right:
+        F = bits + _READ_GUARD.  x, as the caller passes it (a float is read
+        exactly, an mpf is not rounded first), and the edges are truncated
+        onto the grid (edges of a solution at ``bits`` bits lie on it
+        exactly), and t costs one floor division.
+
+        The window check runs in integers: truncation is monotone, so
+        lo < xf < hi, with lo and hi x_left and x_right truncated, proves
+        x_left < x < x_right.  Only an xf on lo or hi, or an x that is not
+        finite, is compared exactly; anything outside, nan included, raises
+        DomainError."""
+        return self._locate(x, _window(self, bits))
+
+    def _locate(self, x, window: "_Window") -> Tuple[int, int]:
+        """_position with the grid of its precision already fetched."""
+        f, lo, hi, edges = window
+        try:
+            xf = fixedpoint.to_grid(x, f)
+        except ValueError:  # inf or nan, which the exact comparison rejects
+            xf = lo
+        if not lo < xf < hi and not (lo <= xf <= hi
+                                     and self.x_left <= x <= self.x_right):
             raise DomainError(f"x={x} outside solution window "
                               f"[{self.x_left}, {self.x_right}]")
-        f = bits + _READ_GUARD
-        edges = self.cached(("edges", f), lambda: [
-            fixedpoint.to_grid(v, f) for v in self._edges])
-        xf = fixedpoint.to_grid(x, f)
-        e = min(max(bisect_right(edges, xf) - 1, 0), len(edges) - 2)
+        e = bisect_right(edges, xf, 1, len(edges) - 1) - 1
         a, b = edges[e], edges[e + 1]
         return e, ((2 * xf - a - b) << f) // (b - a)
 
@@ -603,9 +626,10 @@ class HMSolution:
         """Integer Clenshaw sum of the located element's row of the ``kind``
         table, rounded to max(mp.prec, precision_bits + REPORT_GUARD) bits."""
         bits = self.precision_bits
-        e, t = self._position(mpf(x), bits)
-        frac, row = _table(self, kind, bits)[0][e]
-        return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, bits + _READ_GUARD),
+        table = _table(self, kind, bits)
+        e, t = self._locate(x, table.window)
+        frac, row = table.rows[e]
+        return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, table.window.frac),
                                     frac, max(mp.prec, bits + REPORT_GUARD))
 
     def cached(self, key, compute: Callable[[], T]) -> T:
@@ -653,10 +677,13 @@ class HMSolution:
             raise ValueError("unsupported solution schema version")
 
         def dec(t):
+            # one exact normalisation of the stored (sign, man, exp, bc)
             sign, man_hex, exp, bc = t
-            # constructing from a raw tuple rounds at the working precision
-            with mp.workprec(max(int(bc), 8) + 8):
-                return mpf((sign, int(man_hex, 16), exp, bc))
+            man = int(man_hex, 16)
+            if (sign not in (0, 1) or man < 0 or type(exp) is not int
+                    or bc != man.bit_length()):
+                raise ValueError(f"solution document holds a malformed value {t!r}")
+            return mp.make_mpf(libmp.from_man_exp(-man if sign else man, exp))
 
         def dec_list(ts):
             return [dec(t) for t in ts]
@@ -776,40 +803,95 @@ def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
     return [dot(row, odd if n & 1 else even) for n, row in enumerate(rows)]
 
 
-def _table(solution: HMSolution, kind: str, bits: int):
-    """(rows, antiderivatives, cum) of the degree-p interpolant of ``kind``,
-    cached per (kind, bits): point values and integrals read the same table.
+class _Window(NamedTuple):
+    """The reads' grid 2^-frac of one solution at one precision, frac =
+    bits + _READ_GUARD: x_left and x_right (lo, hi) and the element edges
+    truncated onto it."""
 
-    Per element, the coefficients of T_0..T_p in t in [-1, 1] and of the
-    antiderivative in x (zero at the left edge), each a row (F_e, integers)
-    with bits + _READ_GUARD bits in its largest entry; cum holds the
-    integral from x_left to every edge, rounded to bits + REPORT_GUARD.  The
+    frac: int
+    lo: int
+    hi: int
+    edges: List[int]
+
+
+def _window(solution: HMSolution, bits: int) -> _Window:
+    """The cached _Window of ``solution`` at ``bits`` bits, shared by the
+    tables of every integrand."""
+    def build():
+        f = bits + _READ_GUARD
+        return _Window(f, fixedpoint.to_grid(solution.x_left, f),
+                       fixedpoint.to_grid(solution.x_right, f),
+                       [fixedpoint.to_grid(v, f) for v in solution._edges])
+    return solution.cached(("window", bits), build)
+
+
+class _Table:
+    """The degree-p interpolant of ``kind`` at ``bits`` bits, cached per
+    (kind, bits) by _table: point values and integrals read the same table.
+
+    Per element, the coefficients of T_0..T_p in t in [-1, 1], a row
+    (F_e, integers) with bits + _READ_GUARD bits in its largest entry, which
+    a point read sums, and the window it locates x on (_Window).  The
     coefficients are a DCT-I of the nodal values at the Lobatto points
     (Trefethen, ATAP, ch. 3), each one exact integer dot of the matrix
     (_dct_on_grid, folded by its parity in _dct) and the element's values
     on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the largest:
     q and q' by row_to_grid of the stored values, R formed in integers
-    (_r_row).  They integrate term by term (ATAP, ch. 19),
-    with h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per
-    coefficient."""
-    return solution.cached(("table", kind, bits),
-                           lambda: _build_table(solution, kind, bits))
+    (_r_row).
 
+    The antiderivative rows and cum, the integral from x_left to every
+    edge, are built on the first call of ``integrals`` from the same exact
+    DCT coefficients (_antiderivatives), so a table only read for point
+    values, as q' is, never forms them."""
 
-def _build_table(solution: HMSolution, kind: str, bits: int):
-    dct_frac, dct = _dct_on_grid(solution.p, bits)
-    g = bits + _READ_GUARD
-    edges = solution._edges
-    rows, antis, cum = [], [], [mpf(0)]
-    width = bits + REPORT_GUARD + _READ_GUARD
-    values = solution._elem_q if kind == "q" else solution._elem_qp
-    with mp.workprec(bits + REPORT_GUARD):
-        for e in range(len(edges) - 1):
+    def __init__(self, solution: HMSolution, kind: str, bits: int):
+        # the table lives in the solution's memo dict, so it keeps the
+        # edges it integrates over and not the solution, which would make
+        # a reference cycle that only the cyclic collector frees
+        self._edges, self._bits = solution._edges, bits
+        self.window = _window(solution, bits)
+        dct_frac, dct = _dct_on_grid(solution.p, bits)
+        width = bits + REPORT_GUARD + _READ_GUARD
+        values = solution._elem_q if kind == "q" else solution._elem_qp
+        self._exact = []
+        for e in range(len(solution._edges) - 1):
             frac, f = (_r_row(solution, e, width) if kind == "r"
                        else fixedpoint.row_to_grid(values[e], width))
-            frac += dct_frac
-            c = _dct(dct, f)
-            rows.append(fixedpoint.regrid(c, frac, g))
+            self._exact.append((frac + dct_frac, _dct(dct, f)))
+        g = self.window.frac
+        self.rows = [fixedpoint.regrid(c, frac, g) for frac, c in self._exact]
+        self._integrals = None
+
+    def integrals(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
+        """(antiderivative rows, cum), built once (_antiderivatives)."""
+        if self._integrals is None:
+            self._integrals = _antiderivatives(self._edges, self._exact, self._bits)
+            self._exact = None
+        return self._integrals
+
+
+def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
+    """The cached _Table of ``kind`` at ``bits`` bits; a hit costs one dict
+    lookup, with no closure for ``cached``."""
+    key = ("table", kind, bits)
+    table = solution._cum_cache.get(key)
+    if table is None:
+        table = solution._cum_cache[key] = _Table(solution, kind, bits)
+    return table
+
+
+def _antiderivatives(edges: Sequence[mpf], exact: List[Tuple[int, List[int]]],
+                     bits: int) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
+    """Per element [edges[e], edges[e + 1]], the coefficients of the
+    antiderivative in x (zero at the left edge) of its exact Chebyshev
+    coefficients (F_e, c), a row with bits + _READ_GUARD bits in its largest
+    entry, and cum, the integral from edges[0] to every edge rounded to
+    bits + REPORT_GUARD.  They integrate term by term (ATAP, ch. 19), with
+    h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per coefficient."""
+    g = bits + _READ_GUARD
+    antis, cum = [], [mpf(0)]
+    with mp.workprec(bits + REPORT_GUARD):
+        for e, (frac, c) in enumerate(exact):
             # b_k = (h/2)(c_(k-1) - c_(k+1)) / (2k) with c_0 counted twice, on
             # the grid 2^-(frac + g); b_0 makes the antiderivative 0 at t = -1
             half = fixedpoint.to_grid((edges[e + 1] - edges[e]) / 2, g)
@@ -819,7 +901,7 @@ def _build_table(solution: HMSolution, kind: str, bits: int):
             b[0] = sum(b[1::2]) - sum(b[2::2])
             antis.append(fixedpoint.regrid(b, frac + g, g))
             cum.append(cum[-1] + fixedpoint.from_grid(sum(b), frac + g))
-    return rows, antis, cum
+    return antis, cum
 
 
 _KINDS = ("q", "r")
@@ -828,26 +910,25 @@ _KINDS = ("q", "r")
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
     """Integral over [a, b] of q or R from the cached element
-    antiderivatives: one Clenshaw sum per end point."""
+    antiderivatives: one integer locate (HMSolution._locate) and one
+    Clenshaw sum per end point."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
-    a, b = mpf(a), mpf(b)
+    a, b = mp.convert(a), mp.convert(b)
     if not a <= b:
         raise DomainError("integration bounds must satisfy a <= b")
-    if not solution.x_left <= a <= b <= solution.x_right:
-        raise DomainError("integration bounds must lie inside the grid")
-    bits = ctx.precision_bits
-    _, antis, cum = _table(solution, kind, bits)
+    table = _table(solution, kind, ctx.precision_bits)
+    (ea, ta), (eb, tb) = (solution._locate(x, table.window) for x in (a, b))
+    antis, cum = table.integrals()
 
-    def upto(x: mpf) -> mpf:
-        # integral from x_left to x
-        e, t = solution._position(x, bits)
+    def upto(e: int, t: int) -> mpf:
+        # integral from x_left to the point at t in element e
         frac, row = antis[e]
         return cum[e] + fixedpoint.from_grid(
-            fixedpoint.clenshaw(row, t, bits + _READ_GUARD), frac)
+            fixedpoint.clenshaw(row, t, table.window.frac), frac)
 
     with ctx.workprec():
-        return upto(b) - upto(a)
+        return upto(eb, tb) - upto(ea, ta)
 
 
 # ---------------------------------------------------------------------------

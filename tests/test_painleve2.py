@@ -1,8 +1,11 @@
 """Hastings-McLeod solver and its asymptotic series."""
 
+import gc
 import hashlib
 import json
+import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -536,23 +539,51 @@ class TestSpectralIntegration:
 
     def test_fresh_solution_builds_one_table_per_integrand(
             self, hm_solution, ctx256, monkeypatch):
-        # point values and integrals of q read the same table
-        built = []
-        build = painleve2._build_table
+        # point values and integrals of q share one DCT per element, and
+        # the antiderivatives are built on the first integral only: reading
+        # q' never builds them
+        dcts, antis = [], []
+        dct, anti = painleve2._dct, painleve2._antiderivatives
 
-        def counting(solution, kind, bits):
-            built.append(kind)
-            return build(solution, kind, bits)
+        def counting_dct(rows, values):
+            dcts.append(1)
+            return dct(rows, values)
 
-        monkeypatch.setattr(painleve2, "_build_table", counting)
+        def counting_anti(*args):
+            antis.append(1)
+            return anti(*args)
+
+        monkeypatch.setattr(painleve2, "_dct", counting_dct)
+        monkeypatch.setattr(painleve2, "_antiderivatives", counting_anti)
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         assert ctx256.precision_bits == sol.precision_bits
+        k = len(sol._elem_q)
         sol.q_at(-3)
         sol.q_prime_at(-3)
+        sol.q_prime_at(4)
         sol.q_at(2)
+        assert len(dcts) == 2 * k and not antis
         painleve2.integrate_kind(sol, "q", -3, 2, ctx256)
         painleve2.integrate_kind(sol, "q", -3, -1, ctx256)
-        assert sorted(built) == ["q", "qp"]
+        assert len(dcts) == 2 * k and len(antis) == 1
+        assert painleve2._table(sol, "qp", sol.precision_bits)._integrals is None
+
+    def test_tables_do_not_keep_their_solution_alive(self, hm_solution, ctx256):
+        # the tables live in the solution's memo dict; a table that held the
+        # solution would make a cycle, and every solution read would stay
+        # in memory until the cyclic collector ran
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        sol.q_at(0)
+        sol.q_prime_at(0)
+        for kind in ("q", "r"):
+            painleve2.integrate_kind(sol, kind, -1, 1, ctx256)
+        ref = weakref.ref(sol)
+        gc.disable()
+        try:
+            del sol
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_reads_match_a_double_precision_clenshaw(self, hm_solution):
         # each row is summed on its own grid, so q and q' keep their
@@ -619,7 +650,7 @@ class TestSpectralIntegration:
         sol = hm_solution
         bits = sol.precision_bits
         for kind in ("q", "qp", "r"):
-            rows = painleve2._table(sol, kind, bits)[0]
+            rows = painleve2._table(sol, kind, bits).rows
             for (frac, row), want in zip(rows, _mpf_dct(sol, kind, bits)):
                 got = [fixedpoint.from_grid(c, frac) for c in row]
                 bound = max(abs(c) for c in want) * mpf(2) ** -(bits + 16)
@@ -644,6 +675,92 @@ class TestSpectralIntegration:
         for kind in ("q_reg", "r_reg"):
             with pytest.raises(ValueError):
                 painleve2.integrate_kind(hm_solution, kind, -2, 0, ctx256)
+
+
+def _enc(v):
+    """v as to_json stores it: [sign, hex mantissa, exponent, bit count]."""
+    sign, man, exp, bc = v._mpf_
+    return [sign, hex(int(man)), exp, bc]
+
+
+class TestReadWindow:
+    # q and q' on [-10, 6) with step 0.01, as to_json encodes them, and
+    # integrate_kind on a few intervals: taken before the reads located x in
+    # integers, they pin every read bit for bit
+    READS_SHA256 = "fc8711f259ff67dfec08fb635dc313c867fd7c2cd35a39d0b8ae637bc45340b4"
+    INTEGRALS = {
+        ("q", -12, 8): [0, "0x9f8d20d804ac420703939cd0a2a594c45f877f65e13df0e4"
+                           "a54d0acafaf27996bdfb", -267, 272],
+        ("q", -11.3, 7.77): [0, "0x4904c461b92bc4614b0c197948e26a6212de8ccc806db2ef"
+                                "e818659b975f845acaa3", -266, 271],
+        ("q", -3, 2): [0, "0x164caa6e5983b0309e4cb5ec9fee4cc11a9e2b11c58954dd"
+                          "80d0e57b9da500aec0bf", -267, 269],
+        ("q", 0.1, 0.2): [0, "0x425a3765c2940c5d4c13128a4184265479735839069a6e94"
+                             "d5fecf2bc2bdd2f9b1", -267, 263],
+        ("r", -12, 8): [0, "0x48393b6dd9bce962529826bb58bdc54a1a23b19ad002821f"
+                           "ca34abbd45df901bda15", -263, 271],
+        ("r", -11.3, 7.77): [0, "0x78ae579da96300ed76aba7a92584521eb448169d6fc82dda"
+                                "40f2d8005d3627803c67", -264, 271],
+        ("r", -3, 2): [0, "0x2858986c2903f21be7c6c017b7aa7e788f9577dc08cee47b"
+                          "efbd2c85c484b54542b", -264, 266],
+        ("r", 0.1, 0.2): [0, "0x14fee4f9d9cd2c2e0af8020c3531a989fb62c1b50c63e756"
+                             "71f2ab366c6961241", -264, 257],
+    }
+
+    def test_reads_are_pinned(self, hm_solution):
+        xs = [(i - 1000) / 100 for i in range(1600)]
+        back = painleve2.HMSolution.from_json(hm_solution.to_json())
+        with mp.workprec(53):
+            for sol in (hm_solution, back):
+                reads = [[_enc(read(x)) for read in (sol.q_at, sol.q_prime_at)]
+                         for x in xs]
+                digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
+                assert digest == self.READS_SHA256
+
+    def test_integrals_are_pinned(self, hm_solution, ctx256):
+        back = painleve2.HMSolution.from_json(hm_solution.to_json())
+        for (kind, a, b), want in self.INTEGRALS.items():
+            assert _enc(painleve2.integrate_kind(back, kind, a, b, ctx256)) == want
+
+    def _reads(self, sol, ctx):
+        """Every read that checks the window, as a function of x."""
+        return [sol.q_at, sol.q_prime_at,
+                lambda x: painleve2.integrate_kind(sol, "q", x, sol.x_right, ctx),
+                lambda x: painleve2.integrate_kind(sol, "r", sol.x_left, x, ctx)]
+
+    def test_window_ends_are_accepted(self, hm_solution, ctx256):
+        sol = hm_solution
+        with mp.workprec(400):
+            inside = [sol.x_left + mpf(2) ** -300, sol.x_right - mpf(2) ** -300]
+        ends = [sol.x_left, sol.x_right, float(sol.x_left), float(sol.x_right)]
+        for read in self._reads(sol, ctx256):
+            for x in ends + inside:
+                read(x)
+        for kind in ("q", "r"):
+            whole = painleve2.integrate_kind(sol, kind, sol.x_left, sol.x_right, ctx256)
+            assert whole == painleve2.integrate_kind(sol, kind, -12.0, 8.0, ctx256)
+
+    def test_just_outside_the_window_raises(self, hm_solution, ctx256):
+        # a float one ulp outside lies off the ends on the grid; an mpf
+        # 2^-300 outside truncates onto them, so only the exact comparison
+        # rejects it, at any ambient precision
+        sol = hm_solution
+        with mp.workprec(400):
+            tiny = [sol.x_left - mpf(2) ** -300, sol.x_right + mpf(2) ** -300]
+        ulp = [math.nextafter(float(sol.x_left), -math.inf),
+               math.nextafter(float(sol.x_right), math.inf)]
+        for read in self._reads(sol, ctx256):
+            for x in ulp + tiny:
+                with pytest.raises(DomainError):
+                    read(x)
+
+    def test_non_finite_x_raises(self, hm_solution, ctx256):
+        sol = hm_solution
+        bad = [float("nan"), mp.nan, float("inf"), float("-inf"), mp.inf, mp.ninf]
+        for read in self._reads(sol, ctx256):
+            for x in bad:
+                with pytest.raises(DomainError):
+                    read(x)
 
 
 class TestStability:
@@ -703,6 +820,18 @@ class TestSerialization:
                             ("precision_bits", "256")):
             doc = hm_solution.to_json_dict()
             doc[name] = value
+            with pytest.raises(ValueError):
+                painleve2.HMSolution.from_json_dict(doc)
+
+    def test_malformed_value_is_rejected(self, hm_solution):
+        # each value is [sign, hex mantissa, exponent, bit count] as to_json
+        # writes it, decoded exactly, so a value that could not have been
+        # written is refused rather than read as some other number
+        for value in ([2, "0x5", -2, 3], [0, "-0x5", -2, 3], [0, "0x5", "1", 3],
+                      [0, "0x5", 1.5, 3], [0, "0x5", -2, 2], [0, "0x5", -2, "x"],
+                      [0, "zz", -2, 3], [0, "0x5", -2]):
+            doc = hm_solution.to_json_dict()
+            doc["edges"][3] = value
             with pytest.raises(ValueError):
                 painleve2.HMSolution.from_json_dict(doc)
 
