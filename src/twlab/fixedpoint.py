@@ -67,12 +67,6 @@ def to_grid(v, frac_bits: int) -> int:
     return -n if sign else n
 
 
-def exact_frac(values: Sequence) -> int:
-    """The least F >= 0 on whose grid 2^-F every value (an mpf) is
-    exact."""
-    return max([-mp.convert(v)._mpf_[2] for v in values if v] + [0])
-
-
 def from_grid(n: int, frac_bits: int, prec: int = 0) -> mpf:
     """n 2^-frac_bits as an mpf: exact when prec is 0 (as mp.ldexp(n,
     -frac_bits) is), else rounded to nearest at prec bits."""

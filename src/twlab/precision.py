@@ -12,12 +12,19 @@ most 2^-precision_bits, or the pass raises PrecisionError.  No pass is
 repeated to confirm another.  The tolerance is a separate target: it is
 read only where a truncated expansion is checked, never by a computation
 that is exact up to rounding.
+
+Every asymptotic series (the Hastings-McLeod left series, Stirling's
+series for log Gamma, the Barnes G series and the Euler-Maclaurin tail of
+zeta'(-1)) is summed by one rule, sum_to_least_term: optimal truncation,
+which stops at the least term and returns the first omitted term as the
+truncation error.  A caller that needs 2^-prec sizes the series' argument
+so that its least term lies below that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple, TypeVar
+from typing import Callable, Iterable, Tuple, TypeVar
 
 from mpmath import mp, mpf
 
@@ -80,3 +87,17 @@ def stabilize(
             f"{what}: error bound {mp.nstr(bound, 3)} at {bits} bits exceeds "
             f"2^-{ctx.precision_bits}")
     return value, bound
+
+
+def sum_to_least_term(terms: Iterable[mpf]) -> Tuple[mpf, mpf]:
+    """Sum the terms in order up to the first one that is no smaller than
+    the one before it, or smaller than 2^-mp.prec of the sum; that term is
+    left out.  Returns (sum, magnitude of the first omitted term).  The
+    terms of an asymptotic series do one or the other, so this ends."""
+    total, prev = mpf(0), mp.inf
+    for term in terms:
+        size = abs(term)
+        if size >= prev or size < mp.ldexp(abs(total), -mp.prec):
+            return total, size
+        total += term
+        prev = size

@@ -10,16 +10,22 @@ so a value with more bits than the caller's context loses none of them.
 Ai and Ai' come from their Maclaurin sums at every finite x.  The sums lose
 about 2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs, so the
 Airy values are exact to the working precision.  Ai and Ai' at many sorted
-points (the Nystrom nodes) come from airy_ai_walk: one airy_ai start at the
-largest point (memoised per point and precision), then Taylor steps down
-whose coefficients follow from Ai'' = u Ai (DLMF 9.2.1).  The walk runs on
-Python integers (airy_ai_walk_grid): the points on one grid, on which every
-step is exact, Ai and Ai' on a grid per step, and each Taylor sum stopped
-by its own terms, one floor per term.  Downward is stable because Ai is
-recessive as u grows: the Bi part of a rounding error shrinks relative to
-Ai on the way down.  log G(z) shifts z up by the recurrence G(z+1) =
-Gamma(z) G(z) until its asymptotic series reaches the working precision,
-and pays for the shift with one log Gamma(z) and a weighted sum of logs.
+points (the Nystrom nodes) come from airy_ai_walk_grid: one airy_ai start
+at the largest point (memoised per point and precision), then Taylor steps
+down whose coefficients follow from Ai'' = u Ai (DLMF 9.2.1), on Python
+integers: the points on one grid, on which every step is exact, Ai and Ai'
+on a grid per step, and each Taylor sum stopped by its own terms, one floor
+per term.  Downward is stable because Ai is recessive as u grows: the Bi
+part of a rounding error shrinks relative to Ai on the way down.
+
+log Gamma (Stirling), log G and zeta'(-1) (Euler-Maclaurin) are Bernoulli
+asymptotic series, each summed by precision.sum_to_least_term from one
+head term.  One start rule (_bernoulli_start) sizes all three to the
+precision: the argument from which the least term, about e^(-2 pi w), lies
+below 2^-prec.  log Gamma and log G shift z up to it by their recurrences,
+Gamma(z+1) = z Gamma(z) and G(z+1) = Gamma(z) G(z), and log G pays for the
+shift with one log Gamma(z) and a weighted sum of logs; zeta'(-1) cuts its
+Euler-Maclaurin sum there.
 The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward recurrence
 normalised by e^(2t) = I_0 + 2 sum I_j (no cancellation: every term is
 positive); its values reach magnitude e^(2t) while their consumers work at
@@ -29,13 +35,15 @@ O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+import operator
+from itertools import accumulate, chain, count, repeat
+from typing import Iterator, List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .fixedpoint import exact_frac, from_grid, row_to_grid, to_grid
-from .precision import round_to
+from .fixedpoint import from_grid, row_to_grid
+from .precision import round_to, sum_to_least_term
 
 _LOG2_E = 1.4426950408889634
 
@@ -44,7 +52,7 @@ _zeta_cache: dict = {}
 # "pair" -> (bits, Ai(0), Ai'(0))
 _airy_const_cache: dict = {}
 
-# (top point, working bits) -> the airy_ai start of airy_ai_walk there
+# (top point, working bits) -> the airy_ai start of airy_ai_walk_grid there
 _walk_start_cache: dict = {}
 
 
@@ -67,31 +75,35 @@ def _finite_abs(x, name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# log Gamma (Stirling series + upward recurrence)
+# Bernoulli asymptotic series: one start rule, one summation rule
 # ---------------------------------------------------------------------------
 
+def _bernoulli_start(prec: int) -> float:
+    """The argument w from which the least term of a Bernoulli asymptotic
+    series, about e^(-2 pi w), lies below 2^-prec: (prec ln 2 + 40) / (2 pi)
+    + 2, with e^-40 to spare for the powers of w that multiply it."""
+    return (prec * math.log(2) + 40) / (2 * math.pi) + 2
+
+
+def _powers(first: mpf, ratio: mpf) -> Iterator[mpf]:
+    """first, first ratio, first ratio^2, ..., each from the one before."""
+    return accumulate(repeat(ratio), operator.mul, initial=first)
+
+
 def _log_gamma_raw(z: mpf, prec: int) -> mpf:
-    """log Gamma(z) for real z > 0 at ``prec`` bits."""
+    """log Gamma(z) for real z > 0 at ``prec`` bits: Stirling's series at
+    w = z + m >= _bernoulli_start(prec), less log z + ... + log(z + m - 1).
+
+      log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2
+                     + sum_{k>=1} B_{2k} / ((2k)(2k-1) w^(2k-1))."""
     with mp.workprec(prec + 20):
         z = mpf(z)
-        # Stirling's remainder after the minimal term is ~ e^(-2*pi*w); shift
-        # until that sits below the target precision.
-        w_min = (prec * math.log(2) + 40) / (2 * math.pi) + 2
-        m = max(0, int(math.ceil(w_min - z)))
+        m = max(0, int(math.ceil(_bernoulli_start(prec) - z)))
         w = z + m
-        s = (w - mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
-        w2 = w * w
-        pw = w
-        k = 1
-        while True:
-            term = mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * pw)
-            s += term
-            if abs(term) < mp.eps * abs(s):
-                break
-            pw *= w2
-            k += 1
-            if k > 4 * prec:  # unreachable given the shift; safety stop
-                break
+        head = (w - mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
+        s, _ = sum_to_least_term(chain([head], (
+            mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * p)
+            for k, p in zip(count(1), _powers(w, w * w)))))
         for i in range(m):
             s -= mp.log(z + i)
         return s
@@ -108,37 +120,24 @@ def log_gamma(z, bits: int) -> mpf:
     return round_to(_log_gamma_raw(z, prec), bits)
 
 
-# ---------------------------------------------------------------------------
-# zeta'(-1) by Euler-Maclaurin summation (independent of Barnes G)
-# ---------------------------------------------------------------------------
-
 def _zeta_prime_minus_one_raw(prec: int) -> mpf:
     """Euler-Maclaurin evaluation of the zeta-series derivative continued to
-    s = -1.  Differentiating the standard tail expansion termwise at s = -1:
+    s = -1, cut at N = ceil(_bernoulli_start(prec)).  Differentiating the
+    standard tail expansion termwise at s = -1:
 
       zeta'(-1) = -sum_{n<N} n ln n + (N^2/2) ln N - N^2/4 - (N/2) ln N
                   + (1 + ln N)/12
                   - sum_{k>=2} B_{2k} (2k-3)! / (2k)! * N^(2-2k)
     """
     with mp.workprec(prec + 30):
-        nn = 64
-        s = mpf(0)
-        for n in range(2, nn):
-            s -= n * mp.log(n)
+        nn = int(math.ceil(_bernoulli_start(prec)))
         lognn = mp.log(nn)
         n2 = mpf(nn) * nn
-        s += n2 / 2 * lognn - n2 / 4 - mpf(nn) / 2 * lognn
-        s += (1 + lognn) / 12
-        k = 2
-        while True:
-            term = (mp.bernoulli(2 * k) * mp.factorial(2 * k - 3)
-                    / mp.factorial(2 * k)) * mpf(nn) ** (2 - 2 * k)
-            s -= term
-            if abs(term) < mp.eps * (1 + abs(s)):
-                break
-            k += 1
-            if k > prec:  # min term ~ e^(-2 pi N), far below eps for N=64
-                break
+        head = (-mp.fsum(n * mp.log(n) for n in range(2, nn))
+                + n2 / 2 * lognn - n2 / 4 - mpf(nn) / 2 * lognn + (1 + lognn) / 12)
+        s, _ = sum_to_least_term(chain([head], (
+            -mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * (2 * k - 2) * p)
+            for k, p in zip(count(2), _powers(n2, n2)))))
         return s
 
 
@@ -151,10 +150,6 @@ def zeta_prime_minus_one(bits: int) -> mpf:
     return hit
 
 
-# ---------------------------------------------------------------------------
-# log Barnes G (asymptotic series at shifted argument + downward recurrence)
-# ---------------------------------------------------------------------------
-
 def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
     """log G(y+1) for large y > 0 from the asymptotic expansion
 
@@ -165,26 +160,19 @@ def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
     with mp.workprec(prec + 20):
         zp = zeta_prime_minus_one(prec + 20)
         logy = mp.log(y)
-        s = y * y / 2 * logy - mpf(3) / 4 * y * y + y / 2 * mp.log(2 * mp.pi)
-        s += -logy / 12 + zp
         y2 = y * y
-        pw = y2
-        k = 1
-        while True:
-            term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * pw)
-            s += term
-            if abs(term) < mp.eps * abs(s):
-                break
-            pw *= y2
-            k += 1
-            if k > 4 * prec:
-                break
+        head = (y * y / 2 * logy - mpf(3) / 4 * y * y + y / 2 * mp.log(2 * mp.pi)
+                + (-logy / 12 + zp))
+        s, _ = sum_to_least_term(chain([head], (
+            mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * p)
+            for k, p in zip(count(1), _powers(y2, y2)))))
         return s
 
 
 def log_barnes_g(z, bits: int) -> mpf:
     """log G(z) for finite z > 0 to ``bits`` bits, via the large-argument
-    series after shifting with the recurrence G(z+1) = Gamma(z) G(z):
+    series at w = z + m >= _bernoulli_start(prec), shifted back with the
+    recurrence G(z+1) = Gamma(z) G(z):
 
       log G(z) = log G(z + m) - sum_(i<m) log Gamma(z + i)
                = log G(z + m) - m log Gamma(z)
@@ -198,8 +186,7 @@ def log_barnes_g(z, bits: int) -> mpf:
     if not z > 0:
         raise DomainError(f"log_barnes_g requires z > 0, got {z}")
     with mp.workprec(prec):
-        w_min = max(20.0, (prec * math.log(2) + 40) / (2 * math.pi) + 2)
-        m = max(0, int(math.ceil(w_min - z)))
+        m = max(0, int(math.ceil(_bernoulli_start(prec) - z)))
         w = z + m
         val = _log_barnes_g1p_series(w - 1, prec)
         if m:
@@ -281,18 +268,31 @@ def _shift(n: int, k: int) -> int:
 def airy_ai_walk_grid(points: Sequence[int], point_frac: int,
                       bits: int) -> List[Tuple[int, int, int]]:
     """(A, D, F) at each of the strictly ascending points p 2^-point_frac,
-    with Ai = A 2^-F and Ai' = D 2^-F: the walk of airy_ai_walk on the
-    integers it runs on, each point on the grid of the step that reached
-    it.
+    with Ai = A 2^-F and Ai' = D 2^-F, by one Taylor walk down from the
+    largest point on Python integers, each point on the grid of the step
+    that reached it.
+
+    Each step h = u_next - u < 0 sums the Taylor series of Ai about u,
+    whose scaled terms d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai
+    (DLMF 9.2.1):
+
+        d_(k+1) = (u h^2 d_(k-1) + h^3 d_(k-2)) / (k (k+1)),
+        Ai(u + h) = sum d_k,   h Ai'(u + h) = sum k d_k,
+
+    with d_0 = Ai(u), d_1 = h Ai'(u), d_(-1) = 0.  Downward is the stable
+    direction: Ai is the recessive solution as u grows, so the Bi
+    component a rounding error introduces shrinks relative to Ai on the way
+    down, and the relative error of the start is carried, not amplified.
+    Upward, Bi would swamp Ai.
 
     The start is airy_ai at the top point at w = bits + 32 bits,
     memoised per (top point, w), put on the grid 2^-F with F = w + 8 -
-    mag(max(|Ai|, |Ai'|)).  A step h = u_next - u < 0 is an exact
-    difference of the points.  It picks e = w + 8 + max(0, -mag(h)) and
-    moves Ai and Ai' onto F = e - mag(max(|Ai|, |Ai'|)), so both keep e
-    bits; the extra bits of a short step pay for the division by h that
-    gives Ai'.  u h^2 and h^3 are integer products shifted onto 2^-e, and
-    the terms d_k of airy_ai_walk's sums, on 2^-F, cost one floor each:
+    mag(max(|Ai|, |Ai'|)).  A step h is an exact difference of the points.
+    It picks e = w + 8 + max(0, -mag(h)) and moves Ai and Ai' onto F = e -
+    mag(max(|Ai|, |Ai'|)), so both keep e bits; the extra bits of a short
+    step pay for the division by h that gives Ai'.  u h^2 and h^3 are
+    integer products shifted onto 2^-e, and each term d_k, on 2^-F, costs
+    one floor:
 
         d_(k+1) = floor((u h^2 d_(k-1) + h^3 d_(k-2)) / (k (k+1))).
 
@@ -304,9 +304,9 @@ def airy_ai_walk_grid(points: Sequence[int], point_frac: int,
     is one unit of its grid per term, shift and division, plus that tail.
     """
     if not points:
-        raise DomainError("airy_ai_walk requires at least one point")
+        raise DomainError("airy_ai_walk_grid requires at least one point")
     if any(not lo < hi for lo, hi in zip(points, points[1:])):
-        raise DomainError("airy_ai_walk requires strictly ascending points")
+        raise DomainError("airy_ai_walk_grid requires strictly ascending points")
     w = bits + 32
     key = (from_grid(points[-1], point_frac), w)
     if key not in _walk_start_cache:
@@ -340,39 +340,6 @@ def airy_ai_walk_grid(points: Sequence[int], point_frac: int,
         out.append((ai, aip, f))
     out.reverse()
     return out
-
-
-def airy_ai_walk(points, bits: int) -> List[Tuple[mpf, mpf]]:
-    """(Ai(u), Ai'(u)) to ``bits`` bits at strictly ascending finite points,
-    by one Taylor walk down from the largest.
-
-    Each step h = u_next - u < 0 sums the Taylor series of Ai about u,
-    whose scaled terms d_k = Ai^(k)(u) h^k / k! follow from Ai'' = u Ai
-    (DLMF 9.2.1):
-
-        d_(k+1) = (u h^2 d_(k-1) + h^3 d_(k-2)) / (k (k+1)),
-        Ai(u + h) = sum d_k,   h Ai'(u + h) = sum k d_k,
-
-    with d_0 = Ai(u), d_1 = h Ai'(u), d_(-1) = 0.  The points go onto one
-    grid 2^-P once, the finest their (bits + 32)-bit values need, so they
-    and every step are exact.  The walk is airy_ai_walk_grid, on Python
-    integers (its docstring states the error); each value is rounded to
-    ``bits`` bits once, at the end.
-
-    Downward is the stable direction: Ai is the recessive solution as u
-    grows, so the Bi component a rounding error introduces shrinks relative
-    to Ai on the way down, and the relative error of the start is carried,
-    not amplified.  Upward, Bi would swamp Ai.
-    """
-    points = list(points)
-    for p in points:
-        _finite_abs(p, "airy_ai_walk")
-    with mp.workprec(bits + 32):
-        us = [mpf(p) for p in points]
-    frac = exact_frac(us)
-    walk = airy_ai_walk_grid([to_grid(v, frac) for v in us], frac, bits)
-    return [(from_grid(ai, f, bits), from_grid(aip, f, bits))
-            for ai, aip, f in walk]
 
 
 def airy_ai_tail_integral(x, bits: int) -> mpf:

@@ -383,11 +383,13 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     bound (error_bound) of at most 2^-ctx.precision_bits, kept to
     ctx.precision_bits + 64 bits.  Every family is a view of one plain
     Levinson-Durbin ladder (_ladder_pass), cached per (t, precision_bits)
-    for the last _LADDER_CACHE_SIZE keys used; a +- ladder to n reads the
-    plain ladder to 2n + 1.  A request beyond the cached n_cap builds the
-    larger ladder, which replaces the cached one."""
+    for the last _LADDER_CACHE_SIZE keys used; t is keyed as passed, since
+    Python's numeric equality is exact across int, float and mpf and the
+    pass reads t at its own bits, not at the ambient precision.  A +-
+    ladder to n reads the plain ladder to 2n + 1.  A request beyond the
+    cached n_cap builds the larger ladder, which replaces the cached one."""
     size = n_cap if kind == "plain" else 2 * n_cap + 1
-    key = (repr(mpf(t)), ctx.precision_bits)
+    key = (t, ctx.precision_bits)
     plain = _ladder_cache.get(key)
     if plain is None or plain.n_cap < size:
         bits = ctx.precision_bits + guard_bits(t)

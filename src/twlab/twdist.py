@@ -149,10 +149,10 @@ def _left_constants(sol: painleve2.HMSolution, consts: TailConstants,
 
 
 def _cumulative(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """U(x) for R and q, the read both representations share."""
-    x = mpf(x)
-    if not sol.x_left <= x <= sol.x_right:
-        raise DomainError(f"x={x} outside solution window")
+    """U(x) for R and q, the read both representations share.  x goes to
+    integrate_kind as the caller passes it, so no bit of it is rounded
+    away, and its window check raises DomainError outside the solution
+    window."""
     return tuple(painleve2.integrate_kind(sol, kind, sol.x_left, x, ctx)
                  for kind in ("r", "q"))
 

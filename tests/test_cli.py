@@ -52,6 +52,16 @@ class TestConstants:
         assert [r[0] for r in rows[1:]] == ["tau1", "tau2", "tau4",
                                             "f_prefactor", "e_prefactor"]
 
+    def test_beyond_512_bits(self, workdir):
+        # zeta'(-1) and the constants built on it beyond 512 bits, where the
+        # Euler-Maclaurin cutoff has to grow with the precision
+        code, text = run_cli(["constants", "--precision-bits", "600"], workdir,
+                             "constants600.json")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["zeta_prime_minus_one"].startswith("-0.16542114370045092921")
+        assert doc["tau2"]["value"].startswith("0.87237141495412750610")
+
     def test_deterministic_output(self, workdir):
         _, a = run_cli(["constants"], workdir, "c1.json")
         _, b = run_cli(["constants"], workdir, "c2.json")
@@ -105,6 +115,16 @@ class TestEvalAndTable:
         _, a = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d1.json")
         _, b = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d2.json")
         assert a == b
+
+    def test_eval_beyond_512_bits(self, workdir):
+        # the left value's constant carries zeta'(-1), so at 600 bits its
+        # check against the right value needs zeta'(-1) to 600 bits
+        code, text = run_cli(["eval", "--x", "-3", "--nodes", "500",
+                              "--precision-bits", "600"], workdir, "eval600.json")
+        assert code == 0
+        row = json.loads(text)["rows"][0]
+        assert row["representation"] == "left"
+        assert row["F"].startswith("0.28340704461839784705")
 
 
 class TestSolutionCache:

@@ -36,18 +36,6 @@ def test_to_grid_of_a_float_needs_no_mpf():
             fixedpoint.to_grid(bad, 10)
 
 
-def test_exact_frac_is_the_finest_grid_needed():
-    rng = random.Random(8)
-    values = _values(rng, 50)
-    frac = fixedpoint.exact_frac(values)
-    assert all(fixedpoint.from_grid(fixedpoint.to_grid(v, frac), frac) == v
-               for v in values)
-    assert any(fixedpoint.to_grid(v, frac - 1) != mp.ldexp(v, frac - 1)
-               for v in values)
-    assert fixedpoint.exact_frac([mpf(3), mpf(0), mpf(-8)]) == 0
-    assert fixedpoint.exact_frac([mpf("0.375")]) == 3
-
-
 def test_from_grid_exact_and_rounded():
     rng = random.Random(6)
     for _ in range(100):

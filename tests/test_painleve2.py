@@ -495,7 +495,7 @@ class TestRRoutes:
                      for lo, hi in zip(edges, edges[1:])]
             for x in (-11, -8, -4.5, -1, 0, 2.5, 6, 7.5):
                 local = painleve2.r_of(sol, x)
-                e, _ = sol._position(mpf(x), sol.precision_bits)
+                e, _ = sol._locate(mpf(x), painleve2._window(sol, sol.precision_bits))
                 quad = (_gauss_legendre(sol, q2, x, edges[e + 1])
                         + mp.fsum(whole[e + 1:]) + tail)
                 assert abs(local - quad) < 10 * mpf(ctx256.tolerance)
@@ -601,7 +601,7 @@ class TestSpectralIntegration:
             table = _mpf_dct(sol, kind, bits)
             with mp.workprec(2 * bits):
                 for x in xs:
-                    e, _ = sol._position(x, bits)
+                    e, _ = sol._locate(x, painleve2._window(sol, bits))
                     a, b = sol._edges[e], sol._edges[e + 1]
                     t = (2 * x - a - b) / (b - a)
                     b1 = b2 = mpf(0)

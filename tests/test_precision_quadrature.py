@@ -1,5 +1,6 @@
 """Precision plumbing and the Gauss-Legendre rule generator."""
 
+import ast
 import pathlib
 import re
 
@@ -74,6 +75,29 @@ class TestPrecisionContext:
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if re.search(r"PrecisionContext\((?!\))", line)]
         assert sites == []
+
+    def test_one_least_term_rule(self):
+        # every asymptotic series is summed by precision.sum_to_least_term:
+        # it is defined there alone, and every function that draws Bernoulli
+        # numbers hands its terms to it, so no loop of its own stops a series
+        src = pathlib.Path(precision.__file__).parent
+        defined, bernoulli, summed = [], set(), set()
+        for path in sorted(src.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name == "sum_to_least_term":
+                    defined.append(path.name)
+                for node in ast.walk(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name == "bernoulli":
+                        bernoulli.add(f"{path.name}:{fn.name}")
+                    elif name == "sum_to_least_term":
+                        summed.add(f"{path.name}:{fn.name}")
+        assert defined == ["precision.py"]
+        assert bernoulli and bernoulli <= summed
 
 
 class TestGaussLegendre:

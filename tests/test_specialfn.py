@@ -5,15 +5,17 @@ paths), adaptive quadrature of defining integrals, finite differences of
 defining ODEs, and closed forms.
 """
 
+import hashlib
+import json
 import math
 import random
 
 import pytest
 from mpmath import mp, mpf
 
-from twlab import fredholm_oracle, specialfn
+from twlab import checks, fixedpoint, fredholm_oracle, specialfn
 from twlab.errors import DomainError
-from twlab.precision import PrecisionContext, round_to
+from twlab.precision import PrecisionContext
 
 BITS = 256
 
@@ -100,13 +102,28 @@ class TestAiry:
             specialfn.airy_ai(float("inf"), BITS)
 
 
+def _walk(points, frac, bits):
+    """airy_ai_walk_grid at the integer points on 2^-frac, which must
+    return integers, as exact mpf pairs (Ai, Ai')."""
+    grid = specialfn.airy_ai_walk_grid(points, frac, bits)
+    assert all(isinstance(n, int) for triple in grid for n in triple)
+    return [(mp.ldexp(ai, -f), mp.ldexp(aip, -f)) for ai, aip, f in grid]
+
+
 class TestAiryWalk:
     FCTX = PrecisionContext(256, 1e-10)
+
+    @staticmethod
+    def _from_the_cut(rule):
+        """The rule's nodes and its cut on the rule's grid, as the Nystrom
+        matrix walks them."""
+        q = rule.frac_bits
+        return rule.node_grid + [fixedpoint.to_grid(rule.cut, q)], q
 
     @pytest.mark.parametrize("x", [-8, 0, 4])
     def test_nystrom_nodes_against_mpmath(self, x, airy_reference):
         rule, ref = airy_reference(x, 80, 700)
-        walk = specialfn.airy_ai_walk(rule.nodes, self.FCTX.precision_bits)
+        walk = _walk(rule.node_grid, rule.frac_bits, self.FCTX.precision_bits)
         with mp.workprec(700):
             for (ai, aip), (ref_ai, ref_aip) in zip(walk, ref):
                 assert abs(ai / ref_ai - 1) <= mpf(10) ** -74
@@ -119,8 +136,7 @@ class TestAiryWalk:
         # The reference is mp.airyai at 320 bits (2^-320 = 4.7e-97, far
         # below the 1e-74 checked), a third of the 700-bit cost at u > 4
         rule, ref = airy_reference(x, 160, 320)
-        walk = specialfn.airy_ai_walk(rule.nodes + [mpf(rule.cut)],
-                                      self.FCTX.precision_bits)
+        walk = _walk(*self._from_the_cut(rule), self.FCTX.precision_bits)
         with mp.workprec(320):
             for (ai, aip), (ref_ai, ref_aip) in zip(walk, ref):
                 assert abs(ai / ref_ai - 1) <= mpf(10) ** -74
@@ -131,39 +147,28 @@ class TestAiryWalk:
     def test_doubled_bits_agree(self, x, bits):
         # each Taylor sum stops on its own terms, so a walk at 2 bits sums
         # further and is the reference for the walk at bits
-        rule = fredholm_oracle.build_rule(x, 160, self.FCTX)
-        points = rule.nodes + [mpf(rule.cut)]
-        walk = specialfn.airy_ai_walk(points, bits)
-        ref = specialfn.airy_ai_walk(points, 2 * bits)
+        points, q = self._from_the_cut(fredholm_oracle.build_rule(x, 160, self.FCTX))
+        walk = _walk(points, q, bits)
+        ref = _walk(points, q, 2 * bits)
         with mp.workprec(2 * bits):
             for pair, ref_pair in zip(walk, ref):
                 for got, want in zip(pair, ref_pair):
                     assert abs(got / want - 1) <= mpf(2) ** -bits
 
-    def test_grid_walk_is_the_walk(self):
-        # airy_ai_walk rounds the integers of airy_ai_walk_grid, nothing more
-        rule = fredholm_oracle.build_rule(-2, 40, self.FCTX)
-        frac = rule.frac_bits
-        grid = specialfn.airy_ai_walk_grid(rule.node_grid, frac, 256)
-        walk = specialfn.airy_ai_walk(rule.nodes, 256)
-        assert all(isinstance(n, int) for triple in grid for n in triple)
-        assert walk == [round_to((mp.ldexp(ai, -f), mp.ldexp(aip, -f)), 256)
-                        for ai, aip, f in grid]
-
     @pytest.mark.parametrize("u", [-3, mpf("16.3")])
     def test_one_point_is_the_start_value(self, u):
-        bits = self.FCTX.precision_bits + 32
-        (ai, aip), = specialfn.airy_ai_walk([u], self.FCTX.precision_bits)
-        start = round_to(specialfn.airy_ai(u, bits),
-                         self.FCTX.precision_bits)
+        # the start is airy_ai at bits + 32, put on a grid with 40 more bits
+        bits = self.FCTX.precision_bits
+        (ai, aip), = _walk([fixedpoint.to_grid(u, 64)], 64, bits)
+        start = specialfn.airy_ai(u, bits + 32)
         for got, ref in zip((ai, aip), start):
-            assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - self.FCTX.precision_bits)
+            assert abs(got - ref) <= mp.ldexp(1, mp.mag(ref) - bits - 32)
 
     @pytest.mark.parametrize("points", [
-        [], [1, 0], [0, 0], [0, float("nan")], [float("-inf"), 0], [0, float("inf")]])
+        [], [1, 0], [0, 0], [0, 2, 1], [-5, -5, 3], [3, -1, -2]])
     def test_rejects_bad_points(self, points):
         with pytest.raises(DomainError):
-            specialfn.airy_ai_walk(points, self.FCTX.precision_bits)
+            specialfn.airy_ai_walk_grid(points, 8, self.FCTX.precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +334,60 @@ class TestZetaPrimeMinusOne:
         closed = mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp
         via_series = specialfn.log_barnes_g(mpf(1) / 2, BITS)
         assert abs(via_series - closed) < mpf(10) ** -40
+
+
+# ---------------------------------------------------------------------------
+# The Bernoulli series: one summation rule, one start rule
+# ---------------------------------------------------------------------------
+
+def _enc(v):
+    """v as to_json stores it: [sign, hex mantissa, exponent, bit count]."""
+    sign, man, exp, bc = v._mpf_
+    return [sign, hex(int(man)), exp, bc]
+
+
+def _digest(values):
+    return hashlib.sha256(json.dumps([_enc(v) for v in values]).encode()).hexdigest()
+
+
+class TestBernoulliSeries:
+    # log Gamma and log G at six arguments and 64..448 bits, and zeta'(-1)
+    # at 64..512 bits in steps of 32, as to_json encodes them: taken before
+    # the three series shared one summation and one start rule, they pin
+    # every value bit for bit where that code was accurate
+    ARGS = (0.1, 0.5, 2 / 3, 2.5, 7.25, 33.0)
+    LOG_GAMMA_G_SHA256 = "f046a73ce76bfee3a1dc3f15a214587d47de7f398a2f7d519045816a4abb6aa6"
+    ZETA_SHA256 = "9e8168e5e6c2eab84dc13564b391aced6f2a62414a53a02934fda8da477c8108"
+
+    def test_log_gamma_and_log_g_are_pinned(self):
+        with mp.workprec(53):
+            values = [f(z, bits) for bits in range(64, 449, 64) for z in self.ARGS
+                      for f in (specialfn.log_gamma, specialfn.log_barnes_g)]
+        assert _digest(values) == self.LOG_GAMMA_G_SHA256
+
+    def test_zeta_prime_is_pinned(self):
+        with mp.workprec(53):
+            values = [specialfn.zeta_prime_minus_one(bits) for bits in range(64, 513, 32)]
+        assert _digest(values) == self.ZETA_SHA256
+
+    @pytest.mark.parametrize("bits", [600, 1024, 2048])
+    def test_beyond_512_bits(self, bits):
+        # the start rule sizes every series to the precision, so no cutoff
+        # runs out of accuracy: zeta'(-1) against mpmath, and log G(1/2)
+        # against G(1/2) = 2^(1/24) e^(3 zeta'(-1)/2) pi^(-1/4)
+        zp = specialfn.zeta_prime_minus_one(bits)
+        half = specialfn.log_barnes_g(mpf(1) / 2, bits)
+        with mp.workprec(bits + 32):
+            ref = mp.zeta(-1, derivative=1)
+            closed = mp.log(2) / 24 + 3 * ref / 2 - mp.log(mp.pi) / 4
+            assert abs(zp / ref - 1) <= mpf(2) ** -bits
+            assert abs(half / closed - 1) <= mpf(2) ** -bits
+
+    @pytest.mark.parametrize("bits", [280, 512])
+    def test_special_function_suite_passes(self, bits):
+        # its last row is zeta'(-1) at twice the bits, 560 and 1024
+        rows = checks.special_function_suite(None, None, PrecisionContext(bits, 1e-12))
+        assert [r.name for r in rows if not r.ok] == []
 
 
 # ---------------------------------------------------------------------------

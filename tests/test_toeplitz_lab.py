@@ -246,6 +246,22 @@ class TestAdaptivePrecision:
         assert tl.get_ladder(3.0, "plain", 3, CTX) is first[2]
         assert tl.get_ladder(2.0, "plain", 3, CTX) is not first[1]
 
+    def test_ladder_cache_keys_the_exact_t(self, monkeypatch):
+        # at 53 ambient bits a t with more bits than the ambient precision
+        # gets its own ladder, the one an uncached pass gives
+        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        with mp.workprec(400):
+            t = mpf(10) + mpf(2) ** -80
+        with mp.workprec(53):
+            plain = tl.get_ladder(10.0, "plain", 6, CTX)
+            wide = tl.get_ladder(t, "plain", 6, CTX)
+        assert wide is not plain
+        assert wide.log_pivots[1] != plain.log_pivots[1]
+        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        uncached = tl.get_ladder(t, "plain", 6, CTX)
+        assert wide.log_pivots == uncached.log_pivots
+        assert wide.pi0 == uncached.pi0
+
     def test_scan_reports_precision(self):
         scan = tl.toeplitz_scan(2.0, range(1, 6), CTX)
         assert scan.precision_bits_used >= CTX.precision_bits

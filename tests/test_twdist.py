@@ -8,7 +8,31 @@ from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext
 
 
+def _enc(v):
+    """v as to_json stores it: [sign, hex mantissa, exponent, bit count]."""
+    sign, man, exp, bc = v._mpf_
+    return [sign, hex(int(man)), exp, bc]
+
+
 class TestTailConstants:
+    # as to_json encodes them, taken before log Gamma, log G and zeta'(-1)
+    # shared one summation and one start rule
+    PINNED = {
+        "tau1": [0, "0x192207f84e6cf32e7538a08f6b41189896757033097a0f973d761b51e5ee8c9b",
+                 -253, 253],
+        "tau2": [0, "0xdf53bba931770fa75bfe3a8b60fcf4c7a5abb14c7649fa564853d3dfdd43f5b7",
+                 -256, 256],
+        "tau4": [0, "0x8e2c6058b9a3cd7339953c210a8ce2ab600c9c085fb6e3012d6e79c608bf6e2d",
+                 -256, 256],
+        "f_prefactor": [0, "0x778d95187085c2f55542e33385e56e0a68bbab2e144840a5de693e922f7d99f7",
+                        -255, 255],
+        "e_prefactor": [0, "0x6ba27e656b4eb57a1cd345dcc8169fef0eb99d7a9102c58b5ae09d6d073bc14d",
+                        -255, 255],
+        "zeta_prime_minus_one": [
+            1, "0x54b21484854d02737991808dfd7a762019b2be3457fec3330847db6345f0f983",
+            -257, 255],
+    }
+
     def test_values(self, tail_constants, wp300):
         zp = tail_constants.zeta_prime_minus_one
         assert abs(tail_constants.tau2
@@ -24,6 +48,10 @@ class TestTailConstants:
         from fractions import Fraction
         assert Fraction(-11, 48) + Fraction(-35, 48) == Fraction(1, 24) - 1
         assert Fraction(-11, 48) - Fraction(-35, 48) == Fraction(1, 2)
+
+    def test_pinned(self, tail_constants):
+        assert {name: _enc(getattr(tail_constants, name))
+                for name in self.PINNED} == self.PINNED
 
 
 class TestRightRepresentation:
@@ -191,6 +219,31 @@ class TestCombinedCdf:
                 pt = twdist.tw_point(x, hm_solution, tail_constants, ctx256)
                 assert pt.E <= 1
                 assert pt.F4 - pt.F1 >= 0
+
+
+class TestArgumentPrecision:
+    """tw_point reads x as the caller passes it: at 53 ambient bits a
+    300-bit x = -2 + 2^-100 moves F and E off their values at -2 by the
+    first-order steps F R/2 h and E q/2 h (d log F/dx = R/2, d log E/dx =
+    q/2), to the O(h) of the second order."""
+
+    def test_tw_point_at_53_ambient_bits(self, hm_solution, tail_constants, ctx256):
+        with mp.workprec(300):
+            h = mpf(2) ** -100
+            x = -2 + h
+        with mp.workprec(53):
+            got = twdist.tw_point(x, hm_solution, tail_constants, ctx256)
+            at_two = twdist.tw_point(-2.0, hm_solution, tail_constants, ctx256)
+        with mp.workprec(300):
+            r = painleve2.r_of(hm_solution, -2.0)
+            q = hm_solution.q_at(-2.0)
+            assert abs((got.F - at_two.F) / (at_two.F * r / 2 * h) - 1) < mpf(10) ** -25
+            assert abs((got.E - at_two.E) / (at_two.E * q / 2 * h) - 1) < mpf(10) ** -25
+
+    @pytest.mark.parametrize("x", [-12.5, 8.5, float("nan"), float("inf")])
+    def test_outside_the_window_raises(self, x, hm_solution, tail_constants, ctx256):
+        with pytest.raises(DomainError):
+            twdist.tw_point(x, hm_solution, tail_constants, ctx256)
 
 
 class TestTotalIntegrals:
