@@ -56,6 +56,22 @@ def _num(v) -> str:
         return mp.nstr(mpf(v), _DIGITS, strip_zeros=False)
 
 
+def _bounded(v, bound) -> str:
+    """v printed only to the digits whose unit is at least ``bound``, its
+    proven absolute error bound (at most _DIGITS of them), and as 0 when it
+    has no such digit, as whenever |v| <= bound, where the bound does not
+    certify even its sign."""
+    with mp.workprec(64):
+        if abs(v) <= bound:
+            return "0"
+        digits = int(mp.floor(mp.log10(abs(v)))) - int(mp.ceil(mp.log10(bound))) + 1
+    if digits < 1:
+        return "0"
+    with mp.workprec(4096):
+        # one digit prints as "2.e-93"; drop the bare point
+        return mp.nstr(v, min(_DIGITS, digits), strip_zeros=False).replace(".e", "e")
+
+
 def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
           args: argparse.Namespace) -> None:
     """Write the result document as JSON, or the row table as CSV."""
@@ -239,8 +255,8 @@ def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
             "t": _num(scan.t),
             "q": r.q,
             "gamma": _num(r.gamma),
-            "log_kappa_sq": _num(r.log_kappa_sq),
-            "pi0": _num(r.pi0) if r.pi0 is not None else "",
+            "log_kappa_sq": _bounded(r.log_kappa_sq, scan.error_bound),
+            "pi0": _bounded(r.pi0, scan.error_bound) if r.pi0 is not None else "",
             "log_kappa_sq_airy_pred": (_num(r.log_kappa_sq_airy_pred)
                                        if r.log_kappa_sq_airy_pred is not None else ""),
             "pi0_airy_pred": (_num(r.pi0_airy_pred)
@@ -248,7 +264,8 @@ def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
             "precision_bits_used": scan.precision_bits_used,
         })
     doc = {"schema_version": SCHEMA_VERSION, "command": "toeplitz-scan",
-           "t": _num(scan.t), "precision_bits_used": scan.precision_bits_used}
+           "t": _num(scan.t), "precision_bits_used": scan.precision_bits_used,
+           "abs_error_bound": _num(scan.error_bound)}
     _emit(doc, rows, ["t", "q", "gamma", "log_kappa_sq", "pi0",
                       "log_kappa_sq_airy_pred", "pi0_airy_pred",
                       "precision_bits_used"], args)

@@ -7,9 +7,17 @@ precision it returns as ``bits``, lifts the working precision internally by
 guard bits and rounds the result back to ``bits``; none sees a tolerance.
 An argument is read at that working precision, never at the ambient mp.prec,
 so a value with more bits than the caller's context loses none of them.
-Ai and Ai' come from their Maclaurin sums at every finite x.  The sums lose
-about 2*(2/3)|x|^(3/2) nats to cancellation, which the guard absorbs, so the
-Airy values are exact to the working precision.  Ai and Ai' at many sorted
+Ai, Ai' and int_0^x Ai come from one kernel at every finite x
+(_airy_maclaurin): the two Maclaurin solutions of w'' = x w summed on
+Python integers on the grid 2^-prec, prec = _maclaurin_bits(|x|, bits),
+one floor per term and one per term of each divided sum, stopped once the
+terms fall below one unit past their peak, and combined with Ai(0) and
+Ai'(0), put on the grid once, in one exact integer sum.  Its error is a
+count of units, polynomial in |x| and the number of terms, times the
+largest term, about e^((2/3)|x|^(3/2)); for x > 0 the values are about the
+reciprocal of that.  The guard's (4/3)|x|^(3/2) log2 e bits cover the two
+exponentials and its 64 further bits the count, so the Airy values are
+exact to ``bits`` bits.  Ai and Ai' at many sorted
 points (the Nystrom nodes) come from airy_ai_walk_grid: one airy_ai start
 at the largest point (memoised per point and precision), then Taylor steps
 down whose coefficients follow from Ai'' = u Ai (DLMF 9.2.1), on Python
@@ -42,7 +50,7 @@ from typing import Iterator, List, Sequence, Tuple
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .fixedpoint import from_grid, row_to_grid
+from .fixedpoint import from_grid, row_to_grid, to_grid
 from .precision import round_to, sum_to_least_term
 
 _LOG2_E = 1.4426950408889634
@@ -92,7 +100,8 @@ def _powers(first: mpf, ratio: mpf) -> Iterator[mpf]:
 
 def _log_gamma_raw(z: mpf, prec: int) -> mpf:
     """log Gamma(z) for real z > 0 at ``prec`` bits: Stirling's series at
-    w = z + m >= _bernoulli_start(prec), less log z + ... + log(z + m - 1).
+    w = z + m >= _bernoulli_start(prec), less log(z (z + 1) ... (z + m - 1)),
+    one log of the product.
 
       log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2
                      + sum_{k>=1} B_{2k} / ((2k)(2k-1) w^(2k-1))."""
@@ -104,9 +113,7 @@ def _log_gamma_raw(z: mpf, prec: int) -> mpf:
         s, _ = sum_to_least_term(chain([head], (
             mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * p)
             for k, p in zip(count(1), _powers(w, w * w)))))
-        for i in range(m):
-            s -= mp.log(z + i)
-        return s
+        return s - mp.log(mp.fprod(z + i for i in range(m)))
 
 
 def log_gamma(z, bits: int) -> mpf:
@@ -176,10 +183,12 @@ def log_barnes_g(z, bits: int) -> mpf:
 
       log G(z) = log G(z + m) - sum_(i<m) log Gamma(z + i)
                = log G(z + m) - m log Gamma(z)
-                 - sum_(j<m-1) (m - 1 - j) log(z + j),
+                 - log prod_(j<m-1) (z + j)^(m - 1 - j),
 
-    since log Gamma(z + i) = log Gamma(z) + sum_(j<i) log(z + j).  So one
-    Stirling sum (for log Gamma(z)) serves all m shifts."""
+    since log Gamma(z + i) = log Gamma(z) + log prod_(j<i) (z + j).  So one
+    Stirling sum (for log Gamma(z)) serves all m shifts, and one log the
+    weighted product, formed as the product of the partial products
+    prod_(j<i) (z + j), i = 1 .. m - 1."""
     _finite_abs(z, "log_barnes_g")
     prec = bits + 48
     z = _argument(z, prec)
@@ -190,8 +199,8 @@ def log_barnes_g(z, bits: int) -> mpf:
         w = z + m
         val = _log_barnes_g1p_series(w - 1, prec)
         if m:
-            val -= m * _log_gamma_raw(z, prec) + mp.fsum(
-                (m - 1 - j) * mp.log(z + j) for j in range(m - 1))
+            partial = accumulate((z + j for j in range(m - 1)), operator.mul)
+            val -= m * _log_gamma_raw(z, prec) + mp.log(mp.fprod(partial))
     return round_to(val, bits)
 
 
@@ -215,36 +224,70 @@ def _airy_constants(prec: int) -> Tuple[mpf, mpf]:
     return round_to(hit[1:], prec)
 
 
-def _airy_maclaurin(x: mpf, prec: int) -> Tuple[mpf, mpf]:
-    """Ai, Ai' from the two Maclaurin solutions of w'' = x w.
+def _airy_maclaurin(x, prec: int) -> Tuple[int, int, int]:
+    """(Ai(x), Ai'(x), int_0^x Ai) on the grid 2^-(2 prec), from the two
+    Maclaurin solutions of w'' = x w summed on Python integers.
 
-    Convergent for all x; cancellation costs ~ (4/3)|x|^(3/2) nats, which the
-    caller covers with guard bits.
+    With t = x^3, f (f(0) = 1, f'(0) = 0) and g (g(0) = 0, g'(0) = 1) are
+
+        f = sum a_k,                a_k = a_(k-1) t / ((3k - 1) 3k),
+        g = x sum b_k,              b_k = b_(k-1) t / (3k (3k + 1)),
+
+    a_0 = b_0 = 1, and term by term
+
+        f' = x^2 sum a_k / (3k + 2),    int_0^x f = x sum a_k / (3k + 1),
+        g' = sum (3k + 1) b_k,          int_0^x g = x^2 sum b_k / (3k + 2).
+
+    x (read at prec bits: exact on the grid for |x| >= 1, else truncated by
+    less than a unit), t and every term live on the grid 2^-prec.  A term
+    costs one product and one floor: floor(floor(a t 2^-prec) / d) =
+    floor(a t 2^-prec / d) for a positive integer d.  Each divided sum adds
+    one more floor per term.  The sums stop at the first k past the peak,
+    where the terms halve ((3k + 2)(3k + 3) > 2 |t|), at which a_k and b_k
+    lie within one unit;
+    the omitted tails are then below two units in f and g and below
+    2 (3k + 4) units in g'.  Ai = Ai(0) f + Ai'(0) g (and likewise Ai' and
+    the integral) is one exact integer sum on 2^-(2 prec), with Ai(0) and
+    Ai'(0) put on 2^-prec once.
+
+    The error, in units 2^-prec, with N terms summed and M >= 1 the largest
+    of them: a floor is carried into the later terms in proportion to them,
+    so into a sum by at most N M units, and into g' by (3N + 1) N M; the
+    products by x and x^2 scale that by 1 + x^2; Ai(0) and Ai'(0) are off
+    by one unit each, times |f|, |g| <= N M.  So each value is off by less
+    than 3 N^3 (1 + x^2) M units.  M is about e^((2/3)|x|^(3/2)), and for
+    x > 0 the value is at least about e^(-(2/3) x^(3/2)) / (2 sqrt(pi)
+    x^(1/4)), so the guard's (4/3)|x|^(3/2) log2 e bits cover M over the
+    value and its further 64 bits the count: 2^47 of them at x = 66 (N =
+    1012 at bits = 1056), where Ai, Ai' and the tail integral measured
+    against the sums on the doubled grid are off by 2^-1120 relative.  For x < 0 the values are of size
+    |x|^(-1/4) between the zeros of Ai, and the guard is twice what M needs.
     """
-    with mp.workprec(prec):
-        x = mpf(x)
-        x3 = x ** 3
-        # f: f(0)=1, f'(0)=0;  g: g(0)=0, g'(0)=1
-        f = mpf(1)
-        fp = mpf(0)
-        g = x
-        gp = mpf(1)
-        af = mpf(1)   # term of f: af * x^(3k) handled via recurrence in value
-        ag = x        # term of g
-        k = 0
-        eps = mpf(2) ** (-prec - 10)
-        while True:
-            af = af * x3 / ((3 * k + 2) * (3 * k + 3))
-            ag = ag * x3 / ((3 * k + 3) * (3 * k + 4))
-            k += 1
-            f += af
-            g += ag
-            fp += af * (3 * k) / x if x != 0 else mpf(0)
-            gp += ag * (3 * k + 1) / x if x != 0 else mpf(0)
-            if abs(af) + abs(ag) < eps * (1 + abs(f) + abs(g)):
-                break
-        c1, c2 = _airy_constants(prec)
-        return c1 * f + c2 * g, c1 * fp + c2 * gp
+    one = 1 << prec
+    xg = to_grid(_argument(x, prec), prec)
+    x2 = xg * xg >> prec
+    t = x2 * xg >> prec
+    lim = 2 * abs(t) >> prec
+    a = b = one
+    f, fp, fi = one, one // 2, one
+    g, gp, gi = one, one, one // 2
+    k3 = 0
+    while True:
+        k3 += 3
+        a = (a * t >> prec) // ((k3 - 1) * k3)
+        b = (b * t >> prec) // (k3 * (k3 + 1))
+        f += a
+        fp += a // (k3 + 2)
+        fi += a // (k3 + 1)
+        g += b
+        gp += (k3 + 1) * b
+        gi += b // (k3 + 2)
+        if -1 <= a <= 1 and -1 <= b <= 1 and (k3 + 2) * (k3 + 3) > lim:
+            break
+    c1, c2 = (to_grid(c, prec) for c in _airy_constants(prec))
+    return (c1 * f + c2 * (xg * g >> prec),
+            c1 * (x2 * fp >> prec) + c2 * gp,
+            c1 * (xg * fi >> prec) + c2 * (x2 * gi >> prec))
 
 
 def _maclaurin_bits(ax: float, bits: int) -> int:
@@ -254,10 +297,14 @@ def _maclaurin_bits(ax: float, bits: int) -> int:
 
 
 def airy_ai(x, bits: int) -> Tuple[mpf, mpf]:
-    """(Ai(x), Ai'(x)) to ``bits`` bits, by the guarded Maclaurin sums for
-    every finite x."""
+    """(Ai(x), Ai'(x)) to ``bits`` bits for every finite x: the integer
+    Maclaurin kernel at prec = _maclaurin_bits(|x|, bits), rounded once to
+    nearest; the guard holds the kernel's error (_airy_maclaurin) far below
+    that rounding."""
     ax = _finite_abs(x, "airy_ai")
-    return round_to(_airy_maclaurin(x, _maclaurin_bits(ax, bits)), bits)
+    prec = _maclaurin_bits(ax, bits)
+    ai, aip, _ = _airy_maclaurin(x, prec)
+    return from_grid(ai, 2 * prec, bits), from_grid(aip, 2 * prec, bits)
 
 
 def _shift(n: int, k: int) -> int:
@@ -346,29 +393,16 @@ def airy_ai_tail_integral(x, bits: int) -> mpf:
     """int_x^inf Ai(s) ds = 1/3 - int_0^x Ai(s) ds.
 
     The last integral is the Maclaurin series of Ai integrated term by term,
-    convergent for every x and summed with the same guard bits as airy_ai
-    (the cancellation, now against 1/3, is the same size), so it too is
-    exact to ``bits`` bits."""
+    from the same integer kernel and with the same guard bits as airy_ai:
+    its sums are the terms of f and g divided by 3k + 1 and 3k + 2, each
+    one more floor per term, and 1/3 is floored once on the finer grid of
+    the result.  The cancellation, now against 1/3, is the same size (the
+    value is about Ai(x) / sqrt(x) for large x > 0), so it too is exact to
+    ``bits`` bits."""
     ax = _finite_abs(x, "airy_ai_tail_integral")
     prec = _maclaurin_bits(ax, bits)
-    with mp.workprec(prec):
-        x = mpf(x)
-        x3 = x ** 3
-        # int_0^x of the k-th Maclaurin terms of f and g (see _airy_maclaurin)
-        tf = x
-        tg = x * x / 2
-        sf, sg = tf, tg
-        k = 0
-        eps = mpf(2) ** (-prec - 10)
-        while abs(tf) + abs(tg) >= eps * (1 + abs(sf) + abs(sg)):
-            tf = tf * x3 * (3 * k + 1) / ((3 * k + 2) * (3 * k + 3) * (3 * k + 4))
-            tg = tg * x3 * (3 * k + 2) / ((3 * k + 3) * (3 * k + 4) * (3 * k + 5))
-            k += 1
-            sf += tf
-            sg += tg
-        c1, c2 = _airy_constants(prec)
-        tail = mpf(1) / 3 - (c1 * sf + c2 * sg)
-    return round_to(tail, bits)
+    _, _, integral = _airy_maclaurin(x, prec)
+    return from_grid((1 << 2 * prec) // 3 - integral, 2 * prec, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,8 @@ class ToeplitzScan:
     t: float
     records: List[ScanRecord]
     precision_bits_used: int
+    # the ladder's proven absolute bound on every log_kappa_sq and pi0
+    error_bound: mpf
 
 
 def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
@@ -593,7 +595,8 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
                 pi0_airy_pred=pred_pi,
             ))
     return ToeplitzScan(t=float(t), records=records,
-                        precision_bits_used=ladder.precision_bits_used)
+                        precision_bits_used=ladder.precision_bits_used,
+                        error_bound=ladder.error_bound)
 
 
 # ---------------------------------------------------------------------------

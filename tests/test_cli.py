@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 from mpmath import mpf
@@ -278,6 +279,27 @@ class TestToeplitzCommands:
         assert all(float(r[3]) < 0 for r in rows[1:])
         # one certified pass at 256 + guard_bits(3) = 256 + 18 + 64 bits
         assert {r[-1] for r in rows[1:]} == {"338"}
+
+    def test_scan_prints_no_digit_below_the_bound(self, workdir):
+        # past q = 2t, log kappa_q^2 and pi_q(0) fall below the ladder's
+        # proven absolute bound: they print as 0 there, never as a positive
+        # log kappa_q^2, and elsewhere end at a digit whose unit is at least
+        # the bound
+        code, text = run_cli(["toeplitz-scan", "--t", "1", "--qmax", "60"],
+                             workdir, "scan_t1.json")
+        assert code == 0
+        doc = json.loads(text)
+        bound = mpf(doc["abs_error_bound"])
+        assert 0 < bound <= mpf(2) ** -256
+        rows = doc["rows"]
+        assert [r["q"] for r in rows] == list(range(1, 61))
+        assert all(mpf(r["log_kappa_sq"]) <= 0 for r in rows)
+        assert rows[-1]["log_kappa_sq"] == "0"
+        for r in rows:
+            for key in ("log_kappa_sq", "pi0"):
+                if r[key] != "0":
+                    last_digit = Decimal(r[key]).as_tuple().exponent
+                    assert mpf(10) ** last_digit >= bound
 
     def test_scan_no_pi_empties_only_the_pi0_column(self, workdir):
         args = ["toeplitz-scan", "--t", "3", "--qmax", "8", "--format", "csv"]

@@ -1,5 +1,8 @@
 """Airy-kernel Fredholm determinant oracle."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -184,6 +187,19 @@ class TestDeterminant:
         v = fredholm_oracle.f2_fredholm(x, 80, PrecisionContext(256, 1e-10),
                                         verify_convergence=False)
         assert abs(v - mpf(ref)) <= mpf(10) ** -70
+
+    def test_thirteen_points_are_pinned(self):
+        # f2_fredholm at x + 0.03, x = -8..4, as to_json encodes it, taken
+        # before the Airy kernel and the Gauss-Legendre weights moved to
+        # integers: no value moved
+        with mp.workprec(53):
+            values = [fredholm_oracle.f2_fredholm(x + 0.03, 80, PrecisionContext(256, 1e-10),
+                                                  verify_convergence=False)
+                      for x in range(-8, 5)]
+        encoded = [[v._mpf_[0], hex(int(v._mpf_[1])), v._mpf_[2], v._mpf_[3]]
+                   for v in values]
+        assert hashlib.sha256(json.dumps(encoded).encode()).hexdigest() == \
+            "9ea0156011e1d253eefb70517ffabc4c7aab71ac99d2abfed4c530a535e89880"
 
     def test_monotone(self, wp300):
         vals = [fredholm_oracle.f2_fredholm(x, 40, CTX, verify_convergence=False)

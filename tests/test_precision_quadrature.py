@@ -1,6 +1,8 @@
 """Precision plumbing and the Gauss-Legendre rule generator."""
 
 import ast
+import hashlib
+import json
 import pathlib
 import re
 
@@ -140,6 +142,37 @@ class TestGaussLegendre:
             for x, w, (rx, rw) in zip(xs, ws, ref):
                 assert abs(x - rx) <= mpf(2) ** -280
                 assert abs(w / rw - 1) <= mpf(2) ** -280
+
+    # the nodes as to_json encodes them, taken before the weight was read
+    # from the recurrence that confirms the node: every node is unchanged
+    NODES_SHA256 = {
+        (20, 128): "a02be787f28fd8acfea32888778113c8fab5d5fe4dbcacd8cb3ce6f8c65a2025",
+        (36, 280): "df35c87542aee591b369bfa2c9cce559fac2d395f21aebd882f7b9e08030fff3",
+        (80, 288): "d7baf12375c18d5f634dbd0c46e8488d2fa57b99b445309494ba8a9da9fba231",
+        (96, 288): "73b67d071eca18147ba6ddd13437307dd294a599fe688320b4c34b7c96723d8d",
+    }
+
+    @pytest.mark.parametrize("n, prec", sorted(NODES_SHA256))
+    def test_nodes_are_pinned(self, n, prec):
+        xs, _ = gauss_legendre(n, prec)
+        encoded = [[v._mpf_[0], hex(int(v._mpf_[1])), v._mpf_[2], v._mpf_[3]]
+                   for v in xs]
+        digest = hashlib.sha256(json.dumps(encoded).encode()).hexdigest()
+        assert digest == self.NODES_SHA256[n, prec]
+
+    def test_no_recurrence_only_to_confirm_a_node(self, monkeypatch):
+        # three Newton steps take the float64 root past 2^-296 and a fourth
+        # confirms it; the weight comes from the recurrence of that fourth
+        legendre, calls = quadrature._legendre_on_grid, []
+
+        def counted(n, x, frac):
+            calls.append(frac)
+            return legendre(n, x, frac)
+
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "_legendre_on_grid", counted)
+        gauss_legendre(80, 288)
+        assert calls.count(288 + 24) <= 4 * 40
 
     def test_unconverged_node_raises(self, monkeypatch):
         # a seed far outside [-1, 1] leaves Newton too far from the root

@@ -95,6 +95,26 @@ class TestAiry:
             specialfn.airy_ai(x, BITS)
         assert calls == [bits[0]]
 
+    @pytest.mark.parametrize("kernel", [specialfn.airy_ai,
+                                        specialfn.airy_ai_tail_integral])
+    def test_no_mpf_work_per_maclaurin_term(self, kernel, monkeypatch):
+        # the Maclaurin sums run on integers: x = 25 sums about ten times
+        # the terms of x = 0.5, at more bits, with the same mpf operations
+        monkeypatch.setattr(specialfn, "_airy_const_cache", {})
+        specialfn.airy_ai(25, 2 * BITS)  # Ai(0), Ai'(0) at the most bits used
+        counts = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                     "__rpow__", "__neg__", "__pos__", "__abs__"):
+            def counted(*args, _op=getattr(mpf, name)):
+                counts[-1] += 1
+                return _op(*args)
+            monkeypatch.setattr(mpf, name, counted)
+        for x in (0.5, 16.35, 25):
+            counts.append(0)
+            kernel(x, BITS)
+        assert counts[0] == counts[1] == counts[2]
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             specialfn.airy_ai(float("nan"), BITS)
@@ -388,6 +408,28 @@ class TestBernoulliSeries:
         # its last row is zeta'(-1) at twice the bits, 560 and 1024
         rows = checks.special_function_suite(None, None, PrecisionContext(bits, 1e-12))
         assert [r.name for r in rows if not r.ok] == []
+
+
+class TestAiryPinned:
+    # Ai, Ai' and the tail integral as to_json encodes them, taken while the
+    # Maclaurin sums still ran in mpf: the integer kernel reproduces every
+    # value bit for bit
+    XS = (-12, -8.5, -3, -1, 0, 0.5, 2, 7, 8, 16.353285911396828, 25)
+    BITS = (64, 128, 256, 296, 320, 512)
+    AIRY_SHA256 = "6139e413b2b83e7ed94797f27d078eb39d9d52a7d1cad615b9e13738286b9f96"
+    TAIL_SHA256 = "c7381fe0317484ff7ad9933ed9ce5b084ed9c91bc7a439092488c3dd6d2769d4"
+
+    def test_airy_is_pinned(self):
+        with mp.workprec(53):
+            values = [v for x in self.XS for bits in self.BITS
+                      for v in specialfn.airy_ai(x, bits)]
+        assert _digest(values) == self.AIRY_SHA256
+
+    def test_tail_integral_is_pinned(self):
+        with mp.workprec(53):
+            values = [specialfn.airy_ai_tail_integral(x, bits)
+                      for x in self.XS for bits in self.BITS]
+        assert _digest(values) == self.TAIL_SHA256
 
 
 # ---------------------------------------------------------------------------
