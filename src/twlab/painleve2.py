@@ -38,7 +38,10 @@ lands on an end of the window, or is not finite, costs an mpf comparison.
 A point value of q or q' is then one bisection, one floor division for the
 element coordinate and one integer Clenshaw sum over the element's row; an
 integral of q or R is one such sum of the antiderivative row plus a
-cumulative edge value (integrate_kind).
+cumulative edge value, per end point (integrate_kind).  The integral from
+x_left, which both Tracy-Widom representations read, needs no sum at its
+x_left end: each table reads that end once, and cumulative_integrals
+locates x once for R and q and subtracts it from one sum per integrand.
 
 The left boundary data come from the large-negative expansion
 
@@ -755,18 +758,20 @@ def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
     DCT-I matrix that takes the values at -cos(pi j/p) to the coefficients
     of T_0..T_p, on the reads' grid 2^-F, F = bits + _READ_GUARD.  The
     entries are computed at F + 16 bits, so truncation onto the grid is
-    their one error.  Entry (n, p - j) is (-1)^n times entry (n, j) and
-    truncation toward zero is odd, so these columns determine the integer
-    matrix (_dct).  Memoised per (p, bits)."""
+    their one error.  Entry (n, j) needs cos(pi m/p), m = nj mod 2p, and
+    cos(pi (2p - m)/p) = cos(pi m/p), so p + 1 cosines serve.  Entry
+    (n, p - j) is (-1)^n times entry (n, j) and truncation toward zero is
+    odd, so these columns determine the integer matrix (_dct).  Memoised
+    per (p, bits)."""
     key = (p, bits)
     if key in _dct_cache:
         return _dct_cache[key]
     frac = bits + _READ_GUARD
     with mp.workprec(frac + 16):
-        cosines = [mp.cospi(mpf(m) / p) for m in range(2 * p)]
+        cosines = [mp.cospi(mpf(m) / p) for m in range(p + 1)]
         half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
         rows = [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p
-                                    * cosines[n * j % (2 * p)], frac)
+                                    * cosines[p - abs(p - n * j % (2 * p))], frac)
                  for j in range(p // 2 + 1)] for n in range(p + 1)]
     return _dct_cache.setdefault(key, (frac, rows))
 
@@ -826,7 +831,10 @@ class _Table:
     The antiderivative rows and cum, the integral from x_left to every
     edge, are built on the first call of ``integrals`` from the same exact
     DCT coefficients (_antiderivatives), so a table only read for point
-    values, as q' is, never forms them."""
+    values, as q' is, never forms them.  The same call reads the x_left end
+    once (left_end, by ``upto`` at bits + REPORT_GUARD, the precision of
+    every integral at ``bits``), so a cumulative read sums one row per
+    integrand and subtracts that constant."""
 
     def __init__(self, solution: HMSolution, kind: str, bits: int):
         # the table lives in the solution's memo dict, so it keeps the
@@ -834,6 +842,7 @@ class _Table:
         # a reference cycle that only the cyclic collector frees
         self._edges, self._bits = solution._edges, bits
         self.window = _window(solution, bits)
+        self._left = solution._locate(solution.x_left, self.window)
         dct_frac, dct = _dct_on_grid(solution.p, bits)
         width = bits + REPORT_GUARD + _READ_GUARD
         values = solution._elem_q if kind == "q" else solution._elem_qp
@@ -844,14 +853,27 @@ class _Table:
             self._exact.append((frac + dct_frac, _dct(dct, f)))
         g = self.window.frac
         self.rows = [fixedpoint.regrid(c, frac, g) for frac, c in self._exact]
-        self._integrals = None
+        self._integrals = self.left_end = None
 
     def integrals(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
-        """(antiderivative rows, cum), built once (_antiderivatives)."""
+        """(antiderivative rows, cum), built once (_antiderivatives), with
+        left_end, the read at x_left."""
         if self._integrals is None:
             self._integrals = _antiderivatives(self._edges, self._exact, self._bits)
             self._exact = None
+            with mp.workprec(self._bits + REPORT_GUARD):
+                self.left_end = self.upto(*self._left)
         return self._integrals
+
+    def upto(self, e: int, t: int) -> mpf:
+        """The integral from edges[0] to the point at t in element e (as
+        HMSolution._locate gives them), rounded to the ambient precision:
+        cum[e] plus one Clenshaw sum of the element's antiderivative row.
+        The antiderivatives must be built (integrals)."""
+        antis, cum = self._integrals
+        frac, row = antis[e]
+        return cum[e] + fixedpoint.from_grid(
+            fixedpoint.clenshaw(row, t, self.window.frac), frac)
 
 
 def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
@@ -903,16 +925,27 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
     (ea, ta), (eb, tb) = (solution._locate(x, table.window) for x in (a, b))
     if not a <= b:
         raise DomainError("integration bounds must satisfy a <= b")
-    antis, cum = table.integrals()
-
-    def upto(e: int, t: int) -> mpf:
-        # integral from x_left to the point at t in element e
-        frac, row = antis[e]
-        return cum[e] + fixedpoint.from_grid(
-            fixedpoint.clenshaw(row, t, table.window.frac), frac)
-
+    table.integrals()
     with ctx.workprec():
-        return upto(eb, tb) - upto(ea, ta)
+        return table.upto(eb, tb) - table.upto(ea, ta)
+
+
+def cumulative_integrals(solution: HMSolution, x,
+                         ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """(int_{x_left}^x R, int_{x_left}^x q), the read both Tracy-Widom
+    representations share, bit for bit integrate_kind from solution.x_left
+    to x for each: the two tables share one window, so x is located once,
+    as the caller passes it (no bit of it is rounded away), and each
+    integrand costs one Clenshaw sum less its table's left_end.  Raises
+    DomainError outside the solution window."""
+    x = mp.convert(x)
+    bits = ctx.precision_bits
+    tables = (_table(solution, "r", bits), _table(solution, "q", bits))
+    e, t = solution._locate(x, tables[0].window)
+    for table in tables:
+        table.integrals()
+    with ctx.workprec():
+        return tuple(table.upto(e, t) - table.left_end for table in tables)
 
 
 # ---------------------------------------------------------------------------

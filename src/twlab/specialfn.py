@@ -208,16 +208,30 @@ def log_barnes_g(z, bits: int) -> mpf:
 # Airy Ai and Ai'
 # ---------------------------------------------------------------------------
 
+def _gamma_one_third(prec: int) -> mpf:
+    """Gamma(1/3) at ``prec`` bits from the elliptic closed form
+
+      Gamma(1/3)^3 = 2^(7/3) 3^(-1/4) pi K(sin 15 deg),
+      K(k) = pi / (2 AGM(1, sqrt(1 - k^2))),  cos 15 deg = sqrt(2 + sqrt 3) / 2
+
+    (Borwein and Zucker, IMA J. Numer. Anal. 12, 1992): one AGM, about
+    log2(prec) square roots, and a cube root."""
+    with mp.workprec(prec):
+        agm = mp.agm(1, mp.sqrt(2 + mp.sqrt(3)) / 2)
+        return mp.cbrt(mp.cbrt(16) * mp.pi ** 2 / (mp.root(3, 4) * agm))
+
+
 def _airy_constants(prec: int) -> Tuple[mpf, mpf]:
     """Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3), rounded
     to ``prec`` bits from the pair computed at the highest precision asked
-    for so far (every Maclaurin evaluation needs them).  One log Gamma
-    serves both: the reflection formula gives Gamma(1/3) Gamma(2/3) =
-    2 pi/sqrt(3), so Ai'(0) = -3^(1/6) Gamma(2/3)/(2 pi)."""
+    for so far (every Maclaurin evaluation needs them).  Both come from one
+    Gamma(1/3) (_gamma_one_third) at prec + 16 bits: the reflection formula
+    gives Gamma(2/3) = 2 pi / (sqrt 3 Gamma(1/3)), and Ai'(0) =
+    -3^(1/6) Gamma(2/3)/(2 pi)."""
     hit = _airy_const_cache.get("pair")
     if hit is None or hit[0] < prec:
-        with mp.workprec(prec):
-            gamma = mp.exp(_log_gamma_raw(mpf(2) / 3, prec))
+        with mp.workprec(prec + 16):
+            gamma = 2 * mp.pi / (mp.sqrt(3) * _gamma_one_third(prec + 16))
             ai0 = mp.power(3, mpf(-2) / 3) / gamma
             aip0 = -mp.power(3, mpf(1) / 6) * gamma / (2 * mp.pi)
         hit = _airy_const_cache["pair"] = (prec, ai0, aip0)

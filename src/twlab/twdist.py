@@ -22,7 +22,12 @@ the Airy closed forms beyond x_right); on the left K = log prefactor +
 1/2 (series tail before x_left - A(x_left)), with the regularizer integrals
 A_R(y) = |y|^3/12 + (1/8) log|y| and A_q(y) = (sqrt 2/3) |y|^(3/2); the
 series error is checked against the tolerance.  Twice K_left - K_right is
-the total-integral residual (total_integral_check).
+the total-integral residual (total_integral_check).  U(x) for R and q is
+one read (painleve2.cumulative_integrals): one locate of x and one sum per
+integrand.  So the right value is the left one times rho = exp(K_right -
+K_left), the same at every x, and tw_point checks the left value against
+the right one as F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with
+the solution per precision like the constants: no second exp per point.
 """
 
 from __future__ import annotations
@@ -130,17 +135,21 @@ def _right_constants(sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[
 
 def _left_constants(sol: painleve2.HMSolution, consts: TailConstants,
                     ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(K_R, K_q) of the left representation, kept with the solution; the
-    series error is checked against ctx.tolerance on every call."""
+    """(K_R, K_q) of the left representation, kept with the solution per
+    precision and the two prefactors they read; the series error is
+    checked against ctx.tolerance on every call."""
+    f_pref, e_pref = consts.f_prefactor, consts.e_prefactor
+
     def compute():
         with ctx.workprec():
             (tail_r, err_r), (tail_q, err_q) = (
                 painleve2.left_tail_r_regularized(sol.x_left),
                 painleve2.left_tail_q_regularized(sol.x_left))
-            return (mp.log(consts.f_prefactor) + (tail_r - regularizer_r(sol.x_left)) / 2,
-                    mp.log(consts.e_prefactor) + (tail_q - regularizer_q(sol.x_left)) / 2,
+            return (mp.log(f_pref) + (tail_r - regularizer_r(sol.x_left)) / 2,
+                    mp.log(e_pref) + (tail_q - regularizer_q(sol.x_left)) / 2,
                     max(err_r, err_q))
-    k_r, k_q, err = sol.cached(("left_constants", ctx.precision_bits, consts), compute)
+    k_r, k_q, err = sol.cached(("left_constants", ctx.precision_bits, f_pref, e_pref),
+                               compute)
     if float(err) > ctx.tolerance:
         raise PrecisionError(
             "left tail series cannot reach the requested tolerance at "
@@ -148,13 +157,18 @@ def _left_constants(sol: painleve2.HMSolution, consts: TailConstants,
     return k_r, k_q
 
 
-def _cumulative(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """U(x) for R and q, the read both representations share.  x goes to
-    integrate_kind as the caller passes it, so no bit of it is rounded
-    away, and its window check raises DomainError outside the solution
-    window."""
-    return tuple(painleve2.integrate_kind(sol, kind, sol.x_left, x, ctx)
-                 for kind in ("r", "q"))
+def _ratio_gaps(sol: painleve2.HMSolution, consts: TailConstants,
+                ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """rho - 1 for F and for E, rho = exp(K_right - K_left): the right
+    value over the left one, the same at every x since both are exp(K +
+    U/2) of one read U.  Kept with the solution per precision and the two
+    prefactors, like the constants."""
+    def compute():
+        with ctx.workprec():
+            return tuple(mp.expm1(k_r - k_l) for k_r, k_l in zip(
+                _right_constants(sol, ctx), _left_constants(sol, consts, ctx)))
+    return sol.cached(("ratio_gaps", ctx.precision_bits,
+                       consts.f_prefactor, consts.e_prefactor), compute)
 
 
 def _cdf(k: Tuple[mpf, mpf], u: Tuple[mpf, mpf], ctx: PrecisionContext) -> Tuple[mpf, mpf]:
@@ -166,7 +180,8 @@ def _cdf(k: Tuple[mpf, mpf], u: Tuple[mpf, mpf], ctx: PrecisionContext) -> Tuple
 
 def cdf_right(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(F(x), E(x)) from the integrals toward +infinity."""
-    return _cdf(_right_constants(sol, ctx), _cumulative(x, sol, ctx), ctx)
+    u = painleve2.cumulative_integrals(sol, x, ctx)
+    return _cdf(_right_constants(sol, ctx), u, ctx)
 
 
 def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
@@ -174,7 +189,7 @@ def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
     """(F(x), E(x)) from the integrals toward -infinity (x < 0)."""
     if not mpf(x) < 0:
         raise DomainError("left representation requires x < 0")
-    u = _cumulative(x, sol, ctx)
+    u = painleve2.cumulative_integrals(sol, x, ctx)
     return _cdf(_left_constants(sol, consts, ctx), u, ctx)
 
 
@@ -185,16 +200,21 @@ _AGREEMENT_TOL = 1e-8
 def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext, check: bool = True) -> TWPoint:
     """F, E and F1, F2, F4 at x: left representation below _SWITCH_POINT,
-    with check compared to the right one built from the same read."""
+    with check compared to the right one built from the same read.  The
+    right value is the left one times rho = exp(K_right - K_left) per kind,
+    so the check is F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with
+    the solution (_ratio_gaps)."""
     if mpf(x) < _SWITCH_POINT:
-        u = _cumulative(x, sol, ctx)
+        u = painleve2.cumulative_integrals(sol, x, ctx)
         f, e = _cdf(_left_constants(sol, consts, ctx), u, ctx)
         if check:
-            f2, e2 = _cdf(_right_constants(sol, ctx), u, ctx)
-            if abs(f - f2) > _AGREEMENT_TOL or abs(e - e2) > _AGREEMENT_TOL:
+            gap_f, gap_e = _ratio_gaps(sol, consts, ctx)
+            with ctx.workprec():
+                df, de = abs(f * gap_f), abs(e * gap_e)
+            if df > _AGREEMENT_TOL or de > _AGREEMENT_TOL:
                 raise InternalConsistencyError(
                     f"left/right representations disagree at x={x}: "
-                    f"dF={abs(f - f2)}, dE={abs(e - e2)}")
+                    f"dF={df}, dE={de}")
         rep = "left"
     else:
         f, e = cdf_right(x, sol, ctx)

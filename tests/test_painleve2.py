@@ -610,13 +610,40 @@ class TestSpectralIntegration:
                     want = t * b1 - b2 + table[e][0]
                     assert abs(read(x) / want - 1) <= mpf(2) ** -(bits + 20)
 
+    def test_cumulative_read_matches_integrate_kind(self, hm_solution, ctx256):
+        # one locate and one Clenshaw sum per integrand, less the x_left
+        # end each table reads once, give integrate_kind from x_left bit
+        # for bit: at x_left, at every element edge (x_right included)
+        # and at points in between, floats and mpfs
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        rng = random.Random(200)
+        span = float(sol.x_right - sol.x_left)
+        xs = [sol.x_left] + list(sol._edges)
+        xs += [float(sol.x_left) + span * rng.random() for _ in range(80)]
+        with mp.workprec(300):
+            xs += [sol.x_left + (sol.x_right - sol.x_left) * rng.random()
+                   for _ in range(200 - len(xs))]
+        assert len(xs) == 200
+        for x in xs:
+            got = painleve2.cumulative_integrals(sol, x, ctx256)
+            want = [painleve2.integrate_kind(sol, kind, sol.x_left, x, ctx256)
+                    for kind in ("r", "q")]
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+        with mp.workprec(400):
+            below = sol.x_left - mpf(2) ** -300
+        for x in (below, 8.5, float("nan")):
+            with pytest.raises(DomainError):
+                painleve2.cumulative_integrals(sol, x, ctx256)
+
     @pytest.mark.parametrize("p", [8, 16, 24, 25, 36, 48])
-    def test_dct_matrix_is_parity_symmetric(self, p):
+    def test_dct_matrix_is_parity_symmetric(self, p, monkeypatch):
         # entry (n, p - j) is (-1)^n entry (n, j) exactly, so the columns
         # _dct_on_grid keeps determine the matrix and the folded _dct gives
-        # the integers of the full product
+        # the integers of the full product; its p + 1 cosines give the
+        # integers of all 2p, since cos(pi (2p - m)/p) = cos(pi m/p)
+        monkeypatch.setattr(painleve2, "_dct_cache", {})
         rng = random.Random(p)
-        for bits in (192, 256, 512, 1024):
+        for bits in (64, 128, 192, 256, 300, 512, 600, 1024):
             full = _full_dct_on_grid(p, bits)
             for n, row in enumerate(full):
                 sign = -1 if n % 2 else 1

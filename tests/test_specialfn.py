@@ -78,22 +78,35 @@ class TestAiry:
     def test_constants_computed_once(self, monkeypatch):
         # each x below sums the Maclaurin series at fewer bits than the one
         # before, so Ai(0) and Ai'(0) are computed for x = 6 only, from one
-        # log Gamma(2/3): the reflection formula gives Gamma(1/3) from it
+        # Gamma(1/3): the reflection formula gives Gamma(2/3) from it
         xs = (6, 4, 2, 1, 0)
         bits = [specialfn._maclaurin_bits(x, BITS) for x in xs]
         assert all(a > b for a, b in zip(bits, bits[1:]))
-        raw = specialfn._log_gamma_raw
+        closed = specialfn._gamma_one_third
         calls = []
 
-        def counted(z, prec):
+        def counted(prec):
             calls.append(prec)
-            return raw(z, prec)
+            return closed(prec)
 
         monkeypatch.setattr(specialfn, "_airy_const_cache", {})
-        monkeypatch.setattr(specialfn, "_log_gamma_raw", counted)
+        monkeypatch.setattr(specialfn, "_gamma_one_third", counted)
         for x in xs:
             specialfn.airy_ai(x, BITS)
-        assert calls == [bits[0]]
+        assert calls == [bits[0] + 16]
+
+    @pytest.mark.parametrize("prec", [53, 200, 296, 427, 507, 703])
+    def test_constants_correctly_rounded(self, prec, monkeypatch):
+        # Gamma(1/3) from one AGM, at prec + 16 bits, rounds Ai(0) and
+        # Ai'(0) correctly (a Stirling log Gamma(2/3) at prec bits missed
+        # by an ulp at about half of the precisions 200, 207, ..., 1194)
+        monkeypatch.setattr(specialfn, "_airy_const_cache", {})
+        got = specialfn._airy_constants(prec)
+        with mp.workprec(2 * prec + 64):
+            want = (mp.power(3, mpf(-2) / 3) / mp.gamma(mpf(2) / 3),
+                    -mp.power(3, mpf(-1) / 3) / mp.gamma(mpf(1) / 3))
+        with mp.workprec(prec):
+            assert got == tuple(+v for v in want)
 
     @pytest.mark.parametrize("kernel", [specialfn.airy_ai,
                                         specialfn.airy_ai_tail_integral])

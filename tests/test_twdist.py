@@ -3,8 +3,8 @@
 import pytest
 from mpmath import mp, mpf
 
-from twlab import fredholm_oracle, painleve2, twdist
-from twlab.errors import DomainError, PrecisionError
+from twlab import fixedpoint, fredholm_oracle, painleve2, twdist
+from twlab.errors import DomainError, InternalConsistencyError, PrecisionError
 from twlab.precision import PrecisionContext
 
 
@@ -185,15 +185,41 @@ class TestCombinedCdf:
 
     def test_checked_point_reads_each_integrand_once(self, hm_solution, tail_constants,
                                                      ctx256, monkeypatch):
-        # the left value and the right one it is checked against share
-        # one cumulative read of R and one of q
+        # the left value and the right one it is checked against share one
+        # cumulative read: x is located once, each integrand costs one
+        # Clenshaw sum, and the right value is the left one times a ratio
+        # kept with the solution, so only the left value takes exps
         twdist.tw_point(-2, hm_solution, tail_constants, ctx256)
-        kinds = []
-        read = painleve2.integrate_kind
-        monkeypatch.setattr(painleve2, "integrate_kind",
-                            lambda sol, kind, *a: kinds.append(kind) or read(sol, kind, *a))
+        calls = []
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a: calls.append(name) or fn(*a))
+
+        counted(fixedpoint, "clenshaw")
+        counted(mp, "exp")
+        locate = painleve2.HMSolution._locate
+        monkeypatch.setattr(painleve2.HMSolution, "_locate",
+                            lambda self, *a: calls.append("_locate") or locate(self, *a))
         twdist.tw_point(-2, hm_solution, tail_constants, ctx256, check=True)
-        assert sorted(kinds) == ["q", "r"]
+        assert sorted(calls) == ["_locate", "clenshaw", "clenshaw", "exp", "exp"]
+
+    def test_check_sees_a_shifted_right_constant(self, hm_solution, tail_constants,
+                                                 ctx256, monkeypatch):
+        # the check compares F with F rho_F and E with E rho_E, rho kept
+        # with the solution: a right constant off by 1e-6 moves rho by about
+        # as much, some 1e-7 of F and E here, far past _AGREEMENT_TOL
+        fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+        for x in (-2, -3):
+            twdist.tw_point(x, fresh, tail_constants, ctx256, check=True)
+        right = twdist._right_constants
+        monkeypatch.setattr(twdist, "_right_constants", lambda sol, ctx:
+                            tuple(k + mpf("1e-6") for k in right(sol, ctx)))
+        fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+        for x in (-2, -3):
+            with pytest.raises(InternalConsistencyError):
+                twdist.tw_point(x, fresh, tail_constants, ctx256, check=True)
 
     def test_representation_switch(self, hm_solution, tail_constants, ctx256):
         assert twdist.tw_point(-1.5, hm_solution, tail_constants, ctx256).representation == "left"
