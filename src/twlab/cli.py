@@ -11,18 +11,28 @@ Commands
   toeplitz-scan   per-q kappa/pi ladder at fixed t with Airy predictions
   toeplitz-limits product-split reports (F2 side, or E side with --e-side)
 
-High-precision values are emitted as decimal strings (25 significant digits
-by default) so output is byte-identical across runs at fixed precision;
-verify prints each bound as twlab.checks writes it.
+Every command returns (doc, rows, columns) of raw values (mpf, float, int
+or str); run adds schema_version and command, and _emit prints the result
+in one pass: each mpf and float as a decimal string (25 significant digits
+by default) so output is byte-identical across runs at fixed precision.
+verify prints each bound as twlab.checks writes it, and toeplitz-scan its
+ladder values only to their proven bound (_bounded).
 The expensive boundary-value solve is cached on disk, one file per
 (solution schema version, solver version, window, nodes, precision); a file
-that does not decode is solved again and replaced.  Delete the cache
-directory to force a re-solve.
+that does not decode, or holds another window or precision, is solved
+again and replaced.  Delete the cache directory to force a re-solve.
 Exit codes: 0 success, 1 verification/precision failure, 2 invalid input.
 
-main(argv) is the entry point: run(build_parser().parse_args(argv)).  run
-and every command read the argparse namespace itself, so each option is
-declared, defaulted and documented once, in build_parser.
+main(argv) is the entry point: run(build_parser().parse_args(argv)).  The
+commands read the argparse namespace itself, so each option is declared,
+defaulted and documented once, in build_parser, and offered only where it
+is read (an option a command does not read exits 2):
+  --precision-bits, --format, --output       every command
+  --tolerance, --cache-dir, --window, --nodes
+                                             the commands that solve: eval,
+                                             table, verify, oracle-compare
+                                             and toeplitz-limits
+  --no-check                                 eval, table, oracle-compare
 """
 
 from __future__ import annotations
@@ -74,24 +84,32 @@ def _bounded(v, bound) -> str:
 
 def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
           args: argparse.Namespace) -> None:
-    """Write the result document as JSON, or the row table as CSV."""
+    """Write the result document, its rows under "rows", as JSON, or the
+    rows alone as CSV.  The one pass of text() prints every mpf and float
+    of either through _num, and None as the empty cell."""
+    def text(v):
+        if isinstance(v, dict):
+            return {k: text(w) for k, w in v.items()}
+        if isinstance(v, list):
+            return [text(w) for w in v]
+        if v is None:
+            return ""
+        return _num(v) if isinstance(v, (mpf, float)) else v
+
+    doc = text(doc if rows is None else dict(doc, rows=rows))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
+        writer.writerows(doc["rows"])
+        out = buf.getvalue()
     else:
-        if rows is not None:
-            doc = dict(doc)
-            doc["rows"] = rows
-        text = json.dumps(doc, indent=2) + "\n"
+        out = json.dumps(doc, indent=2) + "\n"
     if args.output_path:
         with open(args.output_path, "w") as fh:
-            fh.write(text)
+            fh.write(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
 
 
 def _context(args: argparse.Namespace) -> PrecisionContext:
@@ -108,16 +126,21 @@ def _cache_path(args: argparse.Namespace, ctx: PrecisionContext) -> str:
 
 def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSolution:
     """Disk-cached Hastings-McLeod solve keyed by (solution schema, solver
-    version, window, nodes, bits).  A cache file that does not decode is
-    solved again and replaced."""
+    version, window, nodes, bits).  A cache file that does not decode, or
+    holds a solve of another window or precision, is solved again and
+    replaced."""
     path = _cache_path(args, ctx)
     if os.path.exists(path):
         with open(path) as fh:
             text = fh.read()
         try:
-            return painleve2.HMSolution.from_json(text)
+            sol = painleve2.HMSolution.from_json(text)
         except (ValueError, KeyError):
             pass  # truncated, foreign or old-schema file: a cache miss
+        else:
+            if (sol.x_left, sol.x_right, sol.precision_bits) == (
+                    *args.window, ctx.precision_bits):
+                return sol
     sol = painleve2.solve_hastings_mcleod(*args.window, args.nodes, ctx)
     os.makedirs(args.cache_dir, exist_ok=True)
     tmp = path + f".tmp{os.getpid()}"
@@ -133,31 +156,20 @@ def _solved(args: argparse.Namespace):
     return ctx, _solution(args, ctx), twdist.TailConstants.compute(ctx)
 
 
-def _point_row(pt: twdist.TWPoint) -> dict:
-    return {
-        "x": _num(pt.x),
-        "F": _num(pt.F),
-        "E": _num(pt.E),
-        "F1": _num(pt.F1),
-        "F2": _num(pt.F2),
-        "F4": _num(pt.F4),
-        "representation": pt.representation,
-    }
-
-
 _POINT_COLUMNS = ["x", "F", "E", "F1", "F2", "F4", "representation"]
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _point_row(pt: twdist.TWPoint) -> dict:
+    return {column: getattr(pt, column) for column in _POINT_COLUMNS}
+
+
+def _cmd_eval(args: argparse.Namespace):
     ctx, sol, consts = _solved(args)
     pt = twdist.tw_point(args.x, sol, consts, ctx, check=args.check)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "eval",
-           "precision_bits": args.precision_bits}
+    doc = {"precision_bits": args.precision_bits}
     if args.beta is not None:
-        doc["beta"] = args.beta
-        doc["value"] = _num({1: pt.F1, 2: pt.F2, 4: pt.F4}[args.beta])
-    _emit(doc, [_point_row(pt)], _POINT_COLUMNS, args)
-    return 0
+        doc.update(beta=args.beta, value=getattr(pt, f"F{args.beta}"))
+    return doc, [_point_row(pt)], _POINT_COLUMNS
 
 
 def _x_grid(args: argparse.Namespace) -> List[mpf]:
@@ -173,123 +185,97 @@ def _x_grid(args: argparse.Namespace) -> List[mpf]:
     return [mpf(x) for x in xs if x <= args.x_max]
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace):
     xs = _x_grid(args)
     ctx, sol, consts = _solved(args)
     rows = [_point_row(twdist.tw_point(x, sol, consts, ctx, check=args.check))
             for x in xs]
-    doc = {"schema_version": SCHEMA_VERSION, "command": "table",
-           "precision_bits": args.precision_bits}
-    _emit(doc, rows, _POINT_COLUMNS, args)
-    return 0
+    return {"precision_bits": args.precision_bits}, rows, _POINT_COLUMNS
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    consts = twdist.TailConstants.compute(ctx)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "constants",
-        "precision_bits": args.precision_bits,
-        "zeta_prime_minus_one": _num(consts.zeta_prime_minus_one),
-        "tau1": {"formula": "2^(-11/48) * exp(zeta'(-1)/2)",
-                 "value": _num(consts.tau1)},
-        "tau2": {"formula": "2^(1/24) * exp(zeta'(-1))",
-                 "value": _num(consts.tau2)},
-        "tau4": {"formula": "2^(-35/48) * exp(zeta'(-1)/2)",
-                 "value": _num(consts.tau4)},
-        "f_prefactor": {"formula": "2^(1/48) * exp(zeta'(-1)/2)",
-                        "value": _num(consts.f_prefactor)},
-        "e_prefactor": {"formula": "2^(-1/4)",
-                        "value": _num(consts.e_prefactor)},
-    }
-    rows = [{"name": k, "formula": doc[k]["formula"], "value": doc[k]["value"]}
-            for k in ("tau1", "tau2", "tau4", "f_prefactor", "e_prefactor")]
-    _emit(doc, rows, ["name", "formula", "value"], args)
-    return 0
+_FORMULAS = {
+    "tau1": "2^(-11/48) * exp(zeta'(-1)/2)",
+    "tau2": "2^(1/24) * exp(zeta'(-1))",
+    "tau4": "2^(-35/48) * exp(zeta'(-1)/2)",
+    "f_prefactor": "2^(1/48) * exp(zeta'(-1)/2)",
+    "e_prefactor": "2^(-1/4)",
+}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace):
+    consts = twdist.TailConstants.compute(PrecisionContext(args.precision_bits))
+    rows = [{"name": name, "formula": formula, "value": getattr(consts, name)}
+            for name, formula in _FORMULAS.items()]
+    doc = {"precision_bits": args.precision_bits,
+           "zeta_prime_minus_one": consts.zeta_prime_minus_one,
+           **{row["name"]: {"formula": row["formula"], "value": row["value"]}
+              for row in rows}}
+    return doc, rows, ["name", "formula", "value"]
+
+
+def _cmd_verify(args: argparse.Namespace):
     ctx, sol, consts = _solved(args)
-    rows = [{"item": r.name, "measured": _num(r.measured),
+    rows = [{"item": r.name, "measured": r.measured,
              "tolerance": r.bound, "status": "pass" if r.ok else "fail"}
             for check in checks.CHECKS for r in check(sol, consts, ctx)]
     ok = all(row["status"] == "pass" for row in rows)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
-           "precision_bits": args.precision_bits,
+    doc = {"precision_bits": args.precision_bits,
            "status": "pass" if ok else "fail"}
-    _emit(doc, rows, ["item", "measured", "tolerance", "status"], args)
-    return 0 if ok else 1
+    return doc, rows, ["item", "measured", "tolerance", "status"]
 
 
-def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+def _cmd_oracle_compare(args: argparse.Namespace):
     xs = _x_grid(args)
     ctx, sol, consts = _solved(args)
     rows = []
-    mx = mpf(0)
     for x in xs:
         f2p = twdist.tw_cdf(x, 2, sol, consts, ctx, check=args.check)
         f2f = fredholm_oracle.f2_fredholm(x, args.m_quad, ctx,
                                           verify_convergence=False)
-        dev = abs(f2p - f2f)
-        mx = max(mx, dev)
-        rows.append({"x": _num(x), "f2_painleve": _num(f2p),
-                     "f2_fredholm": _num(f2f), "abs_diff": _num(dev)})
-    doc = {"schema_version": SCHEMA_VERSION, "command": "oracle-compare",
-           "precision_bits": args.precision_bits, "m_quad": args.m_quad,
-           "max_abs_diff": _num(mx)}
-    _emit(doc, rows, ["x", "f2_painleve", "f2_fredholm", "abs_diff"], args)
-    return 0
+        rows.append({"x": x, "f2_painleve": f2p, "f2_fredholm": f2f,
+                     "abs_diff": abs(f2p - f2f)})
+    doc = {"precision_bits": args.precision_bits, "m_quad": args.m_quad,
+           "max_abs_diff": max(row["abs_diff"] for row in rows)}
+    return doc, rows, ["x", "f2_painleve", "f2_fredholm", "abs_diff"]
 
 
-def _cmd_toeplitz_scan(args: argparse.Namespace) -> int:
+def _cmd_toeplitz_scan(args: argparse.Namespace):
     if not mp.isfinite(args.t):
         raise DomainError("--t must be finite")
-    ctx = _context(args)
     q_max = int(2 * args.t) + 10 if args.q_max is None else args.q_max
     scan = toeplitz_lab.toeplitz_scan(args.t, range(args.q_min, q_max + 1),
-                                      ctx, with_pi=args.with_pi)
-    rows = []
-    for r in scan.records:
-        rows.append({
-            "t": _num(scan.t),
-            "q": r.q,
-            "gamma": _num(r.gamma),
-            "log_kappa_sq": _bounded(r.log_kappa_sq, scan.error_bound),
-            "pi0": _bounded(r.pi0, scan.error_bound) if r.pi0 is not None else "",
-            "log_kappa_sq_airy_pred": (_num(r.log_kappa_sq_airy_pred)
-                                       if r.log_kappa_sq_airy_pred is not None else ""),
-            "pi0_airy_pred": (_num(r.pi0_airy_pred)
-                              if r.pi0_airy_pred is not None else ""),
-            "precision_bits_used": scan.precision_bits_used,
-        })
-    doc = {"schema_version": SCHEMA_VERSION, "command": "toeplitz-scan",
-           "t": _num(scan.t), "precision_bits_used": scan.precision_bits_used,
-           "abs_error_bound": _num(scan.error_bound)}
-    _emit(doc, rows, ["t", "q", "gamma", "log_kappa_sq", "pi0",
-                      "log_kappa_sq_airy_pred", "pi0_airy_pred",
-                      "precision_bits_used"], args)
-    return 0
+                                      PrecisionContext(args.precision_bits),
+                                      with_pi=args.with_pi)
+    rows = [{"t": scan.t, "q": r.q, "gamma": r.gamma,
+             "log_kappa_sq": _bounded(r.log_kappa_sq, scan.error_bound),
+             "pi0": None if r.pi0 is None else _bounded(r.pi0, scan.error_bound),
+             "log_kappa_sq_airy_pred": r.log_kappa_sq_airy_pred,
+             "pi0_airy_pred": r.pi0_airy_pred,
+             "precision_bits_used": scan.precision_bits_used}
+            for r in scan.records]
+    doc = {"t": scan.t, "precision_bits_used": scan.precision_bits_used,
+           "abs_error_bound": scan.error_bound}
+    return doc, rows, ["t", "q", "gamma", "log_kappa_sq", "pi0",
+                       "log_kappa_sq_airy_pred", "pi0_airy_pred",
+                       "precision_bits_used"]
 
 
 def _report_fields(rep) -> dict:
-    """A product-split report's fields in their order, integers as they are
-    and the rest through _num; the six part fields fold into "parts", each
-    part next to its large-t limit, where the first of them stands."""
+    """A product-split report's fields in their order; the six part fields
+    fold into "parts", each part next to its large-t limit, where the first
+    of them stands."""
     doc = {}
     for field in dataclasses.fields(rep):
-        value = getattr(rep, field.name)
-        if field.name.endswith(("_part", "_part_limit")):
-            if "parts" not in doc:
-                doc["parts"] = {name: {"value": _num(getattr(rep, f"{name}_part")),
-                                       "limit": _num(getattr(rep, f"{name}_part_limit"))}
-                                for name in ("exact", "airy", "painleve")}
-        else:
-            doc[field.name] = value if isinstance(value, int) else _num(value)
+        if not field.name.endswith(("_part", "_part_limit")):
+            doc[field.name] = getattr(rep, field.name)
+        elif "parts" not in doc:
+            doc["parts"] = {name: {"value": getattr(rep, f"{name}_part"),
+                                   "limit": getattr(rep, f"{name}_part_limit")}
+                            for name in ("exact", "airy", "painleve")}
     return doc
 
 
-def _cmd_toeplitz_limits(args: argparse.Namespace) -> int:
+def _cmd_toeplitz_limits(args: argparse.Namespace):
     if args.format == "csv":
         raise DomainError(f"command {args.command} has no CSV form")
     if not (mp.isfinite(args.t) and mp.isfinite(args.x)):
@@ -299,103 +285,94 @@ def _cmd_toeplitz_limits(args: argparse.Namespace) -> int:
     mode, report = (("e_side", toeplitz_lab.e_double_scaling_check) if args.e_side
                     else ("sum_parts", toeplitz_lab.sum_parts_report))
     rep = report(args.t, args.x, args.L, args.M, sol, ctx)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "toeplitz-limits",
-           "mode": mode, **_report_fields(rep)}
-    _emit(doc, None, None, args)
-    return 0
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "table": _cmd_table,
-    "constants": _cmd_constants,
-    "verify": _cmd_verify,
-    "oracle-compare": _cmd_oracle_compare,
-    "toeplitz-scan": _cmd_toeplitz_scan,
-    "toeplitz-limits": _cmd_toeplitz_limits,
-}
+    return {"mode": mode, **_report_fields(rep)}, None, None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # three nested parents: each command takes only the options it reads
+    output = argparse.ArgumentParser(add_help=False)
+    # a string default goes through type=int, so argparse rejects a
+    # malformed environment value with exit code 2
+    output.add_argument("--precision-bits", type=int,
+                        default=os.environ.get(ENV_PRECISION, "256"))
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    output.add_argument("--output", dest="output_path", default=None)
+
+    solution = argparse.ArgumentParser(add_help=False, parents=[output])
+    solution.add_argument("--tolerance", type=float,
+                          default=PrecisionContext.tolerance,
+                          help="largest left-tail series error accepted where "
+                               "F and E are read below x=-1")
+    solution.add_argument("--cache-dir",
+                          default=os.environ.get(ENV_CACHE, ".twlab_cache"))
+    solution.add_argument("--window", nargs=2, type=float, metavar=("XL", "XR"),
+                          default=(-12.0, 8.0))
+    solution.add_argument("--nodes", type=int, default=1100)
+
+    checked = argparse.ArgumentParser(add_help=False, parents=[solution])
+    checked.add_argument("--no-check", dest="check", action="store_false",
+                         help="skip the left/right cross-representation assertion")
+
     parser = argparse.ArgumentParser(
         prog="twlab",
         description="Tracy-Widom distributions via Painleve II, with "
                     "Fredholm and Toeplitz cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        # a string default goes through type=int, so argparse rejects a
-        # malformed environment value with exit code 2
-        p.add_argument("--precision-bits", type=int,
-                       default=os.environ.get(ENV_PRECISION, "256"))
-        p.add_argument("--tolerance", type=float,
-                       default=PrecisionContext.tolerance,
-                       help="largest left-tail series error accepted where F "
-                            "and E are read below x=-1: eval, table, verify, "
-                            "oracle-compare and toeplitz-limits; constants and "
-                            "toeplitz-scan compute nothing it bounds")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--cache-dir",
-                       default=os.environ.get(ENV_CACHE, ".twlab_cache"))
-        p.add_argument("--window", nargs=2, type=float, metavar=("XL", "XR"),
-                       default=(-12.0, 8.0))
-        p.add_argument("--nodes", type=int, default=1100)
-        p.add_argument("--no-check", dest="check", action="store_false",
-                       help="skip the left/right cross-representation assertion")
+    def command(name, cmd, parent, help):
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(cmd=cmd)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate one distribution point")
+    p = command("eval", _cmd_eval, checked, "evaluate one distribution point")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--beta", type=int, choices=(1, 2, 4))
-    common(p)
 
-    p = sub.add_parser("table", help="tabulate points over an x range")
+    p = command("table", _cmd_table, checked, "tabulate points over an x range")
     p.add_argument("--xmin", dest="x_min", type=float, required=True)
     p.add_argument("--xmax", dest="x_max", type=float, required=True)
     p.add_argument("--step", type=float, default=0.5)
-    common(p)
 
-    p = sub.add_parser("constants", help="tail constants")
-    common(p)
+    command("constants", _cmd_constants, output, "tail constants")
+    command("verify", _cmd_verify, solution, "print the paper's checklist")
 
-    p = sub.add_parser("verify", help="print the paper's checklist")
-    common(p)
-
-    p = sub.add_parser("oracle-compare",
-                       help="compare F2 against the Fredholm determinant")
+    p = command("oracle-compare", _cmd_oracle_compare, checked,
+                "compare F2 against the Fredholm determinant")
     p.add_argument("--xmin", dest="x_min", type=float, required=True)
     p.add_argument("--xmax", dest="x_max", type=float, required=True)
     p.add_argument("--step", type=float, default=1.0)
     p.add_argument("--m-quad", dest="m_quad", type=int, default=80)
-    common(p)
 
-    p = sub.add_parser("toeplitz-scan", help="kappa/pi ladder at fixed t")
+    p = command("toeplitz-scan", _cmd_toeplitz_scan, output,
+                "kappa/pi ladder at fixed t")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--qmin", dest="q_min", type=int, default=1)
     p.add_argument("--qmax", dest="q_max", type=int, default=None)
     p.add_argument("--no-pi", dest="with_pi", action="store_false")
-    common(p)
 
-    p = sub.add_parser("toeplitz-limits", help="product-split reports")
+    p = command("toeplitz-limits", _cmd_toeplitz_limits, solution,
+                "product-split reports")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--e-side", dest="e_side", action="store_true")
-    common(p)
 
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
     try:
-        return _COMMANDS[args.command](args)
+        doc, rows, columns = args.cmd(args)
+        _emit({"schema_version": SCHEMA_VERSION, "command": args.command, **doc},
+              rows, columns, args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PrecisionError, SolverError) as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 1
+    return 1 if doc.get("status") == "fail" else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -124,12 +124,6 @@ def _left_series() -> Iterator[Tuple[int, int]]:
         yield a[m], s[m]
 
 
-def hm_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
-    """a_0..a_order of q(x) = sqrt(-x/2) * sum a_k x^(-3k), exactly."""
-    return tuple(Fraction(a, 16 ** k)
-                 for k, (a, _) in zip(range(order + 1), _left_series()))
-
-
 def r_left_series_coefficients(order: int) -> Tuple[Fraction, ...]:
     """rho_0..rho_order of R(x) = sum rho_m x^(2-3m), exactly.  (The x^-9
     coefficient of R/(x^2/4) printed in the sources does not match this
@@ -563,7 +557,9 @@ class HMSolution:
     with one lookup, and checks and locates x in integers (_locate).
     from_json_dict decodes each stored value exactly and rejects a document
     whose arrays do not fit together or whose values could not have been
-    written by to_json_dict.
+    written by to_json_dict: edges that do not ascend strictly from x_left
+    to x_right, a ref that does not ascend strictly from -1 to 1, or fewer
+    than 64 precision bits.
 
     The library is single-threaded (mp.workprec sets the process-global
     mp.prec), so the memo dict needs no lock."""
@@ -690,8 +686,15 @@ class HMSolution:
             raise ValueError("solution arrays do not fit together: need "
                              "len(edges) = len(elem_q) + 1 = len(elem_qp) + 1 "
                              "and len(ref) entries in every row")
-        if type(doc["precision_bits"]) is not int:
-            raise ValueError("solution precision_bits is not an integer")
+        if type(doc["precision_bits"]) is not int or doc["precision_bits"] < 64:
+            raise ValueError("solution precision_bits is not an integer >= 64")
+        if not (edges[0] == x_left and edges[-1] == x_right
+                and all(a < b for a, b in zip(edges, edges[1:]))):
+            raise ValueError("solution edges do not ascend strictly from "
+                             "x_left to x_right")
+        if not (ref[0] == -1 and ref[-1] == 1
+                and all(a < b for a, b in zip(ref, ref[1:]))):
+            raise ValueError("solution ref does not ascend strictly from -1 to 1")
         return cls(
             x_left=x_left,
             x_right=x_right,

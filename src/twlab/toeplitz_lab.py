@@ -461,22 +461,6 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
     return round_to(val, ctx.precision_bits)
 
 
-def kappa_sq(q: int, t, ctx: PrecisionContext) -> mpf:
-    """log kappa_q^2 = log D_q - log D_{q+1}; always negative (the scaled
-    determinants e^(-t^2) D_n are increasing probabilities), so a value at
-    or above the ladder's error bound is inconsistent.  Far beyond 2t the
-    true value is below the bound, and the one returned is within the
-    bound of it, of either sign."""
-    if q < 0:
-        raise DomainError("q must be >= 0")
-    ladder = get_ladder(t, "plain", q + 1, ctx)
-    val = ladder.log_kappa_sq(q)
-    if not val < ladder.error_bound:
-        raise InternalConsistencyError(
-            f"kappa_{q}^2(t={t}) >= 1; determinant ladder inconsistent")
-    return round_to(val, ctx.precision_bits)
-
-
 def pi_zero(q: int, t, ctx: PrecisionContext) -> mpf:
     """Constant term pi_q(0;t) of the monic orthogonal polynomial."""
     if q < 1:
@@ -710,17 +694,21 @@ def selberg_hermite_log_closed(L: int, t, ctx: PrecisionContext) -> mpf:
             - mpf(L * L) / 2 * mp.log(t_mp) + logg, ctx.precision_bits)
 
 
-def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext,
-                                   points: int = 60) -> mpf:
+# Gauss-Legendre nodes per axis of selberg_hermite_log_quadrature
+_SELBERG_POINTS = 60
+
+
+def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext) -> mpf:
     """Direct tensor quadrature of
-    (1/L!) int exp(-t sum x_i^2) prod (x_i - x_j)^2 dx over R^L, for L <= 3.
+    (1/L!) int exp(-t sum x_i^2) prod (x_i - x_j)^2 dx over R^L, for L <= 3,
+    on _SELBERG_POINTS nodes per axis.
 
     After x = u/sqrt(t) the integrand is exp(-|u|^2) times a polynomial;
     [-8.5, 8.5]^L truncates it below 1e-31."""
     if not 1 <= L <= 3:
         raise DomainError("direct quadrature only supported for L <= 3")
     prec = ctx.precision_bits + REPORT_GUARD
-    xs, ws = gauss_legendre(points, prec)
+    xs, ws = gauss_legendre(_SELBERG_POINTS, prec)
     with mp.workprec(prec):
         t_mp = mpf(t)
         a = mpf("8.5")
@@ -731,18 +719,18 @@ def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext,
         if L == 1:
             total = mp.fsum(w * g for w, g in zip(wts, gs))
         elif L == 2:
-            for i in range(points):
-                for j in range(points):
+            for i in range(_SELBERG_POINTS):
+                for j in range(_SELBERG_POINTS):
                     d = us[i] - us[j]
                     total += wts[i] * wts[j] * gs[i] * gs[j] * d * d
         else:
-            for i in range(points):
-                for j in range(points):
+            for i in range(_SELBERG_POINTS):
+                for j in range(_SELBERG_POINTS):
                     dij = (us[i] - us[j]) ** 2
                     wij = wts[i] * wts[j] * gs[i] * gs[j]
                     if wij == 0:
                         continue
-                    for k in range(points):
+                    for k in range(_SELBERG_POINTS):
                         dt = dij * (us[i] - us[k]) ** 2 * (us[j] - us[k]) ** 2
                         total += wij * wts[k] * gs[k] * dt
         total /= mp.factorial(L)

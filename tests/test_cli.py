@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, output formats, determinism, caching,
-and exit codes."""
+the options each command takes, and exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -22,16 +23,23 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
 
 
+# the commands that read a Hastings-McLeod solution, the only ones that
+# take --cache-dir
+SOLVING = ("eval", "table", "verify", "oracle-compare", "toeplitz-limits")
+
+
 def run_cli(args, workdir, name):
     out = os.path.join(workdir, name)
-    code = cli.main(args + ["--cache-dir", os.path.join(workdir, "cache"),
-                            "--output", out])
+    cache = (["--cache-dir", os.path.join(workdir, "cache")]
+             if args[0] in SOLVING else [])
+    code = cli.main(args + cache + ["--output", out])
     text = open(out).read() if os.path.exists(out) else ""
     return code, text
 
 
 # fast solver settings shared by commands that need the BVP solution
-FAST = ["--nodes", "500", "--precision-bits", "192"]
+PRECISION = ["--precision-bits", "192"]
+FAST = ["--nodes", "500"] + PRECISION
 
 
 class TestConstants:
@@ -183,6 +191,22 @@ class TestSolutionCache:
             doc["edges"] = None
         self._rerun_over(tmp_path, self._damaged(null_edges))
 
+    def test_solve_of_another_window_is_resolved(self, tmp_path):
+        # a file that decodes but holds the (-12, 8) solve under the
+        # (-16, 10) name is a miss, not a window that refuses x = -14
+        cache = str(tmp_path / "cache")
+        ask = ["eval", "--x", "-14", "--window", "-16", "10"] + FAST
+        args = cli.build_parser().parse_args(ask + ["--cache-dir", cache])
+        ctx = cli._context(args)
+        os.makedirs(cache)
+        with open(cli._cache_path(args, ctx), "w") as fh:
+            fh.write(painleve2.solve_hastings_mcleod(-12, 8, 500, ctx).to_json())
+        out = str(tmp_path / "out.json")
+        assert cli.main(ask + ["--cache-dir", cache, "--output", out]) == 0
+        with open(cli._cache_path(args, ctx)) as fh:
+            sol = painleve2.HMSolution.from_json(fh.read())
+        assert (sol.x_left, sol.x_right) == (-16, 10)
+
     def test_solver_version_changes_the_key(self, tmp_path, monkeypatch):
         # a new solver that keeps the schema must not read the old solves
         args = cli.build_parser().parse_args(
@@ -241,6 +265,45 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["constants"])
         assert exc.value.code == 2
+
+
+class TestOptions:
+    """Each command takes only the options it reads."""
+
+    @pytest.mark.parametrize("args", [
+        ["constants", "--window", "-16", "10"],
+        ["constants", "--tolerance", "1e-9"],
+        ["toeplitz-scan", "--t", "3", "--cache-dir", "x"],
+        ["toeplitz-scan", "--t", "3", "--nodes", "500"],
+        ["verify", "--no-check"],
+        ["toeplitz-limits", "--t", "10", "--x", "-1", "--L", "3", "--M", "2",
+         "--no-check"],
+    ])
+    def test_option_a_command_does_not_read_exits_two(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_check_prints_the_same_row(self, workdir):
+        # at x = -2 the left value is checked against the right one; skipping
+        # the check changes no digit
+        _, checked = run_cli(["eval", "--x", "-2"] + FAST, workdir, "chk.json")
+        _, unchecked = run_cli(["eval", "--x", "-2", "--no-check"] + FAST,
+                               workdir, "nochk.json")
+        assert json.loads(checked)["rows"][0]["representation"] == "left"
+        assert unchecked == checked
+
+    def test_one_formatter_and_no_command_table(self):
+        # every value is printed by the one pass of _emit, and each command
+        # is paired with its subparser by set_defaults
+        with open(cli.__file__) as fh:
+            source = fh.read()
+        calls = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_num"]
+        assert len(calls) == 1
+        assert "_COMMANDS" not in source
 
 
 class TestOracleCompare:
@@ -365,14 +428,14 @@ class TestToeplitzCommands:
                    for part in doc["parts"].values())
 
     @pytest.mark.parametrize("args", [
-        ["toeplitz-scan", "--t", "inf"],
-        ["toeplitz-scan", "--t=-inf"],
-        ["toeplitz-scan", "--t", "inf", "--qmax", "3"],
-        ["toeplitz-scan", "--t", "nan"],
-        ["toeplitz-limits", "--t", "inf", "--x", "-1", "--L", "3", "--M", "3"],
+        ["toeplitz-scan", "--t", "inf"] + PRECISION,
+        ["toeplitz-scan", "--t=-inf"] + PRECISION,
+        ["toeplitz-scan", "--t", "inf", "--qmax", "3"] + PRECISION,
+        ["toeplitz-scan", "--t", "nan"] + PRECISION,
+        ["toeplitz-limits", "--t", "inf", "--x", "-1", "--L", "3", "--M", "3"] + FAST,
     ])
     def test_non_finite_t_exit_two(self, args, workdir, capsys):
-        code, _ = run_cli(args + FAST, workdir, "bad_t.json")
+        code, _ = run_cli(args, workdir, "bad_t.json")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--t" in err

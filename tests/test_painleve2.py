@@ -26,6 +26,13 @@ def _partial_sum(coeffs, x, order):
     return s
 
 
+def _hm_left_series(order):
+    """a_0..a_order of q(x) = sqrt(-x/2) * sum a_k x^(-3k), exactly, from
+    the integer recursion of painleve2._left_series."""
+    return tuple(Fraction(a, 16 ** k)
+                 for k, (a, _) in zip(range(order + 1), painleve2._left_series()))
+
+
 def _cubic_left_series(order):
     """a_0..a_order from the recursion as the painleve2 docstring first
     states it, T_m as the triple sum over i + j + k = m with every index
@@ -103,7 +110,7 @@ def _mpf_dct(sol, kind, bits):
 
 class TestLeftSeries:
     def test_q_coefficients_low_orders(self):
-        a = painleve2.hm_left_series_coefficients(2)
+        a = _hm_left_series(2)
         assert a == (Fraction(1), Fraction(1, 8), Fraction(-73, 128))
 
     def test_r_coefficients_low_orders(self):
@@ -117,7 +124,7 @@ class TestLeftSeries:
         a = _cubic_left_series(order)
         rho = [sum(a[i] * a[m - i] for i in range(m + 1)) / (2 * (2 - 3 * m))
                for m in range(order + 1)]
-        assert painleve2.hm_left_series_coefficients(order) == tuple(a)
+        assert _hm_left_series(order) == tuple(a)
         assert painleve2.r_left_series_coefficients(order) == tuple(rho)
 
     def test_boundary_value_stops_at_the_precision_floor(self):
@@ -139,12 +146,12 @@ class TestLeftSeries:
         order = 5
 
         def q(y):
-            a = painleve2.hm_left_series_coefficients(order)
+            a = _hm_left_series(order)
             return mp.sqrt(-y / 2) * _partial_sum(a, y, order)
 
         second = (q(x + h) - 2 * q(x) + q(x - h)) / (h * h)
         resid = second - 2 * q(x) ** 3 - x * q(x)
-        a_next = painleve2.hm_left_series_coefficients(order + 1)[order + 1]
+        a_next = _hm_left_series(order + 1)[order + 1]
         defect = (4 * (-x / 2) ** mpf("1.5")
                   * abs(mpf(a_next.numerator) / a_next.denominator)
                   * abs(x) ** (-3 * (order + 1)))
@@ -167,7 +174,7 @@ class TestSolver:
         # partial sums sit within a few times the first omitted term; with
         # all corrections of one sign they do not bracket, so the envelope is
         # the meaningful assertion
-        a = painleve2.hm_left_series_coefficients(4)
+        a = _hm_left_series(4)
         x = mpf(-10)
         q_ref = hm_solution.q_at(x)
         for order in (0, 1, 2, 3):
@@ -861,6 +868,28 @@ class TestSerialization:
             doc["edges"][3] = value
             with pytest.raises(ValueError):
                 painleve2.HMSolution.from_json_dict(doc)
+
+    @pytest.mark.parametrize("name, damage", [
+        # edges 10 and 11 swapped: q(-7.5) would read 1.88896, not 1.93591
+        ("edges", lambda e: e[:10] + [e[11], e[10]] + e[12:]),
+        ("edges", lambda e: [_enc(mpf(-12) + mpf(2) ** -40)] + e[1:]),
+        ("edges", lambda e: e[:-1] + [_enc(mpf(8) - mpf(2) ** -40)]),
+        # a reversed ref would put every R node at the wrong x
+        ("ref", lambda r: r[::-1]),
+        ("ref", lambda r: [_enc(-1 + mpf(2) ** -40)] + r[1:]),
+        ("ref", lambda r: r[:-1] + [_enc(1 - mpf(2) ** -40)]),
+        # at -5 bits, q(0) would read 0.3670615256, not 0.3670615515
+        ("precision_bits", lambda bits: -5),
+        ("precision_bits", lambda bits: 63),
+    ], ids=["edges_swapped", "first_edge_not_x_left", "last_edge_not_x_right",
+            "ref_reversed", "ref_not_from_minus_one", "ref_not_to_one",
+            "negative_precision", "precision_below_64"])
+    def test_value_to_json_dict_could_not_write_is_rejected(self, hm_solution,
+                                                            name, damage):
+        doc = hm_solution.to_json_dict()
+        doc[name] = damage(doc[name])
+        with pytest.raises(ValueError):
+            painleve2.HMSolution.from_json_dict(doc)
 
     def test_schema_version_guard(self, hm_solution):
         doc = hm_solution.to_json_dict()

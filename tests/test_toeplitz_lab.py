@@ -6,13 +6,25 @@ from mpmath import mp, mpf
 
 from twlab import painleve2, specialfn, toeplitz_lab as tl, twdist
 from twlab.errors import DomainError, PrecisionError
-from twlab.precision import PrecisionContext
+from twlab.precision import PrecisionContext, round_to
 
 CTX = PrecisionContext(256, 1e-22)
 
 
 def bessel_ref(j, two_t):
     return mp.besseli(j, two_t)
+
+
+def kappa_sq(q, t):
+    """log kappa_q^2 = log D_q - log D_{q+1} from the plain ladder at CTX.
+    It is always negative (the scaled determinants e^(-t^2) D_n are
+    increasing probabilities), so a value at or above the ladder's error
+    bound is inconsistent.  Far beyond 2t the true value is below the bound,
+    and the one read is within the bound of it, of either sign."""
+    ladder = tl.get_ladder(t, "plain", q + 1, CTX)
+    val = ladder.log_kappa_sq(q)
+    assert val < ladder.error_bound, f"kappa_{q}^2(t={t}) >= 1"
+    return round_to(val, CTX.precision_bits)
 
 
 @pytest.fixture()
@@ -87,19 +99,19 @@ class TestLogDet:
 
 class TestKappa:
     def test_q0(self, wp300):
-        v = tl.kappa_sq(0, 2.0, CTX)
+        v = kappa_sq(0, 2.0)
         assert abs(v + mp.log(bessel_ref(0, 4))) < mpf(10) ** -70
 
     def test_all_negative(self, wp300):
         for q in range(0, 12):
-            assert tl.kappa_sq(q, 2.0, CTX) < 0
+            assert kappa_sq(q, 2.0) < 0
 
     def test_double_scaling_toward_painleve(self, hm_solution, wp300):
         # kappa_{2t}^2 ~ 1 - R(0)/t^(1/3), sharpening as t grows
         r0 = painleve2.r_of(hm_solution, 0)
         prev = None
         for t in (10, 20, 40):
-            k = mp.exp(tl.kappa_sq(2 * t, float(t), CTX))
+            k = mp.exp(kappa_sq(2 * t, float(t)))
             pred = 1 - r0 / mpf(t) ** (mpf(1) / 3)
             gap = abs(k - pred)
             if prev is not None:
@@ -110,7 +122,7 @@ class TestKappa:
         # modest regime: correction must beat leading order
         t = 12.0
         for q in (8, 12, 16):
-            exact = -tl.kappa_sq(q - 1, t, CTX)
+            exact = -kappa_sq(q - 1, t)
             with_corr = tl.airy_log_kappa_prediction(q, t)
             leading = tl.airy_log_kappa_prediction(q, t, include_correction=False)
             assert abs(exact - with_corr) < abs(exact - leading)
@@ -126,7 +138,7 @@ class TestKappa:
     def test_far_beyond_2t_is_within_the_bound(self):
         # log kappa_80^2(t=1) is about -(1/81!)^2, far below the bound, so
         # the pass may return either sign; it is not an inconsistency
-        val = tl.kappa_sq(80, 1.0, CTX)
+        val = kappa_sq(80, 1.0)
         assert abs(val) <= tl.get_ladder(1.0, "plain", 81, CTX).error_bound
 
 
@@ -190,7 +202,7 @@ class TestPinnedLadder:
     def test_t30_values(self, wp300):
         tl.get_ladder(30.0, "plain", 71, CTX)
         for q, (log_kappa_sq, pi0) in self.PINNED.items():
-            assert abs(tl.kappa_sq(q, 30.0, CTX) - mpf(log_kappa_sq)) < mpf(10) ** -70
+            assert abs(kappa_sq(q, 30.0) - mpf(log_kappa_sq)) < mpf(10) ** -70
             assert abs(tl.pi_zero(q, 30.0, CTX) - mpf(pi0)) < mpf(10) ** -70
 
 
@@ -433,7 +445,7 @@ class TestPMFamilies:
         for cap in (10, 14, 18):
             acc = mpf(0)
             for j in range(ell, cap + 1):
-                acc += (tl.kappa_sq(2 * j + 1, t, CTX)
+                acc += (kappa_sq(2 * j + 1, t)
                         - mp.log(1 + tl.pi_zero(2 * j + 2, t, CTX)))
             gaps.append(abs(acc - lhs))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -448,7 +460,7 @@ class TestPMFamilies:
                + tl._cholesky_ladder(t, "minus_plus", ell, CTX).log_d(ell))
         acc = mpf(0)
         for j in range(ell, 27):
-            acc += (tl.kappa_sq(2 * j, t, CTX)
+            acc += (kappa_sq(2 * j, t)
                     - mp.log(1 - tl.pi_zero(2 * j + 1, t, CTX)))
         assert abs(acc - lhs) < mpf(10) ** -20
 
