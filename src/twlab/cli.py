@@ -18,9 +18,11 @@ by default) so output is byte-identical across runs at fixed precision.
 verify prints each bound as twlab.checks writes it, and toeplitz-scan its
 ladder values only to their proven bound (_bounded).
 The expensive boundary-value solve is cached on disk, one file per
-(solution schema version, solver version, window, nodes, precision); a file
-that does not decode, or holds another window or precision, is solved
-again and replaced.  Delete the cache directory to force a re-solve.
+(solution schema version, solver version, window, nodes, precision).  A
+file is read only if it decodes and holds the solve its name promises: the
+same window and precision, and the element count that
+painleve2.element_count gives for --nodes.  Any other file is solved again
+and replaced.  Delete the cache directory to force a re-solve.
 Exit codes: 0 success, 1 verification/precision failure, 2 invalid input.
 
 main(argv) is the entry point: run(build_parser().parse_args(argv)).  The
@@ -63,7 +65,10 @@ def _num(v) -> str:
     # conversion must not re-round existing high-precision values at the
     # ambient (53-bit) working precision
     with mp.workprec(4096):
-        return mp.nstr(mpf(v), _DIGITS, strip_zeros=False)
+        v = mpf(v)
+        if not v:  # nstr prints "0.0", short of _DIGITS digits
+            return "0." + "0" * (_DIGITS - 1)
+        return mp.nstr(v, _DIGITS, strip_zeros=False)
 
 
 def _bounded(v, bound) -> str:
@@ -127,8 +132,8 @@ def _cache_path(args: argparse.Namespace, ctx: PrecisionContext) -> str:
 def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSolution:
     """Disk-cached Hastings-McLeod solve keyed by (solution schema, solver
     version, window, nodes, bits).  A cache file that does not decode, or
-    holds a solve of another window or precision, is solved again and
-    replaced."""
+    holds a solve of another window, precision or element count, is solved
+    again and replaced."""
     path = _cache_path(args, ctx)
     if os.path.exists(path):
         with open(path) as fh:
@@ -138,8 +143,9 @@ def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSo
         except (ValueError, KeyError):
             pass  # truncated, foreign or old-schema file: a cache miss
         else:
-            if (sol.x_left, sol.x_right, sol.precision_bits) == (
-                    *args.window, ctx.precision_bits):
+            if (sol.x_left, sol.x_right, sol.precision_bits, sol.elements) == (
+                    *args.window, ctx.precision_bits,
+                    painleve2.element_count(args.nodes)):
                 return sol
     sol = painleve2.solve_hastings_mcleod(*args.window, args.nodes, ctx)
     os.makedirs(args.cache_dir, exist_ok=True)
@@ -232,8 +238,10 @@ def _cmd_oracle_compare(args: argparse.Namespace):
         f2p = twdist.tw_cdf(x, 2, sol, consts, ctx, check=args.check)
         f2f = fredholm_oracle.f2_fredholm(x, args.m_quad, ctx,
                                           verify_convergence=False)
+        with ctx.workprec():
+            diff = abs(f2p - f2f)
         rows.append({"x": x, "f2_painleve": f2p, "f2_fredholm": f2f,
-                     "abs_diff": abs(f2p - f2f)})
+                     "abs_diff": diff})
     doc = {"precision_bits": args.precision_bits, "m_quad": args.m_quad,
            "max_abs_diff": max(row["abs_diff"] for row in rows)}
     return doc, rows, ["x", "f2_painleve", "f2_fredholm", "abs_diff"]

@@ -11,15 +11,14 @@ interval converge spectrally).
 The path from the rule to the generators runs on Python integers
 (twlab.fixedpoint); after the Gauss-Legendre rule is read, no mpf
 operation runs per node.  build_rule maps the Gauss nodes and weights on
-the grid 2^-Q, Q = ctx.precision_bits + 48, one floor each; the mpf rule
-it returns holds the same numbers exactly.  Ai and Ai' at the nodes come
-from one specialfn.airy_ai_walk_grid down from u_cut on that grid: a
-full-precision start there (about u = 16.35 for every x <= 15, so the
-walk's memo serves every such x), then Taylor steps down the ascending
-nodes from the recurrence of Ai'' = u Ai (DLMF 9.2.1), each an exact
-difference of the nodes.  Walking down is stable because Ai is the
-recessive solution as u grows, so the relative error of the start is
-carried, not amplified.
+the grid 2^-Q, Q = ctx.precision_bits + 48, one floor each, and returns
+those integers.  Ai and Ai' at the nodes come from one
+specialfn.airy_ai_walk_grid down from u_cut on that grid: a full-precision
+start there (about u = 16.35 for every x <= 15, so the walk's memo serves
+every such x), then Taylor steps down the ascending nodes from the
+recurrence of Ai'' = u Ai (DLMF 9.2.1), each an exact difference of the
+nodes.  Walking down is stable because Ai is the recessive solution as u
+grows, so the relative error of the start is carried, not amplified.
 
 The kernel is integrable, which is what ties F2 to Painleve II: with a_i =
 sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), the symmetrized matrix
@@ -62,7 +61,7 @@ from mpmath import mp, mpf
 
 from . import specialfn
 from .errors import DomainError, InternalConsistencyError, PrecisionError
-from .fixedpoint import from_grid, to_grid
+from .fixedpoint import to_grid
 from .linalg import cauchy_schur_pivots
 from .precision import PrecisionContext, round_to
 from .quadrature import gauss_legendre
@@ -74,13 +73,9 @@ _TRUNC_AI_SQ = 1e-40
 @dataclass(frozen=True)
 class QuadratureRule:
     """Mapped Nystrom rule on (x, cut), cut the truncation point u_cut:
-    nodes ascending, weights positive.  The integers node_grid and
-    weight_grid are the same numbers times 2^frac_bits; nodes and weights
-    are their exact mpf values."""
+    the nodes (ascending) and the weights (positive) times 2^frac_bits, as
+    the integers node_grid and weight_grid."""
 
-    nodes: List[mpf]
-    weights: List[mpf]
-    size: int
     cut: float
     node_grid: List[int]
     weight_grid: List[int]
@@ -132,10 +127,8 @@ def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
         nodes.append(left + ((scale * (one + s)) << q) // (one - s))
         # w_ref half du/ds, du/ds = 2 scale / (1 - s)^2
         weights.append(((2 * scale * half * to_grid(w_ref, q)) << q) // (one - s) ** 2)
-    return QuadratureRule(nodes=[from_grid(v, q) for v in nodes],
-                          weights=[from_grid(v, q) for v in weights],
-                          size=m, cut=u_cut, node_grid=nodes,
-                          weight_grid=weights, frac_bits=q)
+    return QuadratureRule(cut=u_cut, node_grid=nodes, weight_grid=weights,
+                          frac_bits=q)
 
 
 def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> NystromGenerators:

@@ -24,24 +24,25 @@ the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
 exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
-Every read goes through one integer table per integrand (_table): each
-element's Chebyshev coefficients, from an integer DCT-I of its nodal values
-folded by the matrix's parity, every row on its own fixed-point grid
-(fixedpoint.regrid; q spans seven decades on the default window, so one
-grid for all rows would lose the relative accuracy where q is small).  R's
-nodal values are formed in integers too (_r_row).  The term-by-term
-antiderivative rows are formed from the same DCT on the first integral of
-that integrand, so q', which is never integrated, never forms them.  A
-read puts x on the reads' grid as the caller passes it (a float exactly)
-and checks the window in integers (HMSolution._locate): only an x that
-lands on an end of the window, or is not finite, costs an mpf comparison.
-A point value of q or q' is then one bisection, one floor division for the
-element coordinate and one integer Clenshaw sum over the element's row; an
-integral of q or R is one such sum of the antiderivative row plus a
-cumulative edge value, per end point (integrate_kind).  The integral from
-x_left, which both Tracy-Widom representations read, needs no sum at its
-x_left end: each table reads that end once, and cumulative_integrals
-locates x once for R and q and subtracts it from one sum per integrand.
+Every read goes through one integer table per integrand and precision
+(_Table): each element's Chebyshev coefficients, from an integer DCT-I of
+its nodal values folded by the matrix's parity, every row on its own
+fixed-point grid (fixedpoint.regrid; q spans seven decades on the default
+window, so one grid for all rows would lose the relative accuracy where q
+is small).  R's nodal values are formed in integers too (_r_row).  The
+table owns the grid its reads locate x on, and its term-by-term
+antiderivative rows, formed from the same DCT on its first integral, so
+q', which is never integrated, never forms them.  A read puts x on that
+grid as the caller passes it (a float exactly) and checks the window in
+integers (_Table.locate): only an x that lands on an end of the window,
+or is not finite, costs an mpf comparison.  A point value of q or q' is
+then one bisection, one floor division for the element coordinate and one
+integer Clenshaw sum over the element's row; an integral of q or R is one
+such sum of the antiderivative row plus a cumulative edge value, per end
+point (integrate_kind).  The integral from x_left, which both Tracy-Widom
+representations read, needs no sum at its x_left end: each table reads
+that end once, and cumulative_integrals locates x once for R and q, whose
+tables share one grid, and subtracts it from one sum per integrand.
 
 The left boundary data come from the large-negative expansion
 
@@ -82,10 +83,11 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import count
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    NamedTuple, Sequence, Tuple, TypeVar)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence,
+                    Tuple, TypeVar)
 
 from mpmath import libmp, mp, mpf
 
@@ -553,8 +555,8 @@ class HMSolution:
     Stores each element's edges and its nodal values of q and q' once.
     Everything read from them goes through the integer tables of _table,
     kept in the memo dict of ``cached`` like every other derived value: a
-    read fetches its integrand's table, the window and the element rows,
-    with one lookup, and checks and locates x in integers (_locate).
+    read fetches its integrand's table with one lookup, and the table
+    checks and locates x in integers (_Table.locate) and sums one row.
     from_json_dict decodes each stored value exactly and rejects a document
     whose arrays do not fit together or whose values could not have been
     written by to_json_dict: edges that do not ascend strictly from x_left
@@ -578,41 +580,18 @@ class HMSolution:
     def p(self) -> int:
         return len(self._ref) - 1
 
-    def _locate(self, x, window: "_Window") -> Tuple[int, int]:
-        """(e, t): the element e = [a, b] that holds x, and the coordinate
-        t = (2x - a - b) / (b - a) of x in it on the window's grid 2^-F,
-        F = bits + _READ_GUARD for a window at ``bits`` bits.  x, as the
-        caller passes it (a float is read exactly, an mpf is not rounded
-        first), and the edges are truncated onto the grid (edges of a
-        solution at ``bits`` bits lie on it exactly), and t costs one floor
-        division.
-
-        The window check runs in integers: truncation is monotone, so
-        lo < xf < hi, with lo and hi x_left and x_right truncated, proves
-        x_left < x < x_right.  Only an xf on lo or hi, or an x that is not
-        finite, is compared exactly; anything outside, nan included, raises
-        DomainError."""
-        f, lo, hi, edges = window
-        try:
-            xf = fixedpoint.to_grid(x, f)
-        except ValueError:  # inf or nan, which the exact comparison rejects
-            xf = lo
-        if not lo < xf < hi and not (lo <= xf <= hi
-                                     and self.x_left <= x <= self.x_right):
-            raise DomainError(f"x={x} outside solution window "
-                              f"[{self.x_left}, {self.x_right}]")
-        e = bisect_right(edges, xf, 1, len(edges) - 1) - 1
-        a, b = edges[e], edges[e + 1]
-        return e, ((2 * xf - a - b) << f) // (b - a)
+    @property
+    def elements(self) -> int:
+        return len(self._elem_q)
 
     def _read(self, kind: str, x) -> mpf:
         """Integer Clenshaw sum of the located element's row of the ``kind``
         table, rounded to max(mp.prec, precision_bits + REPORT_GUARD) bits."""
         bits = self.precision_bits
         table = _table(self, kind, bits)
-        e, t = self._locate(x, table.window)
+        e, t = table.locate(x)
         frac, row = table.rows[e]
-        return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, table.window.frac),
+        return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, table.frac),
                                     frac, max(mp.prec, bits + REPORT_GUARD))
 
     def cached(self, key, compute: Callable[[], T]) -> T:
@@ -635,9 +614,6 @@ class HMSolution:
             sign, man, exp, bc = v._mpf_
             return [sign, hex(int(man)), exp, bc]
 
-        def enc_list(vs):
-            return [enc(v) for v in vs]
-
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "hastings_mcleod_solution",
@@ -645,10 +621,10 @@ class HMSolution:
             "x_left": enc(self.x_left),
             "x_right": enc(self.x_right),
             "residual_norm": enc(self.residual_norm),
-            "edges": enc_list(self._edges),
-            "elem_q": [enc_list(row) for row in self._elem_q],
-            "elem_qp": [enc_list(row) for row in self._elem_qp],
-            "ref": enc_list(self._ref),
+            "edges": list(map(enc, self._edges)),
+            "elem_q": [list(map(enc, row)) for row in self._elem_q],
+            "elem_qp": [list(map(enc, row)) for row in self._elem_qp],
+            "ref": list(map(enc, self._ref)),
         }
 
     def to_json(self) -> str:
@@ -668,16 +644,13 @@ class HMSolution:
                 raise ValueError(f"solution document holds a malformed value {t!r}")
             return mp.make_mpf(libmp.from_man_exp(-man if sign else man, exp))
 
-        def dec_list(ts):
-            return [dec(t) for t in ts]
-
         try:
             x_left, x_right, residual_norm = (
                 dec(doc[k]) for k in ("x_left", "x_right", "residual_norm"))
-            edges = dec_list(doc["edges"])
-            elem_q = [dec_list(r) for r in doc["elem_q"]]
-            elem_qp = [dec_list(r) for r in doc["elem_qp"]]
-            ref = dec_list(doc["ref"])
+            edges = list(map(dec, doc["edges"]))
+            elem_q = [list(map(dec, r)) for r in doc["elem_q"]]
+            elem_qp = [list(map(dec, r)) for r in doc["elem_qp"]]
+            ref = list(map(dec, doc["ref"]))
         except TypeError as exc:
             raise ValueError(f"solution document holds a value of the wrong "
                              f"type: {exc}") from exc
@@ -795,88 +768,91 @@ def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
     return [dot(row, odd if n & 1 else even) for n, row in enumerate(rows)]
 
 
-class _Window(NamedTuple):
-    """The reads' grid 2^-frac of one solution at one precision, frac =
-    bits + _READ_GUARD: x_left and x_right (lo, hi) and the element edges
-    truncated onto it."""
-
-    frac: int
-    lo: int
-    hi: int
-    edges: List[int]
-
-
-def _window(solution: HMSolution, bits: int) -> _Window:
-    """The cached _Window of ``solution`` at ``bits`` bits, shared by the
-    tables of every integrand."""
-    def build():
-        f = bits + _READ_GUARD
-        return _Window(f, fixedpoint.to_grid(solution.x_left, f),
-                       fixedpoint.to_grid(solution.x_right, f),
-                       [fixedpoint.to_grid(v, f) for v in solution._edges])
-    return solution.cached(("window", bits), build)
-
-
 class _Table:
     """The degree-p interpolant of ``kind`` at ``bits`` bits, cached per
     (kind, bits) by _table: point values and integrals read the same table.
 
     Per element, the coefficients of T_0..T_p in t in [-1, 1], a row
     (F_e, integers) with bits + _READ_GUARD bits in its largest entry, which
-    a point read sums, and the window it locates x on (_Window).  The
-    coefficients are a DCT-I of the nodal values at the Lobatto points
+    a point read sums: a DCT-I of the nodal values at the Lobatto points
     (Trefethen, ATAP, ch. 3), each one exact integer dot of the matrix
     (_dct_on_grid, folded by its parity in _dct) and the element's values
     on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the largest:
     q and q' by row_to_grid of the stored values, R formed in integers
-    (_r_row).
+    (_r_row).  locate puts x on the grid 2^-frac, frac = bits + _READ_GUARD,
+    which depends on the solution and bits alone, so the tables of every
+    integrand at one precision share it.
 
-    The antiderivative rows and cum, the integral from x_left to every
-    edge, are built on the first call of ``integrals`` from the same exact
-    DCT coefficients (_antiderivatives), so a table only read for point
-    values, as q' is, never forms them.  The same call reads the x_left end
-    once (left_end, by ``upto`` at bits + REPORT_GUARD, the precision of
-    every integral at ``bits``), so a cumulative read sums one row per
-    integrand and subtracts that constant."""
+    The antiderivative rows, cum (the integral from x_left to every edge)
+    and left_end (the read at x_left, at bits + REPORT_GUARD, the precision
+    of every integral at ``bits``) are formed on first use from the same
+    exact DCT coefficients (_antiderivatives), so a table only read for
+    point values, as q' is, never forms them."""
 
     def __init__(self, solution: HMSolution, kind: str, bits: int):
         # the table lives in the solution's memo dict, so it keeps the
-        # edges it integrates over and not the solution, which would make
-        # a reference cycle that only the cyclic collector frees
+        # values it reads and not the solution, which would make a
+        # reference cycle that only the cyclic collector frees
+        self.x_left, self.x_right = solution.x_left, solution.x_right
         self._edges, self._bits = solution._edges, bits
-        self.window = _window(solution, bits)
-        self._left = solution._locate(solution.x_left, self.window)
+        f = self.frac = bits + _READ_GUARD
+        self.lo, self.hi = (fixedpoint.to_grid(v, f)
+                            for v in (self.x_left, self.x_right))
+        self.edges = [fixedpoint.to_grid(v, f) for v in solution._edges]
         dct_frac, dct = _dct_on_grid(solution.p, bits)
         width = bits + REPORT_GUARD + _READ_GUARD
         values = solution._elem_q if kind == "q" else solution._elem_qp
         self._exact = []
         for e in range(len(solution._edges) - 1):
-            frac, f = (_r_row(solution, e, width) if kind == "r"
-                       else fixedpoint.row_to_grid(values[e], width))
-            self._exact.append((frac + dct_frac, _dct(dct, f)))
-        g = self.window.frac
-        self.rows = [fixedpoint.regrid(c, frac, g) for frac, c in self._exact]
-        self._integrals = self.left_end = None
+            frac, row = (_r_row(solution, e, width) if kind == "r"
+                         else fixedpoint.row_to_grid(values[e], width))
+            self._exact.append((frac + dct_frac, _dct(dct, row)))
+        self.rows = [fixedpoint.regrid(c, frac, f) for frac, c in self._exact]
 
-    def integrals(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
-        """(antiderivative rows, cum), built once (_antiderivatives), with
-        left_end, the read at x_left."""
-        if self._integrals is None:
-            self._integrals = _antiderivatives(self._edges, self._exact, self._bits)
-            self._exact = None
-            with mp.workprec(self._bits + REPORT_GUARD):
-                self.left_end = self.upto(*self._left)
-        return self._integrals
+    def locate(self, x) -> Tuple[int, int]:
+        """(e, t): the element e = [a, b] that holds x, and the coordinate
+        t = (2x - a - b) / (b - a) of x in it on the grid 2^-frac, by one
+        floor division.  x is truncated onto the grid as the caller passes
+        it (a float is read exactly, an mpf is not rounded first); the
+        edges of a solution at the table's bits lie on it exactly.
+
+        The window check runs in integers: truncation is monotone, so
+        lo < xf < hi proves x_left < x < x_right.  Only an xf on lo or hi,
+        or an x that is not finite, is compared exactly; anything outside,
+        nan included, raises DomainError."""
+        f, lo, hi, edges = self.frac, self.lo, self.hi, self.edges
+        try:
+            xf = fixedpoint.to_grid(x, f)
+        except ValueError:  # inf or nan, which the exact comparison rejects
+            xf = lo
+        if not lo < xf < hi and not (lo <= xf <= hi
+                                     and self.x_left <= x <= self.x_right):
+            raise DomainError(f"x={x} outside solution window "
+                              f"[{self.x_left}, {self.x_right}]")
+        e = bisect_right(edges, xf, 1, len(edges) - 1) - 1
+        a, b = edges[e], edges[e + 1]
+        return e, ((2 * xf - a - b) << f) // (b - a)
+
+    @cached_property
+    def antiderivatives(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
+        """(rows, cum) of _antiderivatives; the exact coefficients go then."""
+        exact, self._exact = self._exact, None
+        return _antiderivatives(self._edges, exact, self._bits)
+
+    @cached_property
+    def left_end(self) -> mpf:
+        """The read at x_left, at bits + REPORT_GUARD."""
+        with mp.workprec(self._bits + REPORT_GUARD):
+            return self.upto(*self.locate(self.x_left))
 
     def upto(self, e: int, t: int) -> mpf:
         """The integral from edges[0] to the point at t in element e (as
-        HMSolution._locate gives them), rounded to the ambient precision:
-        cum[e] plus one Clenshaw sum of the element's antiderivative row.
-        The antiderivatives must be built (integrals)."""
-        antis, cum = self._integrals
+        locate gives them), rounded to the ambient precision: cum[e] plus
+        one Clenshaw sum of the element's antiderivative row."""
+        antis, cum = self.antiderivatives
         frac, row = antis[e]
         return cum[e] + fixedpoint.from_grid(
-            fixedpoint.clenshaw(row, t, self.window.frac), frac)
+            fixedpoint.clenshaw(row, t, self.frac), frac)
 
 
 def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
@@ -919,16 +895,15 @@ _KINDS = ("q", "r")
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
     """Integral over [a, b] of q or R from the cached element
-    antiderivatives: one integer locate (HMSolution._locate) and one
-    Clenshaw sum per end point."""
+    antiderivatives: one integer locate (_Table.locate) and one Clenshaw
+    sum per end point."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     a, b = mp.convert(a), mp.convert(b)
     table = _table(solution, kind, ctx.precision_bits)
-    (ea, ta), (eb, tb) = (solution._locate(x, table.window) for x in (a, b))
+    (ea, ta), (eb, tb) = (table.locate(x) for x in (a, b))
     if not a <= b:
         raise DomainError("integration bounds must satisfy a <= b")
-    table.integrals()
     with ctx.workprec():
         return table.upto(eb, tb) - table.upto(ea, ta)
 
@@ -937,16 +912,15 @@ def cumulative_integrals(solution: HMSolution, x,
                          ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(int_{x_left}^x R, int_{x_left}^x q), the read both Tracy-Widom
     representations share, bit for bit integrate_kind from solution.x_left
-    to x for each: the two tables share one window, so x is located once,
-    as the caller passes it (no bit of it is rounded away), and each
-    integrand costs one Clenshaw sum less its table's left_end.  Raises
-    DomainError outside the solution window."""
+    to x for each.  The R and q tables at one precision have the same grid
+    (_Table), so x is located once, on the R table, as the caller passes it
+    (no bit of it is rounded away), and each integrand costs one Clenshaw
+    sum less its table's left_end.  Raises DomainError outside the solution
+    window."""
     x = mp.convert(x)
     bits = ctx.precision_bits
     tables = (_table(solution, "r", bits), _table(solution, "q", bits))
-    e, t = solution._locate(x, tables[0].window)
-    for table in tables:
-        table.integrals()
+    e, t = tables[0].locate(x)
     with ctx.workprec():
         return tuple(table.upto(e, t) - table.left_end for table in tables)
 
@@ -956,6 +930,12 @@ def cumulative_integrals(solution: HMSolution, x,
 # ---------------------------------------------------------------------------
 
 _ELEMENT_DEGREE = 24
+
+
+def element_count(nodes: int) -> int:
+    """The elements of degree _ELEMENT_DEGREE of a solve with ``nodes``
+    collocation nodes."""
+    return max(2, round((nodes - 1) / _ELEMENT_DEGREE))
 
 
 def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
@@ -988,8 +968,7 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     if nodes < 200:
         raise DomainError("at least 200 collocation nodes are required")
 
-    p = _ELEMENT_DEGREE
-    k_elems = max(2, round((nodes - 1) / p))
+    p, k_elems = _ELEMENT_DEGREE, element_count(nodes)
     prec = ctx.precision_bits + 64
 
     with mp.workprec(prec):
@@ -1008,7 +987,7 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
                 for w in _folded_dots(mesh.d1_pairs, ue)]
                for scale, ue in zip(mesh.scale1_fixed, u)]
     res_norm = max(abs(v) for row in res for v in row[1:p])
-    sol = HMSolution(
+    return HMSolution(
         x_left=round_to(x_left, out_prec),
         x_right=round_to(x_right, out_prec),
         residual_norm=fixedpoint.from_grid(res_norm, f, out_prec),
@@ -1018,4 +997,3 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
         _elem_qp=elem_qp,
         _ref=round_to(mesh.ref, out_prec),
     )
-    return sol

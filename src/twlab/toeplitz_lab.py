@@ -82,6 +82,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
@@ -704,37 +705,22 @@ def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext) -> mpf:
     on _SELBERG_POINTS nodes per axis.
 
     After x = u/sqrt(t) the integrand is exp(-|u|^2) times a polynomial;
-    [-8.5, 8.5]^L truncates it below 1e-31."""
+    [-8.5, 8.5]^L truncates it below 1e-31.  The integrand is symmetric and
+    vanishes where two nodes coincide, so 1/L! times the sum over all node
+    tuples is the sum over the strictly increasing ones."""
     if not 1 <= L <= 3:
         raise DomainError("direct quadrature only supported for L <= 3")
     prec = ctx.precision_bits + REPORT_GUARD
     xs, ws = gauss_legendre(_SELBERG_POINTS, prec)
     with mp.workprec(prec):
-        t_mp = mpf(t)
         a = mpf("8.5")
         us = [a * v for v in xs]
-        wts = [a * w for w in ws]
-        gs = [mp.exp(-u * u) for u in us]
-        total = mpf(0)
-        if L == 1:
-            total = mp.fsum(w * g for w, g in zip(wts, gs))
-        elif L == 2:
-            for i in range(_SELBERG_POINTS):
-                for j in range(_SELBERG_POINTS):
-                    d = us[i] - us[j]
-                    total += wts[i] * wts[j] * gs[i] * gs[j] * d * d
-        else:
-            for i in range(_SELBERG_POINTS):
-                for j in range(_SELBERG_POINTS):
-                    dij = (us[i] - us[j]) ** 2
-                    wij = wts[i] * wts[j] * gs[i] * gs[j]
-                    if wij == 0:
-                        continue
-                    for k in range(_SELBERG_POINTS):
-                        dt = dij * (us[i] - us[k]) ** 2 * (us[j] - us[k]) ** 2
-                        total += wij * wts[k] * gs[k] * dt
-        total /= mp.factorial(L)
-        return round_to(mp.log(total) - mpf(L * L) / 2 * mp.log(t_mp),
+        wg = [a * w * mp.exp(-u * u) for w, u in zip(ws, us)]
+        total = mp.fsum(
+            mp.fprod([wg[i] for i in idx]
+                     + [(us[i] - us[j]) ** 2 for i, j in combinations(idx, 2)])
+            for idx in combinations(range(_SELBERG_POINTS), L))
+        return round_to(mp.log(total) - mpf(L * L) / 2 * mp.log(mpf(t)),
                         ctx.precision_bits)
 
 

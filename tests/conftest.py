@@ -41,9 +41,10 @@ def airy_reference():
         key = (x, m, bits)
         if key not in tables:
             rule = fredholm_oracle.build_rule(x, m, PrecisionContext(256, 1e-12))
+            nodes = (mp.ldexp(v, -rule.frac_bits) for v in rule.node_grid)
             with mp.workprec(bits):
                 tables[key] = rule, [(mp.airyai(u), mp.airyai(u, derivative=1))
-                                     for u in rule.nodes]
+                                     for u in nodes]
         return tables[key]
 
     return table

@@ -11,7 +11,7 @@ import sys
 from decimal import Decimal
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import twlab
 from twlab import checks, cli, painleve2
@@ -120,6 +120,18 @@ class TestEvalAndTable:
         assert xs == [-3 + k * 0.1 for k in range(21)]
         assert max(xs) <= -1
 
+    def test_zero_prints_every_digit(self, workdir):
+        # an exact zero gets the 25 significant digits of every other value,
+        # not mp.nstr's "0.0"
+        code, text = run_cli(["table", "--xmin", "-1", "--xmax", "0",
+                              "--step", "1", "--format", "csv"] + FAST,
+                             workdir, "zero.csv")
+        assert code == 0
+        xs = [r[0] for r in list(csv.reader(io.StringIO(text)))[1:]]
+        assert xs == ["-1.000000000000000000000000", "0.000000000000000000000000"]
+        for zero in (0, 0.0, -0.0, mpf(0)):
+            assert cli._num(zero) == xs[1]
+
     def test_determinism(self, workdir):
         _, a = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d1.json")
         _, b = run_cli(["eval", "--x", "-1.5"] + FAST, workdir, "d2.json")
@@ -206,6 +218,23 @@ class TestSolutionCache:
         with open(cli._cache_path(args, ctx)) as fh:
             sol = painleve2.HMSolution.from_json(fh.read())
         assert (sol.x_left, sol.x_right) == (-16, 10)
+
+    def test_solve_of_another_node_count_is_resolved(self, tmp_path):
+        # a file that decodes but holds the 500-node solve under the
+        # --nodes 900 name is a miss, not a 900-node solve
+        cache = str(tmp_path / "cache")
+        ask = ["eval", "--x", "0", "--nodes", "900"] + PRECISION
+        args = cli.build_parser().parse_args(ask + ["--cache-dir", cache])
+        ctx = cli._context(args)
+        os.makedirs(cache)
+        small = painleve2.solve_hastings_mcleod(-12, 8, 500, ctx)
+        with open(cli._cache_path(args, ctx), "w") as fh:
+            fh.write(small.to_json())
+        out = str(tmp_path / "out.json")
+        assert cli.main(ask + ["--cache-dir", cache, "--output", out]) == 0
+        with open(cli._cache_path(args, ctx)) as fh:
+            sol = painleve2.HMSolution.from_json(fh.read())
+        assert sol.elements == painleve2.element_count(900) != small.elements
 
     def test_solver_version_changes_the_key(self, tmp_path, monkeypatch):
         # a new solver that keeps the schema must not read the old solves
@@ -327,6 +356,21 @@ class TestOracleCompare:
             "0.4132241425051225546880808",
             "0.9998875536983091729250301",
         ]
+
+    def test_differences_are_formed_at_the_working_precision(self, workdir):
+        # |F2(Painleve) - F2(Fredholm)| of two values this close is exact
+        # at the working precision; formed at 53 bits, its digits past the
+        # 16th were binary rounding noise
+        args = cli.build_parser().parse_args(
+            ["oracle-compare", "--xmin", "-2", "--xmax", "0", "--step", "1",
+             "--m-quad", "40", "--cache-dir", os.path.join(workdir, "cache")]
+            + FAST)
+        doc, rows, _ = args.cmd(args)
+        with mp.workprec(1024):
+            exact = [abs(r["f2_painleve"] - r["f2_fredholm"]) for r in rows]
+        assert all(0 < d < 1e-10 for d in exact)
+        assert [r["abs_diff"] for r in rows] == exact
+        assert doc["max_abs_diff"] == max(exact)
 
 
 class TestToeplitzCommands:

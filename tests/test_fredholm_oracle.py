@@ -26,6 +26,12 @@ def _entry(gen, i, j):
     return num / mp.ldexp(u[i] - u[j], -frac)
 
 
+def _mpf_rule(rule):
+    # the rule's nodes and weights as exact mpfs
+    return ([mp.ldexp(v, -rule.frac_bits) for v in rule.node_grid],
+            [mp.ldexp(v, -rule.frac_bits) for v in rule.weight_grid])
+
+
 def _lower_triangle(gen):
     # the assembled lower triangle on the grid, the Cholesky's input
     a, b, u, d, _ = gen
@@ -37,21 +43,21 @@ class TestKernel:
     # entries of the symmetrized matrix delta_ij - sqrt(w_i w_j) A(u_i, u_j)
     def test_diagonal_entry_closed_form(self, wp300):
         # A(u, u) = Ai'(u)^2 - u Ai(u)^2
-        rule = fredholm_oracle.build_rule(-4, 40, CTX)
+        nodes, weights = _mpf_rule(fredholm_oracle.build_rule(-4, 40, CTX))
         gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         i = 10
-        u, w = rule.nodes[i], rule.weights[i]
+        u, w = nodes[i], weights[i]
         k = (1 - _entry(gen, i, i)) / w
         ref = mp.airyai(u, derivative=1) ** 2 - u * mp.airyai(u) ** 2
         assert abs(k - ref) < mpf(10) ** -70
 
     def test_integral_form_oracle(self, wp300):
         # A(u, v) = int_0^inf Ai(u+s) Ai(v+s) ds
-        rule = fredholm_oracle.build_rule(-4, 40, CTX)
+        nodes, weights = _mpf_rule(fredholm_oracle.build_rule(-4, 40, CTX))
         gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
         i, j = 12, 5
-        u, v = rule.nodes[i], rule.nodes[j]
-        k = -_entry(gen, i, j) / mp.sqrt(rule.weights[i] * rule.weights[j])
+        u, v = nodes[i], nodes[j]
+        k = -_entry(gen, i, j) / mp.sqrt(weights[i] * weights[j])
         with mp.workdps(40):
             oracle = mp.quad(lambda s: mp.airyai(u + s) * mp.airyai(v + s),
                              [0, 4, 10, 24])
@@ -66,20 +72,13 @@ class TestKernel:
         gen = fredholm_oracle.nystrom_matrix(x, 80, CTX)
         unit = mp.ldexp(1, -gen.frac_bits)
         with mp.workprec(700):
-            for i, (u, w, (ai, aip)) in enumerate(zip(rule.nodes, rule.weights, ref)):
+            for i, (u, w, (ai, aip)) in enumerate(zip(*_mpf_rule(rule), ref)):
                 a, b = mp.sqrt(w) * ai, mp.sqrt(w) * aip
                 assert abs(gen.a[i] * unit - a) <= 2 * unit
                 assert abs(gen.b[i] * unit - b) <= 2 * unit
                 d = 1 - (b * b - u * a * a)
                 units = 2 + 4 * (abs(b) + abs(u * a)) + a * a
                 assert abs(gen.d[i] * unit - d) <= units * unit
-
-    def test_rule_is_its_grid(self):
-        # build_rule's mpf nodes and weights are its integers, exactly
-        rule = fredholm_oracle.build_rule(-3, 48, CTX)
-        assert rule.frac_bits == CTX.precision_bits + 48
-        assert [mp.ldexp(v, -rule.frac_bits) for v in rule.node_grid] == rule.nodes
-        assert [mp.ldexp(v, -rule.frac_bits) for v in rule.weight_grid] == rule.weights
 
     def test_generator_form_in_fixed_point(self):
         gen = fredholm_oracle.nystrom_matrix(-4, 40, CTX)
@@ -234,10 +233,12 @@ class TestDeterminant:
 class TestRule:
     def test_rule_invariants(self):
         rule = fredholm_oracle.build_rule(-3, 48, CTX)
-        assert rule.size == 48
-        assert all(w > 0 for w in rule.weights)
-        assert all(a < b for a, b in zip(rule.nodes, rule.nodes[1:]))
-        assert rule.nodes[0] > -3
+        assert rule.frac_bits == CTX.precision_bits + 48
+        nodes, weights = _mpf_rule(rule)
+        assert len(nodes) == len(weights) == 48
+        assert all(w > 0 for w in weights)
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        assert nodes[0] > -3
 
     def test_truncation_point(self):
         u = fredholm_oracle._truncation_point(-8.0)

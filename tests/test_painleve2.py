@@ -502,7 +502,7 @@ class TestRRoutes:
                      for lo, hi in zip(edges, edges[1:])]
             for x in (-11, -8, -4.5, -1, 0, 2.5, 6, 7.5):
                 local = painleve2.r_of(sol, x)
-                e, _ = sol._locate(mpf(x), painleve2._window(sol, sol.precision_bits))
+                e, _ = painleve2._table(sol, "q", sol.precision_bits).locate(mpf(x))
                 quad = (_gauss_legendre(sol, q2, x, edges[e + 1])
                         + mp.fsum(whole[e + 1:]) + tail)
                 assert abs(local - quad) < 10 * mpf(ctx256.tolerance)
@@ -573,7 +573,8 @@ class TestSpectralIntegration:
         painleve2.integrate_kind(sol, "q", -3, 2, ctx256)
         painleve2.integrate_kind(sol, "q", -3, -1, ctx256)
         assert len(dcts) == 2 * k and len(antis) == 1
-        assert painleve2._table(sol, "qp", sol.precision_bits)._integrals is None
+        qp_table = painleve2._table(sol, "qp", sol.precision_bits)
+        assert "antiderivatives" not in vars(qp_table)
 
     def test_tables_do_not_keep_their_solution_alive(self, hm_solution, ctx256):
         # the tables live in the solution's memo dict; a table that held the
@@ -606,9 +607,10 @@ class TestSpectralIntegration:
               + [sol.x_left + span * i / 401 for i in range(402)])
         for kind, read in (("q", sol.q_at), ("qp", sol.q_prime_at)):
             table = _mpf_dct(sol, kind, bits)
+            locate = painleve2._table(sol, kind, bits).locate
             with mp.workprec(2 * bits):
                 for x in xs:
-                    e, _ = sol._locate(x, painleve2._window(sol, bits))
+                    e, _ = locate(x)
                     a, b = sol._edges[e], sol._edges[e + 1]
                     t = (2 * x - a - b) / (b - a)
                     b1 = b2 = mpf(0)
@@ -641,6 +643,26 @@ class TestSpectralIntegration:
         for x in (below, 8.5, float("nan")):
             with pytest.raises(DomainError):
                 painleve2.cumulative_integrals(sol, x, ctx256)
+
+    def test_reads_need_no_call_order(self, hm_solution, ctx256):
+        # each table forms its antiderivatives and left_end on first use, so
+        # two fresh solutions, one read by cumulative_integrals first and
+        # one by integrate_kind first, give the same bits
+        xs = (-11.5, -3.3, 0.0, 7.9)
+
+        def cumulative(sol):
+            return [v._mpf_ for x in xs
+                    for v in painleve2.cumulative_integrals(sol, x, ctx256)]
+
+        def spans(sol):
+            return [painleve2.integrate_kind(sol, kind, -5, x, ctx256)._mpf_
+                    for kind in ("r", "q") for x in xs[1:]]
+
+        first = painleve2.HMSolution.from_json(hm_solution.to_json())
+        second = painleve2.HMSolution.from_json(hm_solution.to_json())
+        want = cumulative(first), spans(first)
+        got_spans = spans(second)
+        assert (cumulative(second), got_spans) == want
 
     @pytest.mark.parametrize("p", [8, 16, 24, 25, 36, 48])
     def test_dct_matrix_is_parity_symmetric(self, p, monkeypatch):
