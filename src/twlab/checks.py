@@ -6,8 +6,8 @@ name, the measured value, the bound as a decimal string, and whether the
 value lies below the bound.  CHECKS lists the checks in order.  `twlab
 verify` prints every Result and tests/test_acceptance.py asserts them, so
 each bound is written here and nowhere else.  Every check runs in the ctx it
-is given: each determinant ladder and LU is one pass whose proven error
-bound is at most 2^-precision_bits, and reads no tolerance.
+is given: each determinant ladder, Levinson or Cholesky, is one pass whose
+proven error bound is at most 2^-precision_bits, and reads no tolerance.
 
 A sequence that must strictly decrease is scored by its largest successive
 ratio, which must be below 1.  Two such ladders compare double-scaling

@@ -768,6 +768,10 @@ def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
     return [dot(row, odd if n & 1 else even) for n, row in enumerate(rows)]
 
 
+# the integrands integrate_kind accepts
+_KINDS = ("q", "r")
+
+
 class _Table:
     """The degree-p interpolant of ``kind`` at ``bits`` bits, cached per
     (kind, bits) by _table: point values and integrals read the same table.
@@ -787,7 +791,9 @@ class _Table:
     and left_end (the read at x_left, at bits + REPORT_GUARD, the precision
     of every integral at ``bits``) are formed on first use from the same
     exact DCT coefficients (_antiderivatives), so a table only read for
-    point values, as q' is, never forms them."""
+    point values never forms them.  Only the integrands of _KINDS keep the
+    exact coefficients for that; the q' table drops them once its rows are
+    formed."""
 
     def __init__(self, solution: HMSolution, kind: str, bits: int):
         # the table lives in the solution's memo dict, so it keeps the
@@ -802,12 +808,13 @@ class _Table:
         dct_frac, dct = _dct_on_grid(solution.p, bits)
         width = bits + REPORT_GUARD + _READ_GUARD
         values = solution._elem_q if kind == "q" else solution._elem_qp
-        self._exact = []
+        exact = []
         for e in range(len(solution._edges) - 1):
             frac, row = (_r_row(solution, e, width) if kind == "r"
                          else fixedpoint.row_to_grid(values[e], width))
-            self._exact.append((frac + dct_frac, _dct(dct, row)))
-        self.rows = [fixedpoint.regrid(c, frac, f) for frac, c in self._exact]
+            exact.append((frac + dct_frac, _dct(dct, row)))
+        self.rows = [fixedpoint.regrid(c, frac, f) for frac, c in exact]
+        self._exact = exact if kind in _KINDS else None
 
     def locate(self, x) -> Tuple[int, int]:
         """(e, t): the element e = [a, b] that holds x, and the coordinate
@@ -887,9 +894,6 @@ def _antiderivatives(edges: Sequence[mpf], exact: List[Tuple[int, List[int]]],
             antis.append(fixedpoint.regrid(b, frac + g, g))
             cum.append(cum[-1] + fixedpoint.from_grid(sum(b), frac + g))
     return antis, cum
-
-
-_KINDS = ("q", "r")
 
 
 def integrate_kind(solution: HMSolution, kind: str, a, b,

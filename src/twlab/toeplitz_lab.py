@@ -18,23 +18,27 @@ term of the monic orthogonal polynomial (the q-th reflection coefficient).
 One pass gives all three families.  The Levinson-Durbin recursion on the
 moments I_k(2t), put on the grid 2^-bits of the pass's precision once, runs
 in O(n^2) integer operations (_levinson_constant_terms) and yields pi_q(0)
-and the energies E_q = D_{q+1}/D_q, the plain log pivots.  The +- families
-follow step by step from the product identities of Baik and Rains,
+and the energies E_q = D_{q+1}/D_q, the plain log pivots.  The +- log
+pivots follow step by step from the product identities of Baik and Rains,
 Algebraic aspects of increasing subsequences, Duke Math. J. 109 (2001):
 
     log(D^{++}_{l+1}/D^{++}_l) = log E_{2l+1} + log(1 + pi_{2l+2}(0)),
     log(D^{-+}_{l+1}/D^{-+}_l) = log E_{2l}   + log(1 - pi_{2l+1}(0)),
 
-so a +- ladder to l is a view of the plain ladder to 2l + 1 (get_ladder).
-Levinson-Durbin is a generic Toeplitz solver, not the discrete Painleve II
-recurrence, so kappa and pi stay independent of the Painleve module they are
-compared against.  Two factorisations of the full moment matrices check the
-ladders: the integer Cholesky of linalg.cholesky_log_pivots
-(_cholesky_ladder) and the pivoted LU of linalg.lu_log_abs_pivots
-(toeplitz_log_det_lu).  Neither is on the path of the ladders, and since
-the pass forms kappa from pi by E_{q+1} = E_q (1 - pi_{q+1}(0)^2), the
-Verblunsky identity and the product identities read one side from the
-Cholesky route.
+so the pass to n returns three ladders (_ladder_pass): the plain one to n
+and each +- one to (n - 1) // 2, each a plain record (_Ladder) with its own
+bound, which get_ladder caches together.  Levinson-Durbin is a generic
+Toeplitz solver, not the discrete Painleve II recurrence, so kappa and pi
+stay independent of the Painleve module they are compared against.
+
+The integer Cholesky of the full moment matrix of a family (linalg.
+cholesky_log_pivots, _cholesky_ladder) is the independent route to its
+ladder.  It is not on the path of the ladders, and since the pass forms
+kappa from pi by E_{q+1} = E_q (1 - pi_{q+1}(0)^2), the Verblunsky
+identity, the product identities and the telescoping of sum_parts_report
+read one side from it.  The pivoted LU of linalg.lu_log_abs_pivots
+(toeplitz_log_det_lu) is a third route to log D_n, sharing nothing with
+the other two but the grid; no function here reads it.
 
 Each ladder pass, Cholesky and LU runs once, through precision.stabilize,
 at ctx.precision_bits + guard_bits(t) bits, guard_bits(t) = ceil(4 t log2 e)
@@ -81,7 +85,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -269,29 +273,26 @@ def _log_units(v: mpf) -> int:
     return 2 * (int(abs(v)) + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Ladder:
-    t: float
-    kind: str
-    n_cap: int
-    log_pivots: List[mpf]          # log(D_{k+1}/D_k), k = 0..n_cap-1
-    pi0: Dict[int, mpf]            # q -> pi_q(0), 0 < q < n_cap (plain family only)
+    """One family's ladder from one pass: the log pivots log(D_{k+1}/D_k), k
+    < n_cap, pi_q(0), 0 < q < n_cap, for the plain family (else empty), the
+    bits of the pass, and a bound on the error of each log pivot, each
+    pi_q(0) and each log D_n, n <= n_cap, at the bits the values hold."""
+
+    log_pivots: List[mpf]
+    pi0: Dict[int, mpf]
     precision_bits_used: int
-    out_bits: int
-    # bound on the error of every value of the pass, before rounding to
-    # out_bits: each log pivot, each pi_q(0) and each log D_n, n <= n_cap
     error_bound: mpf
-    # plain Levinson ladders only: the log pivots of the two +- families,
-    # interleaved, log E_j + log(1 + (-1)^(j+1) pi_{j+1}(0)) for j < n_cap - 1
-    # (j = 2l: minus_plus pivot l, j = 2l + 1: plus_plus pivot l), and a
-    # bound on the error of each in units of 2^-precision_bits_used
-    pm_pivots: List[mpf] = field(default_factory=list)
-    pm_errors: List[int] = field(default_factory=list)
+
+    @property
+    def n_cap(self) -> int:
+        return len(self.log_pivots)
 
     def log_d(self, n: int) -> mpf:
         if n < 0 or n > self.n_cap:
             raise DomainError(f"D_{n} not available (ladder up to {self.n_cap})")
-        with mp.workprec(max(mp.prec, self.out_bits + REPORT_GUARD)):
+        with mp.workprec(max(mp.prec, self.precision_bits_used + REPORT_GUARD)):
             return mp.fsum(self.log_pivots[:n]) if n else mpf(0)
 
     def log_kappa_sq(self, q: int) -> mpf:
@@ -300,117 +301,77 @@ class _Ladder:
             raise DomainError(f"kappa_{q} not available")
         return -self.log_pivots[q]
 
-    def family(self, kind: str, n: int) -> "_Ladder":
-        """The ladder of ``kind`` up to n that this plain Levinson ladder
-        holds: itself for plain, else a view of its +- pivots (it holds n
-        of them when n_cap >= 2n + 1), whose error bound is the sum of
-        their bounds, so it covers each pivot and each log D_n."""
-        if kind == "plain":
-            return self
-        start = 1 if kind == "plus_plus" else 0
-        pivots = self.pm_pivots[start::2][:n]
-        if len(pivots) < n:
-            raise DomainError(f"{kind} ladder to {n} needs a plain ladder to "
-                              f"{2 * n + 1}, have {self.n_cap}")
-        errors = self.pm_errors[start::2][:n]
-        return replace(self, kind=kind, n_cap=n, log_pivots=pivots, pi0={},
-                       error_bound=from_grid(sum(errors), self.precision_bits_used),
-                       pm_pivots=[], pm_errors=[])
-
 
 _LADDER_CACHE_SIZE = 8
 
-
-class _LadderCache(OrderedDict):
-    """The ladders of the last _LADDER_CACHE_SIZE keys used: a lookup or a
-    store makes its key the newest, and a store past the bound evicts the
-    oldest."""
-
-    def get(self, key, default=None):
-        if key not in self:
-            return default
-        self.move_to_end(key)
-        return self[key]
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        if len(self) > _LADDER_CACHE_SIZE:
-            self.popitem(last=False)
+# (t, precision_bits) -> {kind: _Ladder} of one pass, least recently used first
+_ladder_cache = OrderedDict()
 
 
-_ladder_cache = _LadderCache()
+def _ladder_pass(t, n_cap: int) -> Callable[[int], Tuple[Dict[str, _Ladder], mpf]]:
+    """One ladder pass, for ``stabilize``: one Levinson-Durbin run to n_cap at
+    the pass's bits, giving the plain ladder to n_cap (log E_k, k < n_cap,
+    and pi_q(0), 0 < q < n_cap) and each +- ladder to (n_cap - 1) // 2 by
+    the product identities, keyed by kind, with the error bounds of the
+    module docstring.  The bound returned is the largest of the three, so
+    it covers every value the pass forms."""
 
-
-def _ladder_pass(t, n_cap: int) -> Callable[[int], Tuple[_Ladder, mpf]]:
-    """The pass of the plain ladder, for ``stabilize``: one Levinson-Durbin
-    run to n_cap, giving the log pivots log E_k, k < n_cap, pi_q(0), 0 < q <
-    n_cap, and the +- pivots, at the pass's bits, with the error bound of
-    the module docstring.  The bound returned covers every value the pass
-    forms: it is the largest of the plain ladder's bound, the largest
-    pi_q(0) error, and the bounds of the two +- ladders at full length."""
-
-    def one(bits: int) -> Tuple[_Ladder, mpf]:
+    def one(bits: int) -> Tuple[Dict[str, _Ladder], mpf]:
         unit = 1 << bits
         with mp.workprec(bits):
             row = _moment_row(t, n_cap, "plain", bits)
             lev = _levinson_constant_terms(row, n_cap - 1, bits, _moment_error(bits))
             pivots = [mp.log(from_grid(e, bits)) for e in lev.energy]
             errors = [err + _log_units(v) for err, v in zip(lev.log_error, pivots)]
-            pm_pivots, pm_errors = [], []
-            for j, (r, err) in enumerate(zip(lev.pi, lev.pi_error)):
-                # log(1 + (-1)^(j+1) pi_{j+1}(0)) moves by at most
-                # err / (1 - |pi| - err) between pi and the exact value
-                term = mp.log(from_grid(unit + (r if j % 2 else -r), bits))
-                pm_pivots.append(pivots[j] + term)
-                pm_errors.append(errors[j] + _log_units(term) + _log_units(pm_pivots[-1])
-                                 - (-err * unit // (unit - abs(r) - err)))
-            ladder = _Ladder(
-                t=float(t), kind="plain", n_cap=n_cap, log_pivots=pivots,
-                pi0={q: from_grid(r, bits) for q, r in enumerate(lev.pi, 1)},
-                precision_bits_used=bits, out_bits=bits,
-                error_bound=from_grid(max([sum(errors)] + lev.pi_error), bits),
-                pm_pivots=pm_pivots, pm_errors=pm_errors)
-            bound = max(ladder.error_bound, from_grid(sum(pm_errors[0::2]), bits),
-                        from_grid(sum(pm_errors[1::2]), bits))
-            return ladder, bound
+            ladders = {"plain": _Ladder(
+                pivots, {q: from_grid(r, bits) for q, r in enumerate(lev.pi, 1)},
+                bits, from_grid(max([sum(errors)] + lev.pi_error), bits))}
+            # pivot l of minus_plus reads j = 2l, of plus_plus j = 2l + 1
+            for kind, sign, first in (("minus_plus", -1, 0), ("plus_plus", 1, 1)):
+                logs, units = [], 0
+                for j in range(first, 2 * ((n_cap - 1) // 2), 2):
+                    r, err = sign * lev.pi[j], lev.pi_error[j]
+                    # log(1 + r) moves by at most err / (1 - |r| - err)
+                    # between r and the exact value
+                    term = mp.log(from_grid(unit + r, bits))
+                    logs.append(pivots[j] + term)
+                    units += (errors[j] + _log_units(term) + _log_units(logs[-1])
+                              - (-err * unit // (unit - abs(r) - err)))
+                ladders[kind] = _Ladder(logs, {}, bits, from_grid(units, bits))
+            return ladders, max(ladder.error_bound for ladder in ladders.values())
 
     return one
 
 
 def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
-    """The ladder of ``kind`` to n_cap: log pivots log(D_{k+1}/D_k), k <
-    n_cap, and for the plain family pi_q(0), 0 < q < n_cap, with an error
-    bound (error_bound) of at most 2^-ctx.precision_bits, kept to
-    ctx.precision_bits + 64 bits.  Every family is a view of one plain
-    Levinson-Durbin ladder (_ladder_pass), cached per (t, precision_bits)
-    for the last _LADDER_CACHE_SIZE keys used; t is keyed as passed, since
-    Python's numeric equality is exact across int, float and mpf and the
-    pass reads t at its own bits, not at the ambient precision.  A +-
-    ladder to n reads the plain ladder to 2n + 1.  A request beyond the
-    cached n_cap builds the larger ladder, which replaces the cached one."""
+    """The ladder of ``kind`` to at least n_cap: log pivots log(D_{k+1}/D_k)
+    and for the plain family pi_q(0), with an error bound (error_bound) of
+    at most 2^-ctx.precision_bits.  The three ladders of one pass
+    (_ladder_pass) are cached together per (t, precision_bits) for the last
+    _LADDER_CACHE_SIZE keys used; t is keyed as passed, since Python's
+    numeric equality is exact across int, float and mpf and the pass reads
+    t at its own bits, not at the ambient precision.  A +- ladder to n
+    needs the pass to 2n + 1.  A request beyond the cached pass runs the
+    larger pass, which replaces the cached one."""
     size = n_cap if kind == "plain" else 2 * n_cap + 1
     key = (t, ctx.precision_bits)
-    plain = _ladder_cache.get(key)
-    if plain is None or plain.n_cap < size:
+    ladders = _ladder_cache.get(key)
+    if ladders is None or ladders["plain"].n_cap < size:
         bits = ctx.precision_bits + guard_bits(t)
-        full, _ = stabilize(_ladder_pass(t, size), bits, ctx,
-                            what=f"toeplitz ladder (t={t}, n={size})")
-        out_bits = ctx.precision_bits + 64
-        plain = _ladder_cache[key] = replace(
-            full, out_bits=out_bits,
-            log_pivots=round_to(full.log_pivots, out_bits),
-            pi0={q: round_to(v, out_bits) for q, v in full.pi0.items()},
-            pm_pivots=round_to(full.pm_pivots, out_bits))
-    return plain.family(kind, n_cap)
+        ladders, _ = stabilize(_ladder_pass(t, size), bits, ctx,
+                               what=f"toeplitz ladder (t={t}, n={size})")
+        _ladder_cache[key] = ladders
+    _ladder_cache.move_to_end(key)
+    if len(_ladder_cache) > _LADDER_CACHE_SIZE:
+        _ladder_cache.popitem(last=False)
+    return ladders[kind]
 
 
 def _cholesky_ladder(t, kind: str, n: int, ctx: PrecisionContext) -> _Ladder:
     """The independent route to a ladder: the log pivots of the integer
     Cholesky of the n x n moment matrix of ``kind`` (linalg.
-    cholesky_log_pivots), in one pass at the ladder's bits, uncached,
-    without pi_q(0), and kept at those bits so that its bound covers the
-    values it holds.  The bound is the one of the module docstring for a
+    cholesky_log_pivots), in one pass at the ladder's bits, uncached and
+    without pi_q(0).  The bound is the one of the module docstring for a
     factorisation: a log pivot is the difference of two log D_n, so it gets
     twice their bound."""
 
@@ -423,8 +384,7 @@ def _cholesky_ladder(t, kind: str, n: int, ctx: PrecisionContext) -> _Ladder:
     bits = ctx.precision_bits + guard_bits(t)
     pivots, bound = stabilize(one, bits, ctx,
                               what=f"Cholesky ladder (t={t}, kind={kind}, n={n})")
-    return _Ladder(t=float(t), kind=kind, n_cap=n, log_pivots=pivots, pi0={},
-                   precision_bits_used=bits, out_bits=bits, error_bound=bound)
+    return _Ladder(pivots, {}, bits, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +402,7 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
     (linalg.lu_log_abs_pivots), sharing nothing with the Levinson ladder or
     the Cholesky route but the grid (different algorithm, elimination order
     and rounding path), run once at the ladder's precision with the bound of the
-    module docstring, which must be at most 2^-ctx.precision_bits.  Used to
-    check telescoping identities non-vacuously.
+    module docstring, which must be at most 2^-ctx.precision_bits.
 
     The pass builds the matrix in integers from the row of _moment_row, as
     the Cholesky route does.  The determinants of these matrices are
@@ -599,7 +558,7 @@ class SumPartsReport:
     airy_part: mpf
     painleve_part: mpf
     total: mpf                    # -t^2 + exact + airy + painleve
-    total_direct: mpf             # log(e^(-t^2) D_n) via the LU route
+    total_direct: mpf             # log(e^(-t^2) D_n) via the Cholesky route
     exact_part_limit: mpf
     airy_part_limit: mpf
     painleve_part_limit: mpf
@@ -656,7 +615,7 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
         airy_limit = (t_mp ** 2 - (exact_limit - zp) - twdist.regularizer_r(-m_mp)
                       + mp.log(2) / 24)
         painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
-    direct = toeplitz_log_det_lu(MomentMatrixSpec(float(t), n, "plain"), ctx)
+    direct = _cholesky_ladder(t, "plain", n, ctx).log_d(n)
     f2_ref = _tw_reference(x, sol, ctx).F2
     with ctx.workprec():
         total_direct = direct - t_mp ** 2
@@ -770,8 +729,8 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
     if ell - 1 < j_airy_hi:
         raise DomainError("Painleve window is empty; decrease M or raise t")
 
-    # the -+ ladder reads the longest plain ladder, so it comes first and
-    # the other two are views of the same pass
+    # the -+ ladder needs the longest pass, so it comes first and the other
+    # two read the same pass
     mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
     pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
     plain = get_ladder(t, "plain", 2 * ell, ctx)

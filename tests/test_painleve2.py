@@ -576,6 +576,27 @@ class TestSpectralIntegration:
         qp_table = painleve2._table(sol, "qp", sol.precision_bits)
         assert "antiderivatives" not in vars(qp_table)
 
+    def test_qp_table_keeps_no_exact_coefficients(self, hm_solution, ctx256):
+        # q' is read, never integrated, so its table drops the exact DCT
+        # coefficients once its rows are formed; q and R keep theirs for
+        # their antiderivatives, and reading q' first leaves their integrals
+        # bit for bit
+        xs = (-11.5, -3.3, 0.0, 7.9)
+
+        def integrals(sol):
+            return [painleve2.integrate_kind(sol, kind, -5, x, ctx256)._mpf_
+                    for kind in ("q", "r") for x in xs[1:]]
+
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        bits = sol.precision_bits
+        for x in xs:
+            sol.q_prime_at(x)
+            sol.q_at(x)
+        assert painleve2._table(sol, "qp", bits)._exact is None
+        assert painleve2._table(sol, "q", bits)._exact is not None
+        fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+        assert integrals(sol) == integrals(fresh)
+
     def test_tables_do_not_keep_their_solution_alive(self, hm_solution, ctx256):
         # the tables live in the solution's memo dict; a table that held the
         # solution would make a cycle, and every solution read would stay

@@ -1,6 +1,8 @@
 """Determinant ladders, orthogonal-polynomial objects, and the double-scaling
 scaffolding."""
 
+from collections import OrderedDict
+
 import pytest
 from mpmath import mp, mpf
 
@@ -38,7 +40,7 @@ def bessel_rows(monkeypatch):
         calls.append(args)
         return row(*args)
 
-    monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+    monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
     monkeypatch.setattr(specialfn, "bessel_i_row", counted)
     return calls
 
@@ -205,6 +207,16 @@ class TestPinnedLadder:
             assert abs(kappa_sq(q, 30.0) - mpf(log_kappa_sq)) < mpf(10) ** -70
             assert abs(tl.pi_zero(q, 30.0, CTX) - mpf(pi0)) < mpf(10) ** -70
 
+    def test_t30_pm_values(self, wp300):
+        # log D^{++}_27(30) and log D^{-+}_28(30) from the Levinson pass at
+        # 512 bits, 2e-152 or closer to the Cholesky route, to 80 digits
+        pinned = {("plus_plus", 27): "449.05666690199174800885580363335252865"
+                                     "613778617177617600893557116388112043754514",
+                  ("minus_plus", 28): "479.2940324658498646427183415502579180"
+                                      "4623654089244689019154463542875680158431321"}
+        for (kind, ell), ref in pinned.items():
+            assert abs(tl.d_pm_log(kind, ell, 30.0, CTX) - mpf(ref)) < mpf(10) ** -70
+
 
 class TestAdaptivePrecision:
     def test_stabilization_is_enforced(self, monkeypatch, bessel_rows):
@@ -213,7 +225,7 @@ class TestAdaptivePrecision:
         # bound is checked rather than assumed
         monkeypatch.setattr(tl, "guard_bits", lambda t: 0)
         for t in (2.0, 30.0):
-            monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+            monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
             del bessel_rows[:]
             with pytest.raises(PrecisionError):
                 tl.get_ladder(t, "plain", 6, CTX)
@@ -245,8 +257,19 @@ class TestAdaptivePrecision:
         assert tl.get_ladder(30.0, "plain", 71, PrecisionContext(256, 1e-22)) is ladder
         assert len(bessel_rows) == 1
 
+    def test_one_pass_serves_every_family(self, bessel_rows):
+        # the plain pass to 2n + 1 holds both +- ladders to n, and a repeat
+        # request returns the record it holds, not a new view
+        tl.get_ladder(30.0, "plain", 2 * 27 + 1, CTX)
+        for kind in ("plus_plus", "minus_plus"):
+            ladder = tl.get_ladder(30.0, kind, 27, CTX)
+            assert ladder.n_cap == 27
+            assert tl.get_ladder(30.0, kind, 27, CTX) is ladder
+            assert tl.get_ladder(30.0, kind, 20, CTX) is ladder
+        assert len(bessel_rows) == 1
+
     def test_ladder_cache_keeps_the_newest_ladders(self, monkeypatch):
-        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
         size = tl._LADDER_CACHE_SIZE
         first = [tl.get_ladder(1.0 + k, "plain", 3, CTX) for k in range(size)]
         # a repeat request is a hit, and makes t = 1 the newest key
@@ -261,7 +284,7 @@ class TestAdaptivePrecision:
     def test_ladder_cache_keys_the_exact_t(self, monkeypatch):
         # at 53 ambient bits a t with more bits than the ambient precision
         # gets its own ladder, the one an uncached pass gives
-        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
         with mp.workprec(400):
             t = mpf(10) + mpf(2) ** -80
         with mp.workprec(53):
@@ -269,7 +292,7 @@ class TestAdaptivePrecision:
             wide = tl.get_ladder(t, "plain", 6, CTX)
         assert wide is not plain
         assert wide.log_pivots[1] != plain.log_pivots[1]
-        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
         uncached = tl.get_ladder(t, "plain", 6, CTX)
         assert wide.log_pivots == uncached.log_pivots
         assert wide.pi0 == uncached.pi0
@@ -293,7 +316,7 @@ class TestErrorBound:
             captured.append((compute, bits))
             return stabilize(compute, bits, ctx, what)
 
-        monkeypatch.setattr(tl, "_ladder_cache", tl._LadderCache())
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
         monkeypatch.setattr(tl, "stabilize", capture)
         run()
         return captured
@@ -308,8 +331,8 @@ class TestErrorBound:
         [(compute, bits)] = self._passes(
             monkeypatch, lambda: tl.get_ladder(t, kind, n, CTX))
         full, pass_bound = compute(bits)
-        ladder = full.family(kind, n)
-        ladder2 = compute(2 * bits)[0].family(kind, n)
+        ladder = full[kind]
+        ladder2 = compute(2 * bits)[0][kind]
         bound = ladder.error_bound
         assert bound <= pass_bound <= mpf(2) ** -CTX.precision_bits
         assert tl.get_ladder(t, kind, n, CTX).error_bound == bound
@@ -343,7 +366,7 @@ class TestCholeskyRoute:
         full, _ = tl._ladder_pass(t, n)(bits)
         for kind, size in (("plain", n), ("plus_plus", n // 2),
                            ("minus_plus", n // 2)):
-            lev = full.family(kind, size)
+            lev = full[kind]
             chol = tl._cholesky_ladder(t, kind, size, CTX)
             bound = lev.error_bound + chol.error_bound
             assert bound <= mpf(2) ** (1 - CTX.precision_bits)
