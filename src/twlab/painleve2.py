@@ -42,7 +42,10 @@ such sum of the antiderivative row plus a cumulative edge value, per end
 point (integrate_kind).  The integral from x_left, which both Tracy-Widom
 representations read, needs no sum at its x_left end: each table reads
 that end once, and cumulative_integrals locates x once for R and q, whose
-tables share one grid, and subtracts it from one sum per integrand.
+tables share one grid, and subtracts it from one sum per integrand.  Both
+read through _integral: the cumulative edge value plus the sum, less the
+start, each rounded to nearest at precision_bits + REPORT_GUARD on raw mpf
+tuples, with no ambient precision switch.
 
 The left boundary data come from the large-negative expansion
 
@@ -847,19 +850,19 @@ class _Table:
         return _antiderivatives(self._edges, exact, self._bits)
 
     @cached_property
-    def left_end(self) -> mpf:
-        """The read at x_left, at bits + REPORT_GUARD."""
-        with mp.workprec(self._bits + REPORT_GUARD):
-            return self.upto(*self.locate(self.x_left))
+    def left_end(self) -> tuple:
+        """The read at x_left, at bits + REPORT_GUARD, as a raw mpf tuple."""
+        return self.upto(*self.locate(self.x_left), self._bits + REPORT_GUARD)
 
-    def upto(self, e: int, t: int) -> mpf:
+    def upto(self, e: int, t: int, prec: int) -> tuple:
         """The integral from edges[0] to the point at t in element e (as
-        locate gives them), rounded to the ambient precision: cum[e] plus
-        one Clenshaw sum of the element's antiderivative row."""
+        locate gives them), as a raw mpf tuple rounded to nearest at prec
+        bits: cum[e] plus one Clenshaw sum of the element's antiderivative
+        row, which is exact until that one rounding."""
         antis, cum = self.antiderivatives
         frac, row = antis[e]
-        return cum[e] + fixedpoint.from_grid(
-            fixedpoint.clenshaw(row, t, self.frac), frac)
+        tail = libmp.from_man_exp(fixedpoint.clenshaw(row, t, self.frac), -frac)
+        return libmp.mpf_add(cum[e]._mpf_, tail, prec, libmp.round_nearest)
 
 
 def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
@@ -896,11 +899,20 @@ def _antiderivatives(edges: Sequence[mpf], exact: List[Tuple[int, List[int]]],
     return antis, cum
 
 
+def _integral(table: _Table, e: int, t: int, start: tuple, wp: int) -> mpf:
+    """The integral from the point whose upto is ``start`` to the point at
+    t in element e, the read every integral of q or R makes: upto at wp,
+    less start, rounded to nearest at wp on raw mpf tuples, with no
+    ambient precision switch."""
+    return mp.make_mpf(libmp.mpf_sub(table.upto(e, t, wp), start, wp,
+                                     libmp.round_nearest))
+
+
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
     """Integral over [a, b] of q or R from the cached element
     antiderivatives: one integer locate (_Table.locate) and one Clenshaw
-    sum per end point."""
+    sum per end point, read through _integral as cumulative_integrals is."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     a, b = mp.convert(a), mp.convert(b)
@@ -908,8 +920,8 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
     (ea, ta), (eb, tb) = (table.locate(x) for x in (a, b))
     if not a <= b:
         raise DomainError("integration bounds must satisfy a <= b")
-    with ctx.workprec():
-        return table.upto(eb, tb) - table.upto(ea, ta)
+    wp = ctx.precision_bits + REPORT_GUARD
+    return _integral(table, eb, tb, table.upto(ea, ta, wp), wp)
 
 
 def cumulative_integrals(solution: HMSolution, x,
@@ -925,8 +937,8 @@ def cumulative_integrals(solution: HMSolution, x,
     bits = ctx.precision_bits
     tables = (_table(solution, "r", bits), _table(solution, "q", bits))
     e, t = tables[0].locate(x)
-    with ctx.workprec():
-        return tuple(table.upto(e, t) - table.left_end for table in tables)
+    wp = bits + REPORT_GUARD
+    return tuple(_integral(table, e, t, table.left_end, wp) for table in tables)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,16 @@ integrand.  So the right value is the left one times rho = exp(K_right -
 K_left), the same at every x, and tw_point checks the left value against
 the right one as F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with
 the solution per precision like the constants: no second exp per point.
+
+A warm point is then one pass at one working precision, wp =
+precision_bits + REPORT_GUARD, on raw mpf tuples (libmp), with no ambient
+precision switch and no round_to pass: x is converted once; each read U,
+K + U/2 and its exp are rounded to nearest at wp; F and E are rounded once
+to precision_bits; the check and F1 = F E, F2 = F^2 and F4 = (E + 1/E) F / 2
+are formed at wp, the halvings exact.  These are the roundings the
+arithmetic at mp.workprec(wp) makes, so a point keeps every bit.  The
+constants and rho - 1 are formed once per solution and precision, at
+mp.workprec(wp).
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from . import painleve2, specialfn
 from .errors import DomainError, InternalConsistencyError, PrecisionError
@@ -171,17 +181,27 @@ def _ratio_gaps(sol: painleve2.HMSolution, consts: TailConstants,
                        consts.f_prefactor, consts.e_prefactor), compute)
 
 
-def _cdf(k: Tuple[mpf, mpf], u: Tuple[mpf, mpf], ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(F, E) = exp(K + U/2)."""
-    with ctx.workprec():
-        fe = tuple(mp.exp(kk + uu / 2) for kk, uu in zip(k, u))
-    return round_to(fe, ctx.precision_bits)
+_ROUND = libmp.round_nearest
+
+
+def _cdf(k: Tuple[mpf, mpf], u: Tuple[mpf, mpf],
+         ctx: PrecisionContext) -> Tuple[tuple, tuple]:
+    """(F, E) = exp(K + U/2) as raw mpf tuples: K + U/2 and its exp rounded
+    to nearest at precision_bits + REPORT_GUARD (U/2 is an exact shift),
+    the exp then rounded once to precision_bits."""
+    bits = ctx.precision_bits
+    wp = bits + REPORT_GUARD
+    fe = []
+    for kk, uu in zip(k, u):
+        arg = libmp.mpf_add(kk._mpf_, libmp.mpf_shift(uu._mpf_, -1), wp, _ROUND)
+        fe.append(libmp.mpf_pos(libmp.mpf_exp(arg, wp, _ROUND), bits, _ROUND))
+    return tuple(fe)
 
 
 def cdf_right(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(F(x), E(x)) from the integrals toward +infinity."""
     u = painleve2.cumulative_integrals(sol, x, ctx)
-    return _cdf(_right_constants(sol, ctx), u, ctx)
+    return tuple(map(mp.make_mpf, _cdf(_right_constants(sol, ctx), u, ctx)))
 
 
 def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
@@ -190,47 +210,84 @@ def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
     if not mpf(x) < 0:
         raise DomainError("left representation requires x < 0")
     u = painleve2.cumulative_integrals(sol, x, ctx)
-    return _cdf(_left_constants(sol, consts, ctx), u, ctx)
+    return tuple(map(mp.make_mpf, _cdf(_left_constants(sol, consts, ctx), u, ctx)))
 
 
-_SWITCH_POINT = -1.0
-_AGREEMENT_TOL = 1e-8
+_SWITCH_POINT = libmp.from_int(-1)
+_AGREEMENT_TOL = libmp.from_float(1e-8)
+
+
+def _read(x, sol: painleve2.HMSolution, consts: TailConstants,
+          ctx: PrecisionContext, check: bool) -> Tuple[mpf, tuple, tuple, bool]:
+    """(x, F, E, left): x converted once (a float, int or mpf exactly), F
+    and E at x as raw mpf tuples, and whether the left representation gave
+    them; the one pass of tw_point and tw_cdf.
+
+    The side is that of x rounded to the ambient precision, as mpf(x)
+    rounds it: an mpf closer to -1 than that precision resolves reads on
+    the right.  With check, the left value is compared with the right one,
+    F rho_F and E rho_E at precision_bits + REPORT_GUARD (_ratio_gaps)."""
+    xm = mp.convert(x)
+    u = painleve2.cumulative_integrals(sol, xm, ctx)
+    left = libmp.mpf_lt(libmp.mpf_pos(xm._mpf_, mp.prec, _ROUND), _SWITCH_POINT)
+    if not left:
+        f, e = _cdf(_right_constants(sol, ctx), u, ctx)
+        return xm, f, e, left
+    f, e = _cdf(_left_constants(sol, consts, ctx), u, ctx)
+    if check:
+        wp = ctx.precision_bits + REPORT_GUARD
+        df, de = (libmp.mpf_abs(libmp.mpf_mul(v, gap._mpf_, wp, _ROUND))
+                  for v, gap in zip((f, e), _ratio_gaps(sol, consts, ctx)))
+        if libmp.mpf_gt(df, _AGREEMENT_TOL) or libmp.mpf_gt(de, _AGREEMENT_TOL):
+            raise InternalConsistencyError(
+                f"left/right representations disagree at x={x}: "
+                f"dF={mp.make_mpf(df)}, dE={mp.make_mpf(de)}")
+    return xm, f, e, left
+
+
+def _f_beta(beta: int, f: tuple, e: tuple, wp: int) -> tuple:
+    """F_beta from the raw F and E at wp: F1 = F E and F2 = F F, one
+    rounding each; F4 = (E + 1/E) F / 2, three roundings and an exact
+    halving."""
+    if beta == 1:
+        return libmp.mpf_mul(f, e, wp, _ROUND)
+    if beta == 2:
+        return libmp.mpf_mul(f, f, wp, _ROUND)
+    inv = libmp.mpf_div(libmp.fone, e, wp, _ROUND)
+    return libmp.mpf_shift(
+        libmp.mpf_mul(libmp.mpf_add(e, inv, wp, _ROUND), f, wp, _ROUND), -1)
 
 
 def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext, check: bool = True) -> TWPoint:
-    """F, E and F1, F2, F4 at x: left representation below _SWITCH_POINT,
-    with check compared to the right one built from the same read.  The
-    right value is the left one times rho = exp(K_right - K_left) per kind,
-    so the check is F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with
-    the solution (_ratio_gaps)."""
-    if mpf(x) < _SWITCH_POINT:
-        u = painleve2.cumulative_integrals(sol, x, ctx)
-        f, e = _cdf(_left_constants(sol, consts, ctx), u, ctx)
-        if check:
-            gap_f, gap_e = _ratio_gaps(sol, consts, ctx)
-            with ctx.workprec():
-                df, de = abs(f * gap_f), abs(e * gap_e)
-            if df > _AGREEMENT_TOL or de > _AGREEMENT_TOL:
-                raise InternalConsistencyError(
-                    f"left/right representations disagree at x={x}: "
-                    f"dF={df}, dE={de}")
-        rep = "left"
-    else:
-        f, e = cdf_right(x, sol, ctx)
-        rep = "right"
-    with ctx.workprec():
-        return TWPoint(x=mpf(x), F=f, E=e, F1=f * e, F2=f * f,
-                       F4=(e + 1 / e) * f / 2, representation=rep)
+    """F, E and F1, F2, F4 at x: left representation below -1, with check
+    compared to the right one built from the same read.  The right value is
+    the left one times rho = exp(K_right - K_left) per kind, so the check is
+    F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with the solution
+    (_ratio_gaps).
+
+    One pass at one working precision, wp = precision_bits + REPORT_GUARD,
+    on raw mpf tuples, with no ambient precision switch: x is converted
+    once (a float, int or mpf exactly), the reads of R and q, K + U/2 and
+    its exp are each rounded to nearest at wp, F and E are then rounded
+    once to precision_bits, and F1, F2 and F4 are formed from them at wp
+    (_f_beta).  The x returned is x rounded to wp."""
+    x, f, e, left = _read(x, sol, consts, ctx, check)
+    wp = ctx.precision_bits + REPORT_GUARD
+    make = mp.make_mpf
+    f1, f2, f4 = (make(_f_beta(beta, f, e, wp)) for beta in (1, 2, 4))
+    return TWPoint(x=make(libmp.mpf_pos(x._mpf_, wp, _ROUND)), F=make(f), E=make(e),
+                   F1=f1, F2=f2, F4=f4, representation="left" if left else "right")
 
 
 def tw_cdf(x, beta: int, sol: painleve2.HMSolution, consts: TailConstants,
            ctx: PrecisionContext, check: bool = True) -> mpf:
-    """F_beta(x) for beta in {1, 2, 4}."""
+    """F_beta(x) for beta in {1, 2, 4}, the field of tw_point it names,
+    formed alone."""
     if beta not in (1, 2, 4):
         raise DomainError("beta must be 1, 2 or 4")
-    pt = tw_point(x, sol, consts, ctx, check=check)
-    return {1: pt.F1, 2: pt.F2, 4: pt.F4}[beta]
+    _, f, e, _ = _read(x, sol, consts, ctx, check)
+    return mp.make_mpf(_f_beta(beta, f, e, ctx.precision_bits + REPORT_GUARD))
 
 
 # ---------------------------------------------------------------------------

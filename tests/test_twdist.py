@@ -1,9 +1,15 @@
 """Distribution functions, tail expansions, and total-integral identities."""
 
-import pytest
-from mpmath import mp, mpf
+import hashlib
+import json
+import os
+import subprocess
+import sys
 
-from twlab import fixedpoint, fredholm_oracle, painleve2, twdist
+import pytest
+from mpmath import libmp, mp, mpf
+
+from twlab import fixedpoint, fredholm_oracle, painleve2, precision, twdist
 from twlab.errors import DomainError, InternalConsistencyError, PrecisionError
 from twlab.precision import PrecisionContext
 
@@ -188,7 +194,9 @@ class TestCombinedCdf:
         # the left value and the right one it is checked against share one
         # cumulative read: x is located once, each integrand costs one
         # Clenshaw sum, and the right value is the left one times a ratio
-        # kept with the solution, so only the left value takes exps
+        # kept with the solution, so only the left value takes exps (of
+        # the mpf kernel, on raw tuples).  The pass runs at one working
+        # precision: no mp.workprec switch and no round_to pass
         twdist.tw_point(-2, hm_solution, tail_constants, ctx256)
         calls = []
 
@@ -198,10 +206,13 @@ class TestCombinedCdf:
                                 lambda *a: calls.append(name) or fn(*a))
 
         counted(fixedpoint, "clenshaw")
-        counted(mp, "exp")
+        counted(libmp, "mpf_exp")
         counted(painleve2._Table, "locate")
+        counted(mp, "workprec")
+        for module in (precision, painleve2, twdist):
+            counted(module, "round_to")
         twdist.tw_point(-2, hm_solution, tail_constants, ctx256, check=True)
-        assert sorted(calls) == ["clenshaw", "clenshaw", "exp", "exp", "locate"]
+        assert sorted(calls) == ["clenshaw", "clenshaw", "locate", "mpf_exp", "mpf_exp"]
 
     def test_check_sees_a_shifted_right_constant(self, hm_solution, tail_constants,
                                                  ctx256, monkeypatch):
@@ -243,6 +254,79 @@ class TestCombinedCdf:
                 pt = twdist.tw_point(x, hm_solution, tail_constants, ctx256)
                 assert pt.E <= 1
                 assert pt.F4 - pt.F1 >= 0
+
+
+class TestPointPin:
+    """Every field of tw_point, and tw_cdf, cdf_left and cdf_right, as to_json
+    encodes them, pinned by one SHA-256 each.  Taken before the point read
+    left mp.workprec for one pass on raw mpf tuples; at ambient 53 bits, so
+    an mpf just below -1 that 53 bits round to -1 takes the right side."""
+
+    POINTS_SHA256 = "f3c536dc3a7a0ce6fe28ed870155be95bd83800bef83ba21c636cbcf2284a9ce"
+    CDFS_SHA256 = "3e0b89f754b40d0cf5e93b6704468a2ae2664c48a2ae273b283d8e4888607f6a"
+
+    @pytest.fixture(scope="class")
+    def contexts(self, ctx256, tail_constants):
+        ctx192 = PrecisionContext(192, 1e-12)
+        return [(ctx256, tail_constants),
+                (ctx192, twdist.TailConstants.compute(ctx192))]
+
+    @staticmethod
+    def _xs(sol):
+        with mp.workprec(300):
+            below = [-1 - mpf(2) ** -52, -1 - mpf(2) ** -80]
+        return ([(k - 80) / 10 for k in range(121)] + [-1.0] + below
+                + [sol.x_left, sol.x_right])
+
+    @staticmethod
+    def _digest(rows):
+        return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+    def test_points_are_pinned(self, hm_solution, contexts):
+        rows = []
+        with mp.workprec(53):
+            for ctx, consts in contexts:
+                for check in (True, False):
+                    for x in self._xs(hm_solution):
+                        pt = twdist.tw_point(x, hm_solution, consts, ctx, check=check)
+                        rows.append([_enc(getattr(pt, name))
+                                     for name in ("x", "F", "E", "F1", "F2", "F4")]
+                                    + [pt.representation])
+        assert self._digest(rows) == self.POINTS_SHA256
+
+    def test_cdfs_are_pinned(self, hm_solution, contexts):
+        rows = []
+        with mp.workprec(53):
+            for ctx, consts in contexts:
+                for x in self._xs(hm_solution):
+                    rows.append([_enc(twdist.tw_cdf(x, beta, hm_solution, consts, ctx))
+                                 for beta in (1, 2, 4)])
+                for x in (-4, -2):
+                    rows.append([_enc(v) for v in
+                                 twdist.cdf_left(x, hm_solution, consts, ctx)
+                                 + twdist.cdf_right(x, hm_solution, ctx)])
+        assert self._digest(rows) == self.CDFS_SHA256
+
+
+class TestImport:
+    def test_reading_a_stored_solution_leaves_numpy_out(self, hm_solution, tmp_path):
+        # numpy serves only the float64 warm start of the solver: loading a
+        # stored solution and reading F and E on both sides never imports it
+        path = tmp_path / "hm.json"
+        path.write_text(hm_solution.to_json())
+        src = os.path.dirname(os.path.dirname(twdist.__file__))
+        code = ("import sys\n"
+                "from twlab import painleve2, twdist\n"
+                "from twlab.precision import PrecisionContext\n"
+                "ctx = PrecisionContext(256, 1e-12)\n"
+                f"sol = painleve2.HMSolution.from_json(open({str(path)!r}).read())\n"
+                "consts = twdist.TailConstants.compute(ctx)\n"
+                "sides = [twdist.tw_point(x, sol, consts, ctx).representation\n"
+                "         for x in (-4.0, 2.0)]\n"
+                "assert sides == ['left', 'right'], sides\n"
+                "sys.exit('numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestArgumentPrecision:
