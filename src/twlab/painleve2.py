@@ -556,10 +556,10 @@ class HMSolution:
     """Immutable solution record.
 
     Stores each element's edges and its nodal values of q and q' once.
-    Everything read from them goes through the integer tables of _table,
-    kept in the memo dict of ``cached`` like every other derived value: a
-    read fetches its integrand's table with one lookup, and the table
-    checks and locates x in integers (_Table.locate) and sums one row.
+    Every value derived from them is kept by ``cached``, its one memo rule:
+    the Tracy-Widom constants of twdist, and the integer tables of _table
+    that every read goes through (the table checks and locates x in
+    integers, _Table.locate, and sums one row).
     from_json_dict decodes each stored value exactly and rejects a document
     whose arrays do not fit together or whose values could not have been
     written by to_json_dict: edges that do not ascend strictly from x_left
@@ -597,13 +597,13 @@ class HMSolution:
         return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, table.frac),
                                     frac, max(mp.prec, bits + REPORT_GUARD))
 
-    def cached(self, key, compute: Callable[[], T]) -> T:
-        """compute() once per key for this solution; later calls share its
-        value.  Quantities derived from one solution are kept here rather
+    def cached(self, key, build: Callable[..., T], *args) -> T:
+        """build(*args) once per key for this solution; later calls share
+        its value.  Quantities derived from one solution are kept here rather
         than in module-level memos, so they live and die with it."""
         hit = self._cum_cache.get(key)
         if hit is None:
-            hit = self._cum_cache[key] = compute()
+            hit = self._cum_cache[key] = build(*args)
         return hit
 
     def q_at(self, x) -> mpf:
@@ -866,13 +866,9 @@ class _Table:
 
 
 def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
-    """The cached _Table of ``kind`` at ``bits`` bits; a hit costs one dict
-    lookup, with no closure for ``cached``."""
-    key = ("table", kind, bits)
-    table = solution._cum_cache.get(key)
-    if table is None:
-        table = solution._cum_cache[key] = _Table(solution, kind, bits)
-    return table
+    """The _Table of ``kind`` at ``bits`` bits, built once per solution by
+    HMSolution.cached."""
+    return solution.cached(("table", kind, bits), _Table, solution, kind, bits)
 
 
 def _antiderivatives(edges: Sequence[mpf], exact: List[Tuple[int, List[int]]],

@@ -26,8 +26,10 @@ the total-integral residual (total_integral_check).  U(x) for R and q is
 one read (painleve2.cumulative_integrals): one locate of x and one sum per
 integrand.  So the right value is the left one times rho = exp(K_right -
 K_left), the same at every x, and tw_point checks the left value against
-the right one as F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with
-the solution per precision like the constants: no second exp per point.
+the right one as F (rho_F - 1) and E (rho_E - 1): no second exp per point.
+A solution keeps two entries per precision (HMSolution.cached): the right
+constants, and the left constants with rho - 1 for F and E (_left).  The
+side is that of x itself, left below -1, at any ambient precision.
 
 A warm point is then one pass at one working precision, wp =
 precision_bits + REPORT_GUARD, on raw mpf tuples (libmp), with no ambient
@@ -36,14 +38,13 @@ K + U/2 and its exp are rounded to nearest at wp; F and E are rounded once
 to precision_bits; the check and F1 = F E, F2 = F^2 and F4 = (E + 1/E) F / 2
 are formed at wp, the halvings exact.  These are the roundings the
 arithmetic at mp.workprec(wp) makes, so a point keeps every bit.  The
-constants and rho - 1 are formed once per solution and precision, at
-mp.workprec(wp).
+two entries are formed at mp.workprec(wp).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from mpmath import libmp, mp, mpf
 
@@ -68,17 +69,13 @@ class TailConstants:
         zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
         with ctx.workprec():
             ez2 = mp.exp(zp / 2)
-            vals = cls(
-                tau1=mpf(2) ** (mpf(-11) / 48) * ez2,
-                tau2=mpf(2) ** (mpf(1) / 24) * mp.exp(zp),
-                tau4=mpf(2) ** (mpf(-35) / 48) * ez2,
-                f_prefactor=mpf(2) ** (mpf(1) / 48) * ez2,
-                e_prefactor=mpf(2) ** (mpf(-1) / 4),
-                zeta_prime_minus_one=zp,
-            )
-        return TailConstants(*(round_to(v, ctx.precision_bits) for v in (
-            vals.tau1, vals.tau2, vals.tau4, vals.f_prefactor,
-            vals.e_prefactor, vals.zeta_prime_minus_one)))
+            vals = (mpf(2) ** (mpf(-11) / 48) * ez2,       # tau1
+                    mpf(2) ** (mpf(1) / 24) * mp.exp(zp),  # tau2
+                    mpf(2) ** (mpf(-35) / 48) * ez2,       # tau4
+                    mpf(2) ** (mpf(1) / 48) * ez2,         # f_prefactor
+                    mpf(2) ** (mpf(-1) / 4),               # e_prefactor
+                    zp)
+        return cls(*round_to(vals, ctx.precision_bits))
 
 
 @dataclass(frozen=True)
@@ -133,52 +130,57 @@ def regularizer_q(y) -> mpf:
 
 def _right_constants(sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(K_R, K_q) of the right representation, kept with the solution."""
-    def compute():
-        with ctx.workprec():
-            return tuple(
-                -(painleve2.integrate_kind(sol, kind, sol.x_left, sol.x_right, ctx)
-                  + tail(sol.x_right, ctx)) / 2
-                for kind, tail in (("r", airy_tail_r_integral),
-                                   ("q", airy_tail_q_integral)))
-    return sol.cached(("right_constants", ctx.precision_bits), compute)
+    return sol.cached(("right", ctx.precision_bits), _form_right, sol, ctx)
 
 
-def _left_constants(sol: painleve2.HMSolution, consts: TailConstants,
-                    ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(K_R, K_q) of the left representation, kept with the solution per
-    precision and the two prefactors they read; the series error is
+def _form_right(sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    with ctx.workprec():
+        return tuple(
+            -(painleve2.integrate_kind(sol, kind, sol.x_left, sol.x_right, ctx)
+              + tail(sol.x_right, ctx)) / 2
+            for kind, tail in (("r", airy_tail_r_integral),
+                               ("q", airy_tail_q_integral)))
+
+
+class _Left(NamedTuple):
+    """The left side of one solution at one precision."""
+    k: Tuple[mpf, mpf]             # (K_R, K_q)
+    gaps: Tuple[tuple, tuple]      # rho - 1 for F and E, raw mpf tuples
+    error: mpf                     # the left-series error, for the error budget
+    error_float: float
+    prefactors: Tuple[mpf, mpf]    # (f_prefactor, e_prefactor) k was formed from
+
+
+def _left(sol: painleve2.HMSolution, consts: TailConstants,
+          ctx: PrecisionContext) -> _Left:
+    """The left entry of sol at ctx.precision_bits, kept for the prefactors
+    it was first formed from (others get one formed and not kept), compared
+    by identity, then by value, so no mpf is hashed.  The series error is
     checked against ctx.tolerance on every call."""
-    f_pref, e_pref = consts.f_prefactor, consts.e_prefactor
-
-    def compute():
-        with ctx.workprec():
-            (tail_r, err_r), (tail_q, err_q) = (
-                painleve2.left_tail_r_regularized(sol.x_left),
-                painleve2.left_tail_q_regularized(sol.x_left))
-            return (mp.log(f_pref) + (tail_r - regularizer_r(sol.x_left)) / 2,
-                    mp.log(e_pref) + (tail_q - regularizer_q(sol.x_left)) / 2,
-                    max(err_r, err_q))
-    k_r, k_q, err = sol.cached(("left_constants", ctx.precision_bits, f_pref, e_pref),
-                               compute)
-    if float(err) > ctx.tolerance:
+    entry = sol.cached(("left", ctx.precision_bits), _form_left, sol, consts, ctx)
+    if entry.prefactors != (consts.f_prefactor, consts.e_prefactor):
+        entry = _form_left(sol, consts, ctx)
+    if entry.error_float > ctx.tolerance:
         raise PrecisionError(
             "left tail series cannot reach the requested tolerance at "
             f"x_left={sol.x_left}; enlarge the window (|x_left|)")
-    return k_r, k_q
+    return entry
 
 
-def _ratio_gaps(sol: painleve2.HMSolution, consts: TailConstants,
-                ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """rho - 1 for F and for E, rho = exp(K_right - K_left): the right
-    value over the left one, the same at every x since both are exp(K +
-    U/2) of one read U.  Kept with the solution per precision and the two
-    prefactors, like the constants."""
-    def compute():
-        with ctx.workprec():
-            return tuple(mp.expm1(k_r - k_l) for k_r, k_l in zip(
-                _right_constants(sol, ctx), _left_constants(sol, consts, ctx)))
-    return sol.cached(("ratio_gaps", ctx.precision_bits,
-                       consts.f_prefactor, consts.e_prefactor), compute)
+def _form_left(sol: painleve2.HMSolution, consts: TailConstants,
+               ctx: PrecisionContext) -> _Left:
+    """K = log prefactor + (series tail - A(x_left))/2 per kind, and rho - 1
+    = expm1(K_right - K_left), the right value over the left one at every x."""
+    prefactors = (consts.f_prefactor, consts.e_prefactor)
+    with ctx.workprec():
+        tails = (painleve2.left_tail_r_regularized(sol.x_left),
+                 painleve2.left_tail_q_regularized(sol.x_left))
+        k = tuple(mp.log(pref) + (tail - reg(sol.x_left)) / 2 for pref, (tail, _), reg
+                  in zip(prefactors, tails, (regularizer_r, regularizer_q)))
+        gaps = tuple(mp.expm1(k_r - k_l)._mpf_
+                     for k_r, k_l in zip(_right_constants(sol, ctx), k))
+        error = max(err for _, err in tails)
+    return _Left(k, gaps, error, float(error), prefactors)
 
 
 _ROUND = libmp.round_nearest
@@ -210,7 +212,7 @@ def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
     if not mpf(x) < 0:
         raise DomainError("left representation requires x < 0")
     u = painleve2.cumulative_integrals(sol, x, ctx)
-    return tuple(map(mp.make_mpf, _cdf(_left_constants(sol, consts, ctx), u, ctx)))
+    return tuple(map(mp.make_mpf, _cdf(_left(sol, consts, ctx).k, u, ctx)))
 
 
 _SWITCH_POINT = libmp.from_int(-1)
@@ -223,26 +225,25 @@ def _read(x, sol: painleve2.HMSolution, consts: TailConstants,
     and E at x as raw mpf tuples, and whether the left representation gave
     them; the one pass of tw_point and tw_cdf.
 
-    The side is that of x rounded to the ambient precision, as mpf(x)
-    rounds it: an mpf closer to -1 than that precision resolves reads on
-    the right.  With check, the left value is compared with the right one,
-    F rho_F and E rho_E at precision_bits + REPORT_GUARD (_ratio_gaps)."""
+    The side is that of x itself, whatever the ambient precision: left
+    below -1.  With check, the left value is compared with the right one,
+    F rho_F and E rho_E at precision_bits + REPORT_GUARD (_left)."""
     xm = mp.convert(x)
     u = painleve2.cumulative_integrals(sol, xm, ctx)
-    left = libmp.mpf_lt(libmp.mpf_pos(xm._mpf_, mp.prec, _ROUND), _SWITCH_POINT)
-    if not left:
+    if not libmp.mpf_lt(xm._mpf_, _SWITCH_POINT):
         f, e = _cdf(_right_constants(sol, ctx), u, ctx)
-        return xm, f, e, left
-    f, e = _cdf(_left_constants(sol, consts, ctx), u, ctx)
+        return xm, f, e, False
+    left = _left(sol, consts, ctx)
+    f, e = _cdf(left.k, u, ctx)
     if check:
         wp = ctx.precision_bits + REPORT_GUARD
-        df, de = (libmp.mpf_abs(libmp.mpf_mul(v, gap._mpf_, wp, _ROUND))
-                  for v, gap in zip((f, e), _ratio_gaps(sol, consts, ctx)))
+        df, de = (libmp.mpf_abs(libmp.mpf_mul(v, gap, wp, _ROUND))
+                  for v, gap in zip((f, e), left.gaps))
         if libmp.mpf_gt(df, _AGREEMENT_TOL) or libmp.mpf_gt(de, _AGREEMENT_TOL):
             raise InternalConsistencyError(
                 f"left/right representations disagree at x={x}: "
                 f"dF={mp.make_mpf(df)}, dE={mp.make_mpf(de)}")
-    return xm, f, e, left
+    return xm, f, e, True
 
 
 def _f_beta(beta: int, f: tuple, e: tuple, wp: int) -> tuple:
@@ -264,7 +265,7 @@ def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
     compared to the right one built from the same read.  The right value is
     the left one times rho = exp(K_right - K_left) per kind, so the check is
     F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with the solution
-    (_ratio_gaps).
+    (_left).
 
     One pass at one working precision, wp = precision_bits + REPORT_GUARD,
     on raw mpf tuples, with no ambient precision switch: x is converted
@@ -306,8 +307,8 @@ def total_integral_check(sol: painleve2.HMSolution, consts: TailConstants,
     Each left side is 2 (K_left - log prefactor - K_right): the series tail,
     the window integral and the Airy tail, with no zeta'(-1) in it.  Each
     residual is 2 (K_left - K_right)."""
-    pairs = zip(_left_constants(sol, consts, ctx), _right_constants(sol, ctx),
-                (consts.f_prefactor, consts.e_prefactor))
+    left = _left(sol, consts, ctx)
+    pairs = zip(left.k, _right_constants(sol, ctx), left.prefactors)
     with ctx.workprec():
         lhs_r, lhs_q = (2 * (k_left - k_right - mp.log(pref))
                         for k_left, k_right, pref in pairs)

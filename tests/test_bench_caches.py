@@ -3,6 +3,7 @@ library's memos between passes through clear_caches, which finds them by
 name: every module-level name ending in ``_cache``.  A memo under another
 name, or a functools cache, would survive it and make a cold pass warm."""
 
+import ast
 import importlib.util
 import pathlib
 import re
@@ -60,3 +61,29 @@ def test_no_functools_memo_in_the_library():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_one_memo_rule_per_solution():
+    # every value kept with a solution goes through HMSolution.cached: its
+    # memo dict is named only by the field and by cached, and each caller
+    # passes cached a module-level builder, not a closure
+    src = ROOT / "src" / "twlab"
+    cls = next(node for node in ast.parse((src / "painleve2.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == "HMSolution")
+    allowed = {("painleve2.py", n) for node in cls.body
+               if getattr(node, "name", None) == "cached"
+               or getattr(getattr(node, "target", None), "id", None) == "_cum_cache"
+               for n in range(node.lineno, node.end_lineno + 1)}
+    hits, builders = set(), []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        hits |= {(path.name, n) for n, line in enumerate(text.splitlines(), 1)
+                 if "_cum_cache" in line}
+        tree = ast.parse(text)
+        top = {node.name for node in tree.body if hasattr(node, "name")}
+        builders += [(path.name, isinstance(call.args[1], ast.Name)
+                      and call.args[1].id in top)
+                     for call in ast.walk(tree) if isinstance(call, ast.Call)
+                     and getattr(call.func, "attr", None) == "cached"]
+    assert hits and hits <= allowed
+    assert builders and all(ok for _, ok in builders), builders

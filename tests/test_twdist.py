@@ -1,5 +1,6 @@
 """Distribution functions, tail expansions, and total-integral identities."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from mpmath import libmp, mp, mpf
+from mpmath import ctx_mp_python, libmp, mp, mpf
 
 from twlab import fixedpoint, fredholm_oracle, painleve2, precision, twdist
 from twlab.errors import DomainError, InternalConsistencyError, PrecisionError
@@ -171,6 +172,30 @@ class TestLeftRepresentation:
         assert sorted(calls) == ["airy_tail_q_integral", "airy_tail_r_integral",
                                  "left_tail_q_regularized", "left_tail_r_regularized"]
 
+    # cdf_left(-4) at 256 bits, as to_json encodes it
+    F_E_AT_MINUS_4 = [
+        [0, "0x3cf70ba4035dd56d43c9007fbfecb53e16816fd8d47498e6b64c11ac371e62f3", -258, 254],
+        [0, "0x82294aa757a3c0d5f19870a21ad0ad0eec24fce5b5daa189ac45b30352ccad3b", -258, 256]]
+
+    def test_other_prefactors_get_their_own_left_entry(self, hm_solution, tail_constants,
+                                                       ctx256):
+        # a solution keeps one left entry per precision, for the prefactors
+        # it was first formed from; constants with another f_prefactor get
+        # an entry of their own, in either order, and neither goes stale
+        doubled = dataclasses.replace(
+            tail_constants, f_prefactor=mp.ldexp(tail_constants.f_prefactor, 1))
+        _, man, exp, _ = self.F_E_AT_MINUS_4[0]
+        for order in ((tail_constants, doubled), (doubled, tail_constants)):
+            fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
+            for consts in order + order:
+                f, e = twdist.cdf_left(-4, fresh, consts, ctx256)
+                assert _enc(e) == self.F_E_AT_MINUS_4[1]
+                if consts is tail_constants:
+                    assert _enc(f) == self.F_E_AT_MINUS_4[0]
+                    continue
+                with mp.workprec(300):
+                    assert abs(f / (2 * mpf((int(man, 16), exp))) - 1) < mpf(10) ** -70
+
 
 class TestCombinedCdf:
     def test_beta2_is_f_squared(self, hm_solution, tail_constants, ctx256):
@@ -196,7 +221,8 @@ class TestCombinedCdf:
         # Clenshaw sum, and the right value is the left one times a ratio
         # kept with the solution, so only the left value takes exps (of
         # the mpf kernel, on raw tuples).  The pass runs at one working
-        # precision: no mp.workprec switch and no round_to pass
+        # precision: no mp.workprec switch and no round_to pass.  The
+        # solution's entries are found without hashing an mpf
         twdist.tw_point(-2, hm_solution, tail_constants, ctx256)
         calls = []
 
@@ -209,6 +235,7 @@ class TestCombinedCdf:
         counted(libmp, "mpf_exp")
         counted(painleve2._Table, "locate")
         counted(mp, "workprec")
+        counted(ctx_mp_python, "mpf_hash")
         for module in (precision, painleve2, twdist):
             counted(module, "round_to")
         twdist.tw_point(-2, hm_solution, tail_constants, ctx256, check=True)
@@ -234,6 +261,20 @@ class TestCombinedCdf:
         assert twdist.tw_point(-1.5, hm_solution, tail_constants, ctx256).representation == "left"
         assert twdist.tw_point(-0.5, hm_solution, tail_constants, ctx256).representation == "right"
 
+    def test_side_is_that_of_x_at_any_ambient_precision(self, hm_solution, tail_constants,
+                                                         ctx256):
+        # 53 bits round -1 - 2^-80 to -1, but the side is taken from x itself
+        with mp.workprec(300):
+            x = -1 - mpf(2) ** -80
+        rows = []
+        for prec in (53, 300):
+            with mp.workprec(prec):
+                pt = twdist.tw_point(x, hm_solution, tail_constants, ctx256)
+            rows.append([_enc(getattr(pt, name)) for name in ("x", "F", "E", "F1", "F2", "F4")]
+                        + [pt.representation])
+        assert rows[0][-1] == "left"
+        assert rows[0] == rows[1]
+
     def test_rejects_bad_beta(self, hm_solution, tail_constants, ctx256):
         with pytest.raises(DomainError):
             twdist.tw_cdf(0, 3, hm_solution, tail_constants, ctx256)
@@ -258,12 +299,14 @@ class TestCombinedCdf:
 
 class TestPointPin:
     """Every field of tw_point, and tw_cdf, cdf_left and cdf_right, as to_json
-    encodes them, pinned by one SHA-256 each.  Taken before the point read
-    left mp.workprec for one pass on raw mpf tuples; at ambient 53 bits, so
-    an mpf just below -1 that 53 bits round to -1 takes the right side."""
+    encodes them, pinned by one SHA-256 each, at ambient 53 bits.  Taken
+    before the point read left mp.workprec for one pass on raw mpf tuples,
+    then re-taken when the side came from x itself rather than x rounded to
+    the ambient precision: that moved only the rows of -1 - 2^-80, which 53
+    bits round to -1, from the right side to the left."""
 
-    POINTS_SHA256 = "f3c536dc3a7a0ce6fe28ed870155be95bd83800bef83ba21c636cbcf2284a9ce"
-    CDFS_SHA256 = "3e0b89f754b40d0cf5e93b6704468a2ae2664c48a2ae273b283d8e4888607f6a"
+    POINTS_SHA256 = "cca558dd7810411fc41d2f8d5a55f73959054e306c74d6a4f82d60861fab42a9"
+    CDFS_SHA256 = "71a24c092fdde18f28243929dad4bf6fadc7da8c7f0dcb439ee69fa3a4589285"
 
     @pytest.fixture(scope="class")
     def contexts(self, ctx256, tail_constants):
