@@ -80,10 +80,29 @@ def dot(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 def row_to_grid(values: Sequence, bits: int) -> Tuple[int, List[int]]:
     """(F, [to_grid(v, F) for v in values]) with F = bits - mag(largest
-    |v|), so the largest entry has ``bits`` bits; F = bits for a zero row."""
-    mags = [mp.mag(v) for v in values if v]
-    frac = bits - max(mags) if mags else bits
-    return frac, [to_grid(v, frac) for v in values]
+    |v|), so the largest entry has ``bits`` bits; F = bits for a zero row.
+    Raises ValueError for inf or nan anywhere in the row.
+
+    One pass over each value's raw (sign, man, exp, bc) tuple does both:
+    a nonzero mpf is man 2^exp with man of bc bits, so its mag is exp + bc,
+    and its entry is man shifted by exp + F and signed, which is what
+    to_grid computes.  Values other than mpfs (ints, floats) go through
+    mp.convert first, as in to_grid."""
+    parts = [v._mpf_ if isinstance(v, mpf) else mp.convert(v)._mpf_ for v in values]
+    top = None
+    for _, man, exp, bc in parts:
+        if man:
+            if top is None or exp + bc > top:
+                top = exp + bc
+        elif exp:
+            raise ValueError("cannot put inf or nan on a fixed-point grid")
+    frac = bits - top if top is not None else bits
+    row = []
+    for sign, man, exp, _ in parts:
+        exp += frac
+        n = man << exp if exp >= 0 else man >> -exp
+        row.append(-n if sign else n)
+    return frac, row
 
 
 def regrid(row: Sequence[int], frac: int, bits: int) -> Tuple[int, List[int]]:

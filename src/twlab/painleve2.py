@@ -25,16 +25,21 @@ exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
 Every read goes through one integer table per integrand and precision
-(_Table): each element's Chebyshev coefficients, from an integer DCT-I of
-its nodal values folded by the matrix's parity, every row on its own
-fixed-point grid (fixedpoint.regrid; q spans seven decades on the default
-window, so one grid for all rows would lose the relative accuracy where q
-is small).  R's nodal values are formed in integers too (_r_row).  The
-table owns the grid its reads locate x on, and its term-by-term
-antiderivative rows, formed from the same DCT on its first integral, so
-q', which is never integrated, never forms them.  A read puts x on that
-grid as the caller passes it (a float exactly) and checks the window in
-integers (_Table.locate): only an x that lands on an end of the window,
+(_Table): each element's exact Chebyshev coefficients, from an integer
+DCT-I of its nodal values folded by the matrix's parity, with no mpf
+operation per node: the stored values go on each element's grid from their
+raw mantissas (fixedpoint.row_to_grid), R's nodal values are formed in
+integers from the reference nodes put on a grid once per solution
+(_r_row), and the DCT matrix is shifted from one row of p + 1 products
+(_dct_on_grid).  From those coefficients the table forms, each on first
+use, the point rows, every row on its own fixed-point grid
+(fixedpoint.regrid; q spans seven decades on the default window, so one
+grid for all rows would lose the relative accuracy where q is small), and
+the term-by-term antiderivative rows, so q', which is never integrated,
+never forms the latter, and R, which is only integrated, never forms the
+former.  The table owns the grid its reads locate x on.  A read puts x on
+that grid as the caller passes it (a float exactly) and checks the window
+in integers (_Table.locate): only an x that lands on an end of the window,
 or is not finite, costs an mpf comparison.  A point value of q or q' is
 then one bisection, one floor division for the element coordinate and one
 integer Clenshaw sum over the element's row; an integral of q or R is one
@@ -557,9 +562,10 @@ class HMSolution:
 
     Stores each element's edges and its nodal values of q and q' once.
     Every value derived from them is kept by ``cached``, its one memo rule:
-    the Tracy-Widom constants of twdist, and the integer tables of _table
-    that every read goes through (the table checks and locates x in
-    integers, _Table.locate, and sums one row).
+    the Tracy-Widom constants of twdist, the integer tables of _table that
+    every read goes through (the table checks and locates x in integers,
+    _Table.locate, and sums one row), and the reference nodes on one grid,
+    which the R tables of every precision shift (_r_row).
     from_json_dict decodes each stored value exactly and rejects a document
     whose arrays do not fit together or whose values could not have been
     written by to_json_dict: edges that do not ascend strictly from x_left
@@ -715,18 +721,32 @@ def _r_row(solution: HMSolution, e: int, width: int) -> Tuple[int, List[int]]:
     q, q' and the nodes x = (a + b)/2 + (b - a)/2 t go on one grid 2^-F_e,
     F_e = width + _R_GUARD - mag(largest |q|, |q'|) (fixedpoint.row_to_grid;
     x costs one floor), so R is exact on them in units 2^-4F_e and one
-    fixedpoint.regrid takes it to the row's width."""
+    fixedpoint.regrid takes it to the row's width.  The reference nodes t
+    are kept once per solution as exact integers on their finest grid
+    (_ref_on_grid) and regridded to each F_e: truncation toward zero of an
+    exact value commutes with a shift, so the shifted integers are
+    fixedpoint.to_grid(t, F_e) for every element without an mpf."""
     q = solution._elem_q[e]
     n = len(q)
     f, grid = fixedpoint.row_to_grid(q + solution._elem_qp[e], width + _R_GUARD)
     a, b = (fixedpoint.to_grid(v, f) for v in solution._edges[e:e + 2])
+    g, ref = solution.cached(("ref",), _ref_on_grid, solution._ref)
+    # the largest |t| is 1, so f + 1 bits in it put the nodes on 2^-f
+    _, ref = fixedpoint.regrid(ref, g, f + 1)
     mid = (a + b) << f
     r = []
-    for t, v, vp in zip(solution._ref, grid[:n], grid[n:]):
-        x = (mid + (b - a) * fixedpoint.to_grid(t, f)) >> (f + 1)
+    for t, v, vp in zip(ref, grid[:n], grid[n:]):
+        x = (mid + (b - a) * t) >> (f + 1)
         v2 = v * v
         r.append(((vp * vp) << (2 * f)) - ((x * v2) << f) - v2 * v2)
     return fixedpoint.regrid(r, 4 * f, width)
+
+
+def _ref_on_grid(ref: Sequence[mpf]) -> Tuple[int, List[int]]:
+    """(G, [t 2^G]): the reference nodes as exact integers on the grid
+    2^-G of their smallest unit, G = max(-exp) over the nonzero ones."""
+    g = max(-t._mpf_[2] for t in ref if t)
+    return g, [fixedpoint.to_grid(t, g) for t in ref]
 
 
 _dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
@@ -735,23 +755,36 @@ _dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
 def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
     """(F, rows): the first floor(p/2) + 1 columns of the (p+1) x (p+1)
     DCT-I matrix that takes the values at -cos(pi j/p) to the coefficients
-    of T_0..T_p, on the reads' grid 2^-F, F = bits + _READ_GUARD.  The
-    entries are computed at F + 16 bits, so truncation onto the grid is
-    their one error.  Entry (n, j) needs cos(pi m/p), m = nj mod 2p, and
-    cos(pi (2p - m)/p) = cos(pi m/p), so p + 1 cosines serve.  Entry
-    (n, p - j) is (-1)^n times entry (n, j) and truncation toward zero is
-    odd, so these columns determine the integer matrix (_dct).  Memoised
-    per (p, bits)."""
+    of T_0..T_p, on the reads' grid 2^-F, F = bits + _READ_GUARD.  Entry
+    (n, j) is (-1)^n h_n h_j (2/p) cos(pi m/p), m = nj mod 2p, with
+    h = 1/2 at the ends 0 and p and 1 elsewhere, formed at F + 16 bits and
+    truncated onto the grid, its one error.  cos(pi (2p - m)/p) =
+    cos(pi m/p), so p + 1 products P_m = (2/p) cos(pi m/p) serve, each
+    rounded once at F + 16 bits and truncated onto the grid once.  The
+    entry is then a signed right shift of P_m's integer by the number of
+    ends among n and j: rounding to nearest commutes with the exact factors
+    +-1, 1/2 and 1/4, so the entry formed in mpf is that factor times P_m,
+    and truncation toward zero commutes with a right shift
+    (trunc(trunc(a) / 2^k) = trunc(a / 2^k)), so its integer is P_m's
+    shifted.  Entry (n, p - j) is (-1)^n times entry (n, j) and truncation
+    toward zero is odd, so these columns determine the integer matrix
+    (_dct).  Memoised per (p, bits)."""
     key = (p, bits)
     if key in _dct_cache:
         return _dct_cache[key]
     frac = bits + _READ_GUARD
     with mp.workprec(frac + 16):
-        cosines = [mp.cospi(mpf(m) / p) for m in range(p + 1)]
-        half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
-        rows = [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p
-                                    * cosines[p - abs(p - n * j % (2 * p))], frac)
-                 for j in range(p // 2 + 1)] for n in range(p + 1)]
+        two_over_p = mpf(2) / p
+        prods = [fixedpoint.to_grid(two_over_p * mp.cospi(mpf(m) / p), frac)
+                 for m in range(p + 1)]
+    rows = []
+    for n in range(p + 1):
+        row = []
+        for j in range(p // 2 + 1):
+            v, k = prods[p - abs(p - n * j % (2 * p))], (n in (0, p)) + (j in (0, p))
+            v = v >> k if v >= 0 else -(-v >> k)
+            row.append(-v if n & 1 else v)
+        rows.append(row)
     return _dct_cache.setdefault(key, (frac, rows))
 
 
@@ -779,24 +812,26 @@ class _Table:
     """The degree-p interpolant of ``kind`` at ``bits`` bits, cached per
     (kind, bits) by _table: point values and integrals read the same table.
 
-    Per element, the coefficients of T_0..T_p in t in [-1, 1], a row
-    (F_e, integers) with bits + _READ_GUARD bits in its largest entry, which
-    a point read sums: a DCT-I of the nodal values at the Lobatto points
-    (Trefethen, ATAP, ch. 3), each one exact integer dot of the matrix
-    (_dct_on_grid, folded by its parity in _dct) and the element's values
-    on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the largest:
-    q and q' by row_to_grid of the stored values, R formed in integers
-    (_r_row).  locate puts x on the grid 2^-frac, frac = bits + _READ_GUARD,
-    which depends on the solution and bits alone, so the tables of every
+    Per element, the exact coefficients of T_0..T_p in t in [-1, 1]: a
+    DCT-I of the nodal values at the Lobatto points (Trefethen, ATAP,
+    ch. 3), each one exact integer dot of the matrix (_dct_on_grid, folded
+    by its parity in _dct) and the element's values on a grid with
+    bits + REPORT_GUARD + _READ_GUARD bits in the largest: q and q' by
+    row_to_grid of the stored values, R formed in integers (_r_row).
+    locate puts x on the grid 2^-frac, frac = bits + _READ_GUARD, which
+    depends on the solution and bits alone, so the tables of every
     integrand at one precision share it.
 
-    The antiderivative rows, cum (the integral from x_left to every edge)
-    and left_end (the read at x_left, at bits + REPORT_GUARD, the precision
-    of every integral at ``bits``) are formed on first use from the same
-    exact DCT coefficients (_antiderivatives), so a table only read for
-    point values never forms them.  Only the integrands of _KINDS keep the
-    exact coefficients for that; the q' table drops them once its rows are
-    formed."""
+    Everything read is formed from those exact coefficients on first use:
+    rows, the point rows (F_e, integers) with frac bits in their largest
+    entry that a point read sums, and, for the integrands of _KINDS, the
+    antiderivative rows and cum (the integral from x_left to every edge,
+    _antiderivatives) and left_end (the read at x_left, at
+    bits + REPORT_GUARD, the precision of every integral at ``bits``).  So
+    a table only read for point values never forms integrals, and one only
+    integrated (R's, and q's under tw_point) never forms point rows.  The
+    exact coefficients go once every reader of the kind has formed its
+    rows."""
 
     def __init__(self, solution: HMSolution, kind: str, bits: int):
         # the table lives in the solution's memo dict, so it keeps the
@@ -811,13 +846,26 @@ class _Table:
         dct_frac, dct = _dct_on_grid(solution.p, bits)
         width = bits + REPORT_GUARD + _READ_GUARD
         values = solution._elem_q if kind == "q" else solution._elem_qp
-        exact = []
+        self._exact = []
         for e in range(len(solution._edges) - 1):
             frac, row = (_r_row(solution, e, width) if kind == "r"
                          else fixedpoint.row_to_grid(values[e], width))
-            exact.append((frac + dct_frac, _dct(dct, row)))
-        self.rows = [fixedpoint.regrid(c, frac, f) for frac, c in exact]
-        self._exact = exact if kind in _KINDS else None
+            self._exact.append((frac + dct_frac, _dct(dct, row)))
+        self._readers = {"rows", "antiderivatives"} if kind in _KINDS else {"rows"}
+
+    def _take_exact(self, reader: str) -> List[Tuple[int, List[int]]]:
+        """The exact coefficients for ``reader``, dropped after the last."""
+        exact = self._exact
+        self._readers.discard(reader)
+        if not self._readers:
+            self._exact = None
+        return exact
+
+    @cached_property
+    def rows(self) -> List[Tuple[int, List[int]]]:
+        """Each element's exact coefficients, regridded to frac bits."""
+        return [fixedpoint.regrid(c, frac, self.frac)
+                for frac, c in self._take_exact("rows")]
 
     def locate(self, x) -> Tuple[int, int]:
         """(e, t): the element e = [a, b] that holds x, and the coordinate
@@ -845,9 +893,9 @@ class _Table:
 
     @cached_property
     def antiderivatives(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
-        """(rows, cum) of _antiderivatives; the exact coefficients go then."""
-        exact, self._exact = self._exact, None
-        return _antiderivatives(self._edges, exact, self._bits)
+        """(rows, cum) of _antiderivatives."""
+        return _antiderivatives(self._edges, self._take_exact("antiderivatives"),
+                                self._bits)
 
     @cached_property
     def left_end(self) -> tuple:

@@ -54,6 +54,24 @@ def test_row_to_grid_sizes_each_row_by_its_largest_entry():
     assert fixedpoint.row_to_grid([mpf(0), mpf(0)], 64) == (64, [0, 0])
 
 
+def test_row_to_grid_rejects_inf_and_nan_anywhere():
+    # as to_grid does, whichever entry is not finite and whatever the others
+    for row in ([mpf(1), mp.inf], [mp.inf], [1, mp.nan], [mp.ninf, mpf(0)],
+                [mpf(0), mpf(2), float("nan")], [3.5, float("-inf")]):
+        with pytest.raises(ValueError):
+            fixedpoint.row_to_grid(row, 64)
+
+
+def test_row_to_grid_reads_ints_and_floats_as_to_grid_does():
+    rng = random.Random(9)
+    for _ in range(50):
+        row = [rng.randint(-2 ** 40, 2 ** 40), rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60),
+               mpf(rng.uniform(-1, 1)) / 3, 0, 0.0]
+        frac, got = fixedpoint.row_to_grid(row, 100)
+        assert frac == 100 - max(mp.mag(v) for v in row if v)
+        assert got == [fixedpoint.to_grid(v, frac) for v in row]
+
+
 def test_clenshaw_matches_mpf_sum():
     rng = random.Random(7)
     bits = 256

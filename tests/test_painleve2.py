@@ -1,5 +1,6 @@
 """Hastings-McLeod solver and its asymptotic series."""
 
+import collections
 import gc
 import hashlib
 import json
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import ctx_mp_python, mp, mpf
 
 from twlab import fixedpoint, painleve2, specialfn, twdist
 from twlab.errors import DomainError, SolverError
@@ -685,6 +686,38 @@ class TestSpectralIntegration:
         got_spans = spans(second)
         assert (cumulative(second), got_spans) == want
 
+    def test_cold_cumulative_read_does_no_per_node_mpf_work(self, hm_solution, ctx256,
+                                                            monkeypatch):
+        # the first cumulative read builds the R and q tables from raw
+        # mantissas (fixedpoint.row_to_grid), the reference nodes shifted
+        # from one grid (_r_row) and the DCT matrix shifted from one row of
+        # products (_dct_on_grid), and forms no point rows, which no
+        # integral reads; a later q_at forms the q rows, bit for bit
+        monkeypatch.setattr(painleve2, "_dct_cache", {})
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        calls = collections.Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a: calls.update([name]) or fn(*a))
+
+        counted(mp, "mag")
+        counted(fixedpoint, "to_grid")
+        for name in ("mpf_mul", "mpf_mul_int"):
+            counted(ctx_mp_python, name)
+        painleve2.cumulative_integrals(sol, -2, ctx256)
+        assert calls["mag"] == 0
+        assert calls["mpf_mul"] + calls["mpf_mul_int"] <= sol.p + 1
+        assert calls["to_grid"] < 400
+        tables = [painleve2._table(sol, kind, sol.precision_bits) for kind in ("r", "q")]
+        assert not any("rows" in vars(table) for table in tables)
+        xs = [(i - 1000) / 100 for i in range(1600)]
+        with mp.workprec(53):
+            reads = [[_enc(read(x)) for read in (sol.q_at, sol.q_prime_at)] for x in xs]
+        assert "rows" in vars(tables[1]) and "rows" not in vars(tables[0])
+        digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
+        assert digest == TestReadWindow.READS_SHA256
+
     @pytest.mark.parametrize("p", [8, 16, 24, 25, 36, 48])
     def test_dct_matrix_is_parity_symmetric(self, p, monkeypatch):
         # entry (n, p - j) is (-1)^n entry (n, j) exactly, so the columns
@@ -704,6 +737,22 @@ class TestSpectralIntegration:
             values = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(p + 1)]
             assert painleve2._dct(rows, values) == [fixedpoint.dot(row, values)
                                                     for row in full]
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 24, 25, 48])
+    def test_dct_columns_match_their_literal_definition(self, p, monkeypatch):
+        # each entry formed in mpf as the product its definition names, at
+        # F + 16 bits, and truncated onto the grid: _dct_on_grid shifts one
+        # product per cosine instead, which must give the same integers
+        monkeypatch.setattr(painleve2, "_dct_cache", {})
+        for bits in (64, 256, 320):
+            frac = bits + painleve2._READ_GUARD
+            with mp.workprec(frac + 16):
+                cosines = [mp.cospi(mpf(m) / p) for m in range(p + 1)]
+                half = [mpf(1) / 2 if j in (0, p) else mpf(1) for j in range(p + 1)]
+                want = [[fixedpoint.to_grid((-1) ** n * half[n] * half[j] * 2 / p
+                                            * cosines[p - abs(p - n * j % (2 * p))], frac)
+                         for j in range(p // 2 + 1)] for n in range(p + 1)]
+            assert painleve2._dct_on_grid(p, bits) == (frac, want)
 
     def test_fixed_point_r_matches_double_precision(self, hm_solution):
         # R from q, q' and x on one integer grid, against R formed in mpf at
@@ -838,6 +887,44 @@ class TestReadWindow:
             for x in bad:
                 with pytest.raises(DomainError):
                     read(x)
+
+
+class TestTablePin:
+    # every integer of the Chebyshev tables, recorded before the cold build
+    # read raw mantissas, shared the reference nodes between elements,
+    # formed the DCT matrix from one row of products and formed the point
+    # rows on first read: the matrix at (24, 256), and for q, q' and R at
+    # 256 and 192 bits the exact DCT rows, the point rows and, for the
+    # integrands, the antiderivative rows, cum and left_end
+    TABLES_SHA256 = "d8adafadc5013a701b7b21d304173c881923a99249dde27eb891d65a276be5ee"
+
+    def test_integer_tables_are_pinned(self, hm_solution, monkeypatch):
+        def integrals(table):
+            antis, cum = table.antiderivatives
+            return [antis, [_enc(v) for v in cum], list(map(int, table.left_end))]
+
+        monkeypatch.setattr(painleve2, "_dct_cache", {})
+        doc = [painleve2._dct_on_grid(24, 256)]
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        for bits in (256, 192):
+            width = bits + REPORT_GUARD + painleve2._READ_GUARD
+            dct_frac, dct = painleve2._dct_on_grid(sol.p, bits)
+            for kind in ("q", "qp", "r"):
+                values = sol._elem_q if kind == "q" else sol._elem_qp
+                grids = [painleve2._r_row(sol, e, width) if kind == "r"
+                         else fixedpoint.row_to_grid(values[e], width)
+                         for e in range(sol.elements)]
+                doc.append([kind, bits, [(frac + dct_frac, painleve2._dct(dct, row))
+                                         for frac, row in grids]])
+                table = painleve2._table(sol, kind, bits)
+                if kind == "qp":
+                    doc.append(table.rows)
+                elif bits == 256:  # the integrals formed before the point rows
+                    doc += [integrals(table), table.rows]
+                else:  # and after them
+                    doc += [table.rows, integrals(table)]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == self.TABLES_SHA256
 
 
 class TestStability:
