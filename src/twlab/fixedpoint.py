@@ -105,14 +105,23 @@ def row_to_grid(values: Sequence, bits: int) -> Tuple[int, List[int]]:
     return frac, row
 
 
+def rescale(row: Sequence[int], frac: int, to_frac: int) -> List[int]:
+    """The values row[i] 2^-frac on the grid 2^-to_frac, truncated toward
+    zero: to_grid of each value, in integers (truncation toward zero of an
+    exact value commutes with a shift)."""
+    shift = to_frac - frac
+    if shift >= 0:
+        return [n << shift for n in row]
+    return [n >> -shift if n >= 0 else -(-n >> -shift) for n in row]
+
+
 def regrid(row: Sequence[int], frac: int, bits: int) -> Tuple[int, List[int]]:
     """row_to_grid of the values row[i] 2^-frac, in integers: the row is
     shifted so its largest entry has ``bits`` bits, truncating toward zero."""
     top = max(map(abs, row), default=0).bit_length()
-    shift = bits - top
-    if shift >= 0:
-        return frac + shift if top else bits, [n << shift for n in row]
-    return frac + shift, [n >> -shift if n >= 0 else -(-n >> -shift) for n in row]
+    if not top:
+        return bits, list(row)
+    return frac + bits - top, rescale(row, frac, frac + bits - top)
 
 
 def clenshaw(coeffs: Sequence[int], t: int, t_bits: int) -> int:

@@ -29,9 +29,9 @@ Every read goes through one integer table per integrand and precision
 DCT-I of its nodal values folded by the matrix's parity, with no mpf
 operation per node: the stored values go on each element's grid from their
 raw mantissas (fixedpoint.row_to_grid), R's nodal values are formed in
-integers from the reference nodes put on a grid once per solution
-(_r_row), and the DCT matrix is shifted from one row of p + 1 products
-(_dct_on_grid).  From those coefficients the table forms, each on first
+integers from the edges and the reference nodes, each put on one exact
+grid once per solution (_exact_grid, _r_row), and the DCT matrix is
+shifted from one row of p + 1 products (_dct_on_grid).  From those coefficients the table forms, each on first
 use, the point rows, every row on its own fixed-point grid
 (fixedpoint.regrid; q spans seven decades on the default window, so one
 grid for all rows would lose the relative accuracy where q is small), and
@@ -721,18 +721,17 @@ def _r_row(solution: HMSolution, e: int, width: int) -> Tuple[int, List[int]]:
     q, q' and the nodes x = (a + b)/2 + (b - a)/2 t go on one grid 2^-F_e,
     F_e = width + _R_GUARD - mag(largest |q|, |q'|) (fixedpoint.row_to_grid;
     x costs one floor), so R is exact on them in units 2^-4F_e and one
-    fixedpoint.regrid takes it to the row's width.  The reference nodes t
-    are kept once per solution as exact integers on their finest grid
-    (_ref_on_grid) and regridded to each F_e: truncation toward zero of an
-    exact value commutes with a shift, so the shifted integers are
-    fixedpoint.to_grid(t, F_e) for every element without an mpf."""
+    fixedpoint.regrid takes it to the row's width.  The edges and the
+    reference nodes t are kept once per solution as exact integers on their
+    finest grids (_exact_grid) and shifted to each F_e (fixedpoint.rescale),
+    which gives fixedpoint.to_grid(v, F_e) of each without an mpf."""
     q = solution._elem_q[e]
     n = len(q)
     f, grid = fixedpoint.row_to_grid(q + solution._elem_qp[e], width + _R_GUARD)
-    a, b = (fixedpoint.to_grid(v, f) for v in solution._edges[e:e + 2])
-    g, ref = solution.cached(("ref",), _ref_on_grid, solution._ref)
-    # the largest |t| is 1, so f + 1 bits in it put the nodes on 2^-f
-    _, ref = fixedpoint.regrid(ref, g, f + 1)
+    ge, edges = solution.cached(("edges",), _exact_grid, solution._edges)
+    a, b = fixedpoint.rescale(edges[e:e + 2], ge, f)
+    g, ref = solution.cached(("ref",), _exact_grid, solution._ref)
+    ref = fixedpoint.rescale(ref, g, f)
     mid = (a + b) << f
     r = []
     for t, v, vp in zip(ref, grid[:n], grid[n:]):
@@ -742,11 +741,11 @@ def _r_row(solution: HMSolution, e: int, width: int) -> Tuple[int, List[int]]:
     return fixedpoint.regrid(r, 4 * f, width)
 
 
-def _ref_on_grid(ref: Sequence[mpf]) -> Tuple[int, List[int]]:
-    """(G, [t 2^G]): the reference nodes as exact integers on the grid
-    2^-G of their smallest unit, G = max(-exp) over the nonzero ones."""
-    g = max(-t._mpf_[2] for t in ref if t)
-    return g, [fixedpoint.to_grid(t, g) for t in ref]
+def _exact_grid(values: Sequence[mpf]) -> Tuple[int, List[int]]:
+    """(G, [v 2^G]): the values as exact integers on the grid 2^-G of their
+    smallest unit, G = max(-exp) over the nonzero ones."""
+    g = max(-v._mpf_[2] for v in values if v)
+    return g, [fixedpoint.to_grid(v, g) for v in values]
 
 
 _dct_cache: Dict[Tuple[int, int], Tuple[int, List[List[int]]]] = {}
@@ -838,16 +837,18 @@ class _Table:
         # values it reads and not the solution, which would make a
         # reference cycle that only the cyclic collector frees
         self.x_left, self.x_right = solution.x_left, solution.x_right
-        self._edges, self._bits = solution._edges, bits
+        self._bits = bits
+        ge, edges = self._edge_grid = solution.cached(("edges",), _exact_grid,
+                                                      solution._edges)
         f = self.frac = bits + _READ_GUARD
         self.lo, self.hi = (fixedpoint.to_grid(v, f)
                             for v in (self.x_left, self.x_right))
-        self.edges = [fixedpoint.to_grid(v, f) for v in solution._edges]
+        self.edges = fixedpoint.rescale(edges, ge, f)
         dct_frac, dct = _dct_on_grid(solution.p, bits)
         width = bits + REPORT_GUARD + _READ_GUARD
         values = solution._elem_q if kind == "q" else solution._elem_qp
         self._exact = []
-        for e in range(len(solution._edges) - 1):
+        for e in range(len(self.edges) - 1):
             frac, row = (_r_row(solution, e, width) if kind == "r"
                          else fixedpoint.row_to_grid(values[e], width))
             self._exact.append((frac + dct_frac, _dct(dct, row)))
@@ -894,7 +895,7 @@ class _Table:
     @cached_property
     def antiderivatives(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
         """(rows, cum) of _antiderivatives."""
-        return _antiderivatives(self._edges, self._take_exact("antiderivatives"),
+        return _antiderivatives(self._edge_grid, self._take_exact("antiderivatives"),
                                 self._bits)
 
     @cached_property
@@ -919,21 +920,31 @@ def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
     return solution.cached(("table", kind, bits), _Table, solution, kind, bits)
 
 
-def _antiderivatives(edges: Sequence[mpf], exact: List[Tuple[int, List[int]]],
+def _antiderivatives(edges: Tuple[int, List[int]],
+                     exact: List[Tuple[int, List[int]]],
                      bits: int) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
     """Per element [edges[e], edges[e + 1]], the coefficients of the
     antiderivative in x (zero at the left edge) of its exact Chebyshev
     coefficients (F_e, c), a row with bits + _READ_GUARD bits in its largest
     entry, and cum, the integral from edges[0] to every edge rounded to
-    bits + REPORT_GUARD.  They integrate term by term (ATAP, ch. 19), with
-    h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per coefficient."""
+    bits + REPORT_GUARD.  ``edges`` is (G, integers), the edges exactly on
+    the grid 2^-G (_exact_grid).  They integrate term by term (ATAP,
+    ch. 19), with h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per
+    coefficient.  h/2 is the exact integer h rounded to nearest at
+    bits + REPORT_GUARD, halved and truncated onto the grid, with no mpf:
+    for a table below the solution's precision that rounding is not exact,
+    and it is kept as the value the tables are pinned with."""
     g = bits + _READ_GUARD
+    wp = bits + REPORT_GUARD
+    ge, edges = edges
     antis, cum = [], [mpf(0)]
-    with mp.workprec(bits + REPORT_GUARD):
+    with mp.workprec(wp):
         for e, (frac, c) in enumerate(exact):
             # b_k = (h/2)(c_(k-1) - c_(k+1)) / (2k) with c_0 counted twice, on
             # the grid 2^-(frac + g); b_0 makes the antiderivative 0 at t = -1
-            half = fixedpoint.to_grid((edges[e + 1] - edges[e]) / 2, g)
+            _, man, exp, _ = libmp.from_man_exp(edges[e + 1] - edges[e], -ge - 1,
+                                                wp, libmp.round_nearest)
+            [half] = fixedpoint.rescale([man], -exp, g)
             c = [2 * c[0]] + c[1:] + [0, 0]
             b = [0] + [half * (c[k - 1] - c[k + 1]) // (2 * k)
                        for k in range(1, len(c) - 1)]

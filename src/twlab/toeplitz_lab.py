@@ -41,11 +41,12 @@ read one side from it.  The pivoted LU of linalg.lu_log_abs_pivots
 the other two but the grid; no function here reads it.
 
 Each ladder pass, Cholesky and LU runs once, through precision.stabilize,
-at ctx.precision_bits + guard_bits(t) bits, guard_bits(t) = ceil(4 t log2 e)
-+ 64, and returns its values with a proven absolute error bound; the bound
-must be at most 2^-ctx.precision_bits.  The determinants are exact up to
-rounding, so no tolerance is read here.  Each bound is formed from numbers
-the pass already has:
+at ctx.precision_bits + guard_bits(t, n, route) bits, a guard sized from the
+a priori form of that route's own bound (below), and returns its values
+with a proven absolute error bound; the bound must be at most
+2^-ctx.precision_bits.  The determinants are exact up to rounding, so no
+tolerance is read here.  Each bound is formed from numbers the pass
+already has:
 
   * input: each moment is off by at most one grid unit 2^-bits plus
     specialfn.bessel_i_row_error(bits), an entry of a family matrix by at
@@ -70,15 +71,36 @@ e^(2t cos theta), whose values lie in [e^(-2t), e^(2t)]; at t = 0 every
 family matrix is the identity (I_k(0) = 0 for k != 0), so the base Gram
 matrix is the identity and every eigenvalue lies in [e^(-2t), e^(2t)].  The
 size e^(t^2) of D_n does not come from cancellation, since log D_n is a sum
-of log pivots.  The grid errors are about 2^-bits sqrt(I_0(2t)) per entry,
-so a factorisation's log D_n loses about 3 t log2 e bits.  pi_q(0) loses
-about 4 t log2 e: a floor in its coefficients reaches the residual through
-sum_m |I_m(2t)| <= e^(2t), the residual grows with prod (1 + |pi_k(0)|),
-about e^t, and it is read through ||pi_{q-1}||_1, about e^t again.  log E_q
-reads pi through 2 |pi| / (1 - pi^2), at most about 4t on the ladders run
-here (1 - pi_1(0)^2 is about 1 / (2t)), and sums n of them.  guard_bits
-covers all three, and its 64 spare bits the powers of n and t: at 256 bits
-the bounds are 2^-317 at t = 30, n = 71 and 2^-316 at t = 100, n = 230.
+of log pivots.
+
+The a priori forms of the bounds, in grid units 2^-bits, size the guards:
+
+  * the LU: log_det_error's 2 n^(3/2) ||M^-1||_2 <= 2 n^(3/2) e^(2t)
+    times an entry error of 2 moment errors plus lu_entry_error's 1 +
+    max |u_kk|, the pivots at most about the diagonal I_0(2t) <= e^(2t):
+    at most 8 n^(3/2) e^(4t);
+  * the Cholesky: twice log_det_error for cholesky_entry_error's 2
+    sqrt(I_0(2t)) <= 2 e^t plus 2 moment errors: at most 16 n^(3/2) e^(3t);
+  * the Levinson ladder: pi_q(0) loses about e^(4t): a floor in its
+    coefficients reaches the residual through sum_m |I_m(2t)| <= e^(2t),
+    the residual grows with prod (1 + |pi_k(0)|), about e^t, and it is read
+    through ||pi_{q-1}||_1, about e^t again.  The residual takes q such
+    floors a step, so pi_q(0) is off by about q^2 e^(4t), and a +- ladder
+    adds the errors of n of them, about n^3 e^(4t).  log E_q reads pi
+    through 2 |pi| / (1 - pi^2), at most about 4t on the ladders run here
+    (1 - pi_1(0)^2 is about 1 / (2t)), and the plain ladder sums n log
+    errors that each sum q steps, about n^2.
+
+guard_bits(t, n, route) is ceil(rate t log2 e + power log2(n + 1)) +
+spare with (rate, power) = (4, 3) for the ladder, (4, 3/2) for the LU and
+(3, 3/2) for the Cholesky.  The spare is 16 bits for the factorisations,
+their 3 or 4 bits of constant factor and the slack, and 8 for the ladder,
+whose n^3 e^(4t) overstates the loss once n passes 2t.  At 256 bits, for t
+from 1 to 100 and n from 12 to 230, every bound then lies 13 to 28 bits
+below 2^-256: at t = 30 the ladder to n = 71 runs at 456 bits, the LU of
+D_56 at 454 and the Cholesky to n = 71 at 412, and at t = 100, n = 230 at
+865, 861 and 717 bits.  At t up to 5 the ladder keeps about 11 to 19 bits
+for every n up to 2000.
 """
 
 from __future__ import annotations
@@ -117,19 +139,28 @@ class MomentMatrixSpec:
             raise DomainError(f"kind must be one of {KINDS}")
         if self.n < 1:
             raise DomainError("matrix dimension n must be >= 1")
-        guard_bits(self.t)  # the domain rule for t
+        guard_bits(self.t, self.n, "lu")  # the domain rule for t
 
 
-def guard_bits(t: float) -> int:
-    """Bits lost at most to the conditioning of the moment matrices and the
-    growth of Levinson-Durbin (together <= e^(4t)), plus 64; see the module
-    docstring.  The one domain rule for t: it must be finite and positive."""
+# Per route, (rate, power, spare): the route's bound is about n^power
+# e^(rate t) grid units, and spare bits cover its constant factor and the
+# slack kept (module docstring).
+_GUARD_FORMS = {"ladder": (4, 3, 8), "lu": (4, 1.5, 16), "cholesky": (3, 1.5, 16)}
+
+
+def guard_bits(t: float, n: int, route: str) -> int:
+    """The bits a pass of ``route`` ("ladder", "lu" or "cholesky") of
+    dimension n at t works at above the target: ceil(rate t log2 e +
+    power log2(n + 1)) + spare from _GUARD_FORMS, the a priori form of the
+    route's bound (module docstring).  The one domain rule for t: it must
+    be finite and positive."""
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"symbol parameter t must be finite, got {t}")
     if not t > 0:
         raise DomainError("symbol parameter t must be positive")
-    return int(math.ceil(4.0 * t * _LOG2_E)) + 64
+    rate, power, spare = _GUARD_FORMS[route]
+    return int(math.ceil(rate * t * _LOG2_E + power * math.log2(n + 1))) + spare
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +383,13 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     numeric equality is exact across int, float and mpf and the pass reads
     t at its own bits, not at the ambient precision.  A +- ladder to n
     needs the pass to 2n + 1.  A request beyond the cached pass runs the
-    larger pass, which replaces the cached one."""
+    larger pass, at guard_bits(t, size, "ladder") above the target for its
+    own size, which replaces the cached one."""
     size = n_cap if kind == "plain" else 2 * n_cap + 1
     key = (t, ctx.precision_bits)
     ladders = _ladder_cache.get(key)
     if ladders is None or ladders["plain"].n_cap < size:
-        bits = ctx.precision_bits + guard_bits(t)
+        bits = ctx.precision_bits + guard_bits(t, size, "ladder")
         ladders, _ = stabilize(_ladder_pass(t, size), bits, ctx,
                                what=f"toeplitz ladder (t={t}, n={size})")
         _ladder_cache[key] = ladders
@@ -370,10 +402,10 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
 def _cholesky_ladder(t, kind: str, n: int, ctx: PrecisionContext) -> _Ladder:
     """The independent route to a ladder: the log pivots of the integer
     Cholesky of the n x n moment matrix of ``kind`` (linalg.
-    cholesky_log_pivots), in one pass at the ladder's bits, uncached and
-    without pi_q(0).  The bound is the one of the module docstring for a
-    factorisation: a log pivot is the difference of two log D_n, so it gets
-    twice their bound."""
+    cholesky_log_pivots), in one pass at guard_bits(t, n, "cholesky") above
+    the target, uncached and without pi_q(0).  The bound is the one of the
+    module docstring for a factorisation: a log pivot is the difference of
+    two log D_n, so it gets twice their bound."""
 
     def one(bits: int) -> Tuple[List[mpf], mpf]:
         with mp.workprec(bits):
@@ -381,7 +413,7 @@ def _cholesky_ladder(t, kind: str, n: int, ctx: PrecisionContext) -> _Ladder:
             pivots = cholesky_log_pivots(mat, bits, f"{kind} moment matrix (t={t})")
             return pivots, 2 * _log_det_bound(t, pivots, cholesky_entry_error(mat, bits), bits)
 
-    bits = ctx.precision_bits + guard_bits(t)
+    bits = ctx.precision_bits + guard_bits(t, n, "cholesky")
     pivots, bound = stabilize(one, bits, ctx,
                               what=f"Cholesky ladder (t={t}, kind={kind}, n={n})")
     return _Ladder(pivots, {}, bits, bound)
@@ -401,8 +433,9 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
     """Independent route: a pivoted LU of the full moment matrix
     (linalg.lu_log_abs_pivots), sharing nothing with the Levinson ladder or
     the Cholesky route but the grid (different algorithm, elimination order
-    and rounding path), run once at the ladder's precision with the bound of the
-    module docstring, which must be at most 2^-ctx.precision_bits.
+    and rounding path), run once at guard_bits(t, n, "lu") above the target
+    with the bound of the module docstring, which must be at most
+    2^-ctx.precision_bits.
 
     The pass builds the matrix in integers from the row of _moment_row, as
     the Cholesky route does.  The determinants of these matrices are
@@ -416,7 +449,8 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
             return (mp.fsum(logs),
                     _log_det_bound(spec.t, logs, lu_entry_error(logs, bits), bits))
 
-    val, _ = stabilize(one, ctx.precision_bits + guard_bits(spec.t), ctx,
+    bits = ctx.precision_bits + guard_bits(spec.t, spec.n, "lu")
+    val, _ = stabilize(one, bits, ctx,
                        what=f"LU log-determinant (t={spec.t}, n={spec.n})")
     return round_to(val, ctx.precision_bits)
 
@@ -471,10 +505,18 @@ def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf
         raise DomainError(
             f"correction {corr} out of range at q={q}, t={t}; q too close "
             "to the edge of the prediction region")
+    return _airy_log_kappa(q, t, corr if include_correction else None)
+
+
+def _airy_log_kappa(q: int, t: mpf, corr: Optional[mpf]) -> mpf:
+    """The prediction above from its correction ``corr``, _airy_kappa_
+    correction(q, t), checked by the caller, or without the last term when
+    corr is None."""
     with mp.extraprec(REPORT_GUARD):
         gamma = 2 * t / q
-        val = -q * (-gamma + mp.log(gamma) + 1) + mp.log(gamma) / 2
-        if include_correction:
+        log_gamma = mp.log(gamma)
+        val = -q * (-gamma + log_gamma + 1) + log_gamma / 2
+        if corr is not None:
             val -= mp.log(1 + corr)
         return +val
 
@@ -522,12 +564,15 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
     t_mp = mpf(t)
     records = []
     with mp.workprec(ctx.precision_bits):
+        t_p = mpf(t)
         for q in q_values:
             pred_k = None
             pred_pi = None
-            if (q + 1 < 2 * t_mp
-                    and abs(_airy_kappa_correction(q + 1, t_mp)) < mpf(1) / 2):
-                pred_k = -airy_log_kappa_prediction(q + 1, t)
+            if q + 1 < 2 * t_mp:
+                # one correction serves the range check and the prediction
+                corr = _airy_kappa_correction(q + 1, t_p)
+                if abs(corr) < mpf(1) / 2:
+                    pred_k = -_airy_log_kappa(q + 1, t_p, corr)
             if q < 2 * t_mp:
                 pred_pi = pi_zero_airy_prediction(q, t)
             records.append(ScanRecord(

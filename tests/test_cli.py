@@ -3,18 +3,20 @@ the options each command takes, and exit codes."""
 
 import ast
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from decimal import Decimal
 
 import pytest
 from mpmath import mp, mpf
 
 import twlab
-from twlab import checks, cli, painleve2
+from twlab import checks, cli, painleve2, toeplitz_lab
 from twlab.precision import PrecisionContext
 
 
@@ -373,8 +375,47 @@ class TestOracleCompare:
         assert doc["max_abs_diff"] == max(exact)
 
 
+def _without_pass_bits(doc):
+    """A command's document less the fields that report the bits and the
+    bound of the pass that formed it."""
+    if isinstance(doc, dict):
+        return {k: _without_pass_bits(v) for k, v in doc.items()
+                if k not in ("precision_bits_used", "abs_error_bound")}
+    if isinstance(doc, list):
+        return [_without_pass_bits(v) for v in doc]
+    return doc
+
+
 class TestToeplitzCommands:
-    def test_scan_csv(self, workdir):
+    # SHA-256 of each document less the fields that report the pass's bits
+    # and bound (_without_pass_bits), recorded while every route ran at
+    # ceil(4t log2 e) + 64 guard bits: the values do not depend on the guard
+    VALUES_SHA256 = {
+        "scan_t30": "c4b85b3317f64288d98801e81b442b8d521e11231d7e683e68a17ad4ec6ace28",
+        "scan_t3": "5ad7413d27b17de88c7b10b8e36c9f45dec4a9c32b90b4e992477a027527c283",
+        "limits": "a0929edb629c619b1730a84380990366265796040556697d4af7a39bef9034ff",
+        "limits_e_side": "80c880490c558248b6904eaab01722ceed0db3062131ba29f580d530eea60695",
+    }
+
+    @pytest.mark.parametrize("name, args", [
+        ("scan_t30", ["toeplitz-scan", "--t", "30", "--qmax", "70"]),
+        ("scan_t3", ["toeplitz-scan", "--t", "3", "--qmax", "8"]),
+        ("limits", ["toeplitz-limits", "--t", "10", "--x", "-1", "--L", "3",
+                    "--M", "3"] + FAST),
+        ("limits_e_side", ["toeplitz-limits", "--t", "10", "--x", "-1", "--L", "2",
+                           "--M", "3", "--e-side"] + FAST),
+    ])
+    def test_values_pinned(self, name, args, workdir, monkeypatch):
+        monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
+        code, text = run_cli(args, workdir, f"pinned_{name}.json")
+        assert code == 0
+        doc = _without_pass_bits(json.loads(text))
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == self.VALUES_SHA256[name]
+
+    def test_scan_csv(self, workdir, monkeypatch):
+        # the pass a fresh process runs, not a larger one cached before
+        monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
         code, text = run_cli(["toeplitz-scan", "--t", "3", "--qmax", "8",
                               "--format", "csv"], workdir, "scan.csv")
         assert code == 0
@@ -384,8 +425,9 @@ class TestToeplitzCommands:
                            "precision_bits_used"]
         assert len(rows) == 9
         assert all(float(r[3]) < 0 for r in rows[1:])
-        # one certified pass at 256 + guard_bits(3) = 256 + 18 + 64 bits
-        assert {r[-1] for r in rows[1:]} == {"338"}
+        # one certified pass at 256 + guard_bits(3, 9, "ladder") bits,
+        # 256 + ceil(12 log2 e + 3 log2 10) + 8
+        assert {r[-1] for r in rows[1:]} == {"292"}
 
     def test_scan_prints_no_digit_below_the_bound(self, workdir):
         # past q = 2t, log kappa_q^2 and pi_q(0) fall below the ladder's

@@ -689,10 +689,11 @@ class TestSpectralIntegration:
     def test_cold_cumulative_read_does_no_per_node_mpf_work(self, hm_solution, ctx256,
                                                             monkeypatch):
         # the first cumulative read builds the R and q tables from raw
-        # mantissas (fixedpoint.row_to_grid), the reference nodes shifted
-        # from one grid (_r_row) and the DCT matrix shifted from one row of
-        # products (_dct_on_grid), and forms no point rows, which no
-        # integral reads; a later q_at forms the q rows, bit for bit
+        # mantissas (fixedpoint.row_to_grid), the edges and the reference
+        # nodes shifted from one grid each (_r_row, _antiderivatives) and the
+        # DCT matrix shifted from one row of products (_dct_on_grid), and
+        # forms no point rows, which no integral reads; a later q_at forms
+        # the q rows, bit for bit
         monkeypatch.setattr(painleve2, "_dct_cache", {})
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         calls = collections.Counter()
@@ -708,7 +709,9 @@ class TestSpectralIntegration:
         painleve2.cumulative_integrals(sol, -2, ctx256)
         assert calls["mag"] == 0
         assert calls["mpf_mul"] + calls["mpf_mul_int"] <= sol.p + 1
-        assert calls["to_grid"] < 400
+        # 104: the edges and the reference nodes once per solution
+        # (_exact_grid), the DCT products and each table's window ends
+        assert calls["to_grid"] < 110
         tables = [painleve2._table(sol, kind, sol.precision_bits) for kind in ("r", "q")]
         assert not any("rows" in vars(table) for table in tables)
         xs = [(i - 1000) / 100 for i in range(1600)]

@@ -223,7 +223,7 @@ class TestAdaptivePrecision:
         # without its guard a pass loses bits to the conditioning, so its
         # error bound exceeds 2^-256 and the one pass raises, proving the
         # bound is checked rather than assumed
-        monkeypatch.setattr(tl, "guard_bits", lambda t: 0)
+        monkeypatch.setattr(tl, "guard_bits", lambda t, n, route: 0)
         for t in (2.0, 30.0):
             monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
             del bessel_rows[:]
@@ -231,22 +231,24 @@ class TestAdaptivePrecision:
                 tl.get_ladder(t, "plain", 6, CTX)
             assert len(bessel_rows) == 1
 
-    def test_guard_sized_to_conditioning(self):
-        # guard_bits(30) = ceil(120 log2 e) + 64 = 238; the one pass at
-        # 256 + 238 bits certifies its values to 2^-256
+    def test_guard_sized_to_conditioning(self, monkeypatch):
+        # guard_bits(30, 71, "ladder") = ceil(120 log2 e + 3 log2 72) + 8
+        # = 200; the one pass at 256 + 200 bits certifies its values to
+        # 2^-256
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
         ladder = tl.get_ladder(30.0, "plain", 71, CTX)
-        assert ladder.precision_bits_used == 494
+        assert ladder.precision_bits_used == 456
         assert ladder.error_bound <= mpf(2) ** -CTX.precision_bits
 
     @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"),
                                    0.0, -3.0])
     def test_guard_rejects_non_finite_t(self, t):
         with pytest.raises(DomainError):
-            tl.guard_bits(t)
+            tl.guard_bits(t, 1, "ladder")
 
     def test_one_bessel_row_per_pass(self, bessel_rows):
         # a ladder pass builds its own moment row, so the row count under
-        # get_ladder is its stabilize pass count: one, at 494 bits
+        # get_ladder is its stabilize pass count: one, at 456 bits
         tl.get_ladder(30.0, "plain", 71, CTX)
         assert len(bessel_rows) == 1
 
@@ -356,13 +358,41 @@ class TestErrorBound:
             assert abs(value - value2) <= bound
 
 
+class TestGuardSlack:
+    """Each route's guard is sized from the a priori form of its own bound,
+    so at 256 bits its bound lies between 8 and 40 bits below 2^-256: a
+    guard too small for the bound fails, and so does one that spends more
+    than 40 bits on it."""
+
+    @pytest.mark.parametrize("t, n", [
+        (1.0, 20), (3.0, 12), (8.0, 24), (12.0, 40), (16.0, 40), (30.0, 56),
+        (30.0, 71), (60.0, 125), (100.0, 230)])
+    def test_every_route_keeps_8_to_40_bits(self, monkeypatch, t, n):
+        bounds = {}
+        stabilize = tl.stabilize
+
+        def capture(compute, bits, ctx, what="result"):
+            value, bound = stabilize(compute, bits, ctx, what)
+            bounds[what.split()[0]] = bound
+            return value, bound
+
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
+        monkeypatch.setattr(tl, "stabilize", capture)
+        tl.get_ladder(t, "plain", n, CTX)
+        tl._cholesky_ladder(t, "plain", n, CTX)
+        tl.toeplitz_log_det_lu(tl.MomentMatrixSpec(t, n), CTX)
+        assert set(bounds) == {"toeplitz", "Cholesky", "LU"}
+        for route, bound in bounds.items():
+            assert mpf(2) ** -(256 + 40) <= bound <= mpf(2) ** -(256 + 8), route
+
+
 class TestCholeskyRoute:
     """The Levinson ladders against the independent integer Cholesky of the
     moment matrices, within the sum of the two bounds."""
 
     @pytest.mark.parametrize("t, n", [(3.0, 21), (30.0, 71), (50.0, 91)])
     def test_levinson_ladders_agree_with_cholesky(self, t, n):
-        bits = CTX.precision_bits + tl.guard_bits(t)
+        bits = CTX.precision_bits + tl.guard_bits(t, n, "ladder")
         full, _ = tl._ladder_pass(t, n)(bits)
         for kind, size in (("plain", n), ("plus_plus", n // 2),
                            ("minus_plus", n // 2)):
