@@ -140,7 +140,7 @@ def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSo
             text = fh.read()
         try:
             sol = painleve2.HMSolution.from_json(text)
-        except (ValueError, KeyError):
+        except ValueError:
             pass  # truncated, foreign or old-schema file: a cache miss
         else:
             if (sol.x_left, sol.x_right, sol.precision_bits, sol.elements) == (

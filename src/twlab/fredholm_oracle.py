@@ -197,7 +197,7 @@ def f2_fredholm(x, m: int, ctx: PrecisionContext,
     val = _f2_once(x, m, ctx)
     if verify_convergence:
         ref = _f2_once(x, 2 * m, ctx)
-        if abs(val - ref) > ctx.tol():
+        if abs(val - ref) > ctx.tolerance:
             raise PrecisionError(
                 f"Nystrom size m={m} is too small for tolerance "
                 f"{ctx.tolerance} at x={x}: |f2(m) - f2(2m)| = {abs(val - ref)}")

@@ -24,33 +24,35 @@ the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
 exactly why the two-point formulation is mandatory.
 
 The solution is stored once, as each element's nodal values of q and q'.
-Every read goes through one integer table per integrand and precision
-(_Table): each element's exact Chebyshev coefficients, from an integer
-DCT-I of its nodal values folded by the matrix's parity, with no mpf
-operation per node: the stored values go on each element's grid from their
-raw mantissas (fixedpoint.row_to_grid), R's nodal values are formed in
-integers from the edges and the reference nodes, each put on one exact
-grid once per solution (_exact_grid, _r_row), and the DCT matrix is
-shifted from one row of p + 1 products (_dct_on_grid).  From those coefficients the table forms, each on first
-use, the point rows, every row on its own fixed-point grid
+Every read goes through one integer table (_Table) per read, integrand and
+precision, built whole for that read: _points for q and q' at a point,
+_integrals for the integrals of q and R.  Both start from each element's
+exact Chebyshev coefficients (_coefficients), an integer DCT-I of its nodal
+values folded by the matrix's parity, with no mpf operation per node: the
+stored values go on each element's grid from their raw mantissas
+(fixedpoint.row_to_grid), R's nodal values are formed in integers from the
+edges and the reference nodes, each put on one exact grid once per
+solution (_exact_grid, _r_row), and the DCT matrix is shifted from one row
+of p + 1 products (_dct_on_grid).  No table keeps those coefficients: a
+point table regrids every row to its own fixed-point grid
 (fixedpoint.regrid; q spans seven decades on the default window, so one
 grid for all rows would lose the relative accuracy where q is small), and
-the term-by-term antiderivative rows, so q', which is never integrated,
-never forms the latter, and R, which is only integrated, never forms the
-former.  The table owns the grid its reads locate x on.  A read puts x on
-that grid as the caller passes it (a float exactly) and checks the window
-in integers (_Table.locate): only an x that lands on an end of the window,
-or is not finite, costs an mpf comparison.  A point value of q or q' is
-then one bisection, one floor division for the element coordinate and one
-integer Clenshaw sum over the element's row; an integral of q or R is one
-such sum of the antiderivative row plus a cumulative edge value, per end
-point (integrate_kind).  The integral from x_left, which both Tracy-Widom
-representations read, needs no sum at its x_left end: each table reads
-that end once, and cumulative_integrals locates x once for R and q, whose
-tables share one grid, and subtracts it from one sum per integrand.  Both
-read through _integral: the cumulative edge value plus the sum, less the
-start, each rounded to nearest at precision_bits + REPORT_GUARD on raw mpf
-tuples, with no ambient precision switch.
+an integral table integrates them term by term.  No command reads one
+integrand both ways, so R never forms point rows and q' never forms
+integrals.  A read puts x on its table's grid as the caller passes it (a
+float exactly) and checks the window in integers (_Table.locate): only an
+x that lands on an end of the window, or is not finite, costs an mpf
+comparison.  A point value of q or q' is then one bisection, one floor
+division for the element coordinate and one integer Clenshaw sum over the
+element's row; an integral of q or R is one such sum of the antiderivative
+row plus a cumulative edge value, per end point (integrate_kind).  The
+integral from x_left, which both Tracy-Widom representations read, needs
+no sum at its x_left end: each integral table reads that end once, and
+cumulative_integrals locates x once for R and q, whose tables share one
+grid, and subtracts it from one sum per integrand.  Both read through
+_integral: the cumulative edge value plus the sum, less the start, each
+rounded to nearest at precision_bits + REPORT_GUARD on raw mpf tuples,
+with no ambient precision switch.
 
 The left boundary data come from the large-negative expansion
 
@@ -91,7 +93,6 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import count
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence,
@@ -562,15 +563,17 @@ class HMSolution:
 
     Stores each element's edges and its nodal values of q and q' once.
     Every value derived from them is kept by ``cached``, its one memo rule:
-    the Tracy-Widom constants of twdist, the integer tables of _table that
-    every read goes through (the table checks and locates x in integers,
-    _Table.locate, and sums one row), and the reference nodes on one grid,
-    which the R tables of every precision shift (_r_row).
-    from_json_dict decodes each stored value exactly and rejects a document
-    whose arrays do not fit together or whose values could not have been
-    written by to_json_dict: edges that do not ascend strictly from x_left
-    to x_right, a ref that does not ascend strictly from -1 to 1, or fewer
-    than 64 precision bits.
+    the Tracy-Widom constants of twdist, the integer tables of _points and
+    _integrals that every read goes through (the table checks and locates x
+    in integers, _Table.locate, and sums one row), and the edges and the
+    reference nodes on one grid each, which the tables of every precision
+    shift (_r_row).
+    from_json_dict decodes each stored value exactly and rejects, with a
+    ValueError, a document that lacks a stored key, whose arrays do not fit
+    together or whose values could not have been written by to_json_dict:
+    edges that do not ascend strictly from x_left to x_right, a ref that
+    does not ascend strictly from -1 to 1, or fewer than 64 precision
+    bits.
 
     The library is single-threaded (mp.workprec sets the process-global
     mp.prec), so the memo dict needs no lock."""
@@ -597,7 +600,7 @@ class HMSolution:
         """Integer Clenshaw sum of the located element's row of the ``kind``
         table, rounded to max(mp.prec, precision_bits + REPORT_GUARD) bits."""
         bits = self.precision_bits
-        table = _table(self, kind, bits)
+        table = self.cached(("points", kind, bits), _points, self, kind, bits)
         e, t = table.locate(x)
         frac, row = table.rows[e]
         return fixedpoint.from_grid(fixedpoint.clenshaw(row, t, table.frac),
@@ -660,6 +663,9 @@ class HMSolution:
             elem_q = [list(map(dec, r)) for r in doc["elem_q"]]
             elem_qp = [list(map(dec, r)) for r in doc["elem_qp"]]
             ref = list(map(dec, doc["ref"]))
+            bits = doc["precision_bits"]
+        except KeyError as exc:
+            raise ValueError(f"solution document has no {exc.args[0]!r}") from exc
         except TypeError as exc:
             raise ValueError(f"solution document holds a value of the wrong "
                              f"type: {exc}") from exc
@@ -668,7 +674,7 @@ class HMSolution:
             raise ValueError("solution arrays do not fit together: need "
                              "len(edges) = len(elem_q) + 1 = len(elem_qp) + 1 "
                              "and len(ref) entries in every row")
-        if type(doc["precision_bits"]) is not int or doc["precision_bits"] < 64:
+        if type(bits) is not int or bits < 64:
             raise ValueError("solution precision_bits is not an integer >= 64")
         if not (edges[0] == x_left and edges[-1] == x_right
                 and all(a < b for a, b in zip(edges, edges[1:]))):
@@ -681,7 +687,7 @@ class HMSolution:
             x_left=x_left,
             x_right=x_right,
             residual_norm=residual_norm,
-            precision_bits=doc["precision_bits"],
+            precision_bits=bits,
             _edges=edges,
             _elem_q=elem_q,
             _elem_qp=elem_qp,
@@ -807,66 +813,53 @@ def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
 _KINDS = ("q", "r")
 
 
+def _coefficients(solution: HMSolution, kind: str,
+                  bits: int) -> List[Tuple[int, List[int]]]:
+    """Per element, (F_e, c): the exact coefficients c_n 2^-F_e of T_0..T_p
+    in t in [-1, 1] of the degree-p interpolant of ``kind`` at ``bits``
+    bits, a DCT-I of the nodal values at the Lobatto points (Trefethen,
+    ATAP, ch. 3).  Each is one exact integer dot of the matrix
+    (_dct_on_grid, folded by its parity in _dct) with the element's values
+    on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the largest:
+    q and q' by row_to_grid of the stored values, R formed in integers
+    (_r_row)."""
+    dct_frac, dct = _dct_on_grid(solution.p, bits)
+    width = bits + REPORT_GUARD + _READ_GUARD
+    values = solution._elem_q if kind == "q" else solution._elem_qp
+    out = []
+    for e in range(solution.elements):
+        frac, row = (_r_row(solution, e, width) if kind == "r"
+                     else fixedpoint.row_to_grid(values[e], width))
+        out.append((frac + dct_frac, _dct(dct, row)))
+    return out
+
+
 class _Table:
-    """The degree-p interpolant of ``kind`` at ``bits`` bits, cached per
-    (kind, bits) by _table: point values and integrals read the same table.
+    """One read of the interpolant of an integrand at ``bits`` bits, built
+    whole by _points or _integrals: the grid 2^-frac, frac =
+    bits + _READ_GUARD, that locate puts x on, and one row per element,
+    (F_e, integers) with frac bits in its largest entry, that the read sums
+    at the located t.  The grid depends on the solution and bits alone, so
+    the tables of every integrand at one precision share it.  An integral
+    table also holds cum, the integral from x_left to every edge, and
+    left_end, its read at x_left at bits + REPORT_GUARD, the precision of
+    every integral at ``bits``.
 
-    Per element, the exact coefficients of T_0..T_p in t in [-1, 1]: a
-    DCT-I of the nodal values at the Lobatto points (Trefethen, ATAP,
-    ch. 3), each one exact integer dot of the matrix (_dct_on_grid, folded
-    by its parity in _dct) and the element's values on a grid with
-    bits + REPORT_GUARD + _READ_GUARD bits in the largest: q and q' by
-    row_to_grid of the stored values, R formed in integers (_r_row).
-    locate puts x on the grid 2^-frac, frac = bits + _READ_GUARD, which
-    depends on the solution and bits alone, so the tables of every
-    integrand at one precision share it.
+    It lives in the solution's memo dict, so it keeps the values it reads
+    and not the solution, which would make a reference cycle that only the
+    cyclic collector frees."""
 
-    Everything read is formed from those exact coefficients on first use:
-    rows, the point rows (F_e, integers) with frac bits in their largest
-    entry that a point read sums, and, for the integrands of _KINDS, the
-    antiderivative rows and cum (the integral from x_left to every edge,
-    _antiderivatives) and left_end (the read at x_left, at
-    bits + REPORT_GUARD, the precision of every integral at ``bits``).  So
-    a table only read for point values never forms integrals, and one only
-    integrated (R's, and q's under tw_point) never forms point rows.  The
-    exact coefficients go once every reader of the kind has formed its
-    rows."""
-
-    def __init__(self, solution: HMSolution, kind: str, bits: int):
-        # the table lives in the solution's memo dict, so it keeps the
-        # values it reads and not the solution, which would make a
-        # reference cycle that only the cyclic collector frees
+    def __init__(self, solution: HMSolution, bits: int,
+                 rows: List[Tuple[int, List[int]]], cum: List[mpf] = None):
         self.x_left, self.x_right = solution.x_left, solution.x_right
-        self._bits = bits
-        ge, edges = self._edge_grid = solution.cached(("edges",), _exact_grid,
-                                                      solution._edges)
+        ge, edges = solution.cached(("edges",), _exact_grid, solution._edges)
         f = self.frac = bits + _READ_GUARD
         self.lo, self.hi = (fixedpoint.to_grid(v, f)
                             for v in (self.x_left, self.x_right))
         self.edges = fixedpoint.rescale(edges, ge, f)
-        dct_frac, dct = _dct_on_grid(solution.p, bits)
-        width = bits + REPORT_GUARD + _READ_GUARD
-        values = solution._elem_q if kind == "q" else solution._elem_qp
-        self._exact = []
-        for e in range(len(self.edges) - 1):
-            frac, row = (_r_row(solution, e, width) if kind == "r"
-                         else fixedpoint.row_to_grid(values[e], width))
-            self._exact.append((frac + dct_frac, _dct(dct, row)))
-        self._readers = {"rows", "antiderivatives"} if kind in _KINDS else {"rows"}
-
-    def _take_exact(self, reader: str) -> List[Tuple[int, List[int]]]:
-        """The exact coefficients for ``reader``, dropped after the last."""
-        exact = self._exact
-        self._readers.discard(reader)
-        if not self._readers:
-            self._exact = None
-        return exact
-
-    @cached_property
-    def rows(self) -> List[Tuple[int, List[int]]]:
-        """Each element's exact coefficients, regridded to frac bits."""
-        return [fixedpoint.regrid(c, frac, self.frac)
-                for frac, c in self._take_exact("rows")]
+        self.rows, self.cum = rows, cum
+        if cum is not None:
+            self.left_end = self.upto(*self.locate(self.x_left), bits + REPORT_GUARD)
 
     def locate(self, x) -> Tuple[int, int]:
         """(e, t): the element e = [a, b] that holds x, and the coordinate
@@ -892,54 +885,43 @@ class _Table:
         a, b = edges[e], edges[e + 1]
         return e, ((2 * xf - a - b) << f) // (b - a)
 
-    @cached_property
-    def antiderivatives(self) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
-        """(rows, cum) of _antiderivatives."""
-        return _antiderivatives(self._edge_grid, self._take_exact("antiderivatives"),
-                                self._bits)
-
-    @cached_property
-    def left_end(self) -> tuple:
-        """The read at x_left, at bits + REPORT_GUARD, as a raw mpf tuple."""
-        return self.upto(*self.locate(self.x_left), self._bits + REPORT_GUARD)
-
     def upto(self, e: int, t: int, prec: int) -> tuple:
         """The integral from edges[0] to the point at t in element e (as
         locate gives them), as a raw mpf tuple rounded to nearest at prec
         bits: cum[e] plus one Clenshaw sum of the element's antiderivative
         row, which is exact until that one rounding."""
-        antis, cum = self.antiderivatives
-        frac, row = antis[e]
+        frac, row = self.rows[e]
         tail = libmp.from_man_exp(fixedpoint.clenshaw(row, t, self.frac), -frac)
-        return libmp.mpf_add(cum[e]._mpf_, tail, prec, libmp.round_nearest)
+        return libmp.mpf_add(self.cum[e]._mpf_, tail, prec, libmp.round_nearest)
 
 
-def _table(solution: HMSolution, kind: str, bits: int) -> _Table:
-    """The _Table of ``kind`` at ``bits`` bits, built once per solution by
-    HMSolution.cached."""
-    return solution.cached(("table", kind, bits), _Table, solution, kind, bits)
+def _points(solution: HMSolution, kind: str, bits: int) -> _Table:
+    """The point table of ``kind`` at ``bits`` bits, which HMSolution._read
+    keeps by HMSolution.cached: each element's exact coefficients regridded
+    to frac bits."""
+    return _Table(solution, bits, [fixedpoint.regrid(c, frac, bits + _READ_GUARD)
+                                   for frac, c in _coefficients(solution, kind, bits)])
 
 
-def _antiderivatives(edges: Tuple[int, List[int]],
-                     exact: List[Tuple[int, List[int]]],
-                     bits: int) -> Tuple[List[Tuple[int, List[int]]], List[mpf]]:
-    """Per element [edges[e], edges[e + 1]], the coefficients of the
-    antiderivative in x (zero at the left edge) of its exact Chebyshev
-    coefficients (F_e, c), a row with bits + _READ_GUARD bits in its largest
-    entry, and cum, the integral from edges[0] to every edge rounded to
-    bits + REPORT_GUARD.  ``edges`` is (G, integers), the edges exactly on
-    the grid 2^-G (_exact_grid).  They integrate term by term (ATAP,
-    ch. 19), with h/2 on the grid 2^-(bits + _READ_GUARD) and one floor per
-    coefficient.  h/2 is the exact integer h rounded to nearest at
-    bits + REPORT_GUARD, halved and truncated onto the grid, with no mpf:
-    for a table below the solution's precision that rounding is not exact,
-    and it is kept as the value the tables are pinned with."""
+def _integrals(solution: HMSolution, kind: str, bits: int) -> _Table:
+    """The integral table of ``kind`` at ``bits`` bits, which its readers
+    keep by HMSolution.cached: per element [a, b], the coefficients of the
+    antiderivative in x (zero at a) of its exact coefficients, a row with
+    bits + _READ_GUARD bits in its largest entry, and cum, the integral
+    from x_left to every edge rounded to bits + REPORT_GUARD.  The
+    coefficients integrate term by term (ATAP, ch. 19), with h/2 on the
+    grid 2^-(bits + _READ_GUARD) and one floor per coefficient.  h/2 is the
+    exact integer h of the edges on their grid (_exact_grid) rounded to
+    nearest at bits + REPORT_GUARD, halved and truncated onto the grid,
+    with no mpf: for a table below the solution's precision that rounding
+    is not exact, and it is kept as the value the tables are pinned with."""
     g = bits + _READ_GUARD
     wp = bits + REPORT_GUARD
-    ge, edges = edges
-    antis, cum = [], [mpf(0)]
+    ge, edges = solution.cached(("edges",), _exact_grid, solution._edges)
+    coefficients = _coefficients(solution, kind, bits)
+    rows, cum = [], [mpf(0)]
     with mp.workprec(wp):
-        for e, (frac, c) in enumerate(exact):
+        for e, (frac, c) in enumerate(coefficients):
             # b_k = (h/2)(c_(k-1) - c_(k+1)) / (2k) with c_0 counted twice, on
             # the grid 2^-(frac + g); b_0 makes the antiderivative 0 at t = -1
             _, man, exp, _ = libmp.from_man_exp(edges[e + 1] - edges[e], -ge - 1,
@@ -949,9 +931,9 @@ def _antiderivatives(edges: Tuple[int, List[int]],
             b = [0] + [half * (c[k - 1] - c[k + 1]) // (2 * k)
                        for k in range(1, len(c) - 1)]
             b[0] = sum(b[1::2]) - sum(b[2::2])
-            antis.append(fixedpoint.regrid(b, frac + g, g))
+            rows.append(fixedpoint.regrid(b, frac + g, g))
             cum.append(cum[-1] + fixedpoint.from_grid(sum(b), frac + g))
-    return antis, cum
+    return _Table(solution, bits, rows, cum)
 
 
 def _integral(table: _Table, e: int, t: int, start: tuple, wp: int) -> mpf:
@@ -971,11 +953,12 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
     a, b = mp.convert(a), mp.convert(b)
-    table = _table(solution, kind, ctx.precision_bits)
+    bits = ctx.precision_bits
+    table = solution.cached(("integrals", kind, bits), _integrals, solution, kind, bits)
     (ea, ta), (eb, tb) = (table.locate(x) for x in (a, b))
     if not a <= b:
         raise DomainError("integration bounds must satisfy a <= b")
-    wp = ctx.precision_bits + REPORT_GUARD
+    wp = bits + REPORT_GUARD
     return _integral(table, eb, tb, table.upto(ea, ta, wp), wp)
 
 
@@ -990,7 +973,8 @@ def cumulative_integrals(solution: HMSolution, x,
     window."""
     x = mp.convert(x)
     bits = ctx.precision_bits
-    tables = (_table(solution, "r", bits), _table(solution, "q", bits))
+    tables = [solution.cached(("integrals", kind, bits), _integrals, solution, kind, bits)
+              for kind in ("r", "q")]
     e, t = tables[0].locate(x)
     wp = bits + REPORT_GUARD
     return tuple(_integral(table, e, t, table.left_end, wp) for table in tables)

@@ -56,9 +56,6 @@ class PrecisionContext:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
-    def tol(self) -> mpf:
-        return mpf(self.tolerance)
-
     def workprec(self):
         """mp.workprec at REPORT_GUARD bits above precision_bits."""
         return mp.workprec(self.precision_bits + REPORT_GUARD)

@@ -94,16 +94,10 @@ def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
             w = -2 * from_grid(x2_minus_one, frac) / from_grid(dp, frac) ** 2
             nodes.append(from_grid(x, frac))
             weights.append(w)
-        xs = [-v for v in nodes]
-        ws = list(weights)
-        if n % 2 == 1:
-            xs = xs[:-1] + [mpf(0)] + [v for v in reversed(nodes[:-1])]
-            ws = ws[:-1] + [weights[-1]] + list(reversed(weights[:-1]))
-        else:
-            xs = xs + list(reversed(nodes))
-            ws = ws + list(reversed(weights))
-        xs = [+v for v in xs]
-        ws = [+v for v in ws]
+        # mirror the descending nodes about 0 (exactly, at frac bits)
+        half = n // 2
+        xs = [-v for v in nodes[:half]] + [mpf(0)] * (n % 2) + nodes[:half][::-1]
+        ws = weights + weights[:half][::-1]
     result = (xs, ws)
     _rule_cache[key] = result
     return result

@@ -176,6 +176,11 @@ class TestSolutionCache:
     def test_truncated_file_is_resolved(self, tmp_path):
         self._rerun_over(tmp_path, '{"schema_version": 2, "kind": "hast')
 
+    def test_file_without_edges_is_resolved(self, tmp_path):
+        def drop_edges(doc):
+            del doc["edges"]
+        self._rerun_over(tmp_path, self._damaged(drop_edges))
+
     def test_old_schema_file_is_resolved(self, tmp_path):
         self._rerun_over(tmp_path, json.dumps({"schema_version": 1,
                                                "grid": [], "q": []}))

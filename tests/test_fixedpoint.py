@@ -128,5 +128,5 @@ def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
     quadrature.gauss_legendre(80, 288)
     sol.q_prime_at(0)  # q' is read, never integrated
     for kind in ("q", "r"):
-        # left_end forms the table's antiderivatives and reads one
-        painleve2._table(sol, kind, sol.precision_bits).left_end
+        # the integral table forms its antiderivatives and reads left_end
+        painleve2._integrals(sol, kind, sol.precision_bits)

@@ -501,9 +501,10 @@ class TestRRoutes:
             # int q^2 over every whole element, shared by all the x below
             whole = [_gauss_legendre(sol, q2, lo, hi)
                      for lo, hi in zip(edges, edges[1:])]
+            locate = painleve2._points(sol, "q", sol.precision_bits).locate
             for x in (-11, -8, -4.5, -1, 0, 2.5, 6, 7.5):
                 local = painleve2.r_of(sol, x)
-                e, _ = painleve2._table(sol, "q", sol.precision_bits).locate(mpf(x))
+                e, _ = locate(mpf(x))
                 quad = (_gauss_legendre(sol, q2, x, edges[e + 1])
                         + mp.fsum(whole[e + 1:]) + tail)
                 assert abs(local - quad) < 10 * mpf(ctx256.tolerance)
@@ -545,56 +546,56 @@ class TestSpectralIntegration:
                     assert abs(sol.q_at(xs[j]) / sol._elem_q[e][j] - 1) < bound
                     assert abs(sol.q_prime_at(xs[j]) / sol._elem_qp[e][j] - 1) < bound
 
-    def test_fresh_solution_builds_one_table_per_integrand(
-            self, hm_solution, ctx256, monkeypatch):
-        # point values and integrals of q share one DCT per element, and
-        # the antiderivatives are built on the first integral only: reading
-        # q' never builds them
-        dcts, antis = [], []
-        dct, anti = painleve2._dct, painleve2._antiderivatives
+    def test_each_read_forms_its_coefficients_once_and_keeps_none(
+            self, hm_solution, ctx256, tail_constants, monkeypatch):
+        # each (read, kind) forms one DCT per element, once: the q and q'
+        # point tables k each, the q integral table k more, and repeated
+        # reads none.  No memo entry keeps the exact coefficients the
+        # tables are formed from
+        dcts = []
+        dct = painleve2._dct
 
         def counting_dct(rows, values):
             dcts.append(1)
             return dct(rows, values)
 
-        def counting_anti(*args):
-            antis.append(1)
-            return anti(*args)
-
         monkeypatch.setattr(painleve2, "_dct", counting_dct)
-        monkeypatch.setattr(painleve2, "_antiderivatives", counting_anti)
-        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
-        assert ctx256.precision_bits == sol.precision_bits
-        k = len(sol._elem_q)
-        sol.q_at(-3)
-        sol.q_prime_at(-3)
-        sol.q_prime_at(4)
-        sol.q_at(2)
-        assert len(dcts) == 2 * k and not antis
-        painleve2.integrate_kind(sol, "q", -3, 2, ctx256)
-        painleve2.integrate_kind(sol, "q", -3, -1, ctx256)
-        assert len(dcts) == 2 * k and len(antis) == 1
-        qp_table = painleve2._table(sol, "qp", sol.precision_bits)
-        assert "antiderivatives" not in vars(qp_table)
-
-    def test_qp_table_keeps_no_exact_coefficients(self, hm_solution, ctx256):
-        # q' is read, never integrated, so its table drops the exact DCT
-        # coefficients once its rows are formed; q and R keep theirs for
-        # their antiderivatives, and reading q' first leaves their integrals
-        # bit for bit
-        xs = (-11.5, -3.3, 0.0, 7.9)
-
-        def integrals(sol):
-            return [painleve2.integrate_kind(sol, kind, -5, x, ctx256)._mpf_
-                    for kind in ("q", "r") for x in xs[1:]]
-
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         bits = sol.precision_bits
-        for x in xs:
-            sol.q_prime_at(x)
-            sol.q_at(x)
-        assert painleve2._table(sol, "qp", bits)._exact is None
-        assert painleve2._table(sol, "q", bits)._exact is not None
+        assert ctx256.precision_bits == bits
+        k = sol.elements
+        sol.q_at(-3)
+        sol.q_at(2)
+        assert len(dcts) == k
+        sol.q_prime_at(-3)
+        sol.q_prime_at(4)
+        assert len(dcts) == 2 * k
+        painleve2.integrate_kind(sol, "q", -3, 2, ctx256)
+        painleve2.integrate_kind(sol, "q", -3, -1, ctx256)
+        assert len(dcts) == 3 * k
+        twdist.tw_point(-2, sol, tail_constants, ctx256)
+        assert len(dcts) == 4 * k  # the R integral table
+        monkeypatch.setattr(painleve2, "_dct", dct)
+        exact = {tuple(c) for kind in ("q", "qp", "r")
+                 for _, c in painleve2._coefficients(sol, kind, bits)}
+
+        def int_rows(v):
+            if isinstance(v, list) and v and all(type(n) is int for n in v):
+                yield tuple(v)
+            elif isinstance(v, (list, tuple)):
+                for w in v:
+                    yield from int_rows(w)
+            elif hasattr(v, "__dict__"):
+                yield from int_rows(list(vars(v).values()))
+
+        kept = list(int_rows(list(sol._cum_cache.values())))
+        assert len(kept) > 4 * k and not exact & set(kept)
+
+        def integrals(s):
+            return [painleve2.integrate_kind(s, kind, -5, x, ctx256)._mpf_
+                    for kind in ("q", "r") for x in (-3.3, 0.0, 7.9)]
+
+        # the point reads first leave the integrals bit for bit
         fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
         assert integrals(sol) == integrals(fresh)
 
@@ -629,7 +630,7 @@ class TestSpectralIntegration:
               + [sol.x_left + span * i / 401 for i in range(402)])
         for kind, read in (("q", sol.q_at), ("qp", sol.q_prime_at)):
             table = _mpf_dct(sol, kind, bits)
-            locate = painleve2._table(sol, kind, bits).locate
+            locate = painleve2._points(sol, kind, bits).locate
             with mp.workprec(2 * bits):
                 for x in xs:
                     e, _ = locate(x)
@@ -667,9 +668,9 @@ class TestSpectralIntegration:
                 painleve2.cumulative_integrals(sol, x, ctx256)
 
     def test_reads_need_no_call_order(self, hm_solution, ctx256):
-        # each table forms its antiderivatives and left_end on first use, so
-        # two fresh solutions, one read by cumulative_integrals first and
-        # one by integrate_kind first, give the same bits
+        # each integral table is built whole on its first read, so two
+        # fresh solutions, one read by cumulative_integrals first and one
+        # by integrate_kind first, give the same bits
         xs = (-11.5, -3.3, 0.0, 7.9)
 
         def cumulative(sol):
@@ -688,12 +689,12 @@ class TestSpectralIntegration:
 
     def test_cold_cumulative_read_does_no_per_node_mpf_work(self, hm_solution, ctx256,
                                                             monkeypatch):
-        # the first cumulative read builds the R and q tables from raw
-        # mantissas (fixedpoint.row_to_grid), the edges and the reference
-        # nodes shifted from one grid each (_r_row, _antiderivatives) and the
-        # DCT matrix shifted from one row of products (_dct_on_grid), and
-        # forms no point rows, which no integral reads; a later q_at forms
-        # the q rows, bit for bit
+        # the first cumulative read builds the R and q integral tables from
+        # raw mantissas (fixedpoint.row_to_grid), the edges and the
+        # reference nodes shifted from one grid each (_r_row, _integrals)
+        # and the DCT matrix shifted from one row of products
+        # (_dct_on_grid), and forms no point table, which no integral
+        # reads; later q_at and q_prime_at form theirs, bit for bit
         monkeypatch.setattr(painleve2, "_dct_cache", {})
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         calls = collections.Counter()
@@ -712,12 +713,14 @@ class TestSpectralIntegration:
         # 104: the edges and the reference nodes once per solution
         # (_exact_grid), the DCT products and each table's window ends
         assert calls["to_grid"] < 110
-        tables = [painleve2._table(sol, kind, sol.precision_bits) for kind in ("r", "q")]
-        assert not any("rows" in vars(table) for table in tables)
+        def points():
+            return {key[1] for key in sol._cum_cache if key[0] == "points"}
+
+        assert not points()
         xs = [(i - 1000) / 100 for i in range(1600)]
         with mp.workprec(53):
             reads = [[_enc(read(x)) for read in (sol.q_at, sol.q_prime_at)] for x in xs]
-        assert "rows" in vars(tables[1]) and "rows" not in vars(tables[0])
+        assert points() == {"q", "qp"}
         digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
         assert digest == TestReadWindow.READS_SHA256
 
@@ -779,7 +782,7 @@ class TestSpectralIntegration:
         sol = hm_solution
         bits = sol.precision_bits
         for kind in ("q", "qp", "r"):
-            rows = painleve2._table(sol, kind, bits).rows
+            rows = painleve2._points(sol, kind, bits).rows
             for (frac, row), want in zip(rows, _mpf_dct(sol, kind, bits)):
                 got = [fixedpoint.from_grid(c, frac) for c in row]
                 bound = max(abs(c) for c in want) * mpf(2) ** -(bits + 16)
@@ -903,8 +906,8 @@ class TestTablePin:
 
     def test_integer_tables_are_pinned(self, hm_solution, monkeypatch):
         def integrals(table):
-            antis, cum = table.antiderivatives
-            return [antis, [_enc(v) for v in cum], list(map(int, table.left_end))]
+            return [table.rows, [_enc(v) for v in table.cum],
+                    list(map(int, table.left_end))]
 
         monkeypatch.setattr(painleve2, "_dct_cache", {})
         doc = [painleve2._dct_on_grid(24, 256)]
@@ -919,13 +922,13 @@ class TestTablePin:
                          for e in range(sol.elements)]
                 doc.append([kind, bits, [(frac + dct_frac, painleve2._dct(dct, row))
                                          for frac, row in grids]])
-                table = painleve2._table(sol, kind, bits)
+                points = painleve2._points(sol, kind, bits)
                 if kind == "qp":
-                    doc.append(table.rows)
+                    doc.append(points.rows)
                 elif bits == 256:  # the integrals formed before the point rows
-                    doc += [integrals(table), table.rows]
+                    doc += [integrals(painleve2._integrals(sol, kind, bits)), points.rows]
                 else:  # and after them
-                    doc += [table.rows, integrals(table)]
+                    doc += [points.rows, integrals(painleve2._integrals(sol, kind, bits))]
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == self.TABLES_SHA256
 
@@ -1023,6 +1026,17 @@ class TestSerialization:
         doc[name] = damage(doc[name])
         with pytest.raises(ValueError):
             painleve2.HMSolution.from_json_dict(doc)
+
+    def test_missing_key_is_rejected(self, hm_solution):
+        # a ValueError that names the key, as for every other malformed
+        # document, so a reader need catch nothing else
+        stored = set(hm_solution.to_json_dict()) - {"schema_version", "kind"}
+        assert len(stored) == 8
+        for name in sorted(stored):
+            doc = hm_solution.to_json_dict()
+            del doc[name]
+            with pytest.raises(ValueError, match=repr(name)):
+                painleve2.HMSolution.from_json_dict(doc)
 
     def test_schema_version_guard(self, hm_solution):
         doc = hm_solution.to_json_dict()

@@ -160,6 +160,27 @@ class TestGaussLegendre:
         digest = hashlib.sha256(json.dumps(encoded).encode()).hexdigest()
         assert digest == self.NODES_SHA256[n, prec]
 
+    # nodes and weights as to_json encodes them, for odd n (0 in the
+    # middle) and even n, taken before the two halves were assembled by
+    # one symmetric rule
+    RULES_SHA256 = {
+        (1, 64): "c9bc9a7d13cb204ebe2b612d8798394d74154c9cda51f51c35cab8d83709bb75",
+        (20, 128): "93527662221c6f86720e4cd1f990d1c46415548a7448e748fab0c4cd0c9e96d0",
+        (21, 128): "1a57a511d8b64634e3219d996ca14426e94a818924a57dbeea89ab5b4399d54d",
+        (61, 272): "5f1e11c9378e020478015808426bf986500e1dead1dd580e534cf2989d4bb3a7",
+    }
+
+    @pytest.mark.parametrize("n, prec", sorted(RULES_SHA256))
+    def test_rules_are_pinned(self, n, prec):
+        def enc(values):
+            return [[v._mpf_[0], hex(int(v._mpf_[1])), v._mpf_[2], v._mpf_[3]]
+                    for v in values]
+
+        xs, ws = gauss_legendre(n, prec)
+        assert len(xs) == len(ws) == n
+        digest = hashlib.sha256(json.dumps([enc(xs), enc(ws)]).encode()).hexdigest()
+        assert digest == self.RULES_SHA256[n, prec]
+
     def test_no_recurrence_only_to_confirm_a_node(self, monkeypatch):
         # three Newton steps take the float64 root past 2^-296 and a fourth
         # confirms it; the weight comes from the recurrence of that fourth
