@@ -546,12 +546,12 @@ class TestSpectralIntegration:
                     assert abs(sol.q_at(xs[j]) / sol._elem_q[e][j] - 1) < bound
                     assert abs(sol.q_prime_at(xs[j]) / sol._elem_qp[e][j] - 1) < bound
 
-    def test_each_read_forms_its_coefficients_once_and_keeps_none(
+    def test_fresh_solution_builds_one_table_per_integrand(
             self, hm_solution, ctx256, tail_constants, monkeypatch):
         # each (read, kind) forms one DCT per element, once: the q and q'
-        # point tables k each, the q integral table k more, and repeated
-        # reads none.  No memo entry keeps the exact coefficients the
-        # tables are formed from
+        # point tables k each, the q integral table k more, the R integral
+        # table k more, and repeated reads none.  Reading q' never builds
+        # an integral table
         dcts = []
         dct = painleve2._dct
 
@@ -570,12 +570,28 @@ class TestSpectralIntegration:
         sol.q_prime_at(-3)
         sol.q_prime_at(4)
         assert len(dcts) == 2 * k
+        assert not [key for key in sol._cum_cache if key[0] == "integrals"]
         painleve2.integrate_kind(sol, "q", -3, 2, ctx256)
         painleve2.integrate_kind(sol, "q", -3, -1, ctx256)
         assert len(dcts) == 3 * k
         twdist.tw_point(-2, sol, tail_constants, ctx256)
         assert len(dcts) == 4 * k  # the R integral table
-        monkeypatch.setattr(painleve2, "_dct", dct)
+        assert {key[1] for key in sol._cum_cache
+                if key[0] == "integrals"} == {"q", "r"}
+
+    def test_qp_table_keeps_no_exact_coefficients(self, hm_solution, ctx256):
+        # q' is read, never integrated; no memo entry, the q' point table
+        # or any other, keeps the exact DCT coefficients the tables are
+        # formed from, and reading q and q' first leaves the q and R
+        # integrals bit for bit
+        sol = painleve2.HMSolution.from_json(hm_solution.to_json())
+        bits = sol.precision_bits
+        k = sol.elements
+        for x in (-11.5, -3.3, 0.0, 7.9):
+            sol.q_prime_at(x)
+            sol.q_at(x)
+        for kind in ("q", "r"):
+            painleve2.integrate_kind(sol, kind, -1, 1, ctx256)
         exact = {tuple(c) for kind in ("q", "qp", "r")
                  for _, c in painleve2._coefficients(sol, kind, bits)}
 
