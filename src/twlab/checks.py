@@ -16,7 +16,9 @@ integer floor in n = floor(2t + x t^(1/3)) shifts the determinant's
 effective argument by frac/t^(1/3), a quantization term that is not
 monotone along a t-ladder (and happens to vanish at t=8, where
 2t - t^(1/3) is an exact integer), so those ladders are scored at the
-effective argument x_eff = (n - 2t)/t^(1/3).
+effective argument x_eff = (n - 2t)/t^(1/3), or 2(ell - t)/t^(1/3) for the
+E side's ell = floor(t + (x/2) t^(1/3)): toeplitz_lab.scaling_index gives
+each size with its x_eff.
 """
 
 from __future__ import annotations
@@ -137,11 +139,9 @@ def double_scaling_ladder(sol, consts, ctx) -> List[Result]:
     gaps = []
     with ctx.workprec():
         for t in (8.0, 16.0, 32.0):
-            t13 = mpf(t) ** (mpf(1) / 3)
-            n = int(mp.floor(2 * t - t13))
+            n, x_eff = toeplitz_lab.scaling_index(t, -1, ctx)
             logd = toeplitz_lab.toeplitz_log_det(
                 toeplitz_lab.MomentMatrixSpec(t, n, "plain"), ctx)
-            x_eff = (n - 2 * mpf(t)) / t13
             gaps.append(abs(mp.exp(-mpf(t) ** 2 + logd)
                             - twdist.tw_cdf(x_eff, 2, sol, consts, ctx)))
         return [_below("|e^(-t^2) D_n - F2(x_eff)|, t=8,16,32: max successive ratio",
@@ -205,11 +205,9 @@ def e_side_scaffolding(sol, consts, ctx) -> List[Result]:
         sums = [abs(r) for r in toeplitz_lab.pi_partial_sums(16.0, 0.0, 12, sol, ctx)]
         gaps = []
         for t in (8.0, 16.0, 32.0):
-            t13 = mpf(t) ** (mpf(1) / 3)
-            ell = int(mp.floor(t - t13 / 2))
+            ell, x_eff = toeplitz_lab.scaling_index(t, -1, ctx, per=2)
             val = mp.exp(-mpf(t) ** 2 / 2
                          + toeplitz_lab.d_pm_log("plus_plus", ell - 1, t, ctx))
-            x_eff = 2 * (ell - mpf(t)) / t13
             gaps.append(abs(val - twdist.tw_point(x_eff, sol, consts, ctx).F1))
         return [
             _below("(a) |log(D++ D-+ / D) - (2L-1) log 2|, t=100 over t=50, "

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -268,21 +267,6 @@ def _cmd_toeplitz_scan(args: argparse.Namespace):
                        "precision_bits_used"]
 
 
-def _report_fields(rep) -> dict:
-    """A product-split report's fields in their order; the six part fields
-    fold into "parts", each part next to its large-t limit, where the first
-    of them stands."""
-    doc = {}
-    for field in dataclasses.fields(rep):
-        if not field.name.endswith(("_part", "_part_limit")):
-            doc[field.name] = getattr(rep, field.name)
-        elif "parts" not in doc:
-            doc["parts"] = {name: {"value": getattr(rep, f"{name}_part"),
-                                   "limit": getattr(rep, f"{name}_part_limit")}
-                            for name in ("exact", "airy", "painleve")}
-    return doc
-
-
 def _cmd_toeplitz_limits(args: argparse.Namespace):
     if args.format == "csv":
         raise DomainError(f"command {args.command} has no CSV form")
@@ -293,7 +277,10 @@ def _cmd_toeplitz_limits(args: argparse.Namespace):
     mode, report = (("e_side", toeplitz_lab.e_double_scaling_check) if args.e_side
                     else ("sum_parts", toeplitz_lab.sum_parts_report))
     rep = report(args.t, args.x, args.L, args.M, sol, ctx)
-    return {"mode": mode, **_report_fields(rep)}, None, None
+    # the report's fields in their order, "parts" keeping its place
+    parts = {name: {"value": value, "limit": limit}
+             for name, (value, limit) in rep.parts.items()}
+    return {"mode": mode, **vars(rep), "parts": parts}, None, None
 
 
 def build_parser() -> argparse.ArgumentParser:

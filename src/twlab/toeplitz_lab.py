@@ -481,14 +481,6 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
 # Airy-regime predictions
 # ---------------------------------------------------------------------------
 
-def _airy_kappa_correction(q: int, t) -> mpf:
-    """-1/(8(2t-q)) - 1/(12q): first correction of the kappa prediction
-    below; negative on 0 < q < 2t and must stay above -1/2 before being fed
-    to a logarithm."""
-    t = mpf(t)
-    return -1 / (8 * (2 * t - q)) - mpf(1) / (12 * q)
-
-
 def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf:
     """Predicted log kappa_{q-1}^{-2} in the Airy regime:
 
@@ -496,27 +488,21 @@ def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf
             - log(1 - 1/(8(2t-q)) - 1/(12q)),   gamma = 2t/q,
 
     the last term only when include_correction (the explicitly computable
-    first correction of the local-parametrix expansion)."""
+    first correction of the local-parametrix expansion).  Defined for 1 <= q
+    < 2t where the correction stays below 1/2 in size, else DomainError."""
     t = mpf(t)
     if q < 1 or not q < 2 * t:
         raise DomainError("prediction requires 1 <= q < 2t")
-    corr = _airy_kappa_correction(q, t)
+    corr = -1 / (8 * (2 * t - q)) - mpf(1) / (12 * q)
     if not abs(corr) < mpf(1) / 2:
         raise DomainError(
             f"correction {corr} out of range at q={q}, t={t}; q too close "
             "to the edge of the prediction region")
-    return _airy_log_kappa(q, t, corr if include_correction else None)
-
-
-def _airy_log_kappa(q: int, t: mpf, corr: Optional[mpf]) -> mpf:
-    """The prediction above from its correction ``corr``, _airy_kappa_
-    correction(q, t), checked by the caller, or without the last term when
-    corr is None."""
     with mp.extraprec(REPORT_GUARD):
         gamma = 2 * t / q
         log_gamma = mp.log(gamma)
         val = -q * (-gamma + log_gamma + 1) + log_gamma / 2
-        if corr is not None:
+        if include_correction:
             val -= mp.log(1 + corr)
         return +val
 
@@ -561,20 +547,15 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
         raise DomainError("scan q values must be >= 1")
     n_cap = q_values[-1] + 1 if q_values else 1
     ladder = get_ladder(t, "plain", n_cap, ctx)
-    t_mp = mpf(t)
     records = []
     with mp.workprec(ctx.precision_bits):
-        t_p = mpf(t)
+        t_mp = mpf(t)
         for q in q_values:
-            pred_k = None
-            pred_pi = None
-            if q + 1 < 2 * t_mp:
-                # one correction serves the range check and the prediction
-                corr = _airy_kappa_correction(q + 1, t_p)
-                if abs(corr) < mpf(1) / 2:
-                    pred_k = -_airy_log_kappa(q + 1, t_p, corr)
-            if q < 2 * t_mp:
-                pred_pi = pi_zero_airy_prediction(q, t)
+            try:
+                pred_k = -airy_log_kappa_prediction(q + 1, t_mp)
+            except DomainError:  # q + 1 outside the prediction's range
+                pred_k = None
+            pred_pi = pi_zero_airy_prediction(q, t) if q < 2 * t_mp else None
             records.append(ScanRecord(
                 q=q,
                 gamma=+(2 * t_mp / q),
@@ -589,8 +570,26 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
 
 
 # ---------------------------------------------------------------------------
-# Product-split reports (F2 side)
+# Double scaling: the index rule and the product-split reports (F2 side)
 # ---------------------------------------------------------------------------
+
+def scaling_index(t, x, ctx: PrecisionContext, per: int = 1) -> Tuple[int, mpf]:
+    """The matrix size at the double-scaling position x and t, m = floor((2t
+    + x t^(1/3)) / per), and the effective argument x_eff = (per m - 2t) /
+    t^(1/3) that the integer floor leaves it at, both formed at
+    ctx.workprec().  per = 1 gives the F side's n = floor(2t + x t^(1/3)),
+    per = 2 the E side's ell = floor(t + (x/2) t^(1/3)): halving is exact in
+    binary, so both floors read the same rounded sum."""
+    with ctx.workprec():
+        t_mp = mpf(t)
+        t13 = t_mp ** (mpf(1) / 3)
+        m = int(mp.floor((2 * t_mp + mpf(x) * t13) / per))
+        return m, (per * m - 2 * t_mp) / t13
+
+
+# the keys of a product-split report's parts, in their order
+_PARTS = ("exact", "airy", "painleve")
+
 
 @dataclass(frozen=True)
 class SumPartsReport:
@@ -599,14 +598,10 @@ class SumPartsReport:
     L: int
     M: int
     n: int
-    exact_part: mpf
-    airy_part: mpf
-    painleve_part: mpf
+    # {"exact" | "airy" | "painleve": (value, large-t limit)}, in that order
+    parts: Dict[str, Tuple[mpf, mpf]]
     total: mpf                    # -t^2 + exact + airy + painleve
     total_direct: mpf             # log(e^(-t^2) D_n) via the Cholesky route
-    exact_part_limit: mpf
-    airy_part_limit: mpf
-    painleve_part_limit: mpf
     f2_reference: mpf
 
 
@@ -628,21 +623,22 @@ def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
 
 def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
                      ctx: PrecisionContext) -> SumPartsReport:
-    """Split log(e^(-t^2) D_n), n = floor(2t + x t^(1/3)), as
+    """Split log(e^(-t^2) D_n), n = scaling_index(t, x, ctx)[0] = floor(2t +
+    x t^(1/3)), as
 
         -t^2 + log D_L                                   (exact part)
-        + sum_{q=L+1}^{floor(2t - M t^(1/3) - 1)} log kappa_{q-1}^(-2)   (Airy)
-        + sum_{q=floor(2t - M t^(1/3))}^{n} log kappa_{q-1}^(-2)     (Painleve)
+        + sum_{q=L+1}^{m - 1} log kappa_{q-1}^(-2)       (Airy)
+        + sum_{q=m}^{n} log kappa_{q-1}^(-2)             (Painleve)
 
-    and report each part next to its large-t limit.  The Painleve-part limit
-    is +int_{-M}^x R(y) dy (log kappa^(-2) ~ +R/t^(1/3) > 0; the printed
-    minus sign in some sources is inconsistent with the total)."""
+    with m = scaling_index(t, -M, ctx)[0] = floor(2t - M t^(1/3)), M > 0,
+    and report each part next to its large-t limit (parts).  The Painleve-
+    part limit is +int_{-M}^x R(y) dy (log kappa^(-2) ~ +R/t^(1/3) > 0; the
+    printed minus sign in some sources is inconsistent with the total)."""
+    if not M > 0:
+        raise DomainError(f"the F side needs M > 0, got M={M}")
     t_mp = mpf(t)
-    x_mp = mpf(x)
-    with ctx.workprec():
-        t13 = t_mp ** (mpf(1) / 3)
-        n = int(mp.floor(2 * t_mp + x_mp * t13))
-        q_airy_hi = int(mp.floor(2 * t_mp - mpf(M) * t13 - 1))
+    n, _ = scaling_index(t, x, ctx)
+    q_airy_hi = scaling_index(t, -M, ctx)[0] - 1
     if not (1 <= L < q_airy_hi):
         raise DomainError(f"need 1 <= L < 2t - M t^(1/3) - 1, got L={L}, "
                           f"hi={q_airy_hi}")
@@ -659,19 +655,16 @@ def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
         exact_limit = _exact_part_bracket(L, t_mp, zp)
         airy_limit = (t_mp ** 2 - (exact_limit - zp) - twdist.regularizer_r(-m_mp)
                       + mp.log(2) / 24)
-        painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, x_mp, ctx)
+        painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, mpf(x), ctx)
     direct = _cholesky_ladder(t, "plain", n, ctx).log_d(n)
     f2_ref = _tw_reference(x, sol, ctx).F2
     with ctx.workprec():
         total_direct = direct - t_mp ** 2
-    r = round_to((exact, airy, painleve, total,
-                  total_direct, exact_limit, airy_limit,
-                  painleve_limit, f2_ref), ctx.precision_bits)
+    r = round_to((exact, airy, painleve, exact_limit, airy_limit, painleve_limit,
+                  total, total_direct, f2_ref), ctx.precision_bits)
     return SumPartsReport(t=float(t), x=float(x), L=L, M=M, n=n,
-                          exact_part=r[0], airy_part=r[1], painleve_part=r[2],
-                          total=r[3], total_direct=r[4],
-                          exact_part_limit=r[5], airy_part_limit=r[6],
-                          painleve_part_limit=r[7], f2_reference=r[8])
+                          parts=dict(zip(_PARTS, zip(r[:3], r[3:6]))), total=r[6],
+                          total_direct=r[7], f2_reference=r[8])
 
 
 def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
@@ -742,14 +735,10 @@ class EDoubleScalingReport:
     fe_reference: mpf             # F(x) E(x)
     d_pp_value: mpf               # e^(-t^2/2) D_{ell-1}^{++}
     d_mp_value: mpf               # e^(-t^2/2 - t) D_ell^{-+}
-    exact_part: mpf
-    airy_part: mpf
-    painleve_part: mpf
+    # {"exact" | "airy" | "painleve": (value, large-t limit)}, in that order
+    parts: Dict[str, Tuple[mpf, mpf]]
     total_two_log_e: mpf          # -t + exact + airy + painleve
     identity_gap: mpf             # total vs log(e^-t D++ D-+ / D_{2l-1})
-    exact_part_limit: mpf
-    airy_part_limit: mpf
-    painleve_part_limit: mpf
     two_log_e_reference: mpf
 
 
@@ -761,14 +750,15 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
                      + sum_{j=L}^{floor(t - (M/2) t^(1/3))} log[(1+pi_{2j})(1-pi_{2j+1})]
                      + sum_{j=...+1}^{ell-1}                log[(1+pi_{2j})(1-pi_{2j+1})]
 
-    with ell = floor(t + (x/2) t^(1/3)), next to the parts' limits and the
-    product convergence of e^(-t^2/2) D_{ell-1}^{++} to F E."""
+    with ell = scaling_index(t, x, ctx, per=2)[0] = floor(t + (x/2) t^(1/3))
+    and the Airy window's end scaling_index(t, -M, ctx, per=2)[0], M >= 0,
+    next to the parts' limits (parts) and the product convergence of
+    e^(-t^2/2) D_{ell-1}^{++} to F E."""
+    if not M >= 0:
+        raise DomainError(f"the E side needs M >= 0, got M={M}")
     t_mp = mpf(t)
-    x_mp = mpf(x)
-    with ctx.workprec():
-        t13 = t_mp ** (mpf(1) / 3)
-        ell = int(mp.floor(t_mp + x_mp / 2 * t13))
-        j_airy_hi = int(mp.floor(t_mp - mpf(M) / 2 * t13))
+    ell, _ = scaling_index(t, x, ctx, per=2)
+    j_airy_hi, _ = scaling_index(t, -M, ctx, per=2)
     if L < 2 or not L <= j_airy_hi:
         raise DomainError(f"need 2 <= L <= floor(t - (M/2) t^(1/3)) = {j_airy_hi}")
     if ell - 1 < j_airy_hi:
@@ -806,30 +796,25 @@ def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
         m_mp = mpf(M)
         exact_limit = (2 * L - 1) * log2
         airy_limit = t_mp - twdist.regularizer_q(-m_mp) - (2 * L - mpf("0.5")) * log2
-        painleve_limit = painleve2.integrate_kind(sol, "q", -m_mp, x_mp, ctx)
+        painleve_limit = painleve2.integrate_kind(sol, "q", -m_mp, mpf(x), ctx)
         two_log_e = 2 * mp.log(tw_ref.E)
 
-    r = round_to((tw_ref.F1, d_pp, d_mp, exact, airy, painleve, total,
-                  identity_gap, exact_limit, airy_limit, painleve_limit,
-                  two_log_e), ctx.precision_bits)
+    r = round_to((tw_ref.F1, d_pp, d_mp, exact, airy, painleve, exact_limit,
+                  airy_limit, painleve_limit, total, identity_gap, two_log_e),
+                 ctx.precision_bits)
     return EDoubleScalingReport(
         t=float(t), x=float(x), L=L, M=M, ell=ell,
         fe_reference=r[0], d_pp_value=r[1], d_mp_value=r[2],
-        exact_part=r[3], airy_part=r[4], painleve_part=r[5],
-        total_two_log_e=r[6], identity_gap=r[7],
-        exact_part_limit=r[8], airy_part_limit=r[9],
-        painleve_part_limit=r[10], two_log_e_reference=r[11])
+        parts=dict(zip(_PARTS, zip(r[3:6], r[6:9]))), total_two_log_e=r[9],
+        identity_gap=r[10], two_log_e_reference=r[11])
 
 
 def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
                     ctx: PrecisionContext) -> List[mpf]:
     """Residuals r_K = sum_{j=ell}^{ell+K} log(1 - pi_{2j+1}(0)) + log E(x)
-    for K = 0..k_max, ell = floor(t + (x/2) t^(1/3)); they tend to 0 as K
-    and t grow."""
-    t_mp = mpf(t)
-    x_mp = mpf(x)
-    with ctx.workprec():
-        ell = int(mp.floor(t_mp + x_mp / 2 * t_mp ** (mpf(1) / 3)))
+    for K = 0..k_max, ell = scaling_index(t, x, ctx, per=2)[0] = floor(t +
+    (x/2) t^(1/3)); they tend to 0 as K and t grow."""
+    ell, _ = scaling_index(t, x, ctx, per=2)
     plain = get_ladder(t, "plain", 2 * (ell + k_max) + 2, ctx)
     e = _tw_reference(x, sol, ctx).E
     out: List[mpf] = []

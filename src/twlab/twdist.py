@@ -118,13 +118,17 @@ def airy_tail_q_integral(x, ctx: PrecisionContext) -> mpf:
 
 def regularizer_r(y) -> mpf:
     """A_R(y) = |y|^3/12 + (1/8) log|y|, y < 0: minus an antiderivative of
-    y^2/4 - 1/(8y)."""
+    y^2/4 - 1/(8y).  DomainError elsewhere."""
+    if not y < 0:
+        raise DomainError(f"A_R(y) needs y < 0, got y={y}")
     return (-mpf(y)) ** 3 / 12 + mp.log(-mpf(y)) / 8
 
 
 def regularizer_q(y) -> mpf:
     """A_q(y) = (sqrt 2/3) |y|^(3/2), y <= 0: minus an antiderivative of
-    sqrt(|y|/2)."""
+    sqrt(|y|/2).  DomainError elsewhere."""
+    if not y <= 0:
+        raise DomainError(f"A_q(y) needs y <= 0, got y={y}")
     return mp.sqrt(2) / 3 * (-mpf(y)) ** mpf("1.5")
 
 

@@ -549,6 +549,27 @@ class TestToeplitzCommands:
         assert code == 2
         assert "t must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["--M", "-3"], ["--M", "-3", "--e-side"], ["--M", "0"]])
+    def test_limits_m_out_of_domain_exit_two(self, extra, workdir, capsys):
+        # the F side's Airy-part limit reads A_R(-M), defined for M > 0, the
+        # E side's A_q(-M), for M >= 0: no traceback, no "+inf" limit
+        code, _ = run_cli(["toeplitz-limits", "--t", "10", "--x", "5",
+                           "--L", "3"] + extra + FAST, workdir, "limits_m.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "M" in err
+
+    def test_limits_e_side_at_m_zero(self, workdir):
+        code, text = run_cli(["toeplitz-limits", "--t", "10", "--x", "5",
+                              "--L", "3", "--M", "0", "--e-side"] + FAST,
+                             workdir, "limits_m0.json")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["M"] == 0
+        assert all(mp.isfinite(mpf(v)) for part in doc["parts"].values()
+                   for v in part.values())
+
     def test_limits_bad_split_exit_two(self, workdir):
         code, _ = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
                            "--L", "30", "--M", "3"] + FAST,

@@ -78,6 +78,24 @@ class TestPrecisionContext:
                  if re.search(r"PrecisionContext\((?!\))", line)]
         assert sites == []
 
+    def test_one_double_scaling_index_rule(self):
+        # t^(1/3) is formed in toeplitz_lab.scaling_index alone, so the
+        # index rule n = floor(2t + x t^(1/3)) and its x_eff change in one
+        # place
+        src = pathlib.Path(precision.__file__).parent
+        sites = []
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text()
+            # ast.walk reaches an outer function before the ones it holds,
+            # so each line keeps its innermost function
+            owner = {n: fn.name for fn in ast.walk(ast.parse(text))
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for n in range(fn.lineno, fn.end_lineno + 1)}
+            sites += [f"{path.name}:{owner.get(n)}"
+                      for n, line in enumerate(text.splitlines(), 1)
+                      if "** (mpf(1) / 3)" in line]
+        assert sites == ["toeplitz_lab.py:scaling_index"]
+
     def test_one_least_term_rule(self):
         # every asymptotic series is summed by precision.sum_to_least_term:
         # it is defined there alone, and every function that draws Bernoulli

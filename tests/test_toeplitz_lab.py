@@ -428,6 +428,56 @@ class TestScan:
         assert recs[4].pi0_airy_pred is not None
 
 
+class TestScalingIndex:
+    # per t: n = floor(2t + x t^(1/3)) over X, floor(2t - M t^(1/3) - 1) over
+    # M_VALUES, ell = floor(t + (x/2) t^(1/3)) over X and floor(t - (M/2)
+    # t^(1/3)) over M_VALUES, recorded from these literal formulas at
+    # CTX.workprec()
+    X = (-3, -1, -0.5, 0, 0.5, 2)
+    M_VALUES = (2, 3, 4)
+    PINNED = {
+        3: ((1, 4, 5, 6, 6, 8), (2, 0, -1), (0, 2, 2, 3, 3, 4), (1, 0, 0)),
+        7: ((8, 12, 13, 14, 14, 17), (9, 7, 5), (4, 6, 6, 7, 7, 8), (5, 4, 3)),
+        8: ((10, 14, 15, 16, 17, 20), (11, 9, 7), (5, 7, 7, 8, 8, 10), (6, 5, 4)),
+        10: ((13, 17, 18, 20, 21, 24), (14, 12, 10), (6, 8, 9, 10, 10, 12), (7, 6, 5)),
+        16: ((24, 29, 30, 32, 33, 37), (25, 23, 20), (12, 14, 15, 16, 16, 18),
+             (13, 12, 10)),
+        20: ((31, 37, 38, 40, 41, 45), (33, 30, 28), (15, 18, 19, 20, 20, 22),
+             (17, 15, 14)),
+        32: ((54, 60, 62, 64, 65, 70), (56, 53, 50), (27, 30, 31, 32, 32, 35),
+             (28, 27, 25)),
+        50: ((88, 96, 98, 100, 101, 107), (91, 87, 84), (44, 48, 49, 50, 50, 53),
+             (46, 44, 42)),
+        100: ((186, 195, 197, 200, 202, 209), (189, 185, 180),
+              (93, 97, 98, 100, 101, 104), (95, 93, 90)),
+    }
+
+    @pytest.mark.parametrize("t", sorted(PINNED))
+    def test_sizes_match_the_literal_formulas(self, t):
+        # at t = 8, 2t - t^(1/3) and 2t - 2 t^(1/3) - 1 are exact integers
+        n, q_airy_hi, ell, j_airy_hi = self.PINNED[t]
+        t = float(t)
+        assert tuple(tl.scaling_index(t, x, CTX)[0] for x in self.X) == n
+        assert tuple(tl.scaling_index(t, -M, CTX)[0] - 1
+                     for M in self.M_VALUES) == q_airy_hi
+        assert tuple(tl.scaling_index(t, x, CTX, per=2)[0] for x in self.X) == ell
+        assert tuple(tl.scaling_index(t, -M, CTX, per=2)[0]
+                     for M in self.M_VALUES) == j_airy_hi
+
+    @pytest.mark.parametrize("t", sorted(PINNED))
+    def test_x_eff_is_the_checks_expression(self, t):
+        # x_eff is bit for bit (n - 2t)/t^(1/3), and 2(ell - t)/t^(1/3) on
+        # the E side
+        t = float(t)
+        with CTX.workprec():
+            t13 = mpf(t) ** (mpf(1) / 3)
+            for x in self.X:
+                n, x_eff = tl.scaling_index(t, x, CTX)
+                assert x_eff == (n - 2 * mpf(t)) / t13
+                ell, x_eff = tl.scaling_index(t, x, CTX, per=2)
+                assert x_eff == 2 * (ell - mpf(t)) / t13
+
+
 class TestTelescoping:
     def test_parts_sum_to_direct_determinant(self, hm_solution, wp300):
         rep = tl.sum_parts_report(7.0, -1.0, 3, 2, hm_solution, CTX)
@@ -440,7 +490,7 @@ class TestTelescoping:
         prev = None
         for t in (10.0, 20.0, 40.0):
             rep = tl.sum_parts_report(t, -1.0, 6, 4, hm_solution, CTX)
-            gap = abs(rep.painleve_part - rep.painleve_part_limit)
+            gap = abs(rep.parts["painleve"][0] - rep.parts["painleve"][1])
             if prev is not None:
                 assert gap < prev
             prev = gap
@@ -452,8 +502,8 @@ class TestTelescoping:
                 rep = tl.sum_parts_report(t, -1.0, 6, 4, hm_solution, CTX)
                 # compare against F2 at the determinant's own scaling position
                 # (the floor in n shifts the effective argument by frac/t^(1/3))
-                t13 = mpf(t) ** (mpf(1) / 3)
-                x_eff = (rep.n - 2 * mpf(t)) / t13
+                n, x_eff = tl.scaling_index(t, -1.0, CTX)
+                assert n == rep.n
                 consts = twdist.TailConstants.compute(
                     PrecisionContext(256, 1e-12))
                 ref = twdist.tw_cdf(x_eff, 2, hm_solution, consts,
@@ -466,6 +516,20 @@ class TestTelescoping:
     def test_window_validation(self, hm_solution):
         with pytest.raises(DomainError):
             tl.sum_parts_report(7.0, -1.0, 11, 2, hm_solution, CTX)
+
+    @pytest.mark.parametrize("report, M", [
+        (tl.sum_parts_report, 0), (tl.sum_parts_report, -3),
+        (tl.e_double_scaling_check, -3)])
+    def test_m_out_of_domain_before_any_ladder(self, report, M, hm_solution,
+                                               monkeypatch):
+        # the Airy-part limits read A_R(-M) (M > 0) and A_q(-M) (M >= 0)
+        def no_pass(*args):
+            raise AssertionError("ladder pass before the M check")
+
+        monkeypatch.setattr(tl, "get_ladder", no_pass)
+        monkeypatch.setattr(tl, "_cholesky_ladder", no_pass)
+        with pytest.raises(DomainError, match="M"):
+            report(10.0, 5.0, 3, M, hm_solution, CTX)
 
 
 class TestExactPart:
@@ -530,9 +594,9 @@ class TestESide:
         with mp.workprec(280):
             assert abs(rep.identity_gap) < mpf(10) ** -20
             # parts sit near their limits at this modest t
-            assert abs(rep.exact_part - rep.exact_part_limit) < mpf("0.5")
-            assert abs(rep.airy_part - rep.airy_part_limit) < mpf("1.0")
-            assert abs(rep.painleve_part - rep.painleve_part_limit) < mpf("1.5")
+            assert abs(rep.parts["exact"][0] - rep.parts["exact"][1]) < mpf("0.5")
+            assert abs(rep.parts["airy"][0] - rep.parts["airy"][1]) < mpf("1.0")
+            assert abs(rep.parts["painleve"][0] - rep.parts["painleve"][1]) < mpf("1.5")
 
     def test_report_past_zero(self, hm_solution):
         # the Painleve-part limit integrates q itself, so x > 0 is in range;
@@ -542,15 +606,15 @@ class TestESide:
             assert abs(rep.identity_gap) < mpf(10) ** -20
             want = (painleve2.integrate_kind(hm_solution, "q", -4, 0, CTX)
                     + painleve2.integrate_kind(hm_solution, "q", 0, 0.5, CTX))
-            assert abs(rep.painleve_part_limit - want) < mpf(10) ** -60
+            assert abs(rep.parts["painleve"][1] - want) < mpf(10) ** -60
 
     def test_pp_value_approaches_fe(self, hm_solution, tail_constants, ctx256):
         gaps = []
         with mp.workprec(280):
             for t in (8.0, 16.0):
                 rep = tl.e_double_scaling_check(t, -1.0, 3, 4, hm_solution, CTX)
-                t13 = mpf(t) ** (mpf(1) / 3)
-                x_eff = 2 * (rep.ell - mpf(t)) / t13
+                ell, x_eff = tl.scaling_index(t, -1.0, CTX, per=2)
+                assert ell == rep.ell
                 pt = twdist.tw_point(x_eff, hm_solution, tail_constants, ctx256)
                 gaps.append(abs(rep.d_pp_value - pt.F1))
         assert gaps[1] < gaps[0]

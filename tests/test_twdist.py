@@ -465,3 +465,15 @@ class TestTailExpansions:
     def test_tail_right_domain(self):
         with pytest.raises(DomainError):
             twdist.tail_right(2)
+
+    def test_regularizer_domains(self):
+        # A_R needs y < 0 (log|y| at 0) and A_q y <= 0 (|y|^(3/2) turns
+        # complex past 0); outside, each raises instead of returning an
+        # infinity or an mpc
+        assert twdist.regularizer_q(0) == 0
+        for y in (0, 3, float("nan")):
+            with pytest.raises(DomainError):
+                twdist.regularizer_r(y)
+        for y in (mpf(10) ** -30, 3, float("nan")):
+            with pytest.raises(DomainError):
+                twdist.regularizer_q(y)
