@@ -74,6 +74,7 @@ log_det_error turns an entry bound into the change of log det.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import List, Sequence, Tuple
 
 from mpmath import mp, mpf
@@ -116,8 +117,8 @@ def cauchy_schur_pivots(a: Sequence[int], b: Sequence[int], u: Sequence[int],
             a[i] = ai - ((l * ak) >> frac_bits)
             b[i] = bi - ((l * bk) >> frac_bits)
             d[i] -= (l * s) >> frac_bits
-        held = multipliers + a[k + 1:] + b[k + 1:]
-        largest = max(largest, max(map(abs, held), default=0))
+        for held in (multipliers, islice(a, k + 1, None), islice(b, k + 1, None)):
+            largest = max(largest, max(map(abs, held), default=0))
     return pivots, largest
 
 

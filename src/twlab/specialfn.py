@@ -35,25 +35,27 @@ Gamma(z+1) = z Gamma(z) and G(z+1) = Gamma(z) G(z), and log G pays for the
 shift with one log Gamma(z) and a weighted sum of logs; zeta'(-1) cuts its
 Euler-Maclaurin sum there.
 The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward recurrence
-normalised by e^(2t) = I_0 + 2 sum I_j (no cancellation: every term is
-positive); its values reach magnitude e^(2t) while their consumers work at
-O(1) scale, so it carries ceil(2t log2 e) extra guard bits.
+on integers, normalised by e^(2t) = I_0 + 2 sum I_j (every term is
+positive); its values reach e^(2t) while their consumers work at O(1)
+scale, so it carries ceil(2t log2 e) extra guard bits.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from itertools import accumulate, chain, count, repeat
 from typing import Iterator, List, Sequence, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import DomainError
 from .fixedpoint import from_grid, row_to_grid, to_grid
 from .precision import round_to, sum_to_least_term
 
 _LOG2_E = 1.4426950408889634
+_ROUND = libmp.round_nearest
 
 _zeta_cache: dict = {}
 
@@ -439,13 +441,19 @@ def _miller_start(max_j: int, z: float, bits: int) -> int:
     recessive solution is only second order), so the ratio itself, not its
     square, is sized against the working precision.  The Debye term is no
     estimate of I_0 at small z, so order 0 is measured against I_1 <= I_0,
-    which only raises N."""
+    which only raises N.  The Debye estimate decreases in n (its derivative
+    is -asinh(n/z) - n/(2 s^2)), so N is bracketed by doubling and then
+    bisected."""
     z = max(z, 1e-300)  # a larger z only raises the ratio, so N stays safe
     target = _log_bessel_i_debye(max(max_j, 1), z) - (bits + 16) * math.log(2.0)
-    n = max_j + 1
-    while _log_bessel_i_debye(n, z) >= target:
-        n += 1
-    return n
+
+    def below(n: int) -> bool:
+        return _log_bessel_i_debye(n, z) < target
+
+    hi = max_j + 1
+    while not below(hi):
+        hi *= 2
+    return bisect_left(range(hi + 1), True, max_j + 1, key=below)
 
 
 def bessel_i_row_error(bits: int) -> mpf:
@@ -455,32 +463,37 @@ def bessel_i_row_error(bits: int) -> mpf:
 
 
 def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
-    """I_0(two_t) .. I_{max_j}(two_t) by Miller's backward recurrence.
+    """I_0(two_t) .. I_{max_j}(two_t) by Miller's backward recurrence on
+    Python integers.
 
     f_{j-1} = f_{j+1} + (2j/z) f_j (DLMF 10.29.1) runs down from f_{N+1} = 0,
-    f_N = 1 (an mpf does not overflow, so any nonzero start serves); the
-    minimal solution in that direction is I_j, so f_j = c I_j to working
-    precision for j well below N.  The constant c comes from the generating
-    function at theta = 0 (DLMF 10.35.5), e^z = I_0 + 2 sum_{j>=1} I_j,
-    whose terms are all positive, so the normalising sum does not cancel.
-    N is sized by _miller_start from the Debye estimate of log I_n(z).
-    Gil, Segura and Temme, Numerical Methods for Special Functions (SIAM
-    2007), ch. 4, treat the method and its error.
+    f_N = 2^prec, N from _miller_start; the minimal solution in that
+    direction is I_j, so f_j = c I_j to working precision for j well below
+    N.  c comes from e^z = I_0 + 2 sum_{j>=1} I_j (DLMF 10.35.5), whose terms
+    are all positive, so the normalising sum does not cancel.  Gil, Segura
+    and Temme, Numerical Methods for Special Functions (SIAM 2007), ch. 4,
+    treat the method and its error.  I_{-j} = I_j by symmetry.
 
-    Values reach magnitude e^(two_t) while consumers (determinant ratios)
-    work at O(1), so the row is computed with ceil(two_t*log2 e) + 64 guard
-    bits above ``bits`` and rounded to 32 fewer.  I_{-j} = I_j
-    by symmetry.
+    The values reach e^(two_t) while consumers work at O(1), so prec = bits
+    + guard + 64 with guard = ceil(two_t log2 e).  A step is f_{j-1} =
+    f_{j+1} + floor(j W f_j 2^-G) with W = floor(2^(G+1) / z) >= 2^(prec+1).
+    Once a value passes 2^(prec+64), it, the f it steps with and the running
+    sum are shifted down to prec bits, and later entries carry the shift as
+    their exponent.  e^z at prec + 8 bits over the sum is one integer C, and
+    each I_j = f_j C 2^exponent is rounded once, to bits + guard + 32 bits.
 
     Each entry is within bessel_i_row_error(bits) = 2^-(bits + 31) of
-    I_j(two_t), absolutely.  Every I_j is at most e^(two_t) <= 2^guard, so
-    the final rounding, to bits + guard + 32 bits, costs at most
-    2^-(bits + 32).  Before it the row is exact to a relative error of a
-    few units of 2^-(bits + guard + 64) per step of the recurrence (run
-    backward it is stable for the minimal solution I_j: Gil, Segura and
-    Temme, ch. 4) plus the start's truncation, which _miller_start holds
-    below 2^-16 of one such unit; another 2^-(bits + 32) covers both for
-    any start index below 2^29.
+    I_j(two_t): I_j <= e^(two_t) <= 2^guard, so the rounding costs at most
+    2^-(bits + 32).  Before it, in units 2^-prec relative to the value: each
+    f a step multiplies or forms is at least 2^(prec-1) (N exceeds two_t / 2
+    and I_j decreases in j), so a step's floor costs 2 units, W's truncation
+    half a unit, a shift 4 for the pair and 2 for the sum, and e^z and C
+    together 1/64.  Run backward the recurrence is stable for I_j (Gil,
+    Segura and Temme, ch. 4): the recessive part an error adds shrinks on
+    the way down, so errors add up without growing, 9 units a step in each
+    f_j and in the sum, and _miller_start keeps the start's truncation below
+    2^-16 of a unit.  So I_j is exact to 18 N units, 18 N 2^-(bits + 64) <=
+    2^-(bits + 32) for any N below 2^27.
     """
     if max_j < 0:
         raise DomainError("max_j must be >= 0")
@@ -489,16 +502,25 @@ def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     z = _argument(two_t, prec)
     if z < 0:
         raise DomainError("two_t must be nonnegative")
-    with mp.workprec(prec):
-        if z == 0:
-            out = [mpf(1)] + [mpf(0)] * max_j
-        else:
-            n_start = _miller_start(max_j, float(z), prec)
-            w = 2 / z
-            f = [mpf(0)] * (n_start + 2)
-            f[n_start] = mpf(1)
-            for j in range(n_start, 0, -1):
-                f[j - 1] = f[j + 1] + (j * w) * f[j]
-            scale = mp.exp(z) / (f[0] + 2 * mp.fsum(f[1:]))
-            out = [v * scale for v in f[:max_j + 1]]
-    return round_to(out, bits + guard + 32)
+    if z == 0:
+        return [mpf(1)] + [mpf(0)] * max_j
+    _, man, exp, bc = z._mpf_
+    g = prec + max(exp + bc, 0)
+    w = (1 << (g + 1 - exp)) // man
+    hi, lo, total, shift = 1 << prec, 0, 0, 0
+    kept = [None] * (max_j + 1)
+    for j in range(_miller_start(max_j, float(z), prec), 0, -1):
+        if j <= max_j:
+            kept[j] = (hi, shift)
+        total += 2 * hi
+        hi, lo = lo + (j * w * hi >> g), hi
+        if hi >> (prec + 64):
+            s = hi.bit_length() - prec
+            hi, lo, total, shift = hi >> s, lo >> s, total >> s, shift + s
+    kept[0] = (hi, shift)
+    total += hi
+    _, e_man, e_exp, e_bc = libmp.mpf_exp(z._mpf_, prec + 8, _ROUND)
+    k = prec + 8 + total.bit_length() - e_bc
+    c = (e_man << k) // total
+    return [mp.make_mpf(libmp.from_man_exp(f * c, e_exp - k + s - shift, prec - 32, _ROUND))
+            for f, s in kept]

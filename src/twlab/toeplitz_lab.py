@@ -49,8 +49,10 @@ tolerance is read here.  Each bound is formed from numbers the pass
 already has:
 
   * input: each moment is off by at most one grid unit 2^-bits plus
-    specialfn.bessel_i_row_error(bits), an entry of a family matrix by at
-    most twice that;
+    specialfn.bessel_i_row_error(bits) = 2^-(bits + 31), the integer
+    Miller row's 18 N units of 2^-(bits + ceil(2t log2 e) + 64) relative to
+    values at most e^(2t) and its one rounding to bits + 32 bits at that
+    size; an entry of a family matrix by at most twice that;
   * the Levinson ladder: Cybenko's residual recursion bounds each pi_q(0);
     log E_q then carries the input error of c_0, for each step the change
     of log(1 - x^2) between the computed and the exact pi_k(0), and one
@@ -106,12 +108,13 @@ for every n up to 2000.
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from . import painleve2, specialfn, twdist
 from .errors import DomainError, InternalConsistencyError, PrecisionError
@@ -122,6 +125,7 @@ from .precision import REPORT_GUARD, PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
 _LOG2_E = 1.4426950408889634
+_ROUND = libmp.round_nearest
 
 KINDS = ("plain", "plus_plus", "minus_plus")
 
@@ -137,9 +141,17 @@ class MomentMatrixSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}")
-        if self.n < 1:
+        if _index(self.n, "n") < 1:
             raise DomainError("matrix dimension n must be >= 1")
         guard_bits(self.t, self.n, "lu")  # the domain rule for t
+
+
+def _index(v, name: str) -> int:
+    """v as an int by operator.index, or DomainError naming the index."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
 
 
 # Per route, (rate, power, spare): the route's bound is about n^power
@@ -457,6 +469,7 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
 def pi_zero(q: int, t, ctx: PrecisionContext) -> mpf:
     """Constant term pi_q(0;t) of the monic orthogonal polynomial."""
+    q = _index(q, "q")
     if q < 1:
         raise DomainError("q must be >= 1")
     ladder = get_ladder(t, "plain", q + 1, ctx)
@@ -471,6 +484,7 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
     """log D_ell^{++} or log D_ell^{-+}."""
     if kind not in ("plus_plus", "minus_plus"):
         raise DomainError("kind must be plus_plus or minus_plus")
+    ell = _index(ell, "ell")
     if ell < 1:
         raise DomainError("ell must be >= 1")
     ladder = get_ladder(t, kind, ell, ctx)
@@ -481,6 +495,38 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
 # Airy-regime predictions
 # ---------------------------------------------------------------------------
 
+def _two_t(q: int, t: tuple) -> tuple:
+    """2t for the raw mpf t, once 1 <= q < 2t, where both predictions are
+    defined, is checked."""
+    two_t = libmp.mpf_shift(t, 1)
+    if q < 1 or not libmp.mpf_lt(libmp.from_int(q), two_t):
+        raise DomainError("prediction requires 1 <= q < 2t")
+    return two_t
+
+
+def _airy_log_kappa(q: int, t: tuple, prec: int, include_correction: bool) -> tuple:
+    """airy_log_kappa_prediction for the raw mpf t at ambient precision
+    prec, on raw mpf tuples, each rounded as mpf arithmetic rounds it."""
+    two_t, q_raw = _two_t(q, t), libmp.from_int(q)
+    eight = libmp.mpf_shift(libmp.mpf_sub(two_t, q_raw, prec, _ROUND), 3)
+    corr = libmp.mpf_sub(libmp.mpf_rdiv_int(-1, eight, prec, _ROUND),
+                         libmp.mpf_div(libmp.fone, libmp.from_int(12 * q), prec, _ROUND),
+                         prec, _ROUND)
+    if not libmp.mpf_lt(libmp.mpf_abs(corr), libmp.fhalf):
+        raise DomainError(f"correction {mp.make_mpf(corr)} out of range at q={q}; "
+                          "q too close to the edge of the prediction region")
+    wp = prec + REPORT_GUARD
+    gamma = libmp.mpf_div(two_t, q_raw, wp, _ROUND)
+    log_gamma = libmp.mpf_log(gamma, wp, _ROUND)
+    val = libmp.mpf_add(libmp.mpf_neg(gamma), log_gamma, wp, _ROUND)
+    val = libmp.mpf_mul_int(libmp.mpf_add(val, libmp.fone, wp, _ROUND), -q, wp, _ROUND)
+    val = libmp.mpf_add(val, libmp.mpf_shift(log_gamma, -1), wp, _ROUND)
+    if include_correction:
+        log_corr = libmp.mpf_log(libmp.mpf_add(corr, libmp.fone, wp, _ROUND), wp, _ROUND)
+        val = libmp.mpf_sub(val, log_corr, wp, _ROUND)
+    return val
+
+
 def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf:
     """Predicted log kappa_{q-1}^{-2} in the Airy regime:
 
@@ -489,30 +535,23 @@ def airy_log_kappa_prediction(q: int, t, include_correction: bool = True) -> mpf
 
     the last term only when include_correction (the explicitly computable
     first correction of the local-parametrix expansion).  Defined for 1 <= q
-    < 2t where the correction stays below 1/2 in size, else DomainError."""
-    t = mpf(t)
-    if q < 1 or not q < 2 * t:
-        raise DomainError("prediction requires 1 <= q < 2t")
-    corr = -1 / (8 * (2 * t - q)) - mpf(1) / (12 * q)
-    if not abs(corr) < mpf(1) / 2:
-        raise DomainError(
-            f"correction {corr} out of range at q={q}, t={t}; q too close "
-            "to the edge of the prediction region")
-    with mp.extraprec(REPORT_GUARD):
-        gamma = 2 * t / q
-        log_gamma = mp.log(gamma)
-        val = -q * (-gamma + log_gamma + 1) + log_gamma / 2
-        if include_correction:
-            val -= mp.log(1 + corr)
-        return +val
+    < 2t where the correction stays below 1/2 in size, else DomainError.
+    t and the correction are rounded to mp.prec, the rest to REPORT_GUARD
+    bits more."""
+    prec = mp.prec
+    t = libmp.mpf_pos(mp.convert(t)._mpf_, prec, _ROUND)
+    return mp.make_mpf(_airy_log_kappa(q, t, prec, include_correction))
 
 
 def pi_zero_airy_prediction(q: int, t) -> mpf:
-    """Leading Airy-regime prediction (-1)^q sqrt((2t - q)/(2t))."""
-    t = mpf(t)
-    if q < 1 or not q < 2 * t:
-        raise DomainError("prediction requires 1 <= q < 2t")
-    return (-1) ** q * mp.sqrt((2 * t - q) / (2 * t))
+    """Leading Airy-regime prediction (-1)^q sqrt((2t - q)/(2t)), rounded
+    to mp.prec at each step."""
+    prec = mp.prec
+    two_t = _two_t(q, libmp.mpf_pos(mp.convert(t)._mpf_, prec, _ROUND))
+    root = libmp.mpf_sqrt(libmp.mpf_div(
+        libmp.mpf_sub(two_t, libmp.from_int(q), prec, _ROUND), two_t, prec, _ROUND),
+        prec, _ROUND)
+    return mp.make_mpf(libmp.mpf_neg(root) if q % 2 else root)
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +580,34 @@ class ToeplitzScan:
 def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
                   with_pi: bool = True) -> ToeplitzScan:
     """Per-q ladder records at fixed t, with Airy-regime predictions where
-    defined (prediction of log kappa_q^2 uses the q+1 formula)."""
-    q_values = sorted(set(int(q) for q in q_values))
+    defined (prediction of log kappa_q^2 uses the q+1 formula).  The values
+    are formed on raw mpf tuples at ctx.precision_bits, so the only mpfs
+    made are the records'."""
+    q_values = sorted(set(_index(q, "q") for q in q_values))
     if q_values and q_values[0] < 1:
         raise DomainError("scan q values must be >= 1")
     n_cap = q_values[-1] + 1 if q_values else 1
     ladder = get_ladder(t, "plain", n_cap, ctx)
+    prec = ctx.precision_bits
+    make = mp.make_mpf
     records = []
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(prec):
         t_mp = mpf(t)
+        two_t = libmp.mpf_shift(t_mp._mpf_, 1)
         for q in q_values:
             try:
-                pred_k = -airy_log_kappa_prediction(q + 1, t_mp)
+                pred_k = make(libmp.mpf_neg(
+                    _airy_log_kappa(q + 1, t_mp._mpf_, prec, True), prec, _ROUND))
             except DomainError:  # q + 1 outside the prediction's range
                 pred_k = None
-            pred_pi = pi_zero_airy_prediction(q, t) if q < 2 * t_mp else None
+            pred_pi = (pi_zero_airy_prediction(q, t_mp)
+                       if libmp.mpf_lt(libmp.from_int(q), two_t) else None)
+            pi0 = ladder.pi0.get(q) if with_pi else None
             records.append(ScanRecord(
                 q=q,
-                gamma=+(2 * t_mp / q),
-                log_kappa_sq=+ladder.log_kappa_sq(q),
-                pi0=(+ladder.pi0[q]) if with_pi and q in ladder.pi0 else None,
+                gamma=make(libmp.mpf_div(two_t, libmp.from_int(q), prec, _ROUND)),
+                log_kappa_sq=make(libmp.mpf_neg(ladder.log_pivots[q]._mpf_, prec, _ROUND)),
+                pi0=None if pi0 is None else make(libmp.mpf_pos(pi0._mpf_, prec, _ROUND)),
                 log_kappa_sq_airy_pred=pred_k,
                 pi0_airy_pred=pred_pi,
             ))

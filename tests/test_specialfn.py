@@ -237,18 +237,40 @@ class TestBesselRow:
                 assert abs(lhs - rhs) <= 10 * mpf(10) ** -40 * max(1, abs(rhs))
 
     @pytest.mark.parametrize("max_j, two_t, bits", [
-        (70, 60, 494), (184, 100, 1218), (0, 60, 494), (300, 4, 200)])
+        (70, 60, 494), (184, 100, 1218), (0, 60, 494), (300, 4, 200),
+        (70, 60, 456), (55, 60, 454)])
     def test_lab_rows_against_mpmath(self, max_j, two_t, bits):
         # the row is rounded to bits + ceil(two_t log2 e) + 32; allow 2 to 4
-        # ulps of that.  Every order carries the normalisation error, the top
-        # ones also the truncation of the recurrence at its start index.
+        # ulps of that, and the stated absolute error.  Every order carries
+        # the normalisation error, the top ones also the truncation of the
+        # recurrence at its start index.  (70, 60, 456) and (55, 60, 454)
+        # are the rows of the t = 30 ladder pass and of the LU of D_56.
         row = specialfn.bessel_i_row(max_j, two_t, bits)
         out_bits = bits + math.ceil(two_t * math.log2(math.e)) + 32
         orders = sorted({0, min(1, max_j), max_j // 2, max(max_j - 1, 0), max_j})
         with mp.workprec(3000):
             for j in orders:
-                rel = abs(row[j] / mp.besseli(j, two_t) - 1)
-                assert rel <= mpf(2) ** -(out_bits - 2), (j, rel)
+                ref = mp.besseli(j, two_t)
+                assert abs(row[j] / ref - 1) <= mpf(2) ** -(out_bits - 2), j
+                assert abs(row[j] - ref) <= specialfn.bessel_i_row_error(bits), j
+
+    def test_miller_start_bisects_to_the_linear_scan(self):
+        # the first N > max_j below the Debye target, as the scan up from
+        # max_j + 1 finds it
+        def linear(max_j, z, bits):
+            z = max(z, 1e-300)
+            target = (specialfn._log_bessel_i_debye(max(max_j, 1), z)
+                      - (bits + 16) * math.log(2.0))
+            n = max_j + 1
+            while specialfn._log_bessel_i_debye(n, z) >= target:
+                n += 1
+            return n
+
+        for max_j in (0, 1, 7, 70, 230, 600):
+            for z in (0.0, 1e-9, 0.5, 4.0, 60.0, 200.0, 1000.0):
+                for bits in (64, 200, 607, 1218, 3000):
+                    assert (specialfn._miller_start(max_j, z, bits)
+                            == linear(max_j, z, bits)), (max_j, z, bits)
 
     @pytest.mark.parametrize("t, n", [(3, 22), (30, 71), (50, 92)])
     def test_stated_error_covers_doubled_bits(self, t, n):

@@ -1,10 +1,12 @@
 """Determinant ladders, orthogonal-polynomial objects, and the double-scaling
 scaffolding."""
 
-from collections import OrderedDict
+import hashlib
+import json
+from collections import Counter, OrderedDict
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import ctx_mp_python, mp, mpf
 
 from twlab import painleve2, specialfn, toeplitz_lab as tl, twdist
 from twlab.errors import DomainError, PrecisionError
@@ -43,6 +45,73 @@ def bessel_rows(monkeypatch):
     monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
     monkeypatch.setattr(specialfn, "bessel_i_row", counted)
     return calls
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: tl.MomentMatrixSpec(3, 2.5), "n"),
+    (lambda: tl.pi_zero(2.5, 3, CTX), "q"),
+    (lambda: tl.d_pm_log("plus_plus", 2.5, 3, CTX), "ell"),
+    (lambda: tl.toeplitz_scan(3, [2.5], CTX), "q"),
+], ids=["spec", "pi_zero", "d_pm_log", "scan"])
+def test_indices_must_be_integers(call, name):
+    # an index that is not an integer is refused by name, neither rounded
+    # (the scan read q = 2.5 as 2) nor left to fail as a KeyError or
+    # TypeError further in
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        call()
+
+
+class TestMomentRow:
+    # sha256 of the JSON grid integers of the t = 30 ladder pass (n = 71 at
+    # 456 bits) and of the LU of D_56 (454 bits), recorded from the mpf
+    # Miller recurrence the integer one replaced
+    DIGESTS = {
+        (71, "ladder", 456): "c3980080dac959c7408c928a269e30dbe17324032c30b92202c65addcf697043",
+        (56, "lu", 454): "73006ce4189c3e90456b4a3af3b9e22576abbe353631d04bf8a857a6c6c620ce",
+    }
+
+    @pytest.mark.parametrize("n, route, bits", list(DIGESTS))
+    def test_pass_rows_are_pinned(self, n, route, bits):
+        assert CTX.precision_bits + tl.guard_bits(30, n, route) == bits
+        row = tl._moment_row(30, n, "plain", bits)
+        digest = hashlib.sha256(json.dumps(row).encode()).hexdigest()
+        assert digest == self.DIGESTS[n, route, bits]
+
+
+class TestNoPerStepMpfWork:
+    @pytest.fixture()
+    def mpf_ops(self, monkeypatch):
+        """Counts of the mpf arithmetic of mpf objects (ctx_mp_python's
+        names) and of mp.make_mpf, under an empty ladder cache."""
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a: calls.update([name]) or fn(*a))
+
+        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div",
+                     "mpf_neg"):
+            counted(ctx_mp_python, name)
+        counted(mp, "make_mpf")
+        monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
+        return calls
+
+    def test_row_does_no_mpf_work_per_step(self, mpf_ops):
+        # the ladder pass's row: 309 integer steps at 607 bits, then one
+        # mpf per entry
+        row = specialfn.bessel_i_row(70, 60, 456)
+        assert mpf_ops["make_mpf"] == len(row) == 71
+        assert sum(mpf_ops.values()) == 71 < specialfn._miller_start(70, 60.0, 607)
+
+    def test_warm_scan_makes_only_its_outputs(self, mpf_ops):
+        tl.toeplitz_scan(30, range(1, 71), CTX)
+        mpf_ops.clear()
+        scan = tl.toeplitz_scan(30, range(1, 71), CTX)
+        outputs = sum(v is not None for r in scan.records
+                      for v in (r.gamma, r.log_kappa_sq, r.pi0,
+                                r.log_kappa_sq_airy_pred, r.pi0_airy_pred))
+        assert outputs == 327
+        assert mpf_ops["make_mpf"] == sum(mpf_ops.values()) == outputs
 
 
 class TestLogDet:
