@@ -19,15 +19,24 @@ monotone along a t-ladder (and happens to vanish at t=8, where
 effective argument x_eff = (n - 2t)/t^(1/3), or 2(ell - t)/t^(1/3) for the
 E side's ell = floor(t + (x/2) t^(1/3)): toeplitz_lab.scaling_index gives
 each size with its x_eff.
+
+The product-split reports sum_parts_report (F side) and e_double_scaling_check
+(E side), which `twlab toeplitz-limits` prints, join the Toeplitz ladders to
+the Painleve route here too: they take (t, x, L, M, sol, consts, ctx), the
+position and split, then a check's three arguments.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Tuple
 
 from mpmath import mp, mpf
 
-from . import fredholm_oracle, specialfn, toeplitz_lab, twdist
+from . import fredholm_oracle, painleve2, specialfn, toeplitz_lab, twdist
+from .errors import DomainError
+from .precision import round_to
 
 
 class Result(NamedTuple):
@@ -47,6 +56,155 @@ def _below(name: str, measured, bound: str, strict: bool = True) -> Result:
 
 def _max_ratio(values) -> mpf:
     return max(b / a for a, b in zip(values, values[1:]))
+
+
+# the keys of a product-split report's parts, in their order
+_PARTS = ("exact", "airy", "painleve")
+
+
+@dataclass(frozen=True)
+class SumPartsReport:
+    t: float
+    x: float
+    L: int
+    M: int
+    n: int
+    # {"exact" | "airy" | "painleve": (value, large-t limit)}, in that order
+    parts: Dict[str, Tuple[mpf, mpf]]
+    total: mpf                    # -t^2 + exact + airy + painleve
+    total_direct: mpf             # log(e^(-t^2) D_n) via the Cholesky route
+    f2_reference: mpf
+
+
+def sum_parts_report(t, x, L: int, M: int, sol, consts, ctx) -> SumPartsReport:
+    """Split log(e^(-t^2) D_n), n = scaling_index(t, x, ctx)[0] = floor(2t +
+    x t^(1/3)), as
+
+        -t^2 + log D_L                                   (exact part)
+        + sum_{q=L+1}^{m - 1} log kappa_{q-1}^(-2)       (Airy)
+        + sum_{q=m}^{n} log kappa_{q-1}^(-2)             (Painleve)
+
+    with m = scaling_index(t, -M, ctx)[0] = floor(2t - M t^(1/3)), M > 0,
+    and report each part next to its large-t limit (parts).  The Painleve-
+    part limit is +int_{-M}^x R(y) dy (log kappa^(-2) ~ +R/t^(1/3) > 0; the
+    printed minus sign in some sources is inconsistent with the total)."""
+    L = toeplitz_lab._index(L, "L")
+    if not M > 0:
+        raise DomainError(f"the F side needs M > 0, got M={M}")
+    t_mp = mpf(t)
+    n, _ = toeplitz_lab.scaling_index(t, x, ctx)
+    q_airy_hi = toeplitz_lab.scaling_index(t, -M, ctx)[0] - 1
+    if not (1 <= L < q_airy_hi):
+        raise DomainError(f"need 1 <= L < 2t - M t^(1/3) - 1, got L={L}, "
+                          f"hi={q_airy_hi}")
+    if n <= q_airy_hi:
+        raise DomainError("Painleve window is empty; decrease M or raise t")
+    ladder = toeplitz_lab.get_ladder(t, "plain", n, ctx)
+    zp = consts.zeta_prime_minus_one
+    with ctx.workprec():
+        exact = ladder.log_d(L)
+        airy = mp.fsum(ladder.log_pivots[q - 1] for q in range(L + 1, q_airy_hi + 1))
+        painleve = mp.fsum(ladder.log_pivots[q - 1] for q in range(q_airy_hi + 1, n + 1))
+        total = -t_mp ** 2 + exact + airy + painleve
+        m_mp = mpf(M)
+        exact_limit = toeplitz_lab._exact_part_bracket(L, t_mp, zp)
+        airy_limit = (t_mp ** 2 - (exact_limit - zp) - twdist.regularizer_r(-m_mp)
+                      + mp.log(2) / 24)
+        painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, mpf(x), ctx)
+    direct = toeplitz_lab._cholesky_ladder(t, "plain", n, ctx).log_d(n)
+    f2_ref = twdist.tw_point(x, sol, consts, ctx).F2
+    with ctx.workprec():
+        total_direct = direct - t_mp ** 2
+    r = round_to((exact, airy, painleve, exact_limit, airy_limit, painleve_limit,
+                  total, total_direct, f2_ref), ctx.precision_bits)
+    return SumPartsReport(t=float(t), x=float(x), L=L, M=M, n=n,
+                          parts=dict(zip(_PARTS, zip(r[:3], r[3:6]))), total=r[6],
+                          total_direct=r[7], f2_reference=r[8])
+
+
+@dataclass(frozen=True)
+class EDoubleScalingReport:
+    t: float
+    x: float
+    L: int
+    M: int
+    ell: int
+    fe_reference: mpf             # F(x) E(x)
+    d_pp_value: mpf               # e^(-t^2/2) D_{ell-1}^{++}
+    d_mp_value: mpf               # e^(-t^2/2 - t) D_ell^{-+}
+    # {"exact" | "airy" | "painleve": (value, large-t limit)}, in that order
+    parts: Dict[str, Tuple[mpf, mpf]]
+    total_two_log_e: mpf          # -t + exact + airy + painleve
+    identity_gap: mpf             # total vs log(e^-t D++ D-+ / D_{2l-1})
+    two_log_e_reference: mpf
+
+
+def e_double_scaling_check(t, x, L: int, M: int, sol, consts,
+                           ctx) -> EDoubleScalingReport:
+    """Finite-t values of the E-side decomposition
+
+        2 log E(x) ~ -t + log(D_{L-1}^{++} D_L^{-+} / D_{2L-1})
+                     + sum_{j=L}^{floor(t - (M/2) t^(1/3))} log[(1+pi_{2j})(1-pi_{2j+1})]
+                     + sum_{j=...+1}^{ell-1}                log[(1+pi_{2j})(1-pi_{2j+1})]
+
+    with ell = scaling_index(t, x, ctx, per=2)[0] = floor(t + (x/2) t^(1/3))
+    and the Airy window's end scaling_index(t, -M, ctx, per=2)[0], M >= 0,
+    next to the parts' limits (parts) and the product convergence of
+    e^(-t^2/2) D_{ell-1}^{++} to F E."""
+    L = toeplitz_lab._index(L, "L")
+    if not M >= 0:
+        raise DomainError(f"the E side needs M >= 0, got M={M}")
+    t_mp = mpf(t)
+    ell, _ = toeplitz_lab.scaling_index(t, x, ctx, per=2)
+    j_airy_hi, _ = toeplitz_lab.scaling_index(t, -M, ctx, per=2)
+    if L < 2 or not L <= j_airy_hi:
+        raise DomainError(f"need 2 <= L <= floor(t - (M/2) t^(1/3)) = {j_airy_hi}")
+    if ell - 1 < j_airy_hi:
+        raise DomainError("Painleve window is empty; decrease M or raise t")
+
+    # the -+ ladder needs the longest pass, so it comes first and the other
+    # two read the same pass
+    mp_lad = toeplitz_lab.get_ladder(t, "minus_plus", max(ell, L), ctx)
+    pp = toeplitz_lab.get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
+    plain = toeplitz_lab.get_ladder(t, "plain", 2 * ell, ctx)
+    # pp and mp_lad are formed by the identity checked here, so the direct
+    # side reads the independent Cholesky route
+    pp_direct = toeplitz_lab._cholesky_ladder(t, "plus_plus", ell - 1, ctx)
+    mp_direct = toeplitz_lab._cholesky_ladder(t, "minus_plus", ell, ctx)
+    tw_ref = twdist.tw_point(x, sol, consts, ctx)
+
+    with ctx.workprec():
+        exact = pp.log_d(L - 1) + mp_lad.log_d(L) - plain.log_d(2 * L - 1)
+
+        def term(j: int) -> mpf:
+            return (mp.log(1 + plain.pi0[2 * j])
+                    + mp.log(1 - plain.pi0[2 * j + 1]))
+
+        airy = mp.fsum(term(j) for j in range(L, j_airy_hi + 1))
+        painleve = mp.fsum(term(j) for j in range(j_airy_hi + 1, ell))
+        total = -t_mp + exact + airy + painleve
+        direct = (-t_mp + pp_direct.log_d(ell - 1) + mp_direct.log_d(ell)
+                  - plain.log_d(2 * ell - 1))
+        identity_gap = total - direct
+
+        d_pp = mp.exp(-t_mp ** 2 / 2 + pp.log_d(ell - 1))
+        d_mp = mp.exp(-t_mp ** 2 / 2 - t_mp + mp_lad.log_d(ell))
+
+        log2 = mp.log(2)
+        m_mp = mpf(M)
+        exact_limit = (2 * L - 1) * log2
+        airy_limit = t_mp - twdist.regularizer_q(-m_mp) - (2 * L - mpf("0.5")) * log2
+        painleve_limit = painleve2.integrate_kind(sol, "q", -m_mp, mpf(x), ctx)
+        two_log_e = 2 * mp.log(tw_ref.E)
+
+    r = round_to((tw_ref.F1, d_pp, d_mp, exact, airy, painleve, exact_limit,
+                  airy_limit, painleve_limit, total, identity_gap, two_log_e),
+                 ctx.precision_bits)
+    return EDoubleScalingReport(
+        t=float(t), x=float(x), L=L, M=M, ell=ell,
+        fe_reference=r[0], d_pp_value=r[1], d_mp_value=r[2],
+        parts=dict(zip(_PARTS, zip(r[3:6], r[6:9]))), total_two_log_e=r[9],
+        identity_gap=r[10], two_log_e_reference=r[11])
 
 
 def oracle_equivalence(sol, consts, ctx) -> List[Result]:
@@ -128,7 +286,7 @@ def telescoping(sol, consts, ctx) -> List[Result]:
     out = []
     with ctx.workprec():
         for L in (4, 8):
-            rep = toeplitz_lab.sum_parts_report(20.0, -1.0, L, 4, sol, ctx)
+            rep = sum_parts_report(20.0, -1.0, L, 4, sol, consts, ctx)
             out.append(_below(f"telescoping t=20 L={L}",
                               abs(rep.total - rep.total_direct), "1e-20"))
     return out
@@ -191,8 +349,9 @@ def verblunsky_and_signs(sol, consts, ctx) -> List[Result]:
 def e_side_scaffolding(sol, consts, ctx) -> List[Result]:
     """(a) the exact-part combination converges to (2L-1) log 2 in t at
     L=3 and L=5; (b) the reflection-coefficient partial sums approach
-    -log E(0); (c) the ++ determinants converge to F E along the t-ladder,
-    at the scaling position."""
+    -log E(0): r_K = sum_{j=ell}^{ell+K} log(1 - pi_{2j+1}(0)) + log E(0)
+    shrinks over K = 0..12 at t=16, ell = floor(t); (c) the ++ determinants
+    converge to F E along the t-ladder, at the scaling position."""
     with ctx.workprec():
         def combo(L, t):
             return abs(toeplitz_lab.d_pm_log("plus_plus", L - 1, t, ctx)
@@ -202,7 +361,11 @@ def e_side_scaffolding(sol, consts, ctx) -> List[Result]:
                        - (2 * L - 1) * mp.log(2))
 
         shrink = max(combo(L, 100.0) / combo(L, 50.0) for L in (3, 5))
-        sums = [abs(r) for r in toeplitz_lab.pi_partial_sums(16.0, 0.0, 12, sol, ctx)]
+        ell, _ = toeplitz_lab.scaling_index(16.0, 0.0, ctx, per=2)
+        plain = toeplitz_lab.get_ladder(16.0, "plain", 2 * (ell + 12) + 2, ctx)
+        log_e = mp.log(twdist.tw_point(0.0, sol, consts, ctx).E)
+        sums = [abs(round_to(acc + log_e, ctx.precision_bits)) for acc in accumulate(
+            mp.log(1 - plain.pi0[2 * j + 1]) for j in range(ell, ell + 13))]
         gaps = []
         for t in (8.0, 16.0, 32.0):
             ell, x_eff = toeplitz_lab.scaling_index(t, -1, ctx, per=2)

@@ -177,16 +177,24 @@ def _cmd_eval(args: argparse.Namespace):
     return doc, [_point_row(pt)], _POINT_COLUMNS
 
 
+# the most points an x grid may hold; a larger one is refused before a solve
+_MAX_GRID_POINTS = 100_000
+
+
 def _x_grid(args: argparse.Namespace) -> List[mpf]:
     if not (mp.isfinite(args.x_min) and mp.isfinite(args.x_max)):
         raise DomainError("--xmin and --xmax must be finite")
-    if not args.step > 0:
-        raise DomainError("--step must be positive")
+    if not (args.step > 0 and mp.isfinite(args.step)):
+        raise DomainError("--step must be positive and finite")
     if args.x_min > args.x_max:
         raise DomainError("--xmin must not exceed --xmax")
+    # a float quotient, which may be inf, so no int of it is formed first
+    steps = (args.x_max - args.x_min) / args.step
+    if steps >= _MAX_GRID_POINTS:
+        raise DomainError(f"the x grid would hold more than {_MAX_GRID_POINTS} "
+                          "points; raise --step or narrow the range")
     # x_min + k step from an integer k, so rounding does not accumulate
-    xs = (args.x_min + k * args.step
-          for k in range(int((args.x_max - args.x_min) / args.step) + 2))
+    xs = (args.x_min + k * args.step for k in range(int(steps) + 2))
     return [mpf(x) for x in xs if x <= args.x_max]
 
 
@@ -272,11 +280,10 @@ def _cmd_toeplitz_limits(args: argparse.Namespace):
         raise DomainError(f"command {args.command} has no CSV form")
     if not (mp.isfinite(args.t) and mp.isfinite(args.x)):
         raise DomainError("--t and --x must be finite")
-    ctx = _context(args)
-    sol = _solution(args, ctx)
-    mode, report = (("e_side", toeplitz_lab.e_double_scaling_check) if args.e_side
-                    else ("sum_parts", toeplitz_lab.sum_parts_report))
-    rep = report(args.t, args.x, args.L, args.M, sol, ctx)
+    ctx, sol, consts = _solved(args)
+    mode, report = (("e_side", checks.e_double_scaling_check) if args.e_side
+                    else ("sum_parts", checks.sum_parts_report))
+    rep = report(args.t, args.x, args.L, args.M, sol, consts, ctx)
     # the report's fields in their order, "parts" keeping its place
     parts = {name: {"value": value, "limit": limit}
              for name, (value, limit) in rep.parts.items()}

@@ -28,15 +28,17 @@ Algebraic aspects of increasing subsequences, Duke Math. J. 109 (2001):
 so the pass to n returns three ladders (_ladder_pass): the plain one to n
 and each +- one to (n - 1) // 2, each a plain record (_Ladder) with its own
 bound, which get_ladder caches together.  Levinson-Durbin is a generic
-Toeplitz solver, not the discrete Painleve II recurrence, so kappa and pi
-stay independent of the Painleve module they are compared against.
+Toeplitz solver, not the discrete Painleve II recurrence, and this module
+imports no Painleve module, so kappa and pi stay independent of the route
+they are compared against: twlab.checks, which holds the product-split
+reports (sum_parts_report, e_double_scaling_check), joins the two.
 
 The integer Cholesky of the full moment matrix of a family (linalg.
 cholesky_log_pivots, _cholesky_ladder) is the independent route to its
 ladder.  It is not on the path of the ladders, and since the pass forms
 kappa from pi by E_{q+1} = E_q (1 - pi_{q+1}(0)^2), the Verblunsky
-identity, the product identities and the telescoping of sum_parts_report
-read one side from it.  The pivoted LU of linalg.lu_log_abs_pivots
+identity, the product identities and the reports' telescoping read one
+side from it.  The pivoted LU of linalg.lu_log_abs_pivots
 (toeplitz_log_det_lu) is a third route to log D_n, sharing nothing with
 the other two but the grid; no function here reads it.
 
@@ -116,7 +118,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
 
-from . import painleve2, specialfn, twdist
+from . import specialfn
 from .errors import DomainError, InternalConsistencyError, PrecisionError
 from .fixedpoint import dot, from_grid, to_grid
 from .linalg import (cholesky_entry_error, cholesky_log_pivots, log_det_error,
@@ -617,7 +619,7 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
 
 
 # ---------------------------------------------------------------------------
-# Double scaling: the index rule and the product-split reports (F2 side)
+# Double scaling: the index rule and the exact part
 # ---------------------------------------------------------------------------
 
 def scaling_index(t, x, ctx: PrecisionContext, per: int = 1) -> Tuple[int, mpf]:
@@ -634,31 +636,6 @@ def scaling_index(t, x, ctx: PrecisionContext, per: int = 1) -> Tuple[int, mpf]:
         return m, (per * m - 2 * t_mp) / t13
 
 
-# the keys of a product-split report's parts, in their order
-_PARTS = ("exact", "airy", "painleve")
-
-
-@dataclass(frozen=True)
-class SumPartsReport:
-    t: float
-    x: float
-    L: int
-    M: int
-    n: int
-    # {"exact" | "airy" | "painleve": (value, large-t limit)}, in that order
-    parts: Dict[str, Tuple[mpf, mpf]]
-    total: mpf                    # -t^2 + exact + airy + painleve
-    total_direct: mpf             # log(e^(-t^2) D_n) via the Cholesky route
-    f2_reference: mpf
-
-
-def _tw_reference(x, sol: painleve2.HMSolution,
-                  ctx: PrecisionContext) -> twdist.TWPoint:
-    """The Painleve-route TW point at x that the double-scaling limits are
-    compared with, in ctx."""
-    return twdist.tw_point(x, sol, twdist.TailConstants.compute(ctx), ctx)
-
-
 def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
     """2Lt - (L^2/2) log(2t) + (L^2/2 - 1/12) log L - (3/4) L^2 + zeta'(-1),
     the large-t form of log D_L(t), at the working precision."""
@@ -668,56 +645,10 @@ def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
             - mpf(3) / 4 * l_mp ** 2 + zp)
 
 
-def sum_parts_report(t, x, L: int, M: int, sol: painleve2.HMSolution,
-                     ctx: PrecisionContext) -> SumPartsReport:
-    """Split log(e^(-t^2) D_n), n = scaling_index(t, x, ctx)[0] = floor(2t +
-    x t^(1/3)), as
-
-        -t^2 + log D_L                                   (exact part)
-        + sum_{q=L+1}^{m - 1} log kappa_{q-1}^(-2)       (Airy)
-        + sum_{q=m}^{n} log kappa_{q-1}^(-2)             (Painleve)
-
-    with m = scaling_index(t, -M, ctx)[0] = floor(2t - M t^(1/3)), M > 0,
-    and report each part next to its large-t limit (parts).  The Painleve-
-    part limit is +int_{-M}^x R(y) dy (log kappa^(-2) ~ +R/t^(1/3) > 0; the
-    printed minus sign in some sources is inconsistent with the total)."""
-    if not M > 0:
-        raise DomainError(f"the F side needs M > 0, got M={M}")
-    t_mp = mpf(t)
-    n, _ = scaling_index(t, x, ctx)
-    q_airy_hi = scaling_index(t, -M, ctx)[0] - 1
-    if not (1 <= L < q_airy_hi):
-        raise DomainError(f"need 1 <= L < 2t - M t^(1/3) - 1, got L={L}, "
-                          f"hi={q_airy_hi}")
-    if n <= q_airy_hi:
-        raise DomainError("Painleve window is empty; decrease M or raise t")
-    ladder = get_ladder(t, "plain", n, ctx)
-    zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
-    with ctx.workprec():
-        exact = ladder.log_d(L)
-        airy = mp.fsum(ladder.log_pivots[q - 1] for q in range(L + 1, q_airy_hi + 1))
-        painleve = mp.fsum(ladder.log_pivots[q - 1] for q in range(q_airy_hi + 1, n + 1))
-        total = -t_mp ** 2 + exact + airy + painleve
-        m_mp = mpf(M)
-        exact_limit = _exact_part_bracket(L, t_mp, zp)
-        airy_limit = (t_mp ** 2 - (exact_limit - zp) - twdist.regularizer_r(-m_mp)
-                      + mp.log(2) / 24)
-        painleve_limit = painleve2.integrate_kind(sol, "r", -m_mp, mpf(x), ctx)
-    direct = _cholesky_ladder(t, "plain", n, ctx).log_d(n)
-    f2_ref = _tw_reference(x, sol, ctx).F2
-    with ctx.workprec():
-        total_direct = direct - t_mp ** 2
-    r = round_to((exact, airy, painleve, exact_limit, airy_limit, painleve_limit,
-                  total, total_direct, f2_ref), ctx.precision_bits)
-    return SumPartsReport(t=float(t), x=float(x), L=L, M=M, n=n,
-                          parts=dict(zip(_PARTS, zip(r[:3], r[3:6]))), total=r[6],
-                          total_direct=r[7], f2_reference=r[8])
-
-
 def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
     """Residual log D_L(t) - {2Lt - (L^2/2) log(2t) + (L^2/2 - 1/12) log L
     - (3/4) L^2 + zeta'(-1)}; tends to 0 as t then L grow."""
-    if L < 2:
+    if _index(L, "L") < 2:
         raise DomainError("L must be >= 2")
     logd = toeplitz_log_det(MomentMatrixSpec(float(t), L, "plain"), ctx)
     zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
@@ -729,6 +660,7 @@ def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
 def selberg_hermite_log_closed(L: int, t, ctx: PrecisionContext) -> mpf:
     """log of the Gaussian Selberg integral
     pi^(L/2) 2^(-L(L-1)/2) t^(-L^2/2) G(L+1)."""
+    L = _index(L, "L")
     if L < 1:
         raise DomainError("L must be >= 1")
     logg = specialfn.log_barnes_g(L + 1, ctx.precision_bits)
@@ -752,6 +684,7 @@ def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext) -> mpf:
     [-8.5, 8.5]^L truncates it below 1e-31.  The integrand is symmetric and
     vanishes where two nodes coincide, so 1/L! times the sum over all node
     tuples is the sum over the strictly increasing ones."""
+    L = _index(L, "L")
     if not 1 <= L <= 3:
         raise DomainError("direct quadrature only supported for L <= 3")
     prec = ctx.precision_bits + REPORT_GUARD
@@ -766,109 +699,3 @@ def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext) -> mpf:
             for idx in combinations(range(_SELBERG_POINTS), L))
         return round_to(mp.log(total) - mpf(L * L) / 2 * mp.log(mpf(t)),
                         ctx.precision_bits)
-
-
-# ---------------------------------------------------------------------------
-# E-side scaffolding
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EDoubleScalingReport:
-    t: float
-    x: float
-    L: int
-    M: int
-    ell: int
-    fe_reference: mpf             # F(x) E(x)
-    d_pp_value: mpf               # e^(-t^2/2) D_{ell-1}^{++}
-    d_mp_value: mpf               # e^(-t^2/2 - t) D_ell^{-+}
-    # {"exact" | "airy" | "painleve": (value, large-t limit)}, in that order
-    parts: Dict[str, Tuple[mpf, mpf]]
-    total_two_log_e: mpf          # -t + exact + airy + painleve
-    identity_gap: mpf             # total vs log(e^-t D++ D-+ / D_{2l-1})
-    two_log_e_reference: mpf
-
-
-def e_double_scaling_check(t, x, L: int, M: int, sol: painleve2.HMSolution,
-                           ctx: PrecisionContext) -> EDoubleScalingReport:
-    """Finite-t values of the E-side decomposition
-
-        2 log E(x) ~ -t + log(D_{L-1}^{++} D_L^{-+} / D_{2L-1})
-                     + sum_{j=L}^{floor(t - (M/2) t^(1/3))} log[(1+pi_{2j})(1-pi_{2j+1})]
-                     + sum_{j=...+1}^{ell-1}                log[(1+pi_{2j})(1-pi_{2j+1})]
-
-    with ell = scaling_index(t, x, ctx, per=2)[0] = floor(t + (x/2) t^(1/3))
-    and the Airy window's end scaling_index(t, -M, ctx, per=2)[0], M >= 0,
-    next to the parts' limits (parts) and the product convergence of
-    e^(-t^2/2) D_{ell-1}^{++} to F E."""
-    if not M >= 0:
-        raise DomainError(f"the E side needs M >= 0, got M={M}")
-    t_mp = mpf(t)
-    ell, _ = scaling_index(t, x, ctx, per=2)
-    j_airy_hi, _ = scaling_index(t, -M, ctx, per=2)
-    if L < 2 or not L <= j_airy_hi:
-        raise DomainError(f"need 2 <= L <= floor(t - (M/2) t^(1/3)) = {j_airy_hi}")
-    if ell - 1 < j_airy_hi:
-        raise DomainError("Painleve window is empty; decrease M or raise t")
-
-    # the -+ ladder needs the longest pass, so it comes first and the other
-    # two read the same pass
-    mp_lad = get_ladder(t, "minus_plus", max(ell, L), ctx)
-    pp = get_ladder(t, "plus_plus", max(ell - 1, L - 1), ctx)
-    plain = get_ladder(t, "plain", 2 * ell, ctx)
-    # pp and mp_lad are formed by the identity checked here, so the direct
-    # side reads the independent Cholesky route
-    pp_direct = _cholesky_ladder(t, "plus_plus", ell - 1, ctx)
-    mp_direct = _cholesky_ladder(t, "minus_plus", ell, ctx)
-    tw_ref = _tw_reference(x, sol, ctx)
-
-    with ctx.workprec():
-        exact = pp.log_d(L - 1) + mp_lad.log_d(L) - plain.log_d(2 * L - 1)
-
-        def term(j: int) -> mpf:
-            return (mp.log(1 + plain.pi0[2 * j])
-                    + mp.log(1 - plain.pi0[2 * j + 1]))
-
-        airy = mp.fsum(term(j) for j in range(L, j_airy_hi + 1))
-        painleve = mp.fsum(term(j) for j in range(j_airy_hi + 1, ell))
-        total = -t_mp + exact + airy + painleve
-        direct = (-t_mp + pp_direct.log_d(ell - 1) + mp_direct.log_d(ell)
-                  - plain.log_d(2 * ell - 1))
-        identity_gap = total - direct
-
-        d_pp = mp.exp(-t_mp ** 2 / 2 + pp.log_d(ell - 1))
-        d_mp = mp.exp(-t_mp ** 2 / 2 - t_mp + mp_lad.log_d(ell))
-
-        log2 = mp.log(2)
-        m_mp = mpf(M)
-        exact_limit = (2 * L - 1) * log2
-        airy_limit = t_mp - twdist.regularizer_q(-m_mp) - (2 * L - mpf("0.5")) * log2
-        painleve_limit = painleve2.integrate_kind(sol, "q", -m_mp, mpf(x), ctx)
-        two_log_e = 2 * mp.log(tw_ref.E)
-
-    r = round_to((tw_ref.F1, d_pp, d_mp, exact, airy, painleve, exact_limit,
-                  airy_limit, painleve_limit, total, identity_gap, two_log_e),
-                 ctx.precision_bits)
-    return EDoubleScalingReport(
-        t=float(t), x=float(x), L=L, M=M, ell=ell,
-        fe_reference=r[0], d_pp_value=r[1], d_mp_value=r[2],
-        parts=dict(zip(_PARTS, zip(r[3:6], r[6:9]))), total_two_log_e=r[9],
-        identity_gap=r[10], two_log_e_reference=r[11])
-
-
-def pi_partial_sums(t, x, k_max: int, sol: painleve2.HMSolution,
-                    ctx: PrecisionContext) -> List[mpf]:
-    """Residuals r_K = sum_{j=ell}^{ell+K} log(1 - pi_{2j+1}(0)) + log E(x)
-    for K = 0..k_max, ell = scaling_index(t, x, ctx, per=2)[0] = floor(t +
-    (x/2) t^(1/3)); they tend to 0 as K and t grow."""
-    ell, _ = scaling_index(t, x, ctx, per=2)
-    plain = get_ladder(t, "plain", 2 * (ell + k_max) + 2, ctx)
-    e = _tw_reference(x, sol, ctx).E
-    out: List[mpf] = []
-    with ctx.workprec():
-        log_e = mp.log(e)
-        acc = mpf(0)
-        for j in range(ell, ell + k_max + 1):
-            acc += mp.log(1 - plain.pi0[2 * j + 1])
-            out.append(+(acc + log_e))
-    return round_to(out, ctx.precision_bits)

@@ -150,8 +150,7 @@ class _Left(NamedTuple):
     """The left side of one solution at one precision."""
     k: Tuple[mpf, mpf]             # (K_R, K_q)
     gaps: Tuple[tuple, tuple]      # rho - 1 for F and E, raw mpf tuples
-    error: mpf                     # the left-series error, for the error budget
-    error_float: float
+    error_float: float             # the left-series error
     prefactors: Tuple[mpf, mpf]    # (f_prefactor, e_prefactor) k was formed from
 
 
@@ -184,7 +183,7 @@ def _form_left(sol: painleve2.HMSolution, consts: TailConstants,
         gaps = tuple(mp.expm1(k_r - k_l)._mpf_
                      for k_r, k_l in zip(_right_constants(sol, ctx), k))
         error = max(err for _, err in tails)
-    return _Left(k, gaps, error, float(error), prefactors)
+    return _Left(k, gaps, float(error), prefactors)
 
 
 _ROUND = libmp.round_nearest

@@ -266,6 +266,46 @@ class TestImport:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    @staticmethod
+    def _twlab_imports(module):
+        """The twlab modules the source of ``module`` imports, in any form."""
+        path = os.path.join(os.path.dirname(twlab.__file__), f"{module}.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        out = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                out.update(a.name.split(".")[1] for a in node.names
+                           if a.name.startswith("twlab."))
+            elif isinstance(node, ast.ImportFrom):
+                name = node.module or ""
+                if not node.level:
+                    if name.split(".")[0] != "twlab":
+                        continue
+                    name = name[len("twlab."):]
+                if name:
+                    out.add(name.split(".")[0])
+                else:
+                    out.update(a.name for a in node.names)
+        return out
+
+    @pytest.mark.parametrize("module, other", [
+        ("toeplitz_lab", "fredholm_oracle"), ("fredholm_oracle", "toeplitz_lab")])
+    def test_independent_routes_import_no_painleve_module(self, module, other):
+        # the Toeplitz and Fredholm routes are compared with the Painleve
+        # route in twlab.checks, so neither imports it or the other route
+        assert "specialfn" in self._twlab_imports(module)
+        assert self._twlab_imports(module) & {"painleve2", "twdist", other} == set()
+
+    def test_toeplitz_lab_import_leaves_painleve_out(self):
+        src = os.path.dirname(os.path.dirname(twlab.__file__))
+        code = ("import sys, twlab.toeplitz_lab; "
+                "print(sorted({'twlab.painleve2', 'twlab.twdist'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
+
 
 class TestExitCodes:
     def test_invalid_arguments_exit_two(self, workdir):
@@ -284,12 +324,31 @@ class TestExitCodes:
         code, _ = run_cli(["table", "--xmin", "-3", "--xmax", "nan"] + FAST,
                           workdir, "nan_table.json")
         assert code == 2
+        # an infinite step left an empty grid: a header-only table
+        code, _ = run_cli(["table", "--xmin", "-3", "--xmax", "1", "--step", "inf"]
+                          + FAST, workdir, "inf_step.json")
+        assert code == 2
 
     @pytest.mark.parametrize("command", ["table", "oracle-compare"])
     def test_reversed_x_range_exit_two(self, command, workdir):
         code, _ = run_cli([command, "--xmin", "2", "--xmax", "1"] + FAST,
                           workdir, "reversed.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["table", "oracle-compare"])
+    def test_oversized_x_grid_refused_before_any_solve(self, command, workdir,
+                                                       monkeypatch, capsys):
+        # 2e300 steps were walked one k at a time before; the grid's point
+        # count is bounded (cli._MAX_GRID_POINTS) and checked before a solve
+        def no_solve(*args):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(cli, "_solution", no_solve)
+        code, _ = run_cli([command, "--xmin", "-1", "--xmax", "1", "--step", "1e-300",
+                           "--nodes", "300"], workdir, "huge_grid.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--step" in err
 
     def test_unknown_command_exit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from collections import Counter, OrderedDict
 import pytest
 from mpmath import ctx_mp_python, mp, mpf
 
-from twlab import painleve2, specialfn, toeplitz_lab as tl, twdist
+from twlab import checks, painleve2, specialfn, toeplitz_lab as tl, twdist
 from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext, round_to
 
@@ -52,11 +52,18 @@ def bessel_rows(monkeypatch):
     (lambda: tl.pi_zero(2.5, 3, CTX), "q"),
     (lambda: tl.d_pm_log("plus_plus", 2.5, 3, CTX), "ell"),
     (lambda: tl.toeplitz_scan(3, [2.5], CTX), "q"),
-], ids=["spec", "pi_zero", "d_pm_log", "scan"])
+    (lambda: tl.selberg_hermite_log_closed(2.5, 1.0, CTX), "L"),
+    (lambda: tl.selberg_hermite_log_quadrature(2.5, 1.0, CTX), "L"),
+    (lambda: tl.exact_part_limit_check(2.5, 3.0, CTX), "L"),
+    (lambda: checks.sum_parts_report(10.0, -1.0, 2.5, 3, None, None, CTX), "L"),
+    (lambda: checks.e_double_scaling_check(10.0, -1.0, 2.5, 3, None, None, CTX), "L"),
+], ids=["spec", "pi_zero", "d_pm_log", "scan", "selberg_closed",
+        "selberg_quadrature", "exact_part", "sum_parts_report",
+        "e_double_scaling_check"])
 def test_indices_must_be_integers(call, name):
     # an index that is not an integer is refused by name, neither rounded
-    # (the scan read q = 2.5 as 2) nor left to fail as a KeyError or
-    # TypeError further in
+    # (the scan read q = 2.5 as 2, the closed Selberg form L = 2.5 as a
+    # real L) nor left to fail as a KeyError or TypeError further in
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
         call()
 
@@ -548,27 +555,30 @@ class TestScalingIndex:
 
 
 class TestTelescoping:
-    def test_parts_sum_to_direct_determinant(self, hm_solution, wp300):
-        rep = tl.sum_parts_report(7.0, -1.0, 3, 2, hm_solution, CTX)
+    def test_parts_sum_to_direct_determinant(self, hm_solution, tail_constants, wp300):
+        rep = checks.sum_parts_report(7.0, -1.0, 3, 2, hm_solution, tail_constants, CTX)
         assert abs(rep.total - rep.total_direct) < mpf(10) ** -20
         # any split point gives the same total
-        rep2 = tl.sum_parts_report(7.0, -1.0, 5, 2, hm_solution, CTX)
+        rep2 = checks.sum_parts_report(7.0, -1.0, 5, 2,
+                                       hm_solution, tail_constants, CTX)
         assert abs(rep.total - rep2.total) < mpf(10) ** -40
 
-    def test_painleve_part_gap_shrinks_with_t(self, hm_solution):
+    def test_painleve_part_gap_shrinks_with_t(self, hm_solution, tail_constants):
         prev = None
         for t in (10.0, 20.0, 40.0):
-            rep = tl.sum_parts_report(t, -1.0, 6, 4, hm_solution, CTX)
+            rep = checks.sum_parts_report(t, -1.0, 6, 4,
+                                          hm_solution, tail_constants, CTX)
             gap = abs(rep.parts["painleve"][0] - rep.parts["painleve"][1])
             if prev is not None:
                 assert gap < prev
             prev = gap
 
-    def test_total_approaches_log_f2(self, hm_solution):
+    def test_total_approaches_log_f2(self, hm_solution, tail_constants):
         with mp.workprec(280):
             prev = None
             for t in (8.0, 16.0, 32.0):
-                rep = tl.sum_parts_report(t, -1.0, 6, 4, hm_solution, CTX)
+                rep = checks.sum_parts_report(t, -1.0, 6, 4,
+                                              hm_solution, tail_constants, CTX)
                 # compare against F2 at the determinant's own scaling position
                 # (the floor in n shifts the effective argument by frac/t^(1/3))
                 n, x_eff = tl.scaling_index(t, -1.0, CTX)
@@ -582,15 +592,15 @@ class TestTelescoping:
                     assert gap < prev
                 prev = gap
 
-    def test_window_validation(self, hm_solution):
+    def test_window_validation(self, hm_solution, tail_constants):
         with pytest.raises(DomainError):
-            tl.sum_parts_report(7.0, -1.0, 11, 2, hm_solution, CTX)
+            checks.sum_parts_report(7.0, -1.0, 11, 2, hm_solution, tail_constants, CTX)
 
     @pytest.mark.parametrize("report, M", [
-        (tl.sum_parts_report, 0), (tl.sum_parts_report, -3),
-        (tl.e_double_scaling_check, -3)])
+        (checks.sum_parts_report, 0), (checks.sum_parts_report, -3),
+        (checks.e_double_scaling_check, -3)])
     def test_m_out_of_domain_before_any_ladder(self, report, M, hm_solution,
-                                               monkeypatch):
+                                               tail_constants, monkeypatch):
         # the Airy-part limits read A_R(-M) (M > 0) and A_q(-M) (M >= 0)
         def no_pass(*args):
             raise AssertionError("ladder pass before the M check")
@@ -598,7 +608,7 @@ class TestTelescoping:
         monkeypatch.setattr(tl, "get_ladder", no_pass)
         monkeypatch.setattr(tl, "_cholesky_ladder", no_pass)
         with pytest.raises(DomainError, match="M"):
-            report(10.0, 5.0, 3, M, hm_solution, CTX)
+            report(10.0, 5.0, 3, M, hm_solution, tail_constants, CTX)
 
 
 class TestExactPart:
@@ -658,8 +668,9 @@ class TestPMFamilies:
 
 
 class TestESide:
-    def test_report_identity_and_limits(self, hm_solution):
-        rep = tl.e_double_scaling_check(16.0, -1.0, 3, 4, hm_solution, CTX)
+    def test_report_identity_and_limits(self, hm_solution, tail_constants):
+        rep = checks.e_double_scaling_check(16.0, -1.0, 3, 4,
+                                            hm_solution, tail_constants, CTX)
         with mp.workprec(280):
             assert abs(rep.identity_gap) < mpf(10) ** -20
             # parts sit near their limits at this modest t
@@ -667,10 +678,11 @@ class TestESide:
             assert abs(rep.parts["airy"][0] - rep.parts["airy"][1]) < mpf("1.0")
             assert abs(rep.parts["painleve"][0] - rep.parts["painleve"][1]) < mpf("1.5")
 
-    def test_report_past_zero(self, hm_solution):
+    def test_report_past_zero(self, hm_solution, tail_constants):
         # the Painleve-part limit integrates q itself, so x > 0 is in range;
         # it matches the integral split at 0
-        rep = tl.e_double_scaling_check(16.0, 0.5, 3, 4, hm_solution, CTX)
+        rep = checks.e_double_scaling_check(16.0, 0.5, 3, 4,
+                                            hm_solution, tail_constants, CTX)
         with mp.workprec(280):
             assert abs(rep.identity_gap) < mpf(10) ** -20
             want = (painleve2.integrate_kind(hm_solution, "q", -4, 0, CTX)
@@ -681,14 +693,10 @@ class TestESide:
         gaps = []
         with mp.workprec(280):
             for t in (8.0, 16.0):
-                rep = tl.e_double_scaling_check(t, -1.0, 3, 4, hm_solution, CTX)
+                rep = checks.e_double_scaling_check(t, -1.0, 3, 4,
+                                                    hm_solution, tail_constants, CTX)
                 ell, x_eff = tl.scaling_index(t, -1.0, CTX, per=2)
                 assert ell == rep.ell
                 pt = twdist.tw_point(x_eff, hm_solution, tail_constants, ctx256)
                 gaps.append(abs(rep.d_pp_value - pt.F1))
         assert gaps[1] < gaps[0]
-
-    def test_pi_partial_sums_decrease(self, hm_solution):
-        res = tl.pi_partial_sums(16.0, 0.0, 10, hm_solution, CTX)
-        with mp.workprec(280):
-            assert abs(res[-1]) < abs(res[0])
