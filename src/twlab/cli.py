@@ -135,12 +135,11 @@ def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSo
     again and replaced."""
     path = _cache_path(args, ctx)
     if os.path.exists(path):
-        with open(path) as fh:
-            text = fh.read()
         try:
-            sol = painleve2.HMSolution.from_json(text)
+            with open(path) as fh:
+                sol = painleve2.HMSolution.from_json(fh.read())
         except ValueError:
-            pass  # truncated, foreign or old-schema file: a cache miss
+            pass  # truncated, foreign, old-schema or non-UTF-8 file: a cache miss
         else:
             if (sol.x_left, sol.x_right, sol.precision_bits, sol.elements) == (
                     *args.window, ctx.precision_bits,

@@ -1,8 +1,10 @@
 """Log-determinants by three integer factorisations: the generalized Schur
 algorithm for a symmetric Cauchy-like matrix given by its generators (the
-Fredholm oracle's Nystrom matrix), and the Cholesky of a symmetric positive
-definite matrix and a pivoted LU of a general matrix (the two routes that
-check the Toeplitz ladders, which come from Levinson-Durbin, independently).
+Fredholm oracle's Nystrom matrix), the Cholesky of a symmetric positive
+definite matrix (the route that checks the Toeplitz ladders, which come
+from Levinson-Durbin, independently) and a pivoted LU of a general matrix
+(toeplitz_lab.toeplitz_log_det_lu, read only by the perfbench toeplitz_scan
+workload).
 
 All three run in fixed point on Python integers (twlab.fixedpoint supplies
 the exact dot products and the conversion back), on the grid 2^-F: a value

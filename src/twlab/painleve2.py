@@ -965,11 +965,12 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
 def cumulative_integrals(solution: HMSolution, x,
                          ctx: PrecisionContext) -> Tuple[mpf, mpf]:
     """(int_{x_left}^x R, int_{x_left}^x q), the read both Tracy-Widom
-    representations share, bit for bit integrate_kind from solution.x_left
-    to x for each.  The R and q tables at one precision have the same grid
-    (_Table), so x is located once, on the R table, as the caller passes it
-    (no bit of it is rounded away), and each integrand costs one Clenshaw
-    sum less its table's left_end.  Raises DomainError outside the solution
+    representations share, and at x = x_right the window integrals of
+    their right constants (twdist._form_right): bit for bit integrate_kind
+    from solution.x_left to x for each.  The R and q tables at one
+    precision have the same grid (_Table), so x is located once, on the R
+    table, as the caller passes it (no bit of it is rounded away), and each
+    integrand costs one Clenshaw sum less its table's left_end.  Raises DomainError outside the solution
     window."""
     x = mp.convert(x)
     bits = ctx.precision_bits

@@ -119,7 +119,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from mpmath import libmp, mp, mpf
 
 from . import specialfn
-from .errors import DomainError, InternalConsistencyError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .fixedpoint import dot, from_grid, to_grid
 from .linalg import (cholesky_entry_error, cholesky_log_pivots, log_det_error,
                      lu_entry_error, lu_log_abs_pivots)
@@ -470,16 +470,12 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
 
 def pi_zero(q: int, t, ctx: PrecisionContext) -> mpf:
-    """Constant term pi_q(0;t) of the monic orthogonal polynomial."""
+    """Constant term pi_q(0;t) of the monic orthogonal polynomial; |pi_q(0)|
+    < 1, or the ladder pass raises PrecisionError (_levinson_constant_terms)."""
     q = _index(q, "q")
     if q < 1:
         raise DomainError("q must be >= 1")
-    ladder = get_ladder(t, "plain", q + 1, ctx)
-    val = ladder.pi0[q]
-    if not abs(val) < 1:
-        raise InternalConsistencyError(
-            f"|pi_{q}(0)| >= 1 at t={t}; Levinson recursion inconsistent")
-    return round_to(val, ctx.precision_bits)
+    return round_to(get_ladder(t, "plain", q + 1, ctx).pi0[q], ctx.precision_bits)
 
 
 def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
@@ -489,8 +485,7 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
     ell = _index(ell, "ell")
     if ell < 1:
         raise DomainError("ell must be >= 1")
-    ladder = get_ladder(t, kind, ell, ctx)
-    return round_to(ladder.log_d(ell), ctx.precision_bits)
+    return toeplitz_log_det(MomentMatrixSpec(t, ell, kind), ctx)
 
 
 # ---------------------------------------------------------------------------

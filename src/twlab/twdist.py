@@ -16,20 +16,21 @@ Left representation (integrals from -infinity to x, x < 0):
 
 Both are exp(K + U(x)/2) with one cumulative read U(x) = int_{x_left}^x
 of R or q, exact on the element interpolants of the collocation solution
-(painleve2.integrate_kind), and one constant per representation, kind,
-solution and precision: on the right K = -1/2 (int_{x_left}^{x_right} +
-the Airy closed forms beyond x_right); on the left K = log prefactor +
-1/2 (series tail before x_left - A(x_left)), with the regularizer integrals
-A_R(y) = |y|^3/12 + (1/8) log|y| and A_q(y) = (sqrt 2/3) |y|^(3/2); the
-series error is checked against the tolerance.  Twice K_left - K_right is
-the total-integral residual (total_integral_check).  U(x) for R and q is
-one read (painleve2.cumulative_integrals): one locate of x and one sum per
-integrand.  So the right value is the left one times rho = exp(K_right -
-K_left), the same at every x, and tw_point checks the left value against
-the right one as F (rho_F - 1) and E (rho_E - 1): no second exp per point.
-A solution keeps two entries per precision (HMSolution.cached): the right
-constants, and the left constants with rho - 1 for F and E (_left).  The
-side is that of x itself, left below -1, at any ambient precision.
+(painleve2.cumulative_integrals: one locate of x and one sum per
+integrand), and one constant per representation, kind, solution and
+precision: on the right K = -1/2 (U(x_right), the same read, + the Airy
+closed forms beyond x_right); on the left K = log prefactor + 1/2 (series
+tail before x_left - A(x_left)), with the regularizer integrals A_R(y) =
+|y|^3/12 + (1/8) log|y| and A_q(y) = (sqrt 2/3) |y|^(3/2); the series
+error is checked against the tolerance.  Twice K_left - K_right is the
+total-integral residual (total_integral_check).  So the right value is
+the left one times rho = exp(K_right - K_left), the same at every x, and
+tw_point checks the left value against the right one as F (rho_F - 1)
+and E (rho_E - 1): no second exp per point.  A solution keeps these
+entries per precision (HMSolution.cached): the right constants, and per
+pair of prefactors the left constants with rho - 1 for F and E (_left).
+The side is that of x itself, left below -1, at any ambient precision.
+F_beta is read from tw_point alone (tw_cdf).
 
 A warm point is then one pass at one working precision, wp =
 precision_bits + REPORT_GUARD, on raw mpf tuples (libmp), with no ambient
@@ -138,31 +139,29 @@ def _right_constants(sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[
 
 
 def _form_right(sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf, mpf]:
+    """K = -(window integral + Airy tail)/2 per kind, the window read
+    through cumulative_integrals at x_right."""
+    window = painleve2.cumulative_integrals(sol, sol.x_right, ctx)
     with ctx.workprec():
-        return tuple(
-            -(painleve2.integrate_kind(sol, kind, sol.x_left, sol.x_right, ctx)
-              + tail(sol.x_right, ctx)) / 2
-            for kind, tail in (("r", airy_tail_r_integral),
-                               ("q", airy_tail_q_integral)))
+        return tuple(-(w + tail(sol.x_right, ctx)) / 2
+                     for w, tail in zip(window, (airy_tail_r_integral,
+                                                 airy_tail_q_integral)))
 
 
 class _Left(NamedTuple):
-    """The left side of one solution at one precision."""
+    """The left side of one solution at one precision and prefactors."""
     k: Tuple[mpf, mpf]             # (K_R, K_q)
     gaps: Tuple[tuple, tuple]      # rho - 1 for F and E, raw mpf tuples
     error_float: float             # the left-series error
-    prefactors: Tuple[mpf, mpf]    # (f_prefactor, e_prefactor) k was formed from
 
 
 def _left(sol: painleve2.HMSolution, consts: TailConstants,
           ctx: PrecisionContext) -> _Left:
-    """The left entry of sol at ctx.precision_bits, kept for the prefactors
-    it was first formed from (others get one formed and not kept), compared
-    by identity, then by value, so no mpf is hashed.  The series error is
-    checked against ctx.tolerance on every call."""
-    entry = sol.cached(("left", ctx.precision_bits), _form_left, sol, consts, ctx)
-    if entry.prefactors != (consts.f_prefactor, consts.e_prefactor):
-        entry = _form_left(sol, consts, ctx)
+    """The left entry of sol at ctx.precision_bits, kept per prefactors,
+    keyed by their raw mpf tuples, so no mpf is hashed.  The series error
+    is checked against ctx.tolerance on every call."""
+    key = ("left", ctx.precision_bits, consts.f_prefactor._mpf_, consts.e_prefactor._mpf_)
+    entry = sol.cached(key, _form_left, sol, consts, ctx)
     if entry.error_float > ctx.tolerance:
         raise PrecisionError(
             "left tail series cannot reach the requested tolerance at "
@@ -183,7 +182,7 @@ def _form_left(sol: painleve2.HMSolution, consts: TailConstants,
         gaps = tuple(mp.expm1(k_r - k_l)._mpf_
                      for k_r, k_l in zip(_right_constants(sol, ctx), k))
         error = max(err for _, err in tails)
-    return _Left(k, gaps, float(error), prefactors)
+    return _Left(k, gaps, float(error))
 
 
 _ROUND = libmp.round_nearest
@@ -222,51 +221,12 @@ _SWITCH_POINT = libmp.from_int(-1)
 _AGREEMENT_TOL = libmp.from_float(1e-8)
 
 
-def _read(x, sol: painleve2.HMSolution, consts: TailConstants,
-          ctx: PrecisionContext, check: bool) -> Tuple[mpf, tuple, tuple, bool]:
-    """(x, F, E, left): x converted once (a float, int or mpf exactly), F
-    and E at x as raw mpf tuples, and whether the left representation gave
-    them; the one pass of tw_point and tw_cdf.
-
-    The side is that of x itself, whatever the ambient precision: left
-    below -1.  With check, the left value is compared with the right one,
-    F rho_F and E rho_E at precision_bits + REPORT_GUARD (_left)."""
-    xm = mp.convert(x)
-    u = painleve2.cumulative_integrals(sol, xm, ctx)
-    if not libmp.mpf_lt(xm._mpf_, _SWITCH_POINT):
-        f, e = _cdf(_right_constants(sol, ctx), u, ctx)
-        return xm, f, e, False
-    left = _left(sol, consts, ctx)
-    f, e = _cdf(left.k, u, ctx)
-    if check:
-        wp = ctx.precision_bits + REPORT_GUARD
-        df, de = (libmp.mpf_abs(libmp.mpf_mul(v, gap, wp, _ROUND))
-                  for v, gap in zip((f, e), left.gaps))
-        if libmp.mpf_gt(df, _AGREEMENT_TOL) or libmp.mpf_gt(de, _AGREEMENT_TOL):
-            raise InternalConsistencyError(
-                f"left/right representations disagree at x={x}: "
-                f"dF={mp.make_mpf(df)}, dE={mp.make_mpf(de)}")
-    return xm, f, e, True
-
-
-def _f_beta(beta: int, f: tuple, e: tuple, wp: int) -> tuple:
-    """F_beta from the raw F and E at wp: F1 = F E and F2 = F F, one
-    rounding each; F4 = (E + 1/E) F / 2, three roundings and an exact
-    halving."""
-    if beta == 1:
-        return libmp.mpf_mul(f, e, wp, _ROUND)
-    if beta == 2:
-        return libmp.mpf_mul(f, f, wp, _ROUND)
-    inv = libmp.mpf_div(libmp.fone, e, wp, _ROUND)
-    return libmp.mpf_shift(
-        libmp.mpf_mul(libmp.mpf_add(e, inv, wp, _ROUND), f, wp, _ROUND), -1)
-
-
 def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext, check: bool = True) -> TWPoint:
     """F, E and F1, F2, F4 at x: left representation below -1, with check
-    compared to the right one built from the same read.  The right value is
-    the left one times rho = exp(K_right - K_left) per kind, so the check is
+    compared to the right one built from the same read.  The side is that
+    of x itself, whatever the ambient precision.  The right value is the
+    left one times rho = exp(K_right - K_left) per kind, so the check is
     F (rho_F - 1) and E (rho_E - 1), with rho - 1 kept with the solution
     (_left).
 
@@ -274,24 +234,41 @@ def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
     on raw mpf tuples, with no ambient precision switch: x is converted
     once (a float, int or mpf exactly), the reads of R and q, K + U/2 and
     its exp are each rounded to nearest at wp, F and E are then rounded
-    once to precision_bits, and F1, F2 and F4 are formed from them at wp
-    (_f_beta).  The x returned is x rounded to wp."""
-    x, f, e, left = _read(x, sol, consts, ctx, check)
+    once to precision_bits, and the check, F1 = F E and F2 = F F, one
+    rounding each, and F4 = (E + 1/E) F / 2, three roundings and an exact
+    halving, are formed from them at wp.  The x returned is x rounded to
+    wp."""
+    xm = mp.convert(x)
+    u = painleve2.cumulative_integrals(sol, xm, ctx)
     wp = ctx.precision_bits + REPORT_GUARD
+    left = libmp.mpf_lt(xm._mpf_, _SWITCH_POINT)
+    if not left:
+        f, e = _cdf(_right_constants(sol, ctx), u, ctx)
+    else:
+        entry = _left(sol, consts, ctx)
+        f, e = _cdf(entry.k, u, ctx)
+        if check:
+            df, de = (libmp.mpf_abs(libmp.mpf_mul(v, gap, wp, _ROUND))
+                      for v, gap in zip((f, e), entry.gaps))
+            if libmp.mpf_gt(df, _AGREEMENT_TOL) or libmp.mpf_gt(de, _AGREEMENT_TOL):
+                raise InternalConsistencyError(
+                    f"left/right representations disagree at x={x}: "
+                    f"dF={mp.make_mpf(df)}, dE={mp.make_mpf(de)}")
     make = mp.make_mpf
-    f1, f2, f4 = (make(_f_beta(beta, f, e, wp)) for beta in (1, 2, 4))
-    return TWPoint(x=make(libmp.mpf_pos(x._mpf_, wp, _ROUND)), F=make(f), E=make(e),
-                   F1=f1, F2=f2, F4=f4, representation="left" if left else "right")
+    e_sum = libmp.mpf_add(e, libmp.mpf_div(libmp.fone, e, wp, _ROUND), wp, _ROUND)
+    f4 = libmp.mpf_shift(libmp.mpf_mul(e_sum, f, wp, _ROUND), -1)
+    return TWPoint(x=make(libmp.mpf_pos(xm._mpf_, wp, _ROUND)), F=make(f), E=make(e),
+                   F1=make(libmp.mpf_mul(f, e, wp, _ROUND)),
+                   F2=make(libmp.mpf_mul(f, f, wp, _ROUND)), F4=make(f4),
+                   representation="left" if left else "right")
 
 
 def tw_cdf(x, beta: int, sol: painleve2.HMSolution, consts: TailConstants,
            ctx: PrecisionContext, check: bool = True) -> mpf:
-    """F_beta(x) for beta in {1, 2, 4}, the field of tw_point it names,
-    formed alone."""
+    """F_beta(x) for beta in {1, 2, 4}: the field of tw_point it names."""
     if beta not in (1, 2, 4):
         raise DomainError("beta must be 1, 2 or 4")
-    _, f, e, _ = _read(x, sol, consts, ctx, check)
-    return mp.make_mpf(_f_beta(beta, f, e, ctx.precision_bits + REPORT_GUARD))
+    return getattr(tw_point(x, sol, consts, ctx, check), f"F{beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +287,8 @@ def total_integral_check(sol: painleve2.HMSolution, consts: TailConstants,
     Each left side is 2 (K_left - log prefactor - K_right): the series tail,
     the window integral and the Airy tail, with no zeta'(-1) in it.  Each
     residual is 2 (K_left - K_right)."""
-    left = _left(sol, consts, ctx)
-    pairs = zip(left.k, _right_constants(sol, ctx), left.prefactors)
+    pairs = zip(_left(sol, consts, ctx).k, _right_constants(sol, ctx),
+                (consts.f_prefactor, consts.e_prefactor))
     with ctx.workprec():
         lhs_r, lhs_q = (2 * (k_left - k_right - mp.log(pref))
                         for k_left, k_right, pref in pairs)
@@ -335,16 +312,13 @@ def tail_left(x, beta: int, consts: TailConstants) -> mpf:
         if beta == 2:
             return +(consts.tau2 * mp.exp(-ax ** 3 / 12) / ax ** mpf("0.125")
                      * (1 + 3 / (2 ** 6 * ax ** 3)))
-        if beta == 1:
-            return +(consts.tau1
-                     * mp.exp(-ax ** 3 / 24 - ax32 / (3 * mp.sqrt(2)))
+        if beta in (1, 4):
+            # F1 and F4 differ in the sign s of the |x|^(3/2) terms
+            s = 1 if beta == 4 else -1
+            return +(getattr(consts, f"tau{beta}")
+                     * mp.exp(-ax ** 3 / 24 + s * ax32 / (3 * mp.sqrt(2)))
                      / ax ** (mpf(1) / 16)
-                     * (1 - 1 / (24 * mp.sqrt(2) * ax32)))
-        if beta == 4:
-            return +(consts.tau4
-                     * mp.exp(-ax ** 3 / 24 + ax32 / (3 * mp.sqrt(2)))
-                     / ax ** (mpf(1) / 16)
-                     * (1 + 1 / (24 * mp.sqrt(2) * ax32)))
+                     * (1 + s / (24 * mp.sqrt(2) * ax32)))
     raise DomainError("beta must be 1, 2 or 4")
 
 

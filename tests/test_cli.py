@@ -161,16 +161,17 @@ class TestSolutionCache:
         assert os.path.basename(path).startswith(
             f"hm_v{painleve2.SCHEMA_VERSION}_")
         os.makedirs(cache)
-        with open(path, "w") as fh:
-            fh.write(content)
+        data = content if isinstance(content, bytes) else content.encode()
+        with open(path, "wb") as fh:
+            fh.write(data)
         out = str(tmp_path / "out.json")
         code = cli.main(["eval", "--x", "0"] + FAST
                         + ["--cache-dir", cache, "--output", out])
         assert code == 0
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             text = fh.read()
-        assert text != content
-        painleve2.HMSolution.from_json(text)
+        assert text != data
+        painleve2.HMSolution.from_json(text.decode())
         assert os.listdir(cache) == [os.path.basename(path)]
 
     def test_truncated_file_is_resolved(self, tmp_path):
@@ -187,6 +188,9 @@ class TestSolutionCache:
 
     def test_file_that_is_not_an_object_is_resolved(self, tmp_path):
         self._rerun_over(tmp_path, "[2, 1]")
+
+    def test_file_that_is_not_utf8_is_resolved(self, tmp_path):
+        self._rerun_over(tmp_path, b"\xff\xfe")
 
     @staticmethod
     def _damaged(damage):
@@ -637,6 +641,18 @@ class TestToeplitzCommands:
 
 
 class TestVerify:
+    # SHA-256 of the whole verify document at FAST, every printed digit of
+    # every row (the tau rows read tail_left and tw_cdf)
+    VERIFY_SHA256 = "9eb7c23afaa9563959cdd1b71f3e8af3ccfa6a50bf1a07f32cf48457c8107639"
+
+    def test_verify_document_pinned(self, workdir, monkeypatch):
+        monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
+        code, text = run_cli(["verify"] + FAST, workdir, "verify_pinned.json")
+        assert code == 0
+        digest = hashlib.sha256(json.dumps(json.loads(text), sort_keys=True)
+                                .encode()).hexdigest()
+        assert digest == self.VERIFY_SHA256
+
     def test_verify_passes_and_reports(self, workdir):
         code, text = run_cli(["verify"] + FAST, workdir, "verify.json")
         assert code == 0

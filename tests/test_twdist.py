@@ -178,16 +178,20 @@ class TestLeftRepresentation:
         [0, "0x82294aa757a3c0d5f19870a21ad0ad0eec24fce5b5daa189ac45b30352ccad3b", -258, 256]]
 
     def test_other_prefactors_get_their_own_left_entry(self, hm_solution, tail_constants,
-                                                       ctx256):
-        # a solution keeps one left entry per precision, for the prefactors
-        # it was first formed from; constants with another f_prefactor get
-        # an entry of their own, in either order, and neither goes stale
+                                                       ctx256, monkeypatch):
+        # a solution keeps one left entry per precision and prefactors:
+        # constants with another f_prefactor get an entry of their own,
+        # formed once, in either order, and neither goes stale
         doubled = dataclasses.replace(
             tail_constants, f_prefactor=mp.ldexp(tail_constants.f_prefactor, 1))
         _, man, exp, _ = self.F_E_AT_MINUS_4[0]
+        calls = []
+        form = twdist._form_left
+        monkeypatch.setattr(twdist, "_form_left", lambda *a: calls.append(a) or form(*a))
         for order in ((tail_constants, doubled), (doubled, tail_constants)):
+            calls.clear()
             fresh = painleve2.HMSolution.from_json(hm_solution.to_json())
-            for consts in order + order:
+            for consts in order + order + order:
                 f, e = twdist.cdf_left(-4, fresh, consts, ctx256)
                 assert _enc(e) == self.F_E_AT_MINUS_4[1]
                 if consts is tail_constants:
@@ -195,6 +199,7 @@ class TestLeftRepresentation:
                     continue
                 with mp.workprec(300):
                     assert abs(f / (2 * mpf((int(man, 16), exp))) - 1) < mpf(10) ** -70
+            assert len(calls) == 2
 
 
 class TestCombinedCdf:
