@@ -254,8 +254,7 @@ def _cmd_oracle_compare(args: argparse.Namespace):
 
 
 def _cmd_toeplitz_scan(args: argparse.Namespace):
-    if not mp.isfinite(args.t):
-        raise DomainError("--t must be finite")
+    toeplitz_lab._check_t(args.t, "--t")
     q_max = int(2 * args.t) + 10 if args.q_max is None else args.q_max
     scan = toeplitz_lab.toeplitz_scan(args.t, range(args.q_min, q_max + 1),
                                       PrecisionContext(args.precision_bits),
@@ -277,8 +276,9 @@ def _cmd_toeplitz_scan(args: argparse.Namespace):
 def _cmd_toeplitz_limits(args: argparse.Namespace):
     if args.format == "csv":
         raise DomainError(f"command {args.command} has no CSV form")
-    if not (mp.isfinite(args.t) and mp.isfinite(args.x)):
-        raise DomainError("--t and --x must be finite")
+    toeplitz_lab._check_t(args.t, "--t")
+    if not mp.isfinite(args.x):
+        raise DomainError("--x must be finite")
     ctx, sol, consts = _solved(args)
     mode, report = (("e_side", checks.e_double_scaling_check) if args.e_side
                     else ("sum_parts", checks.sum_parts_report))

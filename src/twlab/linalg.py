@@ -1,12 +1,10 @@
-"""Log-determinants by three integer factorisations: the generalized Schur
+"""Log-determinants by two integer factorisations: the generalized Schur
 algorithm for a symmetric Cauchy-like matrix given by its generators (the
-Fredholm oracle's Nystrom matrix), the Cholesky of a symmetric positive
+Fredholm oracle's Nystrom matrix) and the Cholesky of a symmetric positive
 definite matrix (the route that checks the Toeplitz ladders, which come
-from Levinson-Durbin, independently) and a pivoted LU of a general matrix
-(toeplitz_lab.toeplitz_log_det_lu, read only by the perfbench toeplitz_scan
-workload).
+from Levinson-Durbin, independently).
 
-All three run in fixed point on Python integers (twlab.fixedpoint supplies
+Both run in fixed point on Python integers (twlab.fixedpoint supplies
 the exact dot products and the conversion back), on the grid 2^-F: a value
 v is held as the integer v 2^F, rounded.  F is the precision the caller
 already works at: ctx.precision_bits + 32 for the Nystrom matrix, the pass
@@ -31,19 +29,16 @@ exact numerator, one floor), l_i = (s 2^F) // d_k, and the three updates
 a_i -= (l_i a_k) >> F, b_i -= (l_i b_k) >> F, d_i -= (l_i s) >> F.  det M
 is the product of the pivots.
 
-Cholesky and LU.  The input is the matrix on the grid: rows[i][j] = M_ij
-2^F.  The Cholesky reads the lower triangle only (j <= i; entries past the
-diagonal are not read).  Its factor L (M = L L^T) is kept on the same grid,
-so every dot product of two rows of L is exact in units of 2^-2F, and each
-entry of L costs one integer division by the diagonal of L; each pivot
-costs one math.isqrt.  The LU keeps L and U on the same grid as well, so
-each entry of U is one exact dot product and one shift back to the grid,
-and each entry of L one floor division by the pivot.
+Cholesky.  The input is the lower triangle of the matrix on the grid:
+rows[i][j] = M_ij 2^F, j <= i (entries past the diagonal are not read).
+The factor L (M = L L^T) is kept on the same grid, so every dot product of
+two rows of L is exact in units of 2^-2F, and each entry of L costs one
+integer division by the diagonal of L; each pivot costs one math.isqrt.
 
 Each factorisation comes with its backward error on the grid, entry by
-entry (for the last two the fixed-point form of Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3); the
-pivots are exact for M + E.
+entry (for the Cholesky the fixed-point form of Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., Thm 10.3); the pivots are
+exact for M + E.
 
 - Schur: the pivots p_k are the exact LDL^T pivots of M + E, M the matrix
   of the input generators taken exactly.  Let T be the largest of 1, the
@@ -66,9 +61,6 @@ pivots are exact for M + E.
   shortfall (< 2^-F) plus the division's floor (< 2^-F) times L_jj; both
   entries are at most sqrt(max_i M_ii), so |E_ij| < 2^(1-F) sqrt(max_i
   M_ii) (cholesky_entry_error).
-- LU: L U = P M + E with |L_ij| <= 1: an entry of U is one floor, an entry
-  of L one floor times its pivot, so |E_ij| < 2^-F (1 + max_k |u_kk|)
-  (lu_entry_error).
 
 log_det_error turns an entry bound into the change of log det.
 """
@@ -155,43 +147,6 @@ def cholesky_log_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
     return out
 
 
-def lu_log_abs_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
-                      what: str) -> List[mpf]:
-    """log |u_kk|, k = 0..n-1, for the pivots of the LU factorisation with
-    partial pivoting, P M = L U, of the n x n matrix M with rows[i][j] =
-    M_ij 2^frac_bits, so log |det M| is the sum of the result.  The logs
-    are taken at the caller's mp.prec; ``rows`` is not modified.
-
-    Left-looking (Doolittle): column k is formed from the k columns of L
-    already done.  Entry i of it is (M_ik 2^F - sum_j L_ij U_jk) >> F with
-    the sum exact, for i < k an entry of U and for i >= k a pivot candidate;
-    the candidate largest in size is swapped into row k (the finished part
-    of L moves with its row) and the ones below it become column k of L,
-    (c_i 2^F) // u_kk.  A zero pivot means the matrix (named by ``what``) is
-    singular on the grid and raises InternalConsistencyError."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    out: List[mpf] = []
-    for k in range(n):
-        # a[i][:min(i, k)] holds row i of L; dot pairs it with u, which
-        # holds the entries of column k of U formed so far
-        u: List[int] = []
-        for i in range(k):
-            u.append(((a[i][k] << frac_bits) - dot(a[i], u)) >> frac_bits)
-        for i in range(k, n):
-            a[i][k] = ((a[i][k] << frac_bits) - dot(a[i], u)) >> frac_bits
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
-        pivot = a[p][k]
-        if pivot == 0:
-            raise InternalConsistencyError(f"singular {what} at index {k}")
-        if p != k:
-            a[p], a[k] = a[k], a[p]
-        out.append(mp.log(abs(from_grid(pivot, frac_bits))))
-        for i in range(k + 1, n):
-            a[i][k] = (a[i][k] << frac_bits) // pivot
-    return out
-
-
 def cholesky_entry_error(rows: Sequence[Sequence[int]], frac_bits: int) -> mpf:
     """The bound on |E_ij| of the module docstring for
     cholesky_log_pivots(rows, frac_bits, ...): 2^(1-F) sqrt(max_i M_ii)."""
@@ -213,12 +168,6 @@ def cauchy_schur_entry_error(u: Sequence[int], largest: int,
         cross = 4 * (span + 1) / gap
     t = from_grid(largest, frac_bits)
     return len(nodes) * (t + 1) ** 2 * (cross + 1) / mpf(2) ** frac_bits
-
-
-def lu_entry_error(log_pivots: Sequence[mpf], frac_bits: int) -> mpf:
-    """The bound on |E_ij| of the module docstring for the result
-    ``log_pivots`` of lu_log_abs_pivots: 2^-F (1 + max_k |u_kk|)."""
-    return (1 + mp.exp(max(log_pivots))) / mpf(2) ** frac_bits
 
 
 def log_det_error(n: int, entry_error: mpf, inv_norm: mpf) -> mpf:

@@ -38,12 +38,10 @@ cholesky_log_pivots, _cholesky_ladder) is the independent route to its
 ladder.  It is not on the path of the ladders, and since the pass forms
 kappa from pi by E_{q+1} = E_q (1 - pi_{q+1}(0)^2), the Verblunsky
 identity, the product identities and the reports' telescoping read one
-side from it.  The pivoted LU of linalg.lu_log_abs_pivots
-(toeplitz_log_det_lu) is a third route to log D_n, sharing nothing with
-the other two but the grid; no function here reads it.
+side from it.
 
-Each ladder pass, Cholesky and LU runs once, through precision.stabilize,
-at ctx.precision_bits + guard_bits(t, n, route) bits, a guard sized from the
+Each ladder pass and Cholesky runs once, through precision.stabilize, at
+ctx.precision_bits + guard_bits(t, n, route) bits, a guard sized from the
 a priori form of that route's own bound (below), and returns its values
 with a proven absolute error bound; the bound must be at most
 2^-ctx.precision_bits.  The determinants are exact up to rounding, so no
@@ -62,12 +60,12 @@ already has:
     log and sum adds its rounding.  A ladder's bound is the sum of the
     bounds of its pivots, so it covers each pivot and each log D_n, and the
     plain one also each pi_q(0) (_levinson_constant_terms);
-  * the factorisations: the backward error on the grid,
-    linalg.cholesky_entry_error or linalg.lu_entry_error, and conditioning:
-    every family matrix has lambda_min >= e^(-2t), so ||M^-1||_2 <= e^(2t),
-    and linalg.log_det_error turns the entry bounds into one bound for log
-    D_n, for every n at once, and twice it for each log pivot, a difference
-    of two of them.
+  * the Cholesky: the backward error on the grid,
+    linalg.cholesky_entry_error, and conditioning: every family matrix has
+    lambda_min >= e^(-2t), so ||M^-1||_2 <= e^(2t), and
+    linalg.log_det_error turns the entry bounds into one bound for log D_n,
+    for every n at once, and twice it for each log pivot, a difference of
+    two of them.
 
 The conditioning argument: each moment matrix is the Gram matrix of a basis
 that is orthonormal for a base weight, taken against that weight times
@@ -79,12 +77,9 @@ of log pivots.
 
 The a priori forms of the bounds, in grid units 2^-bits, size the guards:
 
-  * the LU: log_det_error's 2 n^(3/2) ||M^-1||_2 <= 2 n^(3/2) e^(2t)
-    times an entry error of 2 moment errors plus lu_entry_error's 1 +
-    max |u_kk|, the pivots at most about the diagonal I_0(2t) <= e^(2t):
-    at most 8 n^(3/2) e^(4t);
-  * the Cholesky: twice log_det_error for cholesky_entry_error's 2
-    sqrt(I_0(2t)) <= 2 e^t plus 2 moment errors: at most 16 n^(3/2) e^(3t);
+  * the Cholesky: twice log_det_error's 2 n^(3/2) ||M^-1||_2 <= 2 n^(3/2)
+    e^(2t) times an entry error of cholesky_entry_error's 2 sqrt(I_0(2t))
+    <= 2 e^t plus 2 moment errors: at most 16 n^(3/2) e^(3t);
   * the Levinson ladder: pi_q(0) loses about e^(4t): a floor in its
     coefficients reaches the residual through sum_m |I_m(2t)| <= e^(2t),
     the residual grows with prod (1 + |pi_k(0)|), about e^t, and it is read
@@ -96,15 +91,14 @@ The a priori forms of the bounds, in grid units 2^-bits, size the guards:
     errors that each sum q steps, about n^2.
 
 guard_bits(t, n, route) is ceil(rate t log2 e + power log2(n + 1)) +
-spare with (rate, power) = (4, 3) for the ladder, (4, 3/2) for the LU and
-(3, 3/2) for the Cholesky.  The spare is 16 bits for the factorisations,
-their 3 or 4 bits of constant factor and the slack, and 8 for the ladder,
-whose n^3 e^(4t) overstates the loss once n passes 2t.  At 256 bits, for t
-from 1 to 100 and n from 12 to 230, every bound then lies 13 to 28 bits
-below 2^-256: at t = 30 the ladder to n = 71 runs at 456 bits, the LU of
-D_56 at 454 and the Cholesky to n = 71 at 412, and at t = 100, n = 230 at
-865, 861 and 717 bits.  At t up to 5 the ladder keeps about 11 to 19 bits
-for every n up to 2000.
+spare with (rate, power) = (4, 3) for the ladder and (3, 3/2) for the
+Cholesky.  The spare is 16 bits for the Cholesky, its 4 bits of constant
+factor and the slack, and 8 for the ladder, whose n^3 e^(4t) overstates the
+loss once n passes 2t.  At 256 bits, for t from 1 to 100 and n from 12 to
+230, every bound then lies 13 to 28 bits below 2^-256: at t = 30 the ladder
+to n = 71 runs at 456 bits and the Cholesky at 412, and at t = 100, n = 230
+at 865 and 717 bits.  At t up to 5 the ladder keeps about 11 to 19 bits for
+every n up to 2000.
 """
 
 from __future__ import annotations
@@ -121,8 +115,7 @@ from mpmath import libmp, mp, mpf
 from . import specialfn
 from .errors import DomainError, PrecisionError
 from .fixedpoint import dot, from_grid, to_grid
-from .linalg import (cholesky_entry_error, cholesky_log_pivots, log_det_error,
-                     lu_entry_error, lu_log_abs_pivots)
+from .linalg import cholesky_entry_error, cholesky_log_pivots, log_det_error
 from .precision import REPORT_GUARD, PrecisionContext, round_to, stabilize
 from .quadrature import gauss_legendre
 
@@ -145,7 +138,7 @@ class MomentMatrixSpec:
             raise DomainError(f"kind must be one of {KINDS}")
         if _index(self.n, "n") < 1:
             raise DomainError("matrix dimension n must be >= 1")
-        guard_bits(self.t, self.n, "lu")  # the domain rule for t
+        _check_t(self.t)
 
 
 def _index(v, name: str) -> int:
@@ -156,25 +149,32 @@ def _index(v, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {v!r}") from None
 
 
+def _check_t(t, name: str = "symbol parameter t") -> float:
+    """float(t), or DomainError naming ``name`` unless t is finite and
+    positive: the one domain rule for t, which guard_bits, MomentMatrixSpec,
+    scaling_index and the command line's --t read."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"{name} must be finite, got {t}")
+    if not t > 0:
+        raise DomainError(f"{name} must be positive")
+    return t
+
+
 # Per route, (rate, power, spare): the route's bound is about n^power
 # e^(rate t) grid units, and spare bits cover its constant factor and the
 # slack kept (module docstring).
-_GUARD_FORMS = {"ladder": (4, 3, 8), "lu": (4, 1.5, 16), "cholesky": (3, 1.5, 16)}
+_GUARD_FORMS = {"ladder": (4, 3, 8), "cholesky": (3, 1.5, 16)}
 
 
 def guard_bits(t: float, n: int, route: str) -> int:
-    """The bits a pass of ``route`` ("ladder", "lu" or "cholesky") of
-    dimension n at t works at above the target: ceil(rate t log2 e +
-    power log2(n + 1)) + spare from _GUARD_FORMS, the a priori form of the
-    route's bound (module docstring).  The one domain rule for t: it must
-    be finite and positive."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"symbol parameter t must be finite, got {t}")
-    if not t > 0:
-        raise DomainError("symbol parameter t must be positive")
+    """The bits a pass of ``route`` ("ladder" or "cholesky") of dimension n
+    at t works at above the target: ceil(rate t log2 e + power log2(n + 1))
+    + spare from _GUARD_FORMS, the a priori form of the route's bound
+    (module docstring), for a t that _check_t accepts."""
     rate, power, spare = _GUARD_FORMS[route]
-    return int(math.ceil(rate * t * _LOG2_E + power * math.log2(n + 1))) + spare
+    return int(math.ceil(rate * _check_t(t) * _LOG2_E
+                         + power * math.log2(n + 1))) + spare
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +208,15 @@ def _log_det_bound(t, log_pivots: Sequence[mpf], factor_error: mpf,
             + (n + 1) * max(map(abs, log_pivots)) * mpf(2) ** (1 - bits))
 
 
-def _moment_matrix(row: Sequence, n: int, kind: str) -> List[list]:
-    """The n x n moment matrix of the family from its row of moments."""
-    mat = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            v = row[abs(j - k)]
-            if kind == "plus_plus":
-                v = v - row[j + k + 2]
-            elif kind == "minus_plus":
-                v = v + row[j + k + 1]
-            mat[j][k] = v
+def _moment_matrix(row: Sequence[int], n: int, kind: str) -> List[List[int]]:
+    """The lower triangle of the n x n moment matrix of the family, row j
+    holding columns 0..j, from its row of moments: all the Cholesky reads."""
+    mat = [row[j::-1] for j in range(n)]
+    if kind != "plain":
+        sign, shift = (-1, 2) if kind == "plus_plus" else (1, 1)
+        for j, r in enumerate(mat):
+            for k in range(j + 1):
+                r[k] += sign * row[j + k + shift]
     return mat
 
 
@@ -398,7 +396,12 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     t at its own bits, not at the ambient precision.  A +- ladder to n
     needs the pass to 2n + 1.  A request beyond the cached pass runs the
     larger pass, at guard_bits(t, size, "ladder") above the target for its
-    own size, which replaces the cached one."""
+    own size, which replaces the cached one.  A kind not in KINDS, or an
+    n_cap that is not an integer >= 1, raises DomainError before any pass."""
+    if kind not in KINDS:
+        raise DomainError(f"kind must be one of {KINDS}")
+    if _index(n_cap, "n_cap") < 1:
+        raise DomainError("n_cap must be >= 1")
     size = n_cap if kind == "plain" else 2 * n_cap + 1
     key = (t, ctx.precision_bits)
     ladders = _ladder_cache.get(key)
@@ -444,29 +447,11 @@ def toeplitz_log_det(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 
 
 def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
-    """Independent route: a pivoted LU of the full moment matrix
-    (linalg.lu_log_abs_pivots), sharing nothing with the Levinson ladder or
-    the Cholesky route but the grid (different algorithm, elimination order
-    and rounding path), run once at guard_bits(t, n, "lu") above the target
-    with the bound of the module docstring, which must be at most
-    2^-ctx.precision_bits.
-
-    The pass builds the matrix in integers from the row of _moment_row, as
-    the Cholesky route does.  The determinants of these matrices are
-    positive, so the log of |det| is log det."""
-
-    def one(bits: int) -> Tuple[mpf, mpf]:
-        with mp.workprec(bits):
-            row = _moment_row(spec.t, spec.n, spec.kind, bits)
-            logs = lu_log_abs_pivots(_moment_matrix(row, spec.n, spec.kind), bits,
-                                     f"{spec.kind} moment matrix (t={spec.t})")
-            return (mp.fsum(logs),
-                    _log_det_bound(spec.t, logs, lu_entry_error(logs, bits), bits))
-
-    bits = ctx.precision_bits + guard_bits(spec.t, spec.n, "lu")
-    val, _ = stabilize(one, bits, ctx,
-                       what=f"LU log-determinant (t={spec.t}, n={spec.n})")
-    return round_to(val, ctx.precision_bits)
+    """log D_n by the Cholesky route (_cholesky_ladder), not the ladder.
+    Its one reader is the perfbench toeplitz_scan workload, which times it
+    under this name; ROADMAP item 1 renames it there."""
+    return round_to(_cholesky_ladder(spec.t, spec.kind, spec.n, ctx).log_d(spec.n),
+                    ctx.precision_bits)
 
 
 def pi_zero(q: int, t, ctx: PrecisionContext) -> mpf:
@@ -623,7 +608,9 @@ def scaling_index(t, x, ctx: PrecisionContext, per: int = 1) -> Tuple[int, mpf]:
     t^(1/3) that the integer floor leaves it at, both formed at
     ctx.workprec().  per = 1 gives the F side's n = floor(2t + x t^(1/3)),
     per = 2 the E side's ell = floor(t + (x/2) t^(1/3)): halving is exact in
-    binary, so both floors read the same rounded sum."""
+    binary, so both floors read the same rounded sum.  A t that _check_t
+    refuses raises DomainError."""
+    _check_t(t)
     with ctx.workprec():
         t_mp = mpf(t)
         t13 = t_mp ** (mpf(1) / 3)

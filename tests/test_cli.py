@@ -587,12 +587,20 @@ class TestToeplitzCommands:
         ["toeplitz-scan", "--t", "inf", "--qmax", "3"] + PRECISION,
         ["toeplitz-scan", "--t", "nan"] + PRECISION,
         ["toeplitz-limits", "--t", "inf", "--x", "-1", "--L", "3", "--M", "3"] + FAST,
+        # the index rule read t^(1/3) of these: a ZeroDivisionError at 0, an
+        # mpc below it
+        ["toeplitz-limits", "--t", "0", "--x", "-1", "--L", "3", "--M", "3"] + FAST,
+        ["toeplitz-limits", "--t=-5", "--x", "-1", "--L", "3", "--M", "3"] + FAST,
     ])
-    def test_non_finite_t_exit_two(self, args, workdir, capsys):
+    def test_non_finite_t_exit_two(self, args, workdir, monkeypatch, capsys):
+        def no_solve(*args):
+            raise AssertionError("solved before --t was checked")
+
+        monkeypatch.setattr(cli, "_solution", no_solve)
         code, _ = run_cli(args, workdir, "bad_t.json")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--t" in err
+        assert err.startswith("error:") and "--t" in err and err.count("\n") == 1
 
     def test_limits_csv_refused_before_any_work(self, workdir, monkeypatch,
                                                 capsys):

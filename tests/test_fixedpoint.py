@@ -105,7 +105,7 @@ def test_regrid_matches_row_to_grid_of_exact_values():
 
 
 def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
-    # the solve, the ladder with pi, the LU route, the Gauss-Legendre rule
+    # the solve, the ladder with pi, the Cholesky route, the Gauss-Legendre rule
     # and the Chebyshev tables run on Python integers; an mp.fdot in any of
     # them fails here
     from twlab import painleve2, quadrature, toeplitz_lab
@@ -123,8 +123,7 @@ def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
     ctx = PrecisionContext(256, 1e-22)
     ladder = toeplitz_lab.get_ladder(5.0, "plain", 12, ctx)
     assert len(ladder.pi0) == 11
-    spec = toeplitz_lab.MomentMatrixSpec(5.0, 12, "plain")
-    toeplitz_lab.toeplitz_log_det_lu(spec, ctx)
+    toeplitz_lab._cholesky_ladder(5.0, "plain", 12, ctx)
     quadrature.gauss_legendre(80, 288)
     sol.q_prime_at(0)  # q' is read, never integrated
     for kind in ("q", "r"):

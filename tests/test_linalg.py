@@ -1,4 +1,4 @@
-"""The fixed-point Cholesky and LU log-determinants."""
+"""The fixed-point Schur and Cholesky log-determinants."""
 
 import math
 
@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 
 from twlab.errors import InternalConsistencyError
 from twlab.linalg import (cauchy_schur_entry_error, cauchy_schur_pivots,
-                          cholesky_log_pivots, log_det_error, lu_log_abs_pivots)
+                          cholesky_log_pivots, log_det_error)
 
 
 def test_hilbert_log_det():
@@ -32,8 +32,8 @@ def test_nonpositive_pivot_raises():
 
 
 def test_entries_past_the_diagonal_are_not_read():
-    # the Toeplitz ladder passes full rows; what lies past the diagonal
-    # must not change the pivots
+    # the Toeplitz moment matrices are passed as their lower triangle; what
+    # lies past the diagonal of a full row must not change the pivots
     frac = 96
     lower = [[(4 << frac) if i == j else (1 << frac) for j in range(i + 1)]
              for i in range(3)]
@@ -45,40 +45,6 @@ def test_entries_past_the_diagonal_are_not_read():
 
 def _on_grid(mat, frac):
     return [[int(mp.ldexp(v, frac)) for v in row] for row in mat]
-
-
-def test_lu_zero_leading_entry_swaps_rows():
-    # no LU without a row swap exists; |det| = 6, pivots 2 then 3 after the
-    # swap, and the input rows stay as they were
-    frac = 64
-    rows = _on_grid([[0, 3], [2, 5]], frac)
-    before = [list(r) for r in rows]
-    with mp.workprec(64):
-        logs = lu_log_abs_pivots(rows, frac, "swap test matrix")
-        assert logs == [mp.log(2), mp.log(3)]
-    assert rows == before
-
-
-def test_lu_nonsymmetric_matches_mp_det():
-    # a 10x10 nonsymmetric matrix with entries of both signs and several
-    # sizes, on which partial pivoting swaps rows at steps 4 and 6
-    n, frac = 10, 400
-    with mp.workprec(400):
-        mat = [[mpf(((3 * i + 7 * j) % 11) - 5) / (1 + abs(i - 2 * j)) + (i == j)
-                for j in range(n)] for i in range(n)]
-        ref = mp.log(abs(mp.det(mp.matrix(mat))))
-        logs = lu_log_abs_pivots(_on_grid(mat, frac), frac, "nonsymmetric matrix")
-        assert len(logs) == n
-        assert abs(mp.fsum(logs) - ref) <= mpf(2) ** -380
-
-
-def test_lu_singular_matrix_raises():
-    # the second row is twice the first; the multiplier 1/2 is exact on the
-    # grid, so the second pivot is exactly zero
-    frac = 64
-    rows = _on_grid([[1, 2], [2, 4]], frac)
-    with pytest.raises(InternalConsistencyError, match="singular test matrix at index 1"):
-        lu_log_abs_pivots(rows, frac, "test matrix")
 
 
 def test_schur_cauchy_like_matches_mp_det_within_stated_error():

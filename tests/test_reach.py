@@ -17,11 +17,8 @@ PACKAGE = pathlib.Path(twlab.__file__).resolve().parent
 # never entered by a command: module.qualname -> what reads it
 NEVER_ENTERED = {
     "errors.SolverError.__init__": "a failed solve only",
-    "linalg.lu_log_abs_pivots": "perfbench toeplitz_scan; retired by ROADMAP item 8",
-    "linalg.lu_entry_error": "perfbench toeplitz_scan; retired by ROADMAP item 8",
-    "toeplitz_lab.toeplitz_log_det_lu": "perfbench toeplitz_scan; retired by ROADMAP item 8",
-    "toeplitz_lab.toeplitz_log_det_lu.<locals>.one":
-        "perfbench toeplitz_scan; retired by ROADMAP item 8",
+    "toeplitz_lab.toeplitz_log_det_lu":
+        "perfbench toeplitz_scan (the Cholesky route); renamed by ROADMAP item 1",
     "linalg.cauchy_schur_entry_error": "the Fredholm bound of ROADMAP item 5",
     "painleve2.r_left_series_coefficients": "the determinant constants of ROADMAP item 10",
     "painleve2.HMSolution._read": "perfbench hm_solve; verify rows of ROADMAP item 6",

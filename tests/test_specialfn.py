@@ -244,7 +244,8 @@ class TestBesselRow:
         # ulps of that, and the stated absolute error.  Every order carries
         # the normalisation error, the top ones also the truncation of the
         # recurrence at its start index.  (70, 60, 456) and (55, 60, 454)
-        # are the rows of the t = 30 ladder pass and of the LU of D_56.
+        # are the t = 30 rows that test_toeplitz_lab pins: the ladder
+        # pass's and D_56's at 454 bits.
         row = specialfn.bessel_i_row(max_j, two_t, bits)
         out_bits = bits + math.ceil(two_t * math.log2(math.e)) + 32
         orders = sorted({0, min(1, max_j), max_j // 2, max(max_j - 1, 0), max_j})

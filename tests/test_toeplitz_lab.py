@@ -49,6 +49,7 @@ def bessel_rows(monkeypatch):
 
 @pytest.mark.parametrize("call, name", [
     (lambda: tl.MomentMatrixSpec(3, 2.5), "n"),
+    (lambda: tl.get_ladder(3, "plain", 2.5, CTX), "n_cap"),
     (lambda: tl.pi_zero(2.5, 3, CTX), "q"),
     (lambda: tl.d_pm_log("plus_plus", 2.5, 3, CTX), "ell"),
     (lambda: tl.toeplitz_scan(3, [2.5], CTX), "q"),
@@ -57,7 +58,7 @@ def bessel_rows(monkeypatch):
     (lambda: tl.exact_part_limit_check(2.5, 3.0, CTX), "L"),
     (lambda: checks.sum_parts_report(10.0, -1.0, 2.5, 3, None, None, CTX), "L"),
     (lambda: checks.e_double_scaling_check(10.0, -1.0, 2.5, 3, None, None, CTX), "L"),
-], ids=["spec", "pi_zero", "d_pm_log", "scan", "selberg_closed",
+], ids=["spec", "get_ladder", "pi_zero", "d_pm_log", "scan", "selberg_closed",
         "selberg_quadrature", "exact_part", "sum_parts_report",
         "e_double_scaling_check"])
 def test_indices_must_be_integers(call, name):
@@ -69,20 +70,19 @@ def test_indices_must_be_integers(call, name):
 
 
 class TestMomentRow:
-    # sha256 of the JSON grid integers of the t = 30 ladder pass (n = 71 at
-    # 456 bits) and of the LU of D_56 (454 bits), recorded from the mpf
-    # Miller recurrence the integer one replaced
+    # sha256 of the JSON grid integers of the t = 30 plain rows of the
+    # ladder pass (n = 71 at 456 bits) and of D_56 at 454 bits, recorded
+    # from the mpf Miller recurrence the integer one replaced
     DIGESTS = {
-        (71, "ladder", 456): "c3980080dac959c7408c928a269e30dbe17324032c30b92202c65addcf697043",
-        (56, "lu", 454): "73006ce4189c3e90456b4a3af3b9e22576abbe353631d04bf8a857a6c6c620ce",
+        (71, 456): "c3980080dac959c7408c928a269e30dbe17324032c30b92202c65addcf697043",
+        (56, 454): "73006ce4189c3e90456b4a3af3b9e22576abbe353631d04bf8a857a6c6c620ce",
     }
 
-    @pytest.mark.parametrize("n, route, bits", list(DIGESTS))
-    def test_pass_rows_are_pinned(self, n, route, bits):
-        assert CTX.precision_bits + tl.guard_bits(30, n, route) == bits
+    @pytest.mark.parametrize("n, bits", list(DIGESTS))
+    def test_pass_rows_are_pinned(self, n, bits):
         row = tl._moment_row(30, n, "plain", bits)
         digest = hashlib.sha256(json.dumps(row).encode()).hexdigest()
-        assert digest == self.DIGESTS[n, route, bits]
+        assert digest == self.DIGESTS[n, bits]
 
 
 class TestNoPerStepMpfWork:
@@ -142,37 +142,46 @@ class TestLogDet:
         assert abs(mp.exp(v - 1) - 1) < mpf(10) ** -20
 
     def test_lu_route_matches_cholesky(self, wp300):
-        # the LU against the Levinson ladder and the Cholesky route
+        # toeplitz_log_det_lu, the name perfbench reads, is the Cholesky
+        # route, and at 256 bits it returns the ladder's value bit for bit
         spec = tl.MomentMatrixSpec(5.0, 12, "plain")
+        chol = round_to(tl._cholesky_ladder(5.0, "plain", 12, CTX).log_d(12),
+                        CTX.precision_bits)
         b = tl.toeplitz_log_det_lu(spec, CTX)
-        for a in (tl.toeplitz_log_det(spec, CTX),
-                  tl._cholesky_ladder(5.0, "plain", 12, CTX).log_d(12)):
-            assert abs(a - b) < mpf(10) ** -40
+        assert b._mpf_ == chol._mpf_ == tl.toeplitz_log_det(spec, CTX)._mpf_
 
     @pytest.mark.parametrize("kind, n", [("plain", 56), ("plus_plus", 27),
                                          ("minus_plus", 28)])
     def test_lu_route_at_lab_size(self, kind, n, wp300):
+        # the perfbench toeplitz_scan sizes: the Cholesky route behind
+        # toeplitz_log_det_lu and the ladder agree bit for bit at 256 bits
         spec = tl.MomentMatrixSpec(30.0, n, kind)
         a = tl.toeplitz_log_det(spec, CTX)
         b = tl.toeplitz_log_det_lu(spec, CTX)
-        assert abs(a - b) <= mpf(10) ** -70
+        assert a._mpf_ == b._mpf_
 
     def test_log_d56_pinned(self, wp300):
-        # log D_56(30) from the ladder's Cholesky and the left-looking
-        # pivoted LU (identical at 256 bits), to 73 decimals
+        # log D_56(30) from the ladder's Cholesky and a left-looking pivoted
+        # LU (identical at 256 bits), to 73 decimals
         ref = mpf("899.665107163724684105397878627470076844476503207208460"
                   "8594946186761142913141")
         spec = tl.MomentMatrixSpec(30.0, 56)
         assert abs(tl.toeplitz_log_det_lu(spec, CTX) - ref) < mpf(10) ** -70
         assert abs(tl.toeplitz_log_det(spec, CTX) - ref) < mpf(10) ** -70
 
-    def test_spec_validation(self):
+    def test_spec_validation(self, bessel_rows):
         with pytest.raises(DomainError):
             tl.MomentMatrixSpec(1.0, 0, "plain")
         with pytest.raises(DomainError):
             tl.MomentMatrixSpec(-1.0, 3, "plain")
         with pytest.raises(DomainError):
             tl.MomentMatrixSpec(1.0, 3, "bogus")
+        # get_ladder refuses a bad kind or size before any pass
+        with pytest.raises(DomainError, match="^kind must be one of"):
+            tl.get_ladder(1.0, "bogus", 3, CTX)
+        with pytest.raises(DomainError, match="^n_cap must be >= 1"):
+            tl.get_ladder(1.0, "plain", 0, CTX)
+        assert not bessel_rows and not tl._ladder_cache
 
 
 class TestKappa:
@@ -319,8 +328,12 @@ class TestAdaptivePrecision:
     @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan"),
                                    0.0, -3.0])
     def test_guard_rejects_non_finite_t(self, t):
-        with pytest.raises(DomainError):
-            tl.guard_bits(t, 1, "ladder")
+        # one rule for t, read by the guard, the spec and the index rule
+        for call in (lambda: tl.guard_bits(t, 1, "ladder"),
+                     lambda: tl.MomentMatrixSpec(t, 1),
+                     lambda: tl.scaling_index(t, -1, CTX)):
+            with pytest.raises(DomainError, match="^symbol parameter t must be"):
+                call()
 
     def test_one_bessel_row_per_pass(self, bessel_rows):
         # a ladder pass builds its own moment row, so the row count under
@@ -423,15 +436,18 @@ class TestErrorBound:
                 assert abs(ladder.pi0[q] - ladder2.pi0[q]) <= bound
 
     @pytest.mark.parametrize("t, n", [(30.0, 56), (5.0, 12), (20.0, 40)])
-    def test_lu_bound_covers_doubled_pass(self, monkeypatch, t, n):
-        spec = tl.MomentMatrixSpec(t, n, "plain")
+    def test_cholesky_bound_covers_doubled_pass(self, monkeypatch, t, n):
+        # a log pivot gets twice the bound of log D_n, so the returned bound
+        # covers each pivot and, halved, each log D_k
         [(compute, bits)] = self._passes(
-            monkeypatch, lambda: tl.toeplitz_log_det_lu(spec, CTX))
-        value, bound = compute(bits)
-        value2, _ = compute(2 * bits)
+            monkeypatch, lambda: tl._cholesky_ladder(t, "plain", n, CTX))
+        pivots, bound = compute(bits)
+        pivots2, _ = compute(2 * bits)
         assert bound <= mpf(2) ** -CTX.precision_bits
         with mp.workprec(4 * bits):
-            assert abs(value - value2) <= bound
+            for k in range(n):
+                assert abs(pivots[k] - pivots2[k]) <= bound
+                assert abs(mp.fsum(pivots[:k + 1]) - mp.fsum(pivots2[:k + 1])) <= bound / 2
 
 
 class TestGuardSlack:
@@ -456,8 +472,7 @@ class TestGuardSlack:
         monkeypatch.setattr(tl, "stabilize", capture)
         tl.get_ladder(t, "plain", n, CTX)
         tl._cholesky_ladder(t, "plain", n, CTX)
-        tl.toeplitz_log_det_lu(tl.MomentMatrixSpec(t, n), CTX)
-        assert set(bounds) == {"toeplitz", "Cholesky", "LU"}
+        assert set(bounds) == {"toeplitz", "Cholesky"}
         for route, bound in bounds.items():
             assert mpf(2) ** -(256 + 40) <= bound <= mpf(2) ** -(256 + 8), route
 
