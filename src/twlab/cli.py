@@ -23,7 +23,10 @@ file is read only if it decodes and holds the solve its name promises: the
 same window and precision, and the element count that
 painleve2.element_count gives for --nodes.  Any other file is solved again
 and replaced.  Delete the cache directory to force a re-solve.
-Exit codes: 0 success, 1 verification/precision failure, 2 invalid input.
+Exit codes: 0 success, 1 verification/precision failure, 2 invalid input
+or a file that cannot be opened or made (--output, a cache file, or the
+--cache-dir, made before any solve).  Each command imports the twlab
+modules it runs, so import twlab.cli loads only errors and precision.
 
 main(argv) is the entry point: run(build_parser().parse_args(argv)).  The
 commands read the argparse namespace itself, so each option is declared,
@@ -40,18 +43,19 @@ is read (an option a command does not read exits 2):
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from . import checks, fredholm_oracle, painleve2, toeplitz_lab, twdist
 from .errors import DomainError, PrecisionError, SolverError
 from .precision import PrecisionContext
+
+if TYPE_CHECKING:
+    from .painleve2 import HMSolution
 
 SCHEMA_VERSION = 1
 _DIGITS = 25
@@ -101,19 +105,15 @@ def _emit(doc: dict, rows: Optional[List[dict]], columns: Optional[List[str]],
         return _num(v) if isinstance(v, (mpf, float)) else v
 
     doc = text(doc if rows is None else dict(doc, rows=rows))
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(doc["rows"])
-        out = buf.getvalue()
-    else:
-        out = json.dumps(doc, indent=2) + "\n"
-    if args.output_path:
-        with open(args.output_path, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    with (open(args.output_path, "w") if args.output_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "csv":
+            import csv
+            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(doc["rows"])
+        else:
+            fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _context(args: argparse.Namespace) -> PrecisionContext:
@@ -121,6 +121,7 @@ def _context(args: argparse.Namespace) -> PrecisionContext:
 
 
 def _cache_path(args: argparse.Namespace, ctx: PrecisionContext) -> str:
+    from . import painleve2
     x_left, x_right = args.window
     key = (f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}"
            f"_{x_left!r}_{x_right!r}"
@@ -128,11 +129,13 @@ def _cache_path(args: argparse.Namespace, ctx: PrecisionContext) -> str:
     return os.path.join(args.cache_dir, key)
 
 
-def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSolution:
+def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> HMSolution:
     """Disk-cached Hastings-McLeod solve keyed by (solution schema, solver
     version, window, nodes, bits).  A cache file that does not decode, or
     holds a solve of another window, precision or element count, is solved
     again and replaced."""
+    from . import painleve2
+    os.makedirs(args.cache_dir, exist_ok=True)
     path = _cache_path(args, ctx)
     if os.path.exists(path):
         try:
@@ -146,7 +149,6 @@ def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSo
                     painleve2.element_count(args.nodes)):
                 return sol
     sol = painleve2.solve_hastings_mcleod(*args.window, args.nodes, ctx)
-    os.makedirs(args.cache_dir, exist_ok=True)
     tmp = path + f".tmp{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(sol.to_json())
@@ -156,6 +158,7 @@ def _solution(args: argparse.Namespace, ctx: PrecisionContext) -> painleve2.HMSo
 
 def _solved(args: argparse.Namespace):
     """(ctx, solution, tail constants) of the commands that read F."""
+    from . import twdist
     ctx = _context(args)
     return ctx, _solution(args, ctx), twdist.TailConstants.compute(ctx)
 
@@ -163,17 +166,21 @@ def _solved(args: argparse.Namespace):
 _POINT_COLUMNS = ["x", "F", "E", "F1", "F2", "F4", "representation"]
 
 
-def _point_row(pt: twdist.TWPoint) -> dict:
-    return {column: getattr(pt, column) for column in _POINT_COLUMNS}
+def _point_rows(args: argparse.Namespace, xs: Sequence) -> List[dict]:
+    """The _POINT_COLUMNS of twdist.tw_point at each x of xs."""
+    from . import twdist
+    ctx, sol, consts = _solved(args)
+    points = (twdist.tw_point(x, sol, consts, ctx, check=args.check) for x in xs)
+    return [{column: getattr(pt, column) for column in _POINT_COLUMNS}
+            for pt in points]
 
 
 def _cmd_eval(args: argparse.Namespace):
-    ctx, sol, consts = _solved(args)
-    pt = twdist.tw_point(args.x, sol, consts, ctx, check=args.check)
+    row, = _point_rows(args, [args.x])
     doc = {"precision_bits": args.precision_bits}
     if args.beta is not None:
-        doc.update(beta=args.beta, value=getattr(pt, f"F{args.beta}"))
-    return doc, [_point_row(pt)], _POINT_COLUMNS
+        doc.update(beta=args.beta, value=row[f"F{args.beta}"])
+    return doc, [row], _POINT_COLUMNS
 
 
 # the most points an x grid may hold; a larger one is refused before a solve
@@ -198,10 +205,7 @@ def _x_grid(args: argparse.Namespace) -> List[mpf]:
 
 
 def _cmd_table(args: argparse.Namespace):
-    xs = _x_grid(args)
-    ctx, sol, consts = _solved(args)
-    rows = [_point_row(twdist.tw_point(x, sol, consts, ctx, check=args.check))
-            for x in xs]
+    rows = _point_rows(args, _x_grid(args))
     return {"precision_bits": args.precision_bits}, rows, _POINT_COLUMNS
 
 
@@ -215,6 +219,7 @@ _FORMULAS = {
 
 
 def _cmd_constants(args: argparse.Namespace):
+    from . import twdist
     consts = twdist.TailConstants.compute(PrecisionContext(args.precision_bits))
     rows = [{"name": name, "formula": formula, "value": getattr(consts, name)}
             for name, formula in _FORMULAS.items()]
@@ -226,6 +231,7 @@ def _cmd_constants(args: argparse.Namespace):
 
 
 def _cmd_verify(args: argparse.Namespace):
+    from . import checks
     ctx, sol, consts = _solved(args)
     rows = [{"item": r.name, "measured": r.measured,
              "tolerance": r.bound, "status": "pass" if r.ok else "fail"}
@@ -237,6 +243,7 @@ def _cmd_verify(args: argparse.Namespace):
 
 
 def _cmd_oracle_compare(args: argparse.Namespace):
+    from . import fredholm_oracle, twdist
     xs = _x_grid(args)
     ctx, sol, consts = _solved(args)
     rows = []
@@ -254,8 +261,11 @@ def _cmd_oracle_compare(args: argparse.Namespace):
 
 
 def _cmd_toeplitz_scan(args: argparse.Namespace):
+    from . import toeplitz_lab
     toeplitz_lab._check_t(args.t, "--t")
     q_max = int(2 * args.t) + 10 if args.q_max is None else args.q_max
+    if q_max and q_max < args.q_min:  # --qmax 0 asks for no q: only the header
+        raise DomainError("--qmin must not exceed --qmax")
     scan = toeplitz_lab.toeplitz_scan(args.t, range(args.q_min, q_max + 1),
                                       PrecisionContext(args.precision_bits),
                                       with_pi=args.with_pi)
@@ -274,6 +284,7 @@ def _cmd_toeplitz_scan(args: argparse.Namespace):
 
 
 def _cmd_toeplitz_limits(args: argparse.Namespace):
+    from . import checks, toeplitz_lab
     if args.format == "csv":
         raise DomainError(f"command {args.command} has no CSV form")
     toeplitz_lab._check_t(args.t, "--t")
@@ -367,7 +378,7 @@ def run(args: argparse.Namespace) -> int:
         doc, rows, columns = args.cmd(args)
         _emit({"schema_version": SCHEMA_VERSION, "command": args.command, **doc},
               rows, columns, args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PrecisionError, SolverError) as exc:

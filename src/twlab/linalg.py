@@ -71,7 +71,7 @@ import math
 from itertools import islice
 from typing import List, Sequence, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import InternalConsistencyError
 from .fixedpoint import dot, from_grid
@@ -143,7 +143,8 @@ def cholesky_log_pivots(rows: Sequence[Sequence[int]], frac_bits: int,
                 f"nonpositive Cholesky pivot in {what} at index {i}")
         li.append(math.isqrt(d))
         low.append(li)
-        out.append(mp.log(from_grid(d, 2 * frac_bits)))
+        out.append(mp.make_mpf(libmp.mpf_log(libmp.from_man_exp(d, -2 * frac_bits),
+                                             mp.prec, libmp.round_nearest)))
     return out
 
 

@@ -310,10 +310,10 @@ def _levinson_constant_terms(moments: Sequence[int], q_max: int, bits: int,
     return out
 
 
-def _log_units(v: mpf) -> int:
-    """The rounding of a log ``v`` taken at the grid's precision, and of one
-    sum with it, |v| 2^(1-bits), in grid units rounded up."""
-    return 2 * (int(abs(v)) + 1)
+def _log_units(v: tuple) -> int:
+    """The rounding of a raw log ``v`` taken at the grid's precision, and of
+    one sum with it, |v| 2^(1-bits), in grid units rounded up."""
+    return 2 * (libmp.to_int(libmp.mpf_abs(v)) + 1)
 
 
 @dataclass(frozen=True)
@@ -364,10 +364,12 @@ def _ladder_pass(t, n_cap: int) -> Callable[[int], Tuple[Dict[str, _Ladder], mpf
         with mp.workprec(bits):
             row = _moment_row(t, n_cap, "plain", bits)
             lev = _levinson_constant_terms(row, n_cap - 1, bits, _moment_error(bits))
-            pivots = [mp.log(from_grid(e, bits)) for e in lev.energy]
+            pivots = [libmp.mpf_log(libmp.from_man_exp(e, -bits), bits, _ROUND)
+                      for e in lev.energy]
             errors = [err + _log_units(v) for err, v in zip(lev.log_error, pivots)]
             ladders = {"plain": _Ladder(
-                pivots, {q: from_grid(r, bits) for q, r in enumerate(lev.pi, 1)},
+                list(map(mp.make_mpf, pivots)),
+                {q: from_grid(r, bits) for q, r in enumerate(lev.pi, 1)},
                 bits, from_grid(max([sum(errors)] + lev.pi_error), bits))}
             # pivot l of minus_plus reads j = 2l, of plus_plus j = 2l + 1
             for kind, sign, first in (("minus_plus", -1, 0), ("plus_plus", 1, 1)):
@@ -376,11 +378,12 @@ def _ladder_pass(t, n_cap: int) -> Callable[[int], Tuple[Dict[str, _Ladder], mpf
                     r, err = sign * lev.pi[j], lev.pi_error[j]
                     # log(1 + r) moves by at most err / (1 - |r| - err)
                     # between r and the exact value
-                    term = mp.log(from_grid(unit + r, bits))
-                    logs.append(pivots[j] + term)
+                    term = libmp.mpf_log(libmp.from_man_exp(unit + r, -bits), bits, _ROUND)
+                    logs.append(libmp.mpf_add(pivots[j], term, bits, _ROUND))
                     units += (errors[j] + _log_units(term) + _log_units(logs[-1])
                               - (-err * unit // (unit - abs(r) - err)))
-                ladders[kind] = _Ladder(logs, {}, bits, from_grid(units, bits))
+                ladders[kind] = _Ladder(list(map(mp.make_mpf, logs)), {}, bits,
+                                        from_grid(units, bits))
             return ladders, max(ladder.error_bound for ladder in ladders.values())
 
     return one

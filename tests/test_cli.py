@@ -261,14 +261,41 @@ class TestSolutionCache:
             f"hm_v{painleve2.SCHEMA_VERSION}_s{painleve2.SOLVER_VERSION}_")
 
 
+# every twlab module, named without the package prefix
+MODULES = {name[:-3] for name in os.listdir(os.path.dirname(twlab.__file__))
+           if name.endswith(".py") and name != "__init__.py"}
+
+
 class TestImport:
-    def test_cli_import_leaves_numpy_out(self):
+    @pytest.mark.parametrize("args, loads, leaves_out", [
+        # import twlab.cli alone: the front end and nothing a command runs
+        ([], {"cli", "errors", "precision"},
+         MODULES - {"cli", "errors", "precision"} | {"numpy"}),
         # numpy serves only the float64 warm start of the solver
+        (["eval", "--x", "0"] + FAST, {"twdist"},
+         {"checks", "fredholm_oracle", "toeplitz_lab", "linalg", "numpy"}),
+        (["toeplitz-scan", "--t", "3", "--qmax", "8"], {"toeplitz_lab"},
+         {"painleve2", "twdist", "checks", "fredholm_oracle"}),
+    ], ids=["import", "eval", "toeplitz-scan"])
+    def test_command_imports_only_the_modules_it_runs(self, args, loads, leaves_out,
+                                                      workdir):
+        if args:
+            if args[0] in SOLVING:  # the run reads the solution run_cli caches
+                run_cli(args, workdir, "imports.json")
+                args = args + ["--cache-dir", os.path.join(workdir, "cache")]
+            args = args + ["--output", os.path.join(workdir, "imports.json")]
         src = os.path.dirname(os.path.dirname(twlab.__file__))
-        code = ("import sys, twlab.cli; "
-                "sys.exit('numpy' in sys.modules)")
+        probe = ("import json, sys, twlab.cli\n"
+                 "code = twlab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+                 "print(json.dumps([code, sorted(sys.modules)]))")
         env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        out = subprocess.run([sys.executable, "-c", probe] + args, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        code, names = json.loads(out)
+        assert code == 0
+        loaded = {name[len("twlab."):] for name in names if name.startswith("twlab.")}
+        loaded |= {"numpy"} & set(names)
+        assert loads <= loaded and not loaded & leaves_out
 
     @staticmethod
     def _twlab_imports(module):
@@ -353,6 +380,31 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "--step" in err
+
+    @pytest.mark.parametrize("case", ["output_dir_missing", "cache_file_is_a_dir",
+                                      "cache_dir_under_a_file"])
+    def test_file_error_exit_two(self, case, tmp_path, monkeypatch, capsys):
+        # one error: line naming the path, not a traceback, and no solve first
+        def no_solve(*args):
+            raise AssertionError("solved before the file error")
+
+        monkeypatch.setattr(painleve2, "solve_hastings_mcleod", no_solve)
+        ask = ["eval", "--x", "0"] + FAST
+        if case == "output_dir_missing":
+            path = str(tmp_path / "missing" / "x.json")
+            argv = ["constants", "--output", path]
+        elif case == "cache_file_is_a_dir":
+            argv = ask + ["--cache-dir", str(tmp_path)]
+            args = cli.build_parser().parse_args(argv)
+            path = cli._cache_path(args, cli._context(args))
+            os.makedirs(path)
+        else:
+            (tmp_path / "file").write_text("")
+            path = str(tmp_path / "file" / "cache")
+            argv = ask + ["--cache-dir", path]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and path in err
 
     def test_unknown_command_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -540,6 +592,18 @@ class TestToeplitzCommands:
         assert text.splitlines() == ["t,q,gamma,log_kappa_sq,pi0,"
                                      "log_kappa_sq_airy_pred,pi0_airy_pred,"
                                      "precision_bits_used"]
+
+    @pytest.mark.parametrize("qs", [["--qmin", "5", "--qmax", "3"], ["--qmax", "-1"]])
+    def test_scan_reversed_q_range_exit_two(self, qs, workdir, monkeypatch, capsys):
+        # table --xmin 1 --xmax 0 exits 2, and so does a reversed q range
+        def no_ladder(*args):
+            raise AssertionError("ran a ladder before the q range was checked")
+
+        monkeypatch.setattr(toeplitz_lab, "get_ladder", no_ladder)
+        code, _ = run_cli(["toeplitz-scan", "--t", "5"] + qs, workdir, "scan_qs.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--qmin" in err
 
     def test_limits_sum_parts(self, workdir):
         code, text = run_cli(["toeplitz-limits", "--t", "10", "--x", "-1",
