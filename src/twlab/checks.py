@@ -35,7 +35,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from mpmath import mp, mpf
 
 from . import fredholm_oracle, painleve2, specialfn, toeplitz_lab, twdist
-from .errors import DomainError
+from .errors import DomainError, index
 from .precision import round_to
 
 
@@ -88,7 +88,7 @@ def sum_parts_report(t, x, L: int, M: int, sol, consts, ctx) -> SumPartsReport:
     and report each part next to its large-t limit (parts).  The Painleve-
     part limit is +int_{-M}^x R(y) dy (log kappa^(-2) ~ +R/t^(1/3) > 0; the
     printed minus sign in some sources is inconsistent with the total)."""
-    L = toeplitz_lab._index(L, "L")
+    L = index(L, "L")
     if not M > 0:
         raise DomainError(f"the F side needs M > 0, got M={M}")
     t_mp = mpf(t)
@@ -151,7 +151,7 @@ def e_double_scaling_check(t, x, L: int, M: int, sol, consts,
     and the Airy window's end scaling_index(t, -M, ctx, per=2)[0], M >= 0,
     next to the parts' limits (parts) and the product convergence of
     e^(-t^2/2) D_{ell-1}^{++} to F E."""
-    L = toeplitz_lab._index(L, "L")
+    L = index(L, "L")
     if not M >= 0:
         raise DomainError(f"the E side needs M >= 0, got M={M}")
     t_mp = mpf(t)

@@ -24,9 +24,10 @@ same window and precision, and the element count that
 painleve2.element_count gives for --nodes.  Any other file is solved again
 and replaced.  Delete the cache directory to force a re-solve.
 Exit codes: 0 success, 1 verification/precision failure, 2 invalid input
-or a file that cannot be opened or made (--output, a cache file, or the
---cache-dir, made before any solve).  Each command imports the twlab
-modules it runs, so import twlab.cli loads only errors and precision.
+or a file that cannot be opened or made (--output, whose directory is
+checked before any work, a cache file, or the --cache-dir, made before any
+solve).  Each command imports the twlab modules it runs, so import
+twlab.cli loads only errors and precision.
 
 main(argv) is the entry point: run(build_parser().parse_args(argv)).  The
 commands read the argparse namespace itself, so each option is declared,
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, PrecisionError, SolverError
+from .errors import DomainError, PrecisionError, SolverError, real
 from .precision import PrecisionContext
 
 if TYPE_CHECKING:
@@ -188,10 +189,10 @@ _MAX_GRID_POINTS = 100_000
 
 
 def _x_grid(args: argparse.Namespace) -> List[mpf]:
-    if not (mp.isfinite(args.x_min) and mp.isfinite(args.x_max)):
-        raise DomainError("--xmin and --xmax must be finite")
-    if not (args.step > 0 and mp.isfinite(args.step)):
-        raise DomainError("--step must be positive and finite")
+    real(args.x_min, "--xmin")
+    real(args.x_max, "--xmax")
+    if not real(args.step, "--step") > 0:
+        raise DomainError("--step must be positive")
     if args.x_min > args.x_max:
         raise DomainError("--xmin must not exceed --xmax")
     # a float quotient, which may be inf, so no int of it is formed first
@@ -288,8 +289,7 @@ def _cmd_toeplitz_limits(args: argparse.Namespace):
     if args.format == "csv":
         raise DomainError(f"command {args.command} has no CSV form")
     toeplitz_lab._check_t(args.t, "--t")
-    if not mp.isfinite(args.x):
-        raise DomainError("--x must be finite")
+    real(args.x, "--x")
     ctx, sol, consts = _solved(args)
     mode, report = (("e_side", checks.e_double_scaling_check) if args.e_side
                     else ("sum_parts", checks.sum_parts_report))
@@ -375,6 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     try:
+        # the file is opened only after the work: a failed command keeps it
+        out = args.output_path
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise OSError(f"--output {out}: not a file in an existing directory")
         doc, rows, columns = args.cmd(args)
         _emit({"schema_version": SCHEMA_VERSION, "command": args.command, **doc},
               rows, columns, args)

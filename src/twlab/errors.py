@@ -1,8 +1,39 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one argument rule.
+
+Every public entry point reads a real argument through ``real`` and an
+integer one through ``index``: a value either rule refuses raises
+DomainError naming the argument, before any work.  Both only validate; a
+caller reads the value itself as before, so an mpf keeps its bits.
+"""
+
+import math
+import operator
 
 
 class DomainError(ValueError):
     """Argument outside the domain an operation supports."""
+
+
+def real(v, name: str) -> float:
+    """float(v) for a finite real v, else DomainError naming ``name``."""
+    try:
+        f = float(v)
+    except (TypeError, ValueError, OverflowError):
+        f = math.nan
+    if not math.isfinite(f):
+        raise DomainError(f"{name} must be a finite real, got {v!r}")
+    return f
+
+
+def index(v, name: str, least: int = None) -> int:
+    """operator.index(v) for an integer v >= least, else DomainError naming ``name``."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {v!r}") from None
+    if least is not None and i < least:
+        raise DomainError(f"{name} must be >= {least}, got {i}")
+    return i
 
 
 class PrecisionError(RuntimeError):

@@ -60,7 +60,7 @@ from typing import List, NamedTuple
 from mpmath import mp, mpf
 
 from . import specialfn
-from .errors import DomainError, InternalConsistencyError, PrecisionError
+from .errors import InternalConsistencyError, PrecisionError, index, real
 from .fixedpoint import to_grid
 from .linalg import cauchy_schur_pivots
 from .precision import PrecisionContext, round_to
@@ -107,9 +107,8 @@ def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
     """m-point Gauss-Legendre rule pushed through u = x + 10 (1+s)/(1-s),
     mapped on the grid 2^-Q, Q = ctx.precision_bits + 48: one floor per
     node and per weight."""
-    if m < 20:
-        raise DomainError("quadrature size m must be >= 20")
-    u_cut = _truncation_point(float(x))
+    index(m, "m", 20)
+    u_cut = _truncation_point(real(x, "x"))
     prec = ctx.precision_bits + 32
     q = prec + 16
     one = 1 << q
@@ -188,12 +187,6 @@ def f2_fredholm(x, m: int, ctx: PrecisionContext,
     PrecisionError is raised if the two disagree beyond ctx.tolerance.  An
     under-resolved rule (a nonpositive Schur pivot) raises PrecisionError
     too."""
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"x must be a finite real, got {x!r}")
-    if not math.isfinite(xf):
-        raise DomainError(f"x must be a finite real, got {x!r}")
     val = _f2_once(x, m, ctx)
     if verify_convergence:
         ref = _f2_once(x, 2 * m, ctx)

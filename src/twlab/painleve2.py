@@ -101,7 +101,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence,
 from mpmath import libmp, mp, mpf
 
 from . import fixedpoint, specialfn
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, index, real
 from .precision import REPORT_GUARD, PrecisionContext, round_to, sum_to_least_term
 
 if TYPE_CHECKING:
@@ -1015,14 +1015,15 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
     does not depend on ctx.tolerance.
     """
     ctx = ctx or PrecisionContext()
+    real(x_left, "x_left")
+    real(x_right, "x_right")
+    index(nodes, "nodes", 200)
     x_left = mpf(x_left)
     x_right = mpf(x_right)
     if not x_left <= -6:
         raise DomainError("x_left must be <= -6 (left series accuracy)")
     if not x_right >= 6:
         raise DomainError("x_right must be >= 6 (right decay accuracy)")
-    if nodes < 200:
-        raise DomainError("at least 200 collocation nodes are required")
 
     p, k_elems = _ELEMENT_DEGREE, element_count(nodes)
     prec = ctx.precision_bits + 64

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Tuple, TypeVar
 
 from mpmath import mp, mpf
 
-from .errors import PrecisionError
+from .errors import PrecisionError, index
 
 T = TypeVar("T")
 
@@ -43,16 +43,16 @@ class PrecisionContext:
         that are exact up to rounding carry an error bound of at most
         2^-precision_bits.
     tolerance: the largest truncation error accepted from an expansion (the
-        left-tail series of F and E, the Nystrom size of the Fredholm
-        oracle); a result whose estimate exceeds it raises PrecisionError.
+        left-tail series of F and E; the Nystrom size when f2_fredholm runs
+        with verify_convergence=True, which no command, check or workload
+        does); a result whose estimate exceeds it raises PrecisionError.
     """
 
     precision_bits: int = 256
     tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
+        index(self.precision_bits, "precision_bits", 64)
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 

@@ -29,7 +29,7 @@ from typing import List, Tuple
 
 from mpmath import mp, mpf
 
-from .errors import PrecisionError
+from .errors import PrecisionError, index
 from .fixedpoint import from_grid
 
 _rule_cache: dict = {}
@@ -59,8 +59,7 @@ def _legendre_on_grid(n: int, x: int, frac: int) -> Tuple[int, int]:
 
 def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
     """Nodes and weights of the n-point rule on [-1, 1] at ``prec`` bits."""
-    if n < 1:
-        raise ValueError("rule size must be >= 1")
+    index(n, "n", 1)
     key = (n, prec)
     hit = _rule_cache.get(key)
     if hit is not None:

@@ -50,7 +50,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
 
-from .errors import DomainError
+from .errors import DomainError, index, real
 from .fixedpoint import from_grid, row_to_grid, to_grid
 from .precision import round_to, sum_to_least_term
 
@@ -72,16 +72,6 @@ def _argument(x, prec: int) -> mpf:
     to the kernel's working precision."""
     with mp.workprec(prec):
         return mpf(x)
-
-
-def _finite_abs(x, name: str) -> float:
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} requires a finite real, got {x!r}")
-    if not math.isfinite(xf):
-        raise DomainError(f"{name} requires a finite real, got {x!r}")
-    return abs(xf)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def _log_gamma_raw(z: mpf, prec: int) -> mpf:
 
 def log_gamma(z, bits: int) -> mpf:
     """log Gamma(z) for finite z > 0, to ``bits`` bits."""
-    _finite_abs(z, "log_gamma")
+    real(z, "z")
     prec = bits + 32
     # _log_gamma_raw reads z at prec + 20 bits
     z = _argument(z, prec + 20)
@@ -191,7 +181,7 @@ def log_barnes_g(z, bits: int) -> mpf:
     Stirling sum (for log Gamma(z)) serves all m shifts, and one log the
     weighted product, formed as the product of the partial products
     prod_(j<i) (z + j), i = 1 .. m - 1."""
-    _finite_abs(z, "log_barnes_g")
+    real(z, "z")
     prec = bits + 48
     z = _argument(z, prec)
     if not z > 0:
@@ -317,7 +307,7 @@ def airy_ai(x, bits: int) -> Tuple[mpf, mpf]:
     Maclaurin kernel at prec = _maclaurin_bits(|x|, bits), rounded once to
     nearest; the guard holds the kernel's error (_airy_maclaurin) far below
     that rounding."""
-    ax = _finite_abs(x, "airy_ai")
+    ax = abs(real(x, "x"))
     prec = _maclaurin_bits(ax, bits)
     ai, aip, _ = _airy_maclaurin(x, prec)
     return from_grid(ai, 2 * prec, bits), from_grid(aip, 2 * prec, bits)
@@ -415,7 +405,7 @@ def airy_ai_tail_integral(x, bits: int) -> mpf:
     the result.  The cancellation, now against 1/3, is the same size (the
     value is about Ai(x) / sqrt(x) for large x > 0), so it too is exact to
     ``bits`` bits."""
-    ax = _finite_abs(x, "airy_ai_tail_integral")
+    ax = abs(real(x, "x"))
     prec = _maclaurin_bits(ax, bits)
     _, _, integral = _airy_maclaurin(x, prec)
     return from_grid((1 << 2 * prec) // 3 - integral, 2 * prec, bits)
@@ -495,9 +485,8 @@ def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     2^-16 of a unit.  So I_j is exact to 18 N units, 18 N 2^-(bits + 64) <=
     2^-(bits + 32) for any N below 2^27.
     """
-    if max_j < 0:
-        raise DomainError("max_j must be >= 0")
-    guard = int(math.ceil(_finite_abs(two_t, "bessel_i_row") * _LOG2_E))
+    index(max_j, "max_j", 0)
+    guard = int(math.ceil(abs(real(two_t, "two_t")) * _LOG2_E))
     prec = bits + guard + 64
     z = _argument(two_t, prec)
     if z < 0:

@@ -104,7 +104,6 @@ every n up to 2000.
 from __future__ import annotations
 
 import math
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
@@ -113,7 +112,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from mpmath import libmp, mp, mpf
 
 from . import specialfn
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, index, real
 from .fixedpoint import dot, from_grid, to_grid
 from .linalg import cholesky_entry_error, cholesky_log_pivots, log_det_error
 from .precision import REPORT_GUARD, PrecisionContext, round_to, stabilize
@@ -136,26 +135,15 @@ class MomentMatrixSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}")
-        if _index(self.n, "n") < 1:
-            raise DomainError("matrix dimension n must be >= 1")
+        index(self.n, "n", 1)
         _check_t(self.t)
 
 
-def _index(v, name: str) -> int:
-    """v as an int by operator.index, or DomainError naming the index."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {v!r}") from None
-
-
 def _check_t(t, name: str = "symbol parameter t") -> float:
-    """float(t), or DomainError naming ``name`` unless t is finite and
+    """errors.real(t, name), or DomainError naming ``name`` unless t is
     positive: the one domain rule for t, which guard_bits, MomentMatrixSpec,
     scaling_index and the command line's --t read."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"{name} must be finite, got {t}")
+    t = real(t, name)
     if not t > 0:
         raise DomainError(f"{name} must be positive")
     return t
@@ -403,8 +391,7 @@ def get_ladder(t, kind: str, n_cap: int, ctx: PrecisionContext) -> _Ladder:
     n_cap that is not an integer >= 1, raises DomainError before any pass."""
     if kind not in KINDS:
         raise DomainError(f"kind must be one of {KINDS}")
-    if _index(n_cap, "n_cap") < 1:
-        raise DomainError("n_cap must be >= 1")
+    index(n_cap, "n_cap", 1)
     size = n_cap if kind == "plain" else 2 * n_cap + 1
     key = (t, ctx.precision_bits)
     ladders = _ladder_cache.get(key)
@@ -460,9 +447,7 @@ def toeplitz_log_det_lu(spec: MomentMatrixSpec, ctx: PrecisionContext) -> mpf:
 def pi_zero(q: int, t, ctx: PrecisionContext) -> mpf:
     """Constant term pi_q(0;t) of the monic orthogonal polynomial; |pi_q(0)|
     < 1, or the ladder pass raises PrecisionError (_levinson_constant_terms)."""
-    q = _index(q, "q")
-    if q < 1:
-        raise DomainError("q must be >= 1")
+    q = index(q, "q", 1)
     return round_to(get_ladder(t, "plain", q + 1, ctx).pi0[q], ctx.precision_bits)
 
 
@@ -470,9 +455,7 @@ def d_pm_log(kind: str, ell: int, t, ctx: PrecisionContext) -> mpf:
     """log D_ell^{++} or log D_ell^{-+}."""
     if kind not in ("plus_plus", "minus_plus"):
         raise DomainError("kind must be plus_plus or minus_plus")
-    ell = _index(ell, "ell")
-    if ell < 1:
-        raise DomainError("ell must be >= 1")
+    ell = index(ell, "ell", 1)
     return toeplitz_log_det(MomentMatrixSpec(t, ell, kind), ctx)
 
 
@@ -568,9 +551,7 @@ def toeplitz_scan(t, q_values: Sequence[int], ctx: PrecisionContext,
     defined (prediction of log kappa_q^2 uses the q+1 formula).  The values
     are formed on raw mpf tuples at ctx.precision_bits, so the only mpfs
     made are the records'."""
-    q_values = sorted(set(_index(q, "q") for q in q_values))
-    if q_values and q_values[0] < 1:
-        raise DomainError("scan q values must be >= 1")
+    q_values = sorted(set(index(q, "q", 1) for q in q_values))
     n_cap = q_values[-1] + 1 if q_values else 1
     ladder = get_ladder(t, "plain", n_cap, ctx)
     prec = ctx.precision_bits
@@ -633,8 +614,7 @@ def _exact_part_bracket(L: int, t_mp: mpf, zp: mpf) -> mpf:
 def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
     """Residual log D_L(t) - {2Lt - (L^2/2) log(2t) + (L^2/2 - 1/12) log L
     - (3/4) L^2 + zeta'(-1)}; tends to 0 as t then L grow."""
-    if _index(L, "L") < 2:
-        raise DomainError("L must be >= 2")
+    index(L, "L", 2)
     logd = toeplitz_log_det(MomentMatrixSpec(float(t), L, "plain"), ctx)
     zp = specialfn.zeta_prime_minus_one(ctx.precision_bits)
     with ctx.workprec():
@@ -645,9 +625,7 @@ def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
 def selberg_hermite_log_closed(L: int, t, ctx: PrecisionContext) -> mpf:
     """log of the Gaussian Selberg integral
     pi^(L/2) 2^(-L(L-1)/2) t^(-L^2/2) G(L+1)."""
-    L = _index(L, "L")
-    if L < 1:
-        raise DomainError("L must be >= 1")
+    L = index(L, "L", 1)
     logg = specialfn.log_barnes_g(L + 1, ctx.precision_bits)
     with ctx.workprec():
         t_mp = mpf(t)
@@ -669,7 +647,7 @@ def selberg_hermite_log_quadrature(L: int, t, ctx: PrecisionContext) -> mpf:
     [-8.5, 8.5]^L truncates it below 1e-31.  The integrand is symmetric and
     vanishes where two nodes coincide, so 1/L! times the sum over all node
     tuples is the sum over the strictly increasing ones."""
-    L = _index(L, "L")
+    L = index(L, "L")
     if not 1 <= L <= 3:
         raise DomainError("direct quadrature only supported for L <= 3")
     prec = ctx.precision_bits + REPORT_GUARD

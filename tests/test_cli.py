@@ -16,7 +16,7 @@ import pytest
 from mpmath import mp, mpf
 
 import twlab
-from twlab import checks, cli, painleve2, toeplitz_lab
+from twlab import checks, cli, painleve2, toeplitz_lab, twdist
 from twlab.precision import PrecisionContext
 
 
@@ -349,16 +349,24 @@ class TestExitCodes:
                            "--step", "-1"] + FAST, workdir, "bad.json")
         assert code == 2
 
-    def test_non_finite_x_exit_two(self, workdir):
-        code, _ = run_cli(["eval", "--x", "nan"] + FAST, workdir, "nan.json")
-        assert code == 2
-        code, _ = run_cli(["table", "--xmin", "-3", "--xmax", "nan"] + FAST,
-                          workdir, "nan_table.json")
-        assert code == 2
-        # an infinite step left an empty grid: a header-only table
-        code, _ = run_cli(["table", "--xmin", "-3", "--xmax", "1", "--step", "inf"]
-                          + FAST, workdir, "inf_step.json")
-        assert code == 2
+    def test_non_finite_x_exit_two(self, workdir, capsys):
+        # each refusal is one error: line that names the value or option
+        for argv, name in [
+            (["eval", "--x", "nan"], "x=nan"),
+            (["table", "--xmin", "-3", "--xmax", "nan"], "--xmax"),
+            (["table", "--xmin", "inf", "--xmax", "1"], "--xmin"),
+            # an infinite step left an empty grid: a header-only table
+            (["table", "--xmin", "-3", "--xmax", "1", "--step", "inf"], "--step"),
+            # the mesh refused an infinite x_right as a value it cannot put
+            # on its fixed-point grid; the solve refuses it by name
+            (["eval", "--x", "0", "--window", "-12", "inf"], "x_right"),
+            (["toeplitz-limits", "--t", "10", "--x", "nan", "--L", "3", "--M", "3"],
+             "--x"),
+        ]:
+            code, _ = run_cli(argv + FAST, workdir, "non_finite.json")
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and name in err
 
     @pytest.mark.parametrize("command", ["table", "oracle-compare"])
     def test_reversed_x_range_exit_two(self, command, workdir):
@@ -381,18 +389,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "--step" in err
 
-    @pytest.mark.parametrize("case", ["output_dir_missing", "cache_file_is_a_dir",
+    @pytest.mark.parametrize("case", ["output_dir_missing", "table_output_dir_missing",
+                                      "output_is_a_dir", "cache_file_is_a_dir",
                                       "cache_dir_under_a_file"])
     def test_file_error_exit_two(self, case, tmp_path, monkeypatch, capsys):
-        # one error: line naming the path, not a traceback, and no solve first
+        # one error: line naming the path, not a traceback, and no solve (or
+        # zeta'(-1)) first: a missing --output directory is found before the
+        # command's work, not when the output is written
         def no_solve(*args):
             raise AssertionError("solved before the file error")
 
         monkeypatch.setattr(painleve2, "solve_hastings_mcleod", no_solve)
+        monkeypatch.setattr(twdist.TailConstants, "compute", no_solve)
         ask = ["eval", "--x", "0"] + FAST
         if case == "output_dir_missing":
             path = str(tmp_path / "missing" / "x.json")
             argv = ["constants", "--output", path]
+        elif case == "output_is_a_dir":
+            path = str(tmp_path)
+            argv = ["constants", "--output", path]
+        elif case == "table_output_dir_missing":
+            path = str(tmp_path / "missing" / "x.json")
+            argv = ["table", "--xmin", "-1", "--xmax", "0", "--output", path,
+                    "--cache-dir", str(tmp_path / "cache")] + FAST
         elif case == "cache_file_is_a_dir":
             argv = ask + ["--cache-dir", str(tmp_path)]
             args = cli.build_parser().parse_args(argv)

@@ -96,6 +96,29 @@ class TestPrecisionContext:
                       if "** (mpf(1) / 3)" in line]
         assert sites == ["toeplitz_lab.py:scaling_index"]
 
+    def test_one_argument_rule(self):
+        # errors.real and errors.index read every real and integer argument:
+        # no other module calls operator.index or an isfinite, or words a
+        # refusal of its own.  fixedpoint.to_grid's inf/nan check converts
+        # to a grid and painleve2._steps_on_grid's checks a solver step;
+        # neither reads an argument
+        src = pathlib.Path(precision.__file__).parent
+        rule = re.compile(r"operator\.index|from operator import|isfinite\("
+                          r"|must be (an integer|a finite|finite)")
+        sites = set()
+        for path in sorted(src.glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            text = path.read_text()
+            owner = {n: fn.name for fn in ast.walk(ast.parse(text))
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for n in range(fn.lineno, fn.end_lineno + 1)}
+            sites |= {f"{path.name}:{owner.get(n)}"
+                      for n, line in enumerate(text.splitlines(), 1)
+                      if rule.search(line)}
+        assert sorted(sites) == ["fixedpoint.py:to_grid",
+                                 "painleve2.py:_steps_on_grid"]
+
     def test_one_least_term_rule(self):
         # every asymptotic series is summed by precision.sum_to_least_term:
         # it is defined there alone, and every function that draws Bernoulli

@@ -8,7 +8,8 @@ from collections import Counter, OrderedDict
 import pytest
 from mpmath import ctx_mp_python, mp, mpf
 
-from twlab import checks, painleve2, specialfn, toeplitz_lab as tl, twdist
+from twlab import (checks, fredholm_oracle, painleve2, quadrature, specialfn,
+                   toeplitz_lab as tl, twdist)
 from twlab.errors import DomainError, PrecisionError
 from twlab.precision import PrecisionContext, round_to
 
@@ -58,14 +59,60 @@ def bessel_rows(monkeypatch):
     (lambda: tl.exact_part_limit_check(2.5, 3.0, CTX), "L"),
     (lambda: checks.sum_parts_report(10.0, -1.0, 2.5, 3, None, None, CTX), "L"),
     (lambda: checks.e_double_scaling_check(10.0, -1.0, 2.5, 3, None, None, CTX), "L"),
+    (lambda: PrecisionContext(128.0), "precision_bits"),
+    (lambda: fredholm_oracle.f2_fredholm(0, 40.5, CTX, verify_convergence=False), "m"),
+    (lambda: fredholm_oracle.build_rule(0, 40.5, CTX), "m"),
+    (lambda: quadrature.gauss_legendre(5.5, 128), "n"),
+    (lambda: specialfn.bessel_i_row(3.5, 6, 128), "max_j"),
+    (lambda: painleve2.solve_hastings_mcleod(-12, 8, 1100.5), "nodes"),
+    (lambda: painleve2.solve_hastings_mcleod(-12, 8, float("inf")), "nodes"),
 ], ids=["spec", "get_ladder", "pi_zero", "d_pm_log", "scan", "selberg_closed",
         "selberg_quadrature", "exact_part", "sum_parts_report",
-        "e_double_scaling_check"])
+        "e_double_scaling_check", "context_bits", "f2_fredholm", "build_rule",
+        "gauss_legendre", "bessel_i_row", "solve_nodes", "solve_nodes_inf"])
 def test_indices_must_be_integers(call, name):
     # an index that is not an integer is refused by name, neither rounded
     # (the scan read q = 2.5 as 2, the closed Selberg form L = 2.5 as a
-    # real L) nor left to fail as a KeyError or TypeError further in
+    # real L, the solve nodes = 1100.5 as 46 elements) nor left to fail as a
+    # KeyError, TypeError or OverflowError further in
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PrecisionContext(32), "precision_bits must be >= 64, got 32"),
+    (lambda: fredholm_oracle.f2_fredholm(0, 10, CTX), "m must be >= 20, got 10"),
+    (lambda: quadrature.gauss_legendre(0, 128), "n must be >= 1, got 0"),
+    (lambda: specialfn.bessel_i_row(-1, 6, 128), "max_j must be >= 0, got -1"),
+    (lambda: painleve2.solve_hastings_mcleod(-12, 8, 100),
+     "nodes must be >= 200, got 100"),
+    (lambda: tl.toeplitz_scan(3, [0, 2], CTX), "q must be >= 1, got 0"),
+    (lambda: tl.exact_part_limit_check(1, 3.0, CTX), "L must be >= 2, got 1"),
+], ids=["context_bits", "f2_fredholm", "gauss_legendre", "bessel_i_row",
+        "solve_nodes", "scan", "exact_part"])
+def test_indices_below_their_least(call, message):
+    # one text for an integer below its least value, naming the argument
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: tl.guard_bits("abc", 10, "ladder"), "symbol parameter t"),
+    (lambda: tl.MomentMatrixSpec(None, 3), "symbol parameter t"),
+    (lambda: fredholm_oracle.build_rule(float("nan"), 40, CTX), "x"),
+    (lambda: fredholm_oracle.f2_fredholm(float("inf"), 40, CTX), "x"),
+    (lambda: painleve2.solve_hastings_mcleod(-12, float("inf")), "x_right"),
+    (lambda: painleve2.solve_hastings_mcleod(float("-inf"), 8), "x_left"),
+    (lambda: specialfn.airy_ai("abc", 64), "x"),
+    (lambda: specialfn.bessel_i_row(3, float("nan"), 64), "two_t"),
+    (lambda: specialfn.log_gamma(1j, 64), "z"),
+], ids=["guard_bits", "spec", "build_rule", "f2_fredholm", "solve_x_right",
+        "solve_x_left", "airy_ai", "bessel_i_row", "log_gamma"])
+def test_reals_must_be_finite(call, name):
+    # a real argument that is not a finite real is refused by name before
+    # any work, not left to fail as a TypeError, a bare ValueError or a
+    # fixed-point grid error further in
+    with pytest.raises(DomainError, match=f"^{name} must be a finite real"):
         call()
 
 
