@@ -3,7 +3,6 @@ the options each command takes, and exit codes."""
 
 import ast
 import csv
-import hashlib
 import io
 import json
 import os
@@ -15,6 +14,7 @@ from decimal import Decimal
 import pytest
 from mpmath import mp, mpf
 
+import golden_outputs
 import twlab
 from twlab import checks, cli, painleve2, toeplitz_lab, twdist
 from twlab.precision import PrecisionContext
@@ -514,44 +514,7 @@ class TestOracleCompare:
         assert doc["max_abs_diff"] == max(exact)
 
 
-def _without_pass_bits(doc):
-    """A command's document less the fields that report the bits and the
-    bound of the pass that formed it."""
-    if isinstance(doc, dict):
-        return {k: _without_pass_bits(v) for k, v in doc.items()
-                if k not in ("precision_bits_used", "abs_error_bound")}
-    if isinstance(doc, list):
-        return [_without_pass_bits(v) for v in doc]
-    return doc
-
-
 class TestToeplitzCommands:
-    # SHA-256 of each document less the fields that report the pass's bits
-    # and bound (_without_pass_bits), recorded while every route ran at
-    # ceil(4t log2 e) + 64 guard bits: the values do not depend on the guard
-    VALUES_SHA256 = {
-        "scan_t30": "c4b85b3317f64288d98801e81b442b8d521e11231d7e683e68a17ad4ec6ace28",
-        "scan_t3": "5ad7413d27b17de88c7b10b8e36c9f45dec4a9c32b90b4e992477a027527c283",
-        "limits": "a0929edb629c619b1730a84380990366265796040556697d4af7a39bef9034ff",
-        "limits_e_side": "80c880490c558248b6904eaab01722ceed0db3062131ba29f580d530eea60695",
-    }
-
-    @pytest.mark.parametrize("name, args", [
-        ("scan_t30", ["toeplitz-scan", "--t", "30", "--qmax", "70"]),
-        ("scan_t3", ["toeplitz-scan", "--t", "3", "--qmax", "8"]),
-        ("limits", ["toeplitz-limits", "--t", "10", "--x", "-1", "--L", "3",
-                    "--M", "3"] + FAST),
-        ("limits_e_side", ["toeplitz-limits", "--t", "10", "--x", "-1", "--L", "2",
-                           "--M", "3", "--e-side"] + FAST),
-    ])
-    def test_values_pinned(self, name, args, workdir, monkeypatch):
-        monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
-        code, text = run_cli(args, workdir, f"pinned_{name}.json")
-        assert code == 0
-        doc = _without_pass_bits(json.loads(text))
-        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-        assert digest == self.VALUES_SHA256[name]
-
     def test_scan_csv(self, workdir, monkeypatch):
         # the pass a fresh process runs, not a larger one cached before
         monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
@@ -732,18 +695,6 @@ class TestToeplitzCommands:
 
 
 class TestVerify:
-    # SHA-256 of the whole verify document at FAST, every printed digit of
-    # every row (the tau rows read tail_left and tw_cdf)
-    VERIFY_SHA256 = "9eb7c23afaa9563959cdd1b71f3e8af3ccfa6a50bf1a07f32cf48457c8107639"
-
-    def test_verify_document_pinned(self, workdir, monkeypatch):
-        monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
-        code, text = run_cli(["verify"] + FAST, workdir, "verify_pinned.json")
-        assert code == 0
-        digest = hashlib.sha256(json.dumps(json.loads(text), sort_keys=True)
-                                .encode()).hexdigest()
-        assert digest == self.VERIFY_SHA256
-
     def test_verify_passes_and_reports(self, workdir):
         code, text = run_cli(["verify"] + FAST, workdir, "verify.json")
         assert code == 0
@@ -790,3 +741,17 @@ class TestVerify:
         assert doc["status"] == "fail"
         assert [(r["item"], r["status"]) for r in doc["rows"]] == [
             ("always fails", "fail")]
+
+
+class TestGolden:
+    # each pinned command output byte for byte against its file under
+    # tests/golden/; `PYTHONPATH=src python3 tests/golden_outputs.py`
+    # rewrites them, and their diff is the review of a change
+    @pytest.mark.parametrize("name", list(golden_outputs.DOCUMENTS))
+    def test_output_matches_golden(self, name, workdir):
+        got = golden_outputs.render(name, workdir).encode()
+        want = (golden_outputs.GOLDEN / f"{name}.json").read_bytes()
+        if got != want:
+            where = golden_outputs.first_difference(json.loads(got), json.loads(want))
+            pytest.fail(f"{name} differs from tests/golden/{name}.json at "
+                        f"{where or 'a byte the parsed documents share'}")
