@@ -13,11 +13,10 @@ repeated to confirm another.  The tolerance is a separate target: it is
 read only where a truncated expansion is checked, never by a computation
 that is exact up to rounding.
 
-Every asymptotic series (the Hastings-McLeod left series, Stirling's
-series for log Gamma, the Barnes G series and the Euler-Maclaurin tail of
-zeta'(-1)) is summed by one rule, sum_to_least_term: optimal truncation,
-which stops at the least term and returns the first omitted term as the
-truncation error.  A caller that needs 2^-prec sizes the series' argument
+Both asymptotic series (the Hastings-McLeod left series and the
+Euler-Maclaurin tail of zeta'(-1)) are summed by one rule,
+sum_to_least_term: optimal truncation, which stops at the least term and
+returns the first omitted term as the truncation error.  A caller that needs 2^-prec sizes the series' argument
 so that its least term lies below that.
 """
 

@@ -1,6 +1,5 @@
 """High-accuracy scalar special functions: Airy Ai/Ai' and the tail
-integral of Ai, modified Bessel I_j, log Gamma, log Barnes G, and the
-constant zeta'(-1).
+integral of Ai, modified Bessel I_j, and the constant zeta'(-1).
 
 Everything here is a pure function of its arguments.  Each kernel takes the
 precision it returns as ``bits``, lifts the working precision internally by
@@ -26,14 +25,10 @@ on a grid per step, and each Taylor sum stopped by its own terms, one floor
 per term.  Downward is stable because Ai is recessive as u grows: the Bi
 part of a rounding error shrinks relative to Ai on the way down.
 
-log Gamma (Stirling), log G and zeta'(-1) (Euler-Maclaurin) are Bernoulli
-asymptotic series, each summed by precision.sum_to_least_term from one
-head term.  One start rule (_bernoulli_start) sizes all three to the
-precision: the argument from which the least term, about e^(-2 pi w), lies
-below 2^-prec.  log Gamma and log G shift z up to it by their recurrences,
-Gamma(z+1) = z Gamma(z) and G(z+1) = Gamma(z) G(z), and log G pays for the
-shift with one log Gamma(z) and a weighted sum of logs; zeta'(-1) cuts its
-Euler-Maclaurin sum there.
+zeta'(-1) is an Euler-Maclaurin sum cut at N = _bernoulli_start(prec), the
+argument from which the least term of its Bernoulli tail, about
+e^(-2 pi N), lies below 2^-prec; the tail is summed by
+precision.sum_to_least_term from one head term.
 The Bessel row I_0(2t) .. I_J(2t) comes from Miller's backward recurrence
 on integers, normalised by e^(2t) = I_0 + 2 sum I_j (every term is
 positive); its values reach e^(2t) while their consumers work at O(1)
@@ -46,7 +41,7 @@ import math
 import operator
 from bisect import bisect_left
 from itertools import accumulate, chain, count, repeat
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
 
@@ -75,7 +70,7 @@ def _argument(x, prec: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli asymptotic series: one start rule, one summation rule
+# zeta'(-1)
 # ---------------------------------------------------------------------------
 
 def _bernoulli_start(prec: int) -> float:
@@ -83,40 +78,6 @@ def _bernoulli_start(prec: int) -> float:
     series, about e^(-2 pi w), lies below 2^-prec: (prec ln 2 + 40) / (2 pi)
     + 2, with e^-40 to spare for the powers of w that multiply it."""
     return (prec * math.log(2) + 40) / (2 * math.pi) + 2
-
-
-def _powers(first: mpf, ratio: mpf) -> Iterator[mpf]:
-    """first, first ratio, first ratio^2, ..., each from the one before."""
-    return accumulate(repeat(ratio), operator.mul, initial=first)
-
-
-def _log_gamma_raw(z: mpf, prec: int) -> mpf:
-    """log Gamma(z) for real z > 0 at ``prec`` bits: Stirling's series at
-    w = z + m >= _bernoulli_start(prec), less log(z (z + 1) ... (z + m - 1)),
-    one log of the product.
-
-      log Gamma(w) = (w - 1/2) log w - w + log(2 pi)/2
-                     + sum_{k>=1} B_{2k} / ((2k)(2k-1) w^(2k-1))."""
-    with mp.workprec(prec + 20):
-        z = mpf(z)
-        m = max(0, int(math.ceil(_bernoulli_start(prec) - z)))
-        w = z + m
-        head = (w - mpf(1) / 2) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
-        s, _ = sum_to_least_term(chain([head], (
-            mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * p)
-            for k, p in zip(count(1), _powers(w, w * w)))))
-        return s - mp.log(mp.fprod(z + i for i in range(m)))
-
-
-def log_gamma(z, bits: int) -> mpf:
-    """log Gamma(z) for finite z > 0, to ``bits`` bits."""
-    real(z, "z")
-    prec = bits + 32
-    # _log_gamma_raw reads z at prec + 20 bits
-    z = _argument(z, prec + 20)
-    if not z > 0:
-        raise DomainError(f"log_gamma requires z > 0, got {z}")
-    return round_to(_log_gamma_raw(z, prec), bits)
 
 
 def _zeta_prime_minus_one_raw(prec: int) -> mpf:
@@ -136,7 +97,8 @@ def _zeta_prime_minus_one_raw(prec: int) -> mpf:
                 + n2 / 2 * lognn - n2 / 4 - mpf(nn) / 2 * lognn + (1 + lognn) / 12)
         s, _ = sum_to_least_term(chain([head], (
             -mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * (2 * k - 2) * p)
-            for k, p in zip(count(2), _powers(n2, n2)))))
+            for k, p in zip(count(2), accumulate(repeat(n2), operator.mul,
+                                                 initial=n2)))))
         return s
 
 
@@ -147,53 +109,6 @@ def zeta_prime_minus_one(bits: int) -> mpf:
     if hit is None:
         hit = _zeta_cache[bits] = round_to(_zeta_prime_minus_one_raw(bits + 16), bits)
     return hit
-
-
-def _log_barnes_g1p_series(y: mpf, prec: int) -> mpf:
-    """log G(y+1) for large y > 0 from the asymptotic expansion
-
-      log G(y+1) = (y^2/2) log y - (3/4) y^2 + (y/2) log(2 pi)
-                   - (1/12) log y + zeta'(-1)
-                   + sum_{k>=1} B_{2k+2} / (4 k (k+1) y^(2k)).
-    """
-    with mp.workprec(prec + 20):
-        zp = zeta_prime_minus_one(prec + 20)
-        logy = mp.log(y)
-        y2 = y * y
-        head = (y * y / 2 * logy - mpf(3) / 4 * y * y + y / 2 * mp.log(2 * mp.pi)
-                + (-logy / 12 + zp))
-        s, _ = sum_to_least_term(chain([head], (
-            mp.bernoulli(2 * k + 2) / (4 * k * (k + 1) * p)
-            for k, p in zip(count(1), _powers(y2, y2)))))
-        return s
-
-
-def log_barnes_g(z, bits: int) -> mpf:
-    """log G(z) for finite z > 0 to ``bits`` bits, via the large-argument
-    series at w = z + m >= _bernoulli_start(prec), shifted back with the
-    recurrence G(z+1) = Gamma(z) G(z):
-
-      log G(z) = log G(z + m) - sum_(i<m) log Gamma(z + i)
-               = log G(z + m) - m log Gamma(z)
-                 - log prod_(j<m-1) (z + j)^(m - 1 - j),
-
-    since log Gamma(z + i) = log Gamma(z) + log prod_(j<i) (z + j).  So one
-    Stirling sum (for log Gamma(z)) serves all m shifts, and one log the
-    weighted product, formed as the product of the partial products
-    prod_(j<i) (z + j), i = 1 .. m - 1."""
-    real(z, "z")
-    prec = bits + 48
-    z = _argument(z, prec)
-    if not z > 0:
-        raise DomainError(f"log_barnes_g requires z > 0, got {z}")
-    with mp.workprec(prec):
-        m = max(0, int(math.ceil(_bernoulli_start(prec) - z)))
-        w = z + m
-        val = _log_barnes_g1p_series(w - 1, prec)
-        if m:
-            partial = accumulate((z + j for j in range(m - 1)), operator.mul)
-            val -= m * _log_gamma_raw(z, prec) + mp.log(mp.fprod(partial))
-    return round_to(val, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -624,10 +624,12 @@ def exact_part_limit_check(L: int, t, ctx: PrecisionContext) -> mpf:
 
 def selberg_hermite_log_closed(L: int, t, ctx: PrecisionContext) -> mpf:
     """log of the Gaussian Selberg integral
-    pi^(L/2) 2^(-L(L-1)/2) t^(-L^2/2) G(L+1)."""
+    pi^(L/2) 2^(-L(L-1)/2) t^(-L^2/2) G(L+1), with G(L+1) = 0! 1! ... (L-1)!
+    an exact integer whose log is rounded to precision_bits."""
     L = index(L, "L", 1)
-    logg = specialfn.log_barnes_g(L + 1, ctx.precision_bits)
     with ctx.workprec():
+        logg = round_to(mp.log(math.prod(math.factorial(k) for k in range(L))),
+                        ctx.precision_bits)
         t_mp = mpf(t)
         return round_to(
             mpf(L) / 2 * mp.log(mp.pi) - mpf(L * (L - 1)) / 2 * mp.log(2)

@@ -290,74 +290,6 @@ class TestBesselRow:
                 specialfn.bessel_i_row(3, two_t, BITS)
 
 
-# ---------------------------------------------------------------------------
-# log Gamma / log Barnes G
-# ---------------------------------------------------------------------------
-
-class TestLogGamma:
-    def test_special_values(self, wp300):
-        assert abs(specialfn.log_gamma(1, BITS)) < mpf(10) ** -70
-        assert abs(specialfn.log_gamma(mpf(1) / 2, BITS) - mp.log(mp.pi) / 2) < mpf(10) ** -70
-        assert abs(specialfn.log_gamma(6, BITS) - mp.log(120)) < mpf(10) ** -70
-
-    def test_against_mpmath(self, wp300):
-        for z in (0.25, 1.75, 3.5, 17.0, 123.25):
-            assert abs(specialfn.log_gamma(z, BITS) - mp.loggamma(z)) < mpf(10) ** -68
-
-    def test_rejects_nonpositive(self):
-        for z in (0, -2.5, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(DomainError):
-                specialfn.log_gamma(z, BITS)
-
-
-class TestLogBarnesG:
-    def test_unit_values(self):
-        for z in (1, 2, 3):
-            assert abs(specialfn.log_barnes_g(z, BITS)) < mpf(10) ** -70
-
-    def test_half_argument_closed_form(self, wp300):
-        zp = specialfn.zeta_prime_minus_one(BITS)
-        closed = mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp
-        assert abs(specialfn.log_barnes_g(mpf(1) / 2, BITS) - closed) < mpf(10) ** -40
-
-    def test_superfactorial_value(self, wp300):
-        # G(6) = 1! 2! 3! 4! = 288
-        assert abs(specialfn.log_barnes_g(6, BITS) - mp.log(288)) < mpf(10) ** -70
-
-    def test_recurrence_sweep(self, wp300):
-        z = mpf("0.5")
-        while z <= mpf("10.5"):
-            lhs = specialfn.log_barnes_g(z + 1, BITS)
-            rhs = specialfn.log_gamma(z, BITS) + specialfn.log_barnes_g(z, BITS)
-            assert abs(lhs - rhs) < mpf(10) ** -40
-            z += 1
-
-    def test_rejects_nonpositive(self):
-        for z in (0, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(DomainError):
-                specialfn.log_barnes_g(z, BITS)
-
-    @pytest.mark.parametrize("z", [mpf(1) / 2, 3, mpf(15) / 2, 20])
-    def test_one_stirling_sum_against_mpmath(self, z, monkeypatch):
-        # log Gamma(z + i) = log Gamma(z) + sum_{j<i} log(z + j): one
-        # Stirling sum per call, however far z is shifted.  G is good to
-        # 2^-BITS relative; beyond |log G| = 1 the value returned is log G
-        # rounded to BITS bits, so there it is log G that is, relatively
-        raw = specialfn._log_gamma_raw
-        calls = []
-
-        def counted(w, prec):
-            calls.append(w)
-            return raw(w, prec)
-
-        monkeypatch.setattr(specialfn, "_log_gamma_raw", counted)
-        got = specialfn.log_barnes_g(z, BITS)
-        assert calls == [z]
-        with mp.workprec(600):
-            ref = mp.log(mp.barnesg(z))
-            assert abs(got - ref) <= mpf(2) ** -BITS * max(1, abs(ref))
-
-
 class TestZetaPrimeMinusOne:
     def test_against_mpmath_oracle(self, wp300):
         mine = specialfn.zeta_prime_minus_one(BITS)
@@ -375,8 +307,7 @@ class TestZetaPrimeMinusOne:
         mine = specialfn.zeta_prime_minus_one(BITS)
         for z_int in (40, 1000):
             z = mpf(z_int)
-            log_g = mp.fsum(specialfn.log_gamma(q + 1, BITS)
-                            for q in range(2, z_int))
+            log_g = mp.fsum(mp.log(math.factorial(q)) for q in range(2, z_int))
             fit = (log_g - (z * z / 2 * mp.log(z) - mpf(3) / 4 * z * z
                             + z / 2 * mp.log(2 * mp.pi) - mp.log(z) / 12))
             bound = 2 * abs(mp.bernoulli(4)) / (8 * z * z)
@@ -384,16 +315,9 @@ class TestZetaPrimeMinusOne:
         # at z=1000 the recovery is below the 1e-8 target outright
         assert abs(fit - mine) < mpf(10) ** -8
 
-    def test_g_half_two_routes_agree(self, wp300):
-        # recurrence route vs the closed form carrying zeta'(-1)
-        zp = specialfn.zeta_prime_minus_one(BITS)
-        closed = mp.log(2) / 24 - mp.log(mp.pi) / 4 + mpf(3) / 2 * zp
-        via_series = specialfn.log_barnes_g(mpf(1) / 2, BITS)
-        assert abs(via_series - closed) < mpf(10) ** -40
-
 
 # ---------------------------------------------------------------------------
-# The Bernoulli series: one summation rule, one start rule
+# zeta'(-1): one summation rule, one start rule
 # ---------------------------------------------------------------------------
 
 def _enc(v):
@@ -407,19 +331,10 @@ def _digest(values):
 
 
 class TestBernoulliSeries:
-    # log Gamma and log G at six arguments and 64..448 bits, and zeta'(-1)
-    # at 64..512 bits in steps of 32, as to_json encodes them: taken before
-    # the three series shared one summation and one start rule, they pin
-    # every value bit for bit where that code was accurate
-    ARGS = (0.1, 0.5, 2 / 3, 2.5, 7.25, 33.0)
-    LOG_GAMMA_G_SHA256 = "f046a73ce76bfee3a1dc3f15a214587d47de7f398a2f7d519045816a4abb6aa6"
+    # zeta'(-1) at 64..512 bits in steps of 32, as to_json encodes it: taken
+    # before its series shared one summation and one start rule, it pins
+    # every value bit for bit
     ZETA_SHA256 = "9e8168e5e6c2eab84dc13564b391aced6f2a62414a53a02934fda8da477c8108"
-
-    def test_log_gamma_and_log_g_are_pinned(self):
-        with mp.workprec(53):
-            values = [f(z, bits) for bits in range(64, 449, 64) for z in self.ARGS
-                      for f in (specialfn.log_gamma, specialfn.log_barnes_g)]
-        assert _digest(values) == self.LOG_GAMMA_G_SHA256
 
     def test_zeta_prime_is_pinned(self):
         with mp.workprec(53):
@@ -428,16 +343,12 @@ class TestBernoulliSeries:
 
     @pytest.mark.parametrize("bits", [600, 1024, 2048])
     def test_beyond_512_bits(self, bits):
-        # the start rule sizes every series to the precision, so no cutoff
-        # runs out of accuracy: zeta'(-1) against mpmath, and log G(1/2)
-        # against G(1/2) = 2^(1/24) e^(3 zeta'(-1)/2) pi^(-1/4)
+        # the start rule sizes the series to the precision, so its cutoff
+        # never runs out of accuracy: zeta'(-1) against mpmath
         zp = specialfn.zeta_prime_minus_one(bits)
-        half = specialfn.log_barnes_g(mpf(1) / 2, bits)
         with mp.workprec(bits + 32):
             ref = mp.zeta(-1, derivative=1)
-            closed = mp.log(2) / 24 + 3 * ref / 2 - mp.log(mp.pi) / 4
             assert abs(zp / ref - 1) <= mpf(2) ** -bits
-            assert abs(half / closed - 1) <= mpf(2) ** -bits
 
     @pytest.mark.parametrize("bits", [280, 512])
     def test_special_function_suite_passes(self, bits):
@@ -485,14 +396,12 @@ class TestArgumentPrecision:
 
     @pytest.mark.parametrize("bits", [64, 256])
     def test_scalar_kernels_at_53_ambient_bits(self, bits):
-        x, z = self._wide(1, 3), self._wide(7, 3)
+        x = self._wide(1, 3)
         with mp.workprec(53):
-            got = [*specialfn.airy_ai(x, bits), specialfn.log_gamma(z, bits),
-                   specialfn.log_barnes_g(z, bits),
-                   specialfn.airy_ai_tail_integral(x, bits)]
+            got = [*specialfn.airy_ai(x, bits), specialfn.airy_ai_tail_integral(x, bits)]
         with mp.workprec(600):
-            want = [mp.airyai(x), mp.airyai(x, derivative=1), mp.loggamma(z),
-                    mp.log(mp.barnesg(z)), mpf(1) / 3 - mp.airyai(x, derivative=-1)]
+            want = [mp.airyai(x), mp.airyai(x, derivative=1),
+                    mpf(1) / 3 - mp.airyai(x, derivative=-1)]
             for g, w in zip(got, want):
                 assert abs(g / w - 1) <= mpf(2) ** -bits
 
