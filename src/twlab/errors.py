@@ -1,9 +1,10 @@
 """Exception types shared across the library, and the one argument rule.
 
-Every public entry point reads a real argument through ``real`` and an
-integer one through ``index``: a value either rule refuses raises
-DomainError naming the argument, before any work.  Both only validate; a
-caller reads the value itself as before, so an mpf keeps its bits.
+Every public entry point reads a real argument through ``real``, an
+integer one through ``index`` and a tolerance through ``positive``: a value
+a rule refuses raises DomainError naming the argument, before any work.
+They only validate; a caller reads the value itself as before, so an mpf
+keeps its bits.
 """
 
 import math
@@ -34,6 +35,19 @@ def index(v, name: str, least: int = None) -> int:
     if least is not None and i < least:
         raise DomainError(f"{name} must be >= {least}, got {i}")
     return i
+
+
+def positive(v, name: str):
+    """v for a finite real v > 0, else DomainError naming ``name``.  v is
+    compared as itself, never as a float, so a positive mpf below the
+    smallest float passes."""
+    try:
+        ok = 0 < v < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a finite real > 0, got {v!r}")
+    return v
 
 
 class PrecisionError(RuntimeError):

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Tuple, TypeVar
 
 from mpmath import mp, mpf
 
-from .errors import PrecisionError, index
+from .errors import PrecisionError, index, positive
 
 T = TypeVar("T")
 
@@ -52,8 +52,7 @@ class PrecisionContext:
 
     def __post_init__(self) -> None:
         index(self.precision_bits, "precision_bits", 64)
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        positive(self.tolerance, "tolerance")
 
     def workprec(self):
         """mp.workprec at REPORT_GUARD bits above precision_bits."""

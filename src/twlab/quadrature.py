@@ -60,6 +60,7 @@ def _legendre_on_grid(n: int, x: int, frac: int) -> Tuple[int, int]:
 def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
     """Nodes and weights of the n-point rule on [-1, 1] at ``prec`` bits."""
     index(n, "n", 1)
+    index(prec, "prec", 1)
     key = (n, prec)
     hit = _rule_cache.get(key)
     if hit is not None:

@@ -105,6 +105,7 @@ def _zeta_prime_minus_one_raw(prec: int) -> mpf:
 def zeta_prime_minus_one(bits: int) -> mpf:
     """zeta'(-1) to ``bits`` bits, computed (not embedded) via
     Euler-Maclaurin summation."""
+    index(bits, "bits", 1)
     hit = _zeta_cache.get(bits)
     if hit is None:
         hit = _zeta_cache[bits] = round_to(_zeta_prime_minus_one_raw(bits + 16), bits)
@@ -223,6 +224,7 @@ def airy_ai(x, bits: int) -> Tuple[mpf, mpf]:
     nearest; the guard holds the kernel's error (_airy_maclaurin) far below
     that rounding."""
     ax = abs(real(x, "x"))
+    index(bits, "bits", 1)
     prec = _maclaurin_bits(ax, bits)
     ai, aip, _ = _airy_maclaurin(x, prec)
     return from_grid(ai, 2 * prec, bits), from_grid(aip, 2 * prec, bits)
@@ -271,6 +273,7 @@ def airy_ai_walk_grid(points: Sequence[int], point_frac: int,
     summed.  Ai' = (h Ai') / h is one floor division.  So a step's error
     is one unit of its grid per term, shift and division, plus that tail.
     """
+    index(bits, "bits", 1)
     if not points:
         raise DomainError("airy_ai_walk_grid requires at least one point")
     if any(not lo < hi for lo, hi in zip(points, points[1:])):
@@ -321,6 +324,7 @@ def airy_ai_tail_integral(x, bits: int) -> mpf:
     value is about Ai(x) / sqrt(x) for large x > 0), so it too is exact to
     ``bits`` bits."""
     ax = abs(real(x, "x"))
+    index(bits, "bits", 1)
     prec = _maclaurin_bits(ax, bits)
     _, _, integral = _airy_maclaurin(x, prec)
     return from_grid((1 << 2 * prec) // 3 - integral, 2 * prec, bits)
@@ -364,6 +368,7 @@ def _miller_start(max_j: int, z: float, bits: int) -> int:
 def bessel_i_row_error(bits: int) -> mpf:
     """The absolute error of each entry of bessel_i_row(max_j, two_t, bits),
     for every max_j and two_t; its docstring derives it."""
+    index(bits, "bits", 1)
     return mpf(2) ** -(bits + 31)
 
 
@@ -401,6 +406,7 @@ def bessel_i_row(max_j: int, two_t, bits: int) -> List[mpf]:
     2^-(bits + 32) for any N below 2^27.
     """
     index(max_j, "max_j", 0)
+    index(bits, "bits", 1)
     guard = int(math.ceil(abs(real(two_t, "two_t")) * _LOG2_E))
     prec = bits + guard + 64
     z = _argument(two_t, prec)

@@ -22,6 +22,8 @@ class TestPrecisionContext:
             PrecisionContext(precision_bits=32)
         with pytest.raises(ValueError):
             PrecisionContext(tolerance=0)
+        # the tolerance is compared as itself: no float rounds it to 0
+        assert PrecisionContext(tolerance=mpf(2) ** -2000).tolerance > 0
 
     def test_round_to(self):
         with mp.workprec(300):

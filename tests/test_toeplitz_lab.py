@@ -66,10 +66,20 @@ def bessel_rows(monkeypatch):
     (lambda: specialfn.bessel_i_row(3.5, 6, 128), "max_j"),
     (lambda: painleve2.solve_hastings_mcleod(-12, 8, 1100.5), "nodes"),
     (lambda: painleve2.solve_hastings_mcleod(-12, 8, float("inf")), "nodes"),
+    (lambda: quadrature.gauss_legendre(5, 128.0), "prec"),
+    (lambda: specialfn.airy_ai(1.0, 64.5), "bits"),
+    (lambda: specialfn.airy_ai_tail_integral(1.0, 64.0), "bits"),
+    (lambda: specialfn.airy_ai_walk_grid([0, 1], 4, 64.5), "bits"),
+    (lambda: specialfn.bessel_i_row(3, 6, 128.0), "bits"),
+    (lambda: specialfn.bessel_i_row_error(64.5), "bits"),
+    (lambda: specialfn.zeta_prime_minus_one(64.5), "bits"),
 ], ids=["spec", "get_ladder", "pi_zero", "d_pm_log", "scan", "selberg_closed",
         "selberg_quadrature", "exact_part", "sum_parts_report",
         "e_double_scaling_check", "context_bits", "f2_fredholm", "build_rule",
-        "gauss_legendre", "bessel_i_row", "solve_nodes", "solve_nodes_inf"])
+        "gauss_legendre", "bessel_i_row", "solve_nodes", "solve_nodes_inf",
+        "gauss_legendre_prec", "airy_ai_bits", "airy_ai_tail_integral_bits",
+        "airy_ai_walk_grid_bits", "bessel_i_row_bits", "bessel_i_row_error_bits",
+        "zeta_prime_minus_one_bits"])
 def test_indices_must_be_integers(call, name):
     # an index that is not an integer is refused by name, neither rounded
     # (the scan read q = 2.5 as 2, the closed Selberg form L = 2.5 as a
@@ -106,8 +116,12 @@ def test_indices_below_their_least(call, message):
     (lambda: specialfn.airy_ai("abc", 64), "x"),
     (lambda: specialfn.bessel_i_row(3, float("nan"), 64), "two_t"),
     (lambda: specialfn.airy_ai_tail_integral(float("nan"), 64), "x"),
+    (lambda: PrecisionContext(256, "abc"), "tolerance"),
+    (lambda: PrecisionContext(256, float("inf")), "tolerance"),
+    (lambda: PrecisionContext(256, mpf(-1)), "tolerance"),
 ], ids=["guard_bits", "spec", "build_rule", "f2_fredholm", "solve_x_right",
-        "solve_x_left", "airy_ai", "bessel_i_row", "airy_ai_tail_integral"])
+        "solve_x_left", "airy_ai", "bessel_i_row", "airy_ai_tail_integral",
+        "tolerance_str", "tolerance_inf", "tolerance_negative"])
 def test_reals_must_be_finite(call, name):
     # a real argument that is not a finite real is refused by name before
     # any work, not left to fail as a TypeError, a bare ValueError or a
