@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 
 import pytest
 from mpmath import ctx_mp_python, libmp, mp, mpf
 
-from twlab import fixedpoint, fredholm_oracle, painleve2, precision, twdist
+from twlab import (fixedpoint, fredholm_oracle, painleve2, precision, specialfn,
+                   toeplitz_lab, twdist)
 from twlab.errors import DomainError, InternalConsistencyError, PrecisionError
 from twlab.precision import PrecisionContext
 
@@ -395,6 +397,31 @@ class TestArgumentPrecision:
             q = hm_solution.q_at(-2.0)
             assert abs((got.F - at_two.F) / (at_two.F * r / 2 * h) - 1) < mpf(10) ** -25
             assert abs((got.E - at_two.E) / (at_two.E * q / 2 * h) - 1) < mpf(10) ** -25
+
+    def test_entry_points_ignore_the_ambient_precision(
+            self, hm_solution, tail_constants, ctx256, monkeypatch):
+        # the same raw bits at ambient 53 and 1000, each run with empty
+        # memos: a string x is read at the working precision, a float and
+        # a 300-bit mpf exactly
+        with mp.workprec(300):
+            wide = -mpf(1) / 3 + mpf(2) ** -280
+
+        def raw():
+            monkeypatch.setattr(specialfn, "_zeta_cache", {})
+            monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
+            sol = dataclasses.replace(hm_solution, _cum_cache={})
+            point = [twdist.tw_point(x, sol, tail_constants, ctx256)
+                     for x in ("-0.3", -0.3, wide)]
+            spec = toeplitz_lab.MomentMatrixSpec(3.0, 6)
+            return ([(p.x._mpf_, p.F._mpf_, p.E._mpf_) for p in point],
+                    specialfn.zeta_prime_minus_one(320)._mpf_,
+                    [v._mpf_ for v in specialfn.airy_ai("-0.3", 128)],
+                    toeplitz_lab.toeplitz_log_det(spec, ctx256)._mpf_)
+
+        with mp.workprec(53):
+            low = raw()
+        with mp.workprec(1000):
+            assert raw() == low
 
     @pytest.mark.parametrize("x", [-12.5, 8.5, float("nan"), float("inf")])
     def test_outside_the_window_raises(self, x, hm_solution, tail_constants, ctx256):
