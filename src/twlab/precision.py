@@ -16,8 +16,9 @@ that is exact up to rounding.
 Both asymptotic series (the Hastings-McLeod left series and the
 Euler-Maclaurin tail of zeta'(-1)) are summed by one rule,
 sum_to_least_term: optimal truncation, which stops at the least term and
-returns the first omitted term as the truncation error.  A caller that needs 2^-prec sizes the series' argument
-so that its least term lies below that.
+returns the first omitted term as the truncation error.  A caller that
+needs 2^-prec sizes the series' argument so that its least term lies below
+that.
 """
 
 from __future__ import annotations
