@@ -945,6 +945,17 @@ def _integral(table: _Table, e: int, t: int, start: tuple, wp: int) -> mpf:
                                      libmp.round_nearest))
 
 
+def read_point(x, ctx: PrecisionContext) -> mpf:
+    """x as an mpf whatever the ambient mp.prec, the one read of x by the
+    integrals and tw_point: an mpf, int or float exactly, with no switch of
+    the global mp.prec, anything else (a string) rounded to nearest at the
+    working precision precision_bits + REPORT_GUARD."""
+    if isinstance(x, (mpf, int, float)):
+        return mp.convert(x)
+    with mp.workprec(ctx.precision_bits + REPORT_GUARD):
+        return mp.convert(x)
+
+
 def integrate_kind(solution: HMSolution, kind: str, a, b,
                    ctx: PrecisionContext) -> mpf:
     """Integral over [a, b] of q or R from the cached element
@@ -952,7 +963,7 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
     sum per end point, read through _integral as cumulative_integrals is."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
-    a, b = mp.convert(a), mp.convert(b)
+    a, b = read_point(a, ctx), read_point(b, ctx)
     bits = ctx.precision_bits
     table = solution.cached(("integrals", kind, bits), _integrals, solution, kind, bits)
     (ea, ta), (eb, tb) = (table.locate(x) for x in (a, b))
@@ -968,11 +979,10 @@ def cumulative_integrals(solution: HMSolution, x,
     representations share, and at x = x_right the window integrals of
     their right constants (twdist._form_right): bit for bit integrate_kind
     from solution.x_left to x for each.  The R and q tables at one
-    precision have the same grid (_Table), so x is located once, on the R
-    table, as the caller passes it (no bit of it is rounded away), and each
-    integrand costs one Clenshaw sum less its table's left_end.  Raises DomainError outside the solution
-    window."""
-    x = mp.convert(x)
+    precision have the same grid (_Table), so x (read_point) is located
+    once, on the R table, and each integrand costs one Clenshaw sum less
+    its table's left_end.  Raises DomainError outside the solution window."""
+    x = read_point(x, ctx)
     bits = ctx.precision_bits
     tables = [solution.cached(("integrals", kind, bits), _integrals, solution, kind, bits)
               for kind in ("r", "q")]

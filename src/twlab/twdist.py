@@ -231,19 +231,14 @@ def tw_point(x, sol: painleve2.HMSolution, consts: TailConstants,
     (_left).
 
     One pass at one working precision, wp = precision_bits + REPORT_GUARD,
-    on raw mpf tuples: x is converted once (a float, int or mpf exactly,
-    a string or fraction rounded to wp, not to the ambient mp.prec), the
-    reads of R and q, K + U/2 and its exp are each rounded to nearest at
-    wp, F and E are then rounded once to precision_bits, and the check,
-    F1 = F E and F2 = F F, one rounding each, and F4 = (E + 1/E) F / 2,
-    three roundings and an exact halving, are formed from them at wp.  The
-    x returned is x rounded to wp."""
+    on raw mpf tuples: x is read once (painleve2.read_point), the reads of
+    R and q, K + U/2 and its exp are each rounded to nearest at wp, F and
+    E are then rounded once to precision_bits, and the check, F1 = F E and
+    F2 = F F, one rounding each, and F4 = (E + 1/E) F / 2, three roundings
+    and an exact halving, are formed from them at wp.  The x returned is x
+    rounded to wp."""
     wp = ctx.precision_bits + REPORT_GUARD
-    if isinstance(x, (mpf, int, float)):
-        xm = mp.convert(x)
-    else:
-        with mp.workprec(wp):
-            xm = mp.convert(x)
+    xm = painleve2.read_point(x, ctx)
     u = painleve2.cumulative_integrals(sol, xm, ctx)
     left = libmp.mpf_lt(xm._mpf_, _SWITCH_POINT)
     if not left:

@@ -21,7 +21,13 @@ from twlab import cli, toeplitz_lab
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
-FAST = ["--nodes", "500", "--precision-bits", "192"]
+# fast solver settings shared by the commands that need the BVP solution
+PRECISION = ["--precision-bits", "192"]
+FAST = ["--nodes", "500"] + PRECISION
+
+# the commands that read a Hastings-McLeod solution, the only ones that
+# take --cache-dir
+SOLVING = ("eval", "table", "verify", "oracle-compare", "toeplitz-limits")
 
 # file stem -> (command line, whether the pass's bits and bound are dropped)
 DOCUMENTS = {
@@ -34,9 +40,6 @@ DOCUMENTS = {
                        "--M", "3", "--e-side"] + FAST, True),
 }
 
-SOLVING = ("verify", "toeplitz-limits")
-
-
 def without_pass_bits(doc):
     """A command's document less the fields that report the bits and the
     bound of the pass that formed it."""
@@ -48,20 +51,28 @@ def without_pass_bits(doc):
     return doc
 
 
+def run_cli(args, workdir, name):
+    """(exit code, output text) of a command run in-process with --output
+    workdir/name and, for a SOLVING command, the solution cache under
+    ``workdir``."""
+    out = os.path.join(workdir, name)
+    cache = (["--cache-dir", os.path.join(workdir, "cache")]
+             if args[0] in SOLVING else [])
+    code = cli.main(args + cache + ["--output", out])
+    text = open(out).read() if os.path.exists(out) else ""
+    return code, text
+
+
 def render(name: str, workdir) -> str:
-    """The pinned form of document ``name``, run in-process with an empty
+    """The pinned form of document ``name``, run by run_cli with an empty
     ladder cache (the pass a fresh process runs, not a larger one cached
-    before) and the solution cache under ``workdir``."""
+    before)."""
     args, drop = DOCUMENTS[name]
-    out = os.path.join(workdir, f"golden_{name}.json")
-    if args[0] in SOLVING:
-        args = args + ["--cache-dir", os.path.join(workdir, "cache")]
     with mock.patch.object(toeplitz_lab, "_ladder_cache", OrderedDict()):
-        code = cli.main(args + ["--output", out])
+        code, text = run_cli(args, workdir, f"golden_{name}.json")
     if code != 0:
         raise RuntimeError(f"{name}: {' '.join(args)} exited {code}")
-    with open(out) as fh:
-        doc = json.load(fh)
+    doc = json.loads(text)
     return json.dumps(without_pass_bits(doc) if drop else doc, sort_keys=True)
 
 

@@ -16,6 +16,7 @@ from mpmath import mp, mpf
 
 import golden_outputs
 import twlab
+from golden_outputs import FAST, PRECISION, SOLVING, run_cli
 from twlab import checks, cli, painleve2, toeplitz_lab, twdist
 from twlab.precision import PrecisionContext
 
@@ -23,25 +24,6 @@ from twlab.precision import PrecisionContext
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
-
-
-# the commands that read a Hastings-McLeod solution, the only ones that
-# take --cache-dir
-SOLVING = ("eval", "table", "verify", "oracle-compare", "toeplitz-limits")
-
-
-def run_cli(args, workdir, name):
-    out = os.path.join(workdir, name)
-    cache = (["--cache-dir", os.path.join(workdir, "cache")]
-             if args[0] in SOLVING else [])
-    code = cli.main(args + cache + ["--output", out])
-    text = open(out).read() if os.path.exists(out) else ""
-    return code, text
-
-
-# fast solver settings shared by commands that need the BVP solution
-PRECISION = ["--precision-bits", "192"]
-FAST = ["--nodes", "500"] + PRECISION
 
 
 class TestConstants:

@@ -402,7 +402,7 @@ class TestArgumentPrecision:
             self, hm_solution, tail_constants, ctx256, monkeypatch):
         # the same raw bits at ambient 53 and 1000, each run with empty
         # memos: a string x is read at the working precision, a float and
-        # a 300-bit mpf exactly
+        # a 300-bit mpf exactly, by tw_point and by the integral reads
         with mp.workprec(300):
             wide = -mpf(1) / 3 + mpf(2) ** -280
 
@@ -412,8 +412,12 @@ class TestArgumentPrecision:
             sol = dataclasses.replace(hm_solution, _cum_cache={})
             point = [twdist.tw_point(x, sol, tail_constants, ctx256)
                      for x in ("-0.3", -0.3, wide)]
+            cdfs = (twdist.cdf_right("-0.3", sol, ctx256)
+                    + twdist.cdf_left("-2.3", sol, tail_constants, ctx256))
             spec = toeplitz_lab.MomentMatrixSpec(3.0, 6)
             return ([(p.x._mpf_, p.F._mpf_, p.E._mpf_) for p in point],
+                    [v._mpf_ for v in cdfs],
+                    painleve2.integrate_kind(sol, "q", "-0.3", "0.7", ctx256)._mpf_,
                     specialfn.zeta_prime_minus_one(320)._mpf_,
                     [v._mpf_ for v in specialfn.airy_ai("-0.3", 128)],
                     toeplitz_lab.toeplitz_log_det(spec, ctx256)._mpf_)
