@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Tuple, TypeVar
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .errors import PrecisionError, index, positive
 
@@ -61,11 +61,13 @@ class PrecisionContext:
 
 
 def round_to(value, bits: int):
-    """Round a value (or list of values) to ``bits`` mantissa bits."""
-    with mp.workprec(bits):
-        if isinstance(value, (list, tuple)):
-            return type(value)(+v for v in value)
-        return +value
+    """Round an mpf, or each mpf of a list or tuple, to ``bits`` mantissa
+    bits: the raw tuple is rounded to nearest by libmp.mpf_pos, with no
+    precision switch.  The bits are those +value gives under
+    mp.workprec(bits)."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(round_to(v, bits) for v in value)
+    return mp.make_mpf(libmp.mpf_pos(value._mpf_, bits, libmp.round_nearest))
 
 
 def stabilize(

@@ -27,11 +27,14 @@ Algebraic aspects of increasing subsequences, Duke Math. J. 109 (2001):
 
 so the pass to n returns three ladders (_ladder_pass): the plain one to n
 and each +- one to (n - 1) // 2, each a plain record (_Ladder) with its own
-bound, which get_ladder caches together.  Levinson-Durbin is a generic
-Toeplitz solver, not the discrete Painleve II recurrence, and this module
-imports no Painleve module, so kappa and pi stay independent of the route
-they are compared against: twlab.checks, which holds the product-split
-reports (sum_parts_report, e_double_scaling_check), joins the two.
+bound, which get_ladder caches together.  A ladder keeps log D_n exactly
+for every n <= n_cap, the partial sums of its log pivots formed once when
+it is built, so a read of log D_n rounds once and costs O(1) in n.
+Levinson-Durbin is a generic Toeplitz solver, not the discrete Painleve II
+recurrence, and this module imports no Painleve module, so kappa and pi
+stay independent of the route they are compared against: twlab.checks,
+which holds the product-split reports (sum_parts_report,
+e_double_scaling_check), joins the two.
 
 The integer Cholesky of the full moment matrix of a family (linalg.
 cholesky_log_pivots, _cholesky_ladder) is the independent route to its
@@ -105,8 +108,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
@@ -309,25 +312,44 @@ class _Ladder:
     """One family's ladder from one pass: the log pivots log(D_{k+1}/D_k), k
     < n_cap, pi_q(0), 0 < q < n_cap, for the plain family (else empty), the
     bits of the pass, and a bound on the error of each log pivot, each
-    pi_q(0) and each log D_n, n <= n_cap, at the bits the values hold."""
+    pi_q(0) and each log D_n, n <= n_cap, at the bits the values hold.
+
+    It keeps log D_n exactly for every n <= n_cap: log_sums[n] is the raw
+    sum of the first n log pivots, formed with exact libmp adds when the
+    ladder is built.  log_d(n) rounds it once, to nearest: the bits mp.fsum
+    of those pivots gives at the same precision, since fsum sums exactly
+    unless a term lies more than twice that precision below the running
+    sum's last bit, and a log pivot, the log of a pivot on the grid of its
+    pass, lies far closer."""
 
     log_pivots: List[mpf]
     pi0: Dict[int, mpf]
     precision_bits_used: int
     error_bound: mpf
+    log_sums: List[tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log_sums", list(accumulate(
+            (p._mpf_ for p in self.log_pivots),
+            lambda s, p: libmp.mpf_add(s, p, 0), initial=libmp.fzero)))
 
     @property
     def n_cap(self) -> int:
         return len(self.log_pivots)
 
     def log_d(self, n: int) -> mpf:
+        """log D_n, rounded to nearest at max(mp.prec, precision_bits_used
+        + REPORT_GUARD) bits; an n that is not an integer in 0..n_cap raises
+        DomainError."""
+        n = index(n, "n")
         if n < 0 or n > self.n_cap:
             raise DomainError(f"D_{n} not available (ladder up to {self.n_cap})")
-        with mp.workprec(max(mp.prec, self.precision_bits_used + REPORT_GUARD)):
-            return mp.fsum(self.log_pivots[:n]) if n else mpf(0)
+        prec = max(mp.prec, self.precision_bits_used + REPORT_GUARD)
+        return mp.make_mpf(libmp.mpf_pos(self.log_sums[n], prec, _ROUND))
 
     def log_kappa_sq(self, q: int) -> mpf:
         # kappa_q^2 = D_q / D_{q+1}
+        q = index(q, "q")
         if q < 0 or q >= self.n_cap:
             raise DomainError(f"kappa_{q} not available")
         return -self.log_pivots[q]

@@ -6,12 +6,12 @@ import json
 from collections import Counter, OrderedDict
 
 import pytest
-from mpmath import ctx_mp_python, mp, mpf
+from mpmath import ctx_mp_python, libmp, mp, mpf
 
 from twlab import (checks, fredholm_oracle, painleve2, quadrature, specialfn,
                    toeplitz_lab as tl, twdist)
 from twlab.errors import DomainError, PrecisionError
-from twlab.precision import PrecisionContext, round_to
+from twlab.precision import REPORT_GUARD, PrecisionContext, round_to
 
 CTX = PrecisionContext(256, 1e-22)
 
@@ -73,13 +73,15 @@ def bessel_rows(monkeypatch):
     (lambda: specialfn.bessel_i_row(3, 6, 128.0), "bits"),
     (lambda: specialfn.bessel_i_row_error(64.5), "bits"),
     (lambda: specialfn.zeta_prime_minus_one(64.5), "bits"),
+    (lambda: tl.get_ladder(3, "plain", 4, CTX).log_d(2.5), "n"),
+    (lambda: tl.get_ladder(3, "plain", 4, CTX).log_kappa_sq(1.5), "q"),
 ], ids=["spec", "get_ladder", "pi_zero", "d_pm_log", "scan", "selberg_closed",
         "selberg_quadrature", "exact_part", "sum_parts_report",
         "e_double_scaling_check", "context_bits", "f2_fredholm", "build_rule",
         "gauss_legendre", "bessel_i_row", "solve_nodes", "solve_nodes_inf",
         "gauss_legendre_prec", "airy_ai_bits", "airy_ai_tail_integral_bits",
         "airy_ai_walk_grid_bits", "bessel_i_row_bits", "bessel_i_row_error_bits",
-        "zeta_prime_minus_one_bits"])
+        "zeta_prime_minus_one_bits", "ladder_log_d", "ladder_log_kappa_sq"])
 def test_indices_must_be_integers(call, name):
     # an index that is not an integer is refused by name, neither rounded
     # (the scan read q = 2.5 as 2, the closed Selberg form L = 2.5 as a
@@ -180,6 +182,51 @@ class TestNoPerStepMpfWork:
                                 r.log_kappa_sq_airy_pred, r.pi0_airy_pred))
         assert outputs == 327
         assert mpf_ops["make_mpf"] == sum(mpf_ops.values()) == outputs
+
+    def test_cached_reads_do_no_per_pivot_work(self, monkeypatch):
+        # a ladder keeps its exact partial sums, so a cached determinant or
+        # pi_q(0) read sums no pivots and switches no precision: it rounds
+        # one raw tuple
+        tl.get_ladder(30.0, "plain", 71, CTX)
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.update([name])
+                                or fn(*a, **k))
+
+        counted(mp, "fsum")
+        counted(mp, "workprec")
+        counted(libmp, "mpf_add")
+        tl.toeplitz_log_det(tl.MomentMatrixSpec(30.0, 56), CTX)
+        tl.d_pm_log("plus_plus", 27, 30.0, CTX)
+        tl.d_pm_log("minus_plus", 28, 30.0, CTX)
+        tl.pi_zero(40, 30.0, CTX)
+        assert not calls
+
+
+class TestKeptSums:
+    # the old read of log D_n, kept as the reference: the pivots summed by
+    # mp.fsum at the read's precision
+    @staticmethod
+    def fsum_log_d(ladder, n):
+        with mp.workprec(max(mp.prec, ladder.precision_bits_used + REPORT_GUARD)):
+            return mp.fsum(ladder.log_pivots[:n]) if n else mpf(0)
+
+    @pytest.fixture(scope="class")
+    def ladders(self):
+        return ([tl.get_ladder(30.0, kind, n, CTX) for kind, n in
+                 (("plain", 71), ("plus_plus", 35), ("minus_plus", 35))]
+                + [tl._cholesky_ladder(30.0, "plain", 56, CTX)]
+                + [tl.get_ladder(1.0, kind, n, CTX) for kind, n in
+                   (("plain", 120), ("plus_plus", 59), ("minus_plus", 59))])
+
+    @pytest.mark.parametrize("ambient", [53, 1000])
+    def test_kept_sums_give_the_fsum_bits(self, ladders, ambient):
+        with mp.workprec(ambient):
+            for ladder in ladders:
+                for n in range(ladder.n_cap + 1):
+                    assert ladder.log_d(n)._mpf_ == self.fsum_log_d(ladder, n)._mpf_
 
 
 class TestLogDet:
