@@ -314,24 +314,26 @@ class _Ladder:
     bits of the pass, and a bound on the error of each log pivot, each
     pi_q(0) and each log D_n, n <= n_cap, at the bits the values hold.
 
-    It keeps log D_n exactly for every n <= n_cap: log_sums[n] is the raw
-    sum of the first n log pivots, formed with exact libmp adds when the
-    ladder is built.  log_d(n) rounds it once, to nearest: the bits mp.fsum
-    of those pivots gives at the same precision, since fsum sums exactly
-    unless a term lies more than twice that precision below the running
-    sum's last bit, and a log pivot, the log of a pivot on the grid of its
-    pass, lies far closer."""
+    It keeps log D_n exactly for every n <= n_cap: with log_sums = (mans,
+    exp), the sum of the first n log pivots is mans[n] 2^exp, formed with
+    integer adds over the least exponent of the pivots when the ladder is
+    built.  log_d(n) rounds it once, to nearest: the bits mp.fsum of those
+    pivots gives at the same precision, since fsum sums exactly unless a
+    term lies more than twice that precision below the running sum's last
+    bit, and a log pivot, the log of a pivot on the grid of its pass, lies
+    far closer."""
 
     log_pivots: List[mpf]
     pi0: Dict[int, mpf]
     precision_bits_used: int
     error_bound: mpf
-    log_sums: List[tuple] = field(init=False, repr=False, compare=False)
+    log_sums: Tuple[List[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "log_sums", list(accumulate(
-            (p._mpf_ for p in self.log_pivots),
-            lambda s, p: libmp.mpf_add(s, p, 0), initial=libmp.fzero)))
+        raws = [p._mpf_ for p in self.log_pivots]
+        exp = min((e for _, _, e, _ in raws), default=0)
+        object.__setattr__(self, "log_sums", (list(accumulate(
+            ((-m if s else m) << (e - exp) for s, m, e, _ in raws), initial=0)), exp))
 
     @property
     def n_cap(self) -> int:
@@ -345,7 +347,8 @@ class _Ladder:
         if n < 0 or n > self.n_cap:
             raise DomainError(f"D_{n} not available (ladder up to {self.n_cap})")
         prec = max(mp.prec, self.precision_bits_used + REPORT_GUARD)
-        return mp.make_mpf(libmp.mpf_pos(self.log_sums[n], prec, _ROUND))
+        mans, exp = self.log_sums
+        return mp.make_mpf(libmp.from_man_exp(mans[n], exp, prec, _ROUND))
 
     def log_kappa_sq(self, q: int) -> mpf:
         # kappa_q^2 = D_q / D_{q+1}
