@@ -149,20 +149,23 @@ class TestMomentRow:
 
 
 class TestNoPerStepMpfWork:
+    @staticmethod
+    def counted(monkeypatch, targets):
+        """A Counter of the calls, by name, of each (owner, name) target."""
+        calls = Counter()
+        for owner, name in targets:
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name, **k:
+                                calls.update([_name]) or _fn(*a, **k))
+        return calls
+
     @pytest.fixture()
     def mpf_ops(self, monkeypatch):
         """Counts of the mpf arithmetic of mpf objects (ctx_mp_python's
         names) and of mp.make_mpf, under an empty ladder cache."""
-        calls = Counter()
-
-        def counted(owner, name):
-            fn = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a: calls.update([name]) or fn(*a))
-
-        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div",
-                     "mpf_neg"):
-            counted(ctx_mp_python, name)
-        counted(mp, "make_mpf")
+        calls = self.counted(monkeypatch, [(ctx_mp_python, name) for name in (
+            "mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div", "mpf_neg")]
+            + [(mp, "make_mpf")])
         monkeypatch.setattr(tl, "_ladder_cache", OrderedDict())
         return calls
 
@@ -186,18 +189,10 @@ class TestNoPerStepMpfWork:
     def test_cached_reads_do_no_per_pivot_work(self, monkeypatch):
         # a ladder keeps its exact partial sums, so a cached determinant or
         # pi_q(0) read sums no pivots and switches no precision: it rounds
-        # one raw tuple
+        # one kept value
         tl.get_ladder(30.0, "plain", 71, CTX)
-        calls = Counter()
-
-        def counted(owner, name):
-            fn = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, **k: calls.update([name])
-                                or fn(*a, **k))
-
-        counted(mp, "fsum")
-        counted(mp, "workprec")
-        counted(libmp, "mpf_add")
+        calls = self.counted(monkeypatch, [(mp, "fsum"), (mp, "workprec"),
+                                           (libmp, "mpf_add")])
         tl.toeplitz_log_det(tl.MomentMatrixSpec(30.0, 56), CTX)
         tl.d_pm_log("plus_plus", 27, 30.0, CTX)
         tl.d_pm_log("minus_plus", 28, 30.0, CTX)
@@ -207,7 +202,8 @@ class TestNoPerStepMpfWork:
 
 class TestKeptSums:
     # the old read of log D_n, kept as the reference: the pivots summed by
-    # mp.fsum at the read's precision
+    # mp.fsum at the read's precision.  At 1000 ambient bits both sides
+    # are the exact sums, which carry 486 bits at t = 30 and 582 at t = 1
     @staticmethod
     def fsum_log_d(ladder, n):
         with mp.workprec(max(mp.prec, ladder.precision_bits_used + REPORT_GUARD)):
