@@ -103,8 +103,8 @@ def sum_parts_report(t, x, L: int, M: int, sol, consts, ctx) -> SumPartsReport:
     zp = consts.zeta_prime_minus_one
     with ctx.workprec():
         exact = ladder.log_d(L)
-        airy = mp.fsum(ladder.log_pivots[q - 1] for q in range(L + 1, q_airy_hi + 1))
-        painleve = mp.fsum(ladder.log_pivots[q - 1] for q in range(q_airy_hi + 1, n + 1))
+        airy = ladder.log_ratio(L, q_airy_hi, mp.prec)
+        painleve = ladder.log_ratio(q_airy_hi, n, mp.prec)
         total = -t_mp ** 2 + exact + airy + painleve
         m_mp = mpf(M)
         exact_limit = toeplitz_lab._exact_part_bracket(L, t_mp, zp)

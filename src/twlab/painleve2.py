@@ -14,11 +14,11 @@ reference nodes go on it once, and the nodes, the scales 2/h and 4/h^2 and
 D1 are formed from them in integers, with no mpf operation per node.  D1 is
 exactly skew-centrosymmetric on the grid, so D2 = D1 D1 is exactly
 centrosymmetric, and every dot with either is folded by parity, as the DCT
-below is, at half the products.  u and r stay on the grid.  Each float64
-value (the warm start, then each step) enters it as a short integer and a
-shift read from np.frexp, and each row of D u is built and updated from
-those alone, by short products.  numpy is imported only by the solve;
-reading a stored solution never needs it.
+below is by columns, at half the products.  u and r stay on the grid.
+Each float64 value (the warm start, then each step) enters it as a short
+integer and a shift read from np.frexp, and each row of D u is built and
+updated from those alone, by short products.  numpy is imported only by
+the solve; reading a stored solution never needs it.
 One-sided shooting is useless here: the wanted solution is a separatrix and
 the growing modes amplify like exp(c |x|^(3/2)) from either end, which is
 exactly why the two-point formulation is mandatory.
@@ -28,7 +28,7 @@ Every read goes through one integer table (_Table) per read, integrand and
 precision, built whole for that read: _points for q and q' at a point,
 _integrals for the integrals of q and R.  Both start from each element's
 exact Chebyshev coefficients (_coefficients), an integer DCT-I of its nodal
-values folded by the matrix's parity, with no mpf operation per node: the
+values folded by the matrix's parities, with no mpf operation per node: the
 stored values go on each element's grid from their raw mantissas
 (fixedpoint.row_to_grid), R's nodal values are formed in integers from the
 edges and the reference nodes, each put on one exact grid once per
@@ -771,9 +771,13 @@ def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
     +-1, 1/2 and 1/4, so the entry formed in mpf is that factor times P_m,
     and truncation toward zero commutes with a right shift
     (trunc(trunc(a) / 2^k) = trunc(a / 2^k)), so its integer is P_m's
-    shifted.  Entry (n, p - j) is (-1)^n times entry (n, j) and truncation
-    toward zero is odd, so these columns determine the integer matrix
-    (_dct).  Memoised per (p, bits)."""
+    shifted.  Both folds of _dct rest on P_(p-m) = -P_m for the integers:
+    cos(pi (p - m)/p) = -cos(pi m/p) and truncation toward zero is odd, and
+    the test suite checks the integers for p <= 48 at widths 64 to 1024
+    bits.  By it entry (n, p - j) is (-1)^n entry (n, j), so these columns
+    determine the integer matrix, and entry (p - n, j) is (-1)^(p+j) entry
+    (n, j), so its rows n <= p/2 do; _dct reads only those, a quarter of
+    the products for even p.  Memoised per (p, bits)."""
     key = (p, bits)
     if key in _dct_cache:
         return _dct_cache[key]
@@ -795,9 +799,17 @@ def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
 
 def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
     """The exact integer DCT-I of the p + 1 values by the matrix whose first
-    floor(p/2) + 1 columns are ``rows`` (_dct_on_grid), folded by its parity:
-    c_n is the dot of row n with f_j + (-1)^n f_(p-j), j < p/2, and f_(p/2)
-    when p is even, half the products of the full matrix."""
+    floor(p/2) + 1 columns are ``rows`` (_dct_on_grid), folded by its two
+    parities, which both rest on P_(p-m) = -P_m.  Entry (n, p - j) is
+    (-1)^n entry (n, j), so c_n is the dot of row n with the folded values
+    g_j = f_j + (-1)^n f_(p-j), j < p/2, and f_(p/2) when p is even.  Entry
+    (p - n, j) is (-1)^(p+j) entry (n, j), so only rows n <= p/2 are read:
+    with A and B the dots of row n's even-j and odd-j columns with the g of
+    n, c_n = A + B, and with A' and B' those with the g of p - n,
+    c_(p-n) = (-1)^p (A' - B').  For even p, n and p - n share a parity, so
+    A' = A and B' = B are reused: a quarter of the full matrix's products
+    (169 of 625 at p = 24); for odd p, the same loop forms A' and B' from
+    the other folded values, half the products."""
     p = len(values) - 1
     head = values[:len(rows[0])]
     tail = values[::-1]
@@ -805,8 +817,20 @@ def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
     odd = [a - b for a, b in zip(head, tail)]
     if p % 2 == 0:
         even[-1] = odd[-1] = values[p // 2]
+    folded = [(g[::2], g[1::2]) for g in (even, odd)]
+    sign = -1 if p & 1 else 1
     dot = fixedpoint.dot
-    return [dot(row, odd if n & 1 else even) for n, row in enumerate(rows)]
+    out = [0] * (p + 1)
+    for n in range(p // 2 + 1):
+        row = rows[n]
+        re, ro = row[::2], row[1::2]
+        ge, go = folded[n & 1]
+        a, b = dot(re, ge), dot(ro, go)
+        me, mo = folded[(p - n) & 1]
+        ma, mb = (a, b) if me is ge else (dot(re, me), dot(ro, mo))
+        out[p - n] = sign * (ma - mb)
+        out[n] = a + b  # last, so c_(p/2) is A + B
+    return out
 
 
 # the integrands integrate_kind accepts
@@ -819,10 +843,11 @@ def _coefficients(solution: HMSolution, kind: str,
     in t in [-1, 1] of the degree-p interpolant of ``kind`` at ``bits``
     bits, a DCT-I of the nodal values at the Lobatto points (Trefethen,
     ATAP, ch. 3).  Each is one exact integer dot of the matrix
-    (_dct_on_grid, folded by its parity in _dct) with the element's values
-    on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the largest:
-    q and q' by row_to_grid of the stored values, R formed in integers
-    (_r_row)."""
+    (_dct_on_grid, folded by its column and row parities in _dct, a quarter
+    of the products for even p: 169 of 625 at p = 24) with the element's
+    values on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the
+    largest: q and q' by row_to_grid of the stored values, R formed in
+    integers (_r_row)."""
     dct_frac, dct = _dct_on_grid(solution.p, bits)
     width = bits + REPORT_GUARD + _READ_GUARD
     values = solution._elem_q if kind == "q" else solution._elem_qp
@@ -948,10 +973,14 @@ def _integral(table: _Table, e: int, t: int, start: tuple, wp: int) -> mpf:
 def read_point(x, ctx: PrecisionContext) -> mpf:
     """x as an mpf whatever the ambient mp.prec, the one read of x by the
     integrals and tw_point: an mpf, int or float exactly, with no switch of
-    the global mp.prec, anything else (a string) rounded to nearest at the
-    working precision precision_bits + REPORT_GUARD."""
+    the global mp.prec; anything else must pass errors.real (DomainError
+    naming x) and is rounded to nearest at the working precision
+    precision_bits + REPORT_GUARD, so a string is read to that precision.
+    An mpf or float nan or inf is refused by the window check
+    (_Table.locate)."""
     if isinstance(x, (mpf, int, float)):
         return mp.convert(x)
+    real(x, "x")
     with mp.workprec(ctx.precision_bits + REPORT_GUARD):
         return mp.convert(x)
 

@@ -317,7 +317,8 @@ class _Ladder:
     It keeps log D_n exactly for every n <= n_cap: with log_sums = (mans,
     exp), the sum of the first n log pivots is mans[n] 2^exp, formed with
     integer adds over the least exponent of the pivots when the ladder is
-    built.  log_d(n) rounds it once, to nearest: the bits mp.fsum of those
+    built.  log_d(n) rounds it once, to nearest, and so does log_ratio(lo,
+    hi) the difference mans[hi] - mans[lo]: the bits mp.fsum of those
     pivots gives at the same precision, since fsum sums exactly unless a
     term lies more than twice that precision below the running sum's last
     bit, and a log pivot, the log of a pivot on the grid of its pass, lies
@@ -347,8 +348,16 @@ class _Ladder:
         if n < 0 or n > self.n_cap:
             raise DomainError(f"D_{n} not available (ladder up to {self.n_cap})")
         prec = max(mp.prec, self.precision_bits_used + REPORT_GUARD)
+        return self.log_ratio(0, n, prec)
+
+    def log_ratio(self, lo: int, hi: int, prec: int) -> mpf:
+        """log(D_hi / D_lo), the sum of the log pivots lo..hi - 1 for
+        0 <= lo <= hi <= n_cap: one exact difference of log_sums, rounded
+        once to nearest at ``prec`` bits, the bits mp.fsum of those pivots
+        gives at prec."""
         mans, exp = self.log_sums
-        return mp.make_mpf(libmp.from_man_exp(mans[n], exp, prec, _ROUND))
+        return mp.make_mpf(libmp.from_man_exp(mans[hi] - mans[lo], exp, prec,
+                                              _ROUND))
 
     def log_kappa_sq(self, q: int) -> mpf:
         # kappa_q^2 = D_q / D_{q+1}

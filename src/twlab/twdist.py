@@ -210,8 +210,10 @@ def cdf_right(x, sol: painleve2.HMSolution, ctx: PrecisionContext) -> Tuple[mpf,
 
 def cdf_left(x, sol: painleve2.HMSolution, consts: TailConstants,
              ctx: PrecisionContext) -> Tuple[mpf, mpf]:
-    """(F(x), E(x)) from the integrals toward -infinity (x < 0)."""
-    if not mpf(x) < 0:
+    """(F(x), E(x)) from the integrals toward -infinity (x < 0), x read
+    once (painleve2.read_point)."""
+    x = painleve2.read_point(x, ctx)
+    if not x < 0:
         raise DomainError("left representation requires x < 0")
     u = painleve2.cumulative_integrals(sol, x, ctx)
     return tuple(map(mp.make_mpf, _cdf(_left(sol, consts, ctx).k, u, ctx)))

@@ -740,12 +740,13 @@ class TestSpectralIntegration:
         digest = hashlib.sha256(json.dumps(reads).encode()).hexdigest()
         assert digest == TestReadWindow.READS_SHA256
 
-    @pytest.mark.parametrize("p", [8, 16, 24, 25, 36, 48])
+    @pytest.mark.parametrize("p", [2, 3, 8, 16, 24, 25, 36, 48])
     def test_dct_matrix_is_parity_symmetric(self, p, monkeypatch):
-        # entry (n, p - j) is (-1)^n entry (n, j) exactly, so the columns
-        # _dct_on_grid keeps determine the matrix and the folded _dct gives
-        # the integers of the full product; its p + 1 cosines give the
-        # integers of all 2p, since cos(pi (2p - m)/p) = cos(pi m/p)
+        # entry (n, p - j) is (-1)^n entry (n, j) and entry (p - n, j) is
+        # (-1)^(p+j) entry (n, j) exactly, so the rows n <= p/2 of the
+        # columns _dct_on_grid keeps determine the matrix and the folded
+        # _dct gives the integers of the full product; its p + 1 cosines
+        # give the integers of all 2p, since cos(pi (2p - m)/p) = cos(pi m/p)
         monkeypatch.setattr(painleve2, "_dct_cache", {})
         rng = random.Random(p)
         for bits in (64, 128, 192, 256, 300, 512, 600, 1024):
@@ -753,12 +754,26 @@ class TestSpectralIntegration:
             for n, row in enumerate(full):
                 sign = -1 if n % 2 else 1
                 assert all(row[p - j] == sign * row[j] for j in range(p + 1))
+                assert all(full[p - n][j] == (-1) ** (p + j) * row[j]
+                           for j in range(p + 1))
             frac, rows = painleve2._dct_on_grid(p, bits)
             assert frac == bits + painleve2._READ_GUARD
             assert rows == [row[:p // 2 + 1] for row in full]
             values = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(p + 1)]
             assert painleve2._dct(rows, values) == [fixedpoint.dot(row, values)
                                                     for row in full]
+
+    def test_dct_reads_a_quarter_of_the_products(self, hm_solution, monkeypatch):
+        # at p = 24 each element's DCT multiplies 13 rows by 13 folded
+        # columns, 169 pairs, against 325 with the column fold alone and 625
+        # for the full matrix
+        assert hm_solution.p == 24
+        pairs = []
+        dot = fixedpoint.dot
+        monkeypatch.setattr(fixedpoint, "dot", lambda xs, ys: pairs.append(
+            min(len(xs), len(ys))) or dot(xs, ys))
+        painleve2._coefficients(hm_solution, "q", 256)
+        assert sum(pairs) == 169 * hm_solution.elements
 
     @pytest.mark.parametrize("p", [2, 3, 8, 24, 25, 48])
     def test_dct_columns_match_their_literal_definition(self, p, monkeypatch):

@@ -121,13 +121,23 @@ def test_indices_below_their_least(call, message):
     (lambda: PrecisionContext(256, "abc"), "tolerance"),
     (lambda: PrecisionContext(256, float("inf")), "tolerance"),
     (lambda: PrecisionContext(256, mpf(-1)), "tolerance"),
+    (lambda: twdist.tw_point("abc", None, None, CTX), "x"),
+    (lambda: twdist.tw_point(None, None, None, CTX), "x"),
+    (lambda: twdist.tw_point(1j, None, None, CTX), "x"),
+    (lambda: twdist.cdf_left("abc", None, None, CTX), "x"),
+    (lambda: twdist.cdf_right(None, None, CTX), "x"),
+    (lambda: painleve2.cumulative_integrals(None, "abc", CTX), "x"),
+    (lambda: painleve2.integrate_kind(None, "q", 0, 1j, CTX), "x"),
 ], ids=["guard_bits", "spec", "build_rule", "f2_fredholm", "solve_x_right",
         "solve_x_left", "airy_ai", "bessel_i_row", "airy_ai_tail_integral",
-        "tolerance_str", "tolerance_inf", "tolerance_negative"])
+        "tolerance_str", "tolerance_inf", "tolerance_negative", "tw_point_str",
+        "tw_point_none", "tw_point_complex", "cdf_left", "cdf_right",
+        "cumulative_integrals", "integrate_kind"])
 def test_reals_must_be_finite(call, name):
     # a real argument that is not a finite real is refused by name before
     # any work, not left to fail as a TypeError, a bare ValueError or a
-    # fixed-point grid error further in
+    # fixed-point grid error further in; an x is checked before the
+    # solution is read, so none is needed here
     with pytest.raises(DomainError, match=f"^{name} must be a finite real"):
         call()
 
@@ -714,6 +724,28 @@ class TestTelescoping:
     def test_window_validation(self, hm_solution, tail_constants):
         with pytest.raises(DomainError):
             checks.sum_parts_report(7.0, -1.0, 11, 2, hm_solution, tail_constants, CTX)
+
+    @pytest.mark.parametrize("ambient", [53, 1000])
+    @pytest.mark.parametrize("t, L, M", [(20.0, 4, 4), (20.0, 8, 4), (30.0, 6, 3),
+                                         (10.0, 3, 3)])
+    def test_parts_keep_the_bits_of_fsum(self, t, L, M, ambient, hm_solution,
+                                         tail_constants):
+        # the Airy and Painleve parts at x = -1 (verify's telescoping rows
+        # and toeplitz-limits' cases), each one exact difference of the
+        # ladder's kept sums rounded once, against mp.fsum of the log pivots
+        # at the working precision, whatever the ambient precision
+        n = tl.scaling_index(t, -1.0, CTX)[0]
+        hi = tl.scaling_index(t, -M, CTX)[0] - 1
+        ladder = tl.get_ladder(t, "plain", n, CTX)
+        with mp.workprec(ambient):
+            rep = checks.sum_parts_report(t, -1.0, L, M, hm_solution,
+                                          tail_constants, CTX)
+            with CTX.workprec():
+                for part, lo, up in (("airy", L, hi), ("painleve", hi, n)):
+                    want = mp.fsum(ladder.log_pivots[lo:up])
+                    got = ladder.log_ratio(lo, up, mp.prec)
+                    assert got._mpf_ == want._mpf_
+                    assert rep.parts[part][0] == round_to(want, CTX.precision_bits)
 
     @pytest.mark.parametrize("report, M", [
         (checks.sum_parts_report, 0), (checks.sum_parts_report, -3),
