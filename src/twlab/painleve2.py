@@ -13,8 +13,8 @@ integers (twlab.fixedpoint) on one grid 2^-F per mesh: the edges and the
 reference nodes go on it once, and the nodes, the scales 2/h and 4/h^2 and
 D1 are formed from them in integers, with no mpf operation per node.  D1 is
 exactly skew-centrosymmetric on the grid, so D2 = D1 D1 is exactly
-centrosymmetric, and every dot with either is folded by parity, as the DCT
-below is by columns, at half the products.  u and r stay on the grid.
+centrosymmetric, and every dot with either is folded by parity, at half
+the products (the DCT below folds to a quarter).  u and r stay on the grid.
 Each float64 value (the warm start, then each step) enters it as a short
 integer and a shift read from np.frexp, and each row of D u is built and
 updated from those alone, by short products.  numpy is imported only by
