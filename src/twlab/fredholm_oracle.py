@@ -12,13 +12,16 @@ The path from the rule to the generators runs on Python integers
 (twlab.fixedpoint); after the Gauss-Legendre rule is read, no mpf
 operation runs per node.  build_rule maps the Gauss nodes and weights on
 the grid 2^-Q, Q = ctx.precision_bits + 48, one floor each, and returns
-those integers.  Ai and Ai' at the nodes come from one
-specialfn.airy_ai_walk_grid down from u_cut on that grid: a full-precision
-start there (about u = 16.35 for every x <= 15, so the walk's memo serves
-every such x), then Taylor steps down the ascending nodes from the
-recurrence of Ai'' = u Ai (DLMF 9.2.1), each an exact difference of the
-nodes.  Walking down is stable because Ai is the recessive solution as u
-grows, so the relative error of the start is carried, not amplified.
+those integers; the reference nodes and weights on [-1, 1], which do not
+depend on x, are put on that grid once per (m, precision) and kept
+(_reference_rule), so a new x costs only their map.  Ai and Ai' at the
+nodes come from one specialfn.airy_ai_walk_grid down from u_cut on that
+grid: a full-precision start there (about u = 16.35 for every x <= 15,
+so the walk's memo serves every such x), then Taylor steps down the
+ascending nodes from the recurrence of Ai'' = u Ai (DLMF 9.2.1), each an
+exact difference of the nodes.  Walking down is stable because Ai is the
+recessive solution as u grows, so the relative error of the start is
+carried, not amplified.
 
 The kernel is integrable, which is what ties F2 to Painleve II: with a_i =
 sqrt(w_i) Ai(u_i) and b_i = sqrt(w_i) Ai'(u_i), the symmetrized matrix
@@ -34,7 +37,9 @@ product and one shift (its docstring states their error in units of
 2^-F).  Its determinant is the product of the pivots of
 linalg.cauchy_schur_pivots, a generalized Schur pass on the generators in
 O(m^2) integer operations (the O(m^3) Cholesky of the assembled matrix is
-left to the Toeplitz lab).  The pass states its backward error on the grid
+left to the Toeplitz lab), multiplied in integers, cut to F + 64 bits
+whenever it grows longer, and rounded once to F bits (_pivot_product).
+The pass states its backward error on the grid
 (linalg.cauchy_schur_entry_error, from the largest generator or multiplier
 it held, the node span and gap, and m): 2^(21.6-F) at x = 4 to
 2^(27.9-F) at x = -8 per entry for m = 80.
@@ -55,9 +60,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from . import specialfn
 from .errors import InternalConsistencyError, PrecisionError, index, real
@@ -103,10 +108,27 @@ def _truncation_point(x: float) -> float:
     return max(u, x + 1.0)
 
 
+_reference_rule_cache: Dict[Tuple[int, int, int], Tuple[List[int], List[int]]] = {}
+
+
+def _reference_rule(m: int, prec: int, q: int) -> Tuple[List[int], List[int]]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1] at prec bits
+    (quadrature.gauss_legendre), truncated onto the grid 2^-q: the part of
+    every rule that does not depend on x, memoised per (m, prec, q)."""
+    key = (m, prec, q)
+    if key not in _reference_rule_cache:
+        xs, ws = gauss_legendre(m, prec)
+        _reference_rule_cache[key] = ([to_grid(v, q) for v in xs],
+                                      [to_grid(v, q) for v in ws])
+    return _reference_rule_cache[key]
+
+
 def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
     """m-point Gauss-Legendre rule pushed through u = x + 10 (1+s)/(1-s),
     mapped on the grid 2^-Q, Q = ctx.precision_bits + 48: one floor per
-    node and per weight."""
+    node and per weight.  The reference nodes and weights are put on the
+    grid once per (m, precision) (_reference_rule); only their map to
+    (x, u_cut) is formed per x."""
     index(m, "m", 20)
     u_cut = _truncation_point(real(x, "x"))
     prec = ctx.precision_bits + 32
@@ -118,14 +140,14 @@ def build_rule(x, m: int, ctx: PrecisionContext) -> QuadratureRule:
     span = to_grid(u_cut, q) - left
     s_max = ((span - scale * one) << q) // (span + scale * one)
     half, mid = (s_max + one) >> 1, (s_max - one) >> 1
-    xs, ws = gauss_legendre(m, prec)
+    xs, ws = _reference_rule(m, prec, q)
     nodes: List[int] = []
     weights: List[int] = []
     for s_ref, w_ref in zip(xs, ws):
-        s = mid + (half * to_grid(s_ref, q) >> q)
+        s = mid + (half * s_ref >> q)
         nodes.append(left + ((scale * (one + s)) << q) // (one - s))
         # w_ref half du/ds, du/ds = 2 scale / (1 - s)^2
-        weights.append(((2 * scale * half * to_grid(w_ref, q)) << q) // (one - s) ** 2)
+        weights.append(((2 * scale * half * w_ref) << q) // (one - s) ** 2)
     return QuadratureRule(cut=u_cut, node_grid=nodes, weight_grid=weights,
                           frac_bits=q)
 
@@ -166,6 +188,24 @@ def nystrom_matrix(x, m: int, ctx: PrecisionContext) -> NystromGenerators:
     return NystromGenerators(a, b, u, d, frac)
 
 
+def _pivot_product(pivots: List[int], frac_bits: int) -> mpf:
+    """The product of the pivots p_k 2^-F, F = frac_bits, rounded once to
+    nearest at F bits.  The integer product is exact but for one cut: each
+    time it grows past F + 64 bits it is truncated to F + 64, a relative
+    change below 2^-(F+63), so before the one rounding it lies within
+    m 2^-(F+63) relative of the exact product.  The pivots must be
+    positive."""
+    keep = frac_bits + 64
+    man, exp = 1, -len(pivots) * frac_bits
+    for p in pivots:
+        man *= p
+        extra = man.bit_length() - keep
+        if extra > 0:
+            man >>= extra
+            exp += extra
+    return mp.make_mpf(libmp.from_man_exp(man, exp, frac_bits, libmp.round_nearest))
+
+
 def _f2_once(x, m: int, ctx: PrecisionContext) -> mpf:
     gen = nystrom_matrix(x, m, ctx)
     try:
@@ -175,8 +215,7 @@ def _f2_once(x, m: int, ctx: PrecisionContext) -> mpf:
         raise PrecisionError(
             f"the Nystrom rule with m={m} nodes under-resolves the Airy kernel "
             f"at x={x}; take a larger m ({exc})") from exc
-    with mp.workprec(gen.frac_bits):
-        return mp.ldexp(mp.fprod(pivots), -m * gen.frac_bits)
+    return _pivot_product(pivots, gen.frac_bits)
 
 
 def f2_fredholm(x, m: int, ctx: PrecisionContext,

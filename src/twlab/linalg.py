@@ -29,6 +29,19 @@ exact numerator, one floor), l_i = (s 2^F) // d_k, and the three updates
 a_i -= (l_i a_k) >> F, b_i -= (l_i b_k) >> F, d_i -= (l_i s) >> F.  det M
 is the product of the pivots.
 
+The floor l_i is formed from one reciprocal per pivot, R = 2^K // d_k,
+as (s (R + 1)) >> (K - F) for s > 0 and (s R) >> (K - F) otherwise, which
+is exactly (s 2^F) // d_k whenever |s 2^F| d_k < 2^K.  (With N = s 2^F and
+N/d_k = q + r/d_k, 0 <= r < d_k: 2^K/d_k - 1 < R <= 2^K/d_k, so for N > 0
+the product N (R + 1)/2^K lies in (N/d_k, N/d_k + N/2^K], and for N <= 0
+N R/2^K lies in [N/d_k, N/d_k + |N|/2^K); the excess is below 1/d_k and
+the fractional part r/d_k at most 1 - 1/d_k, so the floor is q.)  With T
+the pass's largest entry so far (at least every |a_i| and |b_i| it
+holds) and g the least node gap, both on the grid,
+|s| <= 2 T^2 / g + 1, so K = F + bitlen(2 T^2 // g) + 1 + bitlen(d_k) + 1
+meets the condition at every step: the multipliers, so the pivots and the
+largest entry held, are bit for bit those of the division.
+
 Cholesky.  The input is the lower triangle of the matrix on the grid:
 rows[i][j] = M_ij 2^F, j <= i (entries past the diagonal are not read).
 The factor L (M = L L^T) is kept on the same grid, so every dot product of
@@ -68,7 +81,6 @@ log_det_error turns an entry bound into the change of log det.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import List, Sequence, Tuple
 
 from mpmath import libmp, mp, mpf
@@ -89,12 +101,19 @@ def cauchy_schur_pivots(a: Sequence[int], b: Sequence[int], u: Sequence[int],
     The nodes u must be distinct; no input list is modified.
 
     The generalized Schur pass of the module docstring, in the nodes' order.
+    Each multiplier (s 2^F) // d_k is formed from the pivot's one exact
+    reciprocal 2^K // d_k by a product and a shift, with K sized from the
+    largest entry held so far, the least node gap and d_k so that
+    |s 2^F| d_k < 2^K: under that condition the product gives the floor
+    exactly (module docstring), so the pivots are those of the division.
     A positive definite matrix has positive pivots, so a nonpositive one
     means the matrix (named by ``what``) is wrong or the grid too coarse,
     and raises InternalConsistencyError."""
     a, b, d = list(a), list(b), list(d)
     largest = max(1 << frac_bits, max(map(abs, a)), max(map(abs, b)), max(d))
     n = len(d)
+    nodes = sorted(u)
+    gap = min((hi - lo for lo, hi in zip(nodes, nodes[1:])), default=1)
     pivots: List[int] = []
     for k in range(n):
         ak, bk, uk, dk = a[k], b[k], u[k], d[k]
@@ -102,17 +121,23 @@ def cauchy_schur_pivots(a: Sequence[int], b: Sequence[int], u: Sequence[int],
             raise InternalConsistencyError(
                 f"nonpositive Schur pivot in {what} at index {k}")
         pivots.append(dk)
+        # |s| <= 2 T^2 / g + 1 <= 2^bound, T = largest
+        bound = (2 * largest * largest // gap).bit_length()
+        shift = bound + 1 + dk.bit_length() + 1
+        recip = (1 << (frac_bits + shift)) // dk
+        recip_up = recip + 1
         multipliers = []
         for i in range(k + 1, n):
             ai, bi = a[i], b[i]
             s = (bi * ak - ai * bk) // (u[i] - uk)
-            l = (s << frac_bits) // dk
+            l = (s * (recip_up if s > 0 else recip)) >> shift
             multipliers.append(l)
             a[i] = ai - ((l * ak) >> frac_bits)
             b[i] = bi - ((l * bk) >> frac_bits)
             d[i] -= (l * s) >> frac_bits
-        for held in (multipliers, islice(a, k + 1, None), islice(b, k + 1, None)):
-            largest = max(largest, max(map(abs, held), default=0))
+        for held in (multipliers, a[k + 1:], b[k + 1:]):
+            if held:
+                largest = max(largest, max(held), -min(held))
     return pivots, largest
 
 

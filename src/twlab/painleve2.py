@@ -797,21 +797,37 @@ def _dct_on_grid(p: int, bits: int) -> Tuple[int, List[List[int]]]:
     return _dct_cache.setdefault(key, (frac, rows))
 
 
-def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
-    """The exact integer DCT-I of the p + 1 values by the matrix whose first
-    floor(p/2) + 1 columns are ``rows`` (_dct_on_grid), folded by its two
-    parities, which both rest on P_(p-m) = -P_m.  Entry (n, p - j) is
-    (-1)^n entry (n, j), so c_n is the dot of row n with the folded values
-    g_j = f_j + (-1)^n f_(p-j), j < p/2, and f_(p/2) when p is even.  Entry
-    (p - n, j) is (-1)^(p+j) entry (n, j), so only rows n <= p/2 are read:
-    with A and B the dots of row n's even-j and odd-j columns with the g of
-    n, c_n = A + B, and with A' and B' those with the g of p - n,
-    c_(p-n) = (-1)^p (A' - B').  For even p, n and p - n share a parity, so
-    A' = A and B' = B are reused: a quarter of the full matrix's products
-    (169 of 625 at p = 24); for odd p, the same loop forms A' and B' from
-    the other folded values, half the products."""
+_dct_halves_cache: Dict[Tuple[int, int], Tuple[int, List[Tuple[List[int], List[int]]]]] = {}
+
+
+def _dct_halves(p: int, bits: int) -> Tuple[int, List[Tuple[List[int], List[int]]]]:
+    """(F, halves): the rows n <= p/2 of _dct_on_grid(p, bits), the ones
+    _dct reads, each split into its even-j and odd-j columns.  Memoised per
+    (p, bits) beside the matrix."""
+    key = (p, bits)
+    if key not in _dct_halves_cache:
+        frac, rows = _dct_on_grid(p, bits)
+        _dct_halves_cache[key] = (frac, [(row[::2], row[1::2])
+                                         for row in rows[:p // 2 + 1]])
+    return _dct_halves_cache[key]
+
+
+def _dct(halves: List[Tuple[List[int], List[int]]],
+         values: Sequence[int]) -> List[int]:
+    """The exact integer DCT-I of the p + 1 values by the matrix whose rows
+    n <= p/2, split by column parity, are ``halves`` (_dct_halves), folded
+    by its two parities, which both rest on P_(p-m) = -P_m.  Entry
+    (n, p - j) is (-1)^n entry (n, j), so c_n is the dot of row n with the
+    folded values g_j = f_j + (-1)^n f_(p-j), j < p/2, and f_(p/2) when p
+    is even.  Entry (p - n, j) is (-1)^(p+j) entry (n, j), so only rows
+    n <= p/2 are read: with A and B the dots of row n's even-j and odd-j
+    columns with the g of n, c_n = A + B, and with A' and B' those with the
+    g of p - n, c_(p-n) = (-1)^p (A' - B').  For even p, n and p - n share
+    a parity, so A' = A and B' = B are reused: a quarter of the full
+    matrix's products (169 of 625 at p = 24); for odd p, the same loop
+    forms A' and B' from the other folded values, half the products."""
     p = len(values) - 1
-    head = values[:len(rows[0])]
+    head = values[:p // 2 + 1]
     tail = values[::-1]
     even = [a + b for a, b in zip(head, tail)]
     odd = [a - b for a, b in zip(head, tail)]
@@ -821,9 +837,7 @@ def _dct(rows: List[List[int]], values: Sequence[int]) -> List[int]:
     sign = -1 if p & 1 else 1
     dot = fixedpoint.dot
     out = [0] * (p + 1)
-    for n in range(p // 2 + 1):
-        row = rows[n]
-        re, ro = row[::2], row[1::2]
+    for n, (re, ro) in enumerate(halves):
         ge, go = folded[n & 1]
         a, b = dot(re, ge), dot(ro, go)
         me, mo = folded[(p - n) & 1]
@@ -843,19 +857,20 @@ def _coefficients(solution: HMSolution, kind: str,
     in t in [-1, 1] of the degree-p interpolant of ``kind`` at ``bits``
     bits, a DCT-I of the nodal values at the Lobatto points (Trefethen,
     ATAP, ch. 3).  Each is one exact integer dot of the matrix
-    (_dct_on_grid, folded by its column and row parities in _dct, a quarter
+    (_dct_on_grid, its kept rows split by column parity once in
+    _dct_halves, folded by its column and row parities in _dct, a quarter
     of the products for even p: 169 of 625 at p = 24) with the element's
     values on a grid with bits + REPORT_GUARD + _READ_GUARD bits in the
     largest: q and q' by row_to_grid of the stored values, R formed in
     integers (_r_row)."""
-    dct_frac, dct = _dct_on_grid(solution.p, bits)
+    dct_frac, halves = _dct_halves(solution.p, bits)
     width = bits + REPORT_GUARD + _READ_GUARD
     values = solution._elem_q if kind == "q" else solution._elem_qp
     out = []
     for e in range(solution.elements):
         frac, row = (_r_row(solution, e, width) if kind == "r"
                      else fixedpoint.row_to_grid(values[e], width))
-        out.append((frac + dct_frac, _dct(dct, row)))
+        out.append((frac + dct_frac, _dct(halves, row)))
     return out
 
 
@@ -970,17 +985,17 @@ def _integral(table: _Table, e: int, t: int, start: tuple, wp: int) -> mpf:
                                      libmp.round_nearest))
 
 
-def read_point(x, ctx: PrecisionContext) -> mpf:
-    """x as an mpf whatever the ambient mp.prec, the one read of x by the
-    integrals and tw_point: an mpf, int or float exactly, with no switch of
-    the global mp.prec; anything else must pass errors.real (DomainError
-    naming x) and is rounded to nearest at the working precision
-    precision_bits + REPORT_GUARD, so a string is read to that precision.
-    An mpf or float nan or inf is refused by the window check
+def read_point(x, ctx: PrecisionContext, name: str = "x") -> mpf:
+    """x as an mpf whatever the ambient mp.prec, the one read of a point by
+    the integrals and tw_point: an mpf, int or float exactly, with no switch
+    of the global mp.prec; anything else must pass errors.real (DomainError
+    naming the caller's ``name``) and is rounded to nearest at the working
+    precision precision_bits + REPORT_GUARD, so a string is read to that
+    precision.  An mpf or float nan or inf is refused by the window check
     (_Table.locate)."""
     if isinstance(x, (mpf, int, float)):
         return mp.convert(x)
-    real(x, "x")
+    real(x, name)
     with mp.workprec(ctx.precision_bits + REPORT_GUARD):
         return mp.convert(x)
 
@@ -992,7 +1007,7 @@ def integrate_kind(solution: HMSolution, kind: str, a, b,
     sum per end point, read through _integral as cumulative_integrals is."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrand kind {kind!r}")
-    a, b = read_point(a, ctx), read_point(b, ctx)
+    a, b = read_point(a, ctx, "a"), read_point(b, ctx, "b")
     bits = ctx.precision_bits
     table = solution.cached(("integrals", kind, bits), _integrals, solution, kind, bits)
     (ea, ta), (eb, tb) = (table.locate(x) for x in (a, b))

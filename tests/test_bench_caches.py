@@ -44,11 +44,12 @@ def test_clear_caches_empties_every_memo(monkeypatch):
     quadrature.gauss_legendre(20, 128)
     specialfn.zeta_prime_minus_one(128)
     specialfn.airy_ai(1, 128)                        # the Airy constants
-    fredholm_oracle.nystrom_matrix(-4, 20, ctx)      # a walk start
-    painleve2._dct_on_grid(24, 128)
+    fredholm_oracle.nystrom_matrix(-4, 20, ctx)      # a walk start, the rule
+    painleve2._dct_halves(24, 128)                   # the matrix, its halves
     filled = {name for _, name, value in _memos() if value}
     assert filled >= {"_ladder_cache", "_rule_cache", "_zeta_cache",
-                      "_airy_const_cache", "_walk_start_cache", "_dct_cache"}
+                      "_airy_const_cache", "_walk_start_cache", "_dct_cache",
+                      "_dct_halves_cache", "_reference_rule_cache"}
     workloads.clear_caches()
     assert [name for _, name, value in _memos() if value] == []
 

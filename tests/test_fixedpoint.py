@@ -117,6 +117,7 @@ def test_integer_loops_do_not_call_mp_fdot(hm_solution, monkeypatch):
     sol = painleve2.HMSolution.from_json(hm_solution.to_json())
     monkeypatch.setattr(quadrature, "_rule_cache", {})
     monkeypatch.setattr(painleve2, "_dct_cache", {})
+    monkeypatch.setattr(painleve2, "_dct_halves_cache", {})
     monkeypatch.setattr(toeplitz_lab, "_ladder_cache", OrderedDict())
     monkeypatch.setattr(mp, "fdot", no_fdot)
     painleve2.solve_hastings_mcleod(-8, 6, 200, PrecisionContext(64, 1e-12))

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
+from itertools import islice
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from twlab import fredholm_oracle, specialfn
 from twlab.errors import DomainError, InternalConsistencyError, PrecisionError
@@ -37,6 +39,32 @@ def _lower_triangle(gen):
     a, b, u, d, _ = gen
     return [[(b[i] * a[j] - a[i] * b[j]) // (u[i] - u[j]) for j in range(i)] + [d[i]]
             for i in range(len(d))]
+
+
+def _division_schur(a, b, u, d, frac):
+    # the Schur pass with each multiplier one floor division by its pivot,
+    # the reference for cauchy_schur_pivots' reciprocal rule
+    a, b, d = list(a), list(b), list(d)
+    largest = max(1 << frac, max(map(abs, a)), max(map(abs, b)), max(d))
+    pivots = []
+    for k in range(len(d)):
+        pivots.append(d[k])
+        held = []
+        for i in range(k + 1, len(d)):
+            s = (b[i] * a[k] - a[i] * b[k]) // (u[i] - u[k])
+            l = (s << frac) // d[k]
+            held.append(l)
+            a[i] -= (l * a[k]) >> frac
+            b[i] -= (l * b[k]) >> frac
+            d[i] -= (l * s) >> frac
+        for vs in (held, islice(a, k + 1, None), islice(b, k + 1, None)):
+            largest = max(largest, max(map(abs, vs), default=0))
+    return pivots, largest
+
+
+# the (m, x) of the Schur and pivot-product checks
+SCHUR_CASES = ([(m, x) for m in (40, 80, 160) for x in (-8, -2, 0, 4, 10)]
+               + [(80, -12)])
 
 
 class TestKernel:
@@ -126,6 +154,22 @@ class TestKernel:
                                    + mp.ldexp(1, -frac), inv_norm))
             assert tol < mpf(2) ** -200
             assert abs(schur - chol) <= tol
+
+    @pytest.mark.parametrize("m, x", SCHUR_CASES)
+    def test_schur_pivots_match_the_division_pass(self, m, x):
+        # the reciprocal per pivot gives every multiplier exactly, so the
+        # pivots and the largest entry held are bit for bit the division's
+        gen = fredholm_oracle.nystrom_matrix(x, m, CTX)
+        assert cauchy_schur_pivots(*gen, "Nystrom matrix") == _division_schur(*gen)
+
+    @pytest.mark.parametrize("m, x", SCHUR_CASES)
+    def test_pivot_product_is_rounded_once(self, m, x):
+        # the product cut to F + 64 bits is the exact product rounded once
+        gen = fredholm_oracle.nystrom_matrix(x, m, CTX)
+        pivots, _ = cauchy_schur_pivots(*gen, "Nystrom matrix")
+        frac = gen.frac_bits
+        want = libmp.from_man_exp(math.prod(pivots), -m * frac, frac, libmp.round_nearest)
+        assert fredholm_oracle._pivot_product(pivots, frac)._mpf_ == want
 
     def test_operator_norm_above_one_raises(self):
         # generators scaled by 2 scale the kernel by 4, so ||K|| > 1 and the

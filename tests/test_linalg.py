@@ -1,6 +1,7 @@
 """The fixed-point Schur and Cholesky log-determinants."""
 
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -85,3 +86,47 @@ def test_schur_nonpositive_pivot_raises():
                        match="Schur pivot in singular test matrix at index 1"):
         cauchy_schur_pivots([one, 0], [0, one], [0, one], [one, one], 64,
                             "singular test matrix")
+
+
+def _reciprocal_floor(s, d, frac, k):
+    # cauchy_schur_pivots' multiplier rule: (s 2^F) // d from R = 2^K // d
+    recip = (1 << k) // d
+    return (s * (recip + 1 if s > 0 else recip)) >> (k - frac)
+
+
+def test_reciprocal_floor_is_exact_below_its_bound():
+    # the rule equals the floor whenever |s 2^F| d < 2^K, over seeded cases
+    # with d = 1, powers of two and random d, and s = 0, +-1, a multiple of
+    # d, random, or with |s| at the largest value the condition allows
+    rng = random.Random(2007)
+    for case in range(2000):
+        frac = rng.randint(0, 320)
+        shape = case % 3
+        d = (1 if shape == 0 else 1 << rng.randint(1, 320) if shape == 1
+             else rng.getrandbits(rng.randint(2, 400)) | 1)
+        k = frac + d.bit_length() + rng.randint(1, 320)
+        limit = ((1 << k) - 1) // (d << frac)   # the largest |s| allowed
+        pick = case % 5
+        s = (rng.choice((-1, 1)) if pick == 0
+             else rng.choice((-limit, limit)) if pick == 1
+             else d * rng.randint(-(limit // d), limit // d) if pick == 2
+             else 0 if pick == 3 and case % 10 == 3
+             else rng.randint(-limit, limit))
+        assert abs(s << frac) * d < 1 << k
+        assert _reciprocal_floor(s, d, frac, k) == (s << frac) // d
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_schur_multiplier_that_is_an_exact_quotient(sign):
+    # u = (0, 1), a = (1, 0), b = (0, +-3/2), d = (3, 1): M_10 = +-3/2, so
+    # the multiplier M_10 / d_0 = +-1/2 is an exact quotient by a pivot that
+    # is no power of two, where the reciprocal 2^K // d_0 lies below 2^K / d_0;
+    # the second pivot is 1 - (1/2)(3/2) = 1/4 exactly, and a multiplier one
+    # unit off would move it by a unit or more
+    frac = 64
+    one = 1 << frac
+    pivots, largest = cauchy_schur_pivots(
+        [one, 0], [0, sign * 3 * one // 2], [0, one], [3 * one, one], frac,
+        "test matrix")
+    assert pivots == [3 * one, one // 4]
+    assert largest == 3 * one

@@ -712,6 +712,7 @@ class TestSpectralIntegration:
         # (_dct_on_grid), and forms no point table, which no integral
         # reads; later q_at and q_prime_at form theirs, bit for bit
         monkeypatch.setattr(painleve2, "_dct_cache", {})
+        monkeypatch.setattr(painleve2, "_dct_halves_cache", {})
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         calls = collections.Counter()
 
@@ -748,6 +749,7 @@ class TestSpectralIntegration:
         # _dct gives the integers of the full product; its p + 1 cosines
         # give the integers of all 2p, since cos(pi (2p - m)/p) = cos(pi m/p)
         monkeypatch.setattr(painleve2, "_dct_cache", {})
+        monkeypatch.setattr(painleve2, "_dct_halves_cache", {})
         rng = random.Random(p)
         for bits in (64, 128, 192, 256, 300, 512, 600, 1024):
             full = _full_dct_on_grid(p, bits)
@@ -760,8 +762,9 @@ class TestSpectralIntegration:
             assert frac == bits + painleve2._READ_GUARD
             assert rows == [row[:p // 2 + 1] for row in full]
             values = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(p + 1)]
-            assert painleve2._dct(rows, values) == [fixedpoint.dot(row, values)
-                                                    for row in full]
+            _, halves = painleve2._dct_halves(p, bits)
+            assert painleve2._dct(halves, values) == [fixedpoint.dot(row, values)
+                                                      for row in full]
 
     def test_dct_reads_a_quarter_of_the_products(self, hm_solution, monkeypatch):
         # at p = 24 each element's DCT multiplies 13 rows by 13 folded
@@ -941,17 +944,18 @@ class TestTablePin:
                     list(map(int, table.left_end))]
 
         monkeypatch.setattr(painleve2, "_dct_cache", {})
+        monkeypatch.setattr(painleve2, "_dct_halves_cache", {})
         doc = [painleve2._dct_on_grid(24, 256)]
         sol = painleve2.HMSolution.from_json(hm_solution.to_json())
         for bits in (256, 192):
             width = bits + REPORT_GUARD + painleve2._READ_GUARD
-            dct_frac, dct = painleve2._dct_on_grid(sol.p, bits)
+            dct_frac, halves = painleve2._dct_halves(sol.p, bits)
             for kind in ("q", "qp", "r"):
                 values = sol._elem_q if kind == "q" else sol._elem_qp
                 grids = [painleve2._r_row(sol, e, width) if kind == "r"
                          else fixedpoint.row_to_grid(values[e], width)
                          for e in range(sol.elements)]
-                doc.append([kind, bits, [(frac + dct_frac, painleve2._dct(dct, row))
+                doc.append([kind, bits, [(frac + dct_frac, painleve2._dct(halves, row))
                                          for frac, row in grids]])
                 points = painleve2._points(sol, kind, bits)
                 if kind == "qp":

@@ -127,12 +127,13 @@ def test_indices_below_their_least(call, message):
     (lambda: twdist.cdf_left("abc", None, None, CTX), "x"),
     (lambda: twdist.cdf_right(None, None, CTX), "x"),
     (lambda: painleve2.cumulative_integrals(None, "abc", CTX), "x"),
-    (lambda: painleve2.integrate_kind(None, "q", 0, 1j, CTX), "x"),
+    (lambda: painleve2.integrate_kind(None, "q", 0, 1j, CTX), "b"),
+    (lambda: painleve2.integrate_kind(None, "q", "abc", 0, CTX), "a"),
 ], ids=["guard_bits", "spec", "build_rule", "f2_fredholm", "solve_x_right",
         "solve_x_left", "airy_ai", "bessel_i_row", "airy_ai_tail_integral",
         "tolerance_str", "tolerance_inf", "tolerance_negative", "tw_point_str",
         "tw_point_none", "tw_point_complex", "cdf_left", "cdf_right",
-        "cumulative_integrals", "integrate_kind"])
+        "cumulative_integrals", "integrate_kind", "integrate_kind_a"])
 def test_reals_must_be_finite(call, name):
     # a real argument that is not a finite real is refused by name before
     # any work, not left to fail as a TypeError, a bare ValueError or a
