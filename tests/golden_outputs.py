@@ -7,7 +7,12 @@ rewrites every file; its git diff is the review of a change of printed
 bytes.  `verify` is pinned whole at FAST, as json.dumps(doc,
 sort_keys=True).  The Toeplitz documents are pinned less the fields that
 report the pass's bits and bound (without_pass_bits): the values do not
-depend on the guard, which the bits and bounds tests hold on their own."""
+depend on the guard, which the bits and bounds tests hold on their own.
+
+gauss_legendre.json pins the Gauss-Legendre rules of RULE_PINS bit for
+bit: one line per node or weight, [n, prec, kind, index] and the value's
+raw mpf tuple (sign, mantissa in hex, exponent, bit count), so the diff of
+a change to the rule shows each value that moved."""
 
 import json
 import os
@@ -17,7 +22,7 @@ import tempfile
 from collections import OrderedDict
 from unittest import mock
 
-from twlab import cli, toeplitz_lab
+from twlab import cli, quadrature, toeplitz_lab
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -39,6 +44,55 @@ DOCUMENTS = {
     "limits_e_side": (["toeplitz-limits", "--t", "10", "--x", "-1", "--L", "2",
                        "--M", "3", "--e-side"] + FAST, True),
 }
+
+# (n, prec) of the pinned Gauss-Legendre rules: NODE_PINS for their nodes,
+# RULE_PINS for nodes and weights, odd n (0 in the middle) and even n
+NODE_PINS = [(20, 128), (36, 280), (80, 288), (96, 288)]
+RULE_PINS = [(1, 64), (20, 128), (21, 128), (61, 272)]
+RULES_FILE = GOLDEN / "gauss_legendre.json"
+
+
+def pinned_kinds(n: int, prec: int) -> tuple:
+    """What gauss_legendre.json pins of the rule (n, prec)."""
+    return ("nodes", "weights") if (n, prec) in RULE_PINS else ("nodes",)
+
+
+def rule_rows(n: int, prec: int) -> list:
+    """The pinned form of quadrature.gauss_legendre(n, prec): one row
+    [n, prec, kind, index, sign, hex mantissa, exponent, bit count] per
+    node, then per weight if the weights are pinned."""
+    xs, ws = quadrature.gauss_legendre(n, prec)
+    return [[n, prec, kind, i, v._mpf_[0], hex(int(v._mpf_[1])), v._mpf_[2], v._mpf_[3]]
+            for kind, values in (("nodes", xs), ("weights", ws))
+            if kind in pinned_kinds(n, prec)
+            for i, v in enumerate(values)]
+
+
+def pinned_rule_rows(n: int, prec: int) -> list:
+    """The rows of gauss_legendre.json for the rule (n, prec)."""
+    rows = json.loads(RULES_FILE.read_text())
+    return [row for row in rows if row[:2] == [n, prec]]
+
+
+def first_rule_difference(got: list, want: list):
+    """The (n, prec, kind, index) of the first row where two lists of rule
+    rows differ, with both values; None where they are equal."""
+    for a, b in zip(got, want):
+        if a != b:
+            return f"n={b[0]}, prec={b[1]}, {b[2]}[{b[3]}]: {a[4:]} != {b[4:]}"
+    if len(got) != len(want):
+        return f"{len(got)} rows != {len(want)}"
+    return None
+
+
+def render_rules() -> str:
+    """The text of gauss_legendre.json, each rule built afresh."""
+    rows = []
+    for n, prec in sorted(set(NODE_PINS + RULE_PINS)):
+        with mock.patch.object(quadrature, "_rule_cache", {}):
+            rows += rule_rows(n, prec)
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
+
 
 def without_pass_bits(doc):
     """A command's document less the fields that report the bits and the
@@ -103,6 +157,8 @@ def main() -> int:
         for name in DOCUMENTS:
             (GOLDEN / f"{name}.json").write_text(render(name, workdir))
             print(f"wrote {GOLDEN / name}.json")
+    RULES_FILE.write_text(render_rules())
+    print(f"wrote {RULES_FILE}")
     return 0
 
 

@@ -1,8 +1,6 @@
 """Precision plumbing and the Gauss-Legendre rule generator."""
 
 import ast
-import hashlib
-import json
 import pathlib
 import re
 
@@ -10,6 +8,7 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.calculus.quadrature import GaussLegendre
 
+import golden_outputs
 from twlab import precision, quadrature
 from twlab.errors import PrecisionError
 from twlab.precision import PrecisionContext, round_to, stabilize
@@ -186,43 +185,23 @@ class TestGaussLegendre:
                 assert abs(x - rx) <= mpf(2) ** -280
                 assert abs(w / rw - 1) <= mpf(2) ** -280
 
-    # the nodes as to_json encodes them, taken before the weight was read
-    # from the recurrence that confirms the node: every node is unchanged
-    NODES_SHA256 = {
-        (20, 128): "a02be787f28fd8acfea32888778113c8fab5d5fe4dbcacd8cb3ce6f8c65a2025",
-        (36, 280): "df35c87542aee591b369bfa2c9cce559fac2d395f21aebd882f7b9e08030fff3",
-        (80, 288): "d7baf12375c18d5f634dbd0c46e8488d2fa57b99b445309494ba8a9da9fba231",
-        (96, 288): "73b67d071eca18147ba6ddd13437307dd294a599fe688320b4c34b7c96723d8d",
-    }
+    @staticmethod
+    def assert_pinned(n, prec):
+        # the rule against tests/golden/gauss_legendre.json, bit for bit;
+        # `PYTHONPATH=src python3 tests/golden_outputs.py` rewrites it
+        where = golden_outputs.first_rule_difference(
+            golden_outputs.rule_rows(n, prec), golden_outputs.pinned_rule_rows(n, prec))
+        assert where is None, f"tests/golden/gauss_legendre.json differs at {where}"
 
-    @pytest.mark.parametrize("n, prec", sorted(NODES_SHA256))
+    @pytest.mark.parametrize("n, prec", golden_outputs.NODE_PINS)
     def test_nodes_are_pinned(self, n, prec):
-        xs, _ = gauss_legendre(n, prec)
-        encoded = [[v._mpf_[0], hex(int(v._mpf_[1])), v._mpf_[2], v._mpf_[3]]
-                   for v in xs]
-        digest = hashlib.sha256(json.dumps(encoded).encode()).hexdigest()
-        assert digest == self.NODES_SHA256[n, prec]
+        self.assert_pinned(n, prec)
 
-    # nodes and weights as to_json encodes them, for odd n (0 in the
-    # middle) and even n, taken before the two halves were assembled by
-    # one symmetric rule
-    RULES_SHA256 = {
-        (1, 64): "c9bc9a7d13cb204ebe2b612d8798394d74154c9cda51f51c35cab8d83709bb75",
-        (20, 128): "93527662221c6f86720e4cd1f990d1c46415548a7448e748fab0c4cd0c9e96d0",
-        (21, 128): "1a57a511d8b64634e3219d996ca14426e94a818924a57dbeea89ab5b4399d54d",
-        (61, 272): "5f1e11c9378e020478015808426bf986500e1dead1dd580e534cf2989d4bb3a7",
-    }
-
-    @pytest.mark.parametrize("n, prec", sorted(RULES_SHA256))
+    @pytest.mark.parametrize("n, prec", golden_outputs.RULE_PINS)
     def test_rules_are_pinned(self, n, prec):
-        def enc(values):
-            return [[v._mpf_[0], hex(int(v._mpf_[1])), v._mpf_[2], v._mpf_[3]]
-                    for v in values]
-
         xs, ws = gauss_legendre(n, prec)
         assert len(xs) == len(ws) == n
-        digest = hashlib.sha256(json.dumps([enc(xs), enc(ws)]).encode()).hexdigest()
-        assert digest == self.RULES_SHA256[n, prec]
+        self.assert_pinned(n, prec)
 
     def test_no_recurrence_only_to_confirm_a_node(self, monkeypatch):
         # three Newton steps take the float64 root past 2^-296 and a fourth
