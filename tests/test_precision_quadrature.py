@@ -203,24 +203,50 @@ class TestGaussLegendre:
         assert len(xs) == len(ws) == n
         self.assert_pinned(n, prec)
 
-    def test_no_recurrence_only_to_confirm_a_node(self, monkeypatch):
-        # three Newton steps take the float64 root past 2^-296 and a fourth
-        # confirms it; the weight comes from the recurrence of that fourth
+    def test_matches_mpmath_degree_7_rule(self):
+        # mpmath's degree-7 rule has 3 * 2^6 = 192 nodes, found by mpf Newton
+        # at 432 bits to 2^-296; the stop holds the nodes within
+        # 2^-(prec + 8) and the weights within n^2 2^-(prec + 8) relative
+        prec = 256
+        xs, ws = gauss_legendre(192, prec)
+        with mp.workprec(288):
+            ref = sorted(GaussLegendre(mp).calc_nodes(7, 288))
+        assert len(ref) == 192
+        with mp.workprec(400):
+            for x, w, (rx, rw) in zip(xs, ws, ref):
+                assert abs(x - rx) <= mpf(2) ** -(prec + 8)
+                assert abs(w / rw - 1) <= 192 ** 2 * mpf(2) ** -(prec + 8)
+
+    def test_no_recurrence_only_to_confirm_a_node(self):
+        # the Halley steps before the last run on coarser grids, and the
+        # last one's |dx| proves the stop and gives the weight: exactly one
+        # full-width recurrence per node
         legendre, calls = quadrature._legendre_on_grid, []
 
         def counted(n, x, frac):
             calls.append(frac)
             return legendre(n, x, frac)
 
-        monkeypatch.setattr(quadrature, "_rule_cache", {})
-        monkeypatch.setattr(quadrature, "_legendre_on_grid", counted)
-        gauss_legendre(80, 288)
-        assert calls.count(288 + 24) <= 4 * 40
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_rule_cache", {})
+            patch.setattr(quadrature, "_legendre_on_grid", counted)
+            gauss_legendre(80, 288)
+        assert calls.count(288 + 24) == 40
+        assert max(calls) == 288 + 24
 
     def test_unconverged_node_raises(self, monkeypatch):
-        # a seed far outside [-1, 1] leaves Newton too far from the root
-        # for the steps it is allowed
+        # a seed far outside [-1, 1] leaves float64 Newton too far from the
+        # root for the steps it is allowed
         monkeypatch.setattr(quadrature, "_rule_cache", {})
-        monkeypatch.setattr(quadrature, "_float64_root", lambda n, i: 40.0)
+        monkeypatch.setattr(quadrature, "_tricomi_seed", lambda n, i: 40.0)
         with pytest.raises(PrecisionError, match="did not converge"):
             gauss_legendre(20, 128)
+
+    def test_uncertified_stop_raises(self, monkeypatch):
+        # a float64 root far worse than the bits it is taken to carry: the
+        # final step's |dx| cannot prove the node, so no rule is returned
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "_float64_root",
+                            lambda n, i: quadrature._tricomi_seed(n, i) + 1e-6)
+        with pytest.raises(PrecisionError, match="bound exceeds"):
+            gauss_legendre(20, 64)
