@@ -126,18 +126,20 @@ def cauchy_schur_pivots(a: Sequence[int], b: Sequence[int], u: Sequence[int],
         shift = bound + 1 + dk.bit_length() + 1
         recip = (1 << (frac_bits + shift)) // dk
         recip_up = recip + 1
-        multipliers = []
         for i in range(k + 1, n):
             ai, bi = a[i], b[i]
             s = (bi * ak - ai * bk) // (u[i] - uk)
             l = (s * (recip_up if s > 0 else recip)) >> shift
-            multipliers.append(l)
-            a[i] = ai - ((l * ak) >> frac_bits)
-            b[i] = bi - ((l * bk) >> frac_bits)
+            a[i] = ai = ai - ((l * ak) >> frac_bits)
+            b[i] = bi = bi - ((l * bk) >> frac_bits)
             d[i] -= (l * s) >> frac_bits
-        for held in (multipliers, a[k + 1:], b[k + 1:]):
-            if held:
-                largest = max(largest, max(held), -min(held))
+            # the running largest; the next pivot's shift reads it
+            if abs(l) > largest:
+                largest = abs(l)
+            if abs(ai) > largest:
+                largest = abs(ai)
+            if abs(bi) > largest:
+                largest = abs(bi)
     return pivots, largest
 
 
