@@ -457,11 +457,13 @@ _WARM_MAX_ITER = 40
 _WARM_ACCEPT = 1e-6
 
 
-def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float) -> np.ndarray:
+def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float):
     """Damped (Armijo-backtracked) float64 Newton from the asymptotic guess.
 
     Stops at the float64 rounding floor: once the residual is below
-    _WARM_ACCEPT, a full Newton step that does not lower it is noise."""
+    _WARM_ACCEPT, a full Newton step that does not lower it is noise.
+    Returns (u, the _factor64 elimination of the Jacobian at u), so that
+    _refine does not eliminate it again."""
     import numpy as np
 
     def trial(lam):
@@ -472,8 +474,9 @@ def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float) -> np.ndarray:
     u = _initial_guess(mesh.nodes_f)
     res = _residual64(mesh, u, bc_l, bc_r)
     norm = np.abs(res).max()
+    fac = _factor64(mesh, u)
     for it in range(1, _WARM_MAX_ITER + 1):
-        delta = _solve64(_factor64(mesh, u), res)
+        delta = _solve64(fac, res)
         lam = 1.0
         u_new, res_new, norm_new = trial(lam)
         if norm <= _WARM_ACCEPT and norm_new > 0.75 * norm:
@@ -485,16 +488,18 @@ def _warm_start(mesh: _Mesh, bc_l: float, bc_r: float) -> np.ndarray:
                                   residual=float(norm))
             u_new, res_new, norm_new = trial(lam)
         u, res, norm = u_new, res_new, norm_new
+        fac = _factor64(mesh, u)
     log.debug("float64 warm start: %d Newton iterations, residual %.3e", it, norm)
     if norm > _WARM_ACCEPT:
         raise SolverError("float64 warm start did not converge", residual=float(norm))
-    return u
+    return u, fac
 
 
-def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
+def _refine(mesh: _Mesh, u64: np.ndarray, fac, bc_l: mpf, bc_r: mpf, stop: mpf):
     """Defect correction at the working precision: u <- u - J64^-1 r(u), with
-    the float64 Jacobian J64 = J(u64) eliminated once (Higham, Accuracy and
-    Stability, ch. 12).  u and r stay on the mesh's fixed-point grid
+    the float64 Jacobian J64 = J(u64) eliminated once, by the warm start
+    that returned u64 and ``fac`` (Higham, Accuracy and Stability, ch. 12).
+    u and r stay on the mesh's fixed-point grid
     2^-F, F = mesh.frac, throughout: each sweep is one integer residual
     (_ode_residual), one float64 solve and one integer subtraction per node.
     Every float64 value enters the grid through _steps_on_grid, as a short
@@ -512,7 +517,6 @@ def _refine(mesh: _Mesh, u64: np.ndarray, bc_l: mpf, bc_r: mpf, stop: mpf):
     import numpy as np
 
     f, p = mesh.frac, mesh.p
-    fac = _factor64(mesh, u64)
     u = [[0] * (p + 1) for _ in range(mesh.k)]
     dots = [[0] * (p + 1) for _ in range(mesh.k)]
 
@@ -1086,8 +1090,8 @@ def solve_hastings_mcleod(x_left=-12, x_right=8, nodes: int = 1100,
         mesh = _Mesh(x_left, x_right, k_elems, p)
         bc_l = q_left_boundary_value(x_left)[0]
         bc_r = specialfn.airy_ai(x_right, prec)[0]
-        u64 = _warm_start(mesh, float(bc_l), float(bc_r))
-        u, res = _refine(mesh, u64, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
+        u64, fac = _warm_start(mesh, float(bc_l), float(bc_r))
+        u, res = _refine(mesh, u64, fac, bc_l, bc_r, stop=mpf(2) ** (-(prec - 24)))
 
     # every stored value is rounded once from the grid: q from u, and
     # q' = (2/h) D1 u from one exact folded dot in units 2^-3F

@@ -253,8 +253,8 @@ class TestSolver:
             mesh = painleve2._Mesh(mpf(-12), mpf(8), 46, painleve2._ELEMENT_DEGREE)
             bc_l = painleve2.q_left_boundary_value(mesh.edges[0])[0]
             bc_r = specialfn.airy_ai(mesh.edges[-1], prec)[0]
-            u64 = painleve2._warm_start(mesh, float(bc_l), float(bc_r))
-            u, res = painleve2._refine(mesh, u64, bc_l, bc_r,
+            u64, fac = painleve2._warm_start(mesh, float(bc_l), float(bc_r))
+            u, res = painleve2._refine(mesh, u64, fac, bc_l, bc_r,
                                        stop=mpf(2) ** -(prec - 24))
         p, f = mesh.p, mesh.frac
 
@@ -357,13 +357,11 @@ class TestSolver:
 
     def test_refinement_that_does_not_contract_raises(self, monkeypatch):
         # refine with the Jacobian of a shifted state instead of the warm start's
-        warm_start, factor = painleve2._warm_start, painleve2._factor64
+        warm_start = painleve2._warm_start
 
-        def shifted_warm_start(*args):
-            u = warm_start(*args)
-            monkeypatch.setattr(painleve2, "_factor64",
-                                lambda mesh, v: factor(mesh, v + 0.5))
-            return u
+        def shifted_warm_start(mesh, *args):
+            u, _ = warm_start(mesh, *args)
+            return u, painleve2._factor64(mesh, u + 0.5)
 
         monkeypatch.setattr(painleve2, "_warm_start", shifted_warm_start)
         with pytest.raises(SolverError) as info:
