@@ -4,6 +4,7 @@ named below, each with the reader it waits for.  A function that only the
 tests call shows up here, and so does one that a change stops calling."""
 
 import ast
+import importlib
 import os
 import pathlib
 import pkgutil
@@ -66,9 +67,10 @@ def _functions(path: pathlib.Path) -> dict:
 def test_commands_reach_every_function_but_the_named_ones(tmp_path, monkeypatch):
     # a warm module memo (a Gauss-Legendre rule, a ladder, zeta'(-1)) would
     # hide the builder behind it, so every run starts with them empty
+    # (each submodule imported first: run alone, this file imports only cli's)
     for info in pkgutil.iter_modules(twlab.__path__):
-        module = sys.modules.get(f"twlab.{info.name}")
-        for name, value in list(vars(module or {}).items()):
+        module = importlib.import_module(f"twlab.{info.name}")
+        for name, value in list(vars(module).items()):
             if name.endswith("_cache") and isinstance(value, dict):
                 monkeypatch.setattr(module, name, type(value)())
     cache = ["--cache-dir", str(tmp_path / "cache")]
