@@ -3,14 +3,14 @@
 Each node r and its weight are found in the five steps below, and only
 the last Halley step runs at the full grid 2^-(prec + 24)
 (twlab.fixedpoint): one Legendre recurrence per node at that width, after
-Newton steps whose precision rises (Johansson and Mezzarobba, SIAM J. Sci.
+steps whose precision rises (Johansson and Mezzarobba, SIAM J. Sci.
 Comput. 40, 2018).
 
 1. Seed.  Tricomi's asymptotic value x = (1 - (n - 1)/(8 n^3) - (39 -
    28 / sin^2 theta)/(384 n^4)) cos theta, theta = pi (4i + 3)/(4n + 2), for
    the i-th largest root.
-2. Float64 Newton until |dx| < 2^-36: one step for most nodes at n >= 160,
-   two or three at the ends.  The root it leaves is taken to carry
+2. Float64 Newton until |dx| < 2^-36: two steps for most nodes at n = 80,
+   one for most at n >= 240, three at the ends.  The root it leaves is taken to carry
    _FLOAT64_BITS = 48 bits (measured 53-55 for n <= 1000 against a rule
    200 bits finer); the first integer step checks this, as every step does.
 3. Halley steps on integer grids.  The three-term recurrence (k P_k =
@@ -24,7 +24,7 @@ Comput. 40, 2018).
    equation, differentiated, bounds both ratios near the root by
    P''/P' ~ 2x / s and P'''/P' ~ (4x P''/P' + 2 - n(n + 1)) / s, s = 1 - x^2,
    so C <= n(n + 1)/(3s) + 5/s^2 with a factor 2 to spare for the ratios'
-   change between x and the root (below 2^-18 relative while |dx| < 2^-36
+   change between x and the root (below 2^-16 relative while |dx| < 2^-36
    and n <= 1000).  The bits the final step needs in its input are set by
    the bounds of step 4; the steps before it are planned back from there,
    each asked for (b + log2 C + 1)/3 bits when the next needs b, and run on
@@ -51,9 +51,9 @@ Comput. 40, 2018).
    2 |r| |dr| / (1 - r^2) relative: below n^2 2^-(prec + 8), as 1 - r^2 >=
    sin^2(2.4 / (n + 1/2)) at the outermost node.
 
-The n-point rule at 288 bits takes 3.7 ms at n = 80 against 7.2 ms with
-four full-width recurrences per node, and 47 ms at n = 240 and 544 bits
-against 125 ms (best of 7, one core, Python 3.11 on a 2-core x86-64 VM).
+The rule (n, prec) = (80, 288) takes 3.7 ms against 7.2 ms with four
+full-width recurrences per node, and (240, 544) 47 ms against 125 ms (best
+of 7 in one process; Python 3.11, mpmath without gmpy2, 2-core x86-64 VM).
 
 Rules are cached per (n, precision).  The library is single-threaded
 (mp.workprec sets the process-global mp.prec), so the memo dict needs no
@@ -138,11 +138,11 @@ def gauss_legendre(n: int, prec: int) -> Tuple[List[mpf], List[mpf]]:
     weights: List[int] = []
     for i in range((n + 1) // 2):
         x0 = _float64_root(n, i)
-        s = 1 - x0 * x0
+        s0 = 1 - x0 * x0
         # log2 of the cubic constants of the node (Halley) and of the
         # weight (trapezoid), each doubled to spare
-        node_c = math.log2(nn1 / (3 * s) + 5 / (s * s))
-        weight_c = math.log2(2 * nn1 / (3 * s * s))
+        node_c = math.log2(nn1 / (3 * s0) + 5 / (s0 * s0))
+        weight_c = math.log2(2 * nn1 / (3 * s0 * s0))
         # bits the final step's input must carry, so that both stop
         final = max(goal + 1 + node_c, frac + weight_c) / 3
         bits, grid = _FLOAT64_BITS, 0

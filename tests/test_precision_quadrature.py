@@ -217,7 +217,7 @@ class TestGaussLegendre:
                 assert abs(x - rx) <= mpf(2) ** -(prec + 8)
                 assert abs(w / rw - 1) <= 192 ** 2 * mpf(2) ** -(prec + 8)
 
-    def test_no_recurrence_only_to_confirm_a_node(self):
+    def test_no_recurrence_only_to_confirm_a_node(self, monkeypatch):
         # the Halley steps before the last run on coarser grids, and the
         # last one's |dx| proves the stop and gives the weight: exactly one
         # full-width recurrence per node
@@ -227,10 +227,9 @@ class TestGaussLegendre:
             calls.append(frac)
             return legendre(n, x, frac)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_rule_cache", {})
-            patch.setattr(quadrature, "_legendre_on_grid", counted)
-            gauss_legendre(80, 288)
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "_legendre_on_grid", counted)
+        gauss_legendre(80, 288)
         assert calls.count(288 + 24) == 40
         assert max(calls) == 288 + 24
 
